@@ -36,7 +36,8 @@ from .config import (field_from_config, grid_from_config, kernel_from_name,
                      load_config_file, model_from_config, validate_command_config)
 from .errors import FpkError, ValidationError
 from .fields import DiffusionMatrixField, linear_drift
-from .fpk import harnack_ratio, moment_report, solve_exact_1d, solve_grid, weighted_lp_norm
+from .fpk import (harnack_ratio, moment_report, solve_exact_1d, solve_grid, stationary_density,
+                  weighted_lp_norm)
 from .grids import GridSpec
 from .meanfield import (MeanFieldModel, contraction_estimate, epsilon_threshold,
                         gaussian_probe, picard_iterate)
@@ -150,14 +151,16 @@ def run_solve(ctx: RunContext, cfg: dict, strict: bool) -> dict:
     A, b, dim, name = model_from_config(cfg)
     spec = grid_from_config(cfg, dim, b.growth.beta2)
     method = cfg["method"]
+    strict = strict or cfg["strict"]
     if method == "auto":
+        rho = stationary_density(A, b, spec, strict=strict)
         method = "exact-1d" if dim == 1 else "grid"
-    if method == "exact-1d":
+    elif method == "exact-1d":
         if dim != 1:
             raise ValidationError("method exact-1d needs a one-dimensional model", path="method")
         rho = solve_exact_1d(A, b, spec)
     else:
-        rho = solve_grid(A, b, spec, strict=strict or cfg["strict"])
+        rho = solve_grid(A, b, spec, strict=strict)
     k = cfg["weight_order"]
     mom = moment_report(rho, orders=(0.0, 1.0, 2.0, 4.0))
     mass = mom.value(0.0)
@@ -193,7 +196,7 @@ def run_poisson(ctx: RunContext, cfg: dict, strict: bool) -> dict:
     A, b, dim, name = model_from_config(cfg)
     psi = field_from_config(cfg["psi"], dim=dim, path="psi")
     spec = grid_from_config(cfg, dim, b.growth.beta2)
-    rho = solve_exact_1d(A, b, spec) if dim == 1 else solve_grid(A, b, spec)
+    rho = stationary_density(A, b, spec)
     prob = PoissonProblem(A, b, psi, cfg["k"], rho, p=cfg["p"])
     sol = solve_poisson(prob)
     pts = spec.cell_centers()

@@ -98,7 +98,7 @@ _FIELD_SCHEMA = {
     "params": Key((dict,), default=None),
     "expression": Key((str,)),
     "constant": Key(_NUM),
-    "dim": Key((int,), default=1, check=lambda v: v in (1, 2), expect="1 or 2"),
+    "dim": Key((int,), default=None, check=lambda v: v in (1, 2), expect="1 or 2"),
 }
 
 _DIFFUSION_SCHEMA = {

@@ -13,9 +13,10 @@ formal adjoint equation sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0):
   in direction i is d_j(a^ij rho) - b^i rho with second-order centered
   differences; cross-derivative terms average the four cells around each
   interior corner, coefficients are evaluated pointwise at faces and corners.
-  Outer walls carry zero flux, so row sums telescope and the singular system
-  is closed by swapping the equation of the center-most cell for the
-  normalization constraint sum rho h^d = 1.
+  Outer walls carry zero flux, so row sums telescope and the equation of the
+  center-most cell is implied by the others. The singular system is closed
+  by pinning that cell (its row becomes the unit row, value 1) and the
+  solution is then scaled to the normalization sum rho h^d = 1.
 
 The scheme is second order but not monotone; tiny negative cells can appear
 and are clipped with the removed mass recorded (escalated to an error in
@@ -114,7 +115,9 @@ def solve_exact_1d(a, b: DriftField, spec: GridSpec, subdiv: int = 8,
 # ---------------------------------------------------------------------------
 
 
-class _Triplets:
+class Triplets:
+    """COO triplets of a square sparse operator, summed on assembly."""
+
     def __init__(self):
         self.rows: list[np.ndarray] = []
         self.cols: list[np.ndarray] = []
@@ -126,17 +129,32 @@ class _Triplets:
         self.cols.append(np.asarray(c).ravel())
         self.vals.append(np.asarray(v, dtype=float).ravel())
 
-    def matrix(self, n_rows: int, drop_row: int | None = None) -> sp.csr_matrix:
+    def matrix(self, n_rows: int) -> sp.csr_matrix:
         r = np.concatenate(self.rows)
         c = np.concatenate(self.cols)
         v = np.concatenate(self.vals)
-        if drop_row is not None:
-            keep = r != drop_row
-            r, c, v = r[keep], c[keep], v[keep]
         return sp.coo_matrix((v, (r, c)), shape=(n_rows, n_rows)).tocsr()
 
 
-def _flux_divergence_triplets(A: DiffusionMatrixField, b: DriftField, spec: GridSpec) -> _Triplets:
+def pinned_solve(M: sp.spmatrix, pin: int, rhs: np.ndarray) -> np.ndarray:
+    """Solve M x = rhs for a singular M with a one-dimensional kernel.
+
+    Row `pin` must be implied by the other rows. It is replaced by the unit
+    row e_pin, so x meets the other equations and x[pin] = rhs[pin]; callers
+    fix the kernel component (normalize a mass, subtract a mean).
+    """
+    P = sp.csr_matrix(M, dtype=float, copy=True)
+    P.data[P.indptr[pin]:P.indptr[pin + 1]] = 0.0
+    P[pin, pin] = 1.0
+    P.eliminate_zeros()
+    try:
+        lu = spla.splu(P.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # SuperLU reports an exactly singular factor
+        raise ConvergenceError(f"sparse factorization failed: {exc}", history=[np.inf]) from exc
+    return lu.solve(np.asarray(rhs, dtype=float))
+
+
+def _flux_divergence_triplets(A: DiffusionMatrixField, b: DriftField, spec: GridSpec) -> Triplets:
     """Triplets of the flux-form divergence operator M with zero-flux walls.
 
     Face flux along axis i: [(a^ii rho)_hi - (a^ii rho)_lo]/h
@@ -148,7 +166,7 @@ def _flux_divergence_triplets(A: DiffusionMatrixField, b: DriftField, spec: Grid
     n, h, R = spec.n, spec.h, spec.radius
     centers = spec.axis_centers()
     edges = -R + np.arange(1, n) * h  # interior face positions
-    trip = _Triplets()
+    trip = Triplets()
 
     if spec.dim == 1:
         cells = np.arange(n)
@@ -241,9 +259,11 @@ def solve_grid(A, b: DriftField, spec: GridSpec, strict: bool = False,
                ellipticity_tol: float = 1e-6, check_truncation: bool = True) -> GridDensity:
     """Stationary density by flux-form finite volumes on the truncated box.
 
-    Builds the singular divergence operator, swaps the center-most cell's
-    equation for the mass constraint, and solves with a sparse direct
-    factorization. The solution is validated: relative residual of the full
+    Builds the singular divergence operator, pins the center-most cell (its
+    implied equation becomes the unit row), solves with a sparse direct
+    factorization and scales the solution to unit mass; the signed scaling
+    reproduces the solution of the system closed by the mass constraint
+    itself. The solution is validated: relative residual of the full
     singular system below 1e-10 (else ConvergenceError with the history),
     clipped negative mass recorded (SchemePositivityError in strict mode above
     1e-6), boundary-cell mass below 1e-4 (else TruncationError; disabled by
@@ -260,18 +280,12 @@ def solve_grid(A, b: DriftField, spec: GridSpec, strict: bool = False,
     A.check_ellipticity(spec.cell_centers(), tol=ellipticity_tol)
 
     N = spec.n_cells
-    trip = _flux_divergence_triplets(A, b, spec)
-    M = trip.matrix(N)
-
-    radii = spec.center_radii()
-    pin = int(np.argmin(radii))
-    M_pinned = trip.matrix(N, drop_row=pin).tolil()
-    M_pinned[pin, :] = spec.cell_volume
-    M_pinned = M_pinned.tocsc()
+    M = _flux_divergence_triplets(A, b, spec).matrix(N)
+    pin = int(np.argmin(spec.center_radii()))
     rhs = np.zeros(N)
     rhs[pin] = 1.0
-
-    raw = spla.spsolve(M_pinned, rhs)
+    raw = pinned_solve(M, pin, rhs)
+    raw = raw / (raw.sum() * spec.cell_volume)
     if not np.all(np.isfinite(raw)):
         raise ConvergenceError("sparse direct solve produced non-finite values", history=[np.inf])
 
@@ -303,6 +317,13 @@ def solve_grid(A, b: DriftField, spec: GridSpec, strict: bool = False,
             f"under-truncation: boundary cells hold mass {rho.boundary_mass:.3e} "
             f">= {BOUNDARY_MASS_LIMIT:g}; enlarge the radius")
     return rho
+
+
+def stationary_density(A, b: DriftField, spec: GridSpec, strict: bool = False) -> GridDensity:
+    """Stationary density on the grid: the closed form in d = 1, finite volumes otherwise."""
+    if spec.dim == 1:
+        return solve_exact_1d(A, b, spec)
+    return solve_grid(A, b, spec, strict=strict)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,9 @@ import numpy as np
 from .errors import (ConvergenceError, DegenerateDensityError, EllipticityMarginError,
                      NonContractionError)
 from .fields import ClosureField, DiffusionMatrixField, DriftField, GrowthParams, SMOOTH, ScalarField
-from .fpk import solve_exact_1d, solve_grid
+from .fpk import stationary_density
 from .grids import GridDensity, GridSpec
-from .oscillation import _fit_line
+from .oscillation import fit_line
 from .stability import weighted_l1_distance
 
 _EVAL_CHUNK = 4096
@@ -158,6 +158,12 @@ def _shifted_scalar(base: ScalarField, shift, dim: int, name: str) -> ScalarFiel
                         base.tag, name=name)
 
 
+def _weighted_moment(rho: GridDensity, power: float) -> float:
+    """integral (1 + |x|)^power rho by cell quadrature."""
+    r = rho.spec.center_radii()
+    return float(np.sum((1.0 + r) ** power * rho.flat()) * rho.spec.cell_volume)
+
+
 def nonlocal_coefficients(model: MeanFieldModel,
                           rho: GridDensity) -> tuple[DiffusionMatrixField, DriftField]:
     """Coefficients frozen at rho, with an audited ellipticity margin.
@@ -197,9 +203,7 @@ def nonlocal_coefficients(model: MeanFieldModel,
         ker = model.drift_kernel
         off = ker.convolve(rho)
         g = model.b0.growth
-        r = rho.spec.center_radii()
-        mom = float(np.sum((1.0 + r) ** ker.growth_order * rho.flat()) * rho.spec.cell_volume)
-        drift_bound = eps * ker.sup_bound * mom
+        drift_bound = eps * ker.sup_bound * _weighted_moment(rho, ker.growth_order)
         growth = GrowthParams(beta=g.beta,
                               beta1=g.beta1 + drift_bound ** 2 / (2.0 * g.beta2),
                               beta2=g.beta2 / 2.0,
@@ -219,9 +223,7 @@ def nonlocal_coefficients(model: MeanFieldModel,
 def apply_phi(model: MeanFieldModel, rho: GridDensity) -> GridDensity:
     """One application of the self-consistency map Phi."""
     a_eff, b_eff = nonlocal_coefficients(model, rho)
-    if model.dim == 1:
-        return solve_exact_1d(a_eff, b_eff, rho.spec)
-    return solve_grid(a_eff, b_eff, rho.spec)
+    return stationary_density(a_eff, b_eff, rho.spec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,11 +253,6 @@ class FixedPointTrace:
     @property
     def n_steps(self) -> int:
         return len(self.gaps)
-
-
-def _weighted_moment(rho: GridDensity, power: float) -> float:
-    r = rho.spec.center_radii()
-    return float(np.sum((1.0 + r) ** power * rho.flat()) * rho.spec.cell_volume)
 
 
 def picard_iterate(model: MeanFieldModel, rho0: GridDensity, tol: float = 1e-8,
@@ -382,7 +379,7 @@ def linear_response(model: MeanFieldModel, spec: GridSpec,
     """
     eps_arr = np.asarray(list(eps_grid), dtype=float)
     facs = np.array([contraction_estimate(model.with_eps(e), spec).factor for e in eps_arr])
-    slope, intercept, sse = _fit_line(eps_arr, facs)
+    slope, intercept, sse = fit_line(eps_arr, facs)
     tot = float(np.sum((facs - facs.mean()) ** 2))
     r2 = 1.0 - sse / tot if tot > 0 else 1.0
     return eps_arr, facs, float(slope), float(r2)

@@ -142,14 +142,11 @@ def dini_mean_oscillation(f: ScalarField, radii, sampling: SamplingSpec | None =
 
 def loglog_slope(radii, values) -> float:
     """Least-squares slope of log(values) against log(radii)."""
-    r = np.log(np.asarray(radii, dtype=float))
-    v = np.log(np.maximum(np.asarray(values, dtype=float), _TINY))
-    A = np.stack([r, np.ones_like(r)], axis=1)
-    sol, *_ = np.linalg.lstsq(A, v, rcond=None)
-    return float(sol[0])
+    return fit_line(np.log(np.asarray(radii, dtype=float)),
+                    np.log(np.maximum(np.asarray(values, dtype=float), _TINY)))[0]
 
 
-def _fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+def fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     """Least squares y = slope*x + intercept; returns (slope, intercept, sse)."""
     A = np.stack([xs, np.ones_like(xs)], axis=1)
     sol, *_ = np.linalg.lstsq(A, ys, rcond=None)
@@ -192,10 +189,10 @@ def dini_integral(modulus: OscillationModulus, t0: float | None = None) -> DiniE
         rw = r[win]
         ow = np.maximum(om[win], _TINY)
 
-    s_pow, c_pow, sse_pow = _fit_line(np.log(rw), np.log(ow))
+    s_pow, c_pow, sse_pow = fit_line(np.log(rw), np.log(ow))
     use_log_model = bool((rw < 1.0).all())
     if use_log_model:
-        g_log, c_log, sse_log = _fit_line(np.log(np.log(1.0 / rw)), np.log(ow))
+        g_log, c_log, sse_log = fit_line(np.log(np.log(1.0 / rw)), np.log(ow))
         g_log = -g_log
     else:
         g_log, c_log, sse_log = 0.0, 0.0, np.inf

@@ -16,8 +16,10 @@ centered so that integral psi~ rho = 0, the solution machinery provides:
 * solve_poisson_grid: centered non-divergence finite differences with
   reflective (zero normal derivative) walls. The discrete operator kills
   constants; solvability is restored by subtracting the projection constant
-  <psi~, w> with w the discrete adjoint null vector, and the kernel is fixed
-  by pinning the B(0, 2 R0) cell average of u to zero. With a confining
+  <psi~, w> with w the discrete adjoint null vector. The center-most cell is
+  pinned (its implied equation becomes the unit row, u = 0 there) and the
+  kernel is then fixed by subtracting the B(0, 2 R0) cell average of u, so
+  that average is zero. With a confining
   drift the artificial wall closure only pollutes a boundary layer; interior
   accuracy is second order.
 
@@ -35,11 +37,11 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfinementError, ConvergenceError, IncompatibilityError, TruncationError
-from .fields import ClosureField, ConstantField, DiffusionMatrixField, DriftField, ScalarField
-from .fpk import ModelSpec, _fine_profile_1d, _scalar_diffusion, builtin_models, solve_exact_1d, solve_grid
+from .fields import ClosureField, DiffusionMatrixField, DriftField, ScalarField
+from .fpk import (ModelSpec, Triplets, _fine_profile_1d, _scalar_diffusion, builtin_models,
+                  pinned_solve, stationary_density)
 from .grids import GridDensity, GridSpec
 from .quadrature import cumulative_integral
 
@@ -346,25 +348,18 @@ def _nondivergence_matrix(A: DiffusionMatrixField, b: DriftField, spec: GridSpec
     """Centered-difference discretization of L with reflective ghost cells."""
     n, h = spec.n, spec.h
     pts = spec.cell_centers()
-    N = spec.n_cells
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(np.asarray(r).ravel())
-        cols.append(np.asarray(c).ravel())
-        vals.append(np.broadcast_to(np.asarray(v, dtype=float), np.asarray(r).shape).ravel())
-
+    trip = Triplets()
     if spec.dim == 1:
         i = np.arange(n)
         up = np.minimum(i + 1, n - 1)     # reflective ghosts: clamp indices
         dn = np.maximum(i - 1, 0)
         a_c = A.entry(0, 0).values(pts)
         b_c = b.values(pts)[:, 0]
-        add(i, up, a_c / h ** 2 + b_c / (2 * h))
-        add(i, dn, a_c / h ** 2 - b_c / (2 * h))
-        add(i, i, -2.0 * a_c / h ** 2)
+        trip.add(i, up, a_c / h ** 2 + b_c / (2 * h))
+        trip.add(i, dn, a_c / h ** 2 - b_c / (2 * h))
+        trip.add(i, i, -2.0 * a_c / h ** 2)
     else:
-        idx = np.arange(N).reshape(n, n)
+        idx = np.arange(spec.n_cells).reshape(n, n)
         I, J = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         a_c = [A.entry(ax, ax).values(pts).reshape(n, n) for ax in (0, 1)]
         a01 = A.entry(0, 1).values(pts).reshape(n, n)
@@ -374,36 +369,26 @@ def _nondivergence_matrix(A: DiffusionMatrixField, b: DriftField, spec: GridSpec
         Iu, Id = np.minimum(I + 1, n - 1), np.maximum(I - 1, 0)
         Ju, Jd = np.minimum(J + 1, n - 1), np.maximum(J - 1, 0)
         rows_c = idx[I, J]
-        add(rows_c, idx[Iu, J], a_c[0] / h ** 2 + bx / (2 * h))
-        add(rows_c, idx[Id, J], a_c[0] / h ** 2 - bx / (2 * h))
-        add(rows_c, idx[I, Ju], a_c[1] / h ** 2 + by / (2 * h))
-        add(rows_c, idx[I, Jd], a_c[1] / h ** 2 - by / (2 * h))
-        add(rows_c, rows_c, -2.0 * (a_c[0] + a_c[1]) / h ** 2)
+        trip.add(rows_c, idx[Iu, J], a_c[0] / h ** 2 + bx / (2 * h))
+        trip.add(rows_c, idx[Id, J], a_c[0] / h ** 2 - bx / (2 * h))
+        trip.add(rows_c, idx[I, Ju], a_c[1] / h ** 2 + by / (2 * h))
+        trip.add(rows_c, idx[I, Jd], a_c[1] / h ** 2 - by / (2 * h))
+        trip.add(rows_c, rows_c, -2.0 * (a_c[0] + a_c[1]) / h ** 2)
         off = np.abs(a01).max() if a01.size else 0.0
         if off > 0.0:
             w = 2.0 * a01 / (4.0 * h ** 2)  # a01 and a10 together
-            add(rows_c, idx[Iu, Ju], w)
-            add(rows_c, idx[Id, Jd], w)
-            add(rows_c, idx[Iu, Jd], -w)
-            add(rows_c, idx[Id, Ju], -w)
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(N, N)).tocsr()
-
-
-def _replace_row(M: sp.csr_matrix, row: int, entries: np.ndarray) -> sp.csc_matrix:
-    lil = M.tolil()
-    lil.rows[row] = list(range(M.shape[0]))
-    lil.data[row] = list(np.asarray(entries, dtype=float))
-    return lil.tocsc()
+            trip.add(rows_c, idx[Iu, Ju], w)
+            trip.add(rows_c, idx[Id, Jd], w)
+            trip.add(rows_c, idx[Iu, Jd], -w)
+            trip.add(rows_c, idx[Id, Ju], -w)
+    return trip.matrix(spec.n_cells)
 
 
 def discrete_adjoint_null(M: sp.csr_matrix, pin: int) -> np.ndarray:
     """Left null vector of the singular operator, normalized to sum 1."""
-    N = M.shape[0]
-    MT = _replace_row(sp.csr_matrix(M.T), pin, np.ones(N))
-    rhs = np.zeros(N)
+    rhs = np.zeros(M.shape[0])
     rhs[pin] = 1.0
-    w = spla.spsolve(MT, rhs)
+    w = pinned_solve(M.T, pin, rhs)
     if not np.all(np.isfinite(w)):
         raise ConvergenceError("adjoint null-vector solve failed")
     total = w.sum()
@@ -419,8 +404,9 @@ def solve_poisson_grid(problem: PoissonProblem, incompatibility_factor: float = 
     magnitude of that projection is the disagreement between the declared
     reference density and the discrete operator and must stay below
     incompatibility_factor times the expected O(h^2) discretization scale.
-    The kernel direction (constants) is fixed by pinning the cell average of
-    u over B(0, 2 R0) to zero.
+    The center-most cell is pinned to u = 0 (its implied equation becomes the
+    unit row), and the kernel direction (constants) is then fixed by
+    subtracting the cell average of u over B(0, 2 R0).
     """
     spec = problem.spec
     M = _nondivergence_matrix(problem.A, problem.b, spec)
@@ -439,17 +425,15 @@ def solve_poisson_grid(problem: PoissonProblem, incompatibility_factor: float = 
     psi_proj = psi_t - c_proj
 
     wit = lyapunov_constants(problem.A, problem.b, problem.k, r_max=spec.radius)
-    mask = _pin_ball_mask(spec, wit.pin_radius)
-    pin_row = np.where(mask, 1.0 / mask.sum(), 0.0)
-    Mp = _replace_row(M, pin, pin_row)
     rhs = psi_proj.copy()
     rhs[pin] = 0.0
-    u = spla.spsolve(Mp, rhs)
+    u = pinned_solve(M, pin, rhs)
     if not np.all(np.isfinite(u)):
         raise ConvergenceError("Poisson grid solve produced non-finite values")
+    u -= u[_pin_ball_mask(spec, wit.pin_radius)].mean()
 
     res_vec = np.abs(M @ u - psi_proj)
-    res_vec[pin] = 0.0  # replaced row is implied by the others
+    res_vec[pin] = 0.0  # pinned row is implied by the others
     interior = radii <= spec.radius - 1.0
     residual = float(res_vec.max())
     residual_interior = float(res_vec[interior].max()) if interior.any() else residual
@@ -520,10 +504,7 @@ def verify_growth_bounds(A, b: DriftField, psi: ScalarField, k: float,
     for R in radii:
         n = int(round(n_base * R / radii[0]))
         spec = GridSpec(dim, R, n)
-        if dim == 1:
-            rho = solve_exact_1d(A, b, spec)
-        else:
-            rho = solve_grid(A, b, spec)
+        rho = stationary_density(A, b, spec)
         prob = PoissonProblem(A, b, psi, k, rho, p=p)
         sol = solve_poisson(prob)
         rows.append((sol.g0_quotient, sol.g1_quotient, sol.h_quotient))

@@ -33,9 +33,9 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .fields import DiffusionMatrixField, DriftField, GrowthParams
-from .fpk import check_support, solve_exact_1d, solve_grid
+from .fpk import check_support, stationary_density
 from .grids import GridDensity, GridSpec, require_same_grid
-from .oscillation import _fit_line
+from .oscillation import fit_line
 from .testfunctions import SmoothTestFunction
 
 
@@ -79,11 +79,8 @@ class CoefficientPair:
         """Stationary densities of both members on the shared grid."""
         if spec.dim != self.dim:
             raise GridMismatchError("grid dimension does not match the coefficient pair")
-        if self.dim == 1:
-            return (solve_exact_1d(self.a_mu, self.b_mu, spec),
-                    solve_exact_1d(self.a_sigma, self.b_sigma, spec))
-        return (solve_grid(self.a_mu, self.b_mu, spec),
-                solve_grid(self.a_sigma, self.b_sigma, spec))
+        return (stationary_density(self.a_mu, self.b_mu, spec),
+                stationary_density(self.a_sigma, self.b_sigma, spec))
 
 
 def weighted_l1_distance(rho1: GridDensity, rho2: GridDensity, k: float) -> float:
@@ -228,7 +225,7 @@ def stability_sweep(make_pair: Callable[[float], CoefficientPair],
     if pos.sum() < 2:
         raise ValueError("need at least two nonzero deltas to fit a scaling law")
     lhs = np.array([rep.lhs for rep in reports])
-    slope, intercept, sse = _fit_line(np.log(deltas[pos]), np.log(np.maximum(lhs[pos], 1e-300)))
+    slope, intercept, sse = fit_line(np.log(deltas[pos]), np.log(np.maximum(lhs[pos], 1e-300)))
     cs = np.array([rep.c_hat for rep in reports])[pos]
     cs = cs[np.isfinite(cs) & (cs > 0)]
     spread = float(cs.max() / cs.min()) if len(cs) else float("inf")

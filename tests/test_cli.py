@@ -115,6 +115,19 @@ class TestValidationExits:
         assert code == 2
         assert capsys.readouterr().err.startswith("invalid parameter:")
 
+    def test_poisson_source_dimension_follows_the_model(self, tmp_path):
+        # regression: a field "dim" default of 1 overrode the 2d model
+        cfg = {"model": "ou-2d", "psi": {"expression": "x1"}, "n": 32}
+        code, report, _ = run_cli(tmp_path, "poisson", cfg)
+        assert code == 0
+        assert report["passed"] is True
+
+    def test_poisson_source_of_the_wrong_dimension_exits_two(self, tmp_path, capsys):
+        cfg = {"model": "ou-2d", "psi": {"expression": "x1", "dim": 1}, "n": 32}
+        code, _, _ = run_cli(tmp_path, "poisson", cfg)
+        assert code == 2
+        assert "dimensions must match" in capsys.readouterr().err
+
     def test_unknown_subcommand_is_an_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--config", "x.json", "--out", "y"])

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from fpkit.errors import (
+    ConvergenceError,
     DegenerateDensityError,
     EllipticityError,
     SupportError,
@@ -22,12 +25,14 @@ from fpkit.fields import (
     make_example_field,
 )
 from fpkit.fpk import (
+    _flux_divergence_triplets,
     builtin_models,
     discretization_error,
     harnack_ratio,
     moment,
     moment_report,
     normalized_against_generator,
+    pinned_solve,
     solve_exact_1d,
     solve_grid,
     weak_residual,
@@ -176,6 +181,45 @@ class TestGridSolver:
         A = DiffusionMatrixField.from_constant(np.array([[3.0]]), lam=0.5)
         with pytest.raises(EllipticityError):
             solve_grid(A, b, grid_1d)
+
+
+class TestPinnedSolve:
+    @pytest.mark.parametrize("name", ["ou-2d", "anisotropic-2d"])
+    def test_matches_dense_mass_row_closure(self, name):
+        """Unit-row pin plus signed normalization equals the mass-constraint row."""
+        m = MODELS[name]
+        spec = GridSpec(2, 8.0, 32)
+        N = spec.n_cells
+        pin = int(np.argmin(spec.center_radii()))
+        M = _flux_divergence_triplets(m.A, m.b, spec).matrix(N).toarray()
+        M[pin, :] = spec.cell_volume
+        rhs = np.zeros(N)
+        rhs[pin] = 1.0
+        ref = np.maximum(scipy.linalg.solve(M, rhs), 0.0)
+        ref /= ref.sum() * spec.cell_volume
+        sol = solve_grid(m.A, m.b, spec).flat()
+        assert np.abs(sol - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("d, clipped", [(1, 0.0342689674813), (2, 0.0708866592271)])
+    def test_lenient_clipped_mass_is_unchanged(self, d, clipped):
+        # a grid too coarse for the drift: the signed normalization keeps the
+        # clipped negative mass of the mass-constraint closure
+        A = DiffusionMatrixField.from_constant(0.05 * np.eye(d), 0.05)
+        sol = solve_grid(A, linear_drift(d, 5.0), GridSpec(d, 4.0, 64), check_truncation=False)
+        assert sol.info["clipped_mass"] == pytest.approx(clipped, rel=1e-9)
+
+    def test_pinned_cell_takes_the_right_hand_side(self):
+        # 1d Neumann Laplacian: kernel = constants, every row implied by the others
+        M = sp.diags([[1.0, 2.0, 2.0, 1.0], [-1.0] * 3, [-1.0] * 3], [0, 1, -1], format="csr")
+        x = pinned_solve(M, 2, np.array([0.0, 0.0, 3.0, 0.0]))
+        assert np.allclose(x, 3.0, rtol=0.0, atol=1e-14)
+
+    def test_two_dimensional_kernel_is_a_convergence_error(self):
+        # two decoupled Neumann blocks: one pin leaves the second block singular
+        block = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        M = sp.block_diag([block, block], format="csr")
+        with pytest.raises(ConvergenceError, match="factorization failed"):
+            pinned_solve(M, 0, np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 class TestMoments:

@@ -19,7 +19,10 @@ from fpkit.fpk import builtin_models, solve_exact_1d, solve_grid
 from fpkit.grids import GridDensity, GridSpec
 from fpkit.poisson import (
     PoissonProblem,
+    _nondivergence_matrix,
+    _pin_ball_mask,
     builtin_poisson_cases,
+    discrete_adjoint_null,
     lyapunov_constants,
     radial_power_generator_values,
     solve_poisson,
@@ -224,6 +227,28 @@ class TestGridSolver:
         core = spec.center_radii() <= 4.0
         assert np.abs(sol.u.ravel() + pts[:, 0])[core].max() <= spec.h ** 2
         assert sol.residual_interior <= 1e-9
+
+    @pytest.mark.parametrize("name", ["ou-1d", "ou-2d", "anisotropic-2d"])
+    def test_adjoint_null_vector(self, name):
+        m = {m.name: m for m in builtin_models()}[name]
+        spec = GridSpec(m.dim, 8.0, 256 if m.dim == 1 else 32)
+        M = _nondivergence_matrix(m.A, m.b, spec)
+        w = discrete_adjoint_null(M, int(np.argmin(spec.center_radii())))
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        MT = M.T
+        assert np.abs(MT @ w).max() <= 1e-10 * (abs(MT) @ np.abs(w)).max()
+
+    def test_2d_solution_has_zero_mean_on_the_pin_ball(self, ou_2d):
+        A, b = ou_2d
+        spec = GridSpec(2, 8.0, 64)
+        rho = solve_grid(A, b, spec)
+        sol = solve_poisson_grid(
+            PoissonProblem(A, b, source(lambda z: np.tanh(z[:, 0]) + z[:, 1] ** 2, 2, "psi"),
+                           2.0, rho))
+        u = sol.u.ravel()
+        mask = _pin_ball_mask(spec, sol.pin_radius)
+        assert mask.sum() > 1
+        assert abs(u[mask].mean()) <= 1e-12 * np.abs(u).max()
 
     def test_wrong_reference_density_is_incompatible(self, ou_1d, grid_1d):
         A, b = ou_1d
