@@ -9,14 +9,20 @@ formal adjoint equation sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0):
   cumulative composite quadrature on a fine mesh and normalized by cell
   quadrature on the truncated grid.
 
-* solve_grid: flux-form finite volumes in d = 1, 2. The flux through a face
-  in direction i is d_j(a^ij rho) - b^i rho with second-order centered
-  differences; cross-derivative terms average the four cells around each
-  interior corner, coefficients are evaluated pointwise at faces and corners.
-  Outer walls carry zero flux, so row sums telescope and the equation of the
-  center-most cell is implied by the others. The singular system is closed
-  by pinning that cell (its row becomes the unit row, value 1) and the
-  solution is then scaled to the normalization sum rho h^d = 1.
+* solve_grid: flux-form finite volumes in d = 1, 2, assembled from 1d
+  operators on the n cells of an axis (face difference D, face average S,
+  corner average E, corner difference G) lifted to the grid by one Kronecker
+  helper, lift (kron(op, I) along axis 0, kron(I, op) along axis 1). The
+  flux through the faces of axis i is F_i = D_i diag(a^ii / h)
+  - diag(b^i) S_i; in d = 2 the cross flux G diag(a^01 / h) (S x E) adds
+  d_j(a^ij rho) through corner averages of the cells (the single adjacent
+  cell at a wall), and is skipped when a^01 vanishes at every sampled
+  corner. Coefficients are evaluated pointwise at cells, faces and corners.
+  The operator M = -(1/h) sum_i D_i^T F_i has zero-flux walls, so its
+  columns sum to zero and the equation of the center-most cell is implied
+  by the others. The singular system is closed by pinning that cell (its
+  row becomes the unit row, value 1) and the solution is then scaled to the
+  normalization sum rho h^d = 1.
 
 The scheme is second order but not monotone; tiny negative cells can appear
 and are clipped with the removed mass recorded (escalated to an error in
@@ -115,159 +121,128 @@ def solve_exact_1d(a, b: DriftField, spec: GridSpec, subdiv: int = 8,
 # ---------------------------------------------------------------------------
 
 
-class Triplets:
-    """COO triplets of a square sparse operator, summed on assembly."""
+def stencil_1d(n_rows: int, n_cols: int, taps: Sequence[tuple[int, float]]) -> sp.csr_matrix:
+    """Sparse 1d operator whose row r takes sum_(k, w) w * u[r + k].
 
-    def __init__(self):
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
-        self.vals: list[np.ndarray] = []
-
-    def add(self, r, c, v):
-        r, c, v = np.broadcast_arrays(r, c, v)
-        self.rows.append(np.asarray(r).ravel())
-        self.cols.append(np.asarray(c).ravel())
-        self.vals.append(np.asarray(v, dtype=float).ravel())
-
-    def matrix(self, n_rows: int) -> sp.csr_matrix:
-        r = np.concatenate(self.rows)
-        c = np.concatenate(self.cols)
-        v = np.concatenate(self.vals)
-        return sp.coo_matrix((v, (r, c)), shape=(n_rows, n_rows)).tocsr()
+    Column indices r + k are clamped to [0, n_cols - 1], so a tap past an
+    end falls back on the end entry (reflection at a zero-flux wall) and
+    taps that land on the same column are summed.
+    """
+    r = np.arange(n_rows)
+    rows = np.tile(r, len(taps))
+    cols = np.concatenate([np.clip(r + k, 0, n_cols - 1) for k, _ in taps])
+    vals = np.repeat([float(w) for _, w in taps], n_rows)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
 
 
-def pinned_solve(M: sp.spmatrix, pin: int, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs for a singular M with a one-dimensional kernel.
+def lift(op: sp.spmatrix, ax: int, spec: GridSpec, across: sp.spmatrix | None = None) -> sp.spmatrix:
+    """Lift a 1d operator acting along axis `ax` to the cells of the grid.
+
+    In d = 1 this is `op` itself. In d = 2 the other axis gets `across`
+    (the n x n identity by default) in the row-major (ij) cell order:
+    kron(op, across) for axis 0 and kron(across, op) for axis 1.
+    """
+    if spec.dim == 1:
+        return op
+    if across is None:
+        across = sp.identity(spec.n, format="csr")
+    factors = (op, across) if ax == 0 else (across, op)
+    return sp.kron(*factors, format="csr")
+
+
+def diag_scaled(X: sp.spmatrix, rows: np.ndarray | None = None,
+                cols: np.ndarray | None = None) -> sp.csr_matrix:
+    """diag(rows) X diag(cols) as a new CSR matrix (None leaves a side unscaled)."""
+    X = sp.csr_matrix(X, dtype=float, copy=True)
+    if rows is not None:
+        X.data *= np.repeat(rows, np.diff(X.indptr))
+    if cols is not None:
+        X.data *= cols[X.indices]
+    return X
+
+
+def _lift_points(along: np.ndarray, ax: int, spec: GridSpec, across: np.ndarray | None = None):
+    """Points with axis-`ax` coordinates `along` and the others `across`.
+
+    `across` defaults to the cell centers. The points are listed in the row
+    order of lift(op, ax, spec), so axis-1 points run across-major.
+    """
+    if spec.dim == 1:
+        return along[:, None]
+    if across is None:
+        across = spec.axis_centers()
+    axes = (along, across) if ax == 0 else (across, along)
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def pinned_factor(M: sp.spmatrix, pin: int):
+    """SuperLU factor of a singular M (one-dimensional kernel) closed by a pin.
 
     Row `pin` must be implied by the other rows. It is replaced by the unit
-    row e_pin, so x meets the other equations and x[pin] = rhs[pin]; callers
-    fix the kernel component (normalize a mass, subtract a mean).
+    row e_pin, so a solution x meets the other equations and x[pin] equals
+    the right-hand side there; callers fix the kernel component (normalize
+    a mass, subtract a mean). An exactly singular factor is a
+    ConvergenceError.
     """
-    P = sp.csr_matrix(M, dtype=float, copy=True)
-    P.data[P.indptr[pin]:P.indptr[pin + 1]] = 0.0
+    P = sp.csc_matrix(M, dtype=float, copy=True)
+    P.data[P.indices == pin] = 0.0  # row `pin`, spread over the columns
     P[pin, pin] = 1.0
     P.eliminate_zeros()
     try:
-        lu = spla.splu(P.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        return spla.splu(P, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
         raise ConvergenceError(f"sparse factorization failed: {exc}", history=[np.inf]) from exc
-    return lu.solve(np.asarray(rhs, dtype=float))
 
 
-def _flux_divergence_triplets(A: DiffusionMatrixField, b: DriftField, spec: GridSpec) -> Triplets:
-    """Triplets of the flux-form divergence operator M with zero-flux walls.
+def _flux_divergence_matrix(A: DiffusionMatrixField, b: DriftField, spec: GridSpec) -> sp.spmatrix:
+    """Flux-form divergence operator M with zero-flux walls.
 
-    Face flux along axis i: [(a^ii rho)_hi - (a^ii rho)_lo]/h
-    + [corner(a^i,oth rho)_up - corner(a^i,oth rho)_down]/h
-    - b^i(face) (rho_lo + rho_hi)/2, corners averaging the 4 surrounding
-    cells (2 at the wall). Divergence row: sum over the cell's faces of
-    +-F/h; wall faces carry zero flux and are skipped.
+    Along each axis the face flux is F = D diag(a^ii / h) - diag(b^i(face)) S
+    with the face difference D and face average S. In d = 2 the cross flux
+    G diag(a^01(corner) / h) (S x E) is added: corner averages E take the two
+    cells beside an interior corner and the single adjacent cell at a wall,
+    and the corner difference G runs across the face. It is skipped when
+    a^01 vanishes at every corner. Then M = -(1/h) sum_i D_i^T F_i, whose
+    columns sum to zero (the walls carry no flux).
     """
     n, h, R = spec.n, spec.h, spec.radius
-    centers = spec.axis_centers()
-    edges = -R + np.arange(1, n) * h  # interior face positions
-    trip = Triplets()
-
-    if spec.dim == 1:
-        cells = np.arange(n)
-        lo, hi = cells[:-1], cells[1:]
-        a_cc = A.entry(0, 0).values(centers[:, None])
-        b_f = b.values(edges[:, None])[:, 0]
-        # face flux F = (a_hi rho_hi - a_lo rho_lo)/h - b_f (rho_lo + rho_hi)/2
-        for cell, coef in ((lo, -a_cc[lo] / h - b_f / 2.0), (hi, a_cc[hi] / h - b_f / 2.0)):
-            trip.add(lo, cell, coef / h)   # divergence: +F/h into the lower cell
-            trip.add(hi, cell, -coef / h)  # and -F/h into the upper cell
-        return trip
-
-    idx = np.arange(n * n).reshape(n, n)
-    cell_pts = spec.cell_centers()
-    a_diag = [A.entry(0, 0).values(cell_pts).reshape(n, n),
-              A.entry(1, 1).values(cell_pts).reshape(n, n)]
-    a_off_field = A.entry(0, 1)
-    off_is_zero = isinstance(a_off_field, ConstantField) and a_off_field.value == 0.0
-    all_edges = np.concatenate([[-R], edges, [R]])  # n+1 positions including walls
-
-    # face indices: fi along the face axis (0..n-2), ci across it (0..n-1)
-    FI, CI = np.meshgrid(np.arange(n - 1), np.arange(n), indexing="ij")
-
-    for ax in (0, 1):
-        def cell_pair(fi, ci):
-            """Flat ids of the (lo, hi) cells straddling face (fi+1/2, ci)."""
-            if ax == 0:
-                return idx[fi, ci], idx[fi + 1, ci]
-            return idx[ci, fi], idx[ci, fi + 1]
-
-        def cell_grid(arr, fi, ci):
-            return arr[fi, ci] if ax == 0 else arr[ci, fi]
-
-        row_lo, row_hi = cell_pair(FI, CI)
-        if ax == 0:
-            f_pts = np.stack([edges[FI].ravel(), centers[CI].ravel()], axis=1)
-        else:
-            f_pts = np.stack([centers[CI].ravel(), edges[FI].ravel()], axis=1)
-        b_f = b.values(f_pts)[:, ax].reshape(FI.shape)
-        a_lo = cell_grid(a_diag[ax], FI, CI)
-        a_hi = cell_grid(a_diag[ax], FI + 1, CI)
-
-        def scatter(col, coef):
-            trip.add(row_lo, col, coef / h)
-            trip.add(row_hi, col, -coef / h)
-
-        scatter(row_lo, -a_lo / h - b_f / 2.0)
-        scatter(row_hi, a_hi / h - b_f / 2.0)
-
-        if off_is_zero:
-            continue
-
-        # corner values of a^{01} for this face set, indexed (fi, level) with
-        # level l = 0..n at cross-positions all_edges[l]
-        if ax == 0:
-            c_pts = np.stack([np.repeat(edges, n + 1), np.tile(all_edges, n - 1)], axis=1)
-            a01 = a_off_field.values(c_pts).reshape(n - 1, n + 1)
-        else:
-            c_pts = np.stack([np.tile(all_edges, n - 1), np.repeat(edges, n + 1)], axis=1)
-            a01 = a_off_field.values(c_pts).reshape(n - 1, n + 1)
-
-        # cross flux at face (fi, ci): [V(level ci+1) - V(level ci)]/h where
-        # V(l) = a01(corner l) * mean of the cells around that corner
-        for sign, lshift in ((+1.0, 1), (-1.0, 0)):
-            L = CI + lshift  # corner level per face, 0..n
-            aL = a01[FI, L]
-            interior = (L >= 1) & (L <= n - 1)
-            fi_i, ci_i = FI[interior], CI[interior]
-            w4 = sign * aL[interior] / (4.0 * h * h)
-            rl, rh = cell_pair(fi_i, ci_i)
-            for oth in (L[interior] - 1, L[interior]):
-                ca, cb = cell_pair(fi_i, oth)
-                for cc in (ca, cb):
-                    trip.add(rl, cc, w4)
-                    trip.add(rh, cc, -w4)
-            wall = ~interior
-            if wall.any():
-                fi_w, ci_w = FI[wall], CI[wall]
-                touch = np.where(L[wall] == 0, 0, n - 1)
-                w2 = sign * aL[wall] / (2.0 * h * h)
-                rl, rh = cell_pair(fi_w, ci_w)
-                ca, cb = cell_pair(fi_w, touch)
-                for cc in (ca, cb):
-                    trip.add(rl, cc, w2)
-                    trip.add(rh, cc, -w2)
-    return trip
+    cells = spec.cell_centers()
+    faces = -R + np.arange(1, n) * h
+    corners = np.concatenate([[-R], faces, [R]])  # corner levels across a face
+    D = stencil_1d(n - 1, n, ((0, -1.0), (1, 1.0)))
+    S = stencil_1d(n - 1, n, ((0, 0.5), (1, 0.5)))
+    E = stencil_1d(n + 1, n, ((-1, 0.5), (0, 0.5)))
+    G = stencil_1d(n, n + 1, ((0, -1.0), (1, 1.0)))
+    div = 0
+    for ax in range(spec.dim):
+        D_ax = lift(D, ax, spec)
+        b_face = b.components[ax].values(_lift_points(faces, ax, spec))
+        F = (diag_scaled(D_ax, cols=A.entry(ax, ax).values(cells) / h)
+             - diag_scaled(lift(S, ax, spec), rows=b_face))
+        if spec.dim == 2:
+            a01 = A.entry(0, 1).values(_lift_points(faces, ax, spec, across=corners))
+            if np.any(a01):
+                F = F + (diag_scaled(lift(sp.identity(n - 1), ax, spec, across=G), cols=a01 / h)
+                         @ lift(S, ax, spec, across=E))
+        div = div + D_ax.T @ F
+    div.data *= -1.0 / h
+    return div
 
 
 def solve_grid(A, b: DriftField, spec: GridSpec, strict: bool = False,
                ellipticity_tol: float = 1e-6, check_truncation: bool = True) -> GridDensity:
     """Stationary density by flux-form finite volumes on the truncated box.
 
-    Builds the singular divergence operator, pins the center-most cell (its
-    implied equation becomes the unit row), solves with a sparse direct
-    factorization and scales the solution to unit mass; the signed scaling
-    reproduces the solution of the system closed by the mass constraint
-    itself. The solution is validated: relative residual of the full
-    singular system below 1e-10 (else ConvergenceError with the history),
-    clipped negative mass recorded (SchemePositivityError in strict mode above
-    1e-6), boundary-cell mass below 1e-4 (else TruncationError; disabled by
-    check_truncation=False for problems posed on the box itself).
+    Builds the singular divergence operator from lifted 1d stencils (see the
+    module docstring), pins the center-most cell (its implied equation
+    becomes the unit row), solves with a sparse direct factorization and
+    scales the solution to unit mass; the signed scaling reproduces the
+    solution of the system closed by the mass constraint itself. The solution
+    is validated: relative residual of the full singular system below 1e-10
+    (else ConvergenceError with the history), clipped negative mass recorded
+    (SchemePositivityError in strict mode above 1e-6), boundary-cell mass
+    below 1e-4 (else TruncationError; disabled by check_truncation=False for
+    problems posed on the box itself).
     """
     if isinstance(A, ScalarField):
         if spec.dim != A.dim:
@@ -280,11 +255,11 @@ def solve_grid(A, b: DriftField, spec: GridSpec, strict: bool = False,
     A.check_ellipticity(spec.cell_centers(), tol=ellipticity_tol)
 
     N = spec.n_cells
-    M = _flux_divergence_triplets(A, b, spec).matrix(N)
+    M = _flux_divergence_matrix(A, b, spec)
     pin = int(np.argmin(spec.center_radii()))
     rhs = np.zeros(N)
     rhs[pin] = 1.0
-    raw = pinned_solve(M, pin, rhs)
+    raw = pinned_factor(M, pin).solve(rhs)
     raw = raw / (raw.sum() * spec.cell_volume)
     if not np.all(np.isfinite(raw)):
         raise ConvergenceError("sparse direct solve produced non-finite values", history=[np.inf])

@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import DegenerateDensityError, GridMismatchError
 
+MAX_CELLS = 2 ** 20  # 1d up to n = 2^20, 2d up to n = 1024
+
 
 def default_radius(beta2: float) -> float:
     """Default truncation radius 8/sqrt(beta2), floored at the minimum box size."""
@@ -39,6 +41,9 @@ class GridSpec:
         n = self.n
         if n < 16 or (n & (n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 16, got {n}")
+        if self.n_cells > MAX_CELLS:
+            raise ValueError(f"grid of {n}^{self.dim} cells exceeds the budget of "
+                             f"{MAX_CELLS} cells")
         if self.boundary != "zero-flux":
             raise ValueError(f"only zero-flux boundaries are supported, got {self.boundary!r}")
 

@@ -230,13 +230,14 @@ def apply_phi(model: MeanFieldModel, rho: GridDensity) -> GridDensity:
 class FixedPointTrace:
     """Record of a Picard iteration of Phi.
 
-    gaps[t] is the weighted distance between iterates t and t+1; factors are
+    fixed_point is the last iterate; earlier iterates are not kept. gaps[t]
+    is the weighted distance between iterates t and t+1; factors are
     consecutive air ratios gap[t+1]/gap[t]. threshold_scale is the measured
     eps * N * (sqrt(M_hat) + M_hat); multiplying it by an externally
     estimated stability ratio C_hat gives the contraction threshold.
     """
 
-    iterates: tuple[GridDensity, ...]
+    fixed_point: GridDensity
     gaps: tuple[float, ...]
     factors: tuple[float, ...]
     converged: bool
@@ -245,10 +246,6 @@ class FixedPointTrace:
     m_hat: float
     threshold_scale: float
     tol: float
-
-    @property
-    def fixed_point(self) -> GridDensity:
-        return self.iterates[-1]
 
     @property
     def n_steps(self) -> int:
@@ -266,21 +263,21 @@ def picard_iterate(model: MeanFieldModel, rho0: GridDensity, tol: float = 1e-8,
     k = model.weight_order
     beta = model.b0.growth.beta
     mom_power = 2.0 * model.kernel_growth + beta + k
-    iterates = [rho0]
+    rho = rho0
     gaps: list[float] = []
     m_hat = _weighted_moment(rho0, mom_power)
     converged = False
     for _ in range(max_iter):
-        nxt = apply_phi(model, iterates[-1])
+        nxt = apply_phi(model, rho)
         m_hat = max(m_hat, _weighted_moment(nxt, mom_power))
-        gaps.append(weighted_l1_distance(nxt, iterates[-1], k))
-        iterates.append(nxt)
+        gaps.append(weighted_l1_distance(nxt, rho, k))
+        rho = nxt
         if gaps[-1] <= tol:
             converged = True
             break
     factors = tuple(gaps[t + 1] / gaps[t] for t in range(len(gaps) - 1) if gaps[t] > 0.0)
     scale = model.eps * model.kernel_bound * (np.sqrt(m_hat) + m_hat)
-    trace = FixedPointTrace(iterates=tuple(iterates), gaps=tuple(gaps), factors=factors,
+    trace = FixedPointTrace(fixed_point=rho, gaps=tuple(gaps), factors=factors,
                             converged=converged, eps=model.eps,
                             kernel_bound=model.kernel_bound, m_hat=m_hat,
                             threshold_scale=float(scale), tol=float(tol))

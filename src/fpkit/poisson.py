@@ -13,15 +13,17 @@ centered so that integral psi~ rho = 0, the solution machinery provides:
   cumulative integral of psi~ rho; u follows by one more cumulative
   integration and is normalized to zero average over B(0, 2 R0).
 
-* solve_poisson_grid: centered non-divergence finite differences with
-  reflective (zero normal derivative) walls. The discrete operator kills
+* solve_poisson_grid: centered nondivergence finite differences
+  L = sum_i diag(a^ii) D2_i + diag(b^i) D1_i + diag(2 a^01) D1_0 D1_1, built
+  from the 1d first and second differences D1, D2 with reflecting
+  (clamped-index) walls and lifted to the grid by fpk.lift; the cross term
+  is skipped when a^01 vanishes at every cell. The discrete operator kills
   constants; solvability is restored by subtracting the projection constant
   <psi~, w> with w the discrete adjoint null vector. The center-most cell is
   pinned (its implied equation becomes the unit row, u = 0 there) and the
   kernel is then fixed by subtracting the B(0, 2 R0) cell average of u, so
-  that average is zero. With a confining
-  drift the artificial wall closure only pollutes a boundary layer; interior
-  accuracy is second order.
+  that average is zero. With a confining drift the artificial wall closure
+  only pollutes a boundary layer; interior accuracy is second order.
 
 The growth report normalizes everything by Psi = sup |psi~(y)| / (1 + |y|^k):
 G0 = sup |u| / (1 + |x|^k), G1 = sup |grad u| / (1 + |x|^{k + beta}), and the
@@ -40,8 +42,8 @@ import scipy.sparse as sp
 
 from .errors import ConfinementError, ConvergenceError, IncompatibilityError, TruncationError
 from .fields import ClosureField, DiffusionMatrixField, DriftField, ScalarField
-from .fpk import (ModelSpec, Triplets, _fine_profile_1d, _scalar_diffusion, builtin_models,
-                  pinned_solve, stationary_density)
+from .fpk import (ModelSpec, _fine_profile_1d, _scalar_diffusion, builtin_models, diag_scaled,
+                  lift, pinned_factor, stationary_density, stencil_1d)
 from .grids import GridDensity, GridSpec
 from .quadrature import cumulative_integral
 
@@ -345,50 +347,35 @@ def solve_poisson_1d(problem: PoissonProblem, subdiv: int = 8, tail_tol: float =
 
 
 def _nondivergence_matrix(A: DiffusionMatrixField, b: DriftField, spec: GridSpec) -> sp.csr_matrix:
-    """Centered-difference discretization of L with reflective ghost cells."""
+    """Centered-difference discretization of L with reflecting walls.
+
+    L = sum_i diag(a^ii) D2_i + diag(b^i) D1_i + diag(2 a^01) D1_0 D1_1, with
+    coefficients at the cell centers and D1, D2 the centered first and second
+    differences lifted from 1d. A neighbor past a wall is the wall cell itself
+    (a reflecting ghost), so the rows sum to zero. The cross term is skipped
+    when a^01 vanishes at every cell.
+    """
     n, h = spec.n, spec.h
     pts = spec.cell_centers()
-    trip = Triplets()
-    if spec.dim == 1:
-        i = np.arange(n)
-        up = np.minimum(i + 1, n - 1)     # reflective ghosts: clamp indices
-        dn = np.maximum(i - 1, 0)
-        a_c = A.entry(0, 0).values(pts)
-        b_c = b.values(pts)[:, 0]
-        trip.add(i, up, a_c / h ** 2 + b_c / (2 * h))
-        trip.add(i, dn, a_c / h ** 2 - b_c / (2 * h))
-        trip.add(i, i, -2.0 * a_c / h ** 2)
-    else:
-        idx = np.arange(spec.n_cells).reshape(n, n)
-        I, J = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        a_c = [A.entry(ax, ax).values(pts).reshape(n, n) for ax in (0, 1)]
-        a01 = A.entry(0, 1).values(pts).reshape(n, n)
-        b_c = b.values(pts)
-        bx = b_c[:, 0].reshape(n, n)
-        by = b_c[:, 1].reshape(n, n)
-        Iu, Id = np.minimum(I + 1, n - 1), np.maximum(I - 1, 0)
-        Ju, Jd = np.minimum(J + 1, n - 1), np.maximum(J - 1, 0)
-        rows_c = idx[I, J]
-        trip.add(rows_c, idx[Iu, J], a_c[0] / h ** 2 + bx / (2 * h))
-        trip.add(rows_c, idx[Id, J], a_c[0] / h ** 2 - bx / (2 * h))
-        trip.add(rows_c, idx[I, Ju], a_c[1] / h ** 2 + by / (2 * h))
-        trip.add(rows_c, idx[I, Jd], a_c[1] / h ** 2 - by / (2 * h))
-        trip.add(rows_c, rows_c, -2.0 * (a_c[0] + a_c[1]) / h ** 2)
-        off = np.abs(a01).max() if a01.size else 0.0
-        if off > 0.0:
-            w = 2.0 * a01 / (4.0 * h ** 2)  # a01 and a10 together
-            trip.add(rows_c, idx[Iu, Ju], w)
-            trip.add(rows_c, idx[Id, Jd], w)
-            trip.add(rows_c, idx[Iu, Jd], -w)
-            trip.add(rows_c, idx[Id, Ju], -w)
-    return trip.matrix(spec.n_cells)
+    D1 = stencil_1d(n, n, ((-1, -0.5 / h), (1, 0.5 / h)))
+    D2 = stencil_1d(n, n, ((-1, 1.0 / h ** 2), (0, -2.0 / h ** 2), (1, 1.0 / h ** 2)))
+    b_c = b.values(pts)
+    L = 0
+    for i in range(spec.dim):
+        L = (L + diag_scaled(lift(D2, i, spec), rows=A.entry(i, i).values(pts))
+             + diag_scaled(lift(D1, i, spec), rows=b_c[:, i]))
+    if spec.dim == 2:
+        a01 = A.entry(0, 1).values(pts)
+        if np.any(a01):
+            L = L + diag_scaled(lift(D1, 0, spec) @ lift(D1, 1, spec), rows=2.0 * a01)
+    return L
 
 
 def discrete_adjoint_null(M: sp.csr_matrix, pin: int) -> np.ndarray:
     """Left null vector of the singular operator, normalized to sum 1."""
     rhs = np.zeros(M.shape[0])
     rhs[pin] = 1.0
-    w = pinned_solve(M.T, pin, rhs)
+    w = pinned_factor(M.T, pin).solve(rhs)
     if not np.all(np.isfinite(w)):
         raise ConvergenceError("adjoint null-vector solve failed")
     total = w.sum()
@@ -427,7 +414,7 @@ def solve_poisson_grid(problem: PoissonProblem, incompatibility_factor: float = 
     wit = lyapunov_constants(problem.A, problem.b, problem.k, r_max=spec.radius)
     rhs = psi_proj.copy()
     rhs[pin] = 0.0
-    u = pinned_solve(M, pin, rhs)
+    u = pinned_factor(M, pin).solve(rhs)
     if not np.all(np.isfinite(u)):
         raise ConvergenceError("Poisson grid solve produced non-finite values")
     u -= u[_pin_ball_mask(spec, wit.pin_radius)].mean()

@@ -8,9 +8,12 @@ run_report.json manifest.
 import json
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import fpkit
 from fpkit import __version__
 from fpkit.cli import main, resolve_workers
 from fpkit.errors import ValidationError
@@ -107,6 +110,19 @@ class TestValidationExits:
         code, _, _ = run_cli(tmp_path, "solve", {"model": "ou-1d", "n": 100})
         assert code == 2
         assert "power of two >= 16" in capsys.readouterr().err
+
+    def test_oversized_grid_exits_two_before_allocating(self, tmp_path, capsys):
+        # regression: a 65536^2 grid died with a MemoryError traceback
+        tracemalloc.start()
+        try:
+            code, report, _ = run_cli(tmp_path, "solve", {"model": "ou-2d", "n": 65536})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert report is None
+        assert "exceeds the budget" in capsys.readouterr().err
+        assert peak < 2 ** 24
 
     def test_late_parameter_error_exits_two(self, tmp_path, capsys):
         # check radii that force a non power-of-two grid surface as ValueError
@@ -240,7 +256,10 @@ class TestEntryPoints:
         assert capsys.readouterr().out.strip() == f"fpkit {__version__}"
 
     def test_module_execution_works(self):
+        # run from the directory that holds the imported package, so the
+        # child finds the same fpkit with or without PYTHONPATH
         proc = subprocess.run([sys.executable, "-m", "fpkit", "--version"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              cwd=Path(fpkit.__file__).resolve().parent.parent)
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"fpkit {__version__}"

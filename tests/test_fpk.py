@@ -25,14 +25,14 @@ from fpkit.fields import (
     make_example_field,
 )
 from fpkit.fpk import (
-    _flux_divergence_triplets,
+    _flux_divergence_matrix,
     builtin_models,
     discretization_error,
     harnack_ratio,
     moment,
     moment_report,
     normalized_against_generator,
-    pinned_solve,
+    pinned_factor,
     solve_exact_1d,
     solve_grid,
     weak_residual,
@@ -191,7 +191,7 @@ class TestPinnedSolve:
         spec = GridSpec(2, 8.0, 32)
         N = spec.n_cells
         pin = int(np.argmin(spec.center_radii()))
-        M = _flux_divergence_triplets(m.A, m.b, spec).matrix(N).toarray()
+        M = _flux_divergence_matrix(m.A, m.b, spec).toarray()
         M[pin, :] = spec.cell_volume
         rhs = np.zeros(N)
         rhs[pin] = 1.0
@@ -211,7 +211,7 @@ class TestPinnedSolve:
     def test_pinned_cell_takes_the_right_hand_side(self):
         # 1d Neumann Laplacian: kernel = constants, every row implied by the others
         M = sp.diags([[1.0, 2.0, 2.0, 1.0], [-1.0] * 3, [-1.0] * 3], [0, 1, -1], format="csr")
-        x = pinned_solve(M, 2, np.array([0.0, 0.0, 3.0, 0.0]))
+        x = pinned_factor(M, 2).solve(np.array([0.0, 0.0, 3.0, 0.0]))
         assert np.allclose(x, 3.0, rtol=0.0, atol=1e-14)
 
     def test_two_dimensional_kernel_is_a_convergence_error(self):
@@ -219,7 +219,7 @@ class TestPinnedSolve:
         block = np.array([[1.0, -1.0], [-1.0, 1.0]])
         M = sp.block_diag([block, block], format="csr")
         with pytest.raises(ConvergenceError, match="factorization failed"):
-            pinned_solve(M, 0, np.array([1.0, 0.0, 0.0, 0.0]))
+            pinned_factor(M, 0)
 
 
 class TestMoments:

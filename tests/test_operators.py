@@ -1,0 +1,100 @@
+"""Entries of the two grid discretizations of the generator.
+
+The flux-divergence operator M (fpk) and the nondivergence operator L
+(poisson) are checked against the continuous generator
+L phi = tr(A D^2 phi) + <b, grad phi> on low-degree polynomials, where both
+stencils are exact away from the walls, and against their conservation
+structure: the columns of M and the rows of L sum to zero.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fpkit.fields import SMOOTH, ClosureField, DiffusionMatrixField, DriftField, GrowthParams
+from fpkit.fpk import _flux_divergence_matrix, builtin_models
+from fpkit.grids import GridSpec
+from fpkit.poisson import _nondivergence_matrix
+
+MODELS = builtin_models()
+
+
+def polynomial(name, x):
+    """(phi, grad phi, D^2 phi) of a monomial at the points x of shape (m, d)."""
+    m, d = x.shape
+    grad, hess = np.zeros((m, d)), np.zeros((m, d, d))
+    if name == "x1":
+        phi = x[:, 0]
+        grad[:, 0] = 1.0
+    elif name == "x1*x2":
+        phi = x[:, 0] * x[:, 1]
+        grad[:, 0], grad[:, 1] = x[:, 1], x[:, 0]
+        hess[:, 0, 1] = hess[:, 1, 0] = 1.0
+    else:  # x1^2
+        phi = x[:, 0] ** 2
+        grad[:, 0] = 2.0 * x[:, 0]
+        hess[:, 0, 0] = 2.0
+    return phi, grad, hess
+
+
+def generator_on(model, spec, name):
+    """(phi at the cells, L phi at the cells, mask of cells >= 2h inside the wall)."""
+    x = spec.cell_centers()
+    phi, grad, hess = polynomial(name, x)
+    exact = (np.einsum("nij,nij->n", model.A.values(x), hess)
+             + np.einsum("ni,ni->n", model.b.values(x), grad))
+    inside = np.all(np.abs(x) <= spec.radius - 2.0 * spec.h, axis=1)
+    return phi, exact, inside
+
+
+def cases(names_2d, names_1d):
+    return [pytest.param(m, name, id=f"{m.name}-{name}")
+            for m in MODELS for name in (names_2d if m.dim == 2 else names_1d)]
+
+
+@pytest.mark.parametrize("model, name", cases(("x1", "x1*x2", "x1^2"), ("x1", "x1^2")))
+def test_nondivergence_operator_is_exact_on_quadratics(model, name):
+    spec = GridSpec(model.dim, 8.0, 32)
+    phi, exact, inside = generator_on(model, spec, name)
+    got = _nondivergence_matrix(model.A, model.b, spec) @ phi
+    assert np.abs(got - exact)[inside].max() <= 1e-12 * max(1.0, np.abs(exact).max())
+
+
+@pytest.mark.parametrize("model, name", cases(("x1", "x1*x2"), ("x1",)))
+def test_flux_operator_adjoint_is_exact_on_bilinears(model, name):
+    spec = GridSpec(model.dim, 8.0, 32)
+    phi, exact, inside = generator_on(model, spec, name)
+    got = _flux_divergence_matrix(model.A, model.b, spec).T @ phi
+    assert np.abs(got - exact)[inside].max() <= 1e-12 * max(1.0, np.abs(exact).max())
+
+
+def assert_conservative(A, b, spec):
+    M = _flux_divergence_matrix(A, b, spec)
+    L = _nondivergence_matrix(A, b, spec)
+    assert np.abs(M.sum(axis=0)).max() <= 1e-12 * abs(M).max()
+    assert np.abs(L.sum(axis=1)).max() <= 1e-12 * abs(L).max()
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+def test_flux_columns_and_nondivergence_rows_sum_to_zero(model):
+    assert_conservative(model.A, model.b, GridSpec(model.dim, 8.0, 32))
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(eig=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+       angle=st.floats(0.0, math.pi), B=st.tuples(unit, unit, unit, unit),
+       c=st.tuples(unit, unit))
+def test_sums_vanish_for_constant_spd_diffusion_and_linear_drift(eig, angle, B, c):
+    Q = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    A = DiffusionMatrixField.from_constant(Q @ np.diag(eig) @ Q.T, lam=0.5)
+    Bm = 2.0 * np.reshape(B, (2, 2))
+    comps = [ClosureField(lambda x, i=i: x @ Bm[i] + c[i], 2, SMOOTH, f"b{i + 1}")
+             for i in range(2)]
+    b = DriftField(comps, GrowthParams(beta=1.0, beta1=1.0, beta2=1.0, beta3=1.0))
+    assert_conservative(A, b, GridSpec(2, 4.0, 16))
