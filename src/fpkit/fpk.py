@@ -9,20 +9,21 @@ formal adjoint equation sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0):
   cumulative composite quadrature on a fine mesh and normalized by cell
   quadrature on the truncated grid.
 
-* solve_grid: flux-form finite volumes in d = 1, 2, assembled from 1d
-  operators on the n cells of an axis (face difference D, face average S,
-  corner average E, corner difference G) lifted to the grid by one Kronecker
-  helper, lift (kron(op, I) along axis 0, kron(I, op) along axis 1). The
-  flux through the faces of axis i is F_i = D_i diag(a^ii / h)
-  - diag(b^i) S_i; in d = 2 the cross flux G diag(a^01 / h) (S x E) adds
-  d_j(a^ij rho) through corner averages of the cells (the single adjacent
-  cell at a wall), and is skipped when a^01 vanishes at every sampled
-  corner. Coefficients are evaluated pointwise at cells, faces and corners.
-  The operator M = -(1/h) sum_i D_i^T F_i has zero-flux walls, so its
-  columns sum to zero and the equation of the center-most cell is implied
-  by the others. The singular system is closed by pinning that cell (its
-  row becomes the unit row, value 1) and the solution is then scaled to the
-  normalization sum rho h^d = 1.
+* solve_grid: the transpose of the discrete generator, in d = 1, 2.
+  generator_matrix builds L_h = sum_i diag(a^ii) D2_i + diag(b^i) D1_i
+  + diag(2 a^01) D1_0 D1_1 from the 1d centered first and second
+  differences D1, D2 with reflecting (clamped-index) walls, lifted to the
+  grid by one Kronecker helper, lift (kron(op, I) along axis 0, kron(I, op)
+  along axis 1); coefficients are evaluated at the cell centers and the
+  cross term is skipped when a^01 vanishes at every cell. The rows of L_h
+  sum to zero, so the density operator M = L_h^T conserves mass (its
+  columns sum to zero) and the equation of the center-most cell is implied
+  by the others. The singular system M rho = 0 is closed by pinning that
+  cell (its row becomes the unit row, value 1) and the solution is then
+  scaled to the normalization sum rho h^d = 1. The grid density is thus a
+  discrete probability solution of the same L_h that the Poisson solver
+  (poisson.solve_poisson_grid) inverts: sum_x rho (L_h phi) = 0 for every
+  grid function phi.
 
 The scheme is second order but not monotone; tiny negative cells can appear
 and are clipped with the removed mass recorded (escalated to an error in
@@ -49,6 +50,7 @@ from .testfunctions import SmoothTestFunction
 
 BOUNDARY_MASS_LIMIT = 1e-4
 RESIDUAL_LIMIT = 1e-10
+ELLIPTICITY_TOL = 1e-6
 CLIP_MASS_LIMIT = 1e-6
 
 
@@ -117,62 +119,67 @@ def solve_exact_1d(a, b: DriftField, spec: GridSpec, subdiv: int = 8,
 
 
 # ---------------------------------------------------------------------------
-# finite-volume assembly
+# grid assembly and solve
 # ---------------------------------------------------------------------------
 
 
-def stencil_1d(n_rows: int, n_cols: int, taps: Sequence[tuple[int, float]]) -> sp.csr_matrix:
-    """Sparse 1d operator whose row r takes sum_(k, w) w * u[r + k].
+def stencil_1d(n: int, taps: Sequence[tuple[int, float]]) -> sp.csr_matrix:
+    """Sparse n x n operator whose row r takes sum_(k, w) w * u[r + k].
 
-    Column indices r + k are clamped to [0, n_cols - 1], so a tap past an
-    end falls back on the end entry (reflection at a zero-flux wall) and
-    taps that land on the same column are summed.
+    Column indices r + k are clamped to [0, n - 1], so a tap past an end
+    falls back on the end entry (reflection at a zero-flux wall) and taps
+    that land on the same column are summed.
     """
-    r = np.arange(n_rows)
+    r = np.arange(n)
     rows = np.tile(r, len(taps))
-    cols = np.concatenate([np.clip(r + k, 0, n_cols - 1) for k, _ in taps])
-    vals = np.repeat([float(w) for _, w in taps], n_rows)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
+    cols = np.concatenate([np.clip(r + k, 0, n - 1) for k, _ in taps])
+    vals = np.repeat([float(w) for _, w in taps], n)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def lift(op: sp.spmatrix, ax: int, spec: GridSpec, across: sp.spmatrix | None = None) -> sp.spmatrix:
+def lift(op: sp.spmatrix, ax: int, spec: GridSpec) -> sp.spmatrix:
     """Lift a 1d operator acting along axis `ax` to the cells of the grid.
 
-    In d = 1 this is `op` itself. In d = 2 the other axis gets `across`
-    (the n x n identity by default) in the row-major (ij) cell order:
-    kron(op, across) for axis 0 and kron(across, op) for axis 1.
+    In d = 1 this is `op` itself. In d = 2 the other axis gets the identity
+    in the row-major (ij) cell order: kron(op, I) for axis 0 and kron(I, op)
+    for axis 1.
     """
     if spec.dim == 1:
         return op
-    if across is None:
-        across = sp.identity(spec.n, format="csr")
-    factors = (op, across) if ax == 0 else (across, op)
-    return sp.kron(*factors, format="csr")
+    eye = sp.identity(spec.n, format="csr")
+    return sp.kron(*((op, eye) if ax == 0 else (eye, op)), format="csr")
 
 
-def diag_scaled(X: sp.spmatrix, rows: np.ndarray | None = None,
-                cols: np.ndarray | None = None) -> sp.csr_matrix:
-    """diag(rows) X diag(cols) as a new CSR matrix (None leaves a side unscaled)."""
+def diag_scaled(X: sp.spmatrix, rows: np.ndarray) -> sp.csr_matrix:
+    """diag(rows) X as a new CSR matrix."""
     X = sp.csr_matrix(X, dtype=float, copy=True)
-    if rows is not None:
-        X.data *= np.repeat(rows, np.diff(X.indptr))
-    if cols is not None:
-        X.data *= cols[X.indices]
+    X.data *= np.repeat(rows, np.diff(X.indptr))
     return X
 
 
-def _lift_points(along: np.ndarray, ax: int, spec: GridSpec, across: np.ndarray | None = None):
-    """Points with axis-`ax` coordinates `along` and the others `across`.
+def generator_matrix(A: DiffusionMatrixField, b: DriftField, spec: GridSpec) -> sp.csr_matrix:
+    """Centered-difference discretization L_h of the generator with reflecting walls.
 
-    `across` defaults to the cell centers. The points are listed in the row
-    order of lift(op, ax, spec), so axis-1 points run across-major.
+    L_h = sum_i diag(a^ii) D2_i + diag(b^i) D1_i + diag(2 a^01) D1_0 D1_1, with
+    coefficients at the cell centers and D1, D2 the centered first and second
+    differences lifted from 1d. A neighbor past a wall is the wall cell itself
+    (a reflecting ghost), so the rows sum to zero. The cross term is skipped
+    when a^01 vanishes at every cell.
     """
-    if spec.dim == 1:
-        return along[:, None]
-    if across is None:
-        across = spec.axis_centers()
-    axes = (along, across) if ax == 0 else (across, along)
-    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    n, h = spec.n, spec.h
+    pts = spec.cell_centers()
+    D1 = stencil_1d(n, ((-1, -0.5 / h), (1, 0.5 / h)))
+    D2 = stencil_1d(n, ((-1, 1.0 / h ** 2), (0, -2.0 / h ** 2), (1, 1.0 / h ** 2)))
+    b_c = b.values(pts)
+    L = 0
+    for i in range(spec.dim):
+        L = (L + diag_scaled(lift(D2, i, spec), rows=A.entry(i, i).values(pts))
+             + diag_scaled(lift(D1, i, spec), rows=b_c[:, i]))
+    if spec.dim == 2:
+        a01 = A.entry(0, 1).values(pts)
+        if np.any(a01):
+            L = L + diag_scaled(lift(D1, 0, spec) @ lift(D1, 1, spec), rows=2.0 * a01)
+    return L
 
 
 def pinned_factor(M: sp.spmatrix, pin: int):
@@ -181,7 +188,8 @@ def pinned_factor(M: sp.spmatrix, pin: int):
     Row `pin` must be implied by the other rows. It is replaced by the unit
     row e_pin, so a solution x meets the other equations and x[pin] equals
     the right-hand side there; callers fix the kernel component (normalize
-    a mass, subtract a mean). An exactly singular factor is a
+    a mass, subtract a mean). A transposed solve (trans="T") solves M^T with
+    column `pin` replaced by e_pin. An exactly singular factor is a
     ConvergenceError.
     """
     P = sp.csc_matrix(M, dtype=float, copy=True)
@@ -194,68 +202,44 @@ def pinned_factor(M: sp.spmatrix, pin: int):
         raise ConvergenceError(f"sparse factorization failed: {exc}", history=[np.inf]) from exc
 
 
-def _flux_divergence_matrix(A: DiffusionMatrixField, b: DriftField, spec: GridSpec) -> sp.spmatrix:
-    """Flux-form divergence operator M with zero-flux walls.
+def _diffusion_matrix(A, spec: GridSpec) -> DiffusionMatrixField:
+    """A itself, or a scalar diffusion a as the matrix a I.
 
-    Along each axis the face flux is F = D diag(a^ii / h) - diag(b^i(face)) S
-    with the face difference D and face average S. In d = 2 the cross flux
-    G diag(a^01(corner) / h) (S x E) is added: corner averages E take the two
-    cells beside an interior corner and the single adjacent cell at a wall,
-    and the corner difference G runs across the face. It is skipped when
-    a^01 vanishes at every corner. Then M = -(1/h) sum_i D_i^T F_i, whose
-    columns sum to zero (the walls carry no flux).
+    The declared ellipticity of a I is min(1, min a, 1 / max a) over the
+    cells, so its eigenvalues lie in [lambda, 1 / lambda].
     """
-    n, h, R = spec.n, spec.h, spec.radius
-    cells = spec.cell_centers()
-    faces = -R + np.arange(1, n) * h
-    corners = np.concatenate([[-R], faces, [R]])  # corner levels across a face
-    D = stencil_1d(n - 1, n, ((0, -1.0), (1, 1.0)))
-    S = stencil_1d(n - 1, n, ((0, 0.5), (1, 0.5)))
-    E = stencil_1d(n + 1, n, ((-1, 0.5), (0, 0.5)))
-    G = stencil_1d(n, n + 1, ((0, -1.0), (1, 1.0)))
-    div = 0
-    for ax in range(spec.dim):
-        D_ax = lift(D, ax, spec)
-        b_face = b.components[ax].values(_lift_points(faces, ax, spec))
-        F = (diag_scaled(D_ax, cols=A.entry(ax, ax).values(cells) / h)
-             - diag_scaled(lift(S, ax, spec), rows=b_face))
-        if spec.dim == 2:
-            a01 = A.entry(0, 1).values(_lift_points(faces, ax, spec, across=corners))
-            if np.any(a01):
-                F = F + (diag_scaled(lift(sp.identity(n - 1), ax, spec, across=G), cols=a01 / h)
-                         @ lift(S, ax, spec, across=E))
-        div = div + D_ax.T @ F
-    div.data *= -1.0 / h
-    return div
+    if not isinstance(A, ScalarField):
+        return A
+    if spec.dim != A.dim:
+        raise ValueError("diffusion dimension does not match grid")
+    samp = A.values(spec.cell_centers())
+    lam = min(1.0, float(samp.min()), 1.0 / float(samp.max()))
+    if lam <= 0:
+        raise EllipticityError("scalar diffusion must be positive")
+    return DiffusionMatrixField.isotropic(A, lam)
 
 
 def solve_grid(A, b: DriftField, spec: GridSpec, strict: bool = False,
-               ellipticity_tol: float = 1e-6, check_truncation: bool = True) -> GridDensity:
-    """Stationary density by flux-form finite volumes on the truncated box.
+               check_truncation: bool = True) -> GridDensity:
+    """Stationary density as the pinned null vector of M = L_h^T.
 
-    Builds the singular divergence operator from lifted 1d stencils (see the
-    module docstring), pins the center-most cell (its implied equation
-    becomes the unit row), solves with a sparse direct factorization and
-    scales the solution to unit mass; the signed scaling reproduces the
-    solution of the system closed by the mass constraint itself. The solution
-    is validated: relative residual of the full singular system below 1e-10
-    (else ConvergenceError with the history), clipped negative mass recorded
-    (SchemePositivityError in strict mode above 1e-6), boundary-cell mass
-    below 1e-4 (else TruncationError; disabled by check_truncation=False for
-    problems posed on the box itself).
+    Builds the generator L_h (generator_matrix), pins the center-most cell of
+    its transpose (the implied equation becomes the unit row), solves with a
+    sparse direct factorization and scales the solution to unit mass; the
+    signed scaling reproduces the solution of the system closed by the mass
+    constraint itself. The result is a discrete probability solution:
+    sum_x rho (L_h phi) = 0 for every grid function phi, up to roundoff and
+    clipping. The solution is validated: relative residual of the full
+    singular system below 1e-10 (else ConvergenceError with the history),
+    clipped negative mass recorded (SchemePositivityError in strict mode
+    above 1e-6), boundary-cell mass below 1e-4 (else TruncationError;
+    disabled by check_truncation=False for problems posed on the box itself).
     """
-    if isinstance(A, ScalarField):
-        if spec.dim != A.dim:
-            raise ValueError("diffusion dimension does not match grid")
-        samp = A.values(spec.cell_centers())
-        lam = min(1.0, float(samp.min()), 1.0 / float(samp.max()))
-        if lam <= 0:
-            raise EllipticityError("scalar diffusion must be positive")
-        A = DiffusionMatrixField.isotropic(A, lam)
-    A.check_ellipticity(spec.cell_centers(), tol=ellipticity_tol)
+    A = _diffusion_matrix(A, spec)
+    A.check_ellipticity(spec.cell_centers(), tol=ELLIPTICITY_TOL)
 
     N = spec.n_cells
-    M = _flux_divergence_matrix(A, b, spec)
+    M = generator_matrix(A, b, spec).T
     pin = int(np.argmin(spec.center_radii()))
     rhs = np.zeros(N)
     rhs[pin] = 1.0
@@ -273,8 +257,7 @@ def solve_grid(A, b: DriftField, spec: GridSpec, strict: bool = False,
         raise ConvergenceError(
             f"linear solve residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}", history=history)
 
-    neg = raw < 0.0
-    clipped_mass = float(-raw[neg].sum()) * spec.cell_volume
+    clipped_mass = float(np.maximum(-raw, 0.0).sum()) * spec.cell_volume
     if clipped_mass > CLIP_MASS_LIMIT and strict:
         raise SchemePositivityError(
             f"clipped negative mass {clipped_mass:.3e} exceeds {CLIP_MASS_LIMIT:g} in strict mode",

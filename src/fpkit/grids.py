@@ -31,7 +31,6 @@ class GridSpec:
     dim: int
     radius: float
     n: int
-    boundary: str = "zero-flux"
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -44,8 +43,6 @@ class GridSpec:
         if self.n_cells > MAX_CELLS:
             raise ValueError(f"grid of {n}^{self.dim} cells exceeds the budget of "
                              f"{MAX_CELLS} cells")
-        if self.boundary != "zero-flux":
-            raise ValueError(f"only zero-flux boundaries are supported, got {self.boundary!r}")
 
     @property
     def h(self) -> float:
@@ -89,7 +86,7 @@ class GridSpec:
         return m
 
     def refine(self, factor: int = 2) -> "GridSpec":
-        return GridSpec(self.dim, self.radius, self.n * factor, self.boundary)
+        return GridSpec(self.dim, self.radius, self.n * factor)
 
 
 class GridDensity:
@@ -155,7 +152,7 @@ def coarsen(rho: GridDensity, factor: int = 2) -> GridDensity:
     if factor < 2 or n % factor != 0:
         raise ValueError(f"factor {factor} does not divide n={n}")
     m = n // factor
-    coarse = GridSpec(rho.spec.dim, rho.spec.radius, m, rho.spec.boundary)
+    coarse = GridSpec(rho.spec.dim, rho.spec.radius, m)
     v = rho.values
     if rho.spec.dim == 1:
         cv = v.reshape(m, factor).mean(axis=1)

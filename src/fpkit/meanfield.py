@@ -158,6 +158,30 @@ def _shifted_scalar(base: ScalarField, shift, dim: int, name: str) -> ScalarFiel
                         base.tag, name=name)
 
 
+def _kernel_offset(ker: InteractionKernel, rho: GridDensity):
+    """ker.convolve(rho); an x-dependent offset keeps its last evaluation.
+
+    The cache holds one entry, keyed on the point values. The components of
+    one frozen coefficient are evaluated on the same points (the cell
+    centers), so they slice one kernel pass.
+    """
+    off = ker.convolve(rho)
+    if isinstance(off, np.ndarray):
+        return off
+    last = [None]  # (points, offset), read and replaced as one pair
+
+    def cached(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        hit = last[0]
+        if hit is None or not np.array_equal(hit[0], x):
+            hit = (x.copy(), off(x))
+            hit[1].setflags(write=False)
+            last[0] = hit
+        return hit[1]
+
+    return cached
+
+
 def _weighted_moment(rho: GridDensity, power: float) -> float:
     """integral (1 + |x|)^power rho by cell quadrature."""
     r = rho.spec.center_radii()
@@ -184,7 +208,7 @@ def nonlocal_coefficients(model: MeanFieldModel,
             raise EllipticityMarginError(
                 f"coupling eats the ellipticity margin: eps * sup|q| = "
                 f"{eps * ker.sup_bound:.6g} >= lambda/2 = {model.a0.lam / 2.0:.6g}")
-        off = ker.convolve(rho)
+        off = _kernel_offset(ker, rho)
         lam_eff = max(model.a0.lam - eps * ker.sup_bound, 1e-12)
         entries = {}
         for i in range(d):
@@ -201,7 +225,7 @@ def nonlocal_coefficients(model: MeanFieldModel,
     b_eff = model.b0
     if model.drift_kernel is not None and eps > 0.0:
         ker = model.drift_kernel
-        off = ker.convolve(rho)
+        off = _kernel_offset(ker, rho)
         g = model.b0.growth
         drift_bound = eps * ker.sup_bound * _weighted_moment(rho, ker.growth_order)
         growth = GrowthParams(beta=g.beta,

@@ -13,17 +13,16 @@ centered so that integral psi~ rho = 0, the solution machinery provides:
   cumulative integral of psi~ rho; u follows by one more cumulative
   integration and is normalized to zero average over B(0, 2 R0).
 
-* solve_poisson_grid: centered nondivergence finite differences
-  L = sum_i diag(a^ii) D2_i + diag(b^i) D1_i + diag(2 a^01) D1_0 D1_1, built
-  from the 1d first and second differences D1, D2 with reflecting
-  (clamped-index) walls and lifted to the grid by fpk.lift; the cross term
-  is skipped when a^01 vanishes at every cell. The discrete operator kills
-  constants; solvability is restored by subtracting the projection constant
-  <psi~, w> with w the discrete adjoint null vector. The center-most cell is
-  pinned (its implied equation becomes the unit row, u = 0 there) and the
-  kernel is then fixed by subtracting the B(0, 2 R0) cell average of u, so
-  that average is zero. With a confining drift the artificial wall closure
-  only pollutes a boundary layer; interior accuracy is second order.
+* solve_poisson_grid: the generator L_h of fpk.generator_matrix (centered
+  differences with reflecting walls), the same operator whose transpose
+  gives the grid density. L_h kills constants; solvability is restored by
+  subtracting the projection constant <psi~, w> with w the discrete
+  adjoint null vector. One SuperLU factor of the pinned L_h^T serves both
+  solves: a plain solve gives w, and a transposed solve gives u with the
+  center-most cell pinned to u = 0. The kernel is then fixed by subtracting
+  the B(0, 2 R0) cell average of u, so that average is zero. With a
+  confining drift the artificial wall closure only pollutes a boundary
+  layer; interior accuracy is second order.
 
 The growth report normalizes everything by Psi = sup |psi~(y)| / (1 + |y|^k):
 G0 = sup |u| / (1 + |x|^k), G1 = sup |grad u| / (1 + |x|^{k + beta}), and the
@@ -35,15 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfinementError, ConvergenceError, IncompatibilityError, TruncationError
 from .fields import ClosureField, DiffusionMatrixField, DriftField, ScalarField
-from .fpk import (ModelSpec, _fine_profile_1d, _scalar_diffusion, builtin_models, diag_scaled,
-                  lift, pinned_factor, stationary_density, stencil_1d)
+from .fpk import (ModelSpec, _diffusion_matrix, _fine_profile_1d, _scalar_diffusion,
+                  builtin_models, generator_matrix, pinned_factor, stationary_density)
 from .grids import GridDensity, GridSpec
 from .quadrature import cumulative_integral
 
@@ -172,9 +169,7 @@ class PoissonProblem:
 
     def __init__(self, A, b: DriftField, psi: ScalarField, k: float, rho: GridDensity,
                  p: float | None = None, s: float | None = None):
-        if isinstance(A, ScalarField):
-            A = DiffusionMatrixField.isotropic(
-                A, min(1.0, float(A.values(rho.spec.cell_centers()).min())))
+        A = _diffusion_matrix(A, rho.spec)
         d = rho.spec.dim
         if A.dim != d or b.dim != d or psi.dim != d:
             raise ValueError("coefficient/source dimensions must match the density grid")
@@ -345,37 +340,17 @@ def solve_poisson_1d(problem: PoissonProblem, subdiv: int = 8, tail_tol: float =
 # grid solver (non-divergence finite differences)
 # ---------------------------------------------------------------------------
 
+INCOMPATIBILITY_FACTOR = 10.0
 
-def _nondivergence_matrix(A: DiffusionMatrixField, b: DriftField, spec: GridSpec) -> sp.csr_matrix:
-    """Centered-difference discretization of L with reflecting walls.
 
-    L = sum_i diag(a^ii) D2_i + diag(b^i) D1_i + diag(2 a^01) D1_0 D1_1, with
-    coefficients at the cell centers and D1, D2 the centered first and second
-    differences lifted from 1d. A neighbor past a wall is the wall cell itself
-    (a reflecting ghost), so the rows sum to zero. The cross term is skipped
-    when a^01 vanishes at every cell.
+def discrete_adjoint_null(lu, pin: int) -> np.ndarray:
+    """Left null vector w of L_h (L_h^T w = 0), normalized to sum 1.
+
+    `lu` is pinned_factor(L_h^T, pin), so w is its solution for e_pin.
     """
-    n, h = spec.n, spec.h
-    pts = spec.cell_centers()
-    D1 = stencil_1d(n, n, ((-1, -0.5 / h), (1, 0.5 / h)))
-    D2 = stencil_1d(n, n, ((-1, 1.0 / h ** 2), (0, -2.0 / h ** 2), (1, 1.0 / h ** 2)))
-    b_c = b.values(pts)
-    L = 0
-    for i in range(spec.dim):
-        L = (L + diag_scaled(lift(D2, i, spec), rows=A.entry(i, i).values(pts))
-             + diag_scaled(lift(D1, i, spec), rows=b_c[:, i]))
-    if spec.dim == 2:
-        a01 = A.entry(0, 1).values(pts)
-        if np.any(a01):
-            L = L + diag_scaled(lift(D1, 0, spec) @ lift(D1, 1, spec), rows=2.0 * a01)
-    return L
-
-
-def discrete_adjoint_null(M: sp.csr_matrix, pin: int) -> np.ndarray:
-    """Left null vector of the singular operator, normalized to sum 1."""
-    rhs = np.zeros(M.shape[0])
+    rhs = np.zeros(lu.shape[0])
     rhs[pin] = 1.0
-    w = pinned_factor(M.T, pin).solve(rhs)
+    w = lu.solve(rhs)
     if not np.all(np.isfinite(w)):
         raise ConvergenceError("adjoint null-vector solve failed")
     total = w.sum()
@@ -384,29 +359,34 @@ def discrete_adjoint_null(M: sp.csr_matrix, pin: int) -> np.ndarray:
     return w / total
 
 
-def solve_poisson_grid(problem: PoissonProblem, incompatibility_factor: float = 10.0) -> PoissonSolution:
+def solve_poisson_grid(problem: PoissonProblem) -> PoissonSolution:
     """Solve the Poisson problem by non-divergence finite differences.
 
-    The source is recentered against the discrete adjoint null vector w; the
+    Factors the pinned L_h^T once. The source is recentered against the
+    discrete adjoint null vector w (a plain solve with that factor); the
     magnitude of that projection is the disagreement between the declared
-    reference density and the discrete operator and must stay below
-    incompatibility_factor times the expected O(h^2) discretization scale.
-    The center-most cell is pinned to u = 0 (its implied equation becomes the
-    unit row), and the kernel direction (constants) is then fixed by
-    subtracting the cell average of u over B(0, 2 R0).
+    density and the discrete operator and must stay below
+    INCOMPATIBILITY_FACTOR times the expected O(h^2) discretization scale.
+    It vanishes up to roundoff for a density from fpk.solve_grid, which is w
+    itself. A transposed solve with the same factor solves L_h with column
+    `pin` replaced by e_pin: with a zero right-hand side at the center-most
+    cell and u = 0 there afterwards, every other row of L_h u = psi~ holds
+    exactly. The kernel direction (constants) is then fixed by subtracting
+    the cell average of u over B(0, 2 R0).
     """
     spec = problem.spec
-    M = _nondivergence_matrix(problem.A, problem.b, spec)
+    L = generator_matrix(problem.A, problem.b, spec)
     radii = spec.center_radii()
     pin = int(np.argmin(radii))
-    w = discrete_adjoint_null(M, pin)
+    lu = pinned_factor(L.T, pin)
+    w = discrete_adjoint_null(lu, pin)
 
     psi_t = problem.psi_tilde_cells()
     c_proj = float(w @ psi_t)
     scale = spec.h ** 2 * (1.0 + float(np.abs(psi_t).max()))
-    if abs(c_proj) > incompatibility_factor * scale:
+    if abs(c_proj) > INCOMPATIBILITY_FACTOR * scale:
         raise IncompatibilityError(
-            f"range projection {abs(c_proj):.3e} exceeds {incompatibility_factor:g} x h^2 scale "
+            f"range projection {abs(c_proj):.3e} exceeds {INCOMPATIBILITY_FACTOR:g} x h^2 scale "
             f"{scale:.3e}: the reference density disagrees with the discrete operator",
             projection_magnitude=abs(c_proj))
     psi_proj = psi_t - c_proj
@@ -414,12 +394,13 @@ def solve_poisson_grid(problem: PoissonProblem, incompatibility_factor: float = 
     wit = lyapunov_constants(problem.A, problem.b, problem.k, r_max=spec.radius)
     rhs = psi_proj.copy()
     rhs[pin] = 0.0
-    u = pinned_factor(M, pin).solve(rhs)
+    u = lu.solve(rhs, trans="T")
     if not np.all(np.isfinite(u)):
         raise ConvergenceError("Poisson grid solve produced non-finite values")
+    u[pin] = 0.0
     u -= u[_pin_ball_mask(spec, wit.pin_radius)].mean()
 
-    res_vec = np.abs(M @ u - psi_proj)
+    res_vec = np.abs(L @ u - psi_proj)
     res_vec[pin] = 0.0  # pinned row is implied by the others
     interior = radii <= spec.radius - 1.0
     residual = float(res_vec.max())
@@ -455,11 +436,11 @@ def solve_poisson_grid(problem: PoissonProblem, incompatibility_factor: float = 
               "lyapunov": wit, "pinned_cell": pin, "residual_cells": res_vec})
 
 
-def solve_poisson(problem: PoissonProblem, **kwargs) -> PoissonSolution:
+def solve_poisson(problem: PoissonProblem) -> PoissonSolution:
     """Dispatch: quadrature solver in d = 1, grid solver in d = 2."""
     if problem.spec.dim == 1:
-        return solve_poisson_1d(problem, **kwargs)
-    return solve_poisson_grid(problem, **kwargs)
+        return solve_poisson_1d(problem)
+    return solve_poisson_grid(problem)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fpkit.errors import (
     ConvergenceError,
@@ -25,9 +26,9 @@ from fpkit.fields import (
     make_example_field,
 )
 from fpkit.fpk import (
-    _flux_divergence_matrix,
     builtin_models,
     discretization_error,
+    generator_matrix,
     harnack_ratio,
     moment,
     moment_report,
@@ -191,7 +192,7 @@ class TestPinnedSolve:
         spec = GridSpec(2, 8.0, 32)
         N = spec.n_cells
         pin = int(np.argmin(spec.center_radii()))
-        M = _flux_divergence_matrix(m.A, m.b, spec).toarray()
+        M = generator_matrix(m.A, m.b, spec).T.toarray()
         M[pin, :] = spec.cell_volume
         rhs = np.zeros(N)
         rhs[pin] = 1.0
@@ -200,13 +201,28 @@ class TestPinnedSolve:
         sol = solve_grid(m.A, m.b, spec).flat()
         assert np.abs(sol - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("d, clipped", [(1, 0.0342689674813), (2, 0.0708866592271)])
-    def test_lenient_clipped_mass_is_unchanged(self, d, clipped):
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_lenient_clipped_mass_matches_the_mass_row_closure(self, d):
         # a grid too coarse for the drift: the signed normalization keeps the
         # clipped negative mass of the mass-constraint closure
         A = DiffusionMatrixField.from_constant(0.05 * np.eye(d), 0.05)
-        sol = solve_grid(A, linear_drift(d, 5.0), GridSpec(d, 4.0, 64), check_truncation=False)
+        b, spec = linear_drift(d, 5.0), GridSpec(d, 4.0, 64)
+        pin = int(np.argmin(spec.center_radii()))
+        M = generator_matrix(A, b, spec).T.tolil()
+        M[pin, :] = spec.cell_volume
+        rhs = np.zeros(spec.n_cells)
+        rhs[pin] = 1.0
+        ref = spla.spsolve(M.tocsc(), rhs)
+        clipped = float(np.maximum(-ref, 0.0).sum()) * spec.cell_volume
+        assert clipped > 1e-2
+        sol = solve_grid(A, b, spec, check_truncation=False)
         assert sol.info["clipped_mass"] == pytest.approx(clipped, rel=1e-9)
+
+    def test_nothing_clipped_is_positive_zero(self):
+        sol = solve_grid(MODELS["ou-2d"].A, MODELS["ou-2d"].b, GridSpec(2, 8.0, 64))
+        clipped = sol.info["clipped_mass"]
+        assert clipped == 0.0
+        assert math.copysign(1.0, clipped) == 1.0
 
     def test_pinned_cell_takes_the_right_hand_side(self):
         # 1d Neumann Laplacian: kernel = constants, every row implied by the others

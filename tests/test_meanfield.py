@@ -134,6 +134,30 @@ class TestModelAssembly:
         assert g.beta1 >= g0.beta1
         assert g.beta3 >= g0.beta3
 
+    def test_drift_components_share_one_kernel_pass(self):
+        # both components of a d = 2 offset slice one kernel pass per point set
+        spec = GridSpec(2, 8.0, 16)
+        rel = kernel_from_name("tanh-relative", 2)["drift_kernel"]
+        calls = []
+
+        def counted(x, y):
+            calls.append(len(x))
+            return rel.fn(x, y)
+
+        b0 = linear_drift(2)
+        model = MeanFieldModel(DiffusionMatrixField.from_constant(np.eye(2)), b0, eps=0.5,
+                               drift_kernel=InteractionKernel("drift", counted, 2, sup_bound=1.0))
+        rho = gaussian_probe(spec, [0.5, 0.0], 1.0)
+        _, b = nonlocal_coefficients(model, rho)
+        cells = spec.cell_centers()
+        vals = b.values(cells)
+        assert np.array_equal(b.values(cells.copy()), vals)
+        assert calls == [spec.n_cells]
+        expected = b0.values(cells) + 0.5 * rel.convolve(rho)(cells)
+        assert np.abs(vals - expected).max() <= 1e-15
+        b.values(cells[:3])
+        assert calls == [spec.n_cells, 3]
+
     def test_model_validation(self):
         with pytest.raises(ValueError, match="coupling strength"):
             tanh_model(1.5)

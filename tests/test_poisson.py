@@ -15,11 +15,17 @@ from fpkit.fields import (
     GrowthParams,
     linear_drift,
 )
-from fpkit.fpk import builtin_models, solve_exact_1d, solve_grid
+from fpkit.fpk import (
+    ELLIPTICITY_TOL,
+    builtin_models,
+    generator_matrix,
+    pinned_factor,
+    solve_exact_1d,
+    solve_grid,
+)
 from fpkit.grids import GridDensity, GridSpec
 from fpkit.poisson import (
     PoissonProblem,
-    _nondivergence_matrix,
     _pin_ball_mask,
     builtin_poisson_cases,
     discrete_adjoint_null,
@@ -132,6 +138,17 @@ class TestPoissonProblem:
         with pytest.raises(ValueError, match="dimensions"):
             PoissonProblem(A, b, source(lambda z: z[:, 0], 2, "x1"), 1.0, rho)
 
+    def test_scalar_diffusion_follows_the_grid_solver_rule(self, ou_1d, grid_1d):
+        # a I with a = 2: ellipticity min(1, min a, 1 / max a) = 1/2, as in solve_grid
+        _, b = ou_1d
+        a = ConstantField(2.0, 1)
+        prob = PoissonProblem(a, b, source(lambda z: z[:, 0], 1, "x1"), 1.0,
+                              solve_exact_1d(a, b, grid_1d))
+        assert prob.A.lam == 0.5
+        prob.A.check_ellipticity(grid_1d.cell_centers(), tol=ELLIPTICITY_TOL)
+        wit = lyapunov_constants(prob.A, b, 1.0)
+        assert wit.r0_formula == pytest.approx(2.64, abs=SCAN_STEP)
+
 
 class TestQuadratureSolver:
     def test_linear_source_recovers_minus_x(self, ou_problem_parts, grid_1d):
@@ -232,11 +249,21 @@ class TestGridSolver:
     def test_adjoint_null_vector(self, name):
         m = {m.name: m for m in builtin_models()}[name]
         spec = GridSpec(m.dim, 8.0, 256 if m.dim == 1 else 32)
-        M = _nondivergence_matrix(m.A, m.b, spec)
-        w = discrete_adjoint_null(M, int(np.argmin(spec.center_radii())))
+        pin = int(np.argmin(spec.center_radii()))
+        MT = generator_matrix(m.A, m.b, spec).T
+        w = discrete_adjoint_null(pinned_factor(MT, pin), pin)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        MT = M.T
         assert np.abs(MT @ w).max() <= 1e-10 * (abs(MT) @ np.abs(w)).max()
+
+    @pytest.mark.parametrize("name", ["ou-2d", "anisotropic-2d"])
+    def test_grid_density_is_compatible_with_the_generator(self, name):
+        # the density is the adjoint null vector of the same L_h, so the range
+        # projection of a source that is centered against it vanishes
+        m = {m.name: m for m in builtin_models()}[name]
+        spec = GridSpec(2, 8.0, 64)
+        psi = source(lambda z: np.exp(-np.sum(z * z, axis=1)) + 0.3 * z[:, 0], 2, "psi")
+        sol = solve_poisson_grid(PoissonProblem(m.A, m.b, psi, 1.0, solve_grid(m.A, m.b, spec)))
+        assert sol.info["projection_magnitude"] <= 1e-9
 
     def test_2d_solution_has_zero_mean_on_the_pin_ball(self, ou_2d):
         A, b = ou_2d
