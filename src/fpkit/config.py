@@ -343,10 +343,8 @@ def kernel_from_name(name: str, dim: int) -> dict:
         return {"drift_kernel": InteractionKernel("drift", np.tanh, dim, sup_bound=1.0,
                                                   depends_on_x=False, name="tanh")}
     if name == "tanh-relative":
-        def rel(x, y):
-            return np.tanh(y[None, :, :] - x[:, None, :])
-        return {"drift_kernel": InteractionKernel("drift", rel, dim, sup_bound=1.0,
-                                                  depends_on_x=True, name="tanh-relative")}
+        return {"drift_kernel": InteractionKernel("drift", None, dim, sup_bound=1.0,
+                                                  profile=np.tanh, name="tanh-relative")}
     if name == "gaussian-diffusion":
         def gq(y):
             g = np.exp(-np.sum(y * y, axis=1))

@@ -267,7 +267,7 @@ def solve_grid(A, b: DriftField, spec: GridSpec, strict: bool = False,
     if total <= 0 or not np.isfinite(total):
         raise DegenerateDensityError("solution mass vanished after clipping")
     rho = GridDensity(spec, (raw / total).reshape(spec.shape),
-                      info={"method": "fv-direct", "residual": residual,
+                      info={"method": "generator-null", "residual": residual,
                             "residual_history": history, "clipped_mass": clipped_mass,
                             "pinned_cell": pin})
     if check_truncation and rho.boundary_mass >= BOUNDARY_MASS_LIMIT:

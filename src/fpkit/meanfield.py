@@ -17,7 +17,12 @@ assuming it.
 
 Kernels that do not depend on x reduce the nonlocal coefficient to a
 constant offset (one quadrature per iteration); the general case assembles
-the offset pointwise in x with the same quadrature in y.
+the offset pointwise in x with the same quadrature in y. A translation-
+invariant kernel h(x, y) = g(y - x) evaluated at the cell centers of the
+density's grid, the only points the grid solver evaluates coefficients on,
+is a discrete correlation, computed by one zero-padded real FFT per value
+component; any other points (the fine mesh of the closed-form 1d solver,
+subsets, shifted points) take the direct quadrature.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import (ConvergenceError, DegenerateDensityError, EllipticityMarginError,
                      NonContractionError)
@@ -49,11 +55,20 @@ class InteractionKernel:
     the perturbed diffusion stays admissible. Kernels with depends_on_x=False
     are functions of y alone; their nonlocal coefficient is a constant
     offset, computed once per iteration.
+
+    A translation-invariant kernel k(x, y) = g(y - x) may declare its profile
+    g in place of fn; g maps offsets of shape (..., d) to values of shape
+    (..., d) or (..., d, d), and fn(x, y) becomes g(y[None] - x[:, None]).
+    Asked for the cell centers of the density's own grid, the offset of such
+    a kernel is a discrete correlation: g is sampled once on the (2n - 1)^d
+    lattice of cell differences and correlated with the cell masses by a
+    zero-padded real FFT, O(N log N) instead of O(N^2). Any other points
+    take the direct quadrature over the cells, chunked in x.
     """
 
-    def __init__(self, kind: str, fn: Callable, dim: int, sup_bound: float,
+    def __init__(self, kind: str, fn: Callable | None, dim: int, sup_bound: float,
                  growth_order: float = 0.0, depends_on_x: bool = True,
-                 name: str = "kernel"):
+                 name: str = "kernel", profile: Callable | None = None):
         if kind not in ("drift", "diffusion"):
             raise ValueError(f"kernel kind must be 'drift' or 'diffusion', got {kind!r}")
         if dim not in (1, 2):
@@ -64,7 +79,13 @@ class InteractionKernel:
             raise ValueError("kernel growth order must be nonnegative")
         if kind == "diffusion" and growth_order != 0.0:
             raise ValueError("diffusion kernels must be bounded (growth order 0)")
-        self.kind, self.fn, self.dim = kind, fn, int(dim)
+        if (fn is None) == (profile is None):
+            raise ValueError("declare exactly one of fn and profile")
+        if profile is not None:
+            if not depends_on_x:
+                raise ValueError("a profile g(y - x) depends on x")
+            fn = lambda x, y, g=profile: g(y[None, :, :] - x[:, None, :])
+        self.kind, self.fn, self.profile, self.dim = kind, fn, profile, int(dim)
         self.sup_bound, self.growth_order = float(sup_bound), float(growth_order)
         self.depends_on_x, self.name = bool(depends_on_x), name
 
@@ -88,6 +109,8 @@ class InteractionKernel:
 
         def offset(x: np.ndarray) -> np.ndarray:
             x = np.asarray(x, dtype=float)
+            if self.profile is not None and x.shape == y.shape and np.array_equal(x, y):
+                return self._lattice_offset(rho.spec, wts)
             res = np.zeros((x.shape[0],) + shape)
             for lo in range(0, x.shape[0], _EVAL_CHUNK):
                 xc = x[lo:lo + _EVAL_CHUNK]
@@ -98,6 +121,32 @@ class InteractionKernel:
             return res
 
         return offset
+
+    def _lattice_offset(self, spec: GridSpec, wts: np.ndarray) -> np.ndarray:
+        """sum_j g(y_j - x_i) wts_j at every cell center x_i, by FFT.
+
+        With y_j - x_i = (j - i) h, the sum is a correlation of the cell
+        weights with g sampled at k h, |k| < n per axis; flipping the sample
+        makes it a convolution whose entries n - 1 .. 2n - 2 are the offsets.
+        Padding each axis to L >= 2n - 1 keeps the wrap-around of the cyclic
+        product out of those entries.
+        """
+        n, d = spec.n, spec.dim
+        shape = self._value_shape()
+        k = np.arange(1 - n, n) * spec.h
+        z = np.stack(np.meshgrid(*(k,) * d, indexing="ij"), axis=-1).reshape(-1, d)
+        vals = np.asarray(self.profile(z), dtype=float)
+        if vals.shape != (len(z),) + shape:
+            raise ValueError(f"kernel {self.name!r} profile returned shape {vals.shape}, "
+                             f"expected {(len(z),) + shape}")
+        axes = tuple(range(d))
+        size = (next_fast_len(2 * n - 1, real=True),) * d
+        flipped = np.flip(vals.reshape((2 * n - 1,) * d + shape), axis=axes)
+        spectrum = rfftn(flipped, s=size, axes=axes)
+        weights = rfftn(wts.reshape(spec.shape), s=size)
+        full = irfftn(spectrum * weights.reshape(weights.shape + (1,) * len(shape)),
+                      s=size, axes=axes)
+        return full[(slice(n - 1, 2 * n - 1),) * d].reshape((spec.n_cells,) + shape)
 
     def _check_symmetry(self, mat: np.ndarray, tol: float = 1e-10):
         if self.kind == "diffusion" and np.abs(mat - mat.T).max() > tol:

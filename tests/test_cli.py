@@ -76,6 +76,14 @@ class TestSmokeRuns:
         for rel in report["artifacts"]:
             assert (out_dir / rel).is_file()
 
+    def test_meanfield_relative_kernel_in_two_dimensions(self, tmp_path):
+        # the default 2d grid, n = 128, where the offset is an FFT correlation
+        cfg = {"eps": 0.05, "kernel": "tanh-relative", "dim": 2}
+        code, report, _ = run_cli(tmp_path, "meanfield", cfg)
+        assert code == 0
+        assert report["checks"]["converged"] and report["checks"]["fixed_points_agree"]
+        assert report["summary"]["kernel"] == "tanh-relative"
+
     def test_csv_headers_are_declared(self, tmp_path):
         _, _, out_dir = run_cli(tmp_path, "meanfield", SMALL_CONFIGS["meanfield"])
         assert (out_dir / "trace.csv").read_text().splitlines()[0] == \

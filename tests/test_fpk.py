@@ -130,7 +130,7 @@ class TestGridSolver:
         sol = solve_grid(A, b, grid_1d)
         ref = solve_exact_1d(ConstantField(1.0, 1), b, grid_1d)
         assert weighted_l1_gap(sol, ref, 1.0) < 1e-3
-        assert sol.info["method"] == "fv-direct"
+        assert sol.info["method"] == "generator-null"
         assert sol.info["residual"] <= 1e-10
         assert sol.info["clipped_mass"] <= 1e-6
 

@@ -1,9 +1,13 @@
 """Self-consistency map for distribution-dependent coefficients."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpkit.config import kernel_from_name
 from fpkit.errors import (
@@ -13,7 +17,7 @@ from fpkit.errors import (
     NonContractionError,
 )
 from fpkit.fields import DiffusionMatrixField, linear_drift
-from fpkit.grids import GridSpec
+from fpkit.grids import GridDensity, GridSpec
 from fpkit.meanfield import (
     InteractionKernel,
     MeanFieldModel,
@@ -87,6 +91,16 @@ class TestKernels:
         with pytest.raises(ValueError, match="returned shape"):
             ker.convolve(centered_probe)
 
+    def test_kernel_declares_exactly_one_of_fn_and_profile(self):
+        rel = kernel_from_name("tanh-relative", 1)["drift_kernel"]
+        with pytest.raises(ValueError, match="exactly one"):
+            InteractionKernel("drift", rel.fn, 1, sup_bound=1.0, profile=np.tanh)
+        with pytest.raises(ValueError, match="exactly one"):
+            InteractionKernel("drift", None, 1, sup_bound=1.0)
+        with pytest.raises(ValueError, match="depends on x"):
+            InteractionKernel("drift", None, 1, sup_bound=1.0, profile=np.tanh,
+                              depends_on_x=False)
+
     def test_declaration_validation(self):
         with pytest.raises(ValueError, match="kind"):
             InteractionKernel("source", np.tanh, 1, sup_bound=1.0)
@@ -94,6 +108,84 @@ class TestKernels:
             InteractionKernel("drift", np.tanh, 1, sup_bound=0.0)
         with pytest.raises(ValueError, match="growth order 0"):
             InteractionKernel("diffusion", np.tanh, 1, sup_bound=1.0, growth_order=1.0)
+
+
+def direct_twin(ker: InteractionKernel) -> InteractionKernel:
+    """The same kernel declared by fn, so every offset takes direct quadrature."""
+    return InteractionKernel(ker.kind, ker.fn, ker.dim, sup_bound=ker.sup_bound,
+                             name=f"{ker.name}-direct")
+
+
+def counting_tanh(seen: list):
+    """np.tanh as a profile that records the shape of every offset array it gets."""
+    def profile(z):
+        seen.append(z.shape)
+        return np.tanh(z)
+    return profile
+
+
+def gaussian_bump(z):
+    # a matrix-valued profile, to exercise the (d, d) value axes of the FFT
+    d = z.shape[-1]
+    return np.exp(-np.sum(z * z, axis=-1))[..., None, None] * np.eye(d)
+
+
+class TestLatticeOffset:
+    """Profile kernels on the cell centers: FFT correlation against quadrature."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_fft_matches_direct_quadrature(self, dim):
+        spec = GridSpec(dim, 8.0, 32)
+        ker = kernel_from_name("tanh-relative", dim)["drift_kernel"]
+        rho = gaussian_probe(spec, np.full(dim, 0.5), 1.0)
+        cells = spec.cell_centers()
+        fft = ker.convolve(rho)(cells)
+        direct = direct_twin(ker).convolve(rho)(cells)
+        assert fft.shape == (spec.n_cells, dim)
+        assert np.abs(fft - direct).max() <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(dim=st.sampled_from((1, 2)), n=st.sampled_from((16, 32)),
+           kind=st.sampled_from(("drift", "diffusion")), seed=st.integers(0, 2 ** 32 - 1))
+    def test_fft_matches_direct_quadrature_on_random_densities(self, dim, n, kind, seed):
+        spec = GridSpec(dim, 4.0, n)
+        profile = np.tanh if kind == "drift" else gaussian_bump
+        ker = InteractionKernel(kind, None, dim, sup_bound=1.0, profile=profile)
+        rng = np.random.default_rng(seed)
+        rho = GridDensity.from_samples(spec, rng.random(spec.shape) ** 4)
+        cells = spec.cell_centers()
+        fft = ker.convolve(rho)(cells)
+        direct = direct_twin(ker).convolve(rho)(cells)
+        assert np.abs(fft - direct).max() <= 1e-12
+
+    def test_points_off_the_lattice_take_direct_quadrature(self):
+        spec = GridSpec(2, 8.0, 16)
+        seen = []
+        ker = InteractionKernel("drift", None, 2, sup_bound=1.0, profile=counting_tanh(seen))
+        rho = gaussian_probe(spec, [0.5, 0.0], 1.0)
+        off = ker.convolve(rho)
+        cells = spec.cell_centers()
+        twin = direct_twin(kernel_from_name("tanh-relative", 2)["drift_kernel"]).convolve(rho)
+        for pts in (cells[:5], cells + 0.5 * spec.h):
+            assert np.array_equal(off(pts), twin(pts))
+        off(cells)
+        assert seen == [(5, spec.n_cells, 2), (spec.n_cells, spec.n_cells, 2),
+                        ((2 * spec.n - 1) ** 2, 2)]
+
+    def test_profile_shape_is_checked_on_the_lattice(self):
+        spec = GridSpec(1, 8.0, 16)
+        ker = InteractionKernel("drift", None, 1, sup_bound=1.0,
+                                profile=lambda z: np.tanh(z[..., 0]), name="flat")
+        off = ker.convolve(gaussian_probe(spec, [0.0], 1.0))
+        with pytest.raises(ValueError, match="profile returned shape"):
+            off(spec.cell_centers())
+
+    def test_import_does_not_load_scipy_signal(self):
+        # scipy.signal costs about half a second of import time
+        code = "import sys, fpkit; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestModelAssembly:
@@ -157,6 +249,17 @@ class TestModelAssembly:
         assert np.abs(vals - expected).max() <= 1e-15
         b.values(cells[:3])
         assert calls == [spec.n_cells, 3]
+
+    def test_profile_components_share_one_lattice_pass(self):
+        spec = GridSpec(2, 8.0, 16)
+        samples = []
+        ker = InteractionKernel("drift", None, 2, sup_bound=1.0, profile=counting_tanh(samples))
+        model = MeanFieldModel(DiffusionMatrixField.from_constant(np.eye(2)), linear_drift(2),
+                               eps=0.5, drift_kernel=ker)
+        _, b = nonlocal_coefficients(model, gaussian_probe(spec, [0.5, 0.0], 1.0))
+        cells = spec.cell_centers()
+        assert np.array_equal(b.values(cells.copy()), b.values(cells))
+        assert samples == [((2 * spec.n - 1) ** 2, 2)]
 
     def test_model_validation(self):
         with pytest.raises(ValueError, match="coupling strength"):

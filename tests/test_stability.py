@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fpkit.errors import GridMismatchError, SupportError
@@ -68,6 +70,21 @@ class TestWeightedDistance:
             dbc = weighted_l1_distance(b, c, 1.0)
             dac = weighted_l1_distance(a, c, 1.0)
             assert dac <= dab + dbc + 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from((1, 2)), n=st.sampled_from((16, 32)), k=st.floats(0.0, 4.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_is_a_metric_on_a_shared_grid(self, dim, n, k, seed):
+        spec = GridSpec(dim, 4.0, n)
+        rng = np.random.default_rng(seed)
+        # cubed uniforms put several cells near zero, as in density tails
+        a, b, c = (GridDensity.from_samples(spec, rng.random(spec.shape) ** 3)
+                   for _ in range(3))
+        assert weighted_l1_distance(a, GridDensity(spec, a.values), k) == 0.0
+        dab, dba = weighted_l1_distance(a, b, k), weighted_l1_distance(b, a, k)
+        assert dab == dba > 0.0
+        dbc, dac = weighted_l1_distance(b, c, k), weighted_l1_distance(a, c, k)
+        assert dac <= (dab + dbc) * (1.0 + 1e-12)
 
     def test_mismatched_grids_rejected(self, gaussian_rho):
         other = GridSpec(1, 8.0, 256)
