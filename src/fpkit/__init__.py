@@ -22,7 +22,7 @@ from .fields import (ClosureField, ConstantField, DiffusionMatrixField, DriftFie
 from .fpk import (ModelSpec, builtin_models, discretization_error, harnack_ratio, moment,
                   moment_report, solve_exact_1d, solve_grid, weak_residual,
                   weighted_lp_norm)
-from .grids import GridDensity, GridSpec, coarsen, default_radius
+from .grids import GridDensity, GridSpec, default_radius
 from .meanfield import (ContractionEstimate, FixedPointTrace, InteractionKernel,
                         MeanFieldModel, apply_phi, contraction_estimate, epsilon_threshold,
                         gaussian_probe, nonlocal_coefficients, picard_iterate)
@@ -50,7 +50,7 @@ __all__ = [
     "SamplingSpec", "ScalarField", "SchemePositivityError", "SmoothTestFunction",
     "SmoothnessTag", "StabilityReport", "SupportError", "SweepResult", "TruncationError",
     "ValidationError", "apply_phi", "builtin_models", "builtin_poisson_cases",
-    "check_condition_h", "coarsen", "contraction_estimate", "default_radius",
+    "check_condition_h", "contraction_estimate", "default_radius",
     "dini_integral", "dini_mean_oscillation", "discretization_error", "duality_check",
     "epsilon_threshold", "estimate_stability", "gaussian_probe", "harnack_ratio",
     "linear_drift", "lyapunov_constants", "make_example_field", "moment", "moment_report",

@@ -31,7 +31,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .conditions import check_condition_h
 from .config import (field_from_config, grid_from_config, kernel_from_name,
                      load_config_file, model_from_config, validate_command_config)
 from .errors import FpkError, ValidationError
@@ -196,7 +195,7 @@ def run_poisson(ctx: RunContext, cfg: dict, strict: bool) -> dict:
     A, b, dim, name = model_from_config(cfg)
     psi = field_from_config(cfg["psi"], dim=dim, path="psi")
     spec = grid_from_config(cfg, dim, b.growth.beta2)
-    rho = stationary_density(A, b, spec)
+    rho = stationary_density(A, b, spec, strict=strict)
     prob = PoissonProblem(A, b, psi, cfg["k"], rho, p=cfg["p"])
     sol = solve_poisson(prob)
     pts = spec.cell_centers()

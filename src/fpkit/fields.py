@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import EllipticityError, EvaluationError
-from .quadrature import ball_average_rule, gauss_interval
+from .quadrature import gauss_interval
 
 _EVAL_CHUNK = 65536
 
@@ -129,11 +129,6 @@ class ScalarField:
         if arr.ndim == 0 or (arr.ndim == 1 and self.dim > 1):
             return float(out[0])
         return out
-
-    def ball_average(self, center: np.ndarray, radius: float, n_radial: int = 32, n_angular: int = 32) -> float:
-        """Average of the field over the ball B(center, radius) by midpoint quadrature."""
-        pts, w = ball_average_rule(np.asarray(center, dtype=float), radius, n_radial, n_angular)
-        return float(w @ self.values(pts))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r} d={self.dim} tag={self.tag.kind}>"

@@ -11,19 +11,21 @@ formal adjoint equation sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0):
 
 * solve_grid: the transpose of the discrete generator, in d = 1, 2.
   generator_matrix builds L_h = sum_i diag(a^ii) D2_i + diag(b^i) D1_i
-  + diag(2 a^01) D1_0 D1_1 from the 1d centered first and second
-  differences D1, D2 with reflecting (clamped-index) walls, lifted to the
-  grid by one Kronecker helper, lift (kron(op, I) along axis 0, kron(I, op)
-  along axis 1); coefficients are evaluated at the cell centers and the
-  cross term is skipped when a^01 vanishes at every cell. The rows of L_h
-  sum to zero, so the density operator M = L_h^T conserves mass (its
-  columns sum to zero) and the equation of the center-most cell is implied
-  by the others. The singular system M rho = 0 is closed by pinning that
-  cell (its row becomes the unit row, value 1) and the solution is then
-  scaled to the normalization sum rho h^d = 1. The grid density is thus a
-  discrete probability solution of the same L_h that the Poisson solver
-  (poisson.solve_poisson_grid) inverts: sum_x rho (L_h phi) = 0 for every
-  grid function phi.
+  + diag(2 a^01) D1_0 D1_1 from the centered first and second differences
+  D1, D2 as one table of neighbour weights: each cell holds 3^d weights,
+  one per offset in {-1, 0, 1}^d, and each term adds its coefficient times
+  its tap weight into the slot of the tap's offset. A tap past a wall folds
+  onto the offset clamped axis by axis (a reflecting ghost), and one
+  diagonal-format build turns the table into CSR. Coefficients are
+  evaluated at the cell centers and the cross term is skipped when a^01
+  vanishes at every cell. The rows of L_h sum to zero, so the density
+  operator M = L_h^T conserves mass (its columns sum to zero) and the
+  equation of the center-most cell is implied by the others. The singular
+  system M rho = 0 is closed by pinning that cell (its row becomes the unit
+  row, value 1) and the solution is then scaled to the normalization
+  sum rho h^d = 1. The grid density is thus a discrete probability solution
+  of the same L_h that the Poisson solver (poisson.solve_poisson_grid)
+  inverts: sum_x rho (L_h phi) = 0 for every grid function phi.
 
 The scheme is second order but not monotone; tiny negative cells can appear
 and are clipped with the removed mass recorded (escalated to an error in
@@ -32,6 +34,7 @@ strict mode when it exceeds 1e-6).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -123,63 +126,56 @@ def solve_exact_1d(a, b: DriftField, spec: GridSpec, subdiv: int = 8,
 # ---------------------------------------------------------------------------
 
 
-def stencil_1d(n: int, taps: Sequence[tuple[int, float]]) -> sp.csr_matrix:
-    """Sparse n x n operator whose row r takes sum_(k, w) w * u[r + k].
-
-    Column indices r + k are clamped to [0, n - 1], so a tap past an end
-    falls back on the end entry (reflection at a zero-flux wall) and taps
-    that land on the same column are summed.
-    """
-    r = np.arange(n)
-    rows = np.tile(r, len(taps))
-    cols = np.concatenate([np.clip(r + k, 0, n - 1) for k, _ in taps])
-    vals = np.repeat([float(w) for _, w in taps], n)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def lift(op: sp.spmatrix, ax: int, spec: GridSpec) -> sp.spmatrix:
-    """Lift a 1d operator acting along axis `ax` to the cells of the grid.
-
-    In d = 1 this is `op` itself. In d = 2 the other axis gets the identity
-    in the row-major (ij) cell order: kron(op, I) for axis 0 and kron(I, op)
-    for axis 1.
-    """
-    if spec.dim == 1:
-        return op
-    eye = sp.identity(spec.n, format="csr")
-    return sp.kron(*((op, eye) if ax == 0 else (eye, op)), format="csr")
-
-
-def diag_scaled(X: sp.spmatrix, rows: np.ndarray) -> sp.csr_matrix:
-    """diag(rows) X as a new CSR matrix."""
-    X = sp.csr_matrix(X, dtype=float, copy=True)
-    X.data *= np.repeat(rows, np.diff(X.indptr))
-    return X
-
-
 def generator_matrix(A: DiffusionMatrixField, b: DriftField, spec: GridSpec) -> sp.csr_matrix:
     """Centered-difference discretization L_h of the generator with reflecting walls.
 
     L_h = sum_i diag(a^ii) D2_i + diag(b^i) D1_i + diag(2 a^01) D1_0 D1_1, with
     coefficients at the cell centers and D1, D2 the centered first and second
-    differences lifted from 1d. A neighbor past a wall is the wall cell itself
-    (a reflecting ghost), so the rows sum to zero. The cross term is skipped
-    when a^01 vanishes at every cell.
+    differences. Row r of L_h is kept as a table of 3^d neighbour weights, one
+    per offset o in {-1, 0, 1}^d (slot index sum_i (o_i + 1) 3^(d-1-i)). Each
+    term adds its coefficient times its tap weight into the slot of the tap's
+    offset; a tap past a wall folds onto the offset clamped axis by axis, so
+    the neighbour past a wall is the wall cell itself (a reflecting ghost) and
+    the rows sum to zero. The cross term is skipped when a^01 vanishes at
+    every cell. Slot o is the diagonal sum_i o_i n^(d-1-i) of L_h, so the
+    table becomes the CSR matrix through one diagonal-format conversion.
     """
-    n, h = spec.n, spec.h
+    n, h, d = spec.n, spec.h, spec.dim
     pts = spec.cell_centers()
-    D1 = stencil_1d(n, ((-1, -0.5 / h), (1, 0.5 / h)))
-    D2 = stencil_1d(n, ((-1, 1.0 / h ** 2), (0, -2.0 / h ** 2), (1, 1.0 / h ** 2)))
+    pos = np.arange(n)
+
+    def folded(*taps):
+        """(3, n) weights of a 1d stencil by clamped offset -1, 0, 1 at each position."""
+        F = np.zeros((3, n))
+        for k, w in taps:
+            F[np.clip(pos + k, 0, n - 1) - pos + 1, pos] += w
+        return F
+
+    eye = folded((0, 1.0))
+    D1 = folded((-1, -0.5 / h), (1, 0.5 / h))
+    D2 = folded((-1, 1.0 / h ** 2), (0, -2.0 / h ** 2), (1, 1.0 / h ** 2))
     b_c = b.values(pts)
-    L = 0
-    for i in range(spec.dim):
-        L = (L + diag_scaled(lift(D2, i, spec), rows=A.entry(i, i).values(pts))
-             + diag_scaled(lift(D1, i, spec), rows=b_c[:, i]))
-    if spec.dim == 2:
+    terms = [(coef, [op if j == i else eye for j in range(d)]) for i in range(d)
+             for op, coef in ((D2, A.entry(i, i).values(pts)), (D1, b_c[:, i]))]
+    if d == 2:
         a01 = A.entry(0, 1).values(pts)
         if np.any(a01):
-            L = L + diag_scaled(lift(D1, 0, spec) @ lift(D1, 1, spec), rows=2.0 * a01)
-    return L
+            terms.append((2.0 * a01, [D1, D1]))
+    N = spec.n_cells
+    W = np.zeros((3 ** d, N))
+    for coef, axes in terms:
+        taps = np.ones((1, 1))
+        for F in axes:  # outer product over the axes, row-major in slot and cell
+            taps = (taps[:, None, :, None] * F[None, :, None, :]).reshape(3 * len(taps), -1)
+        taps *= coef
+        W += taps
+    offsets = [sum(k * n ** (d - 1 - i) for i, k in enumerate(o))
+               for o in itertools.product((-1, 0, 1), repeat=d)]
+    for s, k in enumerate(offsets):
+        # diagonal storage holds entry (r, r + k) at column r + k; what the
+        # roll wraps round falls outside the matrix, where it is ignored
+        W[s] = np.roll(W[s], k)
+    return sp.dia_matrix((W, offsets), shape=(N, N)).tocsr()
 
 
 def pinned_factor(M: sp.spmatrix, pin: int):
@@ -278,7 +274,7 @@ def solve_grid(A, b: DriftField, spec: GridSpec, strict: bool = False,
 
 
 def stationary_density(A, b: DriftField, spec: GridSpec, strict: bool = False) -> GridDensity:
-    """Stationary density on the grid: the closed form in d = 1, finite volumes otherwise."""
+    """Stationary density on the grid: the closed form in d = 1, the null vector of L_h^T otherwise."""
     if spec.dim == 1:
         return solve_exact_1d(A, b, spec)
     return solve_grid(A, b, spec, strict=strict)

@@ -85,9 +85,6 @@ class GridSpec:
             m[:, 0] = m[:, -1] = True
         return m
 
-    def refine(self, factor: int = 2) -> "GridSpec":
-        return GridSpec(self.dim, self.radius, self.n * factor)
-
 
 class GridDensity:
     """A probability density on a grid: nonnegative cells, unit mass.
@@ -144,21 +141,6 @@ class GridDensity:
 def require_same_grid(a: GridDensity, b: GridDensity):
     if a.spec != b.spec:
         raise GridMismatchError(f"grids differ: {a.spec} vs {b.spec}")
-
-
-def coarsen(rho: GridDensity, factor: int = 2) -> GridDensity:
-    """Conservative block-average restriction onto a factor-coarser grid."""
-    n = rho.spec.n
-    if factor < 2 or n % factor != 0:
-        raise ValueError(f"factor {factor} does not divide n={n}")
-    m = n // factor
-    coarse = GridSpec(rho.spec.dim, rho.spec.radius, m)
-    v = rho.values
-    if rho.spec.dim == 1:
-        cv = v.reshape(m, factor).mean(axis=1)
-    else:
-        cv = v.reshape(m, factor, m, factor).mean(axis=(1, 3))
-    return GridDensity(coarse, cv)
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,18 @@ class TestNumericalExits:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: TruncationError:")
 
+    def test_strict_poisson_rejects_a_clipped_density(self, tmp_path, capsys):
+        # regression: run_poisson solved the density without `strict`, so a
+        # density that clips 0.03 of its mass passed; strict only (the lenient
+        # run spends most of a minute factoring the pinned L_h^T at Pe 25)
+        cfg = {"coefficients": {"dim": 2, "diffusion": {"constant": 0.05},
+                                "drift": {"expressions": ["-5*x1", "-5*x2"], "beta1": 1.0,
+                                          "beta2": 5.0, "beta3": 5.0}},
+               "psi": {"expression": "x1"}, "k": 1.0, "radius": 4, "n": 64}
+        code, _, _ = run_cli(tmp_path, "poisson", cfg, "--strict")
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: SchemePositivityError:")
+
     def test_failing_check_exits_three_with_fail_line(self, tmp_path, capsys):
         cfg = {"task": "stability", "axis": [0.01, 0.05, 5.0],
                "base": {"family": "drift-linear", "n": 256}}

@@ -1,4 +1,4 @@
-"""Stationary solvers: closed forms, finite volumes, and density diagnostics."""
+"""Stationary solvers: closed forms, the null vector of L_h^T, and density diagnostics."""
 
 import math
 

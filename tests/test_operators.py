@@ -2,9 +2,11 @@
 
 The centered-difference generator L_h (fpk.generator_matrix) is checked
 against the continuous generator L phi = tr(A D^2 phi) + <b, grad phi> on
-low-degree polynomials, where the stencils are exact away from the walls,
-and against its conservation structure: the rows of L_h sum to zero, so the
-density operator M = L_h^T has columns that sum to zero. The grid density of
+low-degree polynomials, where the stencils are exact away from the walls;
+entry by entry, wall rows included, against a dense loop over cells, terms
+and taps that clamps each axis at the walls; and against its conservation
+structure: the rows of L_h sum to zero, so the density operator M = L_h^T
+has columns that sum to zero. The grid density of
 fpk.solve_grid is a discrete probability solution of L_h:
 sum_x rho (L_h phi) = 0 for every grid function phi.
 """
@@ -64,6 +66,44 @@ def test_nondivergence_operator_is_exact_on_quadratics(model, name):
     assert np.abs(got - exact)[inside].max() <= 1e-12 * max(1.0, np.abs(exact).max())
 
 
+def reference_generator(A, b, spec):
+    """Dense L_h: every cell adds coefficient x weight of every tap of every
+    term at the neighbour whose index is clamped to the grid axis by axis."""
+    n, h, d = spec.n, spec.h, spec.dim
+    x = spec.cell_centers()
+    A_x, b_x = A.values(x), b.values(x)
+    d1 = ((-1, -0.5 / h), (1, 0.5 / h))
+    d2 = ((-1, 1.0 / h ** 2), (0, -2.0 / h ** 2), (1, 1.0 / h ** 2))
+
+    def along(i, taps):
+        return [(tuple(k if j == i else 0 for j in range(d)), w) for k, w in taps]
+
+    terms = [term for i in range(d)
+             for term in ((A_x[:, i, i], along(i, d2)), (b_x[:, i], along(i, d1)))]
+    if d == 2:
+        terms.append((2.0 * A_x[:, 0, 1], [((k0, k1), w0 * w1) for k0, w0 in d1 for k1, w1 in d1]))
+    L = np.zeros((spec.n_cells, spec.n_cells))
+    for r, cell in enumerate(np.ndindex(spec.shape)):
+        for coef, taps in terms:
+            for offset, w in taps:
+                nb = tuple(min(max(c + k, 0), n - 1) for c, k in zip(cell, offset))
+                L[r, np.ravel_multi_index(nb, spec.shape)] += coef[r] * w
+    return L
+
+
+def assert_matches_reference(A, b, spec):
+    ref = reference_generator(A, b, spec)
+    got = generator_matrix(A, b, spec).toarray()
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+def test_every_entry_matches_the_clamped_tap_reference(model):
+    # wall and corner rows included: the quadratic check above skips them and
+    # a misplaced wall tap that keeps the row sum at zero passes the sum check
+    assert_matches_reference(model.A, model.b, GridSpec(model.dim, 8.0, 16))
+
+
 def assert_conservative(A, b, spec):
     L = generator_matrix(A, b, spec)
     assert np.abs(L.sum(axis=1)).max() <= 1e-12 * abs(L).max()
@@ -89,6 +129,7 @@ def test_sums_vanish_for_constant_spd_diffusion_and_linear_drift(eig, angle, B, 
              for i in range(2)]
     b = DriftField(comps, GrowthParams(beta=1.0, beta1=1.0, beta2=1.0, beta3=1.0))
     assert_conservative(A, b, GridSpec(2, 4.0, 16))
+    assert_matches_reference(A, b, GridSpec(2, 4.0, 16))
 
 
 @settings(max_examples=40, deadline=None)
