@@ -16,7 +16,7 @@ from .errors import (ConditionHError, ConfinementError, ConvergenceError,
                      InsufficientResolutionError, NonContractionError, SchemePositivityError,
                      SupportError, TruncationError, ValidationError)
 from .fields import (ClosureField, ConstantField, DiffusionMatrixField, DriftField,
-                     ExpressionField, GridField, GrowthParams, MollifierSpec, ScalarField,
+                     ExpressionField, GrowthParams, MollifierSpec, ScalarField,
                      SmoothnessTag, linear_drift, make_example_field, mollify,
                      polynomial_drift)
 from .fpk import (ModelSpec, builtin_models, discretization_error, harnack_ratio, moment,
@@ -30,7 +30,8 @@ from .oscillation import (DiniEstimate, OscillationModulus, SamplingSpec, dini_i
                           dini_mean_oscillation)
 from .poisson import (GrowthBoundReport, LyapunovWitness, PoissonProblem, PoissonSolution,
                       builtin_poisson_cases, lyapunov_constants, solve_poisson,
-                      solve_poisson_1d, solve_poisson_grid, verify_growth_bounds)
+                      solve_poisson_1d, solve_poisson_grid, stationary_poisson,
+                      verify_growth_bounds)
 from .stability import (CoefficientPair, DualityReport, StabilityReport, SweepResult,
                         duality_check, estimate_stability, rhs_discrepancy, stability_sweep,
                         weighted_l1_distance)
@@ -43,7 +44,7 @@ __all__ = [
     "ConvergenceError", "DegenerateDensityError", "DiffusionMatrixField", "DiniEstimate",
     "DriftField", "DualityReport", "EllipticityError", "EllipticityMarginError",
     "EvaluationError", "ExpressionField", "FixedPointTrace", "FpkError", "GridDensity",
-    "GridField", "GridMismatchError", "GridSpec", "GrowthBoundReport", "GrowthParams",
+    "GridMismatchError", "GridSpec", "GrowthBoundReport", "GrowthParams",
     "IncompatibilityError", "InsufficientResolutionError", "InteractionKernel",
     "LyapunovWitness", "MeanFieldModel", "ModelSpec", "MollifierSpec",
     "NonContractionError", "OscillationModulus", "PoissonProblem", "PoissonSolution",
@@ -56,6 +57,6 @@ __all__ = [
     "linear_drift", "lyapunov_constants", "make_example_field", "moment", "moment_report",
     "mollify", "nonlocal_coefficients", "picard_iterate", "polynomial_drift",
     "random_bumps", "rhs_discrepancy", "solve_exact_1d", "solve_grid", "solve_poisson",
-    "solve_poisson_1d", "solve_poisson_grid", "stability_sweep", "verify_growth_bounds",
-    "weak_residual", "weighted_l1_distance", "weighted_lp_norm",
+    "solve_poisson_1d", "solve_poisson_grid", "stability_sweep", "stationary_poisson",
+    "verify_growth_bounds", "weak_residual", "weighted_l1_distance", "weighted_lp_norm",
 ]

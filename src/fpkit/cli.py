@@ -41,7 +41,7 @@ from .grids import GridSpec
 from .meanfield import (MeanFieldModel, contraction_estimate, epsilon_threshold,
                         gaussian_probe, picard_iterate)
 from .oscillation import SamplingSpec, dini_integral, dini_mean_oscillation
-from .poisson import PoissonProblem, solve_poisson, verify_growth_bounds
+from .poisson import stationary_poisson, verify_growth_bounds
 from .stability import CoefficientPair, stability_sweep, weighted_l1_distance
 from . import svg
 
@@ -195,9 +195,7 @@ def run_poisson(ctx: RunContext, cfg: dict, strict: bool) -> dict:
     A, b, dim, name = model_from_config(cfg)
     psi = field_from_config(cfg["psi"], dim=dim, path="psi")
     spec = grid_from_config(cfg, dim, b.growth.beta2)
-    rho = stationary_density(A, b, spec, strict=strict)
-    prob = PoissonProblem(A, b, psi, cfg["k"], rho, p=cfg["p"])
-    sol = solve_poisson(prob)
+    _, sol = stationary_poisson(A, b, psi, cfg["k"], spec, p=cfg["p"], strict=strict)
     pts = spec.cell_centers()
     res_cells = np.asarray(sol.info["residual_cells"]).ravel()
     if dim == 1:
@@ -214,7 +212,8 @@ def run_poisson(ctx: RunContext, cfg: dict, strict: bool) -> dict:
                     title=f"Poisson solution ({name})")
     n_base = spec.n if dim == 1 else min(spec.n, 128)
     radii = tuple(float(r) for r in cfg["check_radii"])
-    rep = verify_growth_bounds(A, b, psi, cfg["k"], radii=radii, n_base=n_base, p=cfg["p"])
+    rep = verify_growth_bounds(A, b, psi, cfg["k"], radii=radii, n_base=n_base, p=cfg["p"],
+                               strict=strict)
     write_csv(ctx.path("bounds.csv"),
               ["radius", "g0_over_psi", "g1_over_psi", "h_over_psi"],
               [(r, *q) for r, q in zip(rep.radii, rep.quotients)])
@@ -228,7 +227,7 @@ def run_poisson(ctx: RunContext, cfg: dict, strict: bool) -> dict:
     })
     return {
         "bounds_finite": rep.all_finite,
-        "centering_ok": abs(prob.centering_defect()) <= 1e-8,
+        "centering_ok": sol.info["centering_defect"] <= 1e-8,
         "residual_finite": bool(np.isfinite(sol.residual)),
     }
 
@@ -252,7 +251,7 @@ def _stability_pair_family(cfg: dict):
 def run_stability(ctx: RunContext, cfg: dict, strict: bool) -> dict:
     make = _stability_pair_family(cfg)
     spec = grid_from_config(cfg, cfg["dim"], 0.5)
-    res = stability_sweep(make, cfg["deltas"], spec, k=cfg["k"], r=cfg["r"])
+    res = stability_sweep(make, cfg["deltas"], spec, k=cfg["k"], r=cfg["r"], strict=strict)
     rows = [(d, rep.lhs, rep.rhs_diffusion, rep.rhs_drift, rep.c_hat)
             for d, rep in zip(res.deltas, res.reports)]
     write_csv(ctx.path("sweep.csv"),
@@ -283,7 +282,8 @@ def run_meanfield(ctx: RunContext, cfg: dict, strict: bool) -> dict:
     traces = []
     for mean in cfg["starts"]:
         start = gaussian_probe(spec, np.full(dim, float(mean)), 1.0)
-        traces.append(picard_iterate(model, start, tol=cfg["tol"], max_iter=cfg["max_iter"]))
+        traces.append(picard_iterate(model, start, tol=cfg["tol"], max_iter=cfg["max_iter"],
+                                     strict=strict))
     rows = []
     for si, tr in enumerate(traces):
         for t, g in enumerate(tr.gaps):
@@ -312,9 +312,10 @@ def run_meanfield(ctx: RunContext, cfg: dict, strict: bool) -> dict:
         "m_hat": traces[0].m_hat if traces else None,
     }
     if cfg["threshold"]:
-        summary["eps_threshold"] = epsilon_threshold(model, spec)
+        summary["eps_threshold"] = epsilon_threshold(model, spec, strict=strict)
     if cfg["eps_grid"]:
-        facs = [contraction_estimate(model.with_eps(e), spec).factor for e in cfg["eps_grid"]]
+        facs = [contraction_estimate(model.with_eps(e), spec, strict=strict).factor
+                for e in cfg["eps_grid"]]
         write_csv(ctx.path("response.csv"), ["eps", "factor"], zip(cfg["eps_grid"], facs))
         summary["max_factor"] = max(facs)
     ctx.summary.update(summary)

@@ -56,7 +56,6 @@ class SmoothnessTag:
 
 
 SMOOTH = SmoothnessTag("smooth")
-ROUGH = SmoothnessTag("rough")
 
 
 def holder(alpha: float) -> SmoothnessTag:
@@ -152,44 +151,6 @@ class ConstantField(ScalarField):
 
     def _values(self, x):
         return np.full(x.shape[0], self.value)
-
-
-class GridField(ScalarField):
-    """Scalar field sampled on a uniform cell-center grid, linearly interpolated.
-
-    Interpolation is exact at its own sample points; evaluation outside the
-    sampled box clamps to the nearest sample (constant extrapolation).
-    """
-
-    def __init__(self, radius: float, samples: np.ndarray, tag: SmoothnessTag = ROUGH, name: str = "grid"):
-        samples = np.asarray(samples, dtype=float)
-        dim = samples.ndim
-        super().__init__(dim, tag, name)
-        self.radius = float(radius)
-        self.samples = samples
-        n = samples.shape[0]
-        if any(s != n for s in samples.shape):
-            raise ValueError("grid samples must be square")
-        self.n = n
-        self.h = 2.0 * self.radius / n
-        self._centers = -self.radius + (np.arange(n) + 0.5) * self.h
-
-    def _axis_locate(self, q):
-        # fractional index into the center array, clamped to the sampled range
-        t = (q - self._centers[0]) / self.h
-        t = np.clip(t, 0.0, self.n - 1.0)
-        i0 = np.minimum(t.astype(int), self.n - 2)
-        return i0, t - i0
-
-    def _values(self, x):
-        if self.dim == 1:
-            i0, f = self._axis_locate(x[:, 0])
-            return (1 - f) * self.samples[i0] + f * self.samples[i0 + 1]
-        i0, fi = self._axis_locate(x[:, 0])
-        j0, fj = self._axis_locate(x[:, 1])
-        s = self.samples
-        return ((1 - fi) * (1 - fj) * s[i0, j0] + fi * (1 - fj) * s[i0 + 1, j0]
-                + (1 - fi) * fj * s[i0, j0 + 1] + fi * fj * s[i0 + 1, j0 + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,10 @@ formal adjoint equation sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0):
   row, value 1) and the solution is then scaled to the normalization
   sum rho h^d = 1. The grid density is thus a discrete probability solution
   of the same L_h that the Poisson solver (poisson.solve_poisson_grid)
-  inverts: sum_x rho (L_h phi) = 0 for every grid function phi.
+  inverts: sum_x rho (L_h phi) = 0 for every grid function phi. Both build
+  and factor the pinned L_h^T in _pinned_generator, and
+  poisson.stationary_poisson takes the density and the Poisson solution
+  from one factor.
 
 The scheme is second order but not monotone; tiny negative cells can appear
 and are clipped with the removed mass recorded (escalated to an error in
@@ -215,32 +218,34 @@ def _diffusion_matrix(A, spec: GridSpec) -> DiffusionMatrixField:
     return DiffusionMatrixField.isotropic(A, lam)
 
 
-def solve_grid(A, b: DriftField, spec: GridSpec, strict: bool = False,
-               check_truncation: bool = True) -> GridDensity:
-    """Stationary density as the pinned null vector of M = L_h^T.
+def _pinned_generator(A, b: DriftField, spec: GridSpec):
+    """L_h, the pinned cell and the factor of the pinned L_h^T, built once per grid.
 
-    Builds the generator L_h (generator_matrix), pins the center-most cell of
-    its transpose (the implied equation becomes the unit row), solves with a
-    sparse direct factorization and scales the solution to unit mass; the
-    signed scaling reproduces the solution of the system closed by the mass
-    constraint itself. The result is a discrete probability solution:
-    sum_x rho (L_h phi) = 0 for every grid function phi, up to roundoff and
-    clipping. The solution is validated: relative residual of the full
-    singular system below 1e-10 (else ConvergenceError with the history),
-    clipped negative mass recorded (SchemePositivityError in strict mode
-    above 1e-6), boundary-cell mass below 1e-4 (else TruncationError;
-    disabled by check_truncation=False for problems posed on the box itself).
+    Coerces a scalar diffusion to a I, checks ellipticity at the cell centers,
+    builds L_h (generator_matrix) and pins the center-most cell of L_h^T. A
+    plain solve with the factor gives the density (solve_grid) and the
+    adjoint null vector; a transposed solve gives the Poisson solution
+    (poisson.solve_poisson_grid).
     """
     A = _diffusion_matrix(A, spec)
     A.check_ellipticity(spec.cell_centers(), tol=ELLIPTICITY_TOL)
-
-    N = spec.n_cells
-    M = generator_matrix(A, b, spec).T
+    L = generator_matrix(A, b, spec)
     pin = int(np.argmin(spec.center_radii()))
-    rhs = np.zeros(N)
+    return L, pin, pinned_factor(L.T, pin)
+
+
+def _pinned_null(lu, pin: int) -> np.ndarray:
+    """Solution of the pinned L_h^T for the unit vector e_pin (unnormalized)."""
+    rhs = np.zeros(lu.shape[0])
     rhs[pin] = 1.0
-    raw = pinned_factor(M, pin).solve(rhs)
-    raw = raw / (raw.sum() * spec.cell_volume)
+    return lu.solve(rhs)
+
+
+def _null_density(spec: GridSpec, L: sp.csr_matrix, pin: int, null: np.ndarray,
+                  strict: bool, check_truncation: bool) -> GridDensity:
+    """Scale the pinned null vector of L_h^T to unit mass and validate it (see solve_grid)."""
+    M = L.T
+    raw = null / (null.sum() * spec.cell_volume)
     if not np.all(np.isfinite(raw)):
         raise ConvergenceError("sparse direct solve produced non-finite values", history=[np.inf])
 
@@ -271,6 +276,26 @@ def solve_grid(A, b: DriftField, spec: GridSpec, strict: bool = False,
             f"under-truncation: boundary cells hold mass {rho.boundary_mass:.3e} "
             f">= {BOUNDARY_MASS_LIMIT:g}; enlarge the radius")
     return rho
+
+
+def solve_grid(A, b: DriftField, spec: GridSpec, strict: bool = False,
+               check_truncation: bool = True) -> GridDensity:
+    """Stationary density as the pinned null vector of M = L_h^T.
+
+    Builds the generator L_h (generator_matrix), pins the center-most cell of
+    its transpose (the implied equation becomes the unit row), solves with a
+    sparse direct factorization and scales the solution to unit mass; the
+    signed scaling reproduces the solution of the system closed by the mass
+    constraint itself. The result is a discrete probability solution:
+    sum_x rho (L_h phi) = 0 for every grid function phi, up to roundoff and
+    clipping. The solution is validated: relative residual of the full
+    singular system below 1e-10 (else ConvergenceError with the history),
+    clipped negative mass recorded (SchemePositivityError in strict mode
+    above 1e-6), boundary-cell mass below 1e-4 (else TruncationError;
+    disabled by check_truncation=False for problems posed on the box itself).
+    """
+    L, pin, lu = _pinned_generator(A, b, spec)
+    return _null_density(spec, L, pin, _pinned_null(lu, pin), strict, check_truncation)
 
 
 def stationary_density(A, b: DriftField, spec: GridSpec, strict: bool = False) -> GridDensity:

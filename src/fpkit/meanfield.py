@@ -293,10 +293,10 @@ def nonlocal_coefficients(model: MeanFieldModel,
     return a_eff, b_eff
 
 
-def apply_phi(model: MeanFieldModel, rho: GridDensity) -> GridDensity:
-    """One application of the self-consistency map Phi."""
+def apply_phi(model: MeanFieldModel, rho: GridDensity, strict: bool = False) -> GridDensity:
+    """One application of the self-consistency map Phi (strict as in fpk.solve_grid)."""
     a_eff, b_eff = nonlocal_coefficients(model, rho)
-    return stationary_density(a_eff, b_eff, rho.spec)
+    return stationary_density(a_eff, b_eff, rho.spec, strict=strict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,8 +326,11 @@ class FixedPointTrace:
 
 
 def picard_iterate(model: MeanFieldModel, rho0: GridDensity, tol: float = 1e-8,
-                   max_iter: int = 60) -> FixedPointTrace:
+                   max_iter: int = 60, strict: bool = False) -> FixedPointTrace:
     """Iterate Phi from rho0 until the weighted gap drops below tol.
+
+    strict is passed to every apply_phi, so a clipped density raises
+    SchemePositivityError.
 
     Raises NonContractionError (with the gap sequence) when the iteration
     budget is exhausted and the gaps were not monotonically decreasing, and
@@ -341,7 +344,7 @@ def picard_iterate(model: MeanFieldModel, rho0: GridDensity, tol: float = 1e-8,
     m_hat = _weighted_moment(rho0, mom_power)
     converged = False
     for _ in range(max_iter):
-        nxt = apply_phi(model, rho)
+        nxt = apply_phi(model, rho, strict=strict)
         m_hat = max(m_hat, _weighted_moment(nxt, mom_power))
         gaps.append(weighted_l1_distance(nxt, rho, k))
         rho = nxt
@@ -397,7 +400,8 @@ def default_probes(spec: GridSpec) -> tuple[GridDensity, ...]:
 
 
 def contraction_estimate(model: MeanFieldModel, spec: GridSpec,
-                         probes: Sequence[GridDensity] | None = None) -> ContractionEstimate:
+                         probes: Sequence[GridDensity] | None = None,
+                         strict: bool = False) -> ContractionEstimate:
     """Sampled contraction factor of Phi: max over probe pairs of the ratio
     ||Phi(p) - Phi(q)||_k / ||p - q||_k.
 
@@ -408,7 +412,7 @@ def contraction_estimate(model: MeanFieldModel, spec: GridSpec,
     probes = tuple(probes) if probes is not None else default_probes(spec)
     if len(probes) < 2:
         raise ValueError("need at least two probe densities")
-    images = [apply_phi(model, p) for p in probes]
+    images = [apply_phi(model, p, strict=strict) for p in probes]
     factors = []
     for i in range(len(probes)):
         for j in range(i + 1, len(probes)):
@@ -421,18 +425,19 @@ def contraction_estimate(model: MeanFieldModel, spec: GridSpec,
 
 
 def epsilon_threshold(model: MeanFieldModel, spec: GridSpec, eps_max: float = 1.0,
-                      tol: float = 1e-3, probes: Sequence[GridDensity] | None = None) -> float:
+                      tol: float = 1e-3, probes: Sequence[GridDensity] | None = None,
+                      strict: bool = False) -> float:
     """Largest coupling (up to eps_max) with sampled contraction factor < 1.
 
     Bisects on eps, using the sampled factor as a monotone surrogate. When
     even eps_max contracts on the probes, eps_max itself is returned.
     """
-    if contraction_estimate(model.with_eps(eps_max), spec, probes).factor < 1.0:
+    if contraction_estimate(model.with_eps(eps_max), spec, probes, strict).factor < 1.0:
         return eps_max
     lo, hi = 0.0, eps_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if contraction_estimate(model.with_eps(mid), spec, probes).factor < 1.0:
+        if contraction_estimate(model.with_eps(mid), spec, probes, strict).factor < 1.0:
             lo = mid
         else:
             hi = mid

@@ -24,6 +24,11 @@ centered so that integral psi~ rho = 0, the solution machinery provides:
   confining drift the artificial wall closure only pollutes a boundary
   layer; interior accuracy is second order.
 
+* stationary_poisson: density and Poisson solution together. In d = 2 the
+  grid density of fpk.solve_grid is the same plain solve as w, so one
+  factor of the pinned L_h^T gives rho, w and u; verify_growth_bounds and
+  `fpkit poisson` factor each grid once.
+
 The growth report normalizes everything by Psi = sup |psi~(y)| / (1 + |y|^k):
 G0 = sup |u| / (1 + |x|^k), G1 = sup |grad u| / (1 + |x|^{k + beta}), and the
 weighted Hessian integral H = (integral |D^2 u|^p / (1 + |x|^s))^{1/p} with
@@ -39,8 +44,9 @@ import numpy as np
 
 from .errors import ConfinementError, ConvergenceError, IncompatibilityError, TruncationError
 from .fields import ClosureField, DiffusionMatrixField, DriftField, ScalarField
-from .fpk import (ModelSpec, _diffusion_matrix, _fine_profile_1d, _scalar_diffusion,
-                  builtin_models, generator_matrix, pinned_factor, stationary_density)
+from .fpk import (ModelSpec, _diffusion_matrix, _fine_profile_1d, _null_density,
+                  _pinned_generator, _pinned_null, _scalar_diffusion, builtin_models,
+                  solve_exact_1d)
 from .grids import GridDensity, GridSpec
 from .quadrature import cumulative_integral
 
@@ -333,7 +339,8 @@ def solve_poisson_1d(problem: PoissonProblem, subdiv: int = 8, tail_tol: float =
         residual=float(res.max()), residual_interior=float(res[interior].max()),
         pin_radius=wit.pin_radius,
         info={"method": "quadrature-1d", "tail": tail, "lyapunov": wit,
-              "centering_constant": c0, "residual_cells": res})
+              "centering_constant": c0, "residual_cells": res,
+              "centering_defect": problem.centering_defect()})
 
 
 # ---------------------------------------------------------------------------
@@ -343,26 +350,29 @@ def solve_poisson_1d(problem: PoissonProblem, subdiv: int = 8, tail_tol: float =
 INCOMPATIBILITY_FACTOR = 10.0
 
 
+def _unit_sum(null: np.ndarray) -> np.ndarray:
+    """The pinned null vector of L_h^T scaled to sum 1."""
+    if not np.all(np.isfinite(null)):
+        raise ConvergenceError("adjoint null-vector solve failed")
+    total = null.sum()
+    if abs(total) < 1e-300:
+        raise ConvergenceError("adjoint null vector has zero mass")
+    return null / total
+
+
 def discrete_adjoint_null(lu, pin: int) -> np.ndarray:
     """Left null vector w of L_h (L_h^T w = 0), normalized to sum 1.
 
     `lu` is pinned_factor(L_h^T, pin), so w is its solution for e_pin.
     """
-    rhs = np.zeros(lu.shape[0])
-    rhs[pin] = 1.0
-    w = lu.solve(rhs)
-    if not np.all(np.isfinite(w)):
-        raise ConvergenceError("adjoint null-vector solve failed")
-    total = w.sum()
-    if abs(total) < 1e-300:
-        raise ConvergenceError("adjoint null vector has zero mass")
-    return w / total
+    return _unit_sum(_pinned_null(lu, pin))
 
 
 def solve_poisson_grid(problem: PoissonProblem) -> PoissonSolution:
     """Solve the Poisson problem by non-divergence finite differences.
 
-    Factors the pinned L_h^T once. The source is recentered against the
+    Factors the pinned L_h^T once; that one factor gives w and u (and, in
+    stationary_poisson, rho as well). The source is recentered against the
     discrete adjoint null vector w (a plain solve with that factor); the
     magnitude of that projection is the disagreement between the declared
     density and the discrete operator and must stay below
@@ -374,13 +384,14 @@ def solve_poisson_grid(problem: PoissonProblem) -> PoissonSolution:
     exactly. The kernel direction (constants) is then fixed by subtracting
     the cell average of u over B(0, 2 R0).
     """
-    spec = problem.spec
-    L = generator_matrix(problem.A, problem.b, spec)
-    radii = spec.center_radii()
-    pin = int(np.argmin(radii))
-    lu = pinned_factor(L.T, pin)
-    w = discrete_adjoint_null(lu, pin)
+    L, pin, lu = _pinned_generator(problem.A, problem.b, problem.spec)
+    return _solve_factored(problem, L, pin, lu, discrete_adjoint_null(lu, pin))
 
+
+def _solve_factored(problem: PoissonProblem, L, pin: int, lu, w: np.ndarray) -> PoissonSolution:
+    """solve_poisson_grid on a given factor lu of the pinned L_h^T and its null vector w."""
+    spec = problem.spec
+    radii = spec.center_radii()
     psi_t = problem.psi_tilde_cells()
     c_proj = float(w @ psi_t)
     scale = spec.h ** 2 * (1.0 + float(np.abs(psi_t).max()))
@@ -433,7 +444,8 @@ def solve_poisson_grid(problem: PoissonProblem) -> PoissonSolution:
         residual=residual, residual_interior=residual_interior,
         pin_radius=wit.pin_radius,
         info={"method": "fd-grid", "projection_magnitude": abs(c_proj),
-              "lyapunov": wit, "pinned_cell": pin, "residual_cells": res_vec})
+              "lyapunov": wit, "pinned_cell": pin, "residual_cells": res_vec,
+              "centering_defect": problem.centering_defect()})
 
 
 def solve_poisson(problem: PoissonProblem) -> PoissonSolution:
@@ -441,6 +453,29 @@ def solve_poisson(problem: PoissonProblem) -> PoissonSolution:
     if problem.spec.dim == 1:
         return solve_poisson_1d(problem)
     return solve_poisson_grid(problem)
+
+
+def stationary_poisson(A, b: DriftField, psi: ScalarField, k: float, spec: GridSpec,
+                       p: float | None = None,
+                       strict: bool = False) -> tuple[GridDensity, PoissonSolution]:
+    """The stationary density rho on the grid and the Poisson solution for psi.
+
+    In d = 1 both are the closed forms (fpk.solve_exact_1d, solve_poisson_1d).
+    In d = 2 one SuperLU factor of the pinned L_h^T gives rho, w and u: its
+    plain solve for e_pin is the density, validated as in fpk.solve_grid
+    (SchemePositivityError on clipped mass in strict mode), and, scaled to
+    sum 1, the adjoint null vector w; its transposed solve gives u. The
+    result equals stationary_density followed by solve_poisson bit for bit,
+    with one factorization instead of two.
+    """
+    if spec.dim == 1:
+        rho = solve_exact_1d(A, b, spec)
+        return rho, solve_poisson_1d(PoissonProblem(A, b, psi, k, rho, p=p))
+    L, pin, lu = _pinned_generator(A, b, spec)
+    null = _pinned_null(lu, pin)
+    rho = _null_density(spec, L, pin, null, strict, check_truncation=True)
+    problem = PoissonProblem(A, b, psi, k, rho, p=p)
+    return rho, _solve_factored(problem, L, pin, lu, _unit_sum(null))
 
 
 # ---------------------------------------------------------------------------
@@ -460,21 +495,20 @@ class GrowthBoundReport:
 
 def verify_growth_bounds(A, b: DriftField, psi: ScalarField, k: float,
                          radii: tuple[float, ...] = (8.0, 16.0), n_base: int = 512,
-                         p: float | None = None) -> GrowthBoundReport:
+                         p: float | None = None, strict: bool = False) -> GrowthBoundReport:
     """Solve the Poisson problem at several truncation radii and compare bounds.
 
     The cell width is held fixed (n scales with R), so the quotients G0/Psi,
     G1/Psi, H/Psi are directly comparable; their maximal relative drift
-    between consecutive radii is reported.
+    between consecutive radii is reported. Each radius is one
+    stationary_poisson call (one factorization in d = 2); strict makes a
+    clipped density on any of the grids a SchemePositivityError.
     """
     dim = b.dim
     rows = []
     for R in radii:
         n = int(round(n_base * R / radii[0]))
-        spec = GridSpec(dim, R, n)
-        rho = stationary_density(A, b, spec)
-        prob = PoissonProblem(A, b, psi, k, rho, p=p)
-        sol = solve_poisson(prob)
+        _, sol = stationary_poisson(A, b, psi, k, GridSpec(dim, R, n), p=p, strict=strict)
         rows.append((sol.g0_quotient, sol.g1_quotient, sol.h_quotient))
     drifts = []
     for prev, cur in zip(rows, rows[1:]):

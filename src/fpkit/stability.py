@@ -75,12 +75,13 @@ class CoefficientPair:
     def shared_lam(self) -> float:
         return min(self.a_mu.lam, self.a_sigma.lam)
 
-    def solve_pair(self, spec: GridSpec) -> tuple[GridDensity, GridDensity]:
-        """Stationary densities of both members on the shared grid."""
+    def solve_pair(self, spec: GridSpec,
+                   strict: bool = False) -> tuple[GridDensity, GridDensity]:
+        """Stationary densities of both members on the shared grid (strict as in fpk.solve_grid)."""
         if spec.dim != self.dim:
             raise GridMismatchError("grid dimension does not match the coefficient pair")
-        return (stationary_density(self.a_mu, self.b_mu, spec),
-                stationary_density(self.a_sigma, self.b_sigma, spec))
+        return (stationary_density(self.a_mu, self.b_mu, spec, strict=strict),
+                stationary_density(self.a_sigma, self.b_sigma, spec, strict=strict))
 
 
 def weighted_l1_distance(rho1: GridDensity, rho2: GridDensity, k: float) -> float:
@@ -138,9 +139,9 @@ def rhs_discrepancy(pair: CoefficientPair, rho_sigma: GridDensity, k: float,
 
 
 def estimate_stability(pair: CoefficientPair, spec: GridSpec, k: float,
-                       r: float = 2.0) -> StabilityReport:
+                       r: float = 2.0, strict: bool = False) -> StabilityReport:
     """Solve both members and measure both sides of the perturbation estimate."""
-    rho_mu, rho_sigma = pair.solve_pair(spec)
+    rho_mu, rho_sigma = pair.solve_pair(spec, strict=strict)
     lhs = weighted_l1_distance(rho_mu, rho_sigma, k)
     diffusion, drift = rhs_discrepancy(pair, rho_sigma, k, r)
     return StabilityReport(k=float(k), r=float(r), lhs=lhs,
@@ -210,17 +211,19 @@ class SweepResult:
 
 def stability_sweep(make_pair: Callable[[float], CoefficientPair],
                     deltas: Sequence[float], spec: GridSpec, k: float,
-                    r: float = 2.0) -> SweepResult:
+                    r: float = 2.0, strict: bool = False) -> SweepResult:
     """Measure the estimate along a perturbation family delta -> pair(delta).
 
     Fits log lhs against log delta over the nonzero deltas (a delta of 0 has
     lhs 0 and carries no scaling information) and reports the spread
-    max/min of the nonzero empirical ratios.
+    max/min of the nonzero empirical ratios. strict is passed to every
+    density solve.
     """
     deltas = np.asarray(list(deltas), dtype=float)
     if (deltas < 0).any():
         raise ValueError("perturbation sizes must be nonnegative")
-    reports = tuple(estimate_stability(make_pair(float(t)), spec, k, r) for t in deltas)
+    reports = tuple(estimate_stability(make_pair(float(t)), spec, k, r, strict=strict)
+                    for t in deltas)
     pos = deltas > 0
     if pos.sum() < 2:
         raise ValueError("need at least two nonzero deltas to fit a scaling law")

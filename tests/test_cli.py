@@ -186,6 +186,20 @@ class TestNumericalExits:
         assert code == 3
         assert capsys.readouterr().err.startswith("numerical failure: SchemePositivityError:")
 
+    @pytest.mark.parametrize("command,cfg", [
+        ("meanfield", {"eps": 0.05, "starts": [0.5], "threshold": False}),
+        ("stability", {"family": "drift-linear", "deltas": [0.01, 0.1]}),
+    ])
+    def test_strict_rejects_a_clipped_density(self, tmp_path, capsys, command, cfg):
+        # regression: apply_phi and solve_pair solved their densities without
+        # `strict`. At R = 8, n = 16 the cell Peclet number h|x|/2 passes 1 at
+        # |x| = 2 and the density clips 6e-3 of its mass; lenient runs pass
+        cfg = {**cfg, "dim": 2, "radius": 8, "n": 16}
+        assert run_cli(tmp_path, command, cfg, out="lenient")[0] == 0
+        code, _, _ = run_cli(tmp_path, command, cfg, "--strict")
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: SchemePositivityError:")
+
     def test_failing_check_exits_three_with_fail_line(self, tmp_path, capsys):
         cfg = {"task": "stability", "axis": [0.01, 0.05, 5.0],
                "base": {"family": "drift-linear", "n": 256}}

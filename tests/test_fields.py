@@ -1,11 +1,15 @@
+import keyword
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpkit import (ClosureField, ConstantField, DiffusionMatrixField, DriftField,
-                   ExpressionField, GridField, GrowthParams, MollifierSpec,
+                   ExpressionField, GrowthParams, MollifierSpec,
                    linear_drift, make_example_field, mollify, polynomial_drift)
+from fpkit.fields import _ALLOWED_CONSTS, _ALLOWED_FUNCS
 
 
 def _box_points(dim, radius=4.0, n=41):
@@ -43,14 +47,6 @@ class TestScalarFields:
         vals = f.values(_box_points(1, 6.0, 401))
         assert np.isfinite(vals).all()
 
-    def test_grid_field_interpolates_its_own_samples_exactly(self):
-        rng = np.random.default_rng(3)
-        n = 64
-        samples = rng.uniform(0.5, 2.0, n)
-        f = GridField(4.0, samples)
-        centers = (-4.0 + (np.arange(n) + 0.5) * 8.0 / n)[:, None]
-        assert np.abs(f.values(centers) - samples).max() < 1e-14
-
     def test_closure_field_wraps_a_callable(self):
         f = ClosureField(lambda p: np.cos(p[:, 0]), 1)
         x = _box_points(1, 2.0, 9)
@@ -86,6 +82,76 @@ class TestExampleCatalog:
     def test_unknown_name_lists_the_catalog(self):
         with pytest.raises(ValueError, match="log-modulus"):
             make_example_field("no-such-field")
+
+
+# ---------------------------------------------------------------------------
+# expression whitelist, as properties over generated expressions in d = 2
+# ---------------------------------------------------------------------------
+
+_COORDS = ("x1", "x2", "r")
+_ARITY = {"minimum": 2, "maximum": 2, "where": 3}
+_OPERATORS = ("+", "-", "*", "/", "**", "%", "<", "<=", ">", ">=")
+
+
+def _call(sub):
+    def args(fn):
+        n = _ARITY.get(fn, 1)
+        return st.lists(sub, min_size=n, max_size=n).map(lambda a: f"{fn}({', '.join(a)})")
+    return st.sampled_from(sorted(_ALLOWED_FUNCS)).flatmap(args)
+
+
+def _extend(sub):
+    return st.one_of(
+        st.tuples(sub, st.sampled_from(_OPERATORS), sub).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from("-+"), sub).map(lambda t: f"{t[0]}({t[1]})"),
+        _call(sub))
+
+
+WHITELISTED = st.recursive(
+    st.one_of(st.sampled_from(_COORDS + tuple(_ALLOWED_CONSTS)), st.integers(0, 99).map(str),
+              st.floats(0.0, 1e3).map(repr)),
+    _extend, max_leaves=10)
+
+# one construct outside the node whitelist each; A and B stand for
+# whitelisted subexpressions
+_BAD_SYNTAX = (
+    "(A).real", "(A)[0]", "[A, B]", "(A, B)", "{A: B}", "{A}", "lambda: A", "A if B else 1",
+    "A and B", "A or B", "not A", "~(A)", "(A) // (B)", "(A) @ (B)", "(A) & (B)", "(A) | (B)",
+    "(A) ^ (B)", "(A) << 2", "(A) >> 2", "(A) == (B)", "(A) != (B)", "(A) is (B)",
+    "(A) in (B)", "[t for t in A]", "(t for t in A)", "{t for t in A}", "f'{(A)}'", "'text'",
+    "b'x'", "...", "(y := A)", "sin(*A)", "sin(x=A)", "(A)(B)",
+)
+_UNKNOWN_NAME = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True).filter(
+    lambda s: not keyword.iskeyword(s) and s not in _COORDS
+    and s not in _ALLOWED_FUNCS and s not in _ALLOWED_CONSTS)
+
+
+class TestExpressionWhitelist:
+    @settings(max_examples=100, deadline=None)
+    @given(expr=WHITELISTED)
+    def test_accepts_every_whitelisted_expression(self, expr):
+        assert ExpressionField(expr, 2).expr == expr
+
+    @pytest.mark.parametrize("template", _BAD_SYNTAX)
+    @settings(max_examples=10, deadline=None)
+    @given(ctx=WHITELISTED, a=WHITELISTED, b=WHITELISTED)
+    def test_rejects_syntax_outside_the_node_whitelist(self, template, ctx, a, b):
+        bad = template.replace("A", a).replace("B", b)
+        with pytest.raises(ValueError):
+            ExpressionField(f"({ctx}) + ({bad})", 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ctx=WHITELISTED, a=WHITELISTED, fn=_UNKNOWN_NAME | st.sampled_from(
+        ("eval", "exec", "__import__", "open", "getattr", "compile", "arcsin", "floor")))
+    def test_rejects_calls_outside_the_function_whitelist(self, ctx, a, fn):
+        with pytest.raises(ValueError, match="function call"):
+            ExpressionField(f"({ctx}) * {fn}({a})", 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ctx=WHITELISTED, name=_UNKNOWN_NAME)
+    def test_rejects_names_outside_coordinates_functions_and_constants(self, ctx, name):
+        with pytest.raises(ValueError, match="unknown name"):
+            ExpressionField(f"({ctx}) - {name}", 2)
 
 
 # ---------------------------------------------------------------------------

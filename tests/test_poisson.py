@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from fpkit.errors import ConfinementError, IncompatibilityError, TruncationError
+from fpkit.errors import (ConfinementError, IncompatibilityError, SchemePositivityError,
+                          TruncationError)
 from fpkit.fields import (
     SMOOTH,
     ClosureField,
@@ -34,6 +36,7 @@ from fpkit.poisson import (
     solve_poisson,
     solve_poisson_1d,
     solve_poisson_grid,
+    stationary_poisson,
     verify_growth_bounds,
 )
 
@@ -298,3 +301,56 @@ class TestGrowthBounds:
         assert report.max_drift < 0.05
         assert report.radii == (8.0, 16.0)
         assert all(q > 0 for row in report.quotients for q in row)
+
+    def test_strict_reaches_every_check_radius(self):
+        # A = 0.05 I, b = -5x: at n_base = 32 the cell Peclet number
+        # h |b| / (2 a) passes 1 inside one standard deviation, so the centered
+        # L_h^T clips; lenient mode only sees the mass pushed onto the walls
+        A = DiffusionMatrixField.from_constant(0.05 * np.eye(2), lam=0.05)
+        b = linear_drift(2, 5.0)
+        psi = source(lambda z: z[:, 0], 2, "x1")
+        with pytest.raises(SchemePositivityError, match="strict mode"):
+            verify_growth_bounds(A, b, psi, 1.0, radii=(4.0, 8.0), n_base=32, strict=True)
+        with pytest.raises(TruncationError):
+            verify_growth_bounds(A, b, psi, 1.0, radii=(4.0, 8.0), n_base=32)
+
+
+class TestSharedFactor:
+    """One SuperLU factor of the pinned L_h^T gives rho, w and u."""
+
+    def test_one_factorization_per_radius(self, monkeypatch):
+        shapes = []
+        splu = spla.splu
+
+        def counted(P, *args, **kwargs):
+            shapes.append(P.shape[0])
+            return splu(P, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counted)
+        case = {c.name: c for c in builtin_poisson_cases()}["ou-2d-tanh"]
+        verify_growth_bounds(case.model.A, case.model.b, case.psi, 1.0,
+                             radii=(8.0, 16.0), n_base=32)
+        assert shapes == [32 ** 2, 64 ** 2]
+
+    @pytest.mark.parametrize("name", ["ou-2d", "anisotropic-2d"])
+    def test_bitwise_equal_to_the_two_solves(self, name):
+        m = {m.name: m for m in builtin_models()}[name]
+        spec = GridSpec(2, 8.0, 32)
+        psi = source(lambda z: np.tanh(z[:, 0]) + 0.3 * z[:, 1], 2, "psi")
+        rho, sol = stationary_poisson(m.A, m.b, psi, 1.0, spec)
+        ref_rho = solve_grid(m.A, m.b, spec)
+        ref = solve_poisson_grid(PoissonProblem(m.A, m.b, psi, 1.0, ref_rho))
+        assert np.array_equal(rho.values, ref_rho.values)
+        assert rho.info["clipped_mass"] == ref_rho.info["clipped_mass"]
+        assert np.array_equal(sol.u, ref.u)
+        assert np.array_equal(sol.d2u, ref.d2u)
+        assert ((sol.g0_quotient, sol.g1_quotient, sol.h_quotient)
+                == (ref.g0_quotient, ref.g1_quotient, ref.h_quotient))
+
+    def test_closed_forms_in_one_dimension(self, ou_1d, grid_1d):
+        A, b = ou_1d
+        psi = source(lambda z: z[:, 0], 1, "x")
+        rho, sol = stationary_poisson(A, b, psi, 1.0, grid_1d)
+        assert rho.info["method"] == "exact-1d"
+        assert sol.info["method"] == "quadrature-1d"
+        assert sol.info["centering_defect"] <= 1e-14
