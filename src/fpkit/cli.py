@@ -6,9 +6,12 @@ numerics, and writes into the output directory:
 * one or more CSV files with fixed float formatting (%.12g), so a rerun with
   the same config, seed, and package version produces byte-identical CSVs;
 * SVG figures rendered by the built-in writer (no plotting dependency);
-* run_report.json with the config digest, package version, outcome, wall
-  time, and the artifact manifest. Timings vary between runs, so the report
-  is the one artifact excluded from the byte-identical guarantee.
+* run_report.json with the config digest, package version, outcome
+  ("pass", "fail" when a check fails, "error" with the error's class and
+  message when the numerics raise), wall time, and the artifact manifest.
+  Timings vary between runs, so the report is the one artifact excluded
+  from the byte-identical guarantee. A numerical failure (exit 3) still
+  writes the report; a config or parameter error (exit 2) does not.
 
 Exit codes: 0 on success, 2 for validation failures (bad config, unknown
 keys, bad CLI usage), 3 for numerical failures (solver or check errors).
@@ -41,7 +44,7 @@ from .grids import GridSpec
 from .meanfield import (MeanFieldModel, contraction_estimate, epsilon_threshold,
                         gaussian_probe, picard_iterate)
 from .oscillation import SamplingSpec, dini_integral, dini_mean_oscillation
-from .poisson import stationary_poisson, verify_growth_bounds
+from .poisson import check_grids, growth_bound_report, stationary_poisson
 from .stability import CoefficientPair, stability_sweep, weighted_l1_distance
 from . import svg
 
@@ -83,6 +86,7 @@ class RunContext:
         self.t0 = time.monotonic()
         self.artifacts: list[str] = []
         self.summary: dict = {}
+        self.error: FpkError | None = None  # set when the run ends in a numerical failure
         os.makedirs(out_dir, exist_ok=True)
 
     def path(self, name: str) -> str:
@@ -91,17 +95,22 @@ class RunContext:
         return p
 
     def finish(self, checks: dict) -> dict:
+        """Write run_report.json. outcome is "pass", "fail" (a check failed) or "error"."""
+        passed = self.error is None and all(checks.values())
         report = {
             "command": self.command,
             "version": __version__,
             "config_digest": config_digest(self.cfg),
             "seed": self.seed,
             "checks": {k: bool(v) for k, v in checks.items()},
-            "passed": bool(all(checks.values())),
+            "passed": bool(passed),
+            "outcome": "error" if self.error is not None else ("pass" if passed else "fail"),
             "wall_time_s": round(time.monotonic() - self.t0, 6),
             "artifacts": sorted(self.artifacts),
             "summary": self.summary,
         }
+        if self.error is not None:
+            report["error"] = {"class": type(self.error).__name__, "message": str(self.error)}
         with open(os.path.join(self.out_dir, "run_report.json"), "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -210,10 +219,16 @@ def run_poisson(ctx: RunContext, cfg: dict, strict: bool) -> dict:
                   zip(pts[:, 0], pts[:, 1], sol.u.ravel(), du[:, 0], du[:, 1], res_cells))
         svg.heatmap(ctx.path("solution.svg"), sol.u, spec.radius,
                     title=f"Poisson solution ({name})")
+    # verify_growth_bounds with each distinct grid solved once: with the default
+    # check_radii the first check grid is the main grid (n <= 128 in 2d, any n in 1d)
     n_base = spec.n if dim == 1 else min(spec.n, 128)
-    radii = tuple(float(r) for r in cfg["check_radii"])
-    rep = verify_growth_bounds(A, b, psi, cfg["k"], radii=radii, n_base=n_base, p=cfg["p"],
-                               strict=strict)
+    grids = check_grids(dim, tuple(float(r) for r in cfg["check_radii"]), n_base)
+    solved = {spec: sol}
+    for grid in grids:
+        if grid not in solved:
+            solved[grid] = stationary_poisson(A, b, psi, cfg["k"], grid, p=cfg["p"],
+                                              strict=strict)[1]
+    rep = growth_bound_report([solved[grid] for grid in grids])
     write_csv(ctx.path("bounds.csv"),
               ["radius", "g0_over_psi", "g1_over_psi", "h_over_psi"],
               [(r, *q) for r, q in zip(rep.radii, rep.quotients)])
@@ -337,10 +352,11 @@ def _run_sweep_point(task: str, base_cfg: dict, axis_key: str, value: float,
     try:
         checks = runner(ctx, cfg, strict)
     except FpkError as exc:
+        ctx.summary["error"] = f"{type(exc).__name__}: {exc}"
+        ctx.error = exc
+        report = ctx.finish({"completed": False})
         if strict:
             raise
-        ctx.summary["error"] = f"{type(exc).__name__}: {exc}"
-        report = ctx.finish({"completed": False})
         return {"value": value, "passed": False, "error": ctx.summary["error"],
                 "summary": report["summary"]}
     report = ctx.finish(checks)
@@ -422,6 +438,7 @@ def resolve_workers(flag_value: int | None) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    ctx = None
     try:
         raw = load_config_file(args.config)
         if args.seed is not None:
@@ -448,6 +465,9 @@ def main(argv=None) -> int:
         return _EXIT_VALIDATION
     except FpkError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if ctx is not None:
+            ctx.error = exc
+            ctx.finish({})
         return _EXIT_NUMERICAL
 
 

@@ -272,12 +272,20 @@ class DiffusionMatrixField:
         return out
 
     def eigenvalue_range(self, x: np.ndarray) -> tuple[float, float]:
+        """Smallest and largest eigenvalue of A over the sample points.
+
+        In d = 2 the eigenvalues of [[p, q], [q, s]] are
+        m -/+ sqrt(((p - s) / 2)^2 + q^2) with m = (p + s) / 2, evaluated
+        for all points at once.
+        """
         a = self.values(x)
         if self.dim == 1:
             vals = a[:, 0, 0]
             return float(vals.min()), float(vals.max())
-        w = np.linalg.eigvalsh(a)
-        return float(w.min()), float(w.max())
+        p, s, q = a[:, 0, 0], a[:, 1, 1], a[:, 0, 1]
+        m = 0.5 * (p + s)
+        rad = np.hypot(0.5 * (p - s), q)
+        return float((m - rad).min()), float((m + rad).max())
 
     def check_ellipticity(self, x: np.ndarray, tol: float = 1e-9):
         """Raise EllipticityError if any sampled eigenvalue leaves the window."""

@@ -28,7 +28,10 @@ formal adjoint equation sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0):
   inverts: sum_x rho (L_h phi) = 0 for every grid function phi. Both build
   and factor the pinned L_h^T in _pinned_generator, and
   poisson.stationary_poisson takes the density and the Poisson solution
-  from one factor.
+  from one factor. pinned_factor runs SuperLU with the MMD_AT_PLUS_A
+  ordering and small fixed supernodes (PANEL_SIZE = 2, RELAX = 2), chosen
+  by a timing sweep on both grid stencils; they change how the factor is
+  blocked, not its fill.
 
 The scheme is second order but not monotone; tiny negative cells can appear
 and are clipped with the removed mass recorded (escalated to an error in
@@ -58,6 +61,8 @@ BOUNDARY_MASS_LIMIT = 1e-4
 RESIDUAL_LIMIT = 1e-10
 ELLIPTICITY_TOL = 1e-6
 CLIP_MASS_LIMIT = 1e-6
+PANEL_SIZE = 2  # SuperLU panel size and supernode relaxation (see pinned_factor)
+RELAX = 2
 
 
 def _scalar_diffusion(a) -> ScalarField:
@@ -190,13 +195,25 @@ def pinned_factor(M: sp.spmatrix, pin: int):
     a mass, subtract a mean). A transposed solve (trans="T") solves M^T with
     column `pin` replaced by e_pin. An exactly singular factor is a
     ConvergenceError.
+
+    The factor uses the MMD_AT_PLUS_A ordering, the default pivot threshold,
+    SuperLU panel size PANEL_SIZE = 2 and supernode relaxation RELAX = 2.
+    SuperLU's defaults, 20 and 10, suit wider fronts than a 5- or 9-point
+    grid makes. The two constants change how the factor is blocked, not the
+    ordering, the pivots or the L + U fill of a grid operator. They were
+    timed against every pair in {1, 2, 4, 8}^2 and the defaults, on both
+    stencils at n = 32 to 256 and on a high-Peclet case with heavy fill
+    (A = 0.05 I, b = -5x, R = 4, n = 64). On a 2-core Xeon VM with SciPy
+    1.17 this pair was within 10 % of the fastest setting in every case, the
+    smallest worst case of all: 14-29 % less time than the defaults on the
+    grids, 10 % more on the fill case.
     """
     P = sp.csc_matrix(M, dtype=float, copy=True)
     P.data[P.indices == pin] = 0.0  # row `pin`, spread over the columns
     P[pin, pin] = 1.0
     P.eliminate_zeros()
     try:
-        return spla.splu(P, permc_spec="MMD_AT_PLUS_A")
+        return spla.splu(P, permc_spec="MMD_AT_PLUS_A", panel_size=PANEL_SIZE, relax=RELAX)
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
         raise ConvergenceError(f"sparse factorization failed: {exc}", history=[np.inf]) from exc
 

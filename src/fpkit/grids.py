@@ -9,6 +9,7 @@ values times h^d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,13 @@ def default_radius(beta2: float) -> float:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Cell-centered uniform grid on [-radius, radius]^dim with zero-flux walls."""
+    """Cell-centered uniform grid on [-radius, radius]^dim with zero-flux walls.
+
+    Equality and hashing use (dim, radius, n) only. The cell centers and
+    their radii are computed on first use and kept on the instance, so every
+    solve on one spec shares them and they are freed with it; the arrays are
+    read-only.
+    """
 
     dim: int
     radius: float
@@ -64,16 +71,30 @@ class GridSpec:
         return -self.radius + (np.arange(self.n) + 0.5) * self.h
 
     def cell_centers(self) -> np.ndarray:
-        """All cell centers as an (n^dim, dim) array in row-major (ij) order."""
-        c = self.axis_centers()
-        if self.dim == 1:
-            return c[:, None]
-        X, Y = np.meshgrid(c, c, indexing="ij")
-        return np.stack([X.ravel(), Y.ravel()], axis=1)
+        """All cell centers as a read-only (n^dim, dim) array in row-major (ij) order."""
+        return self._centers
 
     def center_radii(self) -> np.ndarray:
-        pts = self.cell_centers()
-        return np.sqrt(np.sum(pts * pts, axis=1))
+        """Euclidean norms of the cell centers, read-only, in cell_centers order."""
+        return self._radii
+
+    @cached_property
+    def _centers(self) -> np.ndarray:
+        c = self.axis_centers()
+        if self.dim == 1:
+            pts = c[:, None]
+        else:
+            X, Y = np.meshgrid(c, c, indexing="ij")
+            pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+        pts.setflags(write=False)
+        return pts
+
+    @cached_property
+    def _radii(self) -> np.ndarray:
+        pts = self._centers
+        r = np.sqrt(np.sum(pts * pts, axis=1))
+        r.setflags(write=False)
+        return r
 
     def boundary_mask(self) -> np.ndarray:
         """Boolean mask (grid shape) marking cells that touch the outer wall."""

@@ -26,8 +26,10 @@ centered so that integral psi~ rho = 0, the solution machinery provides:
 
 * stationary_poisson: density and Poisson solution together. In d = 2 the
   grid density of fpk.solve_grid is the same plain solve as w, so one
-  factor of the pinned L_h^T gives rho, w and u; verify_growth_bounds and
-  `fpkit poisson` factor each grid once.
+  factor of the pinned L_h^T gives rho, w and u; verify_growth_bounds
+  factors each grid once. `fpkit poisson` solves each distinct grid once:
+  when its main grid is also the first check grid (check_grids), it passes
+  the main solution to growth_bound_report instead of solving it again.
 
 The growth report normalizes everything by Psi = sup |psi~(y)| / (1 + |y|^k):
 G0 = sup |u| / (1 + |x|^k), G1 = sup |grad u| / (1 + |x|^{k + beta}), and the
@@ -493,23 +495,14 @@ class GrowthBoundReport:
     all_finite: bool
 
 
-def verify_growth_bounds(A, b: DriftField, psi: ScalarField, k: float,
-                         radii: tuple[float, ...] = (8.0, 16.0), n_base: int = 512,
-                         p: float | None = None, strict: bool = False) -> GrowthBoundReport:
-    """Solve the Poisson problem at several truncation radii and compare bounds.
+def check_grids(dim: int, radii: tuple[float, ...], n_base: int) -> tuple[GridSpec, ...]:
+    """The grid of each check radius: n = n_base R / radii[0], so h is the same on all."""
+    return tuple(GridSpec(dim, R, int(round(n_base * R / radii[0]))) for R in radii)
 
-    The cell width is held fixed (n scales with R), so the quotients G0/Psi,
-    G1/Psi, H/Psi are directly comparable; their maximal relative drift
-    between consecutive radii is reported. Each radius is one
-    stationary_poisson call (one factorization in d = 2); strict makes a
-    clipped density on any of the grids a SchemePositivityError.
-    """
-    dim = b.dim
-    rows = []
-    for R in radii:
-        n = int(round(n_base * R / radii[0]))
-        _, sol = stationary_poisson(A, b, psi, k, GridSpec(dim, R, n), p=p, strict=strict)
-        rows.append((sol.g0_quotient, sol.g1_quotient, sol.h_quotient))
+
+def growth_bound_report(solutions: list[PoissonSolution]) -> GrowthBoundReport:
+    """Quotients G0/Psi, G1/Psi, H/Psi per solution and their drift between neighbours."""
+    rows = [(sol.g0_quotient, sol.g1_quotient, sol.h_quotient) for sol in solutions]
     drifts = []
     for prev, cur in zip(rows, rows[1:]):
         for qp, qc in zip(prev, cur):
@@ -517,10 +510,27 @@ def verify_growth_bounds(A, b: DriftField, psi: ScalarField, k: float,
                 continue
             drifts.append(abs(qc - qp) / max(abs(qp), 1e-14))
     finite = all(np.isfinite(v) for row in rows for v in row)
-    return GrowthBoundReport(radii=tuple(float(r) for r in radii),
+    return GrowthBoundReport(radii=tuple(float(sol.spec.radius) for sol in solutions),
                              quotients=tuple(rows),
                              max_drift=float(max(drifts)) if drifts else 0.0,
                              all_finite=finite)
+
+
+def verify_growth_bounds(A, b: DriftField, psi: ScalarField, k: float,
+                         radii: tuple[float, ...] = (8.0, 16.0), n_base: int = 512,
+                         p: float | None = None, strict: bool = False) -> GrowthBoundReport:
+    """Solve the Poisson problem at several truncation radii and compare bounds.
+
+    The cell width is held fixed (n scales with R, check_grids), so the
+    quotients G0/Psi, G1/Psi, H/Psi are directly comparable; their maximal
+    relative drift between consecutive radii is reported
+    (growth_bound_report). Each radius is one stationary_poisson call (one
+    factorization in d = 2); strict makes a clipped density on any of the
+    grids a SchemePositivityError.
+    """
+    return growth_bound_report(
+        [stationary_poisson(A, b, psi, k, grid, p=p, strict=strict)[1]
+         for grid in check_grids(b.dim, radii, n_base)])
 
 
 # ---------------------------------------------------------------------------

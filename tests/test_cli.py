@@ -12,13 +12,16 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+import scipy.sparse.linalg as spla
 
 import fpkit
-from fpkit import __version__
-from fpkit.cli import main, resolve_workers
+from fpkit import __version__, poisson
+from fpkit.cli import main, resolve_workers, write_csv
+from fpkit.config import field_from_config, model_from_config, validate_command_config
 from fpkit.errors import ValidationError
+from fpkit.poisson import verify_growth_bounds
 
-REPORT_KEYS = {"command", "version", "config_digest", "seed", "checks", "passed",
+REPORT_KEYS = {"command", "version", "config_digest", "seed", "checks", "passed", "outcome",
                "wall_time_s", "artifacts", "summary"}
 
 SMALL_CONFIGS = {
@@ -42,6 +45,16 @@ EXPECTED_ARTIFACTS = {
 }
 
 
+def assert_error_report(report, error_class):
+    """A numerical failure writes run_report.json with outcome "error" and the error."""
+    assert report is not None
+    assert set(report) == REPORT_KEYS | {"error"}
+    assert report["passed"] is False
+    assert report["outcome"] == "error"
+    assert report["error"]["class"] == error_class
+    assert report["error"]["message"]
+
+
 def run_cli(tmp_path, command, cfg, *flags, out="out"):
     cfg_path = tmp_path / f"{out}.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -63,6 +76,7 @@ class TestSmokeRuns:
         assert report["command"] == command
         assert report["version"] == __version__
         assert report["passed"] is True
+        assert report["outcome"] == "pass"
         assert report["checks"] and all(report["checks"].values())
         assert report["wall_time_s"] >= 0.0
         line = capsys.readouterr().out
@@ -169,10 +183,12 @@ class TestNumericalExits:
                                 "drift": {"expressions": ["x1"], "beta1": 1.0,
                                           "beta2": 1.0, "beta3": 1.0}},
                "n": 256}
-        code, _, _ = run_cli(tmp_path, "solve", cfg)
+        code, report, _ = run_cli(tmp_path, "solve", cfg)
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: TruncationError:")
+        assert_error_report(report, "TruncationError")
+        assert report["error"]["message"] in err
 
     def test_strict_poisson_rejects_a_clipped_density(self, tmp_path, capsys):
         # regression: run_poisson solved the density without `strict`, so a
@@ -182,9 +198,10 @@ class TestNumericalExits:
                                 "drift": {"expressions": ["-5*x1", "-5*x2"], "beta1": 1.0,
                                           "beta2": 5.0, "beta3": 5.0}},
                "psi": {"expression": "x1"}, "k": 1.0, "radius": 4, "n": 64}
-        code, _, _ = run_cli(tmp_path, "poisson", cfg, "--strict")
+        code, report, _ = run_cli(tmp_path, "poisson", cfg, "--strict")
         assert code == 3
         assert capsys.readouterr().err.startswith("numerical failure: SchemePositivityError:")
+        assert_error_report(report, "SchemePositivityError")
 
     @pytest.mark.parametrize("command,cfg", [
         ("meanfield", {"eps": 0.05, "starts": [0.5], "threshold": False}),
@@ -196,9 +213,22 @@ class TestNumericalExits:
         # |x| = 2 and the density clips 6e-3 of its mass; lenient runs pass
         cfg = {**cfg, "dim": 2, "radius": 8, "n": 16}
         assert run_cli(tmp_path, command, cfg, out="lenient")[0] == 0
-        code, _, _ = run_cli(tmp_path, command, cfg, "--strict")
+        code, report, _ = run_cli(tmp_path, command, cfg, "--strict")
         assert code == 3
         assert capsys.readouterr().err.startswith("numerical failure: SchemePositivityError:")
+        assert_error_report(report, "SchemePositivityError")
+
+    def test_strict_sweep_point_failure_reports_at_both_levels(self, tmp_path, capsys):
+        # the clipped density of test_strict_rejects_a_clipped_density, at every point
+        cfg = {"task": "meanfield", "axis": [0.02, 0.05, 0.08],
+               "base": {"dim": 2, "radius": 8, "n": 16, "threshold": False, "starts": [0.5]}}
+        code, report, out_dir = run_cli(tmp_path, "sweep", cfg, "--strict", "--workers", "1")
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: SchemePositivityError:")
+        assert_error_report(report, "SchemePositivityError")
+        point = json.loads((out_dir / "point-000" / "run_report.json").read_text())
+        assert point["outcome"] == "error"
+        assert point["error"]["class"] == "SchemePositivityError"
 
     def test_failing_check_exits_three_with_fail_line(self, tmp_path, capsys):
         cfg = {"task": "stability", "axis": [0.01, 0.05, 5.0],
@@ -206,8 +236,59 @@ class TestNumericalExits:
         code, report, _ = run_cli(tmp_path, "sweep", cfg, "--strict")
         assert code == 3
         assert report["passed"] is False
+        assert report["outcome"] == "fail"
         assert report["checks"] == {"all_points_passed": False}
         assert "sweep: fail (" in capsys.readouterr().out
+
+
+class TestPoissonGrids:
+    """`fpkit poisson` solves each distinct grid once; its first check grid is the main one."""
+
+    @staticmethod
+    def reference_bounds(tmp_path, cfg) -> bytes:
+        # bounds.csv as verify_growth_bounds computes it, every check grid solved afresh
+        cfg = validate_command_config("poisson", dict(cfg))
+        A, b, dim, _ = model_from_config(cfg)
+        psi = field_from_config(cfg["psi"], dim=dim, path="psi")
+        n_base = cfg["n"] if dim == 1 else min(cfg["n"], 128)
+        rep = verify_growth_bounds(A, b, psi, cfg["k"], radii=tuple(cfg["check_radii"]),
+                                   n_base=n_base, p=cfg["p"])
+        path = write_csv(str(tmp_path / "reference.csv"),
+                         ["radius", "g0_over_psi", "g1_over_psi", "h_over_psi"],
+                         [(r, *q) for r, q in zip(rep.radii, rep.quotients)])
+        return Path(path).read_bytes()
+
+    def test_two_dimensional_main_grid_is_factored_once(self, tmp_path, monkeypatch):
+        sizes = []
+        splu = spla.splu
+
+        def counted(P, *args, **kwargs):
+            sizes.append(P.shape[0])
+            return splu(P, *args, **kwargs)
+
+        cfg = {"model": "ou-2d", "psi": {"expression": "x1"}, "k": 1.0, "n": 32}
+        monkeypatch.setattr(spla, "splu", counted)
+        code, _, out_dir = run_cli(tmp_path, "poisson", cfg)
+        assert code == 0
+        assert sizes == [32 ** 2, 64 ** 2]  # main grid (R 8) = first check grid, then R 16
+        monkeypatch.undo()
+        assert (out_dir / "bounds.csv").read_bytes() == self.reference_bounds(tmp_path, cfg)
+
+    def test_one_dimensional_main_grid_is_solved_once(self, tmp_path, monkeypatch):
+        calls = []
+        exact = poisson.solve_exact_1d
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].n)
+            return exact(*args, **kwargs)
+
+        cfg = SMALL_CONFIGS["poisson"]
+        monkeypatch.setattr(poisson, "solve_exact_1d", counted)
+        code, _, out_dir = run_cli(tmp_path, "poisson", cfg)
+        assert code == 0
+        assert calls == [256, 512]
+        monkeypatch.undo()
+        assert (out_dir / "bounds.csv").read_bytes() == self.reference_bounds(tmp_path, cfg)
 
 
 class TestSweepModes:

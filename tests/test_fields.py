@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fpkit import (ClosureField, ConstantField, DiffusionMatrixField, DriftField,
                    ExpressionField, GrowthParams, MollifierSpec,
                    linear_drift, make_example_field, mollify, polynomial_drift)
+from fpkit.errors import EllipticityError
 from fpkit.fields import _ALLOWED_CONSTS, _ALLOWED_FUNCS
 
 
@@ -159,6 +160,19 @@ class TestExpressionWhitelist:
 # ---------------------------------------------------------------------------
 
 
+_ENTRY = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+# (a00, a11, a01) of symmetric 2x2 matrices: generic, with near-equal
+# eigenvalues (a00 ~ a11, tiny a01) and with an a01 that dwarfs the diagonal
+_SYMMETRIC_2X2 = st.one_of(
+    st.tuples(_ENTRY, _ENTRY, _ENTRY),
+    st.builds(lambda p, e, f: (p, p * (1.0 + e), f * abs(p)), _ENTRY,
+              st.floats(-1e-10, 1e-10), st.floats(-1e-8, 1e-8)),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+              st.floats(1e3, 1e8) | st.floats(-1e8, -1e3)),
+)
+
+
 class TestDiffusionMatrixField:
     def test_entries_share_storage_across_the_diagonal(self):
         mat = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -183,6 +197,35 @@ class TestDiffusionMatrixField:
         with pytest.raises(Exception):
             A = DiffusionMatrixField.from_constant(mat, lam=0.5)
             A.check_ellipticity(_box_points(2, 1.0, 3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(stack=st.lists(_SYMMETRIC_2X2, min_size=1, max_size=12))
+    def test_eigenvalue_range_matches_eigvalsh(self, stack):
+        # the closed form m -/+ sqrt(((p - s) / 2)^2 + q^2) against LAPACK,
+        # relative to the largest eigenvalue magnitude in the stack
+        mats = np.array([[[p, q], [q, s]] for p, s, q in stack])
+        # point x = (c, c) evaluates to matrix c of the stack
+        A = DiffusionMatrixField({(i, j): ClosureField(lambda x, i=i, j=j:
+                                                       mats[x[:, 0].astype(int), i, j], 2)
+                                  for i, j in ((0, 0), (0, 1), (1, 1))}, 2, lam=1.0)
+        pts = np.repeat(np.arange(len(stack), dtype=float)[:, None], 2, axis=1)
+        lo, hi = A.eigenvalue_range(pts)
+        w = np.linalg.eigvalsh(mats)
+        scale = max(float(np.abs(w).max()), 1e-300)
+        assert abs(lo - w.min()) <= 1e-12 * scale
+        assert abs(hi - w.max()) <= 1e-12 * scale
+
+    def test_ellipticity_window_edge_in_two_dimensions(self):
+        # rotated matrices with eigenvalues lam - 1e-7 (inside the 1e-6 tolerance)
+        # and lam - 1e-5 (outside), lam = 0.5; the cross entry is nonzero
+        th = 0.4
+        Q = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+        pts = _box_points(2, 1.0, 3)
+        inside = Q @ np.diag([0.5 - 1e-7, 1.5]) @ Q.T
+        DiffusionMatrixField.from_constant(inside, lam=0.5).check_ellipticity(pts, tol=1e-6)
+        outside = Q @ np.diag([0.5 - 1e-5, 1.5]) @ Q.T
+        with pytest.raises(EllipticityError, match="leave"):
+            DiffusionMatrixField.from_constant(outside, lam=0.5).check_ellipticity(pts, tol=1e-6)
 
     def test_from_constant_derives_the_tightest_lambda(self):
         A = DiffusionMatrixField.from_constant(np.diag([0.5, 2.0]))

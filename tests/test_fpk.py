@@ -7,6 +7,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpkit.errors import (
     ConvergenceError,
@@ -124,6 +126,27 @@ class TestExactSolver1D:
         assert np.abs(rho.flat() - inv_a).max() < 1e-12
 
 
+class TestGridGeometry:
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
+    def test_geometry_equals_a_fresh_meshgrid_and_is_read_only(self, dim, n):
+        spec = GridSpec(dim, 8.0, n)
+        c = -8.0 + (np.arange(n) + 0.5) * spec.h
+        ref = np.stack([g.ravel() for g in np.meshgrid(*[c] * dim, indexing="ij")], axis=1)
+        assert np.array_equal(spec.cell_centers(), ref)
+        assert np.array_equal(spec.center_radii(), np.sqrt(np.sum(ref * ref, axis=1)))
+        for arr in (spec.cell_centers(), spec.center_radii()):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_geometry_is_built_once_per_spec_and_does_not_enter_equality(self):
+        spec = GridSpec(2, 8.0, 32)
+        assert spec.cell_centers() is spec.cell_centers()
+        assert spec.center_radii() is spec.center_radii()
+        fresh = GridSpec(2, 8.0, 32)
+        assert fresh == spec and hash(fresh) == hash(spec)
+        assert fresh.cell_centers() is not spec.cell_centers()
+
+
 class TestGridSolver:
     def test_matches_exact_solution(self, ou_1d, grid_1d):
         A, b = ou_1d
@@ -182,6 +205,36 @@ class TestGridSolver:
         A = DiffusionMatrixField.from_constant(np.array([[3.0]]), lam=0.5)
         with pytest.raises(EllipticityError):
             solve_grid(A, b, grid_1d)
+
+
+class TestGridDensityProperty:
+    """Grid densities of constant SPD diffusions with affine confining drift.
+
+    A = theta S and b = -theta (x - mu) have the stationary density
+    N(mu, S). S has eigenvalues in [0.25, 1.5] along a random axis. At
+    R = 8, n = 64 the worst L1 gap measured over the corners of that range
+    (eigenvalues 0.25 and 1.5 at 45 degrees, where the cross stencil clips
+    1.8e-3 of the mass) and 150 random draws was 0.0527; the bound is 0.06.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(eigs=st.tuples(st.floats(0.25, 1.5), st.floats(0.25, 1.5)),
+           angle=st.floats(0.0, math.pi), theta=st.floats(0.5, 2.0),
+           mu=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    def test_unit_mass_nonnegative_and_close_to_the_gaussian(self, eigs, angle, theta, mu):
+        Q = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        S = Q @ np.diag(eigs) @ Q.T
+        mean = np.array(mu)
+        spec = GridSpec(2, 8.0, 64)
+        rho = solve_grid(DiffusionMatrixField.from_constant(theta * S),
+                         linear_drift(2, theta, mu=mean), spec)
+        assert abs(rho.mass - 1.0) <= 1e-8
+        assert rho.values.min() >= 0.0
+        assert rho.info["residual"] <= 1e-10
+        P = np.linalg.inv(S)
+        ref = GridDensity.from_function(
+            spec, lambda x: np.exp(-0.5 * np.einsum("ni,ij,nj->n", x - mean, P, x - mean)))
+        assert float(np.abs(rho.flat() - ref.flat()).sum()) * spec.cell_volume <= 0.06
 
 
 class TestPinnedSolve:
