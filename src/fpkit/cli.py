@@ -8,7 +8,12 @@ numerics, and writes into the output directory:
 * SVG figures rendered by the built-in writer (no plotting dependency);
 * run_report.json with the config digest, package version, outcome
   ("pass", "fail" when a check fails, "error" with the error's class and
-  message when the numerics raise), wall time, and the artifact manifest.
+  message when the numerics raise), wall time, the artifact manifest and a
+  list of warnings (possibly empty). A lenient solve or poisson run whose
+  density clipped more negative mass than fpk.CLIP_MASS_LIMIT records a
+  "clipped_mass" warning for each such grid. The 2d solve and poisson
+  summaries carry the solver telemetry of the main grid: residual, clipped
+  mass, pinned cell, the factor's ordering and its L + U nonzeros.
   Timings vary between runs, so the report is the one artifact excluded
   from the byte-identical guarantee. A numerical failure (exit 3) still
   writes the report; a config or parameter error (exit 2) does not.
@@ -38,8 +43,8 @@ from .config import (field_from_config, grid_from_config, kernel_from_name,
                      load_config_file, model_from_config, validate_command_config)
 from .errors import FpkError, ValidationError
 from .fields import DiffusionMatrixField, linear_drift
-from .fpk import (harnack_ratio, moment_report, solve_exact_1d, solve_grid, stationary_density,
-                  weighted_lp_norm)
+from .fpk import (CLIP_MASS_LIMIT, harnack_ratio, moment_report, solve_exact_1d, solve_grid,
+                  stationary_density, weighted_lp_norm)
 from .grids import GridSpec
 from .meanfield import (MeanFieldModel, contraction_estimate, epsilon_threshold,
                         gaussian_probe, picard_iterate)
@@ -86,6 +91,7 @@ class RunContext:
         self.t0 = time.monotonic()
         self.artifacts: list[str] = []
         self.summary: dict = {}
+        self.warnings: list[dict] = []
         self.error: FpkError | None = None  # set when the run ends in a numerical failure
         os.makedirs(out_dir, exist_ok=True)
 
@@ -108,6 +114,7 @@ class RunContext:
             "wall_time_s": round(time.monotonic() - self.t0, 6),
             "artifacts": sorted(self.artifacts),
             "summary": self.summary,
+            "warnings": self.warnings,
         }
         if self.error is not None:
             report["error"] = {"class": type(self.error).__name__, "message": str(self.error)}
@@ -115,6 +122,17 @@ class RunContext:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return report
+
+    def note_density(self, rho) -> None:
+        """Warn when a grid density clipped more negative mass than CLIP_MASS_LIMIT."""
+        clipped = rho.info.get("clipped_mass", 0.0)
+        if clipped > CLIP_MASS_LIMIT:
+            self.warnings.append({"kind": "clipped_mass", "value": clipped,
+                                  "limit": CLIP_MASS_LIMIT, "radius": rho.spec.radius,
+                                  "n": rho.spec.n})
+
+
+TELEMETRY_KEYS = ("residual", "clipped_mass", "pinned_cell", "ordering", "factor_nnz")
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +187,9 @@ def run_solve(ctx: RunContext, cfg: dict, strict: bool) -> dict:
         rho = solve_exact_1d(A, b, spec)
     else:
         rho = solve_grid(A, b, spec, strict=strict)
+    ctx.note_density(rho)
+    if dim == 2:
+        ctx.summary["telemetry"] = {key: rho.info[key] for key in TELEMETRY_KEYS}
     k = cfg["weight_order"]
     mom = moment_report(rho, orders=(0.0, 1.0, 2.0, 4.0))
     mass = mom.value(0.0)
@@ -204,7 +225,10 @@ def run_poisson(ctx: RunContext, cfg: dict, strict: bool) -> dict:
     A, b, dim, name = model_from_config(cfg)
     psi = field_from_config(cfg["psi"], dim=dim, path="psi")
     spec = grid_from_config(cfg, dim, b.growth.beta2)
-    _, sol = stationary_poisson(A, b, psi, cfg["k"], spec, p=cfg["p"], strict=strict)
+    rho, sol = stationary_poisson(A, b, psi, cfg["k"], spec, p=cfg["p"], strict=strict)
+    ctx.note_density(rho)
+    if dim == 2:
+        ctx.summary["telemetry"] = {key: rho.info[key] for key in TELEMETRY_KEYS}
     pts = spec.cell_centers()
     res_cells = np.asarray(sol.info["residual_cells"]).ravel()
     if dim == 1:
@@ -226,8 +250,9 @@ def run_poisson(ctx: RunContext, cfg: dict, strict: bool) -> dict:
     solved = {spec: sol}
     for grid in grids:
         if grid not in solved:
-            solved[grid] = stationary_poisson(A, b, psi, cfg["k"], grid, p=cfg["p"],
-                                              strict=strict)[1]
+            grid_rho, solved[grid] = stationary_poisson(A, b, psi, cfg["k"], grid, p=cfg["p"],
+                                                        strict=strict)
+            ctx.note_density(grid_rho)
     rep = growth_bound_report([solved[grid] for grid in grids])
     write_csv(ctx.path("bounds.csv"),
               ["radius", "g0_over_psi", "g1_over_psi", "h_over_psi"],

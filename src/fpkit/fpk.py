@@ -28,10 +28,16 @@ formal adjoint equation sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0):
   inverts: sum_x rho (L_h phi) = 0 for every grid function phi. Both build
   and factor the pinned L_h^T in _pinned_generator, and
   poisson.stationary_poisson takes the density and the Poisson solution
-  from one factor. pinned_factor runs SuperLU with the MMD_AT_PLUS_A
-  ordering and small fixed supernodes (PANEL_SIZE = 2, RELAX = 2), chosen
-  by a timing sweep on both grid stencils; they change how the factor is
-  blocked, not its fill.
+  from one factor. pinned_factor runs SuperLU with small fixed supernodes
+  (PANEL_SIZE = 2, RELAX = 2), chosen by a timing sweep on both grid
+  stencils; they change how the factor is blocked, not its fill. The
+  ordering depends on the stencil. A 5-point (or 1d) L_h^T is ordered by
+  SuperLU's MMD_AT_PLUS_A. A 9-point L_h^T (a cross term a^01) is built
+  in the grid's nested-dissection order (GridSpec.dissection_order) and
+  factored in that order: at n = 256 that cuts anisotropic-2d's L + U fill
+  from 5.71M to 5.28M nonzeros and its factor time by 35-45 %, while on
+  the 5-point stencil the same order would add about 40 % fill. The
+  factor's solves take and return grid order either way.
 
 The scheme is second order but not monotone; tiny negative cells can appear
 and are clipped with the removed mass recorded (escalated to an error in
@@ -148,6 +154,12 @@ def generator_matrix(A: DiffusionMatrixField, b: DriftField, spec: GridSpec) -> 
     every cell. Slot o is the diagonal sum_i o_i n^(d-1-i) of L_h, so the
     table becomes the CSR matrix through one diagonal-format conversion.
     """
+    return _generator(A, b, spec)[0]
+
+
+def _generator(A: DiffusionMatrixField, b: DriftField,
+               spec: GridSpec) -> tuple[sp.csr_matrix, bool]:
+    """generator_matrix, and whether L_h has the cross term (a 9-point stencil)."""
     n, h, d = spec.n, spec.h, spec.dim
     pts = spec.cell_centers()
     pos = np.arange(n)
@@ -165,9 +177,11 @@ def generator_matrix(A: DiffusionMatrixField, b: DriftField, spec: GridSpec) -> 
     b_c = b.values(pts)
     terms = [(coef, [op if j == i else eye for j in range(d)]) for i in range(d)
              for op, coef in ((D2, A.entry(i, i).values(pts)), (D1, b_c[:, i]))]
+    cross = False
     if d == 2:
         a01 = A.entry(0, 1).values(pts)
-        if np.any(a01):
+        cross = bool(np.any(a01))
+        if cross:
             terms.append((2.0 * a01, [D1, D1]))
     N = spec.n_cells
     W = np.zeros((3 ** d, N))
@@ -183,10 +197,44 @@ def generator_matrix(A: DiffusionMatrixField, b: DriftField, spec: GridSpec) -> 
         # diagonal storage holds entry (r, r + k) at column r + k; what the
         # roll wraps round falls outside the matrix, where it is ignored
         W[s] = np.roll(W[s], k)
-    return sp.dia_matrix((W, offsets), shape=(N, N)).tocsr()
+    return sp.dia_matrix((W, offsets), shape=(N, N)).tocsr(), cross
 
 
-def pinned_factor(M: sp.spmatrix, pin: int):
+@dataclass(frozen=True)
+class PinnedFactor:
+    """SuperLU factor of a pinned matrix, solving in the matrix's own cell order.
+
+    `order` is None when SuperLU chose the column order (MMD_AT_PLUS_A). Else
+    the factored matrix is the pinned matrix with its rows and columns taken
+    in `order` (position k holds cell order[k]), and solve permutes the
+    right-hand side in and the solution back.
+    """
+
+    lu: spla.SuperLU
+    order: np.ndarray | None = None
+
+    @property
+    def ordering(self) -> str:
+        return "mmd" if self.order is None else "nested-dissection"
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.lu.shape
+
+    @property
+    def nnz(self) -> int:
+        """Nonzeros of L + U, read without copying the factors out."""
+        return self.lu.nnz
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        if self.order is None:
+            return self.lu.solve(rhs, trans=trans)
+        x = np.empty_like(rhs)
+        x[self.order] = self.lu.solve(rhs[self.order], trans=trans)
+        return x
+
+
+def pinned_factor(M: sp.spmatrix, pin: int, order: np.ndarray | None = None) -> PinnedFactor:
     """SuperLU factor of a singular M (one-dimensional kernel) closed by a pin.
 
     Row `pin` must be implied by the other rows. It is replaced by the unit
@@ -196,26 +244,62 @@ def pinned_factor(M: sp.spmatrix, pin: int):
     column `pin` replaced by e_pin. An exactly singular factor is a
     ConvergenceError.
 
-    The factor uses the MMD_AT_PLUS_A ordering, the default pivot threshold,
-    SuperLU panel size PANEL_SIZE = 2 and supernode relaxation RELAX = 2.
-    SuperLU's defaults, 20 and 10, suit wider fronts than a 5- or 9-point
-    grid makes. The two constants change how the factor is blocked, not the
-    ordering, the pivots or the L + U fill of a grid operator. They were
-    timed against every pair in {1, 2, 4, 8}^2 and the defaults, on both
-    stencils at n = 32 to 256 and on a high-Peclet case with heavy fill
-    (A = 0.05 I, b = -5x, R = 4, n = 64). On a 2-core Xeon VM with SciPy
-    1.17 this pair was within 10 % of the fastest setting in every case, the
-    smallest worst case of all: 14-29 % less time than the defaults on the
-    grids, 10 % more on the fill case.
+    Without `order`, SuperLU orders the columns by MMD_AT_PLUS_A. With an
+    `order` of the cells (GridSpec.dissection_order), the pinned M is built
+    directly in that order (_permuted) and factored with the NATURAL
+    column order. _pinned_generator uses the dissection order for a 9-point
+    L_h^T only. On the pinned L_h^T at R = 8 (2-core Xeon VM, SciPy 1.17) it
+    gives anisotropic-2d 5.28M L + U nonzeros at n = 256 against MMD's 5.71M,
+    and the factor takes about 240-300 ms against 420-470; it is faster at
+    n = 32, 64 and 128 too. On a 5-point L_h^T (ou-2d) it adds 39-43 % fill
+    (3.46M -> 4.80M at n = 256) and gains no time at n >= 64, so 5-point and
+    1d operators keep MMD.
+
+    The factor uses the default pivot threshold, SuperLU panel size
+    PANEL_SIZE = 2 and supernode relaxation RELAX = 2. SuperLU's defaults,
+    20 and 10, suit wider fronts than a 5- or 9-point grid makes. The two
+    constants change how the factor is blocked, not the ordering, the pivots
+    or the L + U fill of a grid operator. They were timed against every pair
+    in {1, 2, 4, 8}^2 and the defaults, on both stencils at n = 32 to 256 and
+    on a high-Peclet case with heavy fill (A = 0.05 I, b = -5x, R = 4,
+    n = 64). On a 2-core Xeon VM with SciPy 1.17 this pair was within 10 % of
+    the fastest setting in every case, the smallest worst case of all:
+    14-29 % less time than the defaults on the grids, 10 % more on the fill
+    case.
     """
-    P = sp.csc_matrix(M, dtype=float, copy=True)
-    P.data[P.indices == pin] = 0.0  # row `pin`, spread over the columns
-    P[pin, pin] = 1.0
+    if order is None:
+        P, p, permc_spec = sp.csc_matrix(M, dtype=float, copy=True), pin, "MMD_AT_PLUS_A"
+    else:
+        P, p, permc_spec = _permuted(M, order), int(np.flatnonzero(order == pin)[0]), "NATURAL"
+    P.data[P.indices == p] = 0.0  # row `pin` (row p of P), spread over the columns
+    P[p, p] = 1.0
     P.eliminate_zeros()
     try:
-        return spla.splu(P, permc_spec="MMD_AT_PLUS_A", panel_size=PANEL_SIZE, relax=RELAX)
+        lu = spla.splu(P, permc_spec=permc_spec, panel_size=PANEL_SIZE, relax=RELAX)
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
         raise ConvergenceError(f"sparse factorization failed: {exc}", history=[np.inf]) from exc
+    return PinnedFactor(lu, order)
+
+
+def _permuted(M: sp.spmatrix, order: np.ndarray) -> sp.csc_matrix:
+    """M with its rows and columns taken in `order`, as a new CSC matrix.
+
+    Column k of the result is column order[k] of M with its row indices
+    renumbered, gathered from M's CSC arrays with int32 indices; the L_h^T of
+    a CSR L_h is CSC already, so M itself is not copied first.
+    """
+    M = sp.csc_matrix(M, dtype=float)
+    N = M.shape[0]
+    pos = np.empty(N, dtype=np.int32)  # position of each cell in `order`
+    pos[order] = np.arange(N, dtype=np.int32)
+    counts = np.diff(M.indptr)[order]
+    indptr = np.zeros(N + 1, dtype=M.indptr.dtype)
+    np.cumsum(counts, out=indptr[1:])
+    src = np.repeat(M.indptr[:-1][order] - indptr[:-1], counts)
+    src += np.arange(len(src), dtype=src.dtype)  # entry k of the result is M's entry src[k]
+    P = sp.csc_matrix((M.data[src], pos[M.indices[src]], indptr), shape=M.shape)
+    P.sort_indices()
+    return P
 
 
 def _diffusion_matrix(A, spec: GridSpec) -> DiffusionMatrixField:
@@ -242,13 +326,17 @@ def _pinned_generator(A, b: DriftField, spec: GridSpec):
     builds L_h (generator_matrix) and pins the center-most cell of L_h^T. A
     plain solve with the factor gives the density (solve_grid) and the
     adjoint null vector; a transposed solve gives the Poisson solution
-    (poisson.solve_poisson_grid).
+    (poisson.solve_poisson_grid). Both solves take and return grid order.
+    When L_h has the cross term (a^01 not zero at every cell, the test
+    generator_matrix uses to add it) the 9-point L_h^T is factored in the
+    grid's nested-dissection order; a 5-point or 1d L_h^T keeps SuperLU's
+    MMD_AT_PLUS_A order (see pinned_factor for the fill and timings).
     """
     A = _diffusion_matrix(A, spec)
     A.check_ellipticity(spec.cell_centers(), tol=ELLIPTICITY_TOL)
-    L = generator_matrix(A, b, spec)
+    L, cross = _generator(A, b, spec)
     pin = int(np.argmin(spec.center_radii()))
-    return L, pin, pinned_factor(L.T, pin)
+    return L, pin, pinned_factor(L.T, pin, spec.dissection_order() if cross else None)
 
 
 def _pinned_null(lu, pin: int) -> np.ndarray:
@@ -258,8 +346,8 @@ def _pinned_null(lu, pin: int) -> np.ndarray:
     return lu.solve(rhs)
 
 
-def _null_density(spec: GridSpec, L: sp.csr_matrix, pin: int, null: np.ndarray,
-                  strict: bool, check_truncation: bool) -> GridDensity:
+def _null_density(spec: GridSpec, L: sp.csr_matrix, pin: int, lu: PinnedFactor,
+                  null: np.ndarray, strict: bool, check_truncation: bool) -> GridDensity:
     """Scale the pinned null vector of L_h^T to unit mass and validate it (see solve_grid)."""
     M = L.T
     raw = null / (null.sum() * spec.cell_volume)
@@ -287,7 +375,8 @@ def _null_density(spec: GridSpec, L: sp.csr_matrix, pin: int, null: np.ndarray,
     rho = GridDensity(spec, (raw / total).reshape(spec.shape),
                       info={"method": "generator-null", "residual": residual,
                             "residual_history": history, "clipped_mass": clipped_mass,
-                            "pinned_cell": pin})
+                            "pinned_cell": pin, "ordering": lu.ordering,
+                            "factor_nnz": lu.nnz})
     if check_truncation and rho.boundary_mass >= BOUNDARY_MASS_LIMIT:
         raise TruncationError(
             f"under-truncation: boundary cells hold mass {rho.boundary_mass:.3e} "
@@ -310,9 +399,11 @@ def solve_grid(A, b: DriftField, spec: GridSpec, strict: bool = False,
     clipped negative mass recorded (SchemePositivityError in strict mode
     above 1e-6), boundary-cell mass below 1e-4 (else TruncationError;
     disabled by check_truncation=False for problems posed on the box itself).
+    info records the residual, the clipped mass, the pinned cell, the factor's
+    ordering ("mmd" or "nested-dissection") and its L + U nonzeros.
     """
     L, pin, lu = _pinned_generator(A, b, spec)
-    return _null_density(spec, L, pin, _pinned_null(lu, pin), strict, check_truncation)
+    return _null_density(spec, L, pin, lu, _pinned_null(lu, pin), strict, check_truncation)
 
 
 def stationary_density(A, b: DriftField, spec: GridSpec, strict: bool = False) -> GridDensity:

@@ -9,13 +9,14 @@ values times h^d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import DegenerateDensityError, GridMismatchError
 
 MAX_CELLS = 2 ** 20  # 1d up to n = 2^20, 2d up to n = 1024
+DISSECTION_LEAF = 8  # largest box of cells that nested dissection does not split
 
 
 def default_radius(beta2: float) -> float:
@@ -29,10 +30,10 @@ def default_radius(beta2: float) -> float:
 class GridSpec:
     """Cell-centered uniform grid on [-radius, radius]^dim with zero-flux walls.
 
-    Equality and hashing use (dim, radius, n) only. The cell centers and
-    their radii are computed on first use and kept on the instance, so every
-    solve on one spec shares them and they are freed with it; the arrays are
-    read-only.
+    Equality and hashing use (dim, radius, n) only. The cell centers, their
+    radii and the nested-dissection order of the cells are computed on first
+    use and kept on the instance, so every solve on one spec shares them and
+    they are freed with it; the arrays are read-only.
     """
 
     dim: int
@@ -95,6 +96,41 @@ class GridSpec:
         r = np.sqrt(np.sum(pts * pts, axis=1))
         r.setflags(write=False)
         return r
+
+    def dissection_order(self) -> np.ndarray:
+        """Cell indices (row-major) in geometric nested-dissection order, read-only.
+
+        The box of cells is split across its longer side (across axis 0 on a
+        tie) by a separator one cell thick; each half is ordered the same way
+        down to boxes of at most DISSECTION_LEAF cells, which keep row-major
+        order, and a separator comes after both of its halves (George, SIAM J.
+        Numer. Anal. 10, 1973). Eliminating cells in this order keeps the fill
+        of a 9-point factor within O(N log N) (see fpk.pinned_factor).
+        """
+        return self._dissection
+
+    @cached_property
+    def _dissection(self) -> np.ndarray:
+        cols = self.n if self.dim == 2 else 1
+
+        @cache
+        def block(h: int, w: int) -> np.ndarray:
+            """Order of an h x w box as offsets from its first cell; equal boxes share it."""
+            if h * w <= DISSECTION_LEAF:
+                return (np.arange(h, dtype=np.int32)[:, None] * cols
+                        + np.arange(w, dtype=np.int32)).ravel()
+            if h >= w:  # the separator is row m of the box
+                m = h // 2
+                return np.concatenate([block(m, w), block(h - m - 1, w) + (m + 1) * cols,
+                                       m * cols + np.arange(w, dtype=np.int32)])
+            m = w // 2
+            return np.concatenate([block(h, m), block(h, w - m - 1) + (m + 1),
+                                   m + cols * np.arange(h, dtype=np.int32)])
+
+        order = block(self.n, cols)
+        block.cache_clear()  # the nested function is a reference cycle; free its boxes now
+        order.setflags(write=False)
+        return order
 
     def boundary_mask(self) -> np.ndarray:
         """Boolean mask (grid shape) marking cells that touch the outer wall."""

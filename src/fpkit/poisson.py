@@ -447,7 +447,8 @@ def _solve_factored(problem: PoissonProblem, L, pin: int, lu, w: np.ndarray) -> 
         pin_radius=wit.pin_radius,
         info={"method": "fd-grid", "projection_magnitude": abs(c_proj),
               "lyapunov": wit, "pinned_cell": pin, "residual_cells": res_vec,
-              "centering_defect": problem.centering_defect()})
+              "centering_defect": problem.centering_defect(), "ordering": lu.ordering,
+              "factor_nnz": lu.nnz})
 
 
 def solve_poisson(problem: PoissonProblem) -> PoissonSolution:
@@ -475,7 +476,7 @@ def stationary_poisson(A, b: DriftField, psi: ScalarField, k: float, spec: GridS
         return rho, solve_poisson_1d(PoissonProblem(A, b, psi, k, rho, p=p))
     L, pin, lu = _pinned_generator(A, b, spec)
     null = _pinned_null(lu, pin)
-    rho = _null_density(spec, L, pin, null, strict, check_truncation=True)
+    rho = _null_density(spec, L, pin, lu, null, strict, check_truncation=True)
     problem = PoissonProblem(A, b, psi, k, rho, p=p)
     return rho, _solve_factored(problem, L, pin, lu, _unit_sum(null))
 

@@ -22,7 +22,7 @@ from fpkit.errors import ValidationError
 from fpkit.poisson import verify_growth_bounds
 
 REPORT_KEYS = {"command", "version", "config_digest", "seed", "checks", "passed", "outcome",
-               "wall_time_s", "artifacts", "summary"}
+               "wall_time_s", "artifacts", "summary", "warnings"}
 
 SMALL_CONFIGS = {
     "dini": {"field": {"name": "weierstrass-holder"}, "box_radius": 1.0, "n_centers": 8},
@@ -79,6 +79,7 @@ class TestSmokeRuns:
         assert report["outcome"] == "pass"
         assert report["checks"] and all(report["checks"].values())
         assert report["wall_time_s"] >= 0.0
+        assert report["warnings"] == []
         line = capsys.readouterr().out
         assert f"{command}: pass (" in line
         assert str(out_dir) in line
@@ -218,6 +219,25 @@ class TestNumericalExits:
         assert capsys.readouterr().err.startswith("numerical failure: SchemePositivityError:")
         assert_error_report(report, "SchemePositivityError")
 
+    @pytest.mark.parametrize("command,cfg", [
+        ("solve", {"model": "ou-2d"}),
+        ("poisson", {"model": "ou-2d", "psi": {"expression": "x1"}, "k": 1.0}),
+    ])
+    def test_lenient_run_warns_of_a_clipped_density(self, tmp_path, command, cfg):
+        # regression: a lenient run that clipped 6e-3 of its mass (the case of
+        # test_strict_rejects_a_clipped_density) said nothing in its report
+        cfg = {**cfg, "radius": 8, "n": 16}
+        code, report, _ = run_cli(tmp_path, command, cfg)
+        assert code == 0
+        warning = report["warnings"][0]
+        assert warning == {"kind": "clipped_mass", "value": warning["value"], "limit": 1e-6,
+                           "radius": 8.0, "n": 16}
+        assert warning["value"] == pytest.approx(6.44e-3, rel=1e-2)
+        assert warning["value"] == report["summary"]["telemetry"]["clipped_mass"]
+        # poisson also solves its second check grid (R = 16, n = 32), which clips too
+        assert [(w["radius"], w["n"]) for w in report["warnings"][1:]] == \
+            ([(16.0, 32)] if command == "poisson" else [])
+
     def test_strict_sweep_point_failure_reports_at_both_levels(self, tmp_path, capsys):
         # the clipped density of test_strict_rejects_a_clipped_density, at every point
         cfg = {"task": "meanfield", "axis": [0.02, 0.05, 0.08],
@@ -289,6 +309,29 @@ class TestPoissonGrids:
         assert calls == [256, 512]
         monkeypatch.undo()
         assert (out_dir / "bounds.csv").read_bytes() == self.reference_bounds(tmp_path, cfg)
+
+
+class TestTelemetry:
+    """2d solve and poisson reports carry the solver telemetry of the main grid."""
+
+    @pytest.mark.parametrize("command,cfg,ordering", [
+        ("solve", {"model": "ou-2d", "n": 32}, "mmd"),
+        ("poisson", {"model": "anisotropic-2d", "psi": {"expression": "x1"}, "k": 1.0,
+                     "n": 32}, "nested-dissection"),
+    ])
+    def test_two_dimensional_reports_carry_the_factor(self, tmp_path, command, cfg, ordering):
+        code, report, _ = run_cli(tmp_path, command, cfg)
+        assert code == 0
+        tel = report["summary"]["telemetry"]
+        assert set(tel) == {"residual", "clipped_mass", "pinned_cell", "ordering", "factor_nnz"}
+        assert tel["ordering"] == ordering
+        assert tel["factor_nnz"] > 5 * 32 ** 2  # at least the pinned operator itself
+        assert 0.0 <= tel["residual"] <= 1e-10
+        assert 0 <= tel["pinned_cell"] < 32 ** 2
+
+    def test_one_dimensional_solve_has_no_factor(self, tmp_path):
+        _, report, _ = run_cli(tmp_path, "solve", SMALL_CONFIGS["solve"])
+        assert "telemetry" not in report["summary"]
 
 
 class TestSweepModes:

@@ -147,6 +147,20 @@ class TestGridGeometry:
         assert fresh.cell_centers() is not spec.cell_centers()
 
 
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.sampled_from((16, 32, 64, 128, 256)), radius=st.floats(4.0, 64.0))
+    def test_dissection_order_is_a_read_only_permutation_per_spec(self, n, radius):
+        spec = GridSpec(2, radius, n)
+        order = spec.dissection_order()
+        assert np.array_equal(np.sort(order), np.arange(n * n))
+        with pytest.raises(ValueError, match="read-only"):
+            order[0] = 0
+        assert order is spec.dissection_order()
+        assert np.array_equal(GridSpec(2, radius, n).dissection_order(), order)
+        # the first separator, the middle row across axis 0, comes last
+        assert np.array_equal(order[-n:], (n // 2) * n + np.arange(n))
+
+
 class TestGridSolver:
     def test_matches_exact_solution(self, ou_1d, grid_1d):
         A, b = ou_1d

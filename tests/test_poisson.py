@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fpkit.errors import (ConfinementError, IncompatibilityError, SchemePositivityError,
@@ -19,6 +20,9 @@ from fpkit.fields import (
 )
 from fpkit.fpk import (
     ELLIPTICITY_TOL,
+    PinnedFactor,
+    _null_density,
+    _pinned_null,
     builtin_models,
     generator_matrix,
     pinned_factor,
@@ -29,6 +33,8 @@ from fpkit.grids import GridDensity, GridSpec
 from fpkit.poisson import (
     PoissonProblem,
     _pin_ball_mask,
+    _solve_factored,
+    _unit_sum,
     builtin_poisson_cases,
     discrete_adjoint_null,
     lyapunov_constants,
@@ -332,6 +338,24 @@ class TestSharedFactor:
                              radii=(8.0, 16.0), n_base=32)
         assert shapes == [32 ** 2, 64 ** 2]
 
+    @pytest.mark.parametrize("name,permc_spec", [("ou-2d", "MMD_AT_PLUS_A"),
+                                                 ("anisotropic-2d", "NATURAL")])
+    def test_one_factorization_ordered_by_the_stencil(self, monkeypatch, name, permc_spec):
+        # the 9-point L_h^T comes pre-ordered by nested dissection; the 5-point one
+        # leaves the order to SuperLU
+        calls = []
+        splu = spla.splu
+
+        def counted(P, *args, **kwargs):
+            calls.append((P.shape[0], kwargs["permc_spec"]))
+            return splu(P, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counted)
+        m = {m.name: m for m in builtin_models()}[name]
+        psi = source(lambda z: np.tanh(z[:, 0]), 2, "psi")
+        stationary_poisson(m.A, m.b, psi, 1.0, GridSpec(2, 8.0, 32))
+        assert calls == [(32 ** 2, permc_spec)]
+
     @pytest.mark.parametrize("name", ["ou-2d", "anisotropic-2d"])
     def test_bitwise_equal_to_the_two_solves(self, name):
         m = {m.name: m for m in builtin_models()}[name]
@@ -346,6 +370,29 @@ class TestSharedFactor:
         assert np.array_equal(sol.d2u, ref.d2u)
         assert ((sol.g0_quotient, sol.g1_quotient, sol.h_quotient)
                 == (ref.g0_quotient, ref.g1_quotient, ref.h_quotient))
+
+    def test_dissection_factor_is_smaller_than_mmd_and_agrees_with_it(self):
+        # anisotropic-2d at n = 64 against a factor of the same pinned L_h^T
+        # ordered by SuperLU's MMD_AT_PLUS_A
+        m = {m.name: m for m in builtin_models()}["anisotropic-2d"]
+        spec = GridSpec(2, 8.0, 64)
+        psi = source(lambda z: np.tanh(z[:, 0]) + 0.3 * z[:, 1], 2, "psi")
+        rho, sol = stationary_poisson(m.A, m.b, psi, 1.0, spec)
+        L = generator_matrix(m.A, m.b, spec)
+        pin = int(np.argmin(spec.center_radii()))
+        P = sp.csc_matrix(L.T, copy=True)
+        P.data[P.indices == pin] = 0.0
+        P[pin, pin] = 1.0
+        P.eliminate_zeros()
+        mmd = PinnedFactor(spla.splu(P, permc_spec="MMD_AT_PLUS_A"))
+        assert rho.info["ordering"] == sol.info["ordering"] == "nested-dissection"
+        assert rho.info["factor_nnz"] == sol.info["factor_nnz"] < mmd.nnz
+        null = _pinned_null(mmd, pin)
+        ref_rho = _null_density(spec, L, pin, mmd, null, strict=False, check_truncation=True)
+        ref = _solve_factored(PoissonProblem(m.A, m.b, psi, 1.0, ref_rho), L, pin, mmd,
+                              _unit_sum(null))
+        assert np.abs(rho.values - ref_rho.values).max() <= 1e-12 * ref_rho.values.max()
+        assert np.abs(sol.u - ref.u).max() <= 1e-12 * np.abs(ref.u).max()
 
     def test_closed_forms_in_one_dimension(self, ou_1d, grid_1d):
         A, b = ou_1d
