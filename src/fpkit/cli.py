@@ -9,14 +9,20 @@ numerics, and writes into the output directory:
 * run_report.json with the config digest, package version, outcome
   ("pass", "fail" when a check fails, "error" with the error's class and
   message when the numerics raise), wall time, the artifact manifest and a
-  list of warnings (possibly empty). A lenient solve or poisson run whose
-  density clipped more negative mass than fpk.CLIP_MASS_LIMIT records a
-  "clipped_mass" warning for each such grid. The 2d solve and poisson
-  summaries carry the solver telemetry of the main grid: residual, clipped
-  mass, pinned cell, the factor's ordering and its L + U nonzeros.
-  Timings vary between runs, so the report is the one artifact excluded
-  from the byte-identical guarantee. A numerical failure (exit 3) still
-  writes the report; a config or parameter error (exit 2) does not.
+  list of warnings (possibly empty). A lenient run warns ("clipped_mass")
+  of each density that clipped more mass than fpk.CLIP_MASS_LIMIT: each grid
+  of solve and poisson, each meanfield "start"'s fixed point, each stability
+  "delta"'s pair, in the run's own report (a sweep point's, in a sweep).
+  The 2d solve and poisson summaries carry the solver telemetry of the main
+  grid: residual, clipped mass, pinned cell, the factor's ordering and its
+  L + U nonzeros (the 1d closed form has a null residual). Timings vary, so
+  the report is the one artifact excluded from the byte-identical guarantee.
+  A numerical failure (exit 3) still writes the report; a config or
+  parameter error (exit 2) does not.
+
+Without "lam" a coefficients block's diffusion a gets lambda =
+min(1, min a, 1 / max a) over the cells of each solved grid. A diffusion
+not positive on the grid is an EllipticityError (exit 3) naming a point.
 
 Exit codes: 0 on success, 2 for validation failures (bad config, unknown
 keys, bad CLI usage), 3 for numerical failures (solver or check errors).
@@ -43,8 +49,8 @@ from .config import (field_from_config, grid_from_config, kernel_from_name,
                      load_config_file, model_from_config, validate_command_config)
 from .errors import FpkError, ValidationError
 from .fields import DiffusionMatrixField, linear_drift
-from .fpk import (CLIP_MASS_LIMIT, harnack_ratio, moment_report, solve_exact_1d, solve_grid,
-                  stationary_density, weighted_lp_norm)
+from .fpk import (CLIP_MASS_LIMIT, harnack_ratio, moment_report, stationary_density,
+                  weighted_lp_norm)
 from .grids import GridSpec
 from .meanfield import (MeanFieldModel, contraction_estimate, epsilon_threshold,
                         gaussian_probe, picard_iterate)
@@ -123,13 +129,15 @@ class RunContext:
             fh.write("\n")
         return report
 
-    def note_density(self, rho) -> None:
-        """Warn when a grid density clipped more negative mass than CLIP_MASS_LIMIT."""
-        clipped = rho.info.get("clipped_mass", 0.0)
+    def note_clipping(self, clipped: float, spec: GridSpec, **where) -> None:
+        """Warn of a density on spec (at `where` in the run) clipped past CLIP_MASS_LIMIT."""
         if clipped > CLIP_MASS_LIMIT:
             self.warnings.append({"kind": "clipped_mass", "value": clipped,
-                                  "limit": CLIP_MASS_LIMIT, "radius": rho.spec.radius,
-                                  "n": rho.spec.n})
+                                  "limit": CLIP_MASS_LIMIT, "radius": spec.radius,
+                                  "n": spec.n, **where})
+
+    def note_density(self, rho, **where) -> None:
+        self.note_clipping(rho.info.get("clipped_mass", 0.0), rho.spec, **where)
 
 
 TELEMETRY_KEYS = ("residual", "clipped_mass", "pinned_cell", "ordering", "factor_nnz")
@@ -176,17 +184,7 @@ def run_dini(ctx: RunContext, cfg: dict, strict: bool) -> dict:
 def run_solve(ctx: RunContext, cfg: dict, strict: bool) -> dict:
     A, b, dim, name = model_from_config(cfg)
     spec = grid_from_config(cfg, dim, b.growth.beta2)
-    method = cfg["method"]
-    strict = strict or cfg["strict"]
-    if method == "auto":
-        rho = stationary_density(A, b, spec, strict=strict)
-        method = "exact-1d" if dim == 1 else "grid"
-    elif method == "exact-1d":
-        if dim != 1:
-            raise ValidationError("method exact-1d needs a one-dimensional model", path="method")
-        rho = solve_exact_1d(A, b, spec)
-    else:
-        rho = solve_grid(A, b, spec, strict=strict)
+    rho = stationary_density(A, b, spec, strict=strict)
     ctx.note_density(rho)
     if dim == 2:
         ctx.summary["telemetry"] = {key: rho.info[key] for key in TELEMETRY_KEYS}
@@ -194,10 +192,10 @@ def run_solve(ctx: RunContext, cfg: dict, strict: bool) -> dict:
     mom = moment_report(rho, orders=(0.0, 1.0, 2.0, 4.0))
     mass = mom.value(0.0)
     ctx.summary.update({
-        "model": name, "method": method, "n": spec.n, "radius": spec.radius,
+        "model": name, "method": rho.info["method"], "n": spec.n, "radius": spec.radius,
         "mass": mass,
         "boundary_mass": rho.boundary_mass,
-        "residual": rho.info.get("residual", 0.0),
+        "residual": rho.info.get("residual"),  # the 1d closed form measures none
         "weighted_l2_norm": weighted_lp_norm(rho, k, 2.0),
         "harnack_ratio_r1": harnack_ratio(rho, 1.0),
         "moments": {f"k={ko:g}": v for ko, v in mom.entries},
@@ -294,6 +292,8 @@ def run_stability(ctx: RunContext, cfg: dict, strict: bool) -> dict:
     res = stability_sweep(make, cfg["deltas"], spec, k=cfg["k"], r=cfg["r"], strict=strict)
     rows = [(d, rep.lhs, rep.rhs_diffusion, rep.rhs_drift, rep.c_hat)
             for d, rep in zip(res.deltas, res.reports)]
+    for d, rep in zip(res.deltas, res.reports):
+        ctx.note_clipping(rep.clipped_mass, spec, delta=float(d))
     write_csv(ctx.path("sweep.csv"),
               ["delta", "lhs", "rhs_diffusion", "rhs_drift", "c_hat"], rows)
     pos = res.deltas > 0
@@ -324,6 +324,7 @@ def run_meanfield(ctx: RunContext, cfg: dict, strict: bool) -> dict:
         start = gaussian_probe(spec, np.full(dim, float(mean)), 1.0)
         traces.append(picard_iterate(model, start, tol=cfg["tol"], max_iter=cfg["max_iter"],
                                      strict=strict))
+        ctx.note_density(traces[-1].fixed_point, start=float(mean))
     rows = []
     for si, tr in enumerate(traces):
         for t, g in enumerate(tr.gaps):

@@ -91,16 +91,13 @@ def check_condition_h(A: DiffusionMatrixField, b: DriftField, box_radius: float 
     pts = _box_samples(d, box_radius, n_samples)
     clauses: list[ClauseVerdict] = []
 
-    av = A.values(pts)
-    eigs = av[:, 0, 0][:, None] if d == 1 else np.linalg.eigvalsh(av)
-    lo_margin = eigs.min(axis=1) - A.lam
-    hi_margin = 1.0 / A.lam - eigs.max(axis=1)
-    margin = np.minimum(lo_margin, hi_margin)
+    lo, hi = A.eigenvalues(pts)
+    margin = np.minimum(lo - A.lam, 1.0 / A.lam - hi)
     i = int(np.argmin(margin))
     clauses.append(ClauseVerdict(
         "ellipticity", bool(margin[i] >= -tol), float(margin[i]),
         pts[i] if margin[i] < -tol else None,
-        f"sampled eigenvalues in [{eigs.min():.6g}, {eigs.max():.6g}], "
+        f"sampled eigenvalues in [{lo.min():.6g}, {hi.max():.6g}], "
         f"window [{A.lam:.6g}, {1.0 / A.lam:.6g}]"))
 
     radii = np.asarray(osc_radii if osc_radii is not None else _DEFAULT_OSC_RADII, dtype=float)

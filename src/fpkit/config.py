@@ -146,10 +146,6 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "radius": Key(_NUM, default=None, check=lambda v: v >= 4, expect=">= 4"),
         "n": Key((int,), default=None, check=_pow2, expect="power of two >= 16"),
         "weight_order": Key(_NUM, default=1.0, check=lambda v: v >= 0, expect=">= 0"),
-        "method": Key((str,), default="auto",
-                      check=lambda v: v in ("auto", "exact-1d", "grid"),
-                      expect="auto, exact-1d, or grid"),
-        "strict": Key((bool,), default=False),
         "seed": Key((int,), default=0, check=lambda v: v >= 0, expect=">= 0"),
     },
     "poisson": {
@@ -285,22 +281,18 @@ def field_from_config(cfg: dict, dim: int | None = None, path: str = "field") ->
     return ConstantField(float(cfg["constant"]), d)
 
 
-def coefficients_from_config(cfg: dict) -> tuple[DiffusionMatrixField, DriftField, int]:
-    """Build (A, b, dim) from a validated coefficients block."""
+def coefficients_from_config(cfg: dict) -> tuple[DiffusionMatrixField | ScalarField,
+                                                 DriftField, int]:
+    """Build (A, b, dim) from a validated coefficients block.
+
+    A is a I with the block's 'lam', else the scalar field a, whose lambda is
+    set on the cells of each grid it is solved on (fpk._diffusion_matrix).
+    """
     d = cfg["dim"]
     dc = cfg["diffusion"]
     a_field = field_from_config(dc, dim=d, path="coefficients.diffusion")
     lam = dc.get("lam")
-    if lam is None:
-        probe = np.linspace(-4.0, 4.0, 257)
-        pts = probe[:, None] if d == 1 else np.stack(
-            [t.ravel() for t in np.meshgrid(probe[::8], probe[::8], indexing="ij")], axis=1)
-        vals = a_field.values(pts)
-        lam = min(1.0, float(vals.min()), 1.0 / float(vals.max()))
-        if lam <= 0:
-            raise ValidationError("diffusion is not elliptic on the probe box; give 'lam'",
-                                  path="coefficients.diffusion")
-    A = DiffusionMatrixField.isotropic(a_field, float(lam))
+    A = a_field if lam is None else DiffusionMatrixField.isotropic(a_field, float(lam))
     drc = cfg["drift"]
     exprs = drc["expressions"]
     if len(exprs) != d:
@@ -312,7 +304,8 @@ def coefficients_from_config(cfg: dict) -> tuple[DiffusionMatrixField, DriftFiel
     return A, DriftField(comps, growth), d
 
 
-def model_from_config(cfg: dict) -> tuple[DiffusionMatrixField, DriftField, int, str]:
+def model_from_config(cfg: dict) -> tuple[DiffusionMatrixField | ScalarField, DriftField, int,
+                                          str]:
     """Resolve the model/coefficients choice to (A, b, dim, name)."""
     if cfg.get("model") is not None:
         catalog = {m.name: m for m in builtin_models()}

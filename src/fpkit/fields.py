@@ -271,8 +271,8 @@ class DiffusionMatrixField:
             out[:, j, i] = v
         return out
 
-    def eigenvalue_range(self, x: np.ndarray) -> tuple[float, float]:
-        """Smallest and largest eigenvalue of A over the sample points.
+    def eigenvalues(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Smallest and largest eigenvalue of A at each sample point.
 
         In d = 2 the eigenvalues of [[p, q], [q, s]] are
         m -/+ sqrt(((p - s) / 2)^2 + q^2) with m = (p + s) / 2, evaluated
@@ -280,20 +280,22 @@ class DiffusionMatrixField:
         """
         a = self.values(x)
         if self.dim == 1:
-            vals = a[:, 0, 0]
-            return float(vals.min()), float(vals.max())
+            return a[:, 0, 0], a[:, 0, 0]
         p, s, q = a[:, 0, 0], a[:, 1, 1], a[:, 0, 1]
         m = 0.5 * (p + s)
         rad = np.hypot(0.5 * (p - s), q)
-        return float((m - rad).min()), float((m + rad).max())
+        return m - rad, m + rad
 
     def check_ellipticity(self, x: np.ndarray, tol: float = 1e-9):
-        """Raise EllipticityError if any sampled eigenvalue leaves the window."""
-        lo, hi = self.eigenvalue_range(x)
-        if lo < self.lam - tol or hi > 1.0 / self.lam + tol:
+        """Raise EllipticityError, naming the sample point, if an eigenvalue leaves the window."""
+        lo, hi = self.eigenvalues(x)
+        i, j = int(np.argmin(lo)), int(np.argmax(hi))
+        below = lo[i] < self.lam - tol
+        if below or hi[j] > 1.0 / self.lam + tol:
+            at = ", ".join(f"{v:.6g}" for v in x[i if below else j])
             raise EllipticityError(
-                f"matrix {self.name!r}: sampled eigenvalues [{lo:.6g}, {hi:.6g}] leave "
-                f"[{self.lam:.6g}, {1.0 / self.lam:.6g}] (tol {tol:g})")
+                f"matrix {self.name!r}: sampled eigenvalues [{lo[i]:.6g}, {hi[j]:.6g}] leave "
+                f"[{self.lam:.6g}, {1.0 / self.lam:.6g}] (tol {tol:g}) at x=({at})")
 
     @classmethod
     def from_constant(cls, matrix, lam: float | None = None, name: str = "A"):

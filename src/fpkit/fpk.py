@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,6 +79,17 @@ def _scalar_diffusion(a) -> ScalarField:
     return a
 
 
+def _positive_values(a: ScalarField, pts: np.ndarray) -> np.ndarray:
+    """a at pts, or an EllipticityError naming a point where a is not positive."""
+    vals = a.values(pts)
+    i = int(np.argmin(vals))
+    if vals[i] <= 0.0:
+        at = ", ".join(f"{v:.6g}" for v in pts[i])
+        raise EllipticityError(f"diffusion coefficient nonpositive at x=({at}) "
+                               f"(value {vals[i]:.6g})")
+    return vals
+
+
 def _fine_profile_1d(a, b: DriftField, spec: GridSpec, subdiv: int = 8) -> dict:
     """Fine-mesh data for the 1D closed form: log-density and normalization.
 
@@ -89,14 +100,9 @@ def _fine_profile_1d(a, b: DriftField, spec: GridSpec, subdiv: int = 8) -> dict:
     """
     if spec.dim != 1:
         raise ValueError("1D solver called on a non-1D grid")
-    af = _scalar_diffusion(a)
     pts, hf = fine_mesh(spec.radius, spec.n, subdiv)
     X = pts[:, None]
-    a_vals = af.values(X)
-    if (a_vals <= 0.0).any():
-        i = int(np.argmin(a_vals))
-        raise EllipticityError(f"diffusion coefficient nonpositive at x={pts[i]:.6g} "
-                               f"(value {a_vals[i]:.6g})")
+    a_vals = _positive_values(_scalar_diffusion(a), X)
     b_vals = b.values(X)[:, 0]
     integ = cumulative_integral(b_vals / a_vals, hf)
     integ = integ - integ[len(pts) // 2]  # anchor the antiderivative at x = 0
@@ -204,22 +210,31 @@ def _generator(A: DiffusionMatrixField, b: DriftField,
 class PinnedFactor:
     """SuperLU factor of a pinned matrix, solving in the matrix's own cell order.
 
-    `order` is None when SuperLU chose the column order (MMD_AT_PLUS_A). Else
-    the factored matrix is the pinned matrix with its rows and columns taken
-    in `order` (position k holds cell order[k]), and solve permutes the
+    The factor owns its pin: `null`, its finite solution for e_pin, is solved
+    once. `order` is None when SuperLU chose the column order (MMD_AT_PLUS_A).
+    Else the factored matrix is the pinned matrix with its rows and columns
+    taken in `order` (position k holds cell order[k]), and solve permutes the
     right-hand side in and the solution back.
     """
 
     lu: spla.SuperLU
+    pin: int
     order: np.ndarray | None = None
+    null: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        rhs = np.zeros(self.lu.shape[0])
+        rhs[self.pin] = 1.0
+        null = self.solve(rhs)
+        if not np.all(np.isfinite(null)):
+            raise ConvergenceError("sparse direct solve produced non-finite values",
+                                   history=[np.inf])
+        null.flags.writeable = False
+        object.__setattr__(self, "null", null)
 
     @property
     def ordering(self) -> str:
         return "mmd" if self.order is None else "nested-dissection"
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.lu.shape
 
     @property
     def nnz(self) -> int:
@@ -242,7 +257,8 @@ def pinned_factor(M: sp.spmatrix, pin: int, order: np.ndarray | None = None) -> 
     the right-hand side there; callers fix the kernel component (normalize
     a mass, subtract a mean). A transposed solve (trans="T") solves M^T with
     column `pin` replaced by e_pin. An exactly singular factor is a
-    ConvergenceError.
+    ConvergenceError, and so is a pinned null vector (PinnedFactor.null) that
+    is not finite.
 
     Without `order`, SuperLU orders the columns by MMD_AT_PLUS_A. With an
     `order` of the cells (GridSpec.dissection_order), the pinned M is built
@@ -278,7 +294,7 @@ def pinned_factor(M: sp.spmatrix, pin: int, order: np.ndarray | None = None) -> 
         lu = spla.splu(P, permc_spec=permc_spec, panel_size=PANEL_SIZE, relax=RELAX)
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
         raise ConvergenceError(f"sparse factorization failed: {exc}", history=[np.inf]) from exc
-    return PinnedFactor(lu, order)
+    return PinnedFactor(lu, pin, order)
 
 
 def _permuted(M: sp.spmatrix, order: np.ndarray) -> sp.csc_matrix:
@@ -306,27 +322,27 @@ def _diffusion_matrix(A, spec: GridSpec) -> DiffusionMatrixField:
     """A itself, or a scalar diffusion a as the matrix a I.
 
     The declared ellipticity of a I is min(1, min a, 1 / max a) over the
-    cells, so its eigenvalues lie in [lambda, 1 / lambda].
+    cells of the grid being solved, so its eigenvalues lie in
+    [lambda, 1 / lambda]. A scalar diffusion that is not positive at some
+    cell is an EllipticityError naming that cell.
     """
     if not isinstance(A, ScalarField):
         return A
     if spec.dim != A.dim:
         raise ValueError("diffusion dimension does not match grid")
-    samp = A.values(spec.cell_centers())
+    samp = _positive_values(A, spec.cell_centers())
     lam = min(1.0, float(samp.min()), 1.0 / float(samp.max()))
-    if lam <= 0:
-        raise EllipticityError("scalar diffusion must be positive")
     return DiffusionMatrixField.isotropic(A, lam)
 
 
-def _pinned_generator(A, b: DriftField, spec: GridSpec):
-    """L_h, the pinned cell and the factor of the pinned L_h^T, built once per grid.
+def _pinned_generator(A, b: DriftField, spec: GridSpec) -> tuple[sp.csr_matrix, PinnedFactor]:
+    """L_h and the factor of the pinned L_h^T, built once per grid.
 
     Coerces a scalar diffusion to a I, checks ellipticity at the cell centers,
-    builds L_h (generator_matrix) and pins the center-most cell of L_h^T. A
-    plain solve with the factor gives the density (solve_grid) and the
-    adjoint null vector; a transposed solve gives the Poisson solution
-    (poisson.solve_poisson_grid). Both solves take and return grid order.
+    builds L_h (generator_matrix) and pins the center-most cell of L_h^T. The
+    factor owns the pin and its null vector, the density (solve_grid) and
+    the adjoint null vector (poisson.discrete_adjoint_null) once scaled; a
+    transposed solve gives the Poisson solution (poisson.solve_poisson_grid).
     When L_h has the cross term (a^01 not zero at every cell, the test
     generator_matrix uses to add it) the 9-point L_h^T is factored in the
     grid's nested-dissection order; a 5-point or 1d L_h^T keeps SuperLU's
@@ -336,23 +352,14 @@ def _pinned_generator(A, b: DriftField, spec: GridSpec):
     A.check_ellipticity(spec.cell_centers(), tol=ELLIPTICITY_TOL)
     L, cross = _generator(A, b, spec)
     pin = int(np.argmin(spec.center_radii()))
-    return L, pin, pinned_factor(L.T, pin, spec.dissection_order() if cross else None)
+    return L, pinned_factor(L.T, pin, spec.dissection_order() if cross else None)
 
 
-def _pinned_null(lu, pin: int) -> np.ndarray:
-    """Solution of the pinned L_h^T for the unit vector e_pin (unnormalized)."""
-    rhs = np.zeros(lu.shape[0])
-    rhs[pin] = 1.0
-    return lu.solve(rhs)
-
-
-def _null_density(spec: GridSpec, L: sp.csr_matrix, pin: int, lu: PinnedFactor,
-                  null: np.ndarray, strict: bool, check_truncation: bool) -> GridDensity:
+def _null_density(spec: GridSpec, L: sp.csr_matrix, lu: PinnedFactor, strict: bool,
+                  check_truncation: bool) -> GridDensity:
     """Scale the pinned null vector of L_h^T to unit mass and validate it (see solve_grid)."""
     M = L.T
-    raw = null / (null.sum() * spec.cell_volume)
-    if not np.all(np.isfinite(raw)):
-        raise ConvergenceError("sparse direct solve produced non-finite values", history=[np.inf])
+    raw = lu.null / (lu.null.sum() * spec.cell_volume)
 
     # relative residual of the full singular system, measured against the
     # cancellation-free magnitude |M| |rho|
@@ -375,7 +382,7 @@ def _null_density(spec: GridSpec, L: sp.csr_matrix, pin: int, lu: PinnedFactor,
     rho = GridDensity(spec, (raw / total).reshape(spec.shape),
                       info={"method": "generator-null", "residual": residual,
                             "residual_history": history, "clipped_mass": clipped_mass,
-                            "pinned_cell": pin, "ordering": lu.ordering,
+                            "pinned_cell": lu.pin, "ordering": lu.ordering,
                             "factor_nnz": lu.nnz})
     if check_truncation and rho.boundary_mass >= BOUNDARY_MASS_LIMIT:
         raise TruncationError(
@@ -402,8 +409,7 @@ def solve_grid(A, b: DriftField, spec: GridSpec, strict: bool = False,
     info records the residual, the clipped mass, the pinned cell, the factor's
     ordering ("mmd" or "nested-dissection") and its L + U nonzeros.
     """
-    L, pin, lu = _pinned_generator(A, b, spec)
-    return _null_density(spec, L, pin, lu, _pinned_null(lu, pin), strict, check_truncation)
+    return _null_density(spec, *_pinned_generator(A, b, spec), strict, check_truncation)
 
 
 def stationary_density(A, b: DriftField, spec: GridSpec, strict: bool = False) -> GridDensity:
@@ -476,10 +482,13 @@ def check_support(phi: SmoothTestFunction, spec: GridSpec):
 def apply_generator(A: DiffusionMatrixField, b: DriftField, phi: SmoothTestFunction,
                     pts: np.ndarray) -> np.ndarray:
     """L phi = tr(A D^2 phi) + <b, grad phi> at the given points."""
-    a_val = A.values(pts)
-    b_val = b.values(pts)
-    return (np.einsum("nij,nij->n", a_val, phi.hess(pts))
-            + np.einsum("ni,ni->n", b_val, phi.grad(pts)))
+    return generator_action(A.values(pts), b.values(pts), phi.hess(pts), phi.grad(pts))
+
+
+def generator_action(a_val: np.ndarray, b_val: np.ndarray, hess: np.ndarray,
+                     grad: np.ndarray) -> np.ndarray:
+    """tr(a D^2 phi) + <b, grad phi> from values at n points: (n, d, d) a, hess; (n, d) b, grad."""
+    return np.einsum("nij,nij->n", a_val, hess) + np.einsum("ni,ni->n", b_val, grad)
 
 
 def weak_residual(rho: GridDensity, A: DiffusionMatrixField, b: DriftField,

@@ -17,8 +17,8 @@ centered so that integral psi~ rho = 0, the solution machinery provides:
   differences with reflecting walls), the same operator whose transpose
   gives the grid density. L_h kills constants; solvability is restored by
   subtracting the projection constant <psi~, w> with w the discrete
-  adjoint null vector. One SuperLU factor of the pinned L_h^T serves both
-  solves: a plain solve gives w, and a transposed solve gives u with the
+  adjoint null vector. One SuperLU factor of the pinned L_h^T serves both:
+  its pinned null vector gives w, and a transposed solve gives u with the
   center-most cell pinned to u = 0. The kernel is then fixed by subtracting
   the B(0, 2 R0) cell average of u, so that average is zero. With a
   confining drift the artificial wall closure only pollutes a boundary
@@ -46,9 +46,8 @@ import numpy as np
 
 from .errors import ConfinementError, ConvergenceError, IncompatibilityError, TruncationError
 from .fields import ClosureField, DiffusionMatrixField, DriftField, ScalarField
-from .fpk import (ModelSpec, _diffusion_matrix, _fine_profile_1d, _null_density,
-                  _pinned_generator, _pinned_null, _scalar_diffusion, builtin_models,
-                  solve_exact_1d)
+from .fpk import (ModelSpec, PinnedFactor, _diffusion_matrix, _fine_profile_1d, _null_density,
+                  _pinned_generator, _scalar_diffusion, builtin_models, solve_exact_1d)
 from .grids import GridDensity, GridSpec
 from .quadrature import cumulative_integral
 
@@ -352,22 +351,16 @@ def solve_poisson_1d(problem: PoissonProblem, subdiv: int = 8, tail_tol: float =
 INCOMPATIBILITY_FACTOR = 10.0
 
 
-def _unit_sum(null: np.ndarray) -> np.ndarray:
-    """The pinned null vector of L_h^T scaled to sum 1."""
-    if not np.all(np.isfinite(null)):
-        raise ConvergenceError("adjoint null-vector solve failed")
-    total = null.sum()
-    if abs(total) < 1e-300:
-        raise ConvergenceError("adjoint null vector has zero mass")
-    return null / total
-
-
-def discrete_adjoint_null(lu, pin: int) -> np.ndarray:
+def discrete_adjoint_null(lu: PinnedFactor) -> np.ndarray:
     """Left null vector w of L_h (L_h^T w = 0), normalized to sum 1.
 
-    `lu` is pinned_factor(L_h^T, pin), so w is its solution for e_pin.
+    `lu` is the factor of the pinned L_h^T (fpk._pinned_generator), so w is
+    its pinned null vector scaled to sum 1.
     """
-    return _unit_sum(_pinned_null(lu, pin))
+    total = lu.null.sum()
+    if abs(total) < 1e-300:
+        raise ConvergenceError("adjoint null vector has zero mass")
+    return lu.null / total
 
 
 def solve_poisson_grid(problem: PoissonProblem) -> PoissonSolution:
@@ -375,7 +368,7 @@ def solve_poisson_grid(problem: PoissonProblem) -> PoissonSolution:
 
     Factors the pinned L_h^T once; that one factor gives w and u (and, in
     stationary_poisson, rho as well). The source is recentered against the
-    discrete adjoint null vector w (a plain solve with that factor); the
+    discrete adjoint null vector w (the factor's pinned null vector); the
     magnitude of that projection is the disagreement between the declared
     density and the discrete operator and must stay below
     INCOMPATIBILITY_FACTOR times the expected O(h^2) discretization scale.
@@ -386,16 +379,15 @@ def solve_poisson_grid(problem: PoissonProblem) -> PoissonSolution:
     exactly. The kernel direction (constants) is then fixed by subtracting
     the cell average of u over B(0, 2 R0).
     """
-    L, pin, lu = _pinned_generator(problem.A, problem.b, problem.spec)
-    return _solve_factored(problem, L, pin, lu, discrete_adjoint_null(lu, pin))
+    return _solve_factored(problem, *_pinned_generator(problem.A, problem.b, problem.spec))
 
 
-def _solve_factored(problem: PoissonProblem, L, pin: int, lu, w: np.ndarray) -> PoissonSolution:
-    """solve_poisson_grid on a given factor lu of the pinned L_h^T and its null vector w."""
+def _solve_factored(problem: PoissonProblem, L, lu: PinnedFactor) -> PoissonSolution:
+    """solve_poisson_grid on a given factor lu of the pinned L_h^T."""
     spec = problem.spec
     radii = spec.center_radii()
     psi_t = problem.psi_tilde_cells()
-    c_proj = float(w @ psi_t)
+    c_proj = float(discrete_adjoint_null(lu) @ psi_t)
     scale = spec.h ** 2 * (1.0 + float(np.abs(psi_t).max()))
     if abs(c_proj) > INCOMPATIBILITY_FACTOR * scale:
         raise IncompatibilityError(
@@ -406,15 +398,15 @@ def _solve_factored(problem: PoissonProblem, L, pin: int, lu, w: np.ndarray) -> 
 
     wit = lyapunov_constants(problem.A, problem.b, problem.k, r_max=spec.radius)
     rhs = psi_proj.copy()
-    rhs[pin] = 0.0
+    rhs[lu.pin] = 0.0
     u = lu.solve(rhs, trans="T")
     if not np.all(np.isfinite(u)):
         raise ConvergenceError("Poisson grid solve produced non-finite values")
-    u[pin] = 0.0
+    u[lu.pin] = 0.0
     u -= u[_pin_ball_mask(spec, wit.pin_radius)].mean()
 
     res_vec = np.abs(L @ u - psi_proj)
-    res_vec[pin] = 0.0  # pinned row is implied by the others
+    res_vec[lu.pin] = 0.0  # pinned row is implied by the others
     interior = radii <= spec.radius - 1.0
     residual = float(res_vec.max())
     residual_interior = float(res_vec[interior].max()) if interior.any() else residual
@@ -446,7 +438,7 @@ def _solve_factored(problem: PoissonProblem, L, pin: int, lu, w: np.ndarray) -> 
         residual=residual, residual_interior=residual_interior,
         pin_radius=wit.pin_radius,
         info={"method": "fd-grid", "projection_magnitude": abs(c_proj),
-              "lyapunov": wit, "pinned_cell": pin, "residual_cells": res_vec,
+              "lyapunov": wit, "pinned_cell": lu.pin, "residual_cells": res_vec,
               "centering_defect": problem.centering_defect(), "ordering": lu.ordering,
               "factor_nnz": lu.nnz})
 
@@ -465,20 +457,19 @@ def stationary_poisson(A, b: DriftField, psi: ScalarField, k: float, spec: GridS
 
     In d = 1 both are the closed forms (fpk.solve_exact_1d, solve_poisson_1d).
     In d = 2 one SuperLU factor of the pinned L_h^T gives rho, w and u: its
-    plain solve for e_pin is the density, validated as in fpk.solve_grid
-    (SchemePositivityError on clipped mass in strict mode), and, scaled to
-    sum 1, the adjoint null vector w; its transposed solve gives u. The
-    result equals stationary_density followed by solve_poisson bit for bit,
-    with one factorization instead of two.
+    pinned null vector (PinnedFactor.null), scaled to unit mass, is the
+    density, validated as in fpk.solve_grid (SchemePositivityError on clipped
+    mass in strict mode), and, scaled to sum 1, the adjoint null vector w;
+    its transposed solve gives u. The result equals stationary_density
+    followed by solve_poisson bit for bit, with one factorization instead of
+    two.
     """
     if spec.dim == 1:
         rho = solve_exact_1d(A, b, spec)
         return rho, solve_poisson_1d(PoissonProblem(A, b, psi, k, rho, p=p))
-    L, pin, lu = _pinned_generator(A, b, spec)
-    null = _pinned_null(lu, pin)
-    rho = _null_density(spec, L, pin, lu, null, strict, check_truncation=True)
-    problem = PoissonProblem(A, b, psi, k, rho, p=p)
-    return rho, _solve_factored(problem, L, pin, lu, _unit_sum(null))
+    L, lu = _pinned_generator(A, b, spec)
+    rho = _null_density(spec, L, lu, strict, check_truncation=True)
+    return rho, _solve_factored(PoissonProblem(A, b, psi, k, rho, p=p), L, lu)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .fields import DiffusionMatrixField, DriftField, GrowthParams
-from .fpk import check_support, stationary_density
+from .fpk import check_support, generator_action, stationary_density
 from .grids import GridDensity, GridSpec, require_same_grid
 from .oscillation import fit_line
 from .testfunctions import SmoothTestFunction
@@ -100,6 +100,8 @@ class StabilityReport:
     rhs_diffusion = (integral |A_mu - A_sigma|_F^r drho_sigma)^{1/r};
     rhs_drift = integral |b_mu - b_sigma| (1 + |x|^{beta+k}) drho_sigma;
     c_hat = lhs / (rhs_diffusion + rhs_drift), nan for a coincident pair.
+    clipped_mass is the larger negative mass clipped from the two densities
+    (0 for the closed-form 1d densities, which never clip).
     """
 
     k: float
@@ -107,6 +109,7 @@ class StabilityReport:
     lhs: float
     rhs_diffusion: float
     rhs_drift: float
+    clipped_mass: float = 0.0
 
     @property
     def rhs(self) -> float:
@@ -144,8 +147,9 @@ def estimate_stability(pair: CoefficientPair, spec: GridSpec, k: float,
     rho_mu, rho_sigma = pair.solve_pair(spec, strict=strict)
     lhs = weighted_l1_distance(rho_mu, rho_sigma, k)
     diffusion, drift = rhs_discrepancy(pair, rho_sigma, k, r)
-    return StabilityReport(k=float(k), r=float(r), lhs=lhs,
-                           rhs_diffusion=diffusion, rhs_drift=drift)
+    clipped = max(rho.info.get("clipped_mass", 0.0) for rho in (rho_mu, rho_sigma))
+    return StabilityReport(k=float(k), r=float(r), lhs=lhs, rhs_diffusion=diffusion,
+                           rhs_drift=drift, clipped_mass=clipped)
 
 
 @dataclass(frozen=True)
@@ -178,13 +182,12 @@ def duality_check(pair: CoefficientPair, rho_mu: GridDensity, rho_sigma: GridDen
     hess = v.hess(pts)
     grad = v.grad(pts)
     a_mu = pair.a_mu.values(pts)
-    gen_mu = np.einsum("nij,nij->n", a_mu, hess) + np.einsum(
-        "ni,ni->n", pair.b_mu.values(pts), grad)
+    b_mu = pair.b_mu.values(pts)
+    gen_mu = generator_action(a_mu, b_mu, hess, grad)
     lhs = float(np.sum(gen_mu * (rho_mu.flat() - rho_sigma.flat())) * vol)
 
-    da = a_mu - pair.a_sigma.values(pts)
-    db = pair.b_mu.values(pts) - pair.b_sigma.values(pts)
-    mism = np.einsum("nij,nij->n", da, hess) + np.einsum("ni,ni->n", db, grad)
+    mism = generator_action(a_mu - pair.a_sigma.values(pts), b_mu - pair.b_sigma.values(pts),
+                            hess, grad)
     rhs = -float(np.sum(mism * rho_sigma.flat()) * vol)
     return DualityReport(lhs=lhs, rhs=rhs)
 

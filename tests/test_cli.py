@@ -6,6 +6,7 @@ run_report.json manifest.
 """
 
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -19,6 +20,9 @@ from fpkit import __version__, poisson
 from fpkit.cli import main, resolve_workers, write_csv
 from fpkit.config import field_from_config, model_from_config, validate_command_config
 from fpkit.errors import ValidationError
+from fpkit.fields import ExpressionField, linear_drift
+from fpkit.fpk import solve_grid
+from fpkit.grids import GridSpec
 from fpkit.poisson import verify_growth_bounds
 
 REPORT_KEYS = {"command", "version", "config_digest", "seed", "checks", "passed", "outcome",
@@ -222,21 +226,38 @@ class TestNumericalExits:
     @pytest.mark.parametrize("command,cfg", [
         ("solve", {"model": "ou-2d"}),
         ("poisson", {"model": "ou-2d", "psi": {"expression": "x1"}, "k": 1.0}),
+        ("meanfield", {"eps": 0.05, "starts": [0.5], "threshold": False, "dim": 2}),
+        ("stability", {"family": "drift-linear", "dim": 2, "deltas": [0.01, 0.03, 0.1]}),
     ])
     def test_lenient_run_warns_of_a_clipped_density(self, tmp_path, command, cfg):
         # regression: a lenient run that clipped 6e-3 of its mass (the case of
         # test_strict_rejects_a_clipped_density) said nothing in its report
+        where = {"solve": [{}],
+                 # poisson also solves its second check grid (R = 16, n = 32), which clips too
+                 "poisson": [{}, {"radius": 16.0, "n": 32}],
+                 "meanfield": [{"start": 0.5}],
+                 "stability": [{"delta": d} for d in cfg.get("deltas", ())]}[command]
         cfg = {**cfg, "radius": 8, "n": 16}
         code, report, _ = run_cli(tmp_path, command, cfg)
         assert code == 0
-        warning = report["warnings"][0]
-        assert warning == {"kind": "clipped_mass", "value": warning["value"], "limit": 1e-6,
-                           "radius": 8.0, "n": 16}
-        assert warning["value"] == pytest.approx(6.44e-3, rel=1e-2)
-        assert warning["value"] == report["summary"]["telemetry"]["clipped_mass"]
-        # poisson also solves its second check grid (R = 16, n = 32), which clips too
-        assert [(w["radius"], w["n"]) for w in report["warnings"][1:]] == \
-            ([(16.0, 32)] if command == "poisson" else [])
+        warnings = report["warnings"]
+        assert [{k: v for k, v in w.items() if k != "value"} for w in warnings] == \
+            [{"kind": "clipped_mass", "limit": 1e-6, "radius": 8.0, "n": 16, **w} for w in where]
+        assert warnings[0]["value"] == pytest.approx(6.44e-3, rel=1e-2)
+        if command in ("solve", "poisson"):
+            assert warnings[0]["value"] == report["summary"]["telemetry"]["clipped_mass"]
+        else:
+            assert all(w["value"] == pytest.approx(6.44e-3, rel=1e-2) for w in warnings)
+
+    def test_lenient_sweep_points_warn(self, tmp_path):
+        cfg = {"task": "meanfield", "axis": [0.02, 0.05, 0.08],
+               "base": {"dim": 2, "radius": 8, "n": 16, "threshold": False, "starts": [0.5]}}
+        code, _, out_dir = run_cli(tmp_path, "sweep", cfg, "--workers", "1")
+        assert code == 0
+        for i in range(3):
+            point = json.loads((out_dir / f"point-{i:03d}" / "run_report.json").read_text())
+            [warning] = point["warnings"]
+            assert (warning["kind"], warning["start"]) == ("clipped_mass", 0.5)
 
     def test_strict_sweep_point_failure_reports_at_both_levels(self, tmp_path, capsys):
         # the clipped density of test_strict_rejects_a_clipped_density, at every point
@@ -332,6 +353,51 @@ class TestTelemetry:
     def test_one_dimensional_solve_has_no_factor(self, tmp_path):
         _, report, _ = run_cli(tmp_path, "solve", SMALL_CONFIGS["solve"])
         assert "telemetry" not in report["summary"]
+
+    def test_one_dimensional_solve_reports_no_residual(self, tmp_path):
+        # regression: the closed form measures no residual, yet the report said 0.0
+        code, report, _ = run_cli(tmp_path, "solve", {"model": "ou-1d", "n": 1024})
+        assert code == 0
+        assert report["summary"]["method"] == "exact-1d"
+        assert report["summary"]["residual"] is None
+
+
+class TestScalarDiffusion:
+    """A coefficients block without "lam" is a scalar diffusion; the solve grid sets lambda."""
+
+    @staticmethod
+    def block(diffusion, dim=2):
+        return {"dim": dim, "diffusion": diffusion,
+                "drift": {"expressions": ["-x1", "-x2"][:dim], "beta1": 1.0, "beta2": 1.0,
+                          "beta3": 1.0}}
+
+    def test_lambda_comes_from_the_solve_grid(self, tmp_path):
+        # regression: lambda was probed on [-4, 4]^2, so this diffusion's
+        # eigenvalues [1.035, 2.096] on the R = 8 grid left [0.639, 1.566] (exit 3)
+        cfg = {"coefficients": self.block({"expression": "1 + 0.1*r"}), "radius": 8, "n": 32}
+        code, _, out_dir = run_cli(tmp_path, "solve", cfg)
+        assert code == 0
+        spec = GridSpec(2, 8.0, 32)
+        rho = solve_grid(ExpressionField("1 + 0.1*r", 2), linear_drift(2), spec)
+        pts = spec.cell_centers()
+        ref = write_csv(str(tmp_path / "reference.csv"), ["x1", "x2", "rho"],
+                        zip(pts[:, 0], pts[:, 1], rho.flat()))
+        assert (out_dir / "density.csv").read_bytes() == Path(ref).read_bytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("lam", [None, 0.5])
+    def test_sign_indefinite_diffusion_exits_three(self, tmp_path, capsys, dim, lam):
+        # regression: without "lam" this exited 2 with the advice to give "lam",
+        # and with "lam" the 2d check exited 3 without saying where a failed
+        diffusion = {"expression": "x1"} if lam is None else {"expression": "x1", "lam": lam}
+        cfg = {"coefficients": self.block(diffusion, dim), "radius": 8, "n": 32}
+        code, report, _ = run_cli(tmp_path, "solve", cfg)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: EllipticityError:")
+        assert_error_report(report, "EllipticityError")
+        x1 = float(re.search(r"at x=\(?([-+.e\d]+)", err).group(1))
+        assert x1 <= 0.0  # a point where a = x1 is not positive
 
 
 class TestSweepModes:

@@ -1,11 +1,14 @@
 """Schema validation and object construction for CLI configs."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fpkit.config import (
+    SCHEMAS,
     coefficients_from_config,
     field_from_config,
     grid_from_config,
@@ -14,7 +17,10 @@ from fpkit.config import (
     model_from_config,
     validate_command_config,
 )
-from fpkit.errors import ValidationError
+from fpkit.errors import EllipticityError, ValidationError
+from fpkit.fields import ScalarField
+from fpkit.fpk import _diffusion_matrix, stationary_density
+from fpkit.grids import GridSpec
 
 
 def dini_cfg(**over):
@@ -87,7 +93,8 @@ class TestCommandRules:
 
     def test_solve_defaults_fill_in(self):
         out = validate_command_config("solve", {"model": "ou-1d"})
-        assert out["method"] == "auto"
+        # stationary_density picks the solver and --strict sets strictness
+        assert not {"method", "strict"} & set(out)
         assert out["weight_order"] == 1.0
         assert out["seed"] == 0
         assert out["n"] is None
@@ -208,19 +215,26 @@ class TestCoefficientBuilder:
             coefficients_from_config(cfg["coefficients"])
         assert exc.value.path == "coefficients.drift.expressions"
 
-    def test_lam_probed_from_the_diffusion_when_absent(self):
-        cfg = validate_command_config(
-            "solve", {"coefficients": coeff_block(diffusion={"expression": "2 + 0*x1"})})
+    def test_scalar_diffusion_without_lam(self):
+        # lambda is set on the cells of the grid being solved, not on a fixed box
+        block = coeff_block(dim=2, expressions=("-x1", "-x2"),
+                            diffusion={"expression": "1 + 0.1*r"})
+        cfg = validate_command_config("solve", {"coefficients": block})
         A, b, dim = coefficients_from_config(cfg["coefficients"])
-        # min(1, min a, 1/max a) on the probe box
-        assert A.lam == pytest.approx(0.5)
-        assert dim == 1
+        assert isinstance(A, ScalarField) and dim == 2
+        # min(1, min a, 1/max a) over the cells; a is largest at the corner cells
+        corner = 1.0 + 0.1 * 7.75 * np.sqrt(2.0)
+        assert _diffusion_matrix(A, GridSpec(2, 8.0, 32)).lam == pytest.approx(1.0 / corner)
+        cfg["coefficients"]["diffusion"]["lam"] = 0.25
+        A, _, _ = coefficients_from_config(cfg["coefficients"])
+        assert A.lam == 0.25
 
-    def test_sign_indefinite_diffusion_is_refused_without_lam(self):
-        cfg = validate_command_config(
-            "solve", {"coefficients": coeff_block(diffusion={"expression": "x1"})})
-        with pytest.raises(ValidationError, match="not elliptic on the probe box"):
-            coefficients_from_config(cfg["coefficients"])
+    def test_sign_indefinite_diffusion_is_refused_by_the_solve(self):
+        block = coeff_block(dim=2, expressions=("-x1", "-x2"), diffusion={"expression": "x1"})
+        cfg = validate_command_config("solve", {"coefficients": block})
+        A, b, _ = coefficients_from_config(cfg["coefficients"])
+        with pytest.raises(EllipticityError, match=r"nonpositive at x=\(-7.75, -7.75\)"):
+            stationary_density(A, b, GridSpec(2, 8.0, 32))
 
     def test_growth_parameters_are_carried_over(self):
         block = coeff_block()
@@ -282,3 +296,25 @@ class TestKernelCatalog:
     def test_unknown_kernel(self):
         with pytest.raises(ValidationError, match="unknown kernel 'box'"):
             kernel_from_name("box", 1)
+
+
+class TestReadmeConfigs:
+    """Every JSON config in README.md validates under the command it documents."""
+
+    @staticmethod
+    def documented_configs() -> list[tuple[str, dict]]:
+        # a ```json block documents the last `fpkit <command>` named before it
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        out = []
+        for block in re.finditer(r"```json\n(.*?)```", text, re.S):
+            commands = re.findall(r"`fpkit (\w+)", text[:block.start()])
+            assert commands, f"no `fpkit <command>` before README config {block.group(1)!r}"
+            out.append((commands[-1], json.loads(block.group(1))))
+        return out
+
+    def test_every_command_is_documented(self):
+        assert {command for command, _ in self.documented_configs()} == set(SCHEMAS)
+
+    def test_documented_configs_validate(self):
+        for command, cfg in self.documented_configs():
+            validate_command_config(command, cfg)

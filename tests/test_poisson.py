@@ -22,7 +22,6 @@ from fpkit.fpk import (
     ELLIPTICITY_TOL,
     PinnedFactor,
     _null_density,
-    _pinned_null,
     builtin_models,
     generator_matrix,
     pinned_factor,
@@ -34,7 +33,6 @@ from fpkit.poisson import (
     PoissonProblem,
     _pin_ball_mask,
     _solve_factored,
-    _unit_sum,
     builtin_poisson_cases,
     discrete_adjoint_null,
     lyapunov_constants,
@@ -260,7 +258,7 @@ class TestGridSolver:
         spec = GridSpec(m.dim, 8.0, 256 if m.dim == 1 else 32)
         pin = int(np.argmin(spec.center_radii()))
         MT = generator_matrix(m.A, m.b, spec).T
-        w = discrete_adjoint_null(pinned_factor(MT, pin), pin)
+        w = discrete_adjoint_null(pinned_factor(MT, pin))
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.abs(MT @ w).max() <= 1e-10 * (abs(MT) @ np.abs(w)).max()
 
@@ -384,13 +382,11 @@ class TestSharedFactor:
         P.data[P.indices == pin] = 0.0
         P[pin, pin] = 1.0
         P.eliminate_zeros()
-        mmd = PinnedFactor(spla.splu(P, permc_spec="MMD_AT_PLUS_A"))
+        mmd = PinnedFactor(spla.splu(P, permc_spec="MMD_AT_PLUS_A"), pin)
         assert rho.info["ordering"] == sol.info["ordering"] == "nested-dissection"
         assert rho.info["factor_nnz"] == sol.info["factor_nnz"] < mmd.nnz
-        null = _pinned_null(mmd, pin)
-        ref_rho = _null_density(spec, L, pin, mmd, null, strict=False, check_truncation=True)
-        ref = _solve_factored(PoissonProblem(m.A, m.b, psi, 1.0, ref_rho), L, pin, mmd,
-                              _unit_sum(null))
+        ref_rho = _null_density(spec, L, mmd, strict=False, check_truncation=True)
+        ref = _solve_factored(PoissonProblem(m.A, m.b, psi, 1.0, ref_rho), L, mmd)
         assert np.abs(rho.values - ref_rho.values).max() <= 1e-12 * ref_rho.values.max()
         assert np.abs(sol.u - ref.u).max() <= 1e-12 * np.abs(ref.u).max()
 
