@@ -11,12 +11,15 @@ numerics, and writes into the output directory:
   message when the numerics raise), wall time, the artifact manifest and a
   list of warnings (possibly empty). A lenient run warns ("clipped_mass")
   of each density that clipped more mass than fpk.CLIP_MASS_LIMIT: each grid
-  of solve and poisson, each meanfield "start"'s fixed point, each stability
-  "delta"'s pair, in the run's own report (a sweep point's, in a sweep).
-  The 2d solve and poisson summaries carry the solver telemetry of the main
-  grid: residual, clipped mass, pinned cell, the factor's ordering and its
-  L + U nonzeros (the 1d closed form has a null residual). Timings vary, so
-  the report is the one artifact excluded from the byte-identical guarantee.
+  of solve and poisson, each meanfield "start"'s fixed point, the probe
+  images behind meanfield's "max_factor" (per "eps") and "eps_threshold"
+  (the bisection's worst "eps"), each stability "delta"'s pair, in the run's
+  own report (a sweep point's, in a sweep). The 2d solve and poisson
+  summaries carry the solver telemetry of the main grid: residual, clipped
+  mass, pinned cell, the factor's ordering and its L + U nonzeros, and for
+  poisson the Lyapunov witness (m0, r0) (the 1d closed form has a null
+  residual). Timings vary, so the report is the one artifact excluded from
+  the byte-identical guarantee.
   A numerical failure (exit 3) still writes the report; a config or
   parameter error (exit 2) does not.
 
@@ -35,6 +38,7 @@ subdirectory per point and a merged summary sorted by axis value.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -52,8 +56,8 @@ from .fields import DiffusionMatrixField, linear_drift
 from .fpk import (CLIP_MASS_LIMIT, harnack_ratio, moment_report, stationary_density,
                   weighted_lp_norm)
 from .grids import GridSpec
-from .meanfield import (MeanFieldModel, contraction_estimate, epsilon_threshold,
-                        gaussian_probe, picard_iterate)
+from .meanfield import (MeanFieldModel, contraction_estimate, gaussian_probe, picard_iterate,
+                        threshold_search)
 from .oscillation import SamplingSpec, dini_integral, dini_mean_oscillation
 from .poisson import check_grids, growth_bound_report, stationary_poisson
 from .stability import CoefficientPair, stability_sweep, weighted_l1_distance
@@ -256,6 +260,8 @@ def run_poisson(ctx: RunContext, cfg: dict, strict: bool) -> dict:
               ["radius", "g0_over_psi", "g1_over_psi", "h_over_psi"],
               [(r, *q) for r, q in zip(rep.radii, rep.quotients)])
     wit = sol.info["lyapunov"]
+    if dim == 2:
+        ctx.summary["telemetry"]["lyapunov"] = {"m0": wit.m0, "r0": wit.r0}
     ctx.summary.update({
         "model": name, "k": cfg["k"], "residual_interior": sol.residual_interior,
         "psi_sup": sol.psi_sup, "g0": sol.g0, "g1": sol.g1, "h_norm": sol.h_norm,
@@ -271,18 +277,19 @@ def run_poisson(ctx: RunContext, cfg: dict, strict: bool) -> dict:
 
 
 def _stability_pair_family(cfg: dict):
+    """delta -> CoefficientPair of the config's family; every pair shares one sigma = (I, -x)."""
     dim = cfg["dim"]
     eye = np.eye(dim)
     A1 = DiffusionMatrixField.from_constant(eye, 1.0)
+    b1 = linear_drift(dim, 1.0)
     if cfg["family"] == "drift-linear":
         def make(delta: float) -> CoefficientPair:
-            return CoefficientPair(A1, linear_drift(dim, 1.0 + delta),
-                                   A1, linear_drift(dim, 1.0))
+            return CoefficientPair(A1, linear_drift(dim, 1.0 + delta), A1, b1)
     else:
         def make(delta: float) -> CoefficientPair:
             Am = DiffusionMatrixField.from_constant(eye * (1.0 + delta),
                                                     lam=min(1.0, 1.0 / (1.0 + delta)))
-            return CoefficientPair(Am, linear_drift(dim, 1.0), A1, linear_drift(dim, 1.0))
+            return CoefficientPair(Am, linear_drift(dim, 1.0), A1, b1)
     return make
 
 
@@ -353,12 +360,17 @@ def run_meanfield(ctx: RunContext, cfg: dict, strict: bool) -> dict:
         "m_hat": traces[0].m_hat if traces else None,
     }
     if cfg["threshold"]:
-        summary["eps_threshold"] = epsilon_threshold(model, spec, strict=strict)
+        summary["eps_threshold"], tried = threshold_search(model, spec, strict=strict)
+        worst = max(tried, key=lambda est: est.clipped_mass)
+        ctx.note_clipping(worst.clipped_mass, spec, eps=worst.eps, probes="eps_threshold")
     if cfg["eps_grid"]:
-        facs = [contraction_estimate(model.with_eps(e), spec, strict=strict).factor
+        ests = [contraction_estimate(model.with_eps(e), spec, strict=strict)
                 for e in cfg["eps_grid"]]
+        facs = [est.factor for est in ests]
         write_csv(ctx.path("response.csv"), ["eps", "factor"], zip(cfg["eps_grid"], facs))
         summary["max_factor"] = max(facs)
+        for est in ests:
+            ctx.note_clipping(est.clipped_mass, spec, eps=est.eps, probes="max_factor")
     ctx.summary.update(summary)
     return {"converged": bool(summary["converged"]),
             "fixed_points_agree": bool(spread <= 1e-5),
@@ -422,7 +434,9 @@ def run_sweep(ctx: RunContext, cfg: dict, strict: bool, workers: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fpkit",
         description="stationary Kolmogorov equation toolkit: solvers, bounds, sweeps")

@@ -223,6 +223,21 @@ class ExpressionField(ScalarField):
 # ---------------------------------------------------------------------------
 
 
+def sampled_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalue of each matrix of an (m, d, d) symmetric stack.
+
+    In d = 2 the eigenvalues of [[p, q], [q, s]] are
+    m -/+ sqrt(((p - s) / 2)^2 + q^2) with m = (p + s) / 2, evaluated for
+    all points at once.
+    """
+    if a.shape[1] == 1:
+        return a[:, 0, 0], a[:, 0, 0]
+    p, s, q = a[:, 0, 0], a[:, 1, 1], a[:, 0, 1]
+    m = 0.5 * (p + s)
+    rad = np.hypot(0.5 * (p - s), q)
+    return m - rad, m + rad
+
+
 class DiffusionMatrixField:
     """Symmetric diffusion matrix A(x) with declared ellipticity window.
 
@@ -261,34 +276,27 @@ class DiffusionMatrixField:
         return self._entries[(i, j)]
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate to an (m, d, d) symmetric stack."""
+        """Evaluate to an (m, d, d) symmetric stack; a field in several slots is evaluated once."""
         x = np.asarray(x, dtype=float)
         m = x.shape[0]
         out = np.empty((m, self.dim, self.dim))
+        vals = {}
         for (i, j), f in self._entries.items():
-            v = f.values(x)
-            out[:, i, j] = v
-            out[:, j, i] = v
+            if id(f) not in vals:
+                vals[id(f)] = f.values(x)
+            out[:, i, j] = out[:, j, i] = vals[id(f)]
         return out
 
     def eigenvalues(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Smallest and largest eigenvalue of A at each sample point.
+        """Smallest and largest eigenvalue of A at each sample point (sampled_eigenvalues)."""
+        return sampled_eigenvalues(self.values(x))
 
-        In d = 2 the eigenvalues of [[p, q], [q, s]] are
-        m -/+ sqrt(((p - s) / 2)^2 + q^2) with m = (p + s) / 2, evaluated
-        for all points at once.
+    def check_ellipticity(self, x: np.ndarray, tol: float = 1e-9, a: np.ndarray | None = None):
+        """Raise EllipticityError, naming the sample point, if an eigenvalue leaves the window.
+
+        `a` is A at x, as from values(x), when the caller has sampled it already.
         """
-        a = self.values(x)
-        if self.dim == 1:
-            return a[:, 0, 0], a[:, 0, 0]
-        p, s, q = a[:, 0, 0], a[:, 1, 1], a[:, 0, 1]
-        m = 0.5 * (p + s)
-        rad = np.hypot(0.5 * (p - s), q)
-        return m - rad, m + rad
-
-    def check_ellipticity(self, x: np.ndarray, tol: float = 1e-9):
-        """Raise EllipticityError, naming the sample point, if an eigenvalue leaves the window."""
-        lo, hi = self.eigenvalues(x)
+        lo, hi = sampled_eigenvalues(self.values(x) if a is None else a)
         i, j = int(np.argmin(lo)), int(np.argmax(hi))
         below = lo[i] < self.lam - tol
         if below or hi[j] > 1.0 / self.lam + tol:

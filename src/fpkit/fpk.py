@@ -12,27 +12,31 @@ formal adjoint equation sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0):
 * solve_grid: the transpose of the discrete generator, in d = 1, 2.
   generator_matrix builds L_h = sum_i diag(a^ii) D2_i + diag(b^i) D1_i
   + diag(2 a^01) D1_0 D1_1 from the centered first and second differences
-  D1, D2 as one table of neighbour weights: each cell holds 3^d weights,
-  one per offset in {-1, 0, 1}^d, and each term adds its coefficient times
-  its tap weight into the slot of the tap's offset. A tap past a wall folds
-  onto the offset clamped axis by axis (a reflecting ghost), and one
-  diagonal-format build turns the table into CSR. Coefficients are
-  evaluated at the cell centers and the cross term is skipped when a^01
-  vanishes at every cell. The rows of L_h sum to zero, so the density
-  operator M = L_h^T conserves mass (its columns sum to zero) and the
-  equation of the center-most cell is implied by the others. The singular
-  system M rho = 0 is closed by pinning that cell (its row becomes the unit
-  row, value 1) and the solution is then scaled to the normalization
-  sum rho h^d = 1. The grid density is thus a discrete probability solution
-  of the same L_h that the Poisson solver (poisson.solve_poisson_grid)
-  inverts: sum_x rho (L_h phi) = 0 for every grid function phi. Both build
-  and factor the pinned L_h^T in _pinned_generator, and
+  D1, D2 as one table of neighbour weights: each cell holds one weight per
+  offset of the stencil (3 in 1d, 5 in 2d, 9 with a cross term), and each
+  term adds its coefficient times its tap weight into the slots it touches.
+  A tap past a wall folds onto the offset clamped axis by axis (a
+  reflecting ghost). The nonzero slots of each cell, in the order of their
+  offsets, are its CSR row. Coefficients are sampled once per grid at the
+  cell centers, A as an (N, d, d) array and b as an (N, d) array, and the
+  ellipticity check, a scalar diffusion's lambda and the table all read
+  those samples; the cross term is skipped when a^01 vanishes at every
+  cell. The rows of L_h sum to zero, so the density operator M = L_h^T
+  conserves mass (its columns sum to zero) and the equation of the
+  center-most cell is implied by the others. The singular system M rho = 0
+  is closed by pinning that cell (its row becomes the unit row, value 1)
+  and the solution is then scaled to the normalization sum rho h^d = 1.
+  The grid density is thus a discrete probability solution of the same L_h
+  that the Poisson solver (poisson.solve_poisson_grid) inverts:
+  sum_x rho (L_h phi) = 0 for every grid function phi. Both build and
+  factor the pinned L_h^T in _pinned_generator, which writes it from the
+  same table (the CSR arrays of L_h are the CSC arrays of L_h^T), and
   poisson.stationary_poisson takes the density and the Poisson solution
-  from one factor. pinned_factor runs SuperLU with small fixed supernodes
+  from one factor. SuperLU runs with small fixed supernodes
   (PANEL_SIZE = 2, RELAX = 2), chosen by a timing sweep on both grid
   stencils; they change how the factor is blocked, not its fill. The
   ordering depends on the stencil. A 5-point (or 1d) L_h^T is ordered by
-  SuperLU's MMD_AT_PLUS_A. A 9-point L_h^T (a cross term a^01) is built
+  SuperLU's MMD_AT_PLUS_A. A 9-point L_h^T (a cross term a^01) is written
   in the grid's nested-dissection order (GridSpec.dissection_order) and
   factored in that order: at n = 256 that cuts anisotropic-2d's L + U fill
   from 5.71M to 5.28M nonzeros and its factor time by 35-45 %, while on
@@ -67,7 +71,7 @@ BOUNDARY_MASS_LIMIT = 1e-4
 RESIDUAL_LIMIT = 1e-10
 ELLIPTICITY_TOL = 1e-6
 CLIP_MASS_LIMIT = 1e-6
-PANEL_SIZE = 2  # SuperLU panel size and supernode relaxation (see pinned_factor)
+PANEL_SIZE = 2  # SuperLU panel size and supernode relaxation (see _factor)
 RELAX = 2
 
 
@@ -151,59 +155,94 @@ def generator_matrix(A: DiffusionMatrixField, b: DriftField, spec: GridSpec) -> 
 
     L_h = sum_i diag(a^ii) D2_i + diag(b^i) D1_i + diag(2 a^01) D1_0 D1_1, with
     coefficients at the cell centers and D1, D2 the centered first and second
-    differences. Row r of L_h is kept as a table of 3^d neighbour weights, one
-    per offset o in {-1, 0, 1}^d (slot index sum_i (o_i + 1) 3^(d-1-i)). Each
-    term adds its coefficient times its tap weight into the slot of the tap's
-    offset; a tap past a wall folds onto the offset clamped axis by axis, so
-    the neighbour past a wall is the wall cell itself (a reflecting ghost) and
-    the rows sum to zero. The cross term is skipped when a^01 vanishes at
-    every cell. Slot o is the diagonal sum_i o_i n^(d-1-i) of L_h, so the
-    table becomes the CSR matrix through one diagonal-format conversion.
+    differences. Row r of L_h is kept as a table of neighbour weights, one
+    slot per offset of the stencil (_weight_table); a tap past a wall folds
+    onto the offset clamped axis by axis, so the neighbour past a wall is the
+    wall cell itself (a reflecting ghost) and the rows sum to zero. The cross
+    term is skipped when a^01 vanishes at every cell. The nonzero slots of
+    row r, in the order of their offsets, are the CSR row r (_compressed).
     """
-    return _generator(A, b, spec)[0]
-
-
-def _generator(A: DiffusionMatrixField, b: DriftField,
-               spec: GridSpec) -> tuple[sp.csr_matrix, bool]:
-    """generator_matrix, and whether L_h has the cross term (a 9-point stencil)."""
-    n, h, d = spec.n, spec.h, spec.dim
     pts = spec.cell_centers()
-    pos = np.arange(n)
+    T, offsets = _weight_table(A.values(pts), b.values(pts), spec)
+    return sp.csr_matrix(_compressed(T, offsets), shape=(spec.n_cells,) * 2)
 
-    def folded(*taps):
+
+def _weight_table(a: np.ndarray, b_c: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour weights of L_h from samples a: (N, d, d) and b_c: (N, d) at the cells.
+
+    Returns the (N, S) table and the (S,) int32 column offsets of its slots.
+    The slots are the stencil's offsets o in {-1, 0, 1}^d in lexicographic
+    order, so the column offsets sum_i o_i n^(d-1-i) ascend: the 3 of 1d, the
+    5 of the 2d plus stencil, or all 9 when a^01 is nonzero at some cell.
+    Each term adds (weight along axis 0 * weight along axis 1) * coefficient
+    into the slots it touches, in the order a^00, b^0, a^11, b^1, cross. The
+    table is filled slot by slot, each slot a grid of cells, and returned
+    cell by cell.
+    """
+    n, h, d = spec.n, spec.h, spec.dim
+
+    def folded(*weights):
         """(3, n) weights of a 1d stencil by clamped offset -1, 0, 1 at each position."""
-        F = np.zeros((3, n))
-        for k, w in taps:
-            F[np.clip(pos + k, 0, n - 1) - pos + 1, pos] += w
+        F = np.repeat(np.array(weights)[:, None], n, axis=1)
+        F[1, 0] += F[0, 0]  # the tap past a wall is the wall cell itself
+        F[1, -1] += F[2, -1]
+        F[0, 0] = F[2, -1] = 0.0
         return F
 
-    eye = folded((0, 1.0))
-    D1 = folded((-1, -0.5 / h), (1, 0.5 / h))
-    D2 = folded((-1, 1.0 / h ** 2), (0, -2.0 / h ** 2), (1, 1.0 / h ** 2))
-    b_c = b.values(pts)
-    terms = [(coef, [op if j == i else eye for j in range(d)]) for i in range(d)
-             for op, coef in ((D2, A.entry(i, i).values(pts)), (D1, b_c[:, i]))]
-    cross = False
-    if d == 2:
-        a01 = A.entry(0, 1).values(pts)
-        cross = bool(np.any(a01))
-        if cross:
-            terms.append((2.0 * a01, [D1, D1]))
-    N = spec.n_cells
-    W = np.zeros((3 ** d, N))
-    for coef, axes in terms:
-        taps = np.ones((1, 1))
-        for F in axes:  # outer product over the axes, row-major in slot and cell
-            taps = (taps[:, None, :, None] * F[None, :, None, :]).reshape(3 * len(taps), -1)
-        taps *= coef
-        W += taps
-    offsets = [sum(k * n ** (d - 1 - i) for i, k in enumerate(o))
-               for o in itertools.product((-1, 0, 1), repeat=d)]
-    for s, k in enumerate(offsets):
-        # diagonal storage holds entry (r, r + k) at column r + k; what the
-        # roll wraps round falls outside the matrix, where it is ignored
-        W[s] = np.roll(W[s], k)
-    return sp.dia_matrix((W, offsets), shape=(N, N)).tocsr(), cross
+    D1 = folded(-0.5 / h, 0.0, 0.5 / h)
+    D2 = folded(1.0 / h ** 2, -2.0 / h ** 2, 1.0 / h ** 2)
+    cross = d == 2 and bool(np.any(a[:, 0, 1]))
+    stencil = [o for o in itertools.product((-1, 0, 1), repeat=d) if cross or o.count(0) >= d - 1]
+    T = np.zeros((len(stencil),) + spec.shape)  # slot by slot, each slot a grid
+    for i in range(d):
+        axis = [n if j == i else 1 for j in range(d)]  # a 1d weight along axis i
+        for F, coef in ((D2, a[:, i, i]), (D1, b_c[:, i])):
+            coef = coef.reshape(spec.shape)
+            for k in (-1, 0, 1):
+                slot = stencil.index(tuple(k if j == i else 0 for j in range(d)))
+                T[slot] += F[k + 1].reshape(axis) * coef
+    if cross:
+        coef = (2.0 * a[:, 0, 1]).reshape(spec.shape)
+        for s, (k0, k1) in enumerate(stencil):
+            T[s] += (D1[k0 + 1][:, None] * D1[k1 + 1][None, :]) * coef
+    offsets = np.array([sum(k * n ** (d - 1 - i) for i, k in enumerate(o)) for o in stencil],
+                       dtype=np.int32)
+    return np.ascontiguousarray(T.reshape(len(stencil), -1).T), offsets
+
+
+def _compressed(T: np.ndarray, offsets: np.ndarray,
+                order: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(data, indices, indptr) of the nonzero weights of a table, one line per cell.
+
+    Line j lists the slots of cell c = order[j] (c = j without an order):
+    slot s has index pos(c + offsets[s]), where pos(c) is the place of c in
+    `order`, and each line's indices ascend. Without an order these are the
+    CSR arrays of L_h, which are the CSC arrays of L_h^T; with one they are
+    the CSC arrays of L_h^T with its rows and columns taken in that order.
+    Exact zeros are left out. Index arrays are int32.
+    """
+    N, S = T.shape
+    nz = T != 0.0 if order is None else (T != 0.0)[order]
+    indptr = np.zeros(N + 1, dtype=np.int32)
+    np.cumsum(np.einsum("ij->i", nz.view(np.int8)), out=indptr[1:])  # entries per line
+    if order is None:  # the indices first, so that their temporary is gone before the data
+        indices = (np.arange(N, dtype=np.int32)[:, None] + offsets)[nz]
+        return T[nz], indices, indptr
+    key = order[:, None] + offsets  # the neighbour of each slot; past the grid only where nz is False
+    np.clip(key, 0, N - 1, out=key)
+    pos = np.empty(N, dtype=np.int32)
+    pos[order] = np.arange(N, dtype=np.int32)
+    key = pos[key]
+    key <<= 4  # sort each line by index, carrying the slot in the low 4 bits
+    key |= np.arange(S, dtype=np.int32)
+    key[~nz] = np.iinfo(np.int32).max
+    key.sort(axis=1)
+    indices = key[key != np.iinfo(np.int32).max]
+    del key, nz
+    src = np.repeat(order * np.int32(S), np.diff(indptr))  # flat table index of each entry
+    src += indices & 15
+    indices >>= 4
+    return T.ravel()[src], indices, indptr
 
 
 @dataclass(frozen=True)
@@ -258,18 +297,38 @@ def pinned_factor(M: sp.spmatrix, pin: int, order: np.ndarray | None = None) -> 
     a mass, subtract a mean). A transposed solve (trans="T") solves M^T with
     column `pin` replaced by e_pin. An exactly singular factor is a
     ConvergenceError, and so is a pinned null vector (PinnedFactor.null) that
-    is not finite.
+    is not finite. With an `order` of the cells, the pinned M is factored
+    with its rows and columns taken in that order (see _factor).
+
+    This is the pin of an arbitrary matrix; _pinned_generator writes the
+    pinned L_h^T straight from its table of neighbour weights instead.
+    """
+    R = sp.csr_matrix(M, dtype=float)
+    if order is not None:
+        R = R[order][:, order]
+    p = pin if order is None else int(np.flatnonzero(order == pin)[0])
+    lo, hi = R.indptr[p], R.indptr[p + 1]
+    indptr = R.indptr.copy()
+    indptr[p + 1:] -= hi - lo - 1
+    P = sp.csr_matrix((np.concatenate([R.data[:lo], [1.0], R.data[hi:]]),
+                       np.concatenate([R.indices[:lo], [p], R.indices[hi:]]), indptr),
+                      shape=R.shape)
+    return _factor(P.tocsc(), pin, order)
+
+
+def _factor(P: sp.csc_matrix, pin: int, order: np.ndarray | None) -> PinnedFactor:
+    """SuperLU factor of a pinned matrix P, in `order` when given (see PinnedFactor).
 
     Without `order`, SuperLU orders the columns by MMD_AT_PLUS_A. With an
-    `order` of the cells (GridSpec.dissection_order), the pinned M is built
-    directly in that order (_permuted) and factored with the NATURAL
-    column order. _pinned_generator uses the dissection order for a 9-point
-    L_h^T only. On the pinned L_h^T at R = 8 (2-core Xeon VM, SciPy 1.17) it
-    gives anisotropic-2d 5.28M L + U nonzeros at n = 256 against MMD's 5.71M,
-    and the factor takes about 240-300 ms against 420-470; it is faster at
-    n = 32, 64 and 128 too. On a 5-point L_h^T (ou-2d) it adds 39-43 % fill
-    (3.46M -> 4.80M at n = 256) and gains no time at n >= 64, so 5-point and
-    1d operators keep MMD.
+    `order` of the cells (GridSpec.dissection_order), P holds the pinned
+    matrix with its rows and columns already taken in that order and is
+    factored with the NATURAL column order. _pinned_generator uses the
+    dissection order for a 9-point L_h^T only. On the pinned L_h^T at R = 8
+    (2-core Xeon VM, SciPy 1.17) it gives anisotropic-2d 5.28M L + U
+    nonzeros at n = 256 against MMD's 5.71M, and the factor takes about
+    240-300 ms against 420-470; it is faster at n = 32, 64 and 128 too. On a
+    5-point L_h^T (ou-2d) it adds 39-43 % fill (3.46M -> 4.80M at n = 256)
+    and gains no time at n >= 64, so 5-point and 1d operators keep MMD.
 
     The factor uses the default pivot threshold, SuperLU panel size
     PANEL_SIZE = 2 and supernode relaxation RELAX = 2. SuperLU's defaults,
@@ -283,13 +342,7 @@ def pinned_factor(M: sp.spmatrix, pin: int, order: np.ndarray | None = None) -> 
     14-29 % less time than the defaults on the grids, 10 % more on the fill
     case.
     """
-    if order is None:
-        P, p, permc_spec = sp.csc_matrix(M, dtype=float, copy=True), pin, "MMD_AT_PLUS_A"
-    else:
-        P, p, permc_spec = _permuted(M, order), int(np.flatnonzero(order == pin)[0]), "NATURAL"
-    P.data[P.indices == p] = 0.0  # row `pin` (row p of P), spread over the columns
-    P[p, p] = 1.0
-    P.eliminate_zeros()
+    permc_spec = "MMD_AT_PLUS_A" if order is None else "NATURAL"
     try:
         lu = spla.splu(P, permc_spec=permc_spec, panel_size=PANEL_SIZE, relax=RELAX)
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
@@ -297,62 +350,69 @@ def pinned_factor(M: sp.spmatrix, pin: int, order: np.ndarray | None = None) -> 
     return PinnedFactor(lu, pin, order)
 
 
-def _permuted(M: sp.spmatrix, order: np.ndarray) -> sp.csc_matrix:
-    """M with its rows and columns taken in `order`, as a new CSC matrix.
-
-    Column k of the result is column order[k] of M with its row indices
-    renumbered, gathered from M's CSC arrays with int32 indices; the L_h^T of
-    a CSR L_h is CSC already, so M itself is not copied first.
-    """
-    M = sp.csc_matrix(M, dtype=float)
-    N = M.shape[0]
-    pos = np.empty(N, dtype=np.int32)  # position of each cell in `order`
-    pos[order] = np.arange(N, dtype=np.int32)
-    counts = np.diff(M.indptr)[order]
-    indptr = np.zeros(N + 1, dtype=M.indptr.dtype)
-    np.cumsum(counts, out=indptr[1:])
-    src = np.repeat(M.indptr[:-1][order] - indptr[:-1], counts)
-    src += np.arange(len(src), dtype=src.dtype)  # entry k of the result is M's entry src[k]
-    P = sp.csc_matrix((M.data[src], pos[M.indices[src]], indptr), shape=M.shape)
-    P.sort_indices()
-    return P
-
-
-def _diffusion_matrix(A, spec: GridSpec) -> DiffusionMatrixField:
-    """A itself, or a scalar diffusion a as the matrix a I.
+def _sampled_diffusion(A, spec: GridSpec) -> tuple[DiffusionMatrixField, np.ndarray]:
+    """A, or a scalar diffusion a as the matrix a I, and its (N, d, d) samples at the cells.
 
     The declared ellipticity of a I is min(1, min a, 1 / max a) over the
     cells of the grid being solved, so its eigenvalues lie in
     [lambda, 1 / lambda]. A scalar diffusion that is not positive at some
     cell is an EllipticityError naming that cell.
     """
+    pts = spec.cell_centers()
     if not isinstance(A, ScalarField):
-        return A
+        return A, A.values(pts)
     if spec.dim != A.dim:
         raise ValueError("diffusion dimension does not match grid")
-    samp = _positive_values(A, spec.cell_centers())
+    samp = _positive_values(A, pts)
     lam = min(1.0, float(samp.min()), 1.0 / float(samp.max()))
-    return DiffusionMatrixField.isotropic(A, lam)
+    a = np.zeros((len(samp), spec.dim, spec.dim))
+    for i in range(spec.dim):
+        a[:, i, i] = samp
+    return DiffusionMatrixField.isotropic(A, lam), a
+
+
+def _diffusion_matrix(A, spec: GridSpec) -> DiffusionMatrixField:
+    """A itself, or a scalar diffusion a as the matrix a I with lambda from the cells of spec."""
+    return A if not isinstance(A, ScalarField) else _sampled_diffusion(A, spec)[0]
 
 
 def _pinned_generator(A, b: DriftField, spec: GridSpec) -> tuple[sp.csr_matrix, PinnedFactor]:
     """L_h and the factor of the pinned L_h^T, built once per grid.
 
-    Coerces a scalar diffusion to a I, checks ellipticity at the cell centers,
-    builds L_h (generator_matrix) and pins the center-most cell of L_h^T. The
-    factor owns the pin and its null vector, the density (solve_grid) and
-    the adjoint null vector (poisson.discrete_adjoint_null) once scaled; a
-    transposed solve gives the Poisson solution (poisson.solve_poisson_grid).
-    When L_h has the cross term (a^01 not zero at every cell, the test
-    generator_matrix uses to add it) the 9-point L_h^T is factored in the
-    grid's nested-dissection order; a 5-point or 1d L_h^T keeps SuperLU's
-    MMD_AT_PLUS_A order (see pinned_factor for the fill and timings).
+    Samples A (a scalar diffusion as a I) and b once at the cell centers;
+    the ellipticity check, a scalar diffusion's lambda and the table of
+    neighbour weights (_weight_table) all read those samples. The table
+    gives the CSR arrays of L_h, which are the CSC arrays of L_h^T (see
+    _compressed). Pinning the center-most cell drops the off-diagonal
+    entries of row `pin` of L_h^T (column pin of L_h, in the slots of the
+    neighbours of pin that point at it) and sets its diagonal to 1. It is
+    done in the table, which then gives the pinned L_h^T; undone, the table
+    gives L_h. L_h is built after the factor, so SuperLU runs beside the
+    table and the pinned matrix only, not beside L_h as well. The factor
+    owns the pin and its null vector, the density (solve_grid) and the
+    adjoint null vector (poisson.discrete_adjoint_null) once scaled; a
+    transposed solve gives the Poisson solution
+    (poisson.solve_poisson_grid). A 9-point L_h^T (a^01 not zero at some
+    cell) is written directly in the grid's nested-dissection order, each
+    column's rows sorted, and factored in that order; a 5-point or 1d L_h^T
+    keeps SuperLU's MMD_AT_PLUS_A order (see _factor for the fill and
+    timings).
     """
-    A = _diffusion_matrix(A, spec)
-    A.check_ellipticity(spec.cell_centers(), tol=ELLIPTICITY_TOL)
-    L, cross = _generator(A, b, spec)
-    pin = int(np.argmin(spec.center_radii()))
-    return L, pinned_factor(L.T, pin, spec.dissection_order() if cross else None)
+    A, a = _sampled_diffusion(A, spec)
+    pts = spec.cell_centers()
+    A.check_ellipticity(pts, tol=ELLIPTICITY_TOL, a=a)
+    T, offsets = _weight_table(a, b.values(pts), spec)
+    del a
+    N = spec.n_cells
+    pin = int(np.argmin(spec.center_radii()))  # an interior cell, so every pin - offset is a cell
+    order = spec.dissection_order() if len(offsets) == 9 else None  # 9 slots: a cross term
+    at = (pin - offsets, np.arange(len(offsets)))  # slot s of cell pin - offsets[s] is pin
+    unpinned = T[at]
+    T[at] = 0.0
+    T[pin, offsets == 0] = 1.0
+    factor = _factor(sp.csc_matrix(_compressed(T, offsets, order), shape=(N, N)), pin, order)
+    T[at] = unpinned
+    return sp.csr_matrix(_compressed(T, offsets), shape=(N, N)), factor
 
 
 def _null_density(spec: GridSpec, L: sp.csr_matrix, lu: PinnedFactor, strict: bool,

@@ -105,7 +105,7 @@ class GridSpec:
         down to boxes of at most DISSECTION_LEAF cells, which keep row-major
         order, and a separator comes after both of its halves (George, SIAM J.
         Numer. Anal. 10, 1973). Eliminating cells in this order keeps the fill
-        of a 9-point factor within O(N log N) (see fpk.pinned_factor).
+        of a 9-point factor within O(N log N) (see fpk._factor).
         """
         return self._dissection
 

@@ -381,11 +381,16 @@ def gaussian_probe(spec: GridSpec, mean, std: float) -> GridDensity:
 
 @dataclass(frozen=True, eq=False)
 class ContractionEstimate:
-    """Sampled Lipschitz data for Phi on a probe family."""
+    """Sampled Lipschitz data for Phi on a probe family.
+
+    clipped_mass is the largest negative mass clipped from a probe image
+    (0 for the closed-form 1d densities, which never clip).
+    """
 
     eps: float
     k: float
     factors: tuple[float, ...]
+    clipped_mass: float = 0.0
 
     @property
     def factor(self) -> float:
@@ -421,7 +426,8 @@ def contraction_estimate(model: MeanFieldModel, spec: GridSpec,
                 raise DegenerateDensityError(
                     f"probe densities {i} and {j} coincide; contraction ratio undefined")
             factors.append(weighted_l1_distance(images[i], images[j], k) / den)
-    return ContractionEstimate(eps=model.eps, k=k, factors=tuple(factors))
+    clipped = max(rho.info.get("clipped_mass", 0.0) for rho in images)
+    return ContractionEstimate(eps=model.eps, k=k, factors=tuple(factors), clipped_mass=clipped)
 
 
 def epsilon_threshold(model: MeanFieldModel, spec: GridSpec, eps_max: float = 1.0,
@@ -432,16 +438,25 @@ def epsilon_threshold(model: MeanFieldModel, spec: GridSpec, eps_max: float = 1.
     Bisects on eps, using the sampled factor as a monotone surrogate. When
     even eps_max contracts on the probes, eps_max itself is returned.
     """
-    if contraction_estimate(model.with_eps(eps_max), spec, probes, strict).factor < 1.0:
-        return eps_max
+    return threshold_search(model, spec, eps_max, tol, probes, strict)[0]
+
+
+def threshold_search(model: MeanFieldModel, spec: GridSpec, eps_max: float = 1.0,
+                     tol: float = 1e-3, probes: Sequence[GridDensity] | None = None,
+                     strict: bool = False) -> tuple[float, tuple[ContractionEstimate, ...]]:
+    """epsilon_threshold, and the contraction estimate of every eps it tried, in order."""
+    estimates = [contraction_estimate(model.with_eps(eps_max), spec, probes, strict)]
+    if estimates[-1].factor < 1.0:
+        return eps_max, tuple(estimates)
     lo, hi = 0.0, eps_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if contraction_estimate(model.with_eps(mid), spec, probes, strict).factor < 1.0:
+        estimates.append(contraction_estimate(model.with_eps(mid), spec, probes, strict))
+        if estimates[-1].factor < 1.0:
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo, tuple(estimates)
 
 
 def linear_response(model: MeanFieldModel, spec: GridSpec,

@@ -144,7 +144,12 @@ def rhs_discrepancy(pair: CoefficientPair, rho_sigma: GridDensity, k: float,
 def estimate_stability(pair: CoefficientPair, spec: GridSpec, k: float,
                        r: float = 2.0, strict: bool = False) -> StabilityReport:
     """Solve both members and measure both sides of the perturbation estimate."""
-    rho_mu, rho_sigma = pair.solve_pair(spec, strict=strict)
+    return _measure(pair, *pair.solve_pair(spec, strict=strict), k, r)
+
+
+def _measure(pair: CoefficientPair, rho_mu: GridDensity, rho_sigma: GridDensity, k: float,
+             r: float) -> StabilityReport:
+    """Both sides of the perturbation estimate from the pair's two densities."""
     lhs = weighted_l1_distance(rho_mu, rho_sigma, k)
     diffusion, drift = rhs_discrepancy(pair, rho_sigma, k, r)
     clipped = max(rho.info.get("clipped_mass", 0.0) for rho in (rho_mu, rho_sigma))
@@ -220,13 +225,21 @@ def stability_sweep(make_pair: Callable[[float], CoefficientPair],
     Fits log lhs against log delta over the nonzero deltas (a delta of 0 has
     lhs 0 and carries no scaling information) and reports the spread
     max/min of the nonzero empirical ratios. strict is passed to every
-    density solve.
+    density solve. When every pair carries the same sigma objects (a_sigma
+    and b_sigma), rho_sigma is solved once, with the first pair, and shared.
     """
     deltas = np.asarray(list(deltas), dtype=float)
     if (deltas < 0).any():
         raise ValueError("perturbation sizes must be nonnegative")
-    reports = tuple(estimate_stability(make_pair(float(t)), spec, k, r, strict=strict)
-                    for t in deltas)
+    pairs = [make_pair(float(t)) for t in deltas]
+    shared = len({(id(p.a_sigma), id(p.b_sigma)) for p in pairs}) == 1
+    reports, rho_sigma = [], None
+    for pair in pairs:
+        if rho_sigma is None or not shared:
+            rho_mu, rho_sigma = pair.solve_pair(spec, strict=strict)
+        else:
+            rho_mu = stationary_density(pair.a_mu, pair.b_mu, spec, strict=strict)
+        reports.append(_measure(pair, rho_mu, rho_sigma, k, r))
     pos = deltas > 0
     if pos.sum() < 2:
         raise ValueError("need at least two nonzero deltas to fit a scaling law")
@@ -235,5 +248,5 @@ def stability_sweep(make_pair: Callable[[float], CoefficientPair],
     cs = np.array([rep.c_hat for rep in reports])[pos]
     cs = cs[np.isfinite(cs) & (cs > 0)]
     spread = float(cs.max() / cs.min()) if len(cs) else float("inf")
-    return SweepResult(deltas=deltas, reports=reports, slope=float(slope),
+    return SweepResult(deltas=deltas, reports=tuple(reports), slope=float(slope),
                        intercept=float(intercept), fit_sse=float(sse), c_spread=spread)

@@ -12,18 +12,21 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 import fpkit
-from fpkit import __version__, poisson
-from fpkit.cli import main, resolve_workers, write_csv
-from fpkit.config import field_from_config, model_from_config, validate_command_config
+from fpkit import __version__, poisson, stability
+from fpkit.cli import build_parser, main, resolve_workers, write_csv
+from fpkit.config import (field_from_config, grid_from_config, model_from_config,
+                          validate_command_config)
 from fpkit.errors import ValidationError
-from fpkit.fields import ExpressionField, linear_drift
+from fpkit.fields import DiffusionMatrixField, ExpressionField, linear_drift
 from fpkit.fpk import solve_grid
 from fpkit.grids import GridSpec
 from fpkit.poisson import verify_growth_bounds
+from fpkit.stability import CoefficientPair, estimate_stability
 
 REPORT_KEYS = {"command", "version", "config_digest", "seed", "checks", "passed", "outcome",
                "wall_time_s", "artifacts", "summary", "warnings"}
@@ -249,6 +252,22 @@ class TestNumericalExits:
         else:
             assert all(w["value"] == pytest.approx(6.44e-3, rel=1e-2) for w in warnings)
 
+    def test_lenient_meanfield_warns_of_clipped_probe_images(self, tmp_path):
+        # regression: the probe images behind eps_threshold and max_factor
+        # clipped 6.44e-3 of their mass each with no warning in the report
+        cfg = {"eps": 0.05, "starts": [0.5], "kernel": "tanh", "eps_grid": [0.02, 0.05],
+               "dim": 2, "radius": 8, "n": 16}
+        code, report, _ = run_cli(tmp_path, "meanfield", cfg)
+        assert code == 0
+        probes = [w for w in report["warnings"] if "probes" in w]
+        # the bisection stops at once: eps_max = 1 already contracts
+        assert report["summary"]["eps_threshold"] == 1.0
+        assert [(w["probes"], w["eps"]) for w in probes] == \
+            [("eps_threshold", 1.0), ("max_factor", 0.02), ("max_factor", 0.05)]
+        for w in probes:
+            assert (w["kind"], w["limit"], w["radius"], w["n"]) == ("clipped_mass", 1e-6, 8.0, 16)
+            assert w["value"] == pytest.approx(6.44e-3, rel=1e-2)
+
     def test_lenient_sweep_points_warn(self, tmp_path):
         cfg = {"task": "meanfield", "axis": [0.02, 0.05, 0.08],
                "base": {"dim": 2, "radius": 8, "n": 16, "threshold": False, "starts": [0.5]}}
@@ -344,7 +363,11 @@ class TestTelemetry:
         code, report, _ = run_cli(tmp_path, command, cfg)
         assert code == 0
         tel = report["summary"]["telemetry"]
-        assert set(tel) == {"residual", "clipped_mass", "pinned_cell", "ordering", "factor_nnz"}
+        keys = {"residual", "clipped_mass", "pinned_cell", "ordering", "factor_nnz"}
+        if command == "poisson":  # and the Lyapunov witness of the solve
+            assert tel["lyapunov"] == {"m0": report["summary"]["m0"], "r0": report["summary"]["r0"]}
+            keys.add("lyapunov")
+        assert set(tel) == keys
         assert tel["ordering"] == ordering
         assert tel["factor_nnz"] > 5 * 32 ** 2  # at least the pinned operator itself
         assert 0.0 <= tel["residual"] <= 1e-10
@@ -472,7 +495,62 @@ class TestWorkerResolution:
             resolve_workers(None)
 
 
+class TestStabilityFamilies:
+    @pytest.mark.parametrize("cfg", [
+        SMALL_CONFIGS["stability"],
+        {"family": "diffusion-constant", "dim": 2, "n": 32, "deltas": [0.01, 0.03, 0.1]},
+    ])
+    def test_sigma_is_solved_once_and_the_sweep_is_unchanged(self, tmp_path, monkeypatch, cfg):
+        calls = []
+        real = stability.stationary_density
+
+        def counted(*args, **kwargs):
+            calls.append(args[:2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(stability, "stationary_density", counted)
+        code, _, out_dir = run_cli(tmp_path, "stability", cfg)
+        monkeypatch.undo()
+        assert code == 0
+        assert len(calls) == len(cfg["deltas"]) + 1
+        # the same rows from pairs that each solve their own sigma
+        full = validate_command_config("stability", cfg)
+        dim, k, r = full["dim"], full["k"], full["r"]
+        spec = grid_from_config(full, dim, 0.5)
+        eye = np.eye(dim)
+        rows = []
+        for d in cfg["deltas"]:
+            if cfg["family"] == "drift-linear":
+                a_mu, b_mu = DiffusionMatrixField.from_constant(eye, 1.0), linear_drift(dim, 1.0 + d)
+            else:
+                a_mu = DiffusionMatrixField.from_constant(eye * (1.0 + d), min(1.0, 1.0 / (1.0 + d)))
+                b_mu = linear_drift(dim, 1.0)
+            pair = CoefficientPair(a_mu, b_mu, DiffusionMatrixField.from_constant(eye, 1.0),
+                                   linear_drift(dim, 1.0))
+            rep = estimate_stability(pair, spec, k, r)
+            rows.append((d, rep.lhs, rep.rhs_diffusion, rep.rhs_drift, rep.c_hat))
+        ref = write_csv(str(tmp_path / "ref.csv"), ["delta", "lhs", "rhs_diffusion", "rhs_drift",
+                                                    "c_hat"], rows)
+        assert (out_dir / "sweep.csv").read_bytes() == Path(ref).read_bytes()
+
+
 class TestEntryPoints:
+    def test_parser_is_built_once_and_reused(self, tmp_path):
+        assert build_parser() is build_parser()
+        code, report, _ = run_cli(tmp_path, "solve", SMALL_CONFIGS["solve"], "--strict",
+                                  "--seed", "3", out="a")
+        assert (code, report["seed"]) == (0, 3)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", "x.json", "--out", "y", "--no-such-flag"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        # no flag or value of an earlier call carries over
+        assert run_cli(tmp_path, "dini", SMALL_CONFIGS["dini"], out="b")[0] == 0
+        code, report, _ = run_cli(tmp_path, "solve", SMALL_CONFIGS["solve"], out="c")
+        assert (code, report["seed"]) == (0, 0)
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

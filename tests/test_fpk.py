@@ -297,6 +297,15 @@ class TestPinnedSolve:
         x = pinned_factor(M, 2).solve(np.array([0.0, 0.0, 3.0, 0.0]))
         assert np.allclose(x, 3.0, rtol=0.0, atol=1e-14)
 
+    def test_an_order_permutes_the_factor_not_the_solution(self):
+        M = sp.diags([[1.0, 2.0, 2.0, 1.0], [-1.0] * 3, [-1.0] * 3], [0, 1, -1], format="csr")
+        M = M + sp.diags([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]], [1, -1])  # not symmetric
+        rhs = np.array([1.0, -2.0, 3.0, 0.5])
+        plain = pinned_factor(M, 2).solve(rhs, trans="T")
+        lu = pinned_factor(M, 2, order=np.array([3, 1, 0, 2]))
+        assert np.allclose(lu.solve(rhs, trans="T"), plain, rtol=0.0, atol=1e-13)
+        assert lu.ordering == "nested-dissection"
+
     def test_two_dimensional_kernel_is_a_convergence_error(self):
         # two decoupled Neumann blocks: one pin leaves the second block singular
         block = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -407,3 +416,34 @@ class TestWeakForm:
         phi = normalized_against_generator(BumpFunction([0.5], 1.5), A, b, grid_1d)
         vals = apply_generator(A, b, phi, grid_1d.cell_centers())
         assert np.abs(vals).max() == pytest.approx(1.0, rel=1e-12)
+
+
+class TestCoefficientSampling:
+    """One 2d solve evaluates each coefficient entry once, at the cell centers."""
+
+    @staticmethod
+    def counted(calls, name, fn):
+        def values(x):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(x)
+        return ClosureField(values, 2, SMOOTH, name)
+
+    @pytest.mark.parametrize("diffusion", ["matrix", "scalar", "isotropic"])
+    def test_each_coefficient_is_evaluated_once(self, diffusion):
+        calls = {}
+        b = DriftField([self.counted(calls, f"b{i}", lambda x, i=i: -x[:, i]) for i in range(2)],
+                       GrowthParams(beta=1.0, beta1=1.0, beta2=1.0, beta3=1.0))
+        radius = lambda x: np.sqrt(np.sum(x * x, axis=1))  # noqa: E731
+        if diffusion == "scalar":  # lambda = min(1, min a, 1 / max a) from the same samples
+            A = self.counted(calls, "a", lambda x: 1.0 + 0.1 * radius(x))
+        elif diffusion == "isotropic":  # one field on both diagonal slots
+            A = DiffusionMatrixField.isotropic(
+                self.counted(calls, "a", lambda x: 1.0 + 0.1 * np.tanh(radius(x))), lam=0.9)
+        else:
+            A = DiffusionMatrixField(
+                {(0, 0): self.counted(calls, "a00", lambda x: 1.2 + 0.1 * np.sin(x[:, 0])),
+                 (0, 1): self.counted(calls, "a01", lambda x: 0.2 + 0.0 * x[:, 0]),
+                 (1, 1): self.counted(calls, "a11", lambda x: 0.9 + 0.0 * x[:, 0])}, 2, lam=0.5)
+        rho = solve_grid(A, b, GridSpec(2, 8.0, 32))
+        assert rho.info["ordering"] == ("nested-dissection" if diffusion == "matrix" else "mmd")
+        assert calls and set(calls.values()) == {1}, calls

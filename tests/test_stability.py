@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from fpkit import stability
 from fpkit.errors import GridMismatchError, SupportError
 from fpkit.fields import ConstantField, DiffusionMatrixField, linear_drift
 from fpkit.fpk import builtin_models, discretization_error, solve_exact_1d, solve_grid
@@ -205,3 +206,24 @@ class TestSweep:
             stability_sweep(drift_pair, (-0.1, 0.1), grid_1d, 1.0)
         with pytest.raises(ValueError, match="two nonzero"):
             stability_sweep(drift_pair, (0.0, 0.1), grid_1d, 1.0)
+
+    @pytest.mark.parametrize("fresh_sigma, solves", [(False, 4), (True, 6)],
+                             ids=["shared", "own"])
+    def test_a_shared_sigma_is_solved_once(self, grid_1d, monkeypatch, fresh_sigma, solves):
+        def pair(delta):
+            if fresh_sigma:  # equal coefficients, but not the same objects
+                return CoefficientPair(I1, linear_drift(1, 1.0 + delta),
+                                       DiffusionMatrixField.from_constant(np.eye(1)), linear_drift(1))
+            return drift_pair(delta)
+
+        calls = []
+        real = stability.stationary_density
+        monkeypatch.setattr(stability, "stationary_density",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        deltas = (1e-2, 3e-2, 1e-1)
+        sweep = stability_sweep(pair, deltas, grid_1d, 1.0)
+        assert len(calls) == solves
+        monkeypatch.undo()
+        # each report is the one-pair estimate, bit for bit
+        assert sweep.reports == tuple(estimate_stability(drift_pair(d), grid_1d, 1.0)
+                                      for d in deltas)
