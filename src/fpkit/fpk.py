@@ -376,10 +376,12 @@ def _diffusion_matrix(A, spec: GridSpec) -> DiffusionMatrixField:
     return A if not isinstance(A, ScalarField) else _sampled_diffusion(A, spec)[0]
 
 
-def _pinned_generator(A, b: DriftField, spec: GridSpec) -> tuple[sp.csr_matrix, PinnedFactor]:
+def _pinned_generator(A, b: DriftField, spec: GridSpec,
+                      a: np.ndarray | None = None) -> tuple[sp.csr_matrix, PinnedFactor]:
     """L_h and the factor of the pinned L_h^T, built once per grid.
 
-    Samples A (a scalar diffusion as a I) and b once at the cell centers;
+    Samples A (a scalar diffusion as a I) and b once at the cell centers,
+    or takes a, the matrix A's samples there (from _sampled_diffusion);
     the ellipticity check, a scalar diffusion's lambda and the table of
     neighbour weights (_weight_table) all read those samples. The table
     gives the CSR arrays of L_h, which are the CSC arrays of L_h^T (see
@@ -398,7 +400,8 @@ def _pinned_generator(A, b: DriftField, spec: GridSpec) -> tuple[sp.csr_matrix, 
     keeps SuperLU's MMD_AT_PLUS_A order (see _factor for the fill and
     timings).
     """
-    A, a = _sampled_diffusion(A, spec)
+    if a is None:
+        A, a = _sampled_diffusion(A, spec)
     pts = spec.cell_centers()
     A.check_ellipticity(pts, tol=ELLIPTICITY_TOL, a=a)
     T, offsets = _weight_table(a, b.values(pts), spec)

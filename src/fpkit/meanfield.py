@@ -22,7 +22,9 @@ invariant kernel h(x, y) = g(y - x) evaluated at the cell centers of the
 density's grid, the only points the grid solver evaluates coefficients on,
 is a discrete correlation, computed by one zero-padded real FFT per value
 component; any other points (the fine mesh of the closed-form 1d solver,
-subsets, shifted points) take the direct quadrature.
+subsets, shifted points) take the direct quadrature. A frozen coefficient is
+base + eps * offset in one evaluation: one kernel pass for all its
+components, with nothing cached between evaluations.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import (ConvergenceError, DegenerateDensityError, EllipticityMarginError,
-                     NonContractionError)
-from .fields import ClosureField, DiffusionMatrixField, DriftField, GrowthParams, SMOOTH, ScalarField
+                     EvaluationError, NonContractionError)
+from .fields import ClosureField, DiffusionMatrixField, DriftField, GrowthParams
 from .fpk import stationary_density
 from .grids import GridDensity, GridSpec
 from .oscillation import fit_line
@@ -52,9 +54,11 @@ class InteractionKernel:
     (Euclidean norm for drift kernels, operator norm for diffusion kernels);
     it feeds the contraction threshold, so declare it honestly. Diffusion
     kernels must be bounded (growth_order 0) and symmetric-matrix valued so
-    the perturbed diffusion stays admissible. Kernels with depends_on_x=False
-    are functions of y alone; their nonlocal coefficient is a constant
-    offset, computed once per iteration.
+    the perturbed diffusion stays admissible; an offset not symmetric to
+    1e-10 raises ValueError, a non-finite one EvaluationError. Kernels with
+    depends_on_x=False are functions of y alone: their offset is a constant,
+    computed once per iteration. Otherwise each call of the offset is one
+    kernel pass for all components.
 
     A translation-invariant kernel k(x, y) = g(y - x) may declare its profile
     g in place of fn; g maps offsets of shape (..., d) to values of shape
@@ -103,14 +107,12 @@ class InteractionKernel:
             if vals.shape != (len(y),) + shape:
                 raise ValueError(f"kernel {self.name!r} returned shape {vals.shape}, "
                                  f"expected {(len(y),) + shape}")
-            out = np.tensordot(wts, vals, axes=(0, 0))
-            self._check_symmetry(out)
-            return out
+            return self._checked(np.tensordot(wts, vals, axes=(0, 0)))
 
         def offset(x: np.ndarray) -> np.ndarray:
             x = np.asarray(x, dtype=float)
             if self.profile is not None and x.shape == y.shape and np.array_equal(x, y):
-                return self._lattice_offset(rho.spec, wts)
+                return self._checked(self._lattice_offset(rho.spec, wts))
             res = np.zeros((x.shape[0],) + shape)
             for lo in range(0, x.shape[0], _EVAL_CHUNK):
                 xc = x[lo:lo + _EVAL_CHUNK]
@@ -118,7 +120,7 @@ class InteractionKernel:
                 if vals.shape != (xc.shape[0], len(y)) + shape:
                     raise ValueError(f"kernel {self.name!r} returned shape {vals.shape}")
                 res[lo:lo + _EVAL_CHUNK] = np.tensordot(vals, wts, axes=(1, 0))
-            return res
+            return self._checked(res)
 
         return offset
 
@@ -148,9 +150,13 @@ class InteractionKernel:
                       s=size, axes=axes)
         return full[(slice(n - 1, 2 * n - 1),) * d].reshape((spec.n_cells,) + shape)
 
-    def _check_symmetry(self, mat: np.ndarray, tol: float = 1e-10):
-        if self.kind == "diffusion" and np.abs(mat - mat.T).max() > tol:
+    def _checked(self, off: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+        """off (one value or a stack) unless it is non-finite or, for a diffusion, not symmetric."""
+        if not np.isfinite(off).all():
+            raise EvaluationError(f"kernel {self.name!r} produced a non-finite offset")
+        if self.kind == "diffusion" and np.any(np.abs(off - np.swapaxes(off, -1, -2)) > tol):
             raise ValueError(f"diffusion kernel {self.name!r} produced a non-symmetric offset")
+        return off
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,36 +205,41 @@ class MeanFieldModel:
         return dataclasses.replace(self, eps=float(eps))
 
 
-def _shifted_scalar(base: ScalarField, shift, dim: int, name: str) -> ScalarField:
-    if np.isscalar(shift):
-        return ClosureField(lambda x, b=base, c=float(shift): b.values(x) + c, dim,
-                            SMOOTH if base.tag.kind == "smooth" else base.tag, name=name)
-    return ClosureField(lambda x, b=base, f=shift: b.values(x) + f(x), dim,
-                        base.tag, name=name)
-
-
-def _kernel_offset(ker: InteractionKernel, rho: GridDensity):
-    """ker.convolve(rho); an x-dependent offset keeps its last evaluation.
-
-    The cache holds one entry, keyed on the point values. The components of
-    one frozen coefficient are evaluated on the same points (the cell
-    centers), so they slice one kernel pass.
-    """
-    off = ker.convolve(rho)
-    if isinstance(off, np.ndarray):
-        return off
-    last = [None]  # (points, offset), read and replaced as one pair
-
-    def cached(x: np.ndarray) -> np.ndarray:
+def _base_plus_offset(base, eps: float, offset):
+    """values(x) of a frozen coefficient: base.values(x) + eps * offset(x), one
+    kernel pass for all components, a matrix's lower triangle copied from its upper."""
+    def values(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        hit = last[0]
-        if hit is None or not np.array_equal(hit[0], x):
-            hit = (x.copy(), off(x))
-            hit[1].setflags(write=False)
-            last[0] = hit
-        return hit[1]
+        out = base.values(x) + eps * (offset if isinstance(offset, np.ndarray) else offset(x))
+        if out.ndim == 3:  # d <= 2
+            out[:, 1:, 0] = out[:, 0, 1:]
+        return out
+    return values
 
-    return cached
+
+def _slot_views(values, base_slots: dict) -> dict:
+    """Per slot of a frozen coefficient, a ScalarField reading that slot of values(x)."""
+    return {ix: ClosureField(lambda x, ix=ix: values(x)[(slice(None),) + ix],
+                             f.dim, f.tag, name=f"{f.name}+offset")
+            for ix, f in base_slots.items()}
+
+
+class _FrozenDrift(DriftField):
+    """b0 + eps * offset (nonlocal_coefficients); components[i] reads slot i of values."""
+
+    def __init__(self, b0: DriftField, eps: float, offset, growth: GrowthParams):
+        self.values = _base_plus_offset(b0, eps, offset)  # a closure, so no cycle through self
+        views = _slot_views(self.values, {(i,): c for i, c in enumerate(b0.components)})
+        super().__init__(list(views.values()), growth, name=f"{b0.name}+eps*conv")
+
+
+class _FrozenDiffusion(DiffusionMatrixField):
+    """a0 + eps * offset (nonlocal_coefficients); entry(i, j) reads slot (i, j) of values."""
+
+    def __init__(self, a0: DiffusionMatrixField, eps: float, offset, lam: float):
+        self.values = _base_plus_offset(a0, eps, offset)
+        upper = {(i, j): a0.entry(i, j) for i in range(a0.dim) for j in range(i, a0.dim)}
+        super().__init__(_slot_views(self.values, upper), a0.dim, lam, name=f"{a0.name}+eps*conv")
 
 
 def _weighted_moment(rho: GridDensity, power: float) -> float:
@@ -241,6 +252,9 @@ def nonlocal_coefficients(model: MeanFieldModel,
                           rho: GridDensity) -> tuple[DiffusionMatrixField, DriftField]:
     """Coefficients frozen at rho, with an audited ellipticity margin.
 
+    Each is base + eps * ker.convolve(rho) in one evaluation, one kernel pass
+    for all components and no cache (_base_plus_offset); entry(i, j) and
+    components[i] read the shifted values, as the 1d closed form does.
     The diffusion offset may eat at most half the declared ellipticity:
     eps * sup|q| >= lambda / 2 raises EllipticityMarginError before any
     solve. The drift growth envelope is re-derived from the declared kernel
@@ -248,48 +262,25 @@ def nonlocal_coefficients(model: MeanFieldModel,
     drift satisfies <b, x> <= (beta1 + D^2 / (2 beta2)) - (beta2 / 2) |x|^2
     and |b| <= (beta3 + D)(1 + |x|)^beta.
     """
-    d = model.dim
     eps = model.eps
-    a_eff, lam_eff = model.a0, model.a0.lam
+    a_eff, b_eff = model.a0, model.b0
     if model.diffusion_kernel is not None and eps > 0.0:
         ker = model.diffusion_kernel
         if eps * ker.sup_bound >= model.a0.lam / 2.0:
             raise EllipticityMarginError(
                 f"coupling eats the ellipticity margin: eps * sup|q| = "
                 f"{eps * ker.sup_bound:.6g} >= lambda/2 = {model.a0.lam / 2.0:.6g}")
-        off = _kernel_offset(ker, rho)
-        lam_eff = max(model.a0.lam - eps * ker.sup_bound, 1e-12)
-        entries = {}
-        for i in range(d):
-            for j in range(i, d):
-                base = model.a0.entry(i, j)
-                if isinstance(off, np.ndarray):
-                    shift = eps * off[i, j]
-                else:
-                    shift = (lambda x, f=off, i0=i, j0=j, e=eps: e * f(x)[:, i0, j0])
-                entries[(i, j)] = _shifted_scalar(base, shift, d, f"{base.name}+offset")
-        a_eff = DiffusionMatrixField(entries, d, min(lam_eff, 1.0),
-                                     name=f"{model.a0.name}+eps*conv")
-
-    b_eff = model.b0
+        lam = model.a0.lam - eps * ker.sup_bound  # in (lambda / 2, 1]
+        a_eff = _FrozenDiffusion(model.a0, eps, ker.convolve(rho), lam)
     if model.drift_kernel is not None and eps > 0.0:
         ker = model.drift_kernel
-        off = _kernel_offset(ker, rho)
         g = model.b0.growth
         drift_bound = eps * ker.sup_bound * _weighted_moment(rho, ker.growth_order)
         growth = GrowthParams(beta=g.beta,
                               beta1=g.beta1 + drift_bound ** 2 / (2.0 * g.beta2),
                               beta2=g.beta2 / 2.0,
                               beta3=g.beta3 + drift_bound)
-        comps = []
-        for i in range(d):
-            base = model.b0.components[i]
-            if isinstance(off, np.ndarray):
-                shift = eps * off[i]
-            else:
-                shift = (lambda x, f=off, i0=i, e=eps: e * f(x)[:, i0])
-            comps.append(_shifted_scalar(base, shift, d, f"{base.name}+offset"))
-        b_eff = DriftField(comps, growth, name=f"{model.b0.name}+eps*conv")
+        b_eff = _FrozenDrift(model.b0, eps, ker.convolve(rho), growth)
     return a_eff, b_eff
 
 

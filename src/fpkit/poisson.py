@@ -47,7 +47,8 @@ import numpy as np
 from .errors import ConfinementError, ConvergenceError, IncompatibilityError, TruncationError
 from .fields import ClosureField, DiffusionMatrixField, DriftField, ScalarField
 from .fpk import (ModelSpec, PinnedFactor, _diffusion_matrix, _fine_profile_1d, _null_density,
-                  _pinned_generator, _scalar_diffusion, builtin_models, solve_exact_1d)
+                  _pinned_generator, _sampled_diffusion, _scalar_diffusion, builtin_models,
+                  solve_exact_1d)
 from .grids import GridDensity, GridSpec
 from .quadrature import cumulative_integral
 
@@ -467,7 +468,8 @@ def stationary_poisson(A, b: DriftField, psi: ScalarField, k: float, spec: GridS
     if spec.dim == 1:
         rho = solve_exact_1d(A, b, spec)
         return rho, solve_poisson_1d(PoissonProblem(A, b, psi, k, rho, p=p))
-    L, lu = _pinned_generator(A, b, spec)
+    A, a = _sampled_diffusion(A, spec)  # PoissonProblem takes this A as it is
+    L, lu = _pinned_generator(A, b, spec, a)
     rho = _null_density(spec, L, lu, strict, check_truncation=True)
     return rho, _solve_factored(PoissonProblem(A, b, psi, k, rho, p=p), L, lu)
 

@@ -42,6 +42,7 @@ from fpkit.fpk import (
     weighted_lp_norm,
 )
 from fpkit.grids import GridDensity, GridSpec
+from fpkit.poisson import stationary_poisson
 from fpkit.testfunctions import BumpFunction, random_bumps
 
 MODELS = {m.name: m for m in builtin_models()}
@@ -422,9 +423,11 @@ class TestCoefficientSampling:
     """One 2d solve evaluates each coefficient entry once, at the cell centers."""
 
     @staticmethod
-    def counted(calls, name, fn):
+    def counted(calls, name, fn, at=None):
+        """fn as a field counting its evaluations (only those at the points `at`, if given)."""
         def values(x):
-            calls[name] = calls.get(name, 0) + 1
+            if at is None or np.array_equal(x, at):
+                calls[name] = calls.get(name, 0) + 1
             return fn(x)
         return ClosureField(values, 2, SMOOTH, name)
 
@@ -447,3 +450,16 @@ class TestCoefficientSampling:
         rho = solve_grid(A, b, GridSpec(2, 8.0, 32))
         assert rho.info["ordering"] == ("nested-dissection" if diffusion == "matrix" else "mmd")
         assert calls and set(calls.values()) == {1}, calls
+
+    def test_stationary_poisson_samples_a_scalar_diffusion_once(self):
+        # PoissonProblem takes the a I that _pinned_generator built; the
+        # Lyapunov scan evaluates a off the cells and is not counted
+        calls = {}
+        spec = GridSpec(2, 8.0, 32)
+        cells = spec.cell_centers()
+        a = self.counted(calls, "a", lambda x: 1.0 + 0.1 * np.tanh(x[:, 0]), at=cells)
+        b = DriftField([self.counted(calls, f"b{i}", lambda x, i=i: -x[:, i], at=cells)
+                        for i in range(2)], GrowthParams())
+        psi = ClosureField(lambda x: x[:, 0], 2, SMOOTH, "x1")
+        stationary_poisson(a, b, psi, 1.0, spec)
+        assert calls == {"a": 1, "b0": 1, "b1": 1}

@@ -14,9 +14,10 @@ from fpkit.errors import (
     ConvergenceError,
     DegenerateDensityError,
     EllipticityMarginError,
+    EvaluationError,
     NonContractionError,
 )
-from fpkit.fields import DiffusionMatrixField, linear_drift
+from fpkit.fields import SMOOTH, ClosureField, ConstantField, DiffusionMatrixField, linear_drift
 from fpkit.grids import GridDensity, GridSpec
 from fpkit.meanfield import (
     InteractionKernel,
@@ -85,6 +86,21 @@ class TestKernels:
         with pytest.raises(ValueError, match="non-symmetric"):
             ker.convolve(probe)
 
+    @pytest.mark.parametrize("path", ["lattice", "direct"])
+    def test_asymmetric_x_dependent_diffusion_offset_rejected(self, path):
+        def upper(z):  # q[..., 0, 1] = 0.1, q[..., 1, 0] = 0
+            m = np.zeros(z.shape[:-1] + (2, 2))
+            m[..., 0, 0] = m[..., 1, 1] = 1.0
+            m[..., 0, 1] = 0.1
+            return m
+
+        ker = InteractionKernel("diffusion", None, 2, sup_bound=1.0, profile=upper)
+        model = MeanFieldModel(DiffusionMatrixField.from_constant(np.eye(2)), linear_drift(2),
+                               eps=0.1, diffusion_kernel=ker if path == "lattice"
+                               else direct_twin(ker))
+        with pytest.raises(ValueError, match="non-symmetric"):
+            apply_phi(model, gaussian_probe(GridSpec(2, 8.0, 16), [0.0, 0.0], 1.0))
+
     def test_wrong_value_shape_rejected(self, centered_probe):
         ker = InteractionKernel("drift", lambda y: y[:, 0], 1, sup_bound=1.0,
                                 depends_on_x=False)
@@ -122,6 +138,16 @@ def counting_tanh(seen: list):
         seen.append(z.shape)
         return np.tanh(z)
     return profile
+
+
+def cross_diffusion(dim: int) -> DiffusionMatrixField:
+    """An x-dependent base diffusion, with a cross term in d = 2."""
+    a00 = ClosureField(lambda x: 1.2 + 0.1 * np.sin(x[:, 0]), dim, SMOOTH, "a00")
+    if dim == 1:
+        return DiffusionMatrixField({(0, 0): a00}, 1, lam=0.5)
+    a01 = ClosureField(lambda x: 0.1 * np.cos(x[:, 1]), dim, SMOOTH, "a01")
+    return DiffusionMatrixField({(0, 0): a00, (0, 1): a01, (1, 1): ConstantField(1.0, 2)},
+                                2, lam=0.5)
 
 
 def gaussian_bump(z):
@@ -227,7 +253,7 @@ class TestModelAssembly:
         assert g.beta3 >= g0.beta3
 
     def test_drift_components_share_one_kernel_pass(self):
-        # both components of a d = 2 offset slice one kernel pass per point set
+        # one values call makes one kernel pass for both components of a d = 2 offset
         spec = GridSpec(2, 8.0, 16)
         rel = kernel_from_name("tanh-relative", 2)["drift_kernel"]
         calls = []
@@ -243,7 +269,6 @@ class TestModelAssembly:
         _, b = nonlocal_coefficients(model, rho)
         cells = spec.cell_centers()
         vals = b.values(cells)
-        assert np.array_equal(b.values(cells.copy()), vals)
         assert calls == [spec.n_cells]
         expected = b0.values(cells) + 0.5 * rel.convolve(rho)(cells)
         assert np.abs(vals - expected).max() <= 1e-15
@@ -257,9 +282,54 @@ class TestModelAssembly:
         model = MeanFieldModel(DiffusionMatrixField.from_constant(np.eye(2)), linear_drift(2),
                                eps=0.5, drift_kernel=ker)
         _, b = nonlocal_coefficients(model, gaussian_probe(spec, [0.5, 0.0], 1.0))
-        cells = spec.cell_centers()
-        assert np.array_equal(b.values(cells.copy()), b.values(cells))
+        b.values(spec.cell_centers())
         assert samples == [((2 * spec.n - 1) ** 2, 2)]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_non_finite_offset_raises_evaluation_error(self, dim):
+        nan_near = lambda x, y: np.where(np.abs(y[None] - x[:, None]) < 0.1, np.nan, 0.0)  # noqa: E731
+        ker = InteractionKernel("drift", nan_near, dim, sup_bound=1.0)
+        model = MeanFieldModel(DiffusionMatrixField.from_constant(np.eye(dim)), linear_drift(dim),
+                               eps=0.1, drift_kernel=ker)
+        with pytest.raises(EvaluationError, match="non-finite offset"):
+            apply_phi(model, gaussian_probe(GridSpec(dim, 8.0, 16), np.zeros(dim), 1.0))
+
+    @settings(max_examples=25, deadline=None)
+    @given(dim=st.sampled_from((1, 2)), kind=st.sampled_from(("drift", "diffusion")),
+           depends_on_x=st.booleans(), shift=st.sampled_from((0.0, 0.3)),
+           eps=st.floats(0.01, 0.2), seed=st.integers(0, 2 ** 32 - 1))
+    def test_frozen_values_are_base_plus_offset(self, dim, kind, depends_on_x, shift, eps, seed):
+        # shift 0 asks for the cell centers (the lattice path of a profile kernel)
+        spec = GridSpec(dim, 4.0, 16)
+        rng = np.random.default_rng(seed)
+        rho = GridDensity.from_samples(spec, rng.random(spec.shape) ** 4)
+        x = spec.cell_centers() + shift * spec.h
+        a0 = cross_diffusion(dim)
+        b0 = linear_drift(dim, mu=np.full(dim, 0.25))
+        cross = np.full((dim, dim), 0.2) + 0.8 * np.eye(dim)
+        cross[-1, 0] *= 1.0 + 1e-12  # symmetric to 1e-10 but not bitwise: the mirror decides
+        profile = np.tanh if kind == "drift" else (
+            lambda z: np.exp(-np.sum(z * z, axis=-1))[..., None, None] * cross)
+        if depends_on_x:
+            ker = InteractionKernel(kind, None, dim, sup_bound=1.0, profile=profile)
+        else:
+            ker = InteractionKernel(kind, profile, dim, sup_bound=1.0, depends_on_x=False)
+        model = MeanFieldModel(a0, b0, eps=eps, **{f"{kind}_kernel": ker})
+        a, b = nonlocal_coefficients(model, rho)
+        frozen, base = (b, b0) if kind == "drift" else (a, a0)
+        off = ker.convolve(rho)
+        expected = base.values(x) + eps * (off(x) if depends_on_x else off)
+        if kind == "diffusion":
+            i, j = np.triu_indices(dim, 1)
+            expected[:, j, i] = expected[:, i, j]
+        vals = frozen.values(x)
+        assert np.array_equal(vals, expected)
+        if kind == "drift":
+            assert all(np.array_equal(c.values(x), vals[:, i]) for i, c in enumerate(b.components))
+        else:
+            assert np.array_equal(vals, np.swapaxes(vals, 1, 2))
+            assert all(np.array_equal(a.entry(i, j).values(x), vals[:, i, j])
+                       for i in range(dim) for j in range(dim))
 
     def test_model_validation(self):
         with pytest.raises(ValueError, match="coupling strength"):
