@@ -9,17 +9,19 @@ numerics, and writes into the output directory:
 * run_report.json with the config digest, package version, outcome
   ("pass", "fail" when a check fails, "error" with the error's class and
   message when the numerics raise), wall time, the artifact manifest and a
-  list of warnings (possibly empty). A lenient run warns ("clipped_mass")
-  of each density that clipped more mass than fpk.CLIP_MASS_LIMIT: each grid
-  of solve and poisson, each meanfield "start"'s fixed point, the probe
-  images behind meanfield's "max_factor" (per "eps") and "eps_threshold"
-  (the bisection's worst "eps"), each stability "delta"'s pair, in the run's
-  own report (a sweep point's, in a sweep). The 2d solve and poisson
-  summaries carry the solver telemetry of the main grid: residual, clipped
-  mass, pinned cell, the factor's ordering and its L + U nonzeros, and for
-  poisson the Lyapunov witness (m0, r0) (the 1d closed form has a null
-  residual). Timings vary, so the report is the one artifact excluded from
-  the byte-identical guarantee.
+  list of warnings (possibly empty). A run warns ("clipped_mass") of each
+  density that clipped more negative mass than CLIP_MASS_LIMIT: each grid of
+  solve and poisson, each meanfield "start"'s iterates (the largest clip of
+  the start), the probe images behind meanfield's "max_factor" (per "eps")
+  and "eps_threshold" (the bisection's worst "eps"), each stability
+  "delta"'s pair, in the run's own report (a sweep point's, in a sweep).
+  The solvers only record clipped mass; under --strict the first warning
+  ends the run as a SchemePositivityError (exit 3). The 2d solve and
+  poisson summaries carry the solver telemetry of the main grid: residual,
+  clipped mass, pinned cell, the factor's ordering and its L + U nonzeros,
+  and for poisson the Lyapunov witness (m0, r0) (the 1d closed form has a
+  null residual). Timings vary, so the report is the one artifact excluded
+  from the byte-identical guarantee.
   A numerical failure (exit 3) still writes the report; a config or
   parameter error (exit 2) does not.
 
@@ -51,10 +53,9 @@ import numpy as np
 from . import __version__
 from .config import (field_from_config, grid_from_config, kernel_from_name,
                      load_config_file, model_from_config, validate_command_config)
-from .errors import FpkError, ValidationError
+from .errors import FpkError, SchemePositivityError, ValidationError
 from .fields import DiffusionMatrixField, linear_drift
-from .fpk import (CLIP_MASS_LIMIT, harnack_ratio, moment_report, stationary_density,
-                  weighted_lp_norm)
+from .fpk import harnack_ratio, moment_report, stationary_density, weighted_lp_norm
 from .grids import GridSpec
 from .meanfield import (MeanFieldModel, contraction_estimate, gaussian_probe, picard_iterate,
                         threshold_search)
@@ -65,6 +66,7 @@ from . import svg
 
 _EXIT_VALIDATION = 2
 _EXIT_NUMERICAL = 3
+CLIP_MASS_LIMIT = 1e-6  # clipped negative mass above which a run warns (or, strict, fails)
 
 
 def _fmt(v) -> str:
@@ -91,13 +93,14 @@ def config_digest(cfg: dict) -> str:
 
 
 class RunContext:
-    """Output directory plus the bookkeeping for run_report.json."""
+    """Output directory plus the bookkeeping for run_report.json, under the run's --strict flag."""
 
-    def __init__(self, out_dir: str, command: str, cfg: dict, seed: int):
+    def __init__(self, out_dir: str, command: str, cfg: dict, seed: int, strict: bool):
         self.out_dir = out_dir
         self.command = command
         self.cfg = cfg
         self.seed = seed
+        self.strict = strict
         self.t0 = time.monotonic()
         self.artifacts: list[str] = []
         self.summary: dict = {}
@@ -134,11 +137,20 @@ class RunContext:
         return report
 
     def note_clipping(self, clipped: float, spec: GridSpec, **where) -> None:
-        """Warn of a density on spec (at `where` in the run) clipped past CLIP_MASS_LIMIT."""
-        if clipped > CLIP_MASS_LIMIT:
-            self.warnings.append({"kind": "clipped_mass", "value": clipped,
-                                  "limit": CLIP_MASS_LIMIT, "radius": spec.radius,
-                                  "n": spec.n, **where})
+        """Warn of a density on spec (at `where` in the run) clipped past CLIP_MASS_LIMIT.
+
+        Under --strict, then raise the warning as a SchemePositivityError.
+        """
+        if clipped <= CLIP_MASS_LIMIT:
+            return
+        place = {"radius": spec.radius, "n": spec.n, **where}
+        self.warnings.append({"kind": "clipped_mass", "value": clipped,
+                              "limit": CLIP_MASS_LIMIT, **place})
+        if self.strict:
+            at = ", ".join(f"{k} {v}" for k, v in place.items())
+            raise SchemePositivityError(
+                f"clipped negative mass {clipped:.6g} exceeds {CLIP_MASS_LIMIT:g} ({at})",
+                clipped_mass=clipped)
 
     def note_density(self, rho, **where) -> None:
         self.note_clipping(rho.info.get("clipped_mass", 0.0), rho.spec, **where)
@@ -152,7 +164,7 @@ TELEMETRY_KEYS = ("residual", "clipped_mass", "pinned_cell", "ordering", "factor
 # ---------------------------------------------------------------------------
 
 
-def run_dini(ctx: RunContext, cfg: dict, strict: bool) -> dict:
+def run_dini(ctx: RunContext, cfg: dict) -> dict:
     field = field_from_config(cfg["field"], path="field")
     rc = cfg["radii"]
     radii = np.geomspace(rc["min"], rc["max"], rc["count"])
@@ -185,10 +197,10 @@ def run_dini(ctx: RunContext, cfg: dict, strict: bool) -> dict:
             "verdict_reached": est.finite is not None}
 
 
-def run_solve(ctx: RunContext, cfg: dict, strict: bool) -> dict:
+def run_solve(ctx: RunContext, cfg: dict) -> dict:
     A, b, dim, name = model_from_config(cfg)
     spec = grid_from_config(cfg, dim, b.growth.beta2)
-    rho = stationary_density(A, b, spec, strict=strict)
+    rho = stationary_density(A, b, spec)
     ctx.note_density(rho)
     if dim == 2:
         ctx.summary["telemetry"] = {key: rho.info[key] for key in TELEMETRY_KEYS}
@@ -223,11 +235,11 @@ def run_solve(ctx: RunContext, cfg: dict, strict: bool) -> dict:
     return checks
 
 
-def run_poisson(ctx: RunContext, cfg: dict, strict: bool) -> dict:
+def run_poisson(ctx: RunContext, cfg: dict) -> dict:
     A, b, dim, name = model_from_config(cfg)
     psi = field_from_config(cfg["psi"], dim=dim, path="psi")
     spec = grid_from_config(cfg, dim, b.growth.beta2)
-    rho, sol = stationary_poisson(A, b, psi, cfg["k"], spec, p=cfg["p"], strict=strict)
+    rho, sol = stationary_poisson(A, b, psi, cfg["k"], spec, p=cfg["p"])
     ctx.note_density(rho)
     if dim == 2:
         ctx.summary["telemetry"] = {key: rho.info[key] for key in TELEMETRY_KEYS}
@@ -252,8 +264,7 @@ def run_poisson(ctx: RunContext, cfg: dict, strict: bool) -> dict:
     solved = {spec: sol}
     for grid in grids:
         if grid not in solved:
-            grid_rho, solved[grid] = stationary_poisson(A, b, psi, cfg["k"], grid, p=cfg["p"],
-                                                        strict=strict)
+            grid_rho, solved[grid] = stationary_poisson(A, b, psi, cfg["k"], grid, p=cfg["p"])
             ctx.note_density(grid_rho)
     rep = growth_bound_report([solved[grid] for grid in grids])
     write_csv(ctx.path("bounds.csv"),
@@ -293,10 +304,10 @@ def _stability_pair_family(cfg: dict):
     return make
 
 
-def run_stability(ctx: RunContext, cfg: dict, strict: bool) -> dict:
+def run_stability(ctx: RunContext, cfg: dict) -> dict:
     make = _stability_pair_family(cfg)
     spec = grid_from_config(cfg, cfg["dim"], 0.5)
-    res = stability_sweep(make, cfg["deltas"], spec, k=cfg["k"], r=cfg["r"], strict=strict)
+    res = stability_sweep(make, cfg["deltas"], spec, k=cfg["k"], r=cfg["r"])
     rows = [(d, rep.lhs, rep.rhs_diffusion, rep.rhs_drift, rep.c_hat)
             for d, rep in zip(res.deltas, res.reports)]
     for d, rep in zip(res.deltas, res.reports):
@@ -319,7 +330,7 @@ def run_stability(ctx: RunContext, cfg: dict, strict: bool) -> dict:
             "c_hat_spread_ok": bool(res.c_spread <= 10.0)}
 
 
-def run_meanfield(ctx: RunContext, cfg: dict, strict: bool) -> dict:
+def run_meanfield(ctx: RunContext, cfg: dict) -> dict:
     dim = cfg["dim"]
     A1 = DiffusionMatrixField.from_constant(np.eye(dim), 1.0)
     model = MeanFieldModel(A1, linear_drift(dim, 1.0), eps=float(cfg["eps"]),
@@ -329,9 +340,8 @@ def run_meanfield(ctx: RunContext, cfg: dict, strict: bool) -> dict:
     traces = []
     for mean in cfg["starts"]:
         start = gaussian_probe(spec, np.full(dim, float(mean)), 1.0)
-        traces.append(picard_iterate(model, start, tol=cfg["tol"], max_iter=cfg["max_iter"],
-                                     strict=strict))
-        ctx.note_density(traces[-1].fixed_point, start=float(mean))
+        traces.append(picard_iterate(model, start, tol=cfg["tol"], max_iter=cfg["max_iter"]))
+        ctx.note_clipping(traces[-1].clipped_mass, spec, start=float(mean))
     rows = []
     for si, tr in enumerate(traces):
         for t, g in enumerate(tr.gaps):
@@ -360,12 +370,11 @@ def run_meanfield(ctx: RunContext, cfg: dict, strict: bool) -> dict:
         "m_hat": traces[0].m_hat if traces else None,
     }
     if cfg["threshold"]:
-        summary["eps_threshold"], tried = threshold_search(model, spec, strict=strict)
+        summary["eps_threshold"], tried = threshold_search(model, spec)
         worst = max(tried, key=lambda est: est.clipped_mass)
         ctx.note_clipping(worst.clipped_mass, spec, eps=worst.eps, probes="eps_threshold")
     if cfg["eps_grid"]:
-        ests = [contraction_estimate(model.with_eps(e), spec, strict=strict)
-                for e in cfg["eps_grid"]]
+        ests = [contraction_estimate(model.with_eps(e), spec) for e in cfg["eps_grid"]]
         facs = [est.factor for est in ests]
         write_csv(ctx.path("response.csv"), ["eps", "factor"], zip(cfg["eps_grid"], facs))
         summary["max_factor"] = max(facs)
@@ -385,10 +394,10 @@ def _run_sweep_point(task: str, base_cfg: dict, axis_key: str, value: float,
         cfg["deltas"] = [value, 2.0 * value]
     else:
         cfg[axis_key] = value
-    ctx = RunContext(out_dir, task, cfg, cfg.get("seed", 0))
+    ctx = RunContext(out_dir, task, cfg, cfg.get("seed", 0), strict)
     runner = {"stability": run_stability, "meanfield": run_meanfield}[task]
     try:
-        checks = runner(ctx, cfg, strict)
+        checks = runner(ctx, cfg)
     except FpkError as exc:
         ctx.summary["error"] = f"{type(exc).__name__}: {exc}"
         ctx.error = exc
@@ -401,7 +410,7 @@ def _run_sweep_point(task: str, base_cfg: dict, axis_key: str, value: float,
     return {"value": value, "passed": report["passed"], "summary": report["summary"]}
 
 
-def run_sweep(ctx: RunContext, cfg: dict, strict: bool, workers: int) -> dict:
+def run_sweep(ctx: RunContext, cfg: dict, workers: int) -> dict:
     task = cfg["task"]
     axis_key = cfg["axis_key"]
     values = sorted(float(v) for v in cfg["axis"])
@@ -412,7 +421,7 @@ def run_sweep(ctx: RunContext, cfg: dict, strict: bool, workers: int) -> dict:
         for i, v in enumerate(values):
             sub = os.path.join(ctx.out_dir, f"point-{i:03d}")
             jobs.append(pool.submit(_run_sweep_point, task, cfg["base"], axis_key, v,
-                                    sub, strict))
+                                    sub, ctx.strict))
         results = [j.result() for j in jobs]
     results.sort(key=lambda r: r["value"])
     metric = "slope" if task == "stability" else "fixed_point_spread"
@@ -423,7 +432,7 @@ def run_sweep(ctx: RunContext, cfg: dict, strict: bool, workers: int) -> dict:
                         "all_passed": not failures, "failed_values": failures})
     for i in range(len(values)):
         ctx.artifacts.append(f"point-{i:03d}/run_report.json")
-    if strict:
+    if ctx.strict:
         return {"all_points_passed": not failures}
     # lenient mode records failures in the summary and still exits 0
     return {"sweep_completed": True}
@@ -454,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--strict", action="store_true",
-                       help="escalate soft numerical warnings to errors")
+                       help="escalate soft numerical warnings to errors: exit 3 at the "
+                            "first warning, or at a failing sweep point")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--workers", type=int, default=None,
@@ -485,13 +495,13 @@ def main(argv=None) -> int:
             raw["seed"] = args.seed
         cfg = validate_command_config(args.command, raw)
         workers = resolve_workers(args.workers)
-        ctx = RunContext(args.out, args.command, cfg, cfg.get("seed", 0))
+        ctx = RunContext(args.out, args.command, cfg, cfg.get("seed", 0), args.strict)
         if args.command == "sweep":
-            checks = run_sweep(ctx, cfg, args.strict, workers)
+            checks = run_sweep(ctx, cfg, workers)
         else:
             runner = {"dini": run_dini, "solve": run_solve, "poisson": run_poisson,
                       "stability": run_stability, "meanfield": run_meanfield}[args.command]
-            checks = runner(ctx, cfg, args.strict)
+            checks = runner(ctx, cfg)
         report = ctx.finish(checks)
         status = "pass" if report["passed"] else "fail"
         print(f"{args.command}: {status} ({report['wall_time_s']:.2f}s) -> {args.out}")

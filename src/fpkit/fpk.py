@@ -44,8 +44,10 @@ formal adjoint equation sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0):
   factor's solves take and return grid order either way.
 
 The scheme is second order but not monotone; tiny negative cells can appear
-and are clipped with the removed mass recorded (escalated to an error in
-strict mode when it exceeds 1e-6).
+and are clipped, the removed mass recorded in info["clipped_mass"]. Whether
+a clip is fatal is the caller's decision (the CLI warns, or under --strict
+fails). A coefficient sample that is not finite is an EvaluationError naming
+the first such point, raised before the ellipticity check and the factor.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (ConfinementError, ConvergenceError, DegenerateDensityError,
-                     EllipticityError, SchemePositivityError, SupportError, TruncationError)
+                     EllipticityError, EvaluationError, SupportError, TruncationError)
 from .fields import (ClosureField, ConstantField, DiffusionMatrixField, DriftField,
                      ScalarField, linear_drift, make_example_field)
 from .grids import GridDensity, GridSpec
@@ -70,7 +72,6 @@ from .testfunctions import SmoothTestFunction
 BOUNDARY_MASS_LIMIT = 1e-4
 RESIDUAL_LIMIT = 1e-10
 ELLIPTICITY_TOL = 1e-6
-CLIP_MASS_LIMIT = 1e-6
 PANEL_SIZE = 2  # SuperLU panel size and supernode relaxation (see _factor)
 RELAX = 2
 
@@ -83,15 +84,38 @@ def _scalar_diffusion(a) -> ScalarField:
     return a
 
 
-def _positive_values(a: ScalarField, pts: np.ndarray) -> np.ndarray:
-    """a at pts, or an EllipticityError naming a point where a is not positive."""
-    vals = a.values(pts)
+def _positive(vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """vals, samples of a diffusion at pts, or an EllipticityError naming one not positive."""
     i = int(np.argmin(vals))
     if vals[i] <= 0.0:
         at = ", ".join(f"{v:.6g}" for v in pts[i])
         raise EllipticityError(f"diffusion coefficient nonpositive at x=({at}) "
                                f"(value {vals[i]:.6g})")
     return vals
+
+
+def _require_finite(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """EvaluationError naming the first of pts where a sample of a or b is not finite.
+
+    A field subclass that overrides `values` can return NaN, which the
+    positivity and ellipticity checks let through.
+    """
+    ok = np.isfinite(a.reshape(len(pts), -1)).all(axis=1)
+    ok &= np.isfinite(b.reshape(len(pts), -1)).all(axis=1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        at = ", ".join(f"{v:.6g}" for v in pts[i])
+        raise EvaluationError(f"coefficients non-finite at x=({at}): "
+                              f"a {a[i].tolist()}, b {b[i].tolist()}", point=pts[i])
+
+
+def _check_truncation(rho: GridDensity) -> GridDensity:
+    """rho, or a TruncationError when its boundary cells hold BOUNDARY_MASS_LIMIT or more."""
+    if rho.boundary_mass >= BOUNDARY_MASS_LIMIT:
+        raise TruncationError(
+            f"under-truncation: boundary cells hold mass {rho.boundary_mass:.3e} "
+            f">= {BOUNDARY_MASS_LIMIT:g}; enlarge the radius")
+    return rho
 
 
 def _fine_profile_1d(a, b: DriftField, spec: GridSpec, subdiv: int = 8) -> dict:
@@ -106,8 +130,10 @@ def _fine_profile_1d(a, b: DriftField, spec: GridSpec, subdiv: int = 8) -> dict:
         raise ValueError("1D solver called on a non-1D grid")
     pts, hf = fine_mesh(spec.radius, spec.n, subdiv)
     X = pts[:, None]
-    a_vals = _positive_values(_scalar_diffusion(a), X)
+    a_vals = _scalar_diffusion(a).values(X)
     b_vals = b.values(X)[:, 0]
+    _require_finite(X, a_vals, b_vals)
+    _positive(a_vals, X)
     integ = cumulative_integral(b_vals / a_vals, hf)
     integ = integ - integ[len(pts) // 2]  # anchor the antiderivative at x = 0
     log_rho = integ - np.log(a_vals)
@@ -118,9 +144,8 @@ def _fine_profile_1d(a, b: DriftField, spec: GridSpec, subdiv: int = 8) -> dict:
     if not np.isfinite(z_cells) or z_cells <= 0.0:
         raise ConfinementError("stationary normalization diverged; drift does not confine")
     rho_fine = unnorm / z_cells
-    return {"pts": pts, "hf": hf, "subdiv": subdiv, "integral_b_over_a": integ,
-            "rho_fine": rho_fine, "center_idx": cidx, "a_fine": a_vals, "b_fine": b_vals,
-            "log_normalizer": shift + math.log(z_cells)}
+    return {"pts": pts, "hf": hf, "integral_b_over_a": integ, "rho_fine": rho_fine,
+            "center_idx": cidx, "log_normalizer": shift + math.log(z_cells)}
 
 
 def solve_exact_1d(a, b: DriftField, spec: GridSpec, subdiv: int = 8,
@@ -138,11 +163,7 @@ def solve_exact_1d(a, b: DriftField, spec: GridSpec, subdiv: int = 8,
     rho_c = prof["rho_fine"][prof["center_idx"]]
     dens = GridDensity(spec, rho_c / (rho_c.sum() * spec.h),
                        info={"method": "exact-1d", "log_normalizer": prof["log_normalizer"]})
-    if check_truncation and dens.boundary_mass >= BOUNDARY_MASS_LIMIT:
-        raise TruncationError(
-            f"under-truncation: boundary cells hold mass {dens.boundary_mass:.3e} "
-            f">= {BOUNDARY_MASS_LIMIT:g}; enlarge the radius")
-    return dens
+    return _check_truncation(dens) if check_truncation else dens
 
 
 # ---------------------------------------------------------------------------
@@ -288,34 +309,6 @@ class PinnedFactor:
         return x
 
 
-def pinned_factor(M: sp.spmatrix, pin: int, order: np.ndarray | None = None) -> PinnedFactor:
-    """SuperLU factor of a singular M (one-dimensional kernel) closed by a pin.
-
-    Row `pin` must be implied by the other rows. It is replaced by the unit
-    row e_pin, so a solution x meets the other equations and x[pin] equals
-    the right-hand side there; callers fix the kernel component (normalize
-    a mass, subtract a mean). A transposed solve (trans="T") solves M^T with
-    column `pin` replaced by e_pin. An exactly singular factor is a
-    ConvergenceError, and so is a pinned null vector (PinnedFactor.null) that
-    is not finite. With an `order` of the cells, the pinned M is factored
-    with its rows and columns taken in that order (see _factor).
-
-    This is the pin of an arbitrary matrix; _pinned_generator writes the
-    pinned L_h^T straight from its table of neighbour weights instead.
-    """
-    R = sp.csr_matrix(M, dtype=float)
-    if order is not None:
-        R = R[order][:, order]
-    p = pin if order is None else int(np.flatnonzero(order == pin)[0])
-    lo, hi = R.indptr[p], R.indptr[p + 1]
-    indptr = R.indptr.copy()
-    indptr[p + 1:] -= hi - lo - 1
-    P = sp.csr_matrix((np.concatenate([R.data[:lo], [1.0], R.data[hi:]]),
-                       np.concatenate([R.indices[:lo], [p], R.indices[hi:]]), indptr),
-                      shape=R.shape)
-    return _factor(P.tocsc(), pin, order)
-
-
 def _factor(P: sp.csc_matrix, pin: int, order: np.ndarray | None) -> PinnedFactor:
     """SuperLU factor of a pinned matrix P, in `order` when given (see PinnedFactor).
 
@@ -363,7 +356,7 @@ def _sampled_diffusion(A, spec: GridSpec) -> tuple[DiffusionMatrixField, np.ndar
         return A, A.values(pts)
     if spec.dim != A.dim:
         raise ValueError("diffusion dimension does not match grid")
-    samp = _positive_values(A, pts)
+    samp = _positive(A.values(pts), pts)
     lam = min(1.0, float(samp.min()), 1.0 / float(samp.max()))
     a = np.zeros((len(samp), spec.dim, spec.dim))
     for i in range(spec.dim):
@@ -380,32 +373,34 @@ def _pinned_generator(A, b: DriftField, spec: GridSpec,
                       a: np.ndarray | None = None) -> tuple[sp.csr_matrix, PinnedFactor]:
     """L_h and the factor of the pinned L_h^T, built once per grid.
 
-    Samples A (a scalar diffusion as a I) and b once at the cell centers,
-    or takes a, the matrix A's samples there (from _sampled_diffusion);
-    the ellipticity check, a scalar diffusion's lambda and the table of
-    neighbour weights (_weight_table) all read those samples. The table
-    gives the CSR arrays of L_h, which are the CSC arrays of L_h^T (see
-    _compressed). Pinning the center-most cell drops the off-diagonal
-    entries of row `pin` of L_h^T (column pin of L_h, in the slots of the
-    neighbours of pin that point at it) and sets its diagonal to 1. It is
-    done in the table, which then gives the pinned L_h^T; undone, the table
-    gives L_h. L_h is built after the factor, so SuperLU runs beside the
-    table and the pinned matrix only, not beside L_h as well. The factor
-    owns the pin and its null vector, the density (solve_grid) and the
-    adjoint null vector (poisson.discrete_adjoint_null) once scaled; a
-    transposed solve gives the Poisson solution
-    (poisson.solve_poisson_grid). A 9-point L_h^T (a^01 not zero at some
-    cell) is written directly in the grid's nested-dissection order, each
-    column's rows sorted, and factored in that order; a 5-point or 1d L_h^T
-    keeps SuperLU's MMD_AT_PLUS_A order (see _factor for the fill and
-    timings).
+    Samples A (a scalar diffusion as a I) and b once at the cell centers, or
+    takes a, the matrix A's samples there (from _sampled_diffusion); the
+    finiteness check (_require_finite, first), the ellipticity check, a
+    scalar diffusion's lambda and the table of neighbour weights
+    (_weight_table) all read those samples. The table gives the CSR arrays
+    of L_h, which are the CSC arrays of L_h^T (see _compressed). Pinning the
+    center-most cell drops the off-diagonal entries of row `pin` of L_h^T
+    (column pin of L_h, in the slots of the neighbours of pin that point at
+    it) and sets its diagonal to 1. It is done in the table, which then
+    gives the pinned L_h^T; undone, the table gives L_h. L_h is built after
+    the factor, so SuperLU runs beside the table and the pinned matrix only,
+    not beside L_h as well. The factor owns the pin and its null vector, the
+    density (solve_grid) and the adjoint null vector
+    (poisson.discrete_adjoint_null) once scaled; a transposed solve gives
+    the Poisson solution (poisson.solve_poisson_grid). A 9-point L_h^T (a^01
+    not zero at some cell) is written directly in the grid's
+    nested-dissection order, each column's rows sorted, and factored in that
+    order; a 5-point or 1d L_h^T keeps SuperLU's MMD_AT_PLUS_A order (see
+    _factor for the fill and timings).
     """
     if a is None:
         A, a = _sampled_diffusion(A, spec)
     pts = spec.cell_centers()
+    b_c = b.values(pts)
+    _require_finite(pts, a, b_c)
     A.check_ellipticity(pts, tol=ELLIPTICITY_TOL, a=a)
-    T, offsets = _weight_table(a, b.values(pts), spec)
-    del a
+    T, offsets = _weight_table(a, b_c, spec)
+    del a, b_c
     N = spec.n_cells
     pin = int(np.argmin(spec.center_radii()))  # an interior cell, so every pin - offset is a cell
     order = spec.dissection_order() if len(offsets) == 9 else None  # 9 slots: a cross term
@@ -418,7 +413,7 @@ def _pinned_generator(A, b: DriftField, spec: GridSpec,
     return sp.csr_matrix(_compressed(T, offsets), shape=(N, N)), factor
 
 
-def _null_density(spec: GridSpec, L: sp.csr_matrix, lu: PinnedFactor, strict: bool,
+def _null_density(spec: GridSpec, L: sp.csr_matrix, lu: PinnedFactor,
                   check_truncation: bool) -> GridDensity:
     """Scale the pinned null vector of L_h^T to unit mass and validate it (see solve_grid)."""
     M = L.T
@@ -428,34 +423,23 @@ def _null_density(spec: GridSpec, L: sp.csr_matrix, lu: PinnedFactor, strict: bo
     # cancellation-free magnitude |M| |rho|
     denom = float((abs(M) @ np.abs(raw)).max())
     residual = float(np.abs(M @ raw).max()) / max(denom, 1e-300)
-    history = [residual]
     if residual > RESIDUAL_LIMIT:
         raise ConvergenceError(
-            f"linear solve residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}", history=history)
+            f"linear solve residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}", history=[residual])
 
     clipped_mass = float(np.maximum(-raw, 0.0).sum()) * spec.cell_volume
-    if clipped_mass > CLIP_MASS_LIMIT and strict:
-        raise SchemePositivityError(
-            f"clipped negative mass {clipped_mass:.3e} exceeds {CLIP_MASS_LIMIT:g} in strict mode",
-            clipped_mass=clipped_mass)
     raw = np.maximum(raw, 0.0)
     total = raw.sum() * spec.cell_volume
     if total <= 0 or not np.isfinite(total):
         raise DegenerateDensityError("solution mass vanished after clipping")
     rho = GridDensity(spec, (raw / total).reshape(spec.shape),
                       info={"method": "generator-null", "residual": residual,
-                            "residual_history": history, "clipped_mass": clipped_mass,
-                            "pinned_cell": lu.pin, "ordering": lu.ordering,
-                            "factor_nnz": lu.nnz})
-    if check_truncation and rho.boundary_mass >= BOUNDARY_MASS_LIMIT:
-        raise TruncationError(
-            f"under-truncation: boundary cells hold mass {rho.boundary_mass:.3e} "
-            f">= {BOUNDARY_MASS_LIMIT:g}; enlarge the radius")
-    return rho
+                            "clipped_mass": clipped_mass, "pinned_cell": lu.pin,
+                            "ordering": lu.ordering, "factor_nnz": lu.nnz})
+    return _check_truncation(rho) if check_truncation else rho
 
 
-def solve_grid(A, b: DriftField, spec: GridSpec, strict: bool = False,
-               check_truncation: bool = True) -> GridDensity:
+def solve_grid(A, b: DriftField, spec: GridSpec, check_truncation: bool = True) -> GridDensity:
     """Stationary density as the pinned null vector of M = L_h^T.
 
     Builds the generator L_h (generator_matrix), pins the center-most cell of
@@ -466,20 +450,20 @@ def solve_grid(A, b: DriftField, spec: GridSpec, strict: bool = False,
     sum_x rho (L_h phi) = 0 for every grid function phi, up to roundoff and
     clipping. The solution is validated: relative residual of the full
     singular system below 1e-10 (else ConvergenceError with the history),
-    clipped negative mass recorded (SchemePositivityError in strict mode
-    above 1e-6), boundary-cell mass below 1e-4 (else TruncationError;
-    disabled by check_truncation=False for problems posed on the box itself).
-    info records the residual, the clipped mass, the pinned cell, the factor's
-    ordering ("mmd" or "nested-dissection") and its L + U nonzeros.
+    negative cells clipped to zero, boundary-cell mass below 1e-4 (else
+    TruncationError; disabled by check_truncation=False for problems posed on
+    the box itself). info records the residual, the clipped negative mass, the
+    pinned cell, the factor's ordering ("mmd" or "nested-dissection") and its
+    L + U nonzeros.
     """
-    return _null_density(spec, *_pinned_generator(A, b, spec), strict, check_truncation)
+    return _null_density(spec, *_pinned_generator(A, b, spec), check_truncation)
 
 
-def stationary_density(A, b: DriftField, spec: GridSpec, strict: bool = False) -> GridDensity:
+def stationary_density(A, b: DriftField, spec: GridSpec) -> GridDensity:
     """Stationary density on the grid: the closed form in d = 1, the null vector of L_h^T otherwise."""
     if spec.dim == 1:
         return solve_exact_1d(A, b, spec)
-    return solve_grid(A, b, spec, strict=strict)
+    return solve_grid(A, b, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -284,10 +284,10 @@ def nonlocal_coefficients(model: MeanFieldModel,
     return a_eff, b_eff
 
 
-def apply_phi(model: MeanFieldModel, rho: GridDensity, strict: bool = False) -> GridDensity:
-    """One application of the self-consistency map Phi (strict as in fpk.solve_grid)."""
+def apply_phi(model: MeanFieldModel, rho: GridDensity) -> GridDensity:
+    """One application of the self-consistency map Phi."""
     a_eff, b_eff = nonlocal_coefficients(model, rho)
-    return stationary_density(a_eff, b_eff, rho.spec, strict=strict)
+    return stationary_density(a_eff, b_eff, rho.spec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,6 +299,8 @@ class FixedPointTrace:
     consecutive air ratios gap[t+1]/gap[t]. threshold_scale is the measured
     eps * N * (sqrt(M_hat) + M_hat); multiplying it by an externally
     estimated stability ratio C_hat gives the contraction threshold.
+    clipped_mass is the largest negative mass clipped from an iterate (0 for
+    the closed-form 1d densities, which never clip).
     """
 
     fixed_point: GridDensity
@@ -310,6 +312,7 @@ class FixedPointTrace:
     m_hat: float
     threshold_scale: float
     tol: float
+    clipped_mass: float = 0.0
 
     @property
     def n_steps(self) -> int:
@@ -317,11 +320,8 @@ class FixedPointTrace:
 
 
 def picard_iterate(model: MeanFieldModel, rho0: GridDensity, tol: float = 1e-8,
-                   max_iter: int = 60, strict: bool = False) -> FixedPointTrace:
+                   max_iter: int = 60) -> FixedPointTrace:
     """Iterate Phi from rho0 until the weighted gap drops below tol.
-
-    strict is passed to every apply_phi, so a clipped density raises
-    SchemePositivityError.
 
     Raises NonContractionError (with the gap sequence) when the iteration
     budget is exhausted and the gaps were not monotonically decreasing, and
@@ -333,10 +333,12 @@ def picard_iterate(model: MeanFieldModel, rho0: GridDensity, tol: float = 1e-8,
     rho = rho0
     gaps: list[float] = []
     m_hat = _weighted_moment(rho0, mom_power)
+    clipped = 0.0
     converged = False
     for _ in range(max_iter):
-        nxt = apply_phi(model, rho, strict=strict)
+        nxt = apply_phi(model, rho)
         m_hat = max(m_hat, _weighted_moment(nxt, mom_power))
+        clipped = max(clipped, nxt.info.get("clipped_mass", 0.0))
         gaps.append(weighted_l1_distance(nxt, rho, k))
         rho = nxt
         if gaps[-1] <= tol:
@@ -347,7 +349,8 @@ def picard_iterate(model: MeanFieldModel, rho0: GridDensity, tol: float = 1e-8,
     trace = FixedPointTrace(fixed_point=rho, gaps=tuple(gaps), factors=factors,
                             converged=converged, eps=model.eps,
                             kernel_bound=model.kernel_bound, m_hat=m_hat,
-                            threshold_scale=float(scale), tol=float(tol))
+                            threshold_scale=float(scale), tol=float(tol),
+                            clipped_mass=clipped)
     if not converged:
         if any(f > 1.0 for f in factors):
             raise NonContractionError(
@@ -396,8 +399,7 @@ def default_probes(spec: GridSpec) -> tuple[GridDensity, ...]:
 
 
 def contraction_estimate(model: MeanFieldModel, spec: GridSpec,
-                         probes: Sequence[GridDensity] | None = None,
-                         strict: bool = False) -> ContractionEstimate:
+                         probes: Sequence[GridDensity] | None = None) -> ContractionEstimate:
     """Sampled contraction factor of Phi: max over probe pairs of the ratio
     ||Phi(p) - Phi(q)||_k / ||p - q||_k.
 
@@ -408,7 +410,7 @@ def contraction_estimate(model: MeanFieldModel, spec: GridSpec,
     probes = tuple(probes) if probes is not None else default_probes(spec)
     if len(probes) < 2:
         raise ValueError("need at least two probe densities")
-    images = [apply_phi(model, p, strict=strict) for p in probes]
+    images = [apply_phi(model, p) for p in probes]
     factors = []
     for i in range(len(probes)):
         for j in range(i + 1, len(probes)):
@@ -422,27 +424,26 @@ def contraction_estimate(model: MeanFieldModel, spec: GridSpec,
 
 
 def epsilon_threshold(model: MeanFieldModel, spec: GridSpec, eps_max: float = 1.0,
-                      tol: float = 1e-3, probes: Sequence[GridDensity] | None = None,
-                      strict: bool = False) -> float:
+                      tol: float = 1e-3, probes: Sequence[GridDensity] | None = None) -> float:
     """Largest coupling (up to eps_max) with sampled contraction factor < 1.
 
     Bisects on eps, using the sampled factor as a monotone surrogate. When
     even eps_max contracts on the probes, eps_max itself is returned.
     """
-    return threshold_search(model, spec, eps_max, tol, probes, strict)[0]
+    return threshold_search(model, spec, eps_max, tol, probes)[0]
 
 
 def threshold_search(model: MeanFieldModel, spec: GridSpec, eps_max: float = 1.0,
                      tol: float = 1e-3, probes: Sequence[GridDensity] | None = None,
-                     strict: bool = False) -> tuple[float, tuple[ContractionEstimate, ...]]:
+                     ) -> tuple[float, tuple[ContractionEstimate, ...]]:
     """epsilon_threshold, and the contraction estimate of every eps it tried, in order."""
-    estimates = [contraction_estimate(model.with_eps(eps_max), spec, probes, strict)]
+    estimates = [contraction_estimate(model.with_eps(eps_max), spec, probes)]
     if estimates[-1].factor < 1.0:
         return eps_max, tuple(estimates)
     lo, hi = 0.0, eps_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        estimates.append(contraction_estimate(model.with_eps(mid), spec, probes, strict))
+        estimates.append(contraction_estimate(model.with_eps(mid), spec, probes))
         if estimates[-1].factor < 1.0:
             lo = mid
         else:

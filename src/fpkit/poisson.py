@@ -452,15 +452,14 @@ def solve_poisson(problem: PoissonProblem) -> PoissonSolution:
 
 
 def stationary_poisson(A, b: DriftField, psi: ScalarField, k: float, spec: GridSpec,
-                       p: float | None = None,
-                       strict: bool = False) -> tuple[GridDensity, PoissonSolution]:
+                       p: float | None = None) -> tuple[GridDensity, PoissonSolution]:
     """The stationary density rho on the grid and the Poisson solution for psi.
 
     In d = 1 both are the closed forms (fpk.solve_exact_1d, solve_poisson_1d).
     In d = 2 one SuperLU factor of the pinned L_h^T gives rho, w and u: its
     pinned null vector (PinnedFactor.null), scaled to unit mass, is the
-    density, validated as in fpk.solve_grid (SchemePositivityError on clipped
-    mass in strict mode), and, scaled to sum 1, the adjoint null vector w;
+    density, validated and clipped as in fpk.solve_grid, and, scaled to
+    sum 1, the adjoint null vector w;
     its transposed solve gives u. The result equals stationary_density
     followed by solve_poisson bit for bit, with one factorization instead of
     two.
@@ -470,7 +469,7 @@ def stationary_poisson(A, b: DriftField, psi: ScalarField, k: float, spec: GridS
         return rho, solve_poisson_1d(PoissonProblem(A, b, psi, k, rho, p=p))
     A, a = _sampled_diffusion(A, spec)  # PoissonProblem takes this A as it is
     L, lu = _pinned_generator(A, b, spec, a)
-    rho = _null_density(spec, L, lu, strict, check_truncation=True)
+    rho = _null_density(spec, L, lu, check_truncation=True)
     return rho, _solve_factored(PoissonProblem(A, b, psi, k, rho, p=p), L, lu)
 
 
@@ -512,18 +511,17 @@ def growth_bound_report(solutions: list[PoissonSolution]) -> GrowthBoundReport:
 
 def verify_growth_bounds(A, b: DriftField, psi: ScalarField, k: float,
                          radii: tuple[float, ...] = (8.0, 16.0), n_base: int = 512,
-                         p: float | None = None, strict: bool = False) -> GrowthBoundReport:
+                         p: float | None = None) -> GrowthBoundReport:
     """Solve the Poisson problem at several truncation radii and compare bounds.
 
     The cell width is held fixed (n scales with R, check_grids), so the
     quotients G0/Psi, G1/Psi, H/Psi are directly comparable; their maximal
     relative drift between consecutive radii is reported
     (growth_bound_report). Each radius is one stationary_poisson call (one
-    factorization in d = 2); strict makes a clipped density on any of the
-    grids a SchemePositivityError.
+    factorization in d = 2).
     """
     return growth_bound_report(
-        [stationary_poisson(A, b, psi, k, grid, p=p, strict=strict)[1]
+        [stationary_poisson(A, b, psi, k, grid, p=p)[1]
          for grid in check_grids(b.dim, radii, n_base)])
 
 

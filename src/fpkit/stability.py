@@ -75,13 +75,12 @@ class CoefficientPair:
     def shared_lam(self) -> float:
         return min(self.a_mu.lam, self.a_sigma.lam)
 
-    def solve_pair(self, spec: GridSpec,
-                   strict: bool = False) -> tuple[GridDensity, GridDensity]:
-        """Stationary densities of both members on the shared grid (strict as in fpk.solve_grid)."""
+    def solve_pair(self, spec: GridSpec) -> tuple[GridDensity, GridDensity]:
+        """Stationary densities of both members on the shared grid."""
         if spec.dim != self.dim:
             raise GridMismatchError("grid dimension does not match the coefficient pair")
-        return (stationary_density(self.a_mu, self.b_mu, spec, strict=strict),
-                stationary_density(self.a_sigma, self.b_sigma, spec, strict=strict))
+        return (stationary_density(self.a_mu, self.b_mu, spec),
+                stationary_density(self.a_sigma, self.b_sigma, spec))
 
 
 def weighted_l1_distance(rho1: GridDensity, rho2: GridDensity, k: float) -> float:
@@ -142,9 +141,9 @@ def rhs_discrepancy(pair: CoefficientPair, rho_sigma: GridDensity, k: float,
 
 
 def estimate_stability(pair: CoefficientPair, spec: GridSpec, k: float,
-                       r: float = 2.0, strict: bool = False) -> StabilityReport:
+                       r: float = 2.0) -> StabilityReport:
     """Solve both members and measure both sides of the perturbation estimate."""
-    return _measure(pair, *pair.solve_pair(spec, strict=strict), k, r)
+    return _measure(pair, *pair.solve_pair(spec), k, r)
 
 
 def _measure(pair: CoefficientPair, rho_mu: GridDensity, rho_sigma: GridDensity, k: float,
@@ -219,14 +218,14 @@ class SweepResult:
 
 def stability_sweep(make_pair: Callable[[float], CoefficientPair],
                     deltas: Sequence[float], spec: GridSpec, k: float,
-                    r: float = 2.0, strict: bool = False) -> SweepResult:
+                    r: float = 2.0) -> SweepResult:
     """Measure the estimate along a perturbation family delta -> pair(delta).
 
     Fits log lhs against log delta over the nonzero deltas (a delta of 0 has
     lhs 0 and carries no scaling information) and reports the spread
-    max/min of the nonzero empirical ratios. strict is passed to every
-    density solve. When every pair carries the same sigma objects (a_sigma
-    and b_sigma), rho_sigma is solved once, with the first pair, and shared.
+    max/min of the nonzero empirical ratios. When every pair carries the
+    same sigma objects (a_sigma and b_sigma), rho_sigma is solved once, with
+    the first pair, and shared.
     """
     deltas = np.asarray(list(deltas), dtype=float)
     if (deltas < 0).any():
@@ -236,9 +235,9 @@ def stability_sweep(make_pair: Callable[[float], CoefficientPair],
     reports, rho_sigma = [], None
     for pair in pairs:
         if rho_sigma is None or not shared:
-            rho_mu, rho_sigma = pair.solve_pair(spec, strict=strict)
+            rho_mu, rho_sigma = pair.solve_pair(spec)
         else:
-            rho_mu = stationary_density(pair.a_mu, pair.b_mu, spec, strict=strict)
+            rho_mu = stationary_density(pair.a_mu, pair.b_mu, spec)
         reports.append(_measure(pair, rho_mu, rho_sigma, k, r))
     pos = deltas > 0
     if pos.sum() < 2:

@@ -17,8 +17,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import fpkit
-from fpkit import __version__, poisson, stability
-from fpkit.cli import build_parser, main, resolve_workers, write_csv
+from fpkit import __version__, fpk, poisson, stability
+from fpkit.cli import CLIP_MASS_LIMIT, build_parser, main, resolve_workers, write_csv
 from fpkit.config import (field_from_config, grid_from_config, model_from_config,
                           validate_command_config)
 from fpkit.errors import ValidationError
@@ -212,19 +212,29 @@ class TestNumericalExits:
         assert_error_report(report, "SchemePositivityError")
 
     @pytest.mark.parametrize("command,cfg", [
-        ("meanfield", {"eps": 0.05, "starts": [0.5], "threshold": False}),
-        ("stability", {"family": "drift-linear", "deltas": [0.01, 0.1]}),
+        ("meanfield", {"eps": 0.05, "starts": [0.5], "threshold": False, "dim": 2}),
+        ("stability", {"family": "drift-linear", "deltas": [0.01, 0.1], "dim": 2}),
+        ("solve", {"model": "ou-2d"}),
+        ("poisson", {"model": "ou-2d", "psi": {"expression": "x1"}, "k": 1.0}),
     ])
     def test_strict_rejects_a_clipped_density(self, tmp_path, capsys, command, cfg):
-        # regression: apply_phi and solve_pair solved their densities without
-        # `strict`. At R = 8, n = 16 the cell Peclet number h|x|/2 passes 1 at
-        # |x| = 2 and the density clips 6e-3 of its mass; lenient runs pass
-        cfg = {**cfg, "dim": 2, "radius": 8, "n": 16}
-        assert run_cli(tmp_path, command, cfg, out="lenient")[0] == 0
+        # regression: the densities of meanfield's Picard iterates and of
+        # stability's pairs escaped --strict. At R = 8, n = 16 the cell Peclet
+        # number h|x|/2 passes 1 at |x| = 2 and the density clips 6e-3 of its
+        # mass; lenient runs pass. A strict run fails at the lenient run's
+        # first warning and names it
+        cfg = {**cfg, "radius": 8, "n": 16}
+        code, lenient, _ = run_cli(tmp_path, command, cfg, out="lenient")
+        assert code == 0
+        first = lenient["warnings"][0]
         code, report, _ = run_cli(tmp_path, command, cfg, "--strict")
         assert code == 3
         assert capsys.readouterr().err.startswith("numerical failure: SchemePositivityError:")
         assert_error_report(report, "SchemePositivityError")
+        assert report["warnings"] == [first]
+        message = report["error"]["message"]
+        assert f"clipped negative mass {first['value']:.6g} exceeds 1e-06" in message
+        assert "radius 8.0, n 16" in message
 
     @pytest.mark.parametrize("command,cfg", [
         ("solve", {"model": "ou-2d"}),
@@ -289,6 +299,44 @@ class TestNumericalExits:
         point = json.loads((out_dir / "point-000" / "run_report.json").read_text())
         assert point["outcome"] == "error"
         assert point["error"]["class"] == "SchemePositivityError"
+        assert [(w["kind"], w["start"]) for w in point["warnings"]] == [("clipped_mass", 0.5)]
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("solve", {"model": "ou-2d", "n": 16}),
+        ("solve", {"model": "anisotropic-2d", "n": 32}),
+        ("solve", {"model": "ou-2d", "n": 32}),  # clips 2.4e-7, below the limit
+        ("poisson", {"model": "ou-2d", "psi": {"expression": "x1"}, "k": 1.0, "n": 16}),
+        # iterates only; with this kernel a start's fixed point is not its largest clip
+        ("meanfield", {"eps": 0.05, "starts": [0.5, -0.5], "kernel": "tanh-relative",
+                       "threshold": False, "dim": 2, "n": 16}),
+        ("meanfield", {"eps": 0.05, "starts": [0.5], "eps_grid": [0.02, 0.05], "dim": 2,
+                       "n": 16}),
+        ("meanfield", {"eps": 0.05, "starts": [0.5], "eps_grid": [0.02, 0.05], "dim": 2,
+                       "n": 32}),
+        ("stability", {"family": "drift-linear", "dim": 2, "deltas": [0.01, 0.03, 0.1],
+                       "n": 16}),
+    ])
+    def test_every_clipped_density_is_warned_of(self, tmp_path, monkeypatch, command, cfg):
+        # the report warns if and only if some density of the run clipped past
+        # the limit; each warning is such a clip, and the largest is among them
+        clipped = []
+        null_density = fpk._null_density
+
+        def recorded(*args, **kwargs):
+            rho = null_density(*args, **kwargs)
+            clipped.append(rho.info["clipped_mass"])
+            return rho
+
+        monkeypatch.setattr(fpk, "_null_density", recorded)
+        monkeypatch.setattr(poisson, "_null_density", recorded)
+        code, report, _ = run_cli(tmp_path, command, {**cfg, "radius": 8})
+        assert code == 0
+        assert clipped
+        over = [c for c in clipped if c > CLIP_MASS_LIMIT]
+        warned = [w["value"] for w in report["warnings"]]
+        assert bool(warned) == bool(over)
+        assert set(warned) <= set(over)
+        assert max(warned, default=None) == max(over, default=None)
 
     def test_failing_check_exits_three_with_fail_line(self, tmp_path, capsys):
         cfg = {"task": "stability", "axis": [0.01, 0.05, 5.0],

@@ -2,11 +2,14 @@
 
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpkit
 from fpkit.config import (
     SCHEMAS,
     coefficients_from_config,
@@ -21,6 +24,8 @@ from fpkit.errors import EllipticityError, ValidationError
 from fpkit.fields import ScalarField
 from fpkit.fpk import _diffusion_matrix, stationary_density
 from fpkit.grids import GridSpec
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def dini_cfg(**over):
@@ -304,7 +309,7 @@ class TestReadmeConfigs:
     @staticmethod
     def documented_configs() -> list[tuple[str, dict]]:
         # a ```json block documents the last `fpkit <command>` named before it
-        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        text = README.read_text()
         out = []
         for block in re.finditer(r"```json\n(.*?)```", text, re.S):
             commands = re.findall(r"`fpkit (\w+)", text[:block.start()])
@@ -318,3 +323,17 @@ class TestReadmeConfigs:
     def test_documented_configs_validate(self):
         for command, cfg in self.documented_configs():
             validate_command_config(command, cfg)
+
+
+class TestReadmeExamples:
+    """Every python block of README.md runs in a fresh interpreter."""
+
+    def test_python_blocks_run(self):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+        assert blocks
+        for code in blocks:
+            # run from the directory that holds the imported package, so the
+            # child imports this fpkit with or without PYTHONPATH
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  cwd=Path(fpkit.__file__).resolve().parent.parent)
+            assert proc.returncode == 0, f"{code}\n{proc.stderr}"

@@ -1,6 +1,9 @@
 """Stationary solvers: closed forms, the null vector of L_h^T, and density diagnostics."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +13,12 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpkit
 from fpkit.errors import (
     ConvergenceError,
     DegenerateDensityError,
     EllipticityError,
+    EvaluationError,
     SupportError,
     TruncationError,
 )
@@ -28,6 +33,8 @@ from fpkit.fields import (
     make_example_field,
 )
 from fpkit.fpk import (
+    _factor,
+    _pinned_generator,
     builtin_models,
     discretization_error,
     generator_matrix,
@@ -35,14 +42,15 @@ from fpkit.fpk import (
     moment,
     moment_report,
     normalized_against_generator,
-    pinned_factor,
     solve_exact_1d,
     solve_grid,
+    stationary_density,
     weak_residual,
     weighted_lp_norm,
 )
 from fpkit.grids import GridDensity, GridSpec
 from fpkit.poisson import stationary_poisson
+from fpkit.quadrature import fine_mesh
 from fpkit.testfunctions import BumpFunction, random_bumps
 
 MODELS = {m.name: m for m in builtin_models()}
@@ -293,26 +301,22 @@ class TestPinnedSolve:
         assert math.copysign(1.0, clipped) == 1.0
 
     def test_pinned_cell_takes_the_right_hand_side(self):
-        # 1d Neumann Laplacian: kernel = constants, every row implied by the others
-        M = sp.diags([[1.0, 2.0, 2.0, 1.0], [-1.0] * 3, [-1.0] * 3], [0, 1, -1], format="csr")
-        x = pinned_factor(M, 2).solve(np.array([0.0, 0.0, 3.0, 0.0]))
-        assert np.allclose(x, 3.0, rtol=0.0, atol=1e-14)
-
-    def test_an_order_permutes_the_factor_not_the_solution(self):
-        M = sp.diags([[1.0, 2.0, 2.0, 1.0], [-1.0] * 3, [-1.0] * 3], [0, 1, -1], format="csr")
-        M = M + sp.diags([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]], [1, -1])  # not symmetric
-        rhs = np.array([1.0, -2.0, 3.0, 0.5])
-        plain = pinned_factor(M, 2).solve(rhs, trans="T")
-        lu = pinned_factor(M, 2, order=np.array([3, 1, 0, 2]))
-        assert np.allclose(lu.solve(rhs, trans="T"), plain, rtol=0.0, atol=1e-13)
-        assert lu.ordering == "nested-dissection"
+        # the pinned row is the unit row, so the null vector (the solve for
+        # e_pin) is 1 at the pin, in either factor order
+        orderings = []
+        for name in ("ou-1d", "ou-2d", "anisotropic-2d"):
+            m = MODELS[name]
+            _, lu = _pinned_generator(m.A, m.b, GridSpec(m.dim, 8.0, 32))
+            orderings.append(lu.ordering)
+            assert lu.null[lu.pin] == pytest.approx(1.0, rel=0.0, abs=1e-14)
+        assert orderings == ["mmd", "mmd", "nested-dissection"]
 
     def test_two_dimensional_kernel_is_a_convergence_error(self):
-        # two decoupled Neumann blocks: one pin leaves the second block singular
+        # two decoupled Neumann blocks, row 0 pinned: the second block stays singular
         block = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        M = sp.block_diag([block, block], format="csr")
+        P = sp.block_diag([np.array([[1.0, 0.0], [-1.0, 1.0]]), block], format="csc")
         with pytest.raises(ConvergenceError, match="factorization failed"):
-            pinned_factor(M, 0)
+            _factor(P, 0, None)
 
 
 class TestMoments:
@@ -463,3 +467,82 @@ class TestCoefficientSampling:
         psi = ClosureField(lambda x: x[:, 0], 2, SMOOTH, "x1")
         stationary_poisson(a, b, psi, 1.0, spec)
         assert calls == {"a": 1, "b0": 1, "b1": 1}
+
+
+class NanDrift(DriftField):
+    """-x, NaN where x1 > 0 ("half") or everywhere ("all"), past the fields' own checks."""
+
+    def __init__(self, dim: int, where: str):
+        super().__init__(linear_drift(dim).components, GrowthParams())
+        self.where = where
+
+    def values(self, x):
+        out = super().values(x)
+        out[(x[:, 0] > 0.0) if self.where == "half" else slice(None)] = np.nan
+        return out
+
+
+def first_nan_point(pts: np.ndarray, where: str) -> np.ndarray:
+    return pts[int(np.argmax(pts[:, 0] > 0.0)) if where == "half" else 0]
+
+
+# the 5-point case in a child interpreter: SuperLU given NaN ended the process
+NAN_CHILD = """
+import numpy as np
+from fpkit.errors import EvaluationError
+from fpkit.fields import DriftField, GrowthParams, linear_drift
+from fpkit.fpk import builtin_models, stationary_density
+from fpkit.grids import GridSpec
+
+class NanDrift(DriftField):
+    def __init__(self, dim, where):
+        super().__init__(linear_drift(dim).components, GrowthParams())
+        self.where = where
+
+    def values(self, x):
+        out = super().values(x)
+        out[(x[:, 0] > 0.0) if self.where == "half" else slice(None)] = np.nan
+        return out
+
+m = {m.name: m for m in builtin_models()}["ou-2d"]
+for n in (16, 32):
+    for where in ("half", "all"):
+        try:
+            stationary_density(m.A, NanDrift(2, where), GridSpec(2, 8.0, n))
+            print(n, where, "solved")
+        except EvaluationError as exc:
+            print(n, where, *exc.point)
+"""
+
+
+class TestNonFiniteCoefficients:
+    """A NaN coefficient sample is an EvaluationError naming the first such point."""
+
+    @pytest.mark.parametrize("where", ["half", "all"])
+    def test_one_dimensional_closed_form(self, where):
+        # regression: a misleading ConfinementError
+        spec = GridSpec(1, 8.0, 256)
+        with pytest.raises(EvaluationError, match=r"non-finite at x=\(") as exc:
+            stationary_density(ConstantField(1.0, 1), NanDrift(1, where), spec)
+        mesh = fine_mesh(spec.radius, spec.n, 8)[0][:, None]
+        assert np.array_equal(exc.value.point, first_nan_point(mesh, where))
+
+    @pytest.mark.parametrize("where", ["half", "all"])
+    def test_nine_point_grid(self, where):
+        # regression: a misleading ConvergenceError
+        spec = GridSpec(2, 8.0, 16)
+        with pytest.raises(EvaluationError, match=r"non-finite at x=\(") as exc:
+            stationary_density(MODELS["anisotropic-2d"].A, NanDrift(2, where), spec)
+        assert np.array_equal(exc.value.point, first_nan_point(spec.cell_centers(), where))
+
+    def test_five_point_grid_in_a_child_interpreter(self):
+        # regression: SuperLU crashed the interpreter (exit 139) on ou-2d at n = 16 and 32
+        proc = subprocess.run([sys.executable, "-c", NAN_CHILD], capture_output=True, text=True,
+                              cwd=Path(fpkit.__file__).resolve().parent.parent)
+        assert proc.returncode == 0, proc.stderr
+        expected = []
+        for n in (16, 32):
+            for where in ("half", "all"):
+                point = first_nan_point(GridSpec(2, 8.0, n).cell_centers(), where)
+                expected.append(f"{n} {where} {point[0]} {point[1]}")
+        assert proc.stdout.splitlines() == expected

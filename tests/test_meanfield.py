@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpkit import meanfield
 from fpkit.config import kernel_from_name
 from fpkit.errors import (
     ConvergenceError,
@@ -384,6 +385,28 @@ class TestPicardIteration:
             for q in points[i + 1:]
         )
         assert diameter <= 10.0 * tol
+
+    def test_clipped_mass_is_the_largest_over_the_iterates(self, monkeypatch):
+        # at d = 2, R = 8, n = 16 the cell Peclet number passes 1 and every
+        # iterate clips; with the relative kernel they clip different masses
+        clipped = []
+        solve = meanfield.stationary_density
+
+        def recorded(*args):
+            rho = solve(*args)
+            clipped.append(rho.info["clipped_mass"])
+            return rho
+
+        monkeypatch.setattr(meanfield, "stationary_density", recorded)
+        spec = GridSpec(2, 8.0, 16)
+        model = MeanFieldModel(DiffusionMatrixField.from_constant(np.eye(2)), linear_drift(2),
+                               eps=0.05, **kernel_from_name("tanh-relative", 2))
+        trace = picard_iterate(model, gaussian_probe(spec, [0.5, 0.5], 1.0))
+        assert len(clipped) == trace.n_steps
+        assert trace.clipped_mass == max(clipped) > trace.fixed_point.info["clipped_mass"]
+
+    def test_closed_form_iterates_clip_nothing(self, centered_probe):
+        assert picard_iterate(tanh_model(0.05), centered_probe).clipped_mass == 0.0
 
     def test_expanding_map_raises_noncontraction(self, grid_1d):
         with pytest.raises(NonContractionError) as exc:

@@ -7,8 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fpkit.errors import (ConfinementError, IncompatibilityError, SchemePositivityError,
-                          TruncationError)
+from fpkit.errors import ConfinementError, IncompatibilityError, TruncationError
 from fpkit.fields import (
     SMOOTH,
     ClosureField,
@@ -22,9 +21,9 @@ from fpkit.fpk import (
     ELLIPTICITY_TOL,
     PinnedFactor,
     _null_density,
+    _pinned_generator,
     builtin_models,
     generator_matrix,
-    pinned_factor,
     solve_exact_1d,
     solve_grid,
 )
@@ -256,9 +255,8 @@ class TestGridSolver:
     def test_adjoint_null_vector(self, name):
         m = {m.name: m for m in builtin_models()}[name]
         spec = GridSpec(m.dim, 8.0, 256 if m.dim == 1 else 32)
-        pin = int(np.argmin(spec.center_radii()))
-        MT = generator_matrix(m.A, m.b, spec).T
-        w = discrete_adjoint_null(pinned_factor(MT, pin))
+        L, lu = _pinned_generator(m.A, m.b, spec)
+        MT, w = L.T, discrete_adjoint_null(lu)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.abs(MT @ w).max() <= 1e-10 * (abs(MT) @ np.abs(w)).max()
 
@@ -306,15 +304,13 @@ class TestGrowthBounds:
         assert report.radii == (8.0, 16.0)
         assert all(q > 0 for row in report.quotients for q in row)
 
-    def test_strict_reaches_every_check_radius(self):
+    def test_clipped_coarse_grid_is_a_truncation_error(self):
         # A = 0.05 I, b = -5x: at n_base = 32 the cell Peclet number
         # h |b| / (2 a) passes 1 inside one standard deviation, so the centered
-        # L_h^T clips; lenient mode only sees the mass pushed onto the walls
+        # L_h^T clips, and the check sees the mass pushed onto the walls
         A = DiffusionMatrixField.from_constant(0.05 * np.eye(2), lam=0.05)
         b = linear_drift(2, 5.0)
         psi = source(lambda z: z[:, 0], 2, "x1")
-        with pytest.raises(SchemePositivityError, match="strict mode"):
-            verify_growth_bounds(A, b, psi, 1.0, radii=(4.0, 8.0), n_base=32, strict=True)
         with pytest.raises(TruncationError):
             verify_growth_bounds(A, b, psi, 1.0, radii=(4.0, 8.0), n_base=32)
 
@@ -385,7 +381,7 @@ class TestSharedFactor:
         mmd = PinnedFactor(spla.splu(P, permc_spec="MMD_AT_PLUS_A"), pin)
         assert rho.info["ordering"] == sol.info["ordering"] == "nested-dissection"
         assert rho.info["factor_nnz"] == sol.info["factor_nnz"] < mmd.nnz
-        ref_rho = _null_density(spec, L, mmd, strict=False, check_truncation=True)
+        ref_rho = _null_density(spec, L, mmd, check_truncation=True)
         ref = _solve_factored(PoissonProblem(m.A, m.b, psi, 1.0, ref_rho), L, mmd)
         assert np.abs(rho.values - ref_rho.values).max() <= 1e-12 * ref_rho.values.max()
         assert np.abs(sol.u - ref.u).max() <= 1e-12 * np.abs(ref.u).max()
