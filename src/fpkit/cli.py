@@ -4,8 +4,11 @@ Every subcommand reads a JSON config, validates it strictly, runs the
 numerics, and writes into the output directory:
 
 * one or more CSV files with fixed float formatting (%.12g), so a rerun with
-  the same config, seed, and package version produces byte-identical CSVs;
-* SVG figures rendered by the built-in writer (no plotting dependency);
+  the same config, seed, and package version produces byte-identical CSVs.
+  write_csv takes the table as columns: a float array column is formatted
+  in one pass, any other column value by value (_fmt);
+* SVG figures rendered by the built-in writer (no plotting dependency, every
+  coordinate %.2f, a heatmap at most max_blocks = 64 blocks per side);
 * run_report.json with the config digest, package version, outcome
   ("pass", "fail" when a check fails, "error" with the error's class and
   message when the numerics raise), wall time, the artifact manifest and a
@@ -14,7 +17,8 @@ numerics, and writes into the output directory:
   solve and poisson, each meanfield "start"'s iterates (the largest clip of
   the start), the probe images behind meanfield's "max_factor" (per "eps")
   and "eps_threshold" (the bisection's worst "eps"), each stability
-  "delta"'s pair, in the run's own report (a sweep point's, in a sweep).
+  "delta"'s pair, in the run's own report (a sweep point's, in a sweep, and
+  again in the sweep's report).
   The solvers only record clipped mass; under --strict the first warning
   ends the run as a SchemePositivityError (exit 3). The 2d solve and
   poisson summaries carry the solver telemetry of the main grid: residual,
@@ -34,7 +38,9 @@ keys, bad CLI usage), 3 for numerical failures (solver or check errors).
 
 The sweep subcommand fans a delta/eps axis out over a thread pool
 (--workers, or the FPKIT_WORKERS environment variable) with one
-subdirectory per point and a merged summary sorted by axis value.
+subdirectory per point and a merged summary sorted by axis value. The sweep's
+own report lists every point's warnings, each tagged with its "axis_value";
+a strict sweep whose point failed exits 3 with the first such point's error.
 """
 
 from __future__ import annotations
@@ -79,11 +85,23 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path: str, header: list[str], rows) -> str:
+def _column(col) -> list[str]:
+    """The cells of one CSV column: a float array in one pass, anything else value by value."""
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        # float.__format__, as in _fmt
+        return list(map("{:.12g}".format, col.tolist()))
+    return [_fmt(v) for v in col]
+
+
+def write_csv(path: str, header: list[str], columns) -> str:
+    """Write one CSV line per row of `columns`, one sequence per header name; return path."""
+    cells = [_column(col) for col in columns]
+    if len(cells) != len(header):
+        raise ValueError(f"{len(cells)} columns for a header of {len(header)}")
+    if len({len(col) for col in cells}) > 1:
+        raise ValueError("CSV columns differ in length")
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
     return path
 
 
@@ -173,7 +191,7 @@ def run_dini(ctx: RunContext, cfg: dict) -> dict:
     mod = dini_mean_oscillation(field, radii, sampling, t0=cfg["t0"])
     est = dini_integral(mod, t0=cfg["t0"])
     write_csv(ctx.path("omega.csv"), ["r", "omega", "stderr"],
-              zip(mod.radii, mod.omega, mod.stderr))
+              [mod.radii, mod.omega, mod.stderr])
     verdict = {
         "field": field.name,
         "finite": est.finite,
@@ -223,15 +241,15 @@ def run_solve(ctx: RunContext, cfg: dict) -> dict:
     }
     pts = spec.cell_centers()
     if dim == 1:
-        write_csv(ctx.path("density.csv"), ["x1", "rho"], zip(pts[:, 0], rho.flat()))
+        write_csv(ctx.path("density.csv"), ["x1", "rho"], [pts[:, 0], rho.flat()])
         svg.line_plot(ctx.path("density.svg"), [("rho", pts[:, 0], rho.flat())],
                       title=f"stationary density ({name})", xlabel="x1", ylabel="rho")
     else:
         write_csv(ctx.path("density.csv"), ["x1", "x2", "rho"],
-                  zip(pts[:, 0], pts[:, 1], rho.flat()))
+                  [pts[:, 0], pts[:, 1], rho.flat()])
         svg.heatmap(ctx.path("density.svg"), rho.values, spec.radius,
                     title=f"stationary density ({name})")
-    write_csv(ctx.path("moments.csv"), ["order", "value"], list(mom.entries))
+    write_csv(ctx.path("moments.csv"), ["order", "value"], zip(*mom.entries))
     return checks
 
 
@@ -247,14 +265,14 @@ def run_poisson(ctx: RunContext, cfg: dict) -> dict:
     res_cells = np.asarray(sol.info["residual_cells"]).ravel()
     if dim == 1:
         write_csv(ctx.path("solution.csv"), ["x1", "u", "du", "residual"],
-                  zip(pts[:, 0], sol.u.ravel(), sol.du[:, 0], res_cells))
+                  [pts[:, 0], sol.u.ravel(), sol.du[:, 0], res_cells])
         svg.line_plot(ctx.path("solution.svg"),
                       [("u", pts[:, 0], sol.u.ravel()), ("du", pts[:, 0], sol.du[:, 0])],
                       title=f"Poisson solution ({name})", xlabel="x1", ylabel="value")
     else:
         du = sol.du.reshape(-1, 2)
         write_csv(ctx.path("solution.csv"), ["x1", "x2", "u", "du1", "du2", "residual"],
-                  zip(pts[:, 0], pts[:, 1], sol.u.ravel(), du[:, 0], du[:, 1], res_cells))
+                  [pts[:, 0], pts[:, 1], sol.u.ravel(), du[:, 0], du[:, 1], res_cells])
         svg.heatmap(ctx.path("solution.svg"), sol.u, spec.radius,
                     title=f"Poisson solution ({name})")
     # verify_growth_bounds with each distinct grid solved once: with the default
@@ -269,7 +287,7 @@ def run_poisson(ctx: RunContext, cfg: dict) -> dict:
     rep = growth_bound_report([solved[grid] for grid in grids])
     write_csv(ctx.path("bounds.csv"),
               ["radius", "g0_over_psi", "g1_over_psi", "h_over_psi"],
-              [(r, *q) for r, q in zip(rep.radii, rep.quotients)])
+              [rep.radii, *zip(*rep.quotients)])
     wit = sol.info["lyapunov"]
     if dim == 2:
         ctx.summary["telemetry"]["lyapunov"] = {"m0": wit.m0, "r0": wit.r0}
@@ -313,7 +331,7 @@ def run_stability(ctx: RunContext, cfg: dict) -> dict:
     for d, rep in zip(res.deltas, res.reports):
         ctx.note_clipping(rep.clipped_mass, spec, delta=float(d))
     write_csv(ctx.path("sweep.csv"),
-              ["delta", "lhs", "rhs_diffusion", "rhs_drift", "c_hat"], rows)
+              ["delta", "lhs", "rhs_diffusion", "rhs_drift", "c_hat"], zip(*rows))
     pos = res.deltas > 0
     if pos.sum() >= 2:
         svg.line_plot(ctx.path("sweep.svg"),
@@ -342,13 +360,10 @@ def run_meanfield(ctx: RunContext, cfg: dict) -> dict:
         start = gaussian_probe(spec, np.full(dim, float(mean)), 1.0)
         traces.append(picard_iterate(model, start, tol=cfg["tol"], max_iter=cfg["max_iter"]))
         ctx.note_clipping(traces[-1].clipped_mass, spec, start=float(mean))
-    rows = []
-    for si, tr in enumerate(traces):
-        for t, g in enumerate(tr.gaps):
-            rows.append((si, t + 1, g,
-                         tr.factors[t - 1] if 0 < t <= len(tr.factors) else float("nan")))
+    rows = [(si, t + 1, g, tr.factors[t - 1] if 0 < t <= len(tr.factors) else float("nan"))
+            for si, tr in enumerate(traces) for t, g in enumerate(tr.gaps)]
     write_csv(ctx.path("trace.csv"),
-              ["start", "iteration", "gap", "contraction_factor"], rows)
+              ["start", "iteration", "gap", "contraction_factor"], zip(*rows))
     series = [(f"start {cfg['starts'][i]:g}", np.arange(1, len(tr.gaps) + 1),
                np.maximum(tr.gaps, 1e-300)) for i, tr in enumerate(traces) if tr.gaps]
     if series and all(len(s[1]) >= 2 for s in series):
@@ -376,7 +391,7 @@ def run_meanfield(ctx: RunContext, cfg: dict) -> dict:
     if cfg["eps_grid"]:
         ests = [contraction_estimate(model.with_eps(e), spec) for e in cfg["eps_grid"]]
         facs = [est.factor for est in ests]
-        write_csv(ctx.path("response.csv"), ["eps", "factor"], zip(cfg["eps_grid"], facs))
+        write_csv(ctx.path("response.csv"), ["eps", "factor"], [cfg["eps_grid"], facs])
         summary["max_factor"] = max(facs)
         for est in ests:
             ctx.note_clipping(est.clipped_mass, spec, eps=est.eps, probes="max_factor")
@@ -388,6 +403,11 @@ def run_meanfield(ctx: RunContext, cfg: dict) -> dict:
 
 def _run_sweep_point(task: str, base_cfg: dict, axis_key: str, value: float,
                      out_dir: str, strict: bool) -> dict:
+    """Run one point into out_dir and write its report.
+
+    The result carries the point's warnings and, if its numerics failed, the
+    error (which a strict sweep raises once every point has run).
+    """
     cfg = dict(base_cfg)
     if axis_key == "deltas":
         # a per-point slope needs two sizes; pair each axis value with its double
@@ -402,12 +422,11 @@ def _run_sweep_point(task: str, base_cfg: dict, axis_key: str, value: float,
         ctx.summary["error"] = f"{type(exc).__name__}: {exc}"
         ctx.error = exc
         report = ctx.finish({"completed": False})
-        if strict:
-            raise
-        return {"value": value, "passed": False, "error": ctx.summary["error"],
-                "summary": report["summary"]}
+        return {"value": value, "passed": False, "error": exc,
+                "summary": report["summary"], "warnings": report["warnings"]}
     report = ctx.finish(checks)
-    return {"value": value, "passed": report["passed"], "summary": report["summary"]}
+    return {"value": value, "passed": report["passed"], "error": None,
+            "summary": report["summary"], "warnings": report["warnings"]}
 
 
 def run_sweep(ctx: RunContext, cfg: dict, workers: int) -> dict:
@@ -424,9 +443,14 @@ def run_sweep(ctx: RunContext, cfg: dict, workers: int) -> dict:
                                     sub, ctx.strict))
         results = [j.result() for j in jobs]
     results.sort(key=lambda r: r["value"])
+    for r in results:  # each point's warnings, tagged with its axis value
+        ctx.warnings.extend({**w, "axis_value": r["value"]} for w in r["warnings"])
+    errors = [r["error"] for r in results if r["error"] is not None]
+    if ctx.strict and errors:
+        raise errors[0]
     metric = "slope" if task == "stability" else "fixed_point_spread"
     rows = [(r["value"], r["passed"], r["summary"].get(metric, float("nan"))) for r in results]
-    write_csv(ctx.path("summary.csv"), ["value", "passed", metric], rows)
+    write_csv(ctx.path("summary.csv"), ["value", "passed", metric], zip(*rows))
     failures = [r["value"] for r in results if not r["passed"]]
     ctx.summary.update({"task": task, "points": len(values),
                         "all_passed": not failures, "failed_values": failures})

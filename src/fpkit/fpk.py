@@ -149,7 +149,7 @@ def _fine_profile_1d(a, b: DriftField, spec: GridSpec, subdiv: int = 8) -> dict:
 
 
 def solve_exact_1d(a, b: DriftField, spec: GridSpec, subdiv: int = 8,
-                   check_truncation: bool = True) -> GridDensity:
+                   check_truncation: bool = True, profile: dict | None = None) -> GridDensity:
     """Stationary density in d = 1 from the zero-flux closed form.
 
     rho(x) = exp(integral_0^x b/a ds) / (a(x) Z), with the cumulative integral
@@ -157,9 +157,10 @@ def solve_exact_1d(a, b: DriftField, spec: GridSpec, subdiv: int = 8,
     than the grid and Z fixed by unit cell-quadrature mass on the truncated
     grid. Pass check_truncation=False when the box is the actual domain (a
     zero-flux problem on a bounded interval) rather than a truncation of the
-    line; boundary mass is then expected.
+    line; boundary mass is then expected. `profile` is
+    _fine_profile_1d(a, b, spec, subdiv) when the caller has built it.
     """
-    prof = _fine_profile_1d(a, b, spec, subdiv)
+    prof = _fine_profile_1d(a, b, spec, subdiv) if profile is None else profile
     rho_c = prof["rho_fine"][prof["center_idx"]]
     dens = GridDensity(spec, rho_c / (rho_c.sum() * spec.h),
                        info={"method": "exact-1d", "log_normalizer": prof["log_normalizer"]})

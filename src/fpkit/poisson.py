@@ -283,6 +283,15 @@ def solve_poisson_1d(problem: PoissonProblem, subdiv: int = 8, tail_tol: float =
     if spec.dim != 1:
         raise ValueError("solve_poisson_1d needs a one-dimensional problem")
     prof = _fine_profile_1d(problem.A, problem.b, spec, subdiv)
+    a_c = _scalar_diffusion(problem.A).values(spec.cell_centers())
+    return _solve_quadrature_1d(problem, prof, a_c, tail_tol, center)
+
+
+def _solve_quadrature_1d(problem: PoissonProblem, prof: dict, a_c: np.ndarray,
+                         tail_tol: float = 1e-6, center: bool = True) -> PoissonSolution:
+    """solve_poisson_1d from prof, the fine-mesh profile of the problem's coefficients
+    (fpk._fine_profile_1d), and a_c, the diffusion at the cells."""
+    spec = problem.spec
     pts, hf, cidx = prof["pts"], prof["hf"], prof["center_idx"]
     rho_f = prof["rho_fine"]
     integ = prof["integral_b_over_a"]
@@ -325,7 +334,6 @@ def solve_poisson_1d(problem: PoissonProblem, subdiv: int = 8, tail_tol: float =
     # fourth-order centered first derivative of the fine u' at cell centers
     d2u_c = (-du_f[cidx + 2] + 8.0 * du_f[cidx + 1] - 8.0 * du_f[cidx - 1] + du_f[cidx - 2]) / (12.0 * hf)
 
-    a_c = _scalar_diffusion(problem.A).values(spec.cell_centers())
     b_c = problem.b.values(spec.cell_centers())[:, 0]
     psi_tc = problem.psi_cells - c0
     res = np.abs(a_c * d2u_c + b_c * du_c - psi_tc)
@@ -455,7 +463,8 @@ def stationary_poisson(A, b: DriftField, psi: ScalarField, k: float, spec: GridS
                        p: float | None = None) -> tuple[GridDensity, PoissonSolution]:
     """The stationary density rho on the grid and the Poisson solution for psi.
 
-    In d = 1 both are the closed forms (fpk.solve_exact_1d, solve_poisson_1d).
+    In d = 1 both are the closed forms (fpk.solve_exact_1d, solve_poisson_1d),
+    built from one fine-mesh profile and one sample of the diffusion at the cells.
     In d = 2 one SuperLU factor of the pinned L_h^T gives rho, w and u: its
     pinned null vector (PinnedFactor.null), scaled to unit mass, is the
     density, validated and clipped as in fpk.solve_grid, and, scaled to
@@ -465,9 +474,12 @@ def stationary_poisson(A, b: DriftField, psi: ScalarField, k: float, spec: GridS
     two.
     """
     if spec.dim == 1:
-        rho = solve_exact_1d(A, b, spec)
-        return rho, solve_poisson_1d(PoissonProblem(A, b, psi, k, rho, p=p))
-    A, a = _sampled_diffusion(A, spec)  # PoissonProblem takes this A as it is
+        prof = _fine_profile_1d(A, b, spec)
+        rho = solve_exact_1d(A, b, spec, profile=prof)
+        A, a = _sampled_diffusion(A, spec)  # PoissonProblem takes this A as it is
+        return rho, _solve_quadrature_1d(PoissonProblem(A, b, psi, k, rho, p=p), prof,
+                                         a[:, 0, 0])
+    A, a = _sampled_diffusion(A, spec)
     L, lu = _pinned_generator(A, b, spec, a)
     rho = _null_density(spec, L, lu, check_truncation=True)
     return rho, _solve_factored(PoissonProblem(A, b, psi, k, rho, p=p), L, lu)

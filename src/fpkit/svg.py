@@ -1,9 +1,12 @@
 """Minimal deterministic SVG writer for line plots and heatmaps.
 
 No plotting dependency: figures the CLI emits are assembled from a handful
-of SVG primitives with fixed float formatting, so regenerating a figure from
-the same data produces the same bytes. Axes are linear or log10; log axes
-require positive data.
+of SVG primitives with every coordinate printed as %.2f, so regenerating a
+figure from the same data produces the same bytes. Axes are linear or log10;
+log axes require positive data. Coordinates are computed on whole arrays
+and each polyline or block is formatted from one template. A heatmap has at
+most max_blocks blocks per side: a larger array is block-averaged over
+ceil(n / max_blocks) cells per side.
 """
 
 from __future__ import annotations
@@ -89,8 +92,10 @@ def line_plot(path: str, series: Sequence[tuple], title: str = "", xlabel: str =
 
     if not series:
         raise ValueError("need at least one series")
-    xs_all = np.concatenate([_transformed(s[1], logx, "x") for s in series])
-    ys_all = np.concatenate([_transformed(s[2], logy, "y") for s in series])
+    data = [(label, _transformed(xs, logx, "x"), _transformed(ys, logy, "y"))
+            for label, xs, ys in series]
+    xs_all = np.concatenate([xv for _, xv, _ in data])
+    ys_all = np.concatenate([yv for _, _, yv in data])
     x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
     y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if x_hi - x_lo <= 0:
@@ -100,6 +105,7 @@ def line_plot(path: str, series: Sequence[tuple], title: str = "", xlabel: str =
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
+    # on a float or a whole array, with the same operations in the same order
     def px(v):
         return _ML + (v - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
 
@@ -123,10 +129,8 @@ def line_plot(path: str, series: Sequence[tuple], title: str = "", xlabel: str =
               f'y2="{_fmt(py(t))}" stroke="#333"/>')
         c.add(f'<text x="{_ML - 8}" y="{_fmt(py(t) + 4)}" text-anchor="end" '
               f'font-family="sans-serif" font-size="11">{_tick_label(t, logy)}</text>')
-    for si, (label, xs, ys) in enumerate(series):
-        xv = _transformed(xs, logx, "x")
-        yv = _transformed(ys, logy, "y")
-        pts = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(xv, yv))
+    for si, (label, xv, yv) in enumerate(data):
+        pts = " ".join(map("{:.2f},{:.2f}".format, px(xv).tolist(), py(yv).tolist()))
         color = _PALETTE[si % len(_PALETTE)]
         c.add(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         if label:
@@ -142,32 +146,37 @@ def line_plot(path: str, series: Sequence[tuple], title: str = "", xlabel: str =
 def heatmap(path: str, values, extent: float, title: str = "", max_blocks: int = 64):
     """Write a grayscale heatmap of a square array over [-extent, extent]^2.
 
-    Large arrays are block-averaged down to at most max_blocks per side to
-    keep the file small.
+    An n x n array with n > max_blocks is block-averaged over
+    f = ceil(n / max_blocks) cells per side (the last n mod f rows and
+    columns dropped), so the figure has at most max_blocks blocks per side.
     """
     import numpy as np
 
     v = np.asarray(values, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError("heatmap needs a square 2D array")
+    if not np.isfinite(v).all():
+        raise ValueError("heatmap needs finite values")
     n = v.shape[0]
     if n > max_blocks:
-        f = n // max_blocks
+        f = -(-n // max_blocks)
         m = (n // f) * f
         v = v[:m, :m].reshape(m // f, f, m // f, f).mean(axis=(1, 3))
     lo, hi = float(v.min()), float(v.max())
     span = hi - lo if hi > lo else 1.0
     c = _Canvas(title, "x1", "x2")
     side = min(_W - _ML - _MR, _H - _MT - _MB)
-    cell = side / v.shape[0]
-    for i in range(v.shape[0]):
-        for j in range(v.shape[1]):
-            # grid rows follow ascending x1; SVG y grows downward
-            shade = int(round(255 * (1.0 - (v[i, j] - lo) / span)))
-            x = _ML + i * cell
-            y = _MT + side - (j + 1) * cell
-            c.add(f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cell + 0.5)}" '
-                  f'height="{_fmt(cell + 0.5)}" fill="rgb({shade},{shade},{shade})"/>')
+    k = v.shape[0]
+    cell = side / k
+    # np.rint rounds half to even, as round does
+    shades = np.rint(255 * (1.0 - (v - lo) / span)).astype(int).ravel().tolist()
+    # grid rows follow ascending x1; SVG y grows downward
+    xs = [_fmt(x) for x in (_ML + np.arange(k) * cell).tolist()]
+    ys = [_fmt(y) for y in (_MT + side - np.arange(1, k + 1) * cell).tolist()]
+    size = _fmt(cell + 0.5)
+    rect = (f'<rect x="{{0}}" y="{{1}}" width="{size}" height="{size}" '
+            'fill="rgb({2},{2},{2})"/>')
+    c.parts.extend(map(rect.format, [x for x in xs for _ in range(k)], ys * k, shades))
     c.add(f'<rect x="{_ML}" y="{_MT}" width="{_fmt(side)}" height="{_fmt(side)}" '
           f'fill="none" stroke="#333"/>')
     c.add(f'<text x="{_ML}" y="{_MT + side + 16}" font-family="sans-serif" font-size="11">'

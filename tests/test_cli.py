@@ -281,12 +281,13 @@ class TestNumericalExits:
     def test_lenient_sweep_points_warn(self, tmp_path):
         cfg = {"task": "meanfield", "axis": [0.02, 0.05, 0.08],
                "base": {"dim": 2, "radius": 8, "n": 16, "threshold": False, "starts": [0.5]}}
-        code, _, out_dir = run_cli(tmp_path, "sweep", cfg, "--workers", "1")
+        code, report, out_dir = run_cli(tmp_path, "sweep", cfg, "--workers", "1")
         assert code == 0
         for i in range(3):
             point = json.loads((out_dir / f"point-{i:03d}" / "run_report.json").read_text())
             [warning] = point["warnings"]
             assert (warning["kind"], warning["start"]) == ("clipped_mass", 0.5)
+        assert [w["axis_value"] for w in report["warnings"]] == cfg["axis"]
 
     def test_strict_sweep_point_failure_reports_at_both_levels(self, tmp_path, capsys):
         # the clipped density of test_strict_rejects_a_clipped_density, at every point
@@ -300,6 +301,10 @@ class TestNumericalExits:
         assert point["outcome"] == "error"
         assert point["error"]["class"] == "SchemePositivityError"
         assert [(w["kind"], w["start"]) for w in point["warnings"]] == [("clipped_mass", 0.5)]
+        # the top-level report names the warning of every point that ran, under its axis value
+        assert [(w["kind"], w["start"], w["axis_value"]) for w in report["warnings"]] == \
+            [("clipped_mass", 0.5, v) for v in cfg["axis"]]
+        assert report["warnings"][0]["value"] == point["warnings"][0]["value"]
 
     @pytest.mark.parametrize("command,cfg", [
         ("solve", {"model": "ou-2d", "n": 16}),
@@ -363,7 +368,7 @@ class TestPoissonGrids:
                                    n_base=n_base, p=cfg["p"])
         path = write_csv(str(tmp_path / "reference.csv"),
                          ["radius", "g0_over_psi", "g1_over_psi", "h_over_psi"],
-                         [(r, *q) for r, q in zip(rep.radii, rep.quotients)])
+                         [rep.radii, *zip(*rep.quotients)])
         return Path(path).read_bytes()
 
     def test_two_dimensional_main_grid_is_factored_once(self, tmp_path, monkeypatch):
@@ -452,7 +457,7 @@ class TestScalarDiffusion:
         rho = solve_grid(ExpressionField("1 + 0.1*r", 2), linear_drift(2), spec)
         pts = spec.cell_centers()
         ref = write_csv(str(tmp_path / "reference.csv"), ["x1", "x2", "rho"],
-                        zip(pts[:, 0], pts[:, 1], rho.flat()))
+                        [pts[:, 0], pts[:, 1], rho.flat()])
         assert (out_dir / "density.csv").read_bytes() == Path(ref).read_bytes()
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -578,7 +583,7 @@ class TestStabilityFamilies:
             rep = estimate_stability(pair, spec, k, r)
             rows.append((d, rep.lhs, rep.rhs_diffusion, rep.rhs_drift, rep.c_hat))
         ref = write_csv(str(tmp_path / "ref.csv"), ["delta", "lhs", "rhs_diffusion", "rhs_drift",
-                                                    "c_hat"], rows)
+                                                    "c_hat"], zip(*rows))
         assert (out_dir / "sweep.csv").read_bytes() == Path(ref).read_bytes()
 
 

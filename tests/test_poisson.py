@@ -393,3 +393,30 @@ class TestSharedFactor:
         assert rho.info["method"] == "exact-1d"
         assert sol.info["method"] == "quadrature-1d"
         assert sol.info["centering_defect"] <= 1e-14
+
+    @pytest.mark.parametrize("lam", [None, 0.5])
+    def test_one_dimension_samples_the_diffusion_once_per_mesh(self, lam):
+        # one fine-mesh profile and one sample at the cells per grid, besides
+        # the Lyapunov scan (two directions of 800 radii), with the same
+        # density and solution as solve_exact_1d followed by solve_poisson_1d
+        sizes = []
+
+        def logged(x):
+            sizes.append(len(x))
+            return 1.0 + 0.5 * np.exp(-x[:, 0] ** 2)
+
+        a = ClosureField(logged, 1, SMOOTH, "a")
+        A = a if lam is None else DiffusionMatrixField.isotropic(a, lam)
+        b = linear_drift(1, 1.0)
+        psi = source(lambda z: np.tanh(z[:, 0]), 1, "tanh")
+        spec = GridSpec(1, 8.0, 256)
+        rho, sol = stationary_poisson(A, b, psi, 1.0, spec)
+        assert sorted(sizes) == [256, 1600, 8 * 256 + 1]
+        ref_rho = solve_exact_1d(A, b, spec)
+        ref = solve_poisson_1d(PoissonProblem(A, b, psi, 1.0, ref_rho))
+        assert np.array_equal(rho.values, ref_rho.values)
+        assert np.array_equal(sol.u, ref.u)
+        assert np.array_equal(sol.du, ref.du)
+        assert np.array_equal(sol.info["residual_cells"], ref.info["residual_cells"])
+        assert ((sol.g0_quotient, sol.g1_quotient, sol.h_quotient)
+                == (ref.g0_quotient, ref.g1_quotient, ref.h_quotient))
