@@ -37,7 +37,8 @@ Exit codes: 0 on success, 2 for validation failures (bad config, unknown
 keys, bad CLI usage), 3 for numerical failures (solver or check errors).
 
 The sweep subcommand fans a delta/eps axis out over a thread pool
-(--workers, or the FPKIT_WORKERS environment variable) with one
+(--workers, else the FPKIT_WORKERS environment variable, else 4; only sweep
+reads either) with one
 subdirectory per point and a merged summary sorted by axis value. The sweep's
 own report lists every point's warnings, each tagged with its "axis_value";
 a strict sweep whose point failed exits 3 with the first such point's error.
@@ -258,6 +259,9 @@ def run_poisson(ctx: RunContext, cfg: dict) -> dict:
     psi = field_from_config(cfg["psi"], dim=dim, path="psi")
     spec = grid_from_config(cfg, dim, b.growth.beta2)
     rho, sol = stationary_poisson(A, b, psi, cfg["k"], spec, p=cfg["p"])
+    if np.ptp(sol.psi_tilde) == 0.0:
+        raise ValidationError("psi is constant on the grid, so the centered source is 0: "
+                              "Psi = 0 and the quotients G/Psi are undefined", path="psi")
     ctx.note_density(rho)
     if dim == 2:
         ctx.summary["telemetry"] = {key: rho.info[key] for key in TELEMETRY_KEYS}
@@ -276,9 +280,11 @@ def run_poisson(ctx: RunContext, cfg: dict) -> dict:
         svg.heatmap(ctx.path("solution.svg"), sol.u, spec.radius,
                     title=f"Poisson solution ({name})")
     # verify_growth_bounds with each distinct grid solved once: with the default
-    # check_radii the first check grid is the main grid (n <= 128 in 2d, any n in 1d)
+    # check_radii, the main grid's radius and its double, the first check grid is
+    # the main grid (n <= 128 in 2d, any n in 1d)
     n_base = spec.n if dim == 1 else min(spec.n, 128)
-    grids = check_grids(dim, tuple(float(r) for r in cfg["check_radii"]), n_base)
+    radii = cfg["check_radii"] or [spec.radius, 2 * spec.radius]
+    grids = check_grids(dim, tuple(float(r) for r in radii), n_base)
     solved = {spec: sol}
     for grid in grids:
         if grid not in solved:
@@ -306,7 +312,7 @@ def run_poisson(ctx: RunContext, cfg: dict) -> dict:
 
 
 def _stability_pair_family(cfg: dict):
-    """delta -> CoefficientPair of the config's family; every pair shares one sigma = (I, -x)."""
+    """(delta -> CoefficientPair of the config's family, sigma's drift -x shared by every pair)."""
     dim = cfg["dim"]
     eye = np.eye(dim)
     A1 = DiffusionMatrixField.from_constant(eye, 1.0)
@@ -319,12 +325,12 @@ def _stability_pair_family(cfg: dict):
             Am = DiffusionMatrixField.from_constant(eye * (1.0 + delta),
                                                     lam=min(1.0, 1.0 / (1.0 + delta)))
             return CoefficientPair(Am, linear_drift(dim, 1.0), A1, b1)
-    return make
+    return make, b1
 
 
 def run_stability(ctx: RunContext, cfg: dict) -> dict:
-    make = _stability_pair_family(cfg)
-    spec = grid_from_config(cfg, cfg["dim"], 0.5)
+    make, b_sigma = _stability_pair_family(cfg)
+    spec = grid_from_config(cfg, cfg["dim"], b_sigma.growth.beta2)
     res = stability_sweep(make, cfg["deltas"], spec, k=cfg["k"], r=cfg["r"])
     rows = [(d, rep.lhs, rep.rhs_diffusion, rep.rhs_drift, rep.c_hat)
             for d, rep in zip(res.deltas, res.reports)]
@@ -354,7 +360,7 @@ def run_meanfield(ctx: RunContext, cfg: dict) -> dict:
     model = MeanFieldModel(A1, linear_drift(dim, 1.0), eps=float(cfg["eps"]),
                            weight_order=cfg["weight_order"],
                            **kernel_from_name(cfg["kernel"], dim))
-    spec = grid_from_config(cfg, dim, 0.5)
+    spec = grid_from_config(cfg, dim, model.b0.growth.beta2)
     traces = []
     for mean in cfg["starts"]:
         start = gaussian_probe(spec, np.full(dim, float(mean)), 1.0)
@@ -518,7 +524,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             raw["seed"] = args.seed
         cfg = validate_command_config(args.command, raw)
-        workers = resolve_workers(args.workers)
+        workers = resolve_workers(args.workers) if args.command == "sweep" else None
         ctx = RunContext(args.out, args.command, cfg, cfg.get("seed", 0), args.strict)
         if args.command == "sweep":
             checks = run_sweep(ctx, cfg, workers)

@@ -154,7 +154,7 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "psi": Key((dict,), required=True),
         "k": Key(_NUM, default=1.0, check=lambda v: v >= 1, expect=">= 1"),
         "p": Key(_NUM, default=None, check=_positive, expect="> 0"),
-        "radius": Key(_NUM, default=8.0, check=lambda v: v >= 4, expect=">= 4"),
+        "radius": Key(_NUM, default=None, check=lambda v: v >= 4, expect=">= 4"),
         "n": Key((int,), default=None, check=_pow2, expect="power of two >= 16"),
         "check_radii": Key((list,), default=None, check=lambda v: _num_list(v, 2),
                            expect="list of >= 2 positive radii"),
@@ -169,7 +169,7 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "k": Key(_NUM, default=1.0, check=lambda v: v >= 0, expect=">= 0"),
         "r": Key(_NUM, default=2.0, check=lambda v: v >= 1, expect=">= 1"),
         "dim": Key((int,), default=1, check=lambda v: v in (1, 2), expect="1 or 2"),
-        "radius": Key(_NUM, default=8.0, check=lambda v: v >= 4, expect=">= 4"),
+        "radius": Key(_NUM, default=None, check=lambda v: v >= 4, expect=">= 4"),
         "n": Key((int,), default=None, check=_pow2, expect="power of two >= 16"),
         "seed": Key((int,), default=0, check=lambda v: v >= 0, expect=">= 0"),
     },
@@ -187,7 +187,7 @@ SCHEMAS: dict[str, dict[str, Key]] = {
                         expect="list of >= 2 positive couplings"),
         "threshold": Key((bool,), default=True),
         "dim": Key((int,), default=1, check=lambda v: v in (1, 2), expect="1 or 2"),
-        "radius": Key(_NUM, default=8.0, check=lambda v: v >= 4, expect=">= 4"),
+        "radius": Key(_NUM, default=None, check=lambda v: v >= 4, expect=">= 4"),
         "n": Key((int,), default=None, check=_pow2, expect="power of two >= 16"),
         "seed": Key((int,), default=0, check=lambda v: v >= 0, expect=">= 0"),
     },
@@ -233,7 +233,8 @@ def validate_command_config(command: str, obj: dict) -> dict:
                 cfg["coefficients"] = sub
     if command == "poisson":
         cfg["psi"] = validate_mapping(cfg["psi"], _FIELD_SCHEMA, "psi")
-        if cfg["check_radii"] is None:
+        if cfg["check_radii"] is None and cfg["radius"] is not None:
+            # without a radius the runner doubles the one of the resolved grid
             cfg["check_radii"] = [cfg["radius"], 2 * cfg["radius"]]
     if command == "sweep":
         task = cfg["task"]
@@ -320,7 +321,7 @@ def model_from_config(cfg: dict) -> tuple[DiffusionMatrixField | ScalarField, Dr
 
 
 def grid_from_config(cfg: dict, dim: int, beta2: float) -> GridSpec:
-    """GridSpec with radius defaulting from the confinement constant."""
+    """GridSpec with radius defaulting to default_radius(beta2) of the run's drift (8 at beta2 = 1)."""
     radius = cfg.get("radius")
     if radius is None:
         radius = default_radius(beta2)

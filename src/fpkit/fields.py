@@ -71,31 +71,13 @@ def dini_log(gamma: float) -> SmoothnessTag:
 # ---------------------------------------------------------------------------
 
 
-def _as_points(x, dim: int) -> np.ndarray:
-    """Coerce array-like input to an (m, dim) float array."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        if dim != 1:
-            raise ValueError(f"scalar input for a field of dimension {dim}")
-        return arr.reshape(1, 1)
-    if arr.ndim == 1:
-        if dim == 1:
-            return arr.reshape(-1, 1)
-        if arr.shape[0] == dim:
-            return arr.reshape(1, dim)
-        raise ValueError(f"1-d input of length {arr.shape[0]} for a field of dimension {dim}")
-    if arr.ndim == 2 and arr.shape[1] == dim:
-        return arr
-    raise ValueError(f"expected points of shape (m, {dim}), got {arr.shape}")
-
-
 class ScalarField:
     """A scalar-valued coefficient field on R^d.
 
-    Subclasses implement `_values(x)` for x of shape (m, d). Public callers
-    use `values` (strict shape) or call the field directly with forgiving
-    input shapes. Evaluations are checked for finiteness; a NaN or infinity
-    raises EvaluationError carrying the first offending point.
+    Subclasses implement `_values(x)` for x of shape (m, d). Callers use
+    `values`, which takes exactly that shape. Evaluations are checked for
+    finiteness; a NaN or infinity raises EvaluationError carrying the first
+    offending point.
     """
 
     def __init__(self, dim: int, tag: SmoothnessTag = SMOOTH, name: str = "field"):
@@ -119,14 +101,6 @@ class ScalarField:
         if bad.any():
             i = int(np.argmax(bad))
             raise EvaluationError(f"field {self.name!r} non-finite at {x[i]}", point=x[i])
-        return out
-
-    def __call__(self, x):
-        pts = _as_points(x, self.dim)
-        out = self.values(pts)
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0 or (arr.ndim == 1 and self.dim > 1):
-            return float(out[0])
         return out
 
     def __repr__(self):

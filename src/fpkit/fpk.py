@@ -6,8 +6,9 @@ formal adjoint equation sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0):
 
 * solve_exact_1d: in one dimension the zero-flux first integral gives the
   closed form rho(x) = C / a(x) * exp(integral_0^x b/a), evaluated by
-  cumulative composite quadrature on a fine mesh and normalized by cell
-  quadrature on the truncated grid.
+  cumulative composite quadrature on a mesh SUBDIV = 8 times finer than the
+  grid and normalized by cell quadrature on the truncated grid. The 1d
+  Poisson solver (poisson.solve_poisson_1d) integrates on the same mesh.
 
 * solve_grid: the transpose of the discrete generator, in d = 1, 2.
   generator_matrix builds L_h = sum_i diag(a^ii) D2_i + diag(b^i) D1_i
@@ -74,6 +75,7 @@ RESIDUAL_LIMIT = 1e-10
 ELLIPTICITY_TOL = 1e-6
 PANEL_SIZE = 2  # SuperLU panel size and supernode relaxation (see _factor)
 RELAX = 2
+SUBDIV = 8  # fine-mesh cells per grid cell of the 1d closed forms
 
 
 def _scalar_diffusion(a) -> ScalarField:
@@ -118,17 +120,18 @@ def _check_truncation(rho: GridDensity) -> GridDensity:
     return rho
 
 
-def _fine_profile_1d(a, b: DriftField, spec: GridSpec, subdiv: int = 8) -> dict:
+def _fine_profile_1d(a, b: DriftField, spec: GridSpec) -> dict:
     """Fine-mesh data for the 1D closed form: log-density and normalization.
 
-    Returns the fine mesh, the cumulative integral of b/a anchored at 0, the
-    normalized fine density, and the cell-quadrature normalizer. Shared with
+    Returns the fine mesh (SUBDIV cells per grid cell), the cumulative
+    integral of b/a anchored at 0, the normalized fine density, and the
+    cell-quadrature normalizer. Shared with
     the 1D Poisson quadrature solver, which integrates against the same
     profile.
     """
     if spec.dim != 1:
         raise ValueError("1D solver called on a non-1D grid")
-    pts, hf = fine_mesh(spec.radius, spec.n, subdiv)
+    pts, hf = fine_mesh(spec.radius, spec.n, SUBDIV)
     X = pts[:, None]
     a_vals = _scalar_diffusion(a).values(X)
     b_vals = b.values(X)[:, 0]
@@ -139,7 +142,7 @@ def _fine_profile_1d(a, b: DriftField, spec: GridSpec, subdiv: int = 8) -> dict:
     log_rho = integ - np.log(a_vals)
     shift = float(log_rho.max())
     unnorm = np.exp(log_rho - shift)
-    cidx = center_indices(spec.n, subdiv)
+    cidx = center_indices(spec.n, SUBDIV)
     z_cells = float(unnorm[cidx].sum()) * spec.h
     if not np.isfinite(z_cells) or z_cells <= 0.0:
         raise ConfinementError("stationary normalization diverged; drift does not confine")
@@ -148,19 +151,19 @@ def _fine_profile_1d(a, b: DriftField, spec: GridSpec, subdiv: int = 8) -> dict:
             "center_idx": cidx, "log_normalizer": shift + math.log(z_cells)}
 
 
-def solve_exact_1d(a, b: DriftField, spec: GridSpec, subdiv: int = 8,
-                   check_truncation: bool = True, profile: dict | None = None) -> GridDensity:
+def solve_exact_1d(a, b: DriftField, spec: GridSpec, check_truncation: bool = True,
+                   profile: dict | None = None) -> GridDensity:
     """Stationary density in d = 1 from the zero-flux closed form.
 
     rho(x) = exp(integral_0^x b/a ds) / (a(x) Z), with the cumulative integral
-    computed by composite Simpson quadrature on a mesh `subdiv` times finer
+    computed by composite Simpson quadrature on a mesh SUBDIV times finer
     than the grid and Z fixed by unit cell-quadrature mass on the truncated
     grid. Pass check_truncation=False when the box is the actual domain (a
     zero-flux problem on a bounded interval) rather than a truncation of the
     line; boundary mass is then expected. `profile` is
-    _fine_profile_1d(a, b, spec, subdiv) when the caller has built it.
+    _fine_profile_1d(a, b, spec) when the caller has built it.
     """
-    prof = _fine_profile_1d(a, b, spec, subdiv) if profile is None else profile
+    prof = _fine_profile_1d(a, b, spec) if profile is None else profile
     rho_c = prof["rho_fine"][prof["center_idx"]]
     dens = GridDensity(spec, rho_c / (rho_c.sum() * spec.h),
                        info={"method": "exact-1d", "log_normalizer": prof["log_normalizer"]})

@@ -186,10 +186,6 @@ class MeanFieldModel:
             raise ValueError("diffusion_kernel must have kind 'diffusion'")
 
     @property
-    def dim(self) -> int:
-        return self.a0.dim
-
-    @property
     def kernel_bound(self) -> float:
         """N: the largest declared kernel envelope constant."""
         return max([k.sup_bound for k in (self.drift_kernel, self.diffusion_kernel)

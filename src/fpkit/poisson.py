@@ -10,8 +10,10 @@ centered so that integral psi~ rho = 0, the solution machinery provides:
 
 * solve_poisson_1d: the quadrature closed form. From (E u')' = E psi~ / a
   with E = exp(integral b/a), u'(x) = exp(-I(x)) Z S(x) where S is the
-  cumulative integral of psi~ rho; u follows by one more cumulative
-  integration and is normalized to zero average over B(0, 2 R0).
+  cumulative integral of psi~ rho on the fpk.SUBDIV-times finer mesh of
+  fpk.solve_exact_1d; u follows by one more cumulative integration and is
+  normalized to zero average over B(0, 2 R0). A tail integral of psi~ rho
+  above TAIL_TOL is a TruncationError.
 
 * solve_poisson_grid: the generator L_h of fpk.generator_matrix (centered
   differences with reflecting walls), the same operator whose transpose
@@ -22,7 +24,8 @@ centered so that integral psi~ rho = 0, the solution machinery provides:
   center-most cell pinned to u = 0. The kernel is then fixed by subtracting
   the B(0, 2 R0) cell average of u, so that average is zero. With a
   confining drift the artificial wall closure only pollutes a boundary
-  layer; interior accuracy is second order.
+  layer; interior accuracy is second order. The derivatives are the same
+  second-order differences along every axis, in d = 1 and d = 2.
 
 * stationary_poisson: density and Poisson solution together. In d = 2 the
   grid density of fpk.solve_grid is the same plain solve as w, so one
@@ -31,10 +34,16 @@ centered so that integral psi~ rho = 0, the solution machinery provides:
   when its main grid is also the first check grid (check_grids), it passes
   the main solution to growth_bound_report instead of solving it again.
 
+Both solvers return through one finishing step (_solution), which computes
+the bound constants below, the residual over the grid and over the cells at
+least 1 from the walls, and the info keys they share: the Lyapunov witness,
+the residual per cell and the centering defect.
+
 The growth report normalizes everything by Psi = sup |psi~(y)| / (1 + |y|^k):
 G0 = sup |u| / (1 + |x|^k), G1 = sup |grad u| / (1 + |x|^{k + beta}), and the
 weighted Hessian integral H = (integral |D^2 u|^p / (1 + |x|^s))^{1/p} with
-s defaulting to (2 beta + k) p + d + 1 and p defaulting to 2d standalone.
+s = (2 beta + k) p + d + 1 and p defaulting to 2d standalone. A constant
+source centers to psi~ = 0, so Psi = 0 and the quotients are nan.
 """
 
 from __future__ import annotations
@@ -119,25 +128,28 @@ def _scan_radius(phi: np.ndarray, radii: np.ndarray, k: float) -> tuple[float, f
     return m0, r0
 
 
+N_RADII = 800  # radius grid of the Lyapunov scan on (0, r_max]
+N_ANGLES = 32  # directions of the scan when d = 2
+
+
 def lyapunov_constants(A: DiffusionMatrixField, b: DriftField, k: float,
-                       r_max: float = 8.0, n_radii: int = 800,
-                       n_angles: int = 32) -> LyapunovWitness:
+                       r_max: float = 8.0) -> LyapunovWitness:
     """Scan for drift-confinement constants at weight order k >= 1.
 
-    The sampled branch evaluates L(|x|^{2k}) on a radius grid (worst case
-    over directions when d = 2); the formula branch replaces tr A and
-    <Ax, x>/|x|^2 by d/lambda and 1/lambda and the drift term by
+    The sampled branch evaluates L(|x|^{2k}) on N_RADII radii in (0, r_max]
+    (worst case over N_ANGLES directions when d = 2); the formula branch
+    replaces tr A and <Ax, x>/|x|^2 by d/lambda and 1/lambda and the drift term by
     beta1 - beta2 |x|^2. Raises ConfinementError when no radius in range
     certifies the inequality (e.g. an outward drift).
     """
     if k < 1.0:
         raise ValueError("weight order k must be >= 1")
     d = b.dim
-    radii = np.linspace(r_max / n_radii, r_max, n_radii)
+    radii = np.linspace(r_max / N_RADII, r_max, N_RADII)
     if d == 1:
         dirs = np.array([[1.0], [-1.0]])
     else:
-        th = (np.arange(n_angles) + 0.5) / n_angles * 2.0 * math.pi
+        th = (np.arange(N_ANGLES) + 0.5) / N_ANGLES * 2.0 * math.pi
         dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
     vals = radial_power_generator_values(A, b, pts, k).reshape(len(radii), len(dirs))
@@ -158,7 +170,7 @@ def lyapunov_constants(A: DiffusionMatrixField, b: DriftField, k: float,
         if viol.max() > 1e-9:
             raise ConfinementError("certified Lyapunov inequality fails on (R0, 2 R0]")
     return LyapunovWitness(k=float(k), m0=m0, r0=r0, m0_formula=m0f, r0_formula=r0f,
-                           function=f"1+|x|^{2 * k:g}", r_max=float(r_max), n_radii=int(n_radii))
+                           function=f"1+|x|^{2 * k:g}", r_max=float(r_max), n_radii=N_RADII)
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +183,12 @@ class PoissonProblem:
 
     k >= 1 declares the polynomial weight order (the source must satisfy
     sup |psi|/(1+|x|^k) < infinity, automatic on the truncated grid and
-    reported as Psi); p > d the Hessian integrability exponent (default 2d);
-    s the weight power in the Hessian integral (default (2 beta + k) p + d + 1).
+    reported as Psi); p > d the Hessian integrability exponent (default 2d).
+    The weight power in the Hessian integral is s = (2 beta + k) p + d + 1.
     """
 
     def __init__(self, A, b: DriftField, psi: ScalarField, k: float, rho: GridDensity,
-                 p: float | None = None, s: float | None = None):
+                 p: float | None = None):
         A = _diffusion_matrix(A, rho.spec)
         d = rho.spec.dim
         if A.dim != d or b.dim != d or psi.dim != d:
@@ -188,7 +200,7 @@ class PoissonProblem:
             raise ValueError(f"integrability exponent p must exceed d={d}, got {p}")
         beta = b.growth.beta
         self.A, self.b, self.psi, self.k, self.rho, self.p = A, b, psi, float(k), rho, p
-        self.s = float(s) if s is not None else (2.0 * beta + k) * p + d + 1.0
+        self.s = (2.0 * beta + k) * p + d + 1.0
         pts = rho.spec.cell_centers()
         self.psi_cells = psi.values(pts)
         self.center_constant = float((self.psi_cells @ rho.flat()) * rho.spec.cell_volume)
@@ -213,7 +225,9 @@ class PoissonSolution:
     u has the grid shape; du has shape grid + (d,); d2u grid + (d, d). The
     bound constants are G0 = sup |u|/(1+|x|^k), G1 = sup |du|/(1+|x|^{k+beta}),
     H = (integral |d2u|_F^p / (1+|x|^s))^{1/p}, reported alongside
-    Psi = sup |psi~|/(1+|x|^k) and the quotients G0/Psi, G1/Psi, H/Psi.
+    Psi = sup |psi~|/(1+|x|^k) and the quotients G0/Psi, G1/Psi, H/Psi. A
+    source that centers to zero (a constant psi) has Psi = 0, u = 0 and nan
+    quotients.
     """
 
     spec: GridSpec
@@ -234,31 +248,20 @@ class PoissonSolution:
     pin_radius: float
     info: dict
 
+    def _quotient(self, bound: float) -> float:
+        return bound / self.psi_sup if self.psi_sup > 0.0 else math.nan
+
     @property
     def g0_quotient(self) -> float:
-        return self.g0 / self.psi_sup
+        return self._quotient(self.g0)
 
     @property
     def g1_quotient(self) -> float:
-        return self.g1 / self.psi_sup
+        return self._quotient(self.g1)
 
     @property
     def h_quotient(self) -> float:
-        return self.h_norm / self.psi_sup
-
-
-def _bound_constants(spec: GridSpec, k: float, beta: float, p: float, s: float,
-                     u: np.ndarray, du: np.ndarray, d2u: np.ndarray,
-                     psi_tilde: np.ndarray) -> tuple[float, float, float, float]:
-    r = spec.center_radii()
-    w0 = 1.0 + r ** k
-    psi_sup = float((np.abs(psi_tilde.ravel()) / w0).max())
-    g0 = float((np.abs(u.ravel()) / w0).max())
-    grad_norm = np.sqrt(np.sum(du.reshape(-1, spec.dim) ** 2, axis=1))
-    g1 = float((grad_norm / (1.0 + r ** (k + beta))).max())
-    frob = np.sqrt(np.sum(d2u.reshape(-1, spec.dim, spec.dim) ** 2, axis=(1, 2)))
-    h_norm = float((frob ** p / (1.0 + r ** s)).sum() * spec.cell_volume) ** (1.0 / p)
-    return psi_sup, g0, g1, h_norm
+        return self._quotient(self.h_norm)
 
 
 def _pin_ball_mask(spec: GridSpec, pin_radius: float) -> np.ndarray:
@@ -268,27 +271,62 @@ def _pin_ball_mask(spec: GridSpec, pin_radius: float) -> np.ndarray:
     return mask
 
 
-def solve_poisson_1d(problem: PoissonProblem, subdiv: int = 8, tail_tol: float = 1e-6,
-                     center: bool = True) -> PoissonSolution:
+def _solution(problem: PoissonProblem, wit: LyapunovWitness, u: np.ndarray, du: np.ndarray,
+              d2u: np.ndarray, psi_tilde: np.ndarray, res: np.ndarray,
+              **info) -> PoissonSolution:
+    """The PoissonSolution of both solvers: bound constants, residuals and the shared info.
+
+    u (grid shape, zero mean on the pin ball of wit), du (grid + (d,)), d2u
+    (grid + (d, d)) and psi_tilde (grid shape) are the solver's results at
+    the cells, and res its absolute residual per cell. residual is the
+    largest over the grid, residual_interior over the cells at least 1 from
+    the walls. info holds the solver's own keys and "lyapunov" (wit),
+    "residual_cells" (res) and "centering_defect".
+    """
+    spec = problem.spec
+    r = spec.center_radii()
+    k, p, s = problem.k, problem.p, problem.s
+    beta = problem.b.growth.beta
+    w0 = 1.0 + r ** k
+    psi_sup = float((np.abs(psi_tilde.ravel()) / w0).max())
+    g0 = float((np.abs(u.ravel()) / w0).max())
+    grad_norm = np.sqrt(np.sum(du.reshape(-1, spec.dim) ** 2, axis=1))
+    g1 = float((grad_norm / (1.0 + r ** (k + beta))).max())
+    frob = np.sqrt(np.sum(d2u.reshape(-1, spec.dim, spec.dim) ** 2, axis=(1, 2)))
+    h_norm = float((frob ** p / (1.0 + r ** s)).sum() * spec.cell_volume) ** (1.0 / p)
+    interior = r <= spec.radius - 1.0
+    residual = float(res.max())
+    return PoissonSolution(
+        spec=spec, k=k, beta=beta, p=p, s=s, u=u, du=du, d2u=d2u, psi_tilde=psi_tilde,
+        psi_sup=psi_sup, g0=g0, g1=g1, h_norm=h_norm, residual=residual,
+        residual_interior=float(res[interior].max()) if interior.any() else residual,
+        pin_radius=wit.pin_radius,
+        info={**info, "lyapunov": wit, "residual_cells": res,
+              "centering_defect": problem.centering_defect()})
+
+
+def solve_poisson_1d(problem: PoissonProblem) -> PoissonSolution:
     """Solve the 1D Poisson equation by the quadrature closed form.
 
-    Works on a mesh `subdiv` times finer than the grid. u' and u come from
+    Works on a mesh fpk.SUBDIV times finer than the grid. u' and u come from
     cumulative Simpson integration; the second derivative is a fourth-order
     difference of the fine-mesh u', so the reported interior residual
     a u'' + b u' - psi~ reflects quadrature accuracy rather than grid
-    differencing. `center=False` skips the source centering (diagnostic; a
-    non-centered source fails the tail check).
+    differencing. A source whose centered tail integral against rho exceeds
+    TAIL_TOL is a TruncationError.
     """
     spec = problem.spec
     if spec.dim != 1:
         raise ValueError("solve_poisson_1d needs a one-dimensional problem")
-    prof = _fine_profile_1d(problem.A, problem.b, spec, subdiv)
+    prof = _fine_profile_1d(problem.A, problem.b, spec)
     a_c = _scalar_diffusion(problem.A).values(spec.cell_centers())
-    return _solve_quadrature_1d(problem, prof, a_c, tail_tol, center)
+    return _solve_quadrature_1d(problem, prof, a_c)
 
 
-def _solve_quadrature_1d(problem: PoissonProblem, prof: dict, a_c: np.ndarray,
-                         tail_tol: float = 1e-6, center: bool = True) -> PoissonSolution:
+TAIL_TOL = 1e-6  # largest |integral psi~ rho| over the fine mesh that the 1d solver accepts
+
+
+def _solve_quadrature_1d(problem: PoissonProblem, prof: dict, a_c: np.ndarray) -> PoissonSolution:
     """solve_poisson_1d from prof, the fine-mesh profile of the problem's coefficients
     (fpk._fine_profile_1d), and a_c, the diffusion at the cells."""
     spec = problem.spec
@@ -298,14 +336,12 @@ def _solve_quadrature_1d(problem: PoissonProblem, prof: dict, a_c: np.ndarray,
     log_norm = prof["log_normalizer"]
 
     psi_f = problem.psi.values(pts[:, None])
-    c0 = problem.center_constant if center else 0.0
-    psi_t = psi_f - c0
-    g = psi_t * rho_f
+    g = (psi_f - problem.center_constant) * rho_f
     S_left = cumulative_integral(g, hf)
     tail = abs(float(S_left[-1]))
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise TruncationError(
-            f"tail integral of the centered source against rho is {tail:.3e} > {tail_tol:g}; "
+            f"tail integral of the centered source against rho is {tail:.3e} > {TAIL_TOL:g}; "
             "the truncation radius is too small or the declared centering/reference density "
             "is inconsistent with the coefficients")
 
@@ -324,33 +360,19 @@ def _solve_quadrature_1d(problem: PoissonProblem, prof: dict, a_c: np.ndarray,
     if not np.all(np.isfinite(du_f)):
         raise ConvergenceError("gradient overflowed; problem is under-truncated or not confined")
 
-    u_f = cumulative_integral(du_f, hf)
-    wit = lyapunov_constants(problem.A, problem.b, problem.k, r_max=spec.radius)
-    u_c = u_f[cidx]
+    u_c = cumulative_integral(du_f, hf)[cidx]
     du_c = du_f[cidx]
-    mask = _pin_ball_mask(spec, wit.pin_radius)
-    u_c = u_c - u_c[mask].mean()
+    wit = lyapunov_constants(problem.A, problem.b, problem.k, r_max=spec.radius)
+    u_c = u_c - u_c[_pin_ball_mask(spec, wit.pin_radius)].mean()
 
     # fourth-order centered first derivative of the fine u' at cell centers
     d2u_c = (-du_f[cidx + 2] + 8.0 * du_f[cidx + 1] - 8.0 * du_f[cidx - 1] + du_f[cidx - 2]) / (12.0 * hf)
 
     b_c = problem.b.values(spec.cell_centers())[:, 0]
-    psi_tc = problem.psi_cells - c0
+    psi_tc = problem.psi_tilde_cells()
     res = np.abs(a_c * d2u_c + b_c * du_c - psi_tc)
-    interior = spec.center_radii() <= spec.radius - 1.0
-    beta = problem.b.growth.beta
-    psi_sup, g0, g1, h_norm = _bound_constants(
-        spec, problem.k, beta, problem.p, problem.s,
-        u_c, du_c.reshape(-1, 1), d2u_c.reshape(-1, 1, 1), psi_tc)
-    return PoissonSolution(
-        spec=spec, k=problem.k, beta=beta, p=problem.p, s=problem.s,
-        u=u_c, du=du_c.reshape(spec.n, 1), d2u=d2u_c.reshape(spec.n, 1, 1),
-        psi_tilde=psi_tc, psi_sup=psi_sup, g0=g0, g1=g1, h_norm=h_norm,
-        residual=float(res.max()), residual_interior=float(res[interior].max()),
-        pin_radius=wit.pin_radius,
-        info={"method": "quadrature-1d", "tail": tail, "lyapunov": wit,
-              "centering_constant": c0, "residual_cells": res,
-              "centering_defect": problem.centering_defect()})
+    return _solution(problem, wit, u_c, du_c.reshape(spec.n, 1), d2u_c.reshape(spec.n, 1, 1),
+                     psi_tc, res, method="quadrature-1d", tail=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +408,9 @@ def solve_poisson_grid(problem: PoissonProblem) -> PoissonSolution:
     `pin` replaced by e_pin: with a zero right-hand side at the center-most
     cell and u = 0 there afterwards, every other row of L_h u = psi~ holds
     exactly. The kernel direction (constants) is then fixed by subtracting
-    the cell average of u over B(0, 2 R0).
+    the cell average of u over B(0, 2 R0). The derivatives are second-order
+    differences (numpy.gradient) along each axis, of u for du and of du for
+    d2u, whose mixed entries are the average of the two orders.
     """
     return _solve_factored(problem, *_pinned_generator(problem.A, problem.b, problem.spec))
 
@@ -394,7 +418,6 @@ def solve_poisson_grid(problem: PoissonProblem) -> PoissonSolution:
 def _solve_factored(problem: PoissonProblem, L, lu: PinnedFactor) -> PoissonSolution:
     """solve_poisson_grid on a given factor lu of the pinned L_h^T."""
     spec = problem.spec
-    radii = spec.center_radii()
     psi_t = problem.psi_tilde_cells()
     c_proj = float(discrete_adjoint_null(lu) @ psi_t)
     scale = spec.h ** 2 * (1.0 + float(np.abs(psi_t).max()))
@@ -414,42 +437,17 @@ def _solve_factored(problem: PoissonProblem, L, lu: PinnedFactor) -> PoissonSolu
     u[lu.pin] = 0.0
     u -= u[_pin_ball_mask(spec, wit.pin_radius)].mean()
 
-    res_vec = np.abs(L @ u - psi_proj)
-    res_vec[lu.pin] = 0.0  # pinned row is implied by the others
-    interior = radii <= spec.radius - 1.0
-    residual = float(res_vec.max())
-    residual_interior = float(res_vec[interior].max()) if interior.any() else residual
+    res = np.abs(L @ u - psi_proj)
+    res[lu.pin] = 0.0  # pinned row is implied by the others
 
-    U = u.reshape(spec.shape)
-    h = spec.h
-    if spec.dim == 1:
-        du = np.gradient(U, h, edge_order=2).reshape(spec.n, 1)
-        d2u = np.gradient(du[:, 0], h, edge_order=2).reshape(spec.n, 1, 1)
-    else:
-        gx, gy = np.gradient(U, h, h, edge_order=2)
-        du = np.stack([gx, gy], axis=-1)
-        gxx = np.gradient(gx, h, axis=0, edge_order=2)
-        gyy = np.gradient(gy, h, axis=1, edge_order=2)
-        gxy = 0.5 * (np.gradient(gx, h, axis=1, edge_order=2)
-                     + np.gradient(gy, h, axis=0, edge_order=2))
-        d2u = np.empty(spec.shape + (2, 2))
-        d2u[..., 0, 0] = gxx
-        d2u[..., 1, 1] = gyy
-        d2u[..., 0, 1] = gxy
-        d2u[..., 1, 0] = gxy
-    beta = problem.b.growth.beta
-    psi_sup, g0, g1, h_norm = _bound_constants(
-        spec, problem.k, beta, problem.p, problem.s, U, du, d2u, psi_proj)
-    return PoissonSolution(
-        spec=spec, k=problem.k, beta=beta, p=problem.p, s=problem.s,
-        u=U, du=du, d2u=d2u, psi_tilde=psi_proj.reshape(spec.shape),
-        psi_sup=psi_sup, g0=g0, g1=g1, h_norm=h_norm,
-        residual=residual, residual_interior=residual_interior,
-        pin_radius=wit.pin_radius,
-        info={"method": "fd-grid", "projection_magnitude": abs(c_proj),
-              "lyapunov": wit, "pinned_cell": lu.pin, "residual_cells": res_vec,
-              "centering_defect": problem.centering_defect(), "ordering": lu.ordering,
-              "factor_nnz": lu.nnz})
+    U, h, d = u.reshape(spec.shape), spec.h, spec.dim
+    du = np.stack([np.gradient(U, h, axis=i, edge_order=2) for i in range(d)], axis=-1)
+    d2u = np.stack([np.gradient(du, h, axis=i, edge_order=2) for i in range(d)], axis=-2)
+    mixed = ~np.eye(d, dtype=bool)  # d2u[..., i, j] differentiates du_j along axis i
+    d2u[..., mixed] = 0.5 * (d2u[..., mixed] + d2u.swapaxes(-1, -2)[..., mixed])
+    return _solution(problem, wit, U, du, d2u, psi_proj.reshape(spec.shape), res,
+                     method="fd-grid", projection_magnitude=abs(c_proj), pinned_cell=lu.pin,
+                     ordering=lu.ordering, factor_nnz=lu.nnz)
 
 
 def solve_poisson(problem: PoissonProblem) -> PoissonSolution:
@@ -463,9 +461,10 @@ def stationary_poisson(A, b: DriftField, psi: ScalarField, k: float, spec: GridS
                        p: float | None = None) -> tuple[GridDensity, PoissonSolution]:
     """The stationary density rho on the grid and the Poisson solution for psi.
 
+    The diffusion is sampled at the cells once (a scalar one becomes a I).
     In d = 1 both are the closed forms (fpk.solve_exact_1d, solve_poisson_1d),
-    built from one fine-mesh profile and one sample of the diffusion at the cells.
-    In d = 2 one SuperLU factor of the pinned L_h^T gives rho, w and u: its
+    built from one fine-mesh profile and that sample. In d = 2 one SuperLU
+    factor of the pinned L_h^T gives rho, w and u: its
     pinned null vector (PinnedFactor.null), scaled to unit mass, is the
     density, validated and clipped as in fpk.solve_grid, and, scaled to
     sum 1, the adjoint null vector w;
@@ -473,13 +472,12 @@ def stationary_poisson(A, b: DriftField, psi: ScalarField, k: float, spec: GridS
     followed by solve_poisson bit for bit, with one factorization instead of
     two.
     """
+    A, a = _sampled_diffusion(A, spec)  # PoissonProblem takes this A as it is
     if spec.dim == 1:
         prof = _fine_profile_1d(A, b, spec)
         rho = solve_exact_1d(A, b, spec, profile=prof)
-        A, a = _sampled_diffusion(A, spec)  # PoissonProblem takes this A as it is
         return rho, _solve_quadrature_1d(PoissonProblem(A, b, psi, k, rho, p=p), prof,
                                          a[:, 0, 0])
-    A, a = _sampled_diffusion(A, spec)
     L, lu = _pinned_generator(A, b, spec, a)
     rho = _null_density(spec, L, lu, check_truncation=True)
     return rho, _solve_factored(PoissonProblem(A, b, psi, k, rho, p=p), L, lu)

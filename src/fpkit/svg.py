@@ -147,8 +147,10 @@ def heatmap(path: str, values, extent: float, title: str = "", max_blocks: int =
     """Write a grayscale heatmap of a square array over [-extent, extent]^2.
 
     An n x n array with n > max_blocks is block-averaged over
-    f = ceil(n / max_blocks) cells per side (the last n mod f rows and
-    columns dropped), so the figure has at most max_blocks blocks per side.
+    f = ceil(n / max_blocks) cells per side, so the figure has at most
+    max_blocks blocks per side. When f does not divide n, the last block of
+    each side averages the n mod f cells left over and is drawn that much
+    narrower, so every cell is shown where it lies.
     """
     import numpy as np
 
@@ -158,25 +160,26 @@ def heatmap(path: str, values, extent: float, title: str = "", max_blocks: int =
     if not np.isfinite(v).all():
         raise ValueError("heatmap needs finite values")
     n = v.shape[0]
-    if n > max_blocks:
-        f = -(-n // max_blocks)
-        m = (n // f) * f
-        v = v[:m, :m].reshape(m // f, f, m // f, f).mean(axis=(1, 3))
+    f = -(-n // max_blocks)  # cells per block side
+    k = -(-n // f)  # blocks per side
+    # NaN pads the last blocks to f cells, and nanmean leaves the pad out
+    v = np.pad(v, (0, k * f - n), constant_values=np.nan)
+    v = np.nanmean(v.reshape(k, f, k, f), axis=(1, 3))
     lo, hi = float(v.min()), float(v.max())
     span = hi - lo if hi > lo else 1.0
     c = _Canvas(title, "x1", "x2")
     side = min(_W - _ML - _MR, _H - _MT - _MB)
-    k = v.shape[0]
-    cell = side / k
+    cell = side / n  # the width of one array cell
+    edges = np.minimum(np.arange(k + 1) * f, n)  # the first cell of each block, and n
     # np.rint rounds half to even, as round does
     shades = np.rint(255 * (1.0 - (v - lo) / span)).astype(int).ravel().tolist()
     # grid rows follow ascending x1; SVG y grows downward
-    xs = [_fmt(x) for x in (_ML + np.arange(k) * cell).tolist()]
-    ys = [_fmt(y) for y in (_MT + side - np.arange(1, k + 1) * cell).tolist()]
-    size = _fmt(cell + 0.5)
-    rect = (f'<rect x="{{0}}" y="{{1}}" width="{size}" height="{size}" '
-            'fill="rgb({2},{2},{2})"/>')
-    c.parts.extend(map(rect.format, [x for x in xs for _ in range(k)], ys * k, shades))
+    xs = [_fmt(x) for x in (_ML + edges[:-1] * cell).tolist()]
+    ys = [_fmt(y) for y in (_MT + side - edges[1:] * cell).tolist()]
+    sizes = [_fmt(w) for w in (np.diff(edges) * cell + 0.5).tolist()]
+    rect = '<rect x="{0}" y="{1}" width="{2}" height="{3}" fill="rgb({4},{4},{4})"/>'
+    c.parts.extend(map(rect.format, [x for x in xs for _ in range(k)], ys * k,
+                       [w for w in sizes for _ in range(k)], sizes * k, shades))
     c.add(f'<rect x="{_ML}" y="{_MT}" width="{_fmt(side)}" height="{_fmt(side)}" '
           f'fill="none" stroke="#333"/>')
     c.add(f'<text x="{_ML}" y="{_MT + side + 16}" font-family="sans-serif" font-size="11">'

@@ -17,7 +17,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import fpkit
-from fpkit import __version__, fpk, poisson, stability
+from fpkit import __version__, cli, fpk, poisson, stability
 from fpkit.cli import CLIP_MASS_LIMIT, build_parser, main, resolve_workers, write_csv
 from fpkit.config import (field_from_config, grid_from_config, model_from_config,
                           validate_command_config)
@@ -173,6 +173,17 @@ class TestValidationExits:
         code, _, _ = run_cli(tmp_path, "poisson", cfg)
         assert code == 2
         assert "dimensions must match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model,n", [("ou-1d", 1024), ("ou-2d", 32)])
+    def test_constant_poisson_source_exits_two_and_names_psi(self, tmp_path, capsys, model, n):
+        # regression: psi~ = 0 made G/Psi a ZeroDivisionError traceback (exit 1, no report)
+        cfg = {"model": model, "psi": {"constant": 2.0}, "n": n}
+        code, report, _ = run_cli(tmp_path, "poisson", cfg)
+        assert code == 2
+        assert report is None
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Psi = 0" in err and "[at psi]" in err
 
     def test_unknown_subcommand_is_an_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -364,7 +375,9 @@ class TestPoissonGrids:
         A, b, dim, _ = model_from_config(cfg)
         psi = field_from_config(cfg["psi"], dim=dim, path="psi")
         n_base = cfg["n"] if dim == 1 else min(cfg["n"], 128)
-        rep = verify_growth_bounds(A, b, psi, cfg["k"], radii=tuple(cfg["check_radii"]),
+        radius = grid_from_config(cfg, dim, b.growth.beta2).radius
+        radii = cfg["check_radii"] or [radius, 2 * radius]  # the default, as in the CLI
+        rep = verify_growth_bounds(A, b, psi, cfg["k"], radii=tuple(radii),
                                    n_base=n_base, p=cfg["p"])
         path = write_csv(str(tmp_path / "reference.csv"),
                          ["radius", "g0_over_psi", "g1_over_psi", "h_over_psi"],
@@ -547,6 +560,52 @@ class TestWorkerResolution:
         with pytest.raises(ValidationError, match="FPKIT_WORKERS must be an integer"):
             resolve_workers(None)
 
+    def test_only_sweep_reads_the_environment(self, tmp_path, monkeypatch, capsys):
+        # regression: every subcommand resolved FPKIT_WORKERS, so solve exited 2
+        monkeypatch.setenv("FPKIT_WORKERS", "many")
+        assert run_cli(tmp_path, "solve", SMALL_CONFIGS["solve"], out="a")[0] == 0
+        code, report, _ = run_cli(tmp_path, "sweep", SMALL_CONFIGS["sweep"], out="b")
+        assert (code, report) == (2, None)
+        assert "FPKIT_WORKERS must be an integer" in capsys.readouterr().err
+
+
+class TestDefaultRadius:
+    """Without a "radius" every grid's radius is default_radius(beta2) of the run's drift."""
+
+    # rho ~ exp(-0.05 x^2): its tail holds more than 1e-4 past R = 8 (TruncationError)
+    WEAK = {"coefficients": {"dim": 1, "diffusion": {"constant": 6.0},
+                             "drift": {"expressions": ["-0.6*x1"], "beta1": 0.6,
+                                       "beta2": 0.6, "beta3": 0.6}}}
+
+    @pytest.mark.parametrize("command,extra", [
+        ("solve", {}),
+        # regression: poisson defaulted to R = 8 and exited 3 with a TruncationError
+        ("poisson", {"psi": {"expression": "tanh(x1)"}}),
+    ])
+    def test_radius_follows_the_drift(self, tmp_path, command, extra):
+        code, _, out_dir = run_cli(tmp_path, command, {**self.WEAK, **extra})
+        assert code == 0
+        radius = 8.0 / np.sqrt(0.6)
+        x = np.loadtxt(out_dir / ("density.csv" if command == "solve" else "solution.csv"),
+                       delimiter=",", skiprows=1)[:, 0]
+        assert x.max() == pytest.approx(radius * (1.0 - 1.0 / 1024), rel=1e-9)  # n = 1024
+        if command == "poisson":
+            bounds = np.loadtxt(out_dir / "bounds.csv", delimiter=",", skiprows=1)
+            assert bounds[:, 0] == pytest.approx([radius, 2 * radius])
+
+    @pytest.mark.parametrize("command", ["stability", "meanfield"])
+    def test_base_drift_keeps_radius_eight(self, tmp_path, command, monkeypatch):
+        specs = []
+        real = cli.grid_from_config
+
+        def recorded(*args):
+            specs.append(real(*args))
+            return specs[-1]
+
+        monkeypatch.setattr(cli, "grid_from_config", recorded)
+        assert run_cli(tmp_path, command, SMALL_CONFIGS[command])[0] == 0
+        assert [spec.radius for spec in specs] == [8.0]
+
 
 class TestStabilityFamilies:
     @pytest.mark.parametrize("cfg", [
@@ -569,7 +628,7 @@ class TestStabilityFamilies:
         # the same rows from pairs that each solve their own sigma
         full = validate_command_config("stability", cfg)
         dim, k, r = full["dim"], full["k"], full["r"]
-        spec = grid_from_config(full, dim, 0.5)
+        spec = grid_from_config(full, dim, 1.0)  # beta2 of sigma's drift -x
         eye = np.eye(dim)
         rows = []
         for d in cfg["deltas"]:

@@ -185,17 +185,29 @@ class TestQuadratureSolver:
         assert sol.residual_interior <= 1e-6
         assert sol.info["method"] == "quadrature-1d"
 
-    def test_skipping_the_centering_breaks_the_tail(self, ou_problem_parts):
-        A, b, rho = ou_problem_parts
-        prob = PoissonProblem(A, b, source(lambda z: z[:, 0] ** 2, 1, "x2"), 2.0, rho)
+    def test_wrong_reference_density_breaks_the_tail(self, ou_1d, grid_1d):
+        # centered against a uniform density, x^2 - 64/3 is far from centered
+        # against the OU density the closed form integrates with
+        A, b = ou_1d
+        uniform = GridDensity(grid_1d, np.full(grid_1d.n, 1.0 / 16.0))
+        prob = PoissonProblem(A, b, source(lambda z: z[:, 0] ** 2, 1, "x2"), 2.0, uniform)
         with pytest.raises(TruncationError, match="tail integral"):
-            solve_poisson_1d(prob, center=False)
+            solve_poisson_1d(prob)
 
     def test_constant_source_centers_to_zero_solution(self, ou_problem_parts):
         A, b, rho = ou_problem_parts
         sol = solve_poisson_1d(PoissonProblem(A, b, ConstantField(1.0, 1), 1.0, rho))
         assert np.abs(sol.u).max() == 0.0
         assert np.abs(sol.du).max() == 0.0
+
+    @pytest.mark.parametrize("name,n", [("ou-1d", 512), ("ou-2d", 16)])
+    def test_constant_source_has_nan_quotients(self, name, n):
+        # regression: Psi = 0 made each quotient a ZeroDivisionError
+        m = {m.name: m for m in builtin_models()}[name]
+        _, sol = stationary_poisson(m.A, m.b, ConstantField(2.0, m.dim), 1.0,
+                                    GridSpec(m.dim, 8.0, n))
+        assert sol.psi_sup == 0.0
+        assert all(math.isnan(q) for q in (sol.g0_quotient, sol.g1_quotient, sol.h_quotient))
 
     def test_quotients_divide_by_source_sup(self, ou_problem_parts):
         A, b, rho = ou_problem_parts

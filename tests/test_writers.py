@@ -102,6 +102,20 @@ class TestHeatmapBlocks:
         # the background, the blocks and the frame
         assert text.count("<rect ") == 1 + side * side + 1
 
+    def test_every_cell_is_shown(self, tmp_path):
+        # regression: f = 3 does not divide n = 130, and the last row was dropped
+        v = np.zeros((130, 130))
+        v[-1] = 1.0
+        svg.heatmap(str(tmp_path / "a.svg"), v, 8.0)
+        text = (tmp_path / "a.svg").read_text()
+        assert text.count("<rect ") == 1 + 44 * 44 + 1
+        assert "values [0, 1]" in text
+        # the last block along x1 holds the one row left over: 44 black blocks,
+        # one cell (340 / 130 px, plus the 0.5 px overlap) wide, at the right edge
+        assert text.count('fill="rgb(0,0,0)"') == 44
+        assert text.count('x="401.38" y="60.15" width="3.12" height="8.35" fill="rgb(0,0,0)"') == 1
+        assert text.count('x="401.38" y="34.00" width="3.12" height="3.12" fill="rgb(0,0,0)"') == 1
+
     def test_non_finite_values_are_refused(self, tmp_path):
         v = _field(8)
         v[3, 4] = np.nan
