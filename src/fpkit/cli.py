@@ -24,8 +24,10 @@ numerics, and writes into the output directory:
   poisson summaries carry the solver telemetry of the main grid: residual,
   clipped mass, pinned cell, the factor's ordering and its L + U nonzeros,
   and for poisson the Lyapunov witness (m0, r0) (the 1d closed form has a
-  null residual). Timings vary, so the report is the one artifact excluded
-  from the byte-identical guarantee.
+  null residual). The meanfield summary's telemetry lists, per start, the
+  SuperLU factorizations of its Picard steps and the refinement steps of
+  each step (meanfield.FixedPointTrace). Timings vary, so the report is the
+  one artifact excluded from the byte-identical guarantee.
   A numerical failure (exit 3) still writes the report; a config or
   parameter error (exit 2) does not.
 
@@ -219,6 +221,10 @@ def run_dini(ctx: RunContext, cfg: dict) -> dict:
 def run_solve(ctx: RunContext, cfg: dict) -> dict:
     A, b, dim, name = model_from_config(cfg)
     spec = grid_from_config(cfg, dim, b.growth.beta2)
+    if not (spec.center_radii() <= 1.0).any():  # the unit-ball diagnostics need a cell
+        raise ValidationError(
+            f"no cell center lies in B(0, 1): n {spec.n} and radius {spec.radius:g} give "
+            f"cells of width {spec.h:g}; raise n or set a smaller radius", path="n")
     rho = stationary_density(A, b, spec)
     ctx.note_density(rho)
     if dim == 2:
@@ -361,6 +367,10 @@ def run_meanfield(ctx: RunContext, cfg: dict) -> dict:
                            weight_order=cfg["weight_order"],
                            **kernel_from_name(cfg["kernel"], dim))
     spec = grid_from_config(cfg, dim, model.b0.growth.beta2)
+    for i, mean in enumerate(cfg["starts"]):
+        if abs(float(mean)) > spec.radius:
+            raise ValidationError(f"start mean {float(mean):g} lies outside the box "
+                                  f"[-{spec.radius:g}, {spec.radius:g}]^{dim}", path=f"starts.{i}")
     traces = []
     for mean in cfg["starts"]:
         start = gaussian_probe(spec, np.full(dim, float(mean)), 1.0)
@@ -389,6 +399,9 @@ def run_meanfield(ctx: RunContext, cfg: dict) -> dict:
         "fixed_point_spread": spread,
         "threshold_scale": traces[0].threshold_scale if traces else None,
         "m_hat": traces[0].m_hat if traces else None,
+        "telemetry": [{"start": float(mean), "factorizations": tr.factorizations,
+                       "refinement_steps": list(tr.refinement_steps)}
+                      for mean, tr in zip(cfg["starts"], traces)],
     }
     if cfg["threshold"]:
         summary["eps_threshold"], tried = threshold_search(model, spec)

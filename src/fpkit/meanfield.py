@@ -25,6 +25,17 @@ component; any other points (the fine mesh of the closed-form 1d solver,
 subsets, shifted points) take the direct quadrature. A frozen coefficient is
 base + eps * offset in one evaluation: one kernel pass for all its
 components, with nothing cached between evaluations.
+
+Consecutive Picard steps freeze coefficients that differ by eps times the
+change of the offset, so their pinned L_h^T are close. picard_iterate hands
+each 2d step the last SuperLU factor of its run (fpk.NearbyFactor); the step
+refines against it (fpk.solve_grid: iterative refinement to a relative
+residual of fpk.REFINE_RESIDUAL) and factors its own grid only when
+fpk.REFINE_MAX_STEPS steps fall short, that factor then serving the later
+steps. No factor outlives the run. Each step is still Phi(rho) solved to
+roundoff, so the gaps and contraction factors of a FixedPointTrace measure
+the map itself; the trace also records the factorizations and the
+refinement steps of each step.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ from scipy.fft import irfftn, next_fast_len, rfftn
 from .errors import (ConvergenceError, DegenerateDensityError, EllipticityMarginError,
                      EvaluationError, NonContractionError)
 from .fields import ClosureField, DiffusionMatrixField, DriftField, GrowthParams
-from .fpk import stationary_density
+from .fpk import NearbyFactor, stationary_density
 from .grids import GridDensity, GridSpec
 from .oscillation import fit_line
 from .stability import weighted_l1_distance
@@ -280,10 +291,15 @@ def nonlocal_coefficients(model: MeanFieldModel,
     return a_eff, b_eff
 
 
-def apply_phi(model: MeanFieldModel, rho: GridDensity) -> GridDensity:
-    """One application of the self-consistency map Phi."""
+def apply_phi(model: MeanFieldModel, rho: GridDensity,
+              nearby: NearbyFactor | None = None) -> GridDensity:
+    """One application of the self-consistency map Phi.
+
+    `nearby` holds the factor of an earlier, nearby step for a 2d solve to
+    refine against (fpk.solve_grid); the density is Phi(rho) either way.
+    """
     a_eff, b_eff = nonlocal_coefficients(model, rho)
-    return stationary_density(a_eff, b_eff, rho.spec)
+    return stationary_density(a_eff, b_eff, rho.spec, nearby)
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,7 +312,11 @@ class FixedPointTrace:
     eps * N * (sqrt(M_hat) + M_hat); multiplying it by an externally
     estimated stability ratio C_hat gives the contraction threshold.
     clipped_mass is the largest negative mass clipped from an iterate (0 for
-    the closed-form 1d densities, which never clip).
+    the closed-form 1d densities, which never clip). factorizations counts
+    the SuperLU factors the 2d steps made, and refinement_steps[t] is the
+    number of refinement steps of step t against the factor held from an
+    earlier step (0 for a step that factored with none held, and for the 1d
+    closed form, which neither factors nor refines).
     """
 
     fixed_point: GridDensity
@@ -309,6 +329,8 @@ class FixedPointTrace:
     threshold_scale: float
     tol: float
     clipped_mass: float = 0.0
+    factorizations: int = 0
+    refinement_steps: tuple[int, ...] = ()
 
     @property
     def n_steps(self) -> int:
@@ -318,6 +340,11 @@ class FixedPointTrace:
 def picard_iterate(model: MeanFieldModel, rho0: GridDensity, tol: float = 1e-8,
                    max_iter: int = 60) -> FixedPointTrace:
     """Iterate Phi from rho0 until the weighted gap drops below tol.
+
+    Each step hands apply_phi the last SuperLU factor of the run (an
+    fpk.NearbyFactor, empty at first), so a 2d step refines against the
+    factor of an earlier step and factors only when refinement falls short;
+    a fresh factor replaces the held one. The factor is dropped on return.
 
     Raises NonContractionError (with the gap sequence) when the iteration
     budget is exhausted and the gaps were not monotonically decreasing, and
@@ -331,8 +358,13 @@ def picard_iterate(model: MeanFieldModel, rho0: GridDensity, tol: float = 1e-8,
     m_hat = _weighted_moment(rho0, mom_power)
     clipped = 0.0
     converged = False
+    nearby = NearbyFactor()
+    factorizations, refinement_steps = 0, []
     for _ in range(max_iter):
-        nxt = apply_phi(model, rho)
+        held = nearby.factor
+        nxt = apply_phi(model, rho, nearby)
+        factorizations += nearby.factor is not held
+        refinement_steps.append(nxt.info.get("refinement_steps", 0))
         m_hat = max(m_hat, _weighted_moment(nxt, mom_power))
         clipped = max(clipped, nxt.info.get("clipped_mass", 0.0))
         gaps.append(weighted_l1_distance(nxt, rho, k))
@@ -346,7 +378,8 @@ def picard_iterate(model: MeanFieldModel, rho0: GridDensity, tol: float = 1e-8,
                             converged=converged, eps=model.eps,
                             kernel_bound=model.kernel_bound, m_hat=m_hat,
                             threshold_scale=float(scale), tol=float(tol),
-                            clipped_mass=clipped)
+                            clipped_mass=clipped, factorizations=factorizations,
+                            refinement_steps=tuple(refinement_steps))
     if not converged:
         if any(f > 1.0 for f in factors):
             raise NonContractionError(

@@ -185,6 +185,30 @@ class TestValidationExits:
         assert err.startswith("config error:")
         assert "Psi = 0" in err and "[at psi]" in err
 
+    def test_meanfield_start_outside_the_box_exits_two_and_names_it(self, tmp_path, capsys):
+        # regression: the start's Gaussian vanished on the grid, and the run
+        # exited 3 with "DegenerateDensityError: cannot normalize"
+        code, report, _ = run_cli(tmp_path, "meanfield",
+                                  {"eps": 0.05, "starts": [0.5, 100.0], "threshold": False})
+        assert code == 2
+        assert report is None
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "start mean 100" in err and "[at starts.1]" in err
+
+    def test_grid_without_a_cell_in_the_unit_ball_exits_two(self, tmp_path, capsys):
+        # regression: drift -1e-6 x gets the default radius 8000, so at n = 16 no
+        # cell center lies in B(0, 1), and the Harnack ratio reduced an empty array
+        cfg = {"coefficients": {"dim": 1, "diffusion": {"expression": "1"},
+                                "drift": {"expressions": ["-1e-6*x1"], "beta1": 1e-6,
+                                          "beta2": 1e-6, "beta3": 1e-6}}, "n": 16}
+        code, report, _ = run_cli(tmp_path, "solve", cfg)
+        assert code == 2
+        assert report is None
+        err = capsys.readouterr().err
+        assert err.startswith("config error: no cell center lies in B(0, 1)")
+        assert "n 16 and radius 8000" in err
+
     def test_unknown_subcommand_is_an_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--config", "x.json", "--out", "y"])
@@ -438,6 +462,23 @@ class TestTelemetry:
         assert tel["factor_nnz"] > 5 * 32 ** 2  # at least the pinned operator itself
         assert 0.0 <= tel["residual"] <= 1e-10
         assert 0 <= tel["pinned_cell"] < 32 ** 2
+
+    def test_meanfield_reports_factorizations_and_refinement_per_start(self, tmp_path):
+        cfg = {"eps": 0.05, "starts": [0.5, -0.5], "kernel": "tanh-relative",
+               "threshold": False, "dim": 2, "n": 16}
+        code, report, _ = run_cli(tmp_path, "meanfield", cfg)
+        assert code == 0
+        tel = report["summary"]["telemetry"]
+        assert [t["start"] for t in tel] == [0.5, -0.5]
+        for t, steps in zip(tel, report["summary"]["iterations"]):
+            assert len(t["refinement_steps"]) == steps
+            assert 1 <= t["factorizations"] < steps
+
+    def test_one_dimensional_meanfield_neither_factors_nor_refines(self, tmp_path):
+        _, report, _ = run_cli(tmp_path, "meanfield", SMALL_CONFIGS["meanfield"])
+        for t in report["summary"]["telemetry"]:
+            assert t["factorizations"] == 0
+            assert set(t["refinement_steps"]) == {0}
 
     def test_one_dimensional_solve_has_no_factor(self, tmp_path):
         _, report, _ = run_cli(tmp_path, "solve", SMALL_CONFIGS["solve"])

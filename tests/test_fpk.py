@@ -33,6 +33,8 @@ from fpkit.fields import (
     make_example_field,
 )
 from fpkit.fpk import (
+    REFINE_MAX_STEPS,
+    NearbyFactor,
     _factor,
     _pinned_generator,
     builtin_models,
@@ -319,6 +321,49 @@ class TestPinnedSolve:
             _factor(P, 0, None)
 
 
+class TestNearbyFactor:
+    """solve_grid refining against a held factor, and its fallback to a fresh one."""
+
+    @pytest.mark.parametrize("name", ["ou-2d", "anisotropic-2d"])
+    def test_held_factor_of_the_same_operator_needs_no_step(self, name):
+        m, spec = MODELS[name], GridSpec(2, 8.0, 32)
+        nearby = NearbyFactor()
+        first = solve_grid(m.A, m.b, spec, nearby=nearby)
+        held = nearby.factor
+        again = solve_grid(m.A, m.b, spec, nearby=nearby)
+        assert first.info["refinement_steps"] == again.info["refinement_steps"] == 0
+        assert nearby.factor is held
+        assert np.array_equal(again.values, solve_grid(m.A, m.b, spec).values)
+
+    def test_far_factor_falls_back_to_a_fresh_one(self):
+        # the factor for b = -x does not refine b = -5x (A = 0.05 I): the
+        # solve factors afresh, and its density is the plain solve's, bit for bit
+        A = DiffusionMatrixField.from_constant(0.05 * np.eye(2), 0.05)
+        spec = GridSpec(2, 4.0, 32)
+        nearby = NearbyFactor()
+        solve_grid(A, linear_drift(2, 1.0), spec, check_truncation=False, nearby=nearby)
+        far = nearby.factor
+        rho = solve_grid(A, linear_drift(2, 5.0), spec, check_truncation=False, nearby=nearby)
+        direct = solve_grid(A, linear_drift(2, 5.0), spec, check_truncation=False)
+        assert nearby.factor is not far
+        assert rho.info["refinement_steps"] == REFINE_MAX_STEPS
+        assert np.array_equal(rho.values, direct.values)
+        assert rho.info == {**direct.info, "refinement_steps": REFINE_MAX_STEPS}
+
+    def test_factor_of_another_grid_is_not_refined_against(self):
+        m = MODELS["ou-2d"]
+        nearby = NearbyFactor()
+        solve_grid(m.A, m.b, GridSpec(2, 8.0, 16), nearby=nearby)
+        coarse = nearby.factor
+        rho = solve_grid(m.A, m.b, GridSpec(2, 8.0, 32), nearby=nearby)
+        assert nearby.factor is not coarse
+        assert rho.info["refinement_steps"] == 0
+
+    def test_plain_solve_records_no_refinement(self):
+        m = MODELS["ou-2d"]
+        assert "refinement_steps" not in solve_grid(m.A, m.b, GridSpec(2, 8.0, 16)).info
+
+
 class TestMoments:
     def test_gaussian_radial_moments(self, ou_1d, grid_1d):
         _, b = ou_1d
@@ -380,6 +425,13 @@ class TestHarnack:
         rho = solve_exact_1d(ConstantField(1.0, 1), b, grid_1d)
         with pytest.raises(ValueError, match="must lie in"):
             harnack_ratio(rho, 9.0)
+
+    def test_ball_without_a_cell_center_is_named(self):
+        # regression: h = 1000 leaves B(0, 1) empty, and the ratio reduced an empty array
+        spec = GridSpec(1, 8000.0, 16)
+        rho = GridDensity.from_samples(spec, np.ones(16))
+        with pytest.raises(ValueError, match=r"no cell center lies in B\(0, 1\)"):
+            harnack_ratio(rho, 1.0)
 
     def test_vanishing_cell_is_degenerate(self, grid_1d):
         vals = np.full(grid_1d.n, 1.0)

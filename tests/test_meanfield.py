@@ -1,15 +1,17 @@
 """Self-consistency map for distribution-dependent coefficients."""
 
+import gc
 import math
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpkit import meanfield
+from fpkit import fpk, meanfield
 from fpkit.config import kernel_from_name
 from fpkit.errors import (
     ConvergenceError,
@@ -19,6 +21,7 @@ from fpkit.errors import (
     NonContractionError,
 )
 from fpkit.fields import SMOOTH, ClosureField, ConstantField, DiffusionMatrixField, linear_drift
+from fpkit.fpk import REFINE_RESIDUAL, NearbyFactor, PinnedFactor
 from fpkit.grids import GridDensity, GridSpec
 from fpkit.meanfield import (
     InteractionKernel,
@@ -39,6 +42,11 @@ OU = linear_drift(1)
 
 def tanh_model(eps: float) -> MeanFieldModel:
     return MeanFieldModel(I1, OU, eps=eps, **kernel_from_name("tanh", 1))
+
+
+def relative_model_2d(eps: float) -> MeanFieldModel:
+    return MeanFieldModel(DiffusionMatrixField.from_constant(np.eye(2)), linear_drift(2),
+                          eps=eps, **kernel_from_name("tanh-relative", 2))
 
 
 def amplifying_model(eps: float) -> MeanFieldModel:
@@ -458,3 +466,68 @@ class TestGaussianProbe:
     def test_probe_is_normalized(self, grid_1d):
         probe = gaussian_probe(grid_1d, [0.25], 0.8)
         assert probe.mass == pytest.approx(1.0, abs=1e-12)
+
+
+class TestFactorReuse:
+    """2d Picard steps refine against the last factor of the run."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.sampled_from((16, 32)), eps=st.floats(0.0, 0.2),
+           mean=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    def test_refined_step_matches_the_direct_solve(self, n, eps, mean):
+        model = relative_model_2d(eps)
+        nearby = NearbyFactor()
+        rho = apply_phi(model, gaussian_probe(GridSpec(2, 8.0, n), mean, 1.0), nearby)
+        held = nearby.factor
+        refined = apply_phi(model, rho, nearby)
+        direct = apply_phi(model, rho)
+        l1 = float(np.abs(refined.flat() - direct.flat()).sum()) * rho.spec.cell_volume
+        assert l1 <= 1e-12
+        if nearby.factor is held:  # refinement converged
+            assert refined.info["residual"] <= REFINE_RESIDUAL
+        else:  # a fresh factor: the direct solve itself
+            assert np.array_equal(refined.values, direct.values)
+
+    def test_two_dimensional_run_factors_less_than_once_per_step(self):
+        trace = picard_iterate(relative_model_2d(0.05),
+                               gaussian_probe(GridSpec(2, 8.0, 32), [0.5, 0.5], 1.0))
+        assert 1 <= trace.factorizations < trace.n_steps
+        assert len(trace.refinement_steps) == trace.n_steps
+        assert trace.refinement_steps[0] == 0  # nothing held yet
+        assert all(s > 0 for s in trace.refinement_steps[1:])
+
+    def test_one_dimensional_run_neither_factors_nor_refines(self, grid_1d):
+        trace = picard_iterate(tanh_model(0.05), gaussian_probe(grid_1d, [0.5], 1.0))
+        assert trace.factorizations == 0
+        assert trace.refinement_steps == (0,) * trace.n_steps
+
+    @pytest.mark.parametrize("mean", [0.5, -0.25])
+    def test_fixed_point_matches_the_iteration_of_direct_solves(self, mean):
+        model = relative_model_2d(0.05)
+        start = gaussian_probe(GridSpec(2, 8.0, 32), [mean, mean], 1.0)
+        trace = picard_iterate(model, start, tol=1e-8)
+        rho, steps = start, 0
+        while True:
+            nxt, steps = apply_phi(model, rho), steps + 1
+            gap, rho = weighted_l1_distance(nxt, rho, 1.0), nxt
+            if gap <= 1e-8:
+                break
+        assert trace.n_steps == steps
+        assert weighted_l1_distance(trace.fixed_point, rho, 1.0) <= 1e-12
+
+    def test_no_factor_outlives_the_iteration(self, monkeypatch):
+        made = []
+        pinned_factor = fpk._pinned_factor
+
+        def recorded(*args):
+            factor = pinned_factor(*args)
+            made.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(fpk, "_pinned_factor", recorded)
+        trace = picard_iterate(relative_model_2d(0.05),
+                               gaussian_probe(GridSpec(2, 8.0, 16), [0.5, 0.5], 1.0))
+        gc.collect()
+        assert len(made) == trace.factorizations >= 1
+        assert all(ref() is None for ref in made)
+        assert not any(isinstance(v, PinnedFactor) for v in trace.fixed_point.info.values())
