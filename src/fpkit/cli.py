@@ -25,9 +25,10 @@ numerics, and writes into the output directory:
   clipped mass, pinned cell, the factor's ordering and its L + U nonzeros,
   and for poisson the Lyapunov witness (m0, r0) (the 1d closed form has a
   null residual). The meanfield summary's telemetry lists, per start, the
-  SuperLU factorizations of its Picard steps and the refinement steps of
-  each step (meanfield.FixedPointTrace). Timings vary, so the report is the
-  one artifact excluded from the byte-identical guarantee.
+  SuperLU factorizations of its Picard steps, and for each step its
+  refinement steps and whether it factored (meanfield.FixedPointTrace).
+  Timings vary, so the report is the one artifact excluded from the
+  byte-identical guarantee.
   A numerical failure (exit 3) still writes the report; a config or
   parameter error (exit 2) does not.
 
@@ -400,7 +401,8 @@ def run_meanfield(ctx: RunContext, cfg: dict) -> dict:
         "threshold_scale": traces[0].threshold_scale if traces else None,
         "m_hat": traces[0].m_hat if traces else None,
         "telemetry": [{"start": float(mean), "factorizations": tr.factorizations,
-                       "refinement_steps": list(tr.refinement_steps)}
+                       "refinement_steps": list(tr.refinement_steps),
+                       "factored": list(tr.factored)}
                       for mean, tr in zip(cfg["starts"], traces)],
     }
     if cfg["threshold"]:

@@ -55,6 +55,13 @@ formal adjoint equation sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0):
   Picard iteration are such a run (meanfield.picard_iterate); every other
   caller factors each grid it solves.
 
+scipy.sparse and scipy.sparse.linalg are imported where they are used: in
+_generator_csr and _pinned_factor, which build the sparse matrices, and in
+_factor, which calls SuperLU. Importing fpkit and running the 1d closed
+form therefore load no scipy module; the first 2d solve loads them. _factor
+calls spla.splu through the module, so a replacement of
+scipy.sparse.linalg.splu sees every factor.
+
 The scheme is second order but not monotone; tiny negative cells can appear
 and are clipped, the removed mass recorded in info["clipped_mass"]. Whether
 a clip is fatal is the caller's decision (the CLI warns, or under --strict
@@ -67,11 +74,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (ConfinementError, ConvergenceError, DegenerateDensityError,
                      EllipticityError, EvaluationError, SupportError, TruncationError)
@@ -80,6 +85,10 @@ from .fields import (ClosureField, ConstantField, DiffusionMatrixField, DriftFie
 from .grids import GridDensity, GridSpec
 from .quadrature import center_indices, cumulative_integral, fine_mesh
 from .testfunctions import SmoothTestFunction
+
+if TYPE_CHECKING:  # the annotations only; the solvers import scipy.sparse where they use it
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 BOUNDARY_MASS_LIMIT = 1e-4
 RESIDUAL_LIMIT = 1e-10
@@ -202,7 +211,7 @@ def generator_matrix(A: DiffusionMatrixField, b: DriftField, spec: GridSpec) -> 
     """
     pts = spec.cell_centers()
     T, offsets = _weight_table(A.values(pts), b.values(pts), spec)
-    return sp.csr_matrix(_compressed(T, offsets), shape=(spec.n_cells,) * 2)
+    return _generator_csr(T, offsets, spec)
 
 
 def _weight_table(a: np.ndarray, b_c: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -352,6 +361,8 @@ def _factor(P: sp.csc_matrix, pin: int, order: np.ndarray | None) -> PinnedFacto
     14-29 % less time than the defaults on the grids, 10 % more on the fill
     case.
     """
+    import scipy.sparse.linalg as spla
+
     permc_spec = "MMD_AT_PLUS_A" if order is None else "NATURAL"
     try:
         lu = spla.splu(P, permc_spec=permc_spec, panel_size=PANEL_SIZE, relax=RELAX)
@@ -406,6 +417,8 @@ def _generator_table(A, b: DriftField, spec: GridSpec,
 
 def _generator_csr(T: np.ndarray, offsets: np.ndarray, spec: GridSpec) -> sp.csr_matrix:
     """L_h from its table; its CSR arrays are the CSC arrays of L_h^T (see _compressed)."""
+    import scipy.sparse as sp
+
     return sp.csr_matrix(_compressed(T, offsets), shape=(spec.n_cells,) * 2)
 
 
@@ -421,6 +434,8 @@ def _pinned_factor(T: np.ndarray, offsets: np.ndarray, spec: GridSpec) -> Pinned
     order; a 5-point or 1d L_h^T keeps SuperLU's MMD_AT_PLUS_A order (see
     _factor for the fill and timings).
     """
+    import scipy.sparse as sp
+
     N = spec.n_cells
     pin = int(np.argmin(spec.center_radii()))  # an interior cell, so every pin - offset is a cell
     order = spec.dissection_order() if len(offsets) == 9 else None  # 9 slots: a cross term

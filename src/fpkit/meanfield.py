@@ -21,10 +21,11 @@ the offset pointwise in x with the same quadrature in y. A translation-
 invariant kernel h(x, y) = g(y - x) evaluated at the cell centers of the
 density's grid, the only points the grid solver evaluates coefficients on,
 is a discrete correlation, computed by one zero-padded real FFT per value
-component; any other points (the fine mesh of the closed-form 1d solver,
-subsets, shifted points) take the direct quadrature. A frozen coefficient is
-base + eps * offset in one evaluation: one kernel pass for all its
-components, with nothing cached between evaluations.
+component (scipy.fft, which InteractionKernel._lattice_offset imports when
+it runs, so a 1d run never loads it); any other points (the fine mesh of the
+closed-form 1d solver, subsets, shifted points) take the direct quadrature.
+A frozen coefficient is base + eps * offset in one evaluation: one kernel
+pass for all its components, with nothing cached between evaluations.
 
 Consecutive Picard steps freeze coefficients that differ by eps times the
 change of the offset, so their pinned L_h^T are close. picard_iterate hands
@@ -34,8 +35,8 @@ residual of fpk.REFINE_RESIDUAL) and factors its own grid only when
 fpk.REFINE_MAX_STEPS steps fall short, that factor then serving the later
 steps. No factor outlives the run. Each step is still Phi(rho) solved to
 roundoff, so the gaps and contraction factors of a FixedPointTrace measure
-the map itself; the trace also records the factorizations and the
-refinement steps of each step.
+the map itself; the trace also records, for each step, its refinement
+steps and whether it factored.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import (ConvergenceError, DegenerateDensityError, EllipticityMarginError,
                      EvaluationError, NonContractionError)
@@ -144,6 +144,8 @@ class InteractionKernel:
         Padding each axis to L >= 2n - 1 keeps the wrap-around of the cyclic
         product out of those entries.
         """
+        from scipy.fft import irfftn, next_fast_len, rfftn
+
         n, d = spec.n, spec.dim
         shape = self._value_shape()
         k = np.arange(1 - n, n) * spec.h
@@ -312,11 +314,15 @@ class FixedPointTrace:
     eps * N * (sqrt(M_hat) + M_hat); multiplying it by an externally
     estimated stability ratio C_hat gives the contraction threshold.
     clipped_mass is the largest negative mass clipped from an iterate (0 for
-    the closed-form 1d densities, which never clip). factorizations counts
-    the SuperLU factors the 2d steps made, and refinement_steps[t] is the
-    number of refinement steps of step t against the factor held from an
+    the closed-form 1d densities, which never clip). refinement_steps[t] is
+    the number of refinement steps of step t against the factor held from an
     earlier step (0 for a step that factored with none held, and for the 1d
-    closed form, which neither factors nor refines).
+    closed form, which neither factors nor refines). factored[t] says whether
+    step t made a SuperLU factor of its own: with none held, or after
+    refinement fell short in fpk.REFINE_MAX_STEPS steps. A step with
+    refinement_steps fpk.REFINE_MAX_STEPS therefore converged at its last
+    step when not factored and gave up when factored. factorizations counts
+    the steps that factored.
     """
 
     fixed_point: GridDensity
@@ -329,12 +335,16 @@ class FixedPointTrace:
     threshold_scale: float
     tol: float
     clipped_mass: float = 0.0
-    factorizations: int = 0
     refinement_steps: tuple[int, ...] = ()
+    factored: tuple[bool, ...] = ()
 
     @property
     def n_steps(self) -> int:
         return len(self.gaps)
+
+    @property
+    def factorizations(self) -> int:
+        return sum(self.factored)
 
 
 def picard_iterate(model: MeanFieldModel, rho0: GridDensity, tol: float = 1e-8,
@@ -359,11 +369,11 @@ def picard_iterate(model: MeanFieldModel, rho0: GridDensity, tol: float = 1e-8,
     clipped = 0.0
     converged = False
     nearby = NearbyFactor()
-    factorizations, refinement_steps = 0, []
+    refinement_steps, factored = [], []
     for _ in range(max_iter):
         held = nearby.factor
         nxt = apply_phi(model, rho, nearby)
-        factorizations += nearby.factor is not held
+        factored.append(nearby.factor is not held)
         refinement_steps.append(nxt.info.get("refinement_steps", 0))
         m_hat = max(m_hat, _weighted_moment(nxt, mom_power))
         clipped = max(clipped, nxt.info.get("clipped_mass", 0.0))
@@ -378,8 +388,8 @@ def picard_iterate(model: MeanFieldModel, rho0: GridDensity, tol: float = 1e-8,
                             converged=converged, eps=model.eps,
                             kernel_bound=model.kernel_bound, m_hat=m_hat,
                             threshold_scale=float(scale), tol=float(tol),
-                            clipped_mass=clipped, factorizations=factorizations,
-                            refinement_steps=tuple(refinement_steps))
+                            clipped_mass=clipped, refinement_steps=tuple(refinement_steps),
+                            factored=tuple(factored))
     if not converged:
         if any(f > 1.0 for f in factors):
             raise NonContractionError(

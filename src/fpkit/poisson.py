@@ -6,7 +6,8 @@ centered so that integral psi~ rho = 0, the solution machinery provides:
 * lyapunov_constants: certified constants (M0, R0) with
   L(1 + |x|^{2k}) <= -M0 (1 + |x|^{2k}) outside B(0, R0), from a radius scan
   of the closed-form action of L on |x|^{2k}, plus a parameter-formula branch
-  that depends only on (d, k, lambda, beta1, beta2).
+  that depends only on (d, k, lambda, beta1, beta2). The scan aims at
+  M0 = 1, or at half the rate of the largest radius where that is below 1.
 
 * solve_poisson_1d: the quadrature closed form. From (E u')' = E psi~ / a
   with E = exp(integral b/a), u'(x) = exp(-I(x)) Z S(x) where S is the
@@ -111,20 +112,34 @@ def radial_power_generator_values(A: DiffusionMatrixField, b: DriftField, pts: n
 
 
 def _scan_radius(phi: np.ndarray, radii: np.ndarray, k: float) -> tuple[float, float]:
-    """Smallest grid R0 with phi <= -(1+r^{2k}) for all sampled r > R0, then best M0."""
+    """(M0, R0) with phi <= -M0 (1+r^{2k}) for all sampled r > R0, phi = L(|x|^{2k}) at r.
+
+    The target rate is 1 where the largest radius reaches it. Otherwise it is
+    half the rate -phi / (1+r^{2k}) measured at the largest radius, so a
+    drift too weak for rate 1 (b = -beta x with beta < 1/2 at k = 1) is
+    still certified, at a smaller M0; only a rate <= 0 there (no confinement
+    at this weight order) is a ConfinementError. R0 is the smallest grid
+    radius past which every sampled radius meets the target, and M0 the best
+    rate over those radii, at least the target.
+    """
     weight = 1.0 + radii ** (2.0 * k)
-    ok = phi + weight <= 0.0
-    if not ok[-1]:
-        raise ConfinementError(
-            f"no Lyapunov radius within the sampled range (largest radius {radii[-1]:g} fails); "
-            "drift does not confine at this weight order")
+    target = 1.0
+    if phi[-1] + weight[-1] > 0.0:
+        target = 0.5 * float(-phi[-1] / weight[-1])
+        if not target > 0.0:
+            raise ConfinementError(
+                f"no Lyapunov radius within the sampled range (at the largest radius "
+                f"{radii[-1]:g} the rate -L(1+|x|^{2 * k:g}) / (1+|x|^{2 * k:g}) is "
+                f"{2.0 * target:.3g}); drift does not confine at this weight order")
+    ok = phi + target * weight <= 0.0
     bad = np.nonzero(~ok)[0]
     idx = int(bad[-1]) if len(bad) else 0
     r0 = float(radii[idx])
     after = slice(idx + 1, None) if len(bad) else slice(0, None)
     m0 = float((-phi[after] / weight[after]).min())
-    if m0 < 1.0 - 1e-12:
-        raise ConfinementError("internal scan inconsistency: M0 < 1 at the certified radius")
+    if m0 < target * (1.0 - 1e-12):
+        raise ConfinementError(f"internal scan inconsistency: M0 < {target:.6g} "
+                               "at the certified radius")
     return m0, r0
 
 
@@ -139,8 +154,10 @@ def lyapunov_constants(A: DiffusionMatrixField, b: DriftField, k: float,
     The sampled branch evaluates L(|x|^{2k}) on N_RADII radii in (0, r_max]
     (worst case over N_ANGLES directions when d = 2); the formula branch
     replaces tr A and <Ax, x>/|x|^2 by d/lambda and 1/lambda and the drift term by
-    beta1 - beta2 |x|^2. Raises ConfinementError when no radius in range
-    certifies the inequality (e.g. an outward drift).
+    beta1 - beta2 |x|^2. Each branch certifies M0 = 1 or, where the largest
+    radius does not reach rate 1, half the rate there (_scan_radius).
+    Raises ConfinementError when the rate at the largest radius is not
+    positive (e.g. an outward drift).
     """
     if k < 1.0:
         raise ValueError("weight order k must be >= 1")
@@ -162,12 +179,13 @@ def lyapunov_constants(A: DiffusionMatrixField, b: DriftField, k: float,
     phi_f = tk * radii ** (tk - 2.0) * (d * s_up + (tk - 2.0) * s_up + g.beta1 - g.beta2 * radii ** 2)
     m0f, r0f = _scan_radius(phi_f, radii, k)
 
-    # internal consistency: the certified inequality must hold with margin on
-    # the sampled window (R0, 2 R0]
+    # internal consistency: the certified inequality must hold on the sampled
+    # window (R0, 2 R0], up to a tolerance relative to the size of its terms,
+    # which grow like r^{2k}
     w = (radii > r0) & (radii <= min(2.0 * r0, r_max))
     if w.any():
-        viol = phi[w] + m0 * (1.0 + radii[w] ** tk)
-        if viol.max() > 1e-9:
+        bound = m0 * (1.0 + radii[w] ** tk)
+        if ((phi[w] + bound) / bound).max() > 1e-9:
             raise ConfinementError("certified Lyapunov inequality fails on (R0, 2 R0]")
     return LyapunovWitness(k=float(k), m0=m0, r0=r0, m0_formula=m0f, r0_formula=r0f,
                            function=f"1+|x|^{2 * k:g}", r_max=float(r_max), n_radii=N_RADII)

@@ -9,7 +9,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 
 @lru_cache(maxsize=64)
@@ -71,10 +70,32 @@ def cumulative_integral(values: np.ndarray, dx: float) -> np.ndarray:
     """Cumulative integral of uniformly sampled values, starting at 0.
 
     Composite Simpson accumulation, O(dx^4). `values` is sampled on a uniform
-    mesh of spacing dx; the result has the same length with result[0] = 0.
+    mesh of spacing dx (at least 3 samples); the result has the same length
+    with result[0] = 0. Interval [x_i, x_i+1] gets the quadratic through
+    three neighbouring samples, dx / 3 * (5 f_i / 4 + 2 f_i+1 - f_i+2 / 4)
+    read forwards from x_i or the same formula read backwards from x_i+1:
+    forwards on even i, backwards on odd i and on the last interval. This is
+    the equal-spacing branch of scipy.integrate.cumulative_simpson(values,
+    dx=dx, initial=0.0), with the same operations in the same order, so the
+    two agree bit for bit (tests/test_quadrature.py keeps scipy as the
+    reference).
     """
-    out = cumulative_simpson(values, dx=dx, initial=0.0)
-    return np.asarray(out)
+    values = np.asarray(values, dtype=float)
+
+    def first_intervals(f: np.ndarray) -> np.ndarray:
+        return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+
+    forward = first_intervals(values)
+    backward = first_intervals(values[::-1])[::-1]
+    pieces = np.empty(len(values) - 1)
+    pieces[:-1:2] = forward[::2]
+    pieces[1::2] = backward[::2]
+    pieces[-1] = backward[-1]
+    out = np.empty(len(values))
+    out[0] = 0.0
+    np.cumsum(pieces, out=out[1:])
+    out[1:] += 0.0  # as scipy adds `initial`, which turns a sum of -0.0 into 0.0
+    return out
 
 
 def fine_mesh(radius: float, n_cells: int, subdiv: int) -> tuple[np.ndarray, float]:

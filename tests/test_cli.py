@@ -6,6 +6,7 @@ run_report.json manifest.
 """
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -40,6 +41,55 @@ SMALL_CONFIGS = {
     "sweep": {"task": "meanfield", "axis": [0.02, 0.05, 0.08],
               "base": {"n": 256, "threshold": False}},
 }
+
+# the README 1d configs, each [command, config, *flags], as the cli-1d
+# benchmark workload runs them
+CLI_1D_RUNS = [
+    ["dini", {"field": {"name": "weierstrass-holder"}, "box_radius": 1.0, "n_centers": 24}],
+    ["solve", {"model": "ou-1d", "n": 1024}],
+    ["poisson", {"model": "ou-1d", "psi": {"expression": "x1"}, "k": 1.0}],
+    ["stability", {"family": "drift-linear", "deltas": [0.001, 0.003, 0.01, 0.03, 0.1]}],
+    ["meanfield", {"eps": 0.05, "kernel": "tanh", "starts": [0.5, -0.5],
+                   "eps_grid": [0.01, 0.05, 0.1]}],
+    ["sweep", {"task": "stability", "axis": [0.01, 0.03, 0.1],
+               "base": {"family": "drift-linear"}}, "--workers", "2"],
+]
+
+# A fresh interpreter imports fpkit and fpkit.cli, then runs cli.main on each
+# [command, config, *flags] of argv[1] with outputs under argv[2] (run_fresh)
+FRESH_RUNS = '''
+import contextlib, io, json, os, sys
+import fpkit, fpkit.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+print(json.dumps(loaded()))
+for i, (command, cfg, *flags) in enumerate(json.loads(sys.argv[1])):
+    path = os.path.join(sys.argv[2], f"cfg{i}.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    argv = [command, "--config", path, "--out", os.path.join(sys.argv[2], f"out{i}"), *flags]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = fpkit.cli.main(argv)
+    print(json.dumps([command, code, loaded()]))
+'''
+
+
+def run_fresh(workdir, runs):
+    """Scipy modules loaded in a fresh interpreter after import, then after each of runs.
+
+    Returns the loaded list after `import fpkit, fpkit.cli`, then
+    [command, exit code, loaded] per run; outputs go to workdir/out<i>.
+    """
+    src = str(Path(fpkit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", FRESH_RUNS, json.dumps(runs), str(workdir)],
+                          capture_output=True, text=True, cwd=workdir, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
 
 EXPECTED_ARTIFACTS = {
     "dini": {"dini_verdict.json", "omega.csv", "omega.svg"},
@@ -471,14 +521,27 @@ class TestTelemetry:
         tel = report["summary"]["telemetry"]
         assert [t["start"] for t in tel] == [0.5, -0.5]
         for t, steps in zip(tel, report["summary"]["iterations"]):
-            assert len(t["refinement_steps"]) == steps
+            assert len(t["refinement_steps"]) == len(t["factored"]) == steps
             assert 1 <= t["factorizations"] < steps
+            assert t["factorizations"] == sum(t["factored"])
+            assert t["factored"][0]  # nothing held yet
+
+    def test_meanfield_telemetry_tells_a_late_convergence_from_a_give_up(self, tmp_path):
+        cfg = {"eps": 0.2, "starts": [1.0], "kernel": "tanh-relative", "threshold": False,
+               "dim": 2, "n": 32}
+        code, report, _ = run_cli(tmp_path, "meanfield", cfg)
+        assert code == 0
+        (tel,) = report["summary"]["telemetry"]
+        assert tel["refinement_steps"][:4] == [0, 10, 10, 10]
+        assert tel["factored"][:4] == [True, False, False, True]
+        assert tel["factorizations"] == 2
 
     def test_one_dimensional_meanfield_neither_factors_nor_refines(self, tmp_path):
         _, report, _ = run_cli(tmp_path, "meanfield", SMALL_CONFIGS["meanfield"])
         for t in report["summary"]["telemetry"]:
             assert t["factorizations"] == 0
             assert set(t["refinement_steps"]) == {0}
+            assert not any(t["factored"])
 
     def test_one_dimensional_solve_has_no_factor(self, tmp_path):
         _, report, _ = run_cli(tmp_path, "solve", SMALL_CONFIGS["solve"])
@@ -634,6 +697,21 @@ class TestDefaultRadius:
             bounds = np.loadtxt(out_dir / "bounds.csv", delimiter=",", skiprows=1)
             assert bounds[:, 0] == pytest.approx([radius, 2 * radius])
 
+    @pytest.mark.parametrize("k", [1.0, 10.0])
+    def test_weak_drift_poisson_passes(self, tmp_path, k):
+        # regression: at k = 1 the drift -0.1 x never reaches Lyapunov rate 1
+        # ("drift does not confine"); at k = 10 the window check of the scan
+        # compared terms of size 1e25 with an absolute 1e-9 (exit 3 both)
+        cfg = {"coefficients": {"dim": 1, "diffusion": {"expression": "1"},
+                                "drift": {"expressions": ["-0.1*x1"], "beta1": 0.1,
+                                          "beta2": 0.1, "beta3": 0.1}},
+               "psi": {"expression": "tanh(x1)"}, "k": k}
+        code, report, _ = run_cli(tmp_path, "poisson", cfg)
+        assert code == 0
+        assert report["summary"]["m0"] > 0.0
+        if k == 1.0:  # half the rate at the largest radius, R = 8 / sqrt(0.1)
+            assert report["summary"]["m0"] < 1.0
+
     @pytest.mark.parametrize("command", ["stability", "meanfield"])
     def test_base_drift_keeps_radius_eight(self, tmp_path, command, monkeypatch):
         specs = []
@@ -709,6 +787,33 @@ class TestEntryPoints:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.strip() == f"fpkit {__version__}"
+
+    def test_one_dimensional_runs_import_no_scipy(self, tmp_path):
+        # import fpkit costs about 0.6 s more when it pulls in scipy, which a
+        # 1d run never calls: the README 1d configs must leave it unloaded
+        lines = run_fresh(tmp_path, CLI_1D_RUNS)
+        assert lines[0] == []  # after import fpkit, fpkit.cli
+        assert lines[1:] == [[run[0], 0, []] for run in CLI_1D_RUNS]
+
+    def test_scipy_is_first_imported_in_sweep_threads(self, tmp_path):
+        # a 2d meanfield sweep loads scipy.fft and scipy.sparse in its workers
+        cfg = {"task": "meanfield", "axis": [0.02, 0.05, 0.08],
+               "base": {"dim": 2, "n": 16, "kernel": "tanh-relative", "starts": [0.5],
+                        "threshold": False}}
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        lines = run_fresh(fresh, [["sweep", cfg, "--workers", "2"]])
+        assert lines[0] == []
+        (_, code, loaded), = lines[1:]
+        assert code == 0
+        assert {"scipy.fft", "scipy.sparse.linalg"} <= set(loaded)
+        _, _, in_process = run_cli(tmp_path, "sweep", cfg, "--workers", "2")
+        fresh_out = fresh / "out0"
+        csvs = sorted(p.relative_to(in_process) for p in in_process.rglob("*.csv"))
+        assert len(csvs) == 4  # summary.csv and each point's trace.csv
+        assert csvs == sorted(p.relative_to(fresh_out) for p in fresh_out.rglob("*.csv"))
+        for rel in csvs:
+            assert (fresh_out / rel).read_bytes() == (in_process / rel).read_bytes()
 
     def test_module_execution_works(self):
         # run from the directory that holds the imported package, so the

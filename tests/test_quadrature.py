@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.integrate import cumulative_simpson
 
 from fpkit.quadrature import (ball_average_rule, center_indices, cumulative_integral,
                               disk_rule, fine_mesh, gauss_interval, interval_rule)
@@ -34,6 +38,23 @@ def test_cumulative_integral_is_exact_on_quadratics():
     dx = x[1] - x[0]
     F = cumulative_integral(3.0 * x**2, dx)
     assert np.abs(F[::2] - x[::2] ** 3).max() < 1e-14
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), half=st.integers(1, 300),
+       dx=st.floats(1e-6, 10.0, allow_nan=False, allow_infinity=False))
+def test_cumulative_integral_is_scipys_cumulative_simpson(parity, data, half, dx):
+    # bit for bit, on odd and even lengths >= 3 and on a reversed view, as
+    # poisson._solve_quadrature_1d passes one; the last array's first interval
+    # integrates to -0.0, which scipy's `initial` turns into 0.0
+    values = data.draw(arrays(np.float64, 2 * half + 1 + parity,
+                              elements=st.floats(-1e6, 1e6, allow_nan=False)))
+    for g in (values, values[::-1], np.array([-0.0, -0.0, 0.0, 1.0][:3 + parity])):
+        ref = cumulative_simpson(g, dx=dx, initial=0.0)
+        out = cumulative_integral(g, dx)
+        assert np.array_equal(out, ref)
+        assert out.tobytes() == ref.tobytes()
 
 
 def test_fine_mesh_nests_cell_centers():
