@@ -26,7 +26,8 @@ numerics, and writes into the output directory:
   and for poisson the Lyapunov witness (m0, r0) (the 1d closed form has a
   null residual). The meanfield summary's telemetry lists, per start, the
   SuperLU factorizations of its Picard steps, and for each step its
-  refinement steps and whether it factored (meanfield.FixedPointTrace).
+  refinement steps, whether it factored and its weighted gap to the step
+  before (meanfield.FixedPointTrace), the contraction that trace.csv plots.
   Timings vary, so the report is the one artifact excluded from the
   byte-identical guarantee.
   A numerical failure (exit 3) still writes the report; a config or
@@ -402,7 +403,7 @@ def run_meanfield(ctx: RunContext, cfg: dict) -> dict:
         "m_hat": traces[0].m_hat if traces else None,
         "telemetry": [{"start": float(mean), "factorizations": tr.factorizations,
                        "refinement_steps": list(tr.refinement_steps),
-                       "factored": list(tr.factored)}
+                       "factored": list(tr.factored), "gaps": list(tr.gaps)}
                       for mean, tr in zip(cfg["starts"], traces)],
     }
     if cfg["threshold"]:

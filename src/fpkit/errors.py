@@ -66,7 +66,7 @@ class SchemePositivityError(FpkError):
 
 
 class TruncationError(FpkError):
-    """Domain truncation too aggressive: boundary mass or tail integral too large."""
+    """Domain truncation too aggressive: the boundary cells hold too much mass."""
 
 
 class GridMismatchError(FpkError):

@@ -46,12 +46,18 @@ formal adjoint equation sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0):
 
   A run of nearby solves can share one factor: solve_grid(...,
   nearby=NearbyFactor()) refines against the factor the slot holds, by the
-  classical iterative refinement x <- x + F^-1 (e_pin - P x) from that
-  factor's null vector (Moler, J. ACM 14, 1967; Higham, Accuracy and
-  Stability of Numerical Algorithms, ch. 12). It stops once the relative
-  residual that the density check measures is at most REFINE_RESIDUAL,
-  and when REFINE_MAX_STEPS steps do not get there it factors the grid
-  after all, that factor replacing the held one. The steps of a mean-field
+  classical iterative refinement x <- x + F^-1 (e_pin - P x) (Moler,
+  J. ACM 14, 1967; Higham, Accuracy and Stability of Numerical Algorithms,
+  ch. 12), started from the vector the slot last accepted: the factor's
+  own null vector after a fresh factor, else the previous solve's refined
+  vector. Each step makes one product by M. Refinement stops once the
+  relative residual that the density check measures is at most
+  REFINE_RESIDUAL and the last correction is at most REFINE_CORRECTION
+  relative to x; the second stop bounds the forward error, which the
+  residual alone left at up to 7e-13 in L1 at n = 128, and now keeps it
+  within 2e-14 of the direct solve (_refined_null has the measurements).
+  When REFINE_MAX_STEPS steps do not get there it factors the grid after
+  all, that factor replacing the held one. The steps of a mean-field
   Picard iteration are such a run (meanfield.picard_iterate); every other
   caller factors each grid it solves.
 
@@ -96,7 +102,8 @@ ELLIPTICITY_TOL = 1e-6
 PANEL_SIZE = 2  # SuperLU panel size and supernode relaxation (see _factor)
 RELAX = 2
 SUBDIV = 8  # fine-mesh cells per grid cell of the 1d closed forms
-REFINE_RESIDUAL = 1e-14  # stopping residual and step cap of refinement (see _refined_null)
+REFINE_RESIDUAL = 1e-14  # stops and step cap of refinement (see _refined_null)
+REFINE_CORRECTION = 1e-12
 REFINE_MAX_STEPS = 10
 
 
@@ -470,18 +477,23 @@ class NearbyFactor:
     """The factor that the next of a run of nearby grid solves refines against.
 
     solve_grid(..., nearby=slot) refines against slot.factor when it holds
-    one (_refined_null) and puts each fresh factor it makes into the slot.
-    Hold one only for the length of such a run (meanfield.picard_iterate):
-    a factor keeps its L + U arrays alive.
+    one (_refined_null), starting from slot.accepted, and puts each fresh
+    factor it makes into the slot. slot.accepted is the vector at the pin's
+    scale (entry pin equal to 1) that the last solve on slot.factor
+    accepted: the factor's own null vector after a fresh factor, the refined
+    vector after a refinement. Hold one only for the length of such a run
+    (meanfield.picard_iterate): a factor keeps its L + U arrays alive.
     """
 
     factor: PinnedFactor | None = None
+    accepted: np.ndarray | None = None
 
 
-def _relative_residual(M: sp.spmatrix, abs_m: sp.spmatrix, x: np.ndarray) -> float:
-    """||M x||_inf / || |M| |x| ||_inf, the residual of M x = 0 against its cancellation-free size."""
+def _relative_residual(abs_m: sp.spmatrix, x: np.ndarray, mx: np.ndarray) -> float:
+    """||M x||_inf / || |M| |x| ||_inf from mx = M x: the residual of M x = 0 against its
+    cancellation-free size. It does not depend on the scale of x."""
     denom = float((abs_m @ np.abs(x)).max())
-    return float(np.abs(M @ x).max()) / max(denom, 1e-300)
+    return float(np.abs(mx).max()) / max(denom, 1e-300)
 
 
 def _unit_mass(x: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -490,56 +502,72 @@ def _unit_mass(x: np.ndarray, spec: GridSpec) -> np.ndarray:
 
 
 def _refined_null(M: sp.spmatrix, abs_m: sp.spmatrix, factor: PinnedFactor,
-                  spec: GridSpec) -> tuple[np.ndarray | None, int]:
-    """The null vector of M = L_h^T at unit mass, by iterative refinement against a nearby factor F.
+                  start: np.ndarray) -> tuple[np.ndarray | None, float, int]:
+    """The null vector of M = L_h^T at the pin's scale, refined against a nearby factor F.
 
-    F factors a pinned matrix P near the pinned M, with F's pin. From F's
-    null vector, each step is x <- x + F^-1 (e_pin - P x), where P x is M x
-    with entry pin replaced by x[pin]. Refinement stops when x at unit mass
-    (_unit_mass) is finite and its relative residual (_relative_residual)
-    is at most REFINE_RESIDUAL. Returns (that vector, steps), or
-    (None, REFINE_MAX_STEPS) when that many steps did not get there.
+    F factors a pinned matrix P near the pinned M, with F's pin. From
+    `start`, a vector with start[pin] = 1 (NearbyFactor.accepted), each step
+    computes mx = M x once, measures the relative residual of x on it
+    (_relative_residual) and corrects x <- x + delta, delta = F^-1 r with
+    r = -mx but r[pin] = 1 - x[pin] (that is, r = e_pin - P x). x is
+    accepted when it is finite, its relative residual is at most
+    REFINE_RESIDUAL and the last correction was at most
+    REFINE_CORRECTION ||x||_inf. F's own null vector is exact for F's
+    operator, so as a start it needs no correction: a solve of the operator
+    F factors is accepted at 0 steps, bit for bit the direct solve. Any other
+    start takes at least one correction. Returns (x, its residual, steps), or
+    (None, inf, REFINE_MAX_STEPS) when that many steps did not get there.
 
-    Both constants were chosen from the Picard runs of the tanh-relative
+    The constants were chosen from the Picard runs of the tanh-relative
     mean-field model (A = I, b = -x, R = 8; eps 0.05 and 0.2, starts
     +-0.25 to 1, n = 16 to 128) on a 2-core Xeon VM with SciPy 1.17.
     Refinement stagnates at relative residuals of 3e-17 to 4e-15, and direct
     solves of the same grids report 1e-16 to 6e-15, so REFINE_RESIDUAL =
     1e-14 is reached by every refinement that converges. The residual bounds
-    the backward error, not the forward one: the refined densities differed
-    from the direct ones by at most 1.5e-13 in L1 over 300 random cases at
-    n <= 32, and by up to 6e-13 at n = 128. Converging refinements took 5-7
-    steps at eps 0.05 and 6-9 at eps 0.2. A step costs about 1/30 of a
-    factor (0.08 against 2.5 ms for a whole solve at n = 32, 1.8 against
-    46 ms at n = 128), so REFINE_MAX_STEPS = 10 covers those runs and spends
-    at most about a third of a factor on a factor too far to converge.
+    the backward error only: stopping on it alone left refined densities up
+    to 7e-13 in L1 from the direct ones at n = 128. The stop on the size of
+    the correction closes that gap: over 7 Picard steps from start 0.5 the
+    largest L1 distance to the direct density is 5.9e-15 (eps 0.05) and
+    8.0e-15 (eps 0.2) at n = 32, 4.5e-15 and 1.6e-14 at n = 128. Started
+    from the last step's vector, the meanfield-2d starts 0.5 / -0.5 / 0.25 /
+    -0.25 take 28 / 27 / 22 / 22 steps per iteration, where starting every
+    step from F's null vector and stopping on the residual alone took
+    36 / 36 / 25 / 25. A step costs about 1/30 of a factor (0.08 against
+    2.5 ms for a whole solve at n = 32, 1.8 against 46 ms at n = 128), so
+    REFINE_MAX_STEPS = 10 spends at most about a third of a factor on a
+    factor too far to converge.
     """
-    x = factor.null
+    x = start
+    settled = start is factor.null
     for steps in range(REFINE_MAX_STEPS + 1):
-        if steps:
-            rhs = -(M @ x)
-            rhs[factor.pin] = 1.0 - x[factor.pin]
-            x = x + factor.solve(rhs)
-        raw = _unit_mass(x, spec)
-        if np.isfinite(raw).all() and _relative_residual(M, abs_m, raw) <= REFINE_RESIDUAL:
-            return raw, steps
-    return None, REFINE_MAX_STEPS
+        mx = M @ x
+        residual = _relative_residual(abs_m, x, mx)
+        if settled and residual <= REFINE_RESIDUAL and np.isfinite(x).all():
+            return x, residual, steps
+        if steps == REFINE_MAX_STEPS:
+            break
+        rhs = -mx
+        rhs[factor.pin] = 1.0 - x[factor.pin]
+        delta = factor.solve(rhs)
+        x = x + delta
+        settled = np.abs(delta).max() <= REFINE_CORRECTION * np.abs(x).max()
+    return None, math.inf, REFINE_MAX_STEPS
 
 
 def _null_density(spec: GridSpec, L: sp.csr_matrix, lu: PinnedFactor, check_truncation: bool,
-                  raw: np.ndarray | None = None,
-                  abs_m: sp.spmatrix | None = None) -> GridDensity:
+                  raw: np.ndarray | None = None, residual: float | None = None) -> GridDensity:
     """Validate a null vector of M = L_h^T at unit mass and clip it (see solve_grid).
 
-    The vector is lu.null at unit mass unless `raw` is given (a refined one,
-    from _refined_null); abs_m is |M| when the caller has built it.
+    The vector is lu.null at unit mass, its residual measured here, unless
+    `raw` is given together with `residual`, its relative residual as the
+    caller measured it (solve_grid with a NearbyFactor).
     """
-    M = L.T
-    raw = _unit_mass(lu.null, spec) if raw is None else raw
-
-    # relative residual of the full singular system, measured against the
-    # cancellation-free magnitude |M| |rho|
-    residual = _relative_residual(M, abs(M) if abs_m is None else abs_m, raw)
+    if raw is None:
+        # relative residual of the full singular system, measured against the
+        # cancellation-free magnitude |M| |rho|
+        M = L.T
+        raw = _unit_mass(lu.null, spec)
+        residual = _relative_residual(abs(M), raw, M @ raw)
     if residual > RESIDUAL_LIMIT:
         raise ConvergenceError(
             f"linear solve residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}", history=[residual])
@@ -575,11 +603,13 @@ def solve_grid(A, b: DriftField, spec: GridSpec, check_truncation: bool = True,
     L + U nonzeros.
 
     With `nearby` (a NearbyFactor), a factor it holds for the same grid is
-    refined against first (_refined_null), and only when refinement does not
-    reach REFINE_RESIDUAL within REFINE_MAX_STEPS steps is the pinned L_h^T
-    factored, that factor then replacing the held one. The returned density
-    is validated as above, |M| built once for the refinement and the check,
-    and info also records "refinement_steps" (0 when factored with no held
+    refined against first (_refined_null, from the vector the slot last
+    accepted), and only when refinement does not converge within
+    REFINE_MAX_STEPS steps is the pinned L_h^T factored, that factor then
+    replacing the held one. L_h, M and |M| are built once, for the
+    refinement and the check; the residual of a refined vector is the one
+    refinement measured. The returned density is validated as above, and
+    info also records "refinement_steps" (0 when factored with no held
     factor; the factor telemetry is that of the factor used).
     """
     if nearby is None:
@@ -588,13 +618,19 @@ def solve_grid(A, b: DriftField, spec: GridSpec, check_truncation: bool = True,
     L = _generator_csr(T, offsets, spec)
     M = L.T
     abs_m = abs(M)
-    raw, steps = None, 0
+    x, steps = None, 0
     held = nearby.factor
     if held is not None and held.lu.shape[0] == spec.n_cells:
-        raw, steps = _refined_null(M, abs_m, held, spec)
-    if raw is None:
+        x, residual, steps = _refined_null(M, abs_m, held, nearby.accepted)
+    if x is None:
         nearby.factor = _pinned_factor(T, offsets, spec)
-    rho = _null_density(spec, L, nearby.factor, check_truncation, raw, abs_m)
+        x = nearby.factor.null
+        raw = _unit_mass(x, spec)
+        residual = _relative_residual(abs_m, raw, M @ raw)
+    else:
+        raw = _unit_mass(x, spec)
+    nearby.accepted = x
+    rho = _null_density(spec, L, nearby.factor, check_truncation, raw, residual)
     rho.info["refinement_steps"] = steps
     return rho
 

@@ -25,18 +25,25 @@ component (scipy.fft, which InteractionKernel._lattice_offset imports when
 it runs, so a 1d run never loads it); any other points (the fine mesh of the
 closed-form 1d solver, subsets, shifted points) take the direct quadrature.
 A frozen coefficient is base + eps * offset in one evaluation: one kernel
-pass for all its components, with nothing cached between evaluations.
+pass for all its components. The one thing kept between evaluations is the
+spectrum of a profile sampled on a grid's lattice, which depends on the
+kernel and the grid alone: it is built at the first offset on that grid
+and kept on the kernel, (L x ... x (L/2 + 1) x components) complex values,
+68 KB for a 2d drift kernel at n = 32 and 1.1 MB at n = 128. Nothing that
+depends on rho is kept.
 
 Consecutive Picard steps freeze coefficients that differ by eps times the
 change of the offset, so their pinned L_h^T are close. picard_iterate hands
-each 2d step the last SuperLU factor of its run (fpk.NearbyFactor); the step
-refines against it (fpk.solve_grid: iterative refinement to a relative
-residual of fpk.REFINE_RESIDUAL) and factors its own grid only when
+each 2d step the last SuperLU factor of its run and the vector the last
+step accepted (fpk.NearbyFactor); the step refines against that factor from
+that vector (fpk.solve_grid: iterative refinement to a relative residual of
+fpk.REFINE_RESIDUAL and a last correction of at most fpk.REFINE_CORRECTION
+relative to the vector) and factors its own grid only when
 fpk.REFINE_MAX_STEPS steps fall short, that factor then serving the later
-steps. No factor outlives the run. Each step is still Phi(rho) solved to
-roundoff, so the gaps and contraction factors of a FixedPointTrace measure
-the map itself; the trace also records, for each step, its refinement
-steps and whether it factored.
+steps. No factor or vector outlives the run. Each step is still Phi(rho)
+solved to roundoff, so the gaps and contraction factors of a
+FixedPointTrace measure the map itself; the trace also records, for each
+step, its refinement steps and whether it factored.
 """
 
 from __future__ import annotations
@@ -75,10 +82,13 @@ class InteractionKernel:
     g in place of fn; g maps offsets of shape (..., d) to values of shape
     (..., d) or (..., d, d), and fn(x, y) becomes g(y[None] - x[:, None]).
     Asked for the cell centers of the density's own grid, the offset of such
-    a kernel is a discrete correlation: g is sampled once on the (2n - 1)^d
+    a kernel is a discrete correlation: g is sampled on the (2n - 1)^d
     lattice of cell differences and correlated with the cell masses by a
-    zero-padded real FFT, O(N log N) instead of O(N^2). Any other points
-    take the direct quadrature over the cells, chunked in x.
+    zero-padded real FFT, O(N log N) instead of O(N^2). The spectrum of that
+    sample is kept on the kernel per grid (_lattice_spectrum), so g is
+    sampled once per grid for the kernel's lifetime, which MeanFieldModel
+    copies made by with_eps share; nothing that depends on rho is kept. Any
+    other points take the direct quadrature over the cells, chunked in x.
     """
 
     def __init__(self, kind: str, fn: Callable | None, dim: int, sup_bound: float,
@@ -103,6 +113,7 @@ class InteractionKernel:
         self.kind, self.fn, self.profile, self.dim = kind, fn, profile, int(dim)
         self.sup_bound, self.growth_order = float(sup_bound), float(growth_order)
         self.depends_on_x, self.name = bool(depends_on_x), name
+        self._spectra: dict[GridSpec, tuple[tuple[int, ...], np.ndarray]] = {}
 
     def _value_shape(self) -> tuple[int, ...]:
         d = self.dim
@@ -142,9 +153,32 @@ class InteractionKernel:
         weights with g sampled at k h, |k| < n per axis; flipping the sample
         makes it a convolution whose entries n - 1 .. 2n - 2 are the offsets.
         Padding each axis to L >= 2n - 1 keeps the wrap-around of the cyclic
-        product out of those entries.
+        product out of those entries. The spectrum of the flipped sample
+        depends on the grid alone (_lattice_spectrum), so an offset costs one
+        forward FFT of the weights and one inverse FFT.
         """
-        from scipy.fft import irfftn, next_fast_len, rfftn
+        from scipy.fft import irfftn, rfftn
+
+        n, d = spec.n, spec.dim
+        shape = self._value_shape()
+        size, spectrum = self._lattice_spectrum(spec)
+        weights = rfftn(wts.reshape(spec.shape), s=size)
+        full = irfftn(spectrum * weights.reshape(weights.shape + (1,) * len(shape)),
+                      s=size, axes=tuple(range(d)))
+        return full[(slice(n - 1, 2 * n - 1),) * d].reshape((spec.n_cells,) + shape)
+
+    def _lattice_spectrum(self, spec: GridSpec) -> tuple[tuple[int, ...], np.ndarray]:
+        """The padded size and the rfftn of g sampled on the flipped lattice of spec.
+
+        Built at the first offset on a grid and kept on the kernel, keyed by
+        the grid: (L, ..., L/2 + 1, components) complex values, 68 KB for a
+        2d drift kernel at n = 32 and 1.1 MB at n = 128. Two threads that
+        fill one key at once compute and store the same value.
+        """
+        entry = self._spectra.get(spec)
+        if entry is not None:
+            return entry
+        from scipy.fft import next_fast_len, rfftn
 
         n, d = spec.n, spec.dim
         shape = self._value_shape()
@@ -157,11 +191,9 @@ class InteractionKernel:
         axes = tuple(range(d))
         size = (next_fast_len(2 * n - 1, real=True),) * d
         flipped = np.flip(vals.reshape((2 * n - 1,) * d + shape), axis=axes)
-        spectrum = rfftn(flipped, s=size, axes=axes)
-        weights = rfftn(wts.reshape(spec.shape), s=size)
-        full = irfftn(spectrum * weights.reshape(weights.shape + (1,) * len(shape)),
-                      s=size, axes=axes)
-        return full[(slice(n - 1, 2 * n - 1),) * d].reshape((spec.n_cells,) + shape)
+        entry = size, rfftn(flipped, s=size, axes=axes)
+        self._spectra[spec] = entry
+        return entry
 
     def _checked(self, off: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         """off (one value or a stack) unless it is non-finite or, for a diffusion, not symmetric."""
@@ -262,8 +294,9 @@ def nonlocal_coefficients(model: MeanFieldModel,
     """Coefficients frozen at rho, with an audited ellipticity margin.
 
     Each is base + eps * ker.convolve(rho) in one evaluation, one kernel pass
-    for all components and no cache (_base_plus_offset); entry(i, j) and
-    components[i] read the shifted values, as the 1d closed form does.
+    for all components and no cache of its values (_base_plus_offset);
+    entry(i, j) and components[i] read the shifted values, as the 1d closed
+    form does.
     The diffusion offset may eat at most half the declared ellipticity:
     eps * sup|q| >= lambda / 2 raises EllipticityMarginError before any
     solve. The drift growth envelope is re-derived from the declared kernel
@@ -310,7 +343,7 @@ class FixedPointTrace:
 
     fixed_point is the last iterate; earlier iterates are not kept. gaps[t]
     is the weighted distance between iterates t and t+1; factors are
-    consecutive air ratios gap[t+1]/gap[t]. threshold_scale is the measured
+    consecutive gap ratios gap[t+1]/gap[t]. threshold_scale is the measured
     eps * N * (sqrt(M_hat) + M_hat); multiplying it by an externally
     estimated stability ratio C_hat gives the contraction threshold.
     clipped_mass is the largest negative mass clipped from an iterate (0 for
@@ -351,10 +384,11 @@ def picard_iterate(model: MeanFieldModel, rho0: GridDensity, tol: float = 1e-8,
                    max_iter: int = 60) -> FixedPointTrace:
     """Iterate Phi from rho0 until the weighted gap drops below tol.
 
-    Each step hands apply_phi the last SuperLU factor of the run (an
-    fpk.NearbyFactor, empty at first), so a 2d step refines against the
-    factor of an earlier step and factors only when refinement falls short;
-    a fresh factor replaces the held one. The factor is dropped on return.
+    Each step hands apply_phi the last SuperLU factor of the run and the
+    vector the last step accepted (an fpk.NearbyFactor, empty at first), so
+    a 2d step refines against the factor of an earlier step, from the last
+    step's vector, and factors only when refinement falls short; a fresh
+    factor replaces the held one. Both are dropped on return.
 
     Raises NonContractionError (with the gap sequence) when the iteration
     budget is exhausted and the gaps were not monotonically decreasing, and

@@ -13,8 +13,13 @@ centered so that integral psi~ rho = 0, the solution machinery provides:
   with E = exp(integral b/a), u'(x) = exp(-I(x)) Z S(x) where S is the
   cumulative integral of psi~ rho on the fpk.SUBDIV-times finer mesh of
   fpk.solve_exact_1d; u follows by one more cumulative integration and is
-  normalized to zero average over B(0, 2 R0). A tail integral of psi~ rho
-  above TAIL_TOL is a TruncationError.
+  normalized to zero average over B(0, 2 R0). psi is centered by the rule
+  the solver integrates with, the Simpson integral of psi rho on that mesh
+  over that of rho, so the integral of psi~ rho over the box vanishes up to
+  roundoff. Where that constant and the cell-quadrature centering against
+  the declared density differ by more than INCOMPATIBILITY_FACTOR times the
+  O(h^2) scale, the declared density disagrees with the coefficients: an
+  IncompatibilityError, as the grid solver raises for the same case.
 
 * solve_poisson_grid: the generator L_h of fpk.generator_matrix (centered
   differences with reflecting walls), the same operator whose transpose
@@ -38,7 +43,9 @@ centered so that integral psi~ rho = 0, the solution machinery provides:
 Both solvers return through one finishing step (_solution), which computes
 the bound constants below, the residual over the grid and over the cells at
 least 1 from the walls, and the info keys they share: the Lyapunov witness,
-the residual per cell and the centering defect.
+the residual per cell and the centering defect, |integral psi~ rho| by the
+solver's own rule (cell quadrature against the declared density on the
+grid, fine-mesh Simpson against the closed form in 1d).
 
 The growth report normalizes everything by Psi = sup |psi~(y)| / (1 + |y|^k):
 G0 = sup |u| / (1 + |x|^k), G1 = sup |grad u| / (1 + |x|^{k + beta}), and the
@@ -54,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfinementError, ConvergenceError, IncompatibilityError, TruncationError
+from .errors import ConfinementError, ConvergenceError, IncompatibilityError
 from .fields import ClosureField, DiffusionMatrixField, DriftField, ScalarField
 from .fpk import (ModelSpec, PinnedFactor, _diffusion_matrix, _fine_profile_1d, _null_density,
                   _pinned_generator, _sampled_diffusion, _scalar_diffusion, builtin_models,
@@ -290,7 +297,7 @@ def _pin_ball_mask(spec: GridSpec, pin_radius: float) -> np.ndarray:
 
 
 def _solution(problem: PoissonProblem, wit: LyapunovWitness, u: np.ndarray, du: np.ndarray,
-              d2u: np.ndarray, psi_tilde: np.ndarray, res: np.ndarray,
+              d2u: np.ndarray, psi_tilde: np.ndarray, res: np.ndarray, centering_defect: float,
               **info) -> PoissonSolution:
     """The PoissonSolution of both solvers: bound constants, residuals and the shared info.
 
@@ -299,7 +306,8 @@ def _solution(problem: PoissonProblem, wit: LyapunovWitness, u: np.ndarray, du: 
     the cells, and res its absolute residual per cell. residual is the
     largest over the grid, residual_interior over the cells at least 1 from
     the walls. info holds the solver's own keys and "lyapunov" (wit),
-    "residual_cells" (res) and "centering_defect".
+    "residual_cells" (res) and "centering_defect", |integral psi~ rho| by
+    the solver's rule.
     """
     spec = problem.spec
     r = spec.center_radii()
@@ -320,18 +328,39 @@ def _solution(problem: PoissonProblem, wit: LyapunovWitness, u: np.ndarray, du: 
         residual_interior=float(res[interior].max()) if interior.any() else residual,
         pin_radius=wit.pin_radius,
         info={**info, "lyapunov": wit, "residual_cells": res,
-              "centering_defect": problem.centering_defect()})
+              "centering_defect": centering_defect})
+
+
+INCOMPATIBILITY_FACTOR = 10.0
+
+
+def _check_compatible(c_proj: float, psi_t: np.ndarray, spec: GridSpec) -> None:
+    """IncompatibilityError unless |c_proj| <= INCOMPATIBILITY_FACTOR h^2 (1 + max |psi_t|).
+
+    c_proj is the constant that the solver's own centering takes from psi_t,
+    the source centered against the declared density: the disagreement
+    between that density and the solver's, which is of the order of the
+    discretization error, h^2, when both are right.
+    """
+    scale = spec.h ** 2 * (1.0 + float(np.abs(psi_t).max()))
+    if abs(c_proj) > INCOMPATIBILITY_FACTOR * scale:
+        raise IncompatibilityError(
+            f"range projection {abs(c_proj):.3e} exceeds {INCOMPATIBILITY_FACTOR:g} x h^2 scale "
+            f"{scale:.3e}: the reference density disagrees with the discrete operator",
+            projection_magnitude=abs(c_proj))
 
 
 def solve_poisson_1d(problem: PoissonProblem) -> PoissonSolution:
     """Solve the 1D Poisson equation by the quadrature closed form.
 
-    Works on a mesh fpk.SUBDIV times finer than the grid. u' and u come from
-    cumulative Simpson integration; the second derivative is a fourth-order
-    difference of the fine-mesh u', so the reported interior residual
-    a u'' + b u' - psi~ reflects quadrature accuracy rather than grid
-    differencing. A source whose centered tail integral against rho exceeds
-    TAIL_TOL is a TruncationError.
+    Works on a mesh fpk.SUBDIV times finer than the grid. psi is centered by
+    Simpson integration against the closed-form density on that mesh, and u'
+    and u come from cumulative Simpson integration; the second derivative is
+    a fourth-order difference of the fine-mesh u', so the reported interior
+    residual a u'' + b u' - psi~ reflects quadrature accuracy rather than
+    grid differencing. A declared density whose centering of psi disagrees
+    with that one beyond the O(h^2) scale is an IncompatibilityError
+    (_check_compatible).
     """
     spec = problem.spec
     if spec.dim != 1:
@@ -339,9 +368,6 @@ def solve_poisson_1d(problem: PoissonProblem) -> PoissonSolution:
     prof = _fine_profile_1d(problem.A, problem.b, spec)
     a_c = _scalar_diffusion(problem.A).values(spec.cell_centers())
     return _solve_quadrature_1d(problem, prof, a_c)
-
-
-TAIL_TOL = 1e-6  # largest |integral psi~ rho| over the fine mesh that the 1d solver accepts
 
 
 def _solve_quadrature_1d(problem: PoissonProblem, prof: dict, a_c: np.ndarray) -> PoissonSolution:
@@ -354,14 +380,11 @@ def _solve_quadrature_1d(problem: PoissonProblem, prof: dict, a_c: np.ndarray) -
     log_norm = prof["log_normalizer"]
 
     psi_f = problem.psi.values(pts[:, None])
-    g = (psi_f - problem.center_constant) * rho_f
+    center = cumulative_integral(psi_f * rho_f, hf)[-1] / cumulative_integral(rho_f, hf)[-1]
+    psi_tc = problem.psi_cells - center
+    _check_compatible(center - problem.center_constant, psi_tc, spec)
+    g = (psi_f - center) * rho_f
     S_left = cumulative_integral(g, hf)
-    tail = abs(float(S_left[-1]))
-    if tail > TAIL_TOL:
-        raise TruncationError(
-            f"tail integral of the centered source against rho is {tail:.3e} > {TAIL_TOL:g}; "
-            "the truncation radius is too small or the declared centering/reference density "
-            "is inconsistent with the coefficients")
 
     # cumulate toward the density mode from both walls: a one-sided cumulative
     # plateaus at roundoff in the far tail and exp(-I) amplifies that noise
@@ -387,17 +410,14 @@ def _solve_quadrature_1d(problem: PoissonProblem, prof: dict, a_c: np.ndarray) -
     d2u_c = (-du_f[cidx + 2] + 8.0 * du_f[cidx + 1] - 8.0 * du_f[cidx - 1] + du_f[cidx - 2]) / (12.0 * hf)
 
     b_c = problem.b.values(spec.cell_centers())[:, 0]
-    psi_tc = problem.psi_tilde_cells()
     res = np.abs(a_c * d2u_c + b_c * du_c - psi_tc)
     return _solution(problem, wit, u_c, du_c.reshape(spec.n, 1), d2u_c.reshape(spec.n, 1, 1),
-                     psi_tc, res, method="quadrature-1d", tail=tail)
+                     psi_tc, res, abs(float(S_left[-1])), method="quadrature-1d")
 
 
 # ---------------------------------------------------------------------------
 # grid solver (non-divergence finite differences)
 # ---------------------------------------------------------------------------
-
-INCOMPATIBILITY_FACTOR = 10.0
 
 
 def discrete_adjoint_null(lu: PinnedFactor) -> np.ndarray:
@@ -438,12 +458,7 @@ def _solve_factored(problem: PoissonProblem, L, lu: PinnedFactor) -> PoissonSolu
     spec = problem.spec
     psi_t = problem.psi_tilde_cells()
     c_proj = float(discrete_adjoint_null(lu) @ psi_t)
-    scale = spec.h ** 2 * (1.0 + float(np.abs(psi_t).max()))
-    if abs(c_proj) > INCOMPATIBILITY_FACTOR * scale:
-        raise IncompatibilityError(
-            f"range projection {abs(c_proj):.3e} exceeds {INCOMPATIBILITY_FACTOR:g} x h^2 scale "
-            f"{scale:.3e}: the reference density disagrees with the discrete operator",
-            projection_magnitude=abs(c_proj))
+    _check_compatible(c_proj, psi_t, spec)
     psi_proj = psi_t - c_proj
 
     wit = lyapunov_constants(problem.A, problem.b, problem.k, r_max=spec.radius)
@@ -464,7 +479,8 @@ def _solve_factored(problem: PoissonProblem, L, lu: PinnedFactor) -> PoissonSolu
     mixed = ~np.eye(d, dtype=bool)  # d2u[..., i, j] differentiates du_j along axis i
     d2u[..., mixed] = 0.5 * (d2u[..., mixed] + d2u.swapaxes(-1, -2)[..., mixed])
     return _solution(problem, wit, U, du, d2u, psi_proj.reshape(spec.shape), res,
-                     method="fd-grid", projection_magnitude=abs(c_proj), pinned_cell=lu.pin,
+                     problem.centering_defect(), method="fd-grid",
+                     projection_magnitude=abs(c_proj), pinned_cell=lu.pin,
                      ordering=lu.ordering, factor_nnz=lu.nnz)
 
 

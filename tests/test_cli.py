@@ -516,25 +516,35 @@ class TestTelemetry:
     def test_meanfield_reports_factorizations_and_refinement_per_start(self, tmp_path):
         cfg = {"eps": 0.05, "starts": [0.5, -0.5], "kernel": "tanh-relative",
                "threshold": False, "dim": 2, "n": 16}
-        code, report, _ = run_cli(tmp_path, "meanfield", cfg)
+        code, report, out_dir = run_cli(tmp_path, "meanfield", cfg)
         assert code == 0
         tel = report["summary"]["telemetry"]
         assert [t["start"] for t in tel] == [0.5, -0.5]
-        for t, steps in zip(tel, report["summary"]["iterations"]):
-            assert len(t["refinement_steps"]) == len(t["factored"]) == steps
+        trace = np.genfromtxt(out_dir / "trace.csv", delimiter=",", names=True)
+        for i, (t, steps) in enumerate(zip(tel, report["summary"]["iterations"])):
+            assert len(t["refinement_steps"]) == len(t["factored"]) == len(t["gaps"]) == steps
             assert 1 <= t["factorizations"] < steps
             assert t["factorizations"] == sum(t["factored"])
             assert t["factored"][0]  # nothing held yet
+            # the gaps that trace.csv plots (to its 12 digits), contracting to the tolerance
+            assert np.allclose(trace["gap"][trace["start"] == i], t["gaps"], rtol=1e-11, atol=0)
+            assert all(b < a for a, b in zip(t["gaps"], t["gaps"][1:]))
+            assert t["gaps"][-1] <= 1e-8 < t["gaps"][-2]
 
     def test_meanfield_telemetry_tells_a_late_convergence_from_a_give_up(self, tmp_path):
-        cfg = {"eps": 0.2, "starts": [1.0], "kernel": "tanh-relative", "threshold": False,
-               "dim": 2, "n": 32}
-        code, report, _ = run_cli(tmp_path, "meanfield", cfg)
-        assert code == 0
-        (tel,) = report["summary"]["telemetry"]
-        assert tel["refinement_steps"][:4] == [0, 10, 10, 10]
-        assert tel["factored"][:4] == [True, False, False, True]
-        assert tel["factorizations"] == 2
+        # step 1 refines REFINE_MAX_STEPS = 10 times at both couplings: at
+        # eps 0.15 it converged at the tenth step, at eps 0.2 it gave up and factored
+        cfg = {"starts": [1.0], "kernel": "tanh-relative", "threshold": False, "dim": 2, "n": 32}
+        runs = {eps: run_cli(tmp_path, "meanfield", {**cfg, "eps": eps}, out=f"eps{eps}")
+                for eps in (0.15, 0.2)}
+        for eps, steps, factored, factorizations in ((0.15, [0, 10, 9], [True, False, False], 1),
+                                                     (0.2, [0, 10, 6], [True, True, False], 2)):
+            code, report, _ = runs[eps]
+            assert code == 0
+            (tel,) = report["summary"]["telemetry"]
+            assert tel["refinement_steps"][:3] == steps
+            assert tel["factored"][:3] == factored
+            assert tel["factorizations"] == factorizations
 
     def test_one_dimensional_meanfield_neither_factors_nor_refines(self, tmp_path):
         _, report, _ = run_cli(tmp_path, "meanfield", SMALL_CONFIGS["meanfield"])
@@ -711,6 +721,17 @@ class TestDefaultRadius:
         assert report["summary"]["m0"] > 0.0
         if k == 1.0:  # half the rate at the largest radius, R = 8 / sqrt(0.1)
             assert report["summary"]["m0"] < 1.0
+
+    @pytest.mark.parametrize("psi,n", [("x1**2", 1024), ("cos(x1)", None)])
+    def test_dini_poisson_centers_by_the_solvers_rule(self, tmp_path, psi, n):
+        # regression: psi was centered by cell quadrature and checked by the
+        # fine-mesh Simpson rule, which differ by 2.9e-4 (x1**2) and 1.0e-4
+        # (cos) for the rough dini-1d diffusion: "TruncationError: tail
+        # integral ..." (exit 3)
+        cfg = {"model": "dini-1d", "psi": {"expression": psi}, "k": 2.0}
+        code, report, _ = run_cli(tmp_path, "poisson", cfg if n is None else {**cfg, "n": n})
+        assert code == 0
+        assert report["checks"]["centering_ok"]
 
     @pytest.mark.parametrize("command", ["stability", "meanfield"])
     def test_base_drift_keeps_radius_eight(self, tmp_path, command, monkeypatch):

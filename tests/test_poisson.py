@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.sparse.linalg as spla
 
 from fpkit.errors import ConfinementError, IncompatibilityError, TruncationError
@@ -204,8 +206,9 @@ class TestQuadratureSolver:
         A, b = ou_1d
         uniform = GridDensity(grid_1d, np.full(grid_1d.n, 1.0 / 16.0))
         prob = PoissonProblem(A, b, source(lambda z: z[:, 0] ** 2, 1, "x2"), 2.0, uniform)
-        with pytest.raises(TruncationError, match="tail integral"):
+        with pytest.raises(IncompatibilityError, match="disagrees") as exc:
             solve_poisson_1d(prob)
+        assert exc.value.projection_magnitude == pytest.approx(64.0 / 3.0 - 1.0, rel=1e-3)
 
     def test_constant_source_centers_to_zero_solution(self, ou_problem_parts):
         A, b, rho = ou_problem_parts
@@ -445,3 +448,70 @@ class TestSharedFactor:
         assert np.array_equal(sol.info["residual_cells"], ref.info["residual_cells"])
         assert ((sol.g0_quotient, sol.g1_quotient, sol.h_quotient)
                 == (ref.g0_quotient, ref.g1_quotient, ref.h_quotient))
+
+
+MODELS = {m.name: m for m in builtin_models()}
+
+
+def mixed_source(dim: int, c: tuple[float, float, float], shift: float) -> ClosureField:
+    """c0 tanh(x1 - shift) + c1 cos(x_d) + c2: bounded, and odd in neither variable."""
+    return source(lambda z: (c[0] * np.tanh(z[:, 0] - shift) + c[1] * np.cos(z[:, -1]) + c[2]),
+                  dim, "mixed")
+
+
+class TestStationaryPoissonProperties:
+    """stationary_poisson on 1d grids and 2d grids with n <= 32."""
+
+    grids = st.sampled_from([("ou-1d", 128), ("dini-1d", 256), ("ou-2d", 16),
+                             ("ou-2d", 32), ("anisotropic-2d", 32)])
+    coefs = st.tuples(*(st.floats(-2.0, 2.0),) * 3)
+
+    @staticmethod
+    def solve(name, n, psi):
+        m = MODELS[name]
+        return stationary_poisson(m.A, m.b, psi, 1.0, GridSpec(m.dim, 8.0, n))[1]
+
+    @settings(max_examples=12, deadline=None)
+    @given(grid=grids, c=coefs, shift=st.floats(-1.0, 1.0), const=st.floats(-50.0, 50.0))
+    def test_constant_in_the_source_leaves_u_unchanged(self, grid, c, shift, const):
+        name, n = grid
+        dim = MODELS[name].dim
+        u = self.solve(name, n, mixed_source(dim, c, shift)).u
+        moved = self.solve(name, n, mixed_source(dim, (c[0], c[1], c[2] + const), shift)).u
+        assert np.abs(moved - u).max() <= 1e-12 * (1.0 + abs(const)) * max(1.0, np.abs(u).max())
+
+    @settings(max_examples=12, deadline=None)
+    @given(grid=grids, c=coefs, d=coefs, a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
+    def test_u_is_linear_in_the_source(self, grid, c, d, a, b):
+        name, n = grid
+        dim = MODELS[name].dim
+        u1 = self.solve(name, n, mixed_source(dim, c, 0.3)).u
+        u2 = self.solve(name, n, mixed_source(dim, d, 0.3)).u
+        mix = tuple(a * ci + b * di for ci, di in zip(c, d))
+        u = self.solve(name, n, mixed_source(dim, mix, 0.3)).u
+        scale = max(1.0, abs(a) * np.abs(u1).max() + abs(b) * np.abs(u2).max())
+        assert np.abs(u - (a * u1 + b * u2)).max() <= 1e-12 * scale
+
+    @settings(max_examples=12, deadline=None)
+    @given(grid=grids, c=coefs, shift=st.floats(-1.0, 1.0))
+    def test_u_has_zero_mean_on_the_pin_ball(self, grid, c, shift):
+        name, n = grid
+        sol = self.solve(name, n, mixed_source(MODELS[name].dim, c, shift))
+        u = sol.u.ravel()
+        mask = _pin_ball_mask(sol.spec, sol.pin_radius)
+        assert abs(u[mask].mean()) <= 1e-12 * max(1.0, np.abs(u).max())
+
+    @settings(max_examples=12, deadline=None)
+    @given(name=st.sampled_from(["ou-2d", "anisotropic-2d"]), n=st.sampled_from([16, 32]),
+           c=coefs, shift=st.floats(-1.0, 1.0))
+    def test_grid_rows_but_the_pin_solve_the_projected_source(self, name, n, c, shift):
+        # every row of L_h u but the pinned one is psi~ - <psi~, w>, which the
+        # solution carries as psi_tilde
+        m = MODELS[name]
+        spec = GridSpec(2, 8.0, n)
+        sol = stationary_poisson(m.A, m.b, mixed_source(2, c, shift), 1.0, spec)[1]
+        L = generator_matrix(m.A, m.b, spec)
+        u = sol.u.ravel()
+        rows = L @ u - sol.psi_tilde.ravel()
+        rows[sol.info["pinned_cell"]] = 0.0
+        assert np.abs(rows).max() <= 1e-12 * max(1.0, (abs(L) @ np.abs(u)).max())
