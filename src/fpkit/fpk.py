@@ -33,7 +33,13 @@ formal adjoint equation sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0):
   factor the pinned L_h^T in _pinned_generator, which writes it from the
   same table (the CSR arrays of L_h are the CSC arrays of L_h^T), and
   poisson.stationary_poisson takes the density and the Poisson solution
-  from one factor. SuperLU runs with small fixed supernodes
+  from one factor. Besides the factor, a solve reads only M = L_h^T,
+  written from the table (_density_operator), and |M|, np.abs of M's data
+  on M's index arrays (_magnitude): the residual check and the refinement
+  below multiply by them, and the Poisson residual reads L_h as M.T. No
+  solve builds L_h as a matrix of its own or takes abs() of a sparse
+  matrix; generator_matrix returns M.T for callers that want L_h. SuperLU
+  runs with small fixed supernodes
   (PANEL_SIZE = 2, RELAX = 2), chosen by a timing sweep on both grid
   stencils; they change how the factor is blocked, not its fill. The
   ordering depends on the stencil. A 5-point (or 1d) L_h^T is ordered by
@@ -56,17 +62,24 @@ formal adjoint equation sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0):
   relative to x; the second stop bounds the forward error, which the
   residual alone left at up to 7e-13 in L1 at n = 128, and now keeps it
   within 2e-14 of the direct solve (_refined_null has the measurements).
-  When REFINE_MAX_STEPS steps do not get there it factors the grid after
-  all, that factor replacing the held one. The steps of a mean-field
-  Picard iteration are such a run (meanfield.picard_iterate); every other
-  caller factors each grid it solves.
+  The residual's denominator |M| |x| is formed only on a step whose last
+  correction was that small, the one place the residual decides. When
+  REFINE_MAX_STEPS steps do not get there it factors the grid after all,
+  that factor replacing the held one. A refined step thus builds the
+  table, M and |M| from it, and per refinement step one product by M and
+  one solve with the held factor. The slot also holds the run's diffusion
+  and its checked samples at the cells: a step given the same diffusion
+  object on the same grid samples and checks only the drift. The steps of
+  a mean-field Picard iteration are such a run (meanfield.picard_iterate),
+  and for a drift-only kernel every step's frozen diffusion is the model's
+  own; every other caller factors each grid it solves.
 
 scipy.sparse and scipy.sparse.linalg are imported where they are used: in
-_generator_csr and _pinned_factor, which build the sparse matrices, and in
-_factor, which calls SuperLU. Importing fpkit and running the 1d closed
-form therefore load no scipy module; the first 2d solve loads them. _factor
-calls spla.splu through the module, so a replacement of
-scipy.sparse.linalg.splu sees every factor.
+_density_operator, _magnitude and _pinned_factor, which build the sparse
+matrices, and in _factor, which calls SuperLU. Importing fpkit and
+running the 1d closed form therefore load no scipy module; the first 2d
+solve loads them. _factor calls spla.splu through the module, so a
+replacement of scipy.sparse.linalg.splu sees every factor.
 
 The scheme is second order but not monotone; tiny negative cells can appear
 and are clipped, the removed mass recorded in info["clipped_mass"]. Whether
@@ -129,8 +142,12 @@ def _require_finite(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     """EvaluationError naming the first of pts where a sample of a or b is not finite.
 
     A field subclass that overrides `values` can return NaN, which the
-    positivity and ellipticity checks let through.
+    positivity and ellipticity checks let through. The whole arrays are
+    checked first; the first bad point is looked for row by row only when
+    that check fails.
     """
+    if np.isfinite(a).all() and np.isfinite(b).all():
+        return
     ok = np.isfinite(a.reshape(len(pts), -1)).all(axis=1)
     ok &= np.isfinite(b.reshape(len(pts), -1)).all(axis=1)
     if not ok.all():
@@ -217,8 +234,7 @@ def generator_matrix(A: DiffusionMatrixField, b: DriftField, spec: GridSpec) -> 
     row r, in the order of their offsets, are the CSR row r (_compressed).
     """
     pts = spec.cell_centers()
-    T, offsets = _weight_table(A.values(pts), b.values(pts), spec)
-    return _generator_csr(T, offsets, spec)
+    return _density_operator(*_weight_table(A.values(pts), b.values(pts), spec), spec).T
 
 
 def _weight_table(a: np.ndarray, b_c: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -422,11 +438,19 @@ def _generator_table(A, b: DriftField, spec: GridSpec,
     return _weight_table(a, b_c, spec)
 
 
-def _generator_csr(T: np.ndarray, offsets: np.ndarray, spec: GridSpec) -> sp.csr_matrix:
-    """L_h from its table; its CSR arrays are the CSC arrays of L_h^T (see _compressed)."""
+def _density_operator(T: np.ndarray, offsets: np.ndarray, spec: GridSpec) -> sp.csc_matrix:
+    """M = L_h^T from the table of L_h: the CSR arrays of L_h are the CSC arrays of M
+    (_compressed). M.T is L_h, a CSR view of the same arrays."""
     import scipy.sparse as sp
 
-    return sp.csr_matrix(_compressed(T, offsets), shape=(spec.n_cells,) * 2)
+    return sp.csc_matrix(_compressed(T, offsets), shape=(spec.n_cells,) * 2)
+
+
+def _magnitude(M: sp.csc_matrix) -> sp.csc_matrix:
+    """|M|: np.abs of M's data on M's own index arrays, which abs(M) would copy."""
+    import scipy.sparse as sp
+
+    return sp.csc_matrix((np.abs(M.data), M.indices, M.indptr), shape=M.shape)
 
 
 def _pinned_factor(T: np.ndarray, offsets: np.ndarray, spec: GridSpec) -> PinnedFactor:
@@ -456,20 +480,20 @@ def _pinned_factor(T: np.ndarray, offsets: np.ndarray, spec: GridSpec) -> Pinned
 
 
 def _pinned_generator(A, b: DriftField, spec: GridSpec,
-                      a: np.ndarray | None = None) -> tuple[sp.csr_matrix, PinnedFactor]:
-    """L_h and the factor of the pinned L_h^T, built once per grid.
+                      a: np.ndarray | None = None) -> tuple[sp.csc_matrix, PinnedFactor]:
+    """M = L_h^T and the factor of the pinned M, built once per grid.
 
-    The table of L_h (_generator_table) gives the pinned L_h^T for the
-    factor (_pinned_factor), then L_h. L_h is built after the factor, so
-    SuperLU runs beside the table and the pinned matrix only, not beside L_h
-    as well. The factor owns the pin and its null vector, the density
-    (solve_grid) and the adjoint null vector (poisson.discrete_adjoint_null)
-    once scaled; a transposed solve gives the Poisson solution
-    (poisson.solve_poisson_grid).
+    The table of L_h (_generator_table) gives the pinned M for the factor
+    (_pinned_factor), then M (_density_operator). M is built after the
+    factor, so SuperLU runs beside the table and the pinned matrix only.
+    The factor owns the pin and its null vector, the density (solve_grid)
+    and the adjoint null vector (poisson.discrete_adjoint_null) once scaled;
+    a transposed solve gives the Poisson solution
+    (poisson.solve_poisson_grid), whose residual reads L_h as M.T.
     """
     T, offsets = _generator_table(A, b, spec, a)
     factor = _pinned_factor(T, offsets, spec)
-    return _generator_csr(T, offsets, spec), factor
+    return _density_operator(T, offsets, spec), factor
 
 
 @dataclass(eq=False)
@@ -481,12 +505,28 @@ class NearbyFactor:
     factor it makes into the slot. slot.accepted is the vector at the pin's
     scale (entry pin equal to 1) that the last solve on slot.factor
     accepted: the factor's own null vector after a fresh factor, the refined
-    vector after a refinement. Hold one only for the length of such a run
-    (meanfield.picard_iterate): a factor keeps its L + U arrays alive.
+    vector after a refinement.
+
+    The slot also holds the run's diffusion: `diffusion`, the object a solve
+    was last given, `samples`, its (N, d, d) values at the cells of `grid`
+    (a scalar diffusion as a I), taken and checked for finiteness and
+    ellipticity by that solve. A later solve given the same object on an
+    equal grid reads those samples and samples and checks only its drift;
+    that is every step of a Picard run whose kernel is drift-only, where the
+    frozen diffusion is the model's own. This is safe because the object is
+    the same one (held here, so it cannot be collected and its identity
+    reused), its samples at the same cells are the same values, and the
+    slot is dropped with the run. A different object, as a frozen diffusion
+    with a kernel of its own is at every step, is sampled and checked afresh.
+    Hold a slot only for the length of such a run (meanfield.picard_iterate):
+    a factor keeps its L + U arrays alive.
     """
 
     factor: PinnedFactor | None = None
     accepted: np.ndarray | None = None
+    diffusion: object = None
+    samples: np.ndarray | None = None
+    grid: GridSpec | None = None
 
 
 def _relative_residual(abs_m: sp.spmatrix, x: np.ndarray, mx: np.ndarray) -> float:
@@ -507,12 +547,18 @@ def _refined_null(M: sp.spmatrix, abs_m: sp.spmatrix, factor: PinnedFactor,
 
     F factors a pinned matrix P near the pinned M, with F's pin. From
     `start`, a vector with start[pin] = 1 (NearbyFactor.accepted), each step
-    computes mx = M x once, measures the relative residual of x on it
-    (_relative_residual) and corrects x <- x + delta, delta = F^-1 r with
+    computes mx = M x once and corrects x <- x + delta, delta = F^-1 r with
     r = -mx but r[pin] = 1 - x[pin] (that is, r = e_pin - P x). x is
-    accepted when it is finite, its relative residual is at most
-    REFINE_RESIDUAL and the last correction was at most
-    REFINE_CORRECTION ||x||_inf. F's own null vector is exact for F's
+    accepted when the last correction was at most REFINE_CORRECTION
+    ||x||_inf (x is settled; a start that is F's null vector counts as
+    settled), its relative residual, measured on mx (_relative_residual), is
+    at most REFINE_RESIDUAL and it is finite. The residual's denominator
+    |M| |x| is formed on settled steps only, the one place the residual
+    decides: on the vector a refinement accepts, and on a start that is F's
+    null vector. A meanfield-2d op at n = 32 (below) forms it 7.5 times on
+    average, its fresh factor's check in solve_grid included, where
+    measuring it at every step formed it 31 times. F's own null vector is
+    exact for F's
     operator, so as a start it needs no correction: a solve of the operator
     F factors is accepted at 0 steps, bit for bit the direct solve. Any other
     start takes at least one correction. Returns (x, its residual, steps), or
@@ -541,9 +587,10 @@ def _refined_null(M: sp.spmatrix, abs_m: sp.spmatrix, factor: PinnedFactor,
     settled = start is factor.null
     for steps in range(REFINE_MAX_STEPS + 1):
         mx = M @ x
-        residual = _relative_residual(abs_m, x, mx)
-        if settled and residual <= REFINE_RESIDUAL and np.isfinite(x).all():
-            return x, residual, steps
+        if settled:  # only a settled x can be accepted, so only it needs |M| |x|
+            residual = _relative_residual(abs_m, x, mx)
+            if residual <= REFINE_RESIDUAL and np.isfinite(x).all():
+                return x, residual, steps
         if steps == REFINE_MAX_STEPS:
             break
         rhs = -mx
@@ -554,20 +601,20 @@ def _refined_null(M: sp.spmatrix, abs_m: sp.spmatrix, factor: PinnedFactor,
     return None, math.inf, REFINE_MAX_STEPS
 
 
-def _null_density(spec: GridSpec, L: sp.csr_matrix, lu: PinnedFactor, check_truncation: bool,
+def _null_density(spec: GridSpec, M: sp.csc_matrix, lu: PinnedFactor, check_truncation: bool,
                   raw: np.ndarray | None = None, residual: float | None = None) -> GridDensity:
     """Validate a null vector of M = L_h^T at unit mass and clip it (see solve_grid).
 
-    The vector is lu.null at unit mass, its residual measured here, unless
-    `raw` is given together with `residual`, its relative residual as the
-    caller measured it (solve_grid with a NearbyFactor).
+    The vector is lu.null at unit mass, its residual measured here on M and
+    a |M| (_magnitude) that lives only for the measurement, unless `raw` is
+    given together with `residual`, its relative residual as the caller
+    measured it (solve_grid with a NearbyFactor).
     """
     if raw is None:
         # relative residual of the full singular system, measured against the
         # cancellation-free magnitude |M| |rho|
-        M = L.T
         raw = _unit_mass(lu.null, spec)
-        residual = _relative_residual(abs(M), raw, M @ raw)
+        residual = _relative_residual(_magnitude(M), raw, M @ raw)
     if residual > RESIDUAL_LIMIT:
         raise ConvergenceError(
             f"linear solve residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}", history=[residual])
@@ -588,11 +635,11 @@ def solve_grid(A, b: DriftField, spec: GridSpec, check_truncation: bool = True,
                nearby: NearbyFactor | None = None) -> GridDensity:
     """Stationary density as the pinned null vector of M = L_h^T.
 
-    Builds the generator L_h (generator_matrix), pins the center-most cell of
-    its transpose (the implied equation becomes the unit row), solves with a
-    sparse direct factorization and scales the solution to unit mass; the
-    signed scaling reproduces the solution of the system closed by the mass
-    constraint itself. The result is a discrete probability solution:
+    Builds the generator L_h (generator_matrix) as its transpose M, pins the
+    center-most cell of M (the implied equation becomes the unit row), solves
+    with a sparse direct factorization and scales the solution to unit mass;
+    the signed scaling reproduces the solution of the system closed by the
+    mass constraint itself. The result is a discrete probability solution:
     sum_x rho (L_h phi) = 0 for every grid function phi, up to roundoff and
     clipping. The solution is validated: relative residual of the full
     singular system below 1e-10 (else ConvergenceError with the history),
@@ -605,19 +652,30 @@ def solve_grid(A, b: DriftField, spec: GridSpec, check_truncation: bool = True,
     With `nearby` (a NearbyFactor), a factor it holds for the same grid is
     refined against first (_refined_null, from the vector the slot last
     accepted), and only when refinement does not converge within
-    REFINE_MAX_STEPS steps is the pinned L_h^T factored, that factor then
-    replacing the held one. L_h, M and |M| are built once, for the
-    refinement and the check; the residual of a refined vector is the one
-    refinement measured. The returned density is validated as above, and
-    info also records "refinement_steps" (0 when factored with no held
+    REFINE_MAX_STEPS steps is the pinned M factored, that factor then
+    replacing the held one. M is written once from the table
+    (_density_operator) and |M| from M (_magnitude), for the refinement and
+    the check; the residual of a refined vector is the one refinement
+    measured. A diffusion that is the object the slot holds, on an equal
+    grid, is not sampled again: its held, checked samples are read, and only
+    b is sampled and checked. The returned density is validated as above,
+    and info also records "refinement_steps" (0 when factored with no held
     factor; the factor telemetry is that of the factor used).
     """
     if nearby is None:
         return _null_density(spec, *_pinned_generator(A, b, spec), check_truncation)
-    T, offsets = _generator_table(A, b, spec)
-    L = _generator_csr(T, offsets, spec)
-    M = L.T
-    abs_m = abs(M)
+    if nearby.diffusion is A and nearby.grid == spec:
+        pts = spec.cell_centers()
+        b_c = b.values(pts)
+        if not np.isfinite(b_c).all():  # the held samples are finite
+            _require_finite(pts, nearby.samples, b_c)
+        T, offsets = _weight_table(nearby.samples, b_c, spec)
+    else:
+        matrix, a = _sampled_diffusion(A, spec)
+        T, offsets = _generator_table(matrix, b, spec, a)
+        nearby.diffusion, nearby.samples, nearby.grid = A, a, spec
+    M = _density_operator(T, offsets, spec)
+    abs_m = _magnitude(M)
     x, steps = None, 0
     held = nearby.factor
     if held is not None and held.lu.shape[0] == spec.n_cells:
@@ -630,7 +688,7 @@ def solve_grid(A, b: DriftField, spec: GridSpec, check_truncation: bool = True,
     else:
         raw = _unit_mass(x, spec)
     nearby.accepted = x
-    rho = _null_density(spec, L, nearby.factor, check_truncation, raw, residual)
+    rho = _null_density(spec, M, nearby.factor, check_truncation, raw, residual)
     rho.info["refinement_steps"] = steps
     return rho
 

@@ -105,14 +105,25 @@ def radial_power_generator_values(A: DiffusionMatrixField, b: DriftField, pts: n
 
     L(|x|^{2k}) = 2k |x|^{2k-2} tr A + 2k(2k-2) |x|^{2k-4} <A x, x>
                 + 2k |x|^{2k-2} <b, x>.
+
+    |x|^2 and <A x, x> are sums of whole columns, in the order in which a
+    reduction over the axes and the einsum "ni,nij,nj->n" add their terms,
+    so they equal those bit for bit without their strided passes.
     """
-    r2 = np.sum(pts * pts, axis=1)
+    d = pts.shape[1]
+    x = [pts[:, i] for i in range(d)]
+    r2 = x[0] * x[0]
+    for i in range(1, d):
+        r2 = r2 + x[i] * x[i]
     if (r2 <= 0).any():
         raise ValueError("points must be nonzero")
     a_val = A.values(pts)
     b_val = b.values(pts)
     tr = np.einsum("nii->n", a_val)
-    axx = np.einsum("ni,nij,nj->n", pts, a_val, pts)
+    axx = np.zeros(len(pts))
+    for i in range(d):
+        for j in range(d):
+            axx += x[i] * a_val[:, i, j] * x[j]
     bx = np.einsum("ni,ni->n", b_val, pts)
     tk = 2.0 * k
     return tk * r2 ** (k - 1.0) * (tr + bx) + tk * (tk - 2.0) * r2 ** (k - 2.0) * axx
@@ -453,8 +464,8 @@ def solve_poisson_grid(problem: PoissonProblem) -> PoissonSolution:
     return _solve_factored(problem, *_pinned_generator(problem.A, problem.b, problem.spec))
 
 
-def _solve_factored(problem: PoissonProblem, L, lu: PinnedFactor) -> PoissonSolution:
-    """solve_poisson_grid on a given factor lu of the pinned L_h^T."""
+def _solve_factored(problem: PoissonProblem, M, lu: PinnedFactor) -> PoissonSolution:
+    """solve_poisson_grid on a given factor lu of the pinned M = L_h^T; M.T is L_h."""
     spec = problem.spec
     psi_t = problem.psi_tilde_cells()
     c_proj = float(discrete_adjoint_null(lu) @ psi_t)
@@ -470,7 +481,7 @@ def _solve_factored(problem: PoissonProblem, L, lu: PinnedFactor) -> PoissonSolu
     u[lu.pin] = 0.0
     u -= u[_pin_ball_mask(spec, wit.pin_radius)].mean()
 
-    res = np.abs(L @ u - psi_proj)
+    res = np.abs(M.T @ u - psi_proj)
     res[lu.pin] = 0.0  # pinned row is implied by the others
 
     U, h, d = u.reshape(spec.shape), spec.h, spec.dim
@@ -512,9 +523,9 @@ def stationary_poisson(A, b: DriftField, psi: ScalarField, k: float, spec: GridS
         rho = solve_exact_1d(A, b, spec, profile=prof)
         return rho, _solve_quadrature_1d(PoissonProblem(A, b, psi, k, rho, p=p), prof,
                                          a[:, 0, 0])
-    L, lu = _pinned_generator(A, b, spec, a)
-    rho = _null_density(spec, L, lu, check_truncation=True)
-    return rho, _solve_factored(PoissonProblem(A, b, psi, k, rho, p=p), L, lu)
+    M, lu = _pinned_generator(A, b, spec, a)
+    rho = _null_density(spec, M, lu, check_truncation=True)
+    return rho, _solve_factored(PoissonProblem(A, b, psi, k, rho, p=p), M, lu)
 
 
 # ---------------------------------------------------------------------------

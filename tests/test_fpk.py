@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpkit
+from fpkit import fpk
 from fpkit.errors import (
     ConvergenceError,
     DegenerateDensityError,
@@ -362,6 +363,78 @@ class TestNearbyFactor:
     def test_plain_solve_records_no_refinement(self):
         m = MODELS["ou-2d"]
         assert "refinement_steps" not in solve_grid(m.A, m.b, GridSpec(2, 8.0, 16)).info
+
+    @pytest.mark.parametrize("name", ["ou-2d", "anisotropic-2d"])
+    def test_refined_step_builds_only_what_it_reads(self, name, monkeypatch):
+        # M comes from the table and |M| from M's arrays: no L_h, no transpose,
+        # no abs() of a sparse matrix, and |M| |x| only where refinement can stop
+        m, spec = MODELS[name], GridSpec(2, 8.0, 32)
+        drifts = [linear_drift(2, beta) for beta in (1.0, 1.01, 1.02, 1.03)]
+        nearby = NearbyFactor()
+        solve_grid(m.A, drifts[0], spec, nearby=nearby)
+        held = nearby.factor
+        built, measured = [], []
+        real = fpk._relative_residual
+
+        def refuse(*args):
+            raise AssertionError("a refined step transposed a sparse matrix or took its abs()")
+
+        def relative_residual(*args):
+            measured.append(args)
+            return real(*args)
+
+        for cls in (sp.csr_matrix, sp.csc_matrix):
+            monkeypatch.setattr(cls, "transpose", refuse)
+            monkeypatch.setattr(cls, "__abs__", refuse)
+        monkeypatch.setattr(fpk, "_relative_residual", relative_residual)
+        for b in drifts[1:]:
+            before = len(measured)
+            rho = solve_grid(m.A, b, spec, nearby=nearby)
+            built.append((rho.info["refinement_steps"] > 1, len(measured) - before))
+        assert nearby.factor is held  # every step refined
+        # one |M| |x| per accepted vector; the first refinement also measures
+        # its start, the held factor's own null vector, which is accepted as
+        # it is when the operator is the factored one
+        assert built == [(True, 2), (True, 1), (True, 1)]
+
+    def test_held_diffusion_is_sampled_once(self):
+        # the same diffusion object on an equal grid: its checked samples are
+        # read again, the drift is sampled at every solve, and the densities
+        # are those of a run that samples a new diffusion object every time
+        calls = {"a": 0, "b": 0}
+
+        def counted(key, values):
+            def wrapped(x):
+                calls[key] += 1
+                return values(x)
+            return wrapped
+
+        A = DiffusionMatrixField.from_constant(np.eye(2))
+        A.values = counted("a", A.values)
+        spec, nearby, resampled = GridSpec(2, 8.0, 16), NearbyFactor(), NearbyFactor()
+        for beta in (1.0, 1.01, 1.02):
+            b = linear_drift(2, beta)
+            b.values = counted("b", b.values)
+            rho = solve_grid(A, b, spec, nearby=nearby)
+            fresh = DiffusionMatrixField.from_constant(np.eye(2))
+            assert np.array_equal(rho.values,
+                                  solve_grid(fresh, linear_drift(2, beta), spec,
+                                             nearby=resampled).values)
+        assert calls == {"a": 1, "b": 3}
+        assert nearby.diffusion is A and nearby.grid == spec
+        solve_grid(A, linear_drift(2), GridSpec(2, 8.0, 32), nearby=nearby)
+        assert calls["a"] == 2  # another grid samples again
+
+    def test_held_diffusion_still_names_a_non_finite_drift(self):
+        spec, nearby = GridSpec(2, 8.0, 16), NearbyFactor()
+        A = MODELS["anisotropic-2d"].A
+        solve_grid(A, linear_drift(2), spec, nearby=nearby)
+        with pytest.raises(EvaluationError) as held:
+            solve_grid(A, NanDrift(2, "half"), spec, nearby=nearby)
+        with pytest.raises(EvaluationError) as fresh:
+            solve_grid(A, NanDrift(2, "half"), spec)
+        assert str(held.value) == str(fresh.value)
+        assert np.array_equal(held.value.point, first_nan_point(spec.cell_centers(), "half"))
 
 
 class TestMoments:

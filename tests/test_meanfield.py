@@ -624,3 +624,45 @@ class TestFactorReuse:
         assert len(made) == trace.factorizations >= 1
         assert all(ref() is None for ref in made)
         assert not any(isinstance(v, PinnedFactor) for v in trace.fixed_point.info.values())
+
+    def test_no_slot_outlives_the_iteration(self, monkeypatch):
+        # the slot holds the factor and the run's diffusion samples; both go with the run
+        slots = []
+
+        class Recorded(NearbyFactor):
+            def __init__(self):
+                super().__init__()
+                slots.append(weakref.ref(self))
+
+        monkeypatch.setattr(meanfield, "NearbyFactor", Recorded)
+        picard_iterate(relative_model_2d(0.05),
+                       gaussian_probe(GridSpec(2, 8.0, 16), [0.5, 0.5], 1.0))
+        gc.collect()
+        assert len(slots) == 1
+        assert slots[0]() is None
+
+    @pytest.mark.parametrize("kernel", ["tanh", "tanh-relative"])
+    def test_drift_only_run_samples_its_diffusion_once(self, kernel):
+        # the frozen diffusion of a drift-only kernel is the model's own a0 at
+        # every step, so the run samples and checks it once
+        calls = []
+        a0 = DiffusionMatrixField.from_constant(np.eye(2))
+        values = a0.values
+        a0.values = lambda x: calls.append(len(x)) or values(x)
+        model = MeanFieldModel(a0, linear_drift(2), eps=0.05, **kernel_from_name(kernel, 2))
+        trace = picard_iterate(model, gaussian_probe(GridSpec(2, 8.0, 32), [0.5, 0.5], 1.0))
+        assert trace.n_steps > 1
+        assert calls == [32 * 32]
+
+    def test_diffusion_kernel_run_samples_every_frozen_diffusion(self):
+        # a diffusion kernel freezes a new a0 + eps * offset at every step;
+        # each one is sampled (through a0) and checked by its own step
+        calls = []
+        a0 = DiffusionMatrixField.from_constant(np.eye(2))
+        values = a0.values
+        a0.values = lambda x: calls.append(len(x)) or values(x)
+        model = MeanFieldModel(a0, linear_drift(2), eps=0.05,
+                               **kernel_from_name("gaussian-diffusion", 2))
+        trace = picard_iterate(model, gaussian_probe(GridSpec(2, 8.0, 32), [0.5, 0.5], 1.0))
+        assert trace.n_steps > 1
+        assert calls == [32 * 32] * trace.n_steps

@@ -132,6 +132,45 @@ class TestLyapunovConstants:
         with pytest.raises(ValueError, match="nonzero"):
             radial_power_generator_values(A, b, np.zeros((1, 1)), 1.0)
 
+    # (m0, r0, m0_formula, r0_formula) of the built-in Poisson cases, as float
+    # hex, from the three-operand einsum form of L(|x|^{2k})
+    PINNED = {
+        ("ou-1d-tanh", 1.0): ("0x1.01c119803752fp+0", "0x1.bae147ae147aep+0",
+                              "0x1.00bfad3b039b8p+0", "0x1.1d70a3d70a3d7p+1"),
+        ("ou-1d-tanh", 2.0): ("0x1.070ac9d3f1568p+0", "0x1.028f5c28f5c29p+1",
+                              "0x1.04acc030219ccp+0", "0x1.28f5c28f5c28fp+1"),
+        ("dini-1d-tanh", 1.0): ("0x1.0149cdad77fcap+0", "0x1.eb851eb851eb9p+0",
+                                "0x1.01c546295743bp+0", "0x1.35c28f5c28f5cp+1"),
+        ("dini-1d-tanh", 2.0): ("0x1.01b19cf10d0bbp+0", "0x1.2a3d70a3d70a3p+1",
+                                "0x1.03a5bc29b6647p+0", "0x1.547ae147ae147p+1"),
+        ("ou-2d-tanh", 1.0): ("0x1.00bfad3b039b6p+0", "0x1.1d70a3d70a3d7p+1",
+                              "0x1.00b7cd94f0ec2p+0", "0x1.51eb851eb851ep+1"),
+        ("ou-2d-tanh", 2.0): ("0x1.04acc030219c8p+0", "0x1.28f5c28f5c28fp+1",
+                              "0x1.04e4f77de7558p+0", "0x1.4b851eb851eb8p+1"),
+    }
+
+    @pytest.mark.parametrize("case,k", sorted(PINNED))
+    def test_builtin_case_constants_are_pinned(self, case, k):
+        model = {c.name: c.model for c in builtin_poisson_cases()}[case]
+        wit = lyapunov_constants(model.A, model.b, k)
+        got = (wit.m0, wit.r0, wit.m0_formula, wit.r0_formula)
+        assert tuple(v.hex() for v in got) == self.PINNED[(case, k)]
+
+    @pytest.mark.parametrize("name", ["ou-2d", "anisotropic-2d"])
+    def test_radial_action_matches_the_einsum_form_bit_for_bit(self, name):
+        # the scan's points at r_max = 16, and the three-operand einsum of <A x, x>
+        m = {m.name: m for m in builtin_models()}[name]
+        radii = np.linspace(16.0 / 800, 16.0, 800)
+        th = (np.arange(32) + 0.5) / 32 * 2.0 * math.pi
+        pts = (radii[:, None, None] * np.stack([np.cos(th), np.sin(th)], axis=1)).reshape(-1, 2)
+        a, bx = m.A.values(pts), np.einsum("ni,ni->n", m.b.values(pts), pts)
+        r2 = np.sum(pts * pts, axis=1)
+        for k in (1.0, 2.0):
+            tk = 2.0 * k
+            ref = (tk * r2 ** (k - 1.0) * (np.einsum("nii->n", a) + bx)
+                   + tk * (tk - 2.0) * r2 ** (k - 2.0) * np.einsum("ni,nij,nj->n", pts, a, pts))
+            assert np.array_equal(radial_power_generator_values(m.A, m.b, pts, k), ref)
+
 
 class TestPoissonProblem:
     def test_centering_removes_the_mean(self, ou_problem_parts):
@@ -283,10 +322,10 @@ class TestGridSolver:
     def test_adjoint_null_vector(self, name):
         m = {m.name: m for m in builtin_models()}[name]
         spec = GridSpec(m.dim, 8.0, 256 if m.dim == 1 else 32)
-        L, lu = _pinned_generator(m.A, m.b, spec)
-        MT, w = L.T, discrete_adjoint_null(lu)
+        M, lu = _pinned_generator(m.A, m.b, spec)
+        w = discrete_adjoint_null(lu)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(MT @ w).max() <= 1e-10 * (abs(MT) @ np.abs(w)).max()
+        assert np.abs(M @ w).max() <= 1e-10 * (abs(M) @ np.abs(w)).max()
 
     @pytest.mark.parametrize("name", ["ou-2d", "anisotropic-2d"])
     def test_grid_density_is_compatible_with_the_generator(self, name):
@@ -409,8 +448,8 @@ class TestSharedFactor:
         mmd = PinnedFactor(spla.splu(P, permc_spec="MMD_AT_PLUS_A"), pin)
         assert rho.info["ordering"] == sol.info["ordering"] == "nested-dissection"
         assert rho.info["factor_nnz"] == sol.info["factor_nnz"] < mmd.nnz
-        ref_rho = _null_density(spec, L, mmd, check_truncation=True)
-        ref = _solve_factored(PoissonProblem(m.A, m.b, psi, 1.0, ref_rho), L, mmd)
+        ref_rho = _null_density(spec, L.T, mmd, check_truncation=True)
+        ref = _solve_factored(PoissonProblem(m.A, m.b, psi, 1.0, ref_rho), L.T, mmd)
         assert np.abs(rho.values - ref_rho.values).max() <= 1e-12 * ref_rho.values.max()
         assert np.abs(sol.u - ref.u).max() <= 1e-12 * np.abs(ref.u).max()
 
