@@ -216,8 +216,7 @@ def run_dini(ctx: RunContext, cfg: dict) -> dict:
                       title=f"mean oscillation of {field.name}",
                       xlabel="r", ylabel="omega", logx=True, logy=True)
     ctx.summary.update(verdict)
-    return {"omega_nonnegative": bool((mod.omega >= 0).all()),
-            "verdict_reached": est.finite is not None}
+    return {"omega_nonnegative": bool((mod.omega >= 0).all())}
 
 
 def run_solve(ctx: RunContext, cfg: dict) -> dict:

@@ -9,7 +9,7 @@ confinement parameters alongside the component fields.
 The example library (`make_example_field`) builds the coefficient families
 used throughout the test-suite and CLI: constants, a log-modulus field with a
 controlled oscillation decay, a truncated lacunary cosine field with Holder
-regularity, and the two standard confining drifts.
+regularity (`WeierstrassField`), and the two standard confining drifts.
 """
 
 from __future__ import annotations
@@ -75,9 +75,10 @@ class ScalarField:
     """A scalar-valued coefficient field on R^d.
 
     Subclasses implement `_values(x)` for x of shape (m, d). Callers use
-    `values`, which takes exactly that shape. Evaluations are checked for
-    finiteness; a NaN or infinity raises EvaluationError carrying the first
-    offending point.
+    `values`, which takes exactly that shape, or `values_on_sums(x, y)`,
+    f(x_i + y_j) on the sum lattice of two point sets. Evaluations are
+    checked for finiteness; a NaN or infinity raises EvaluationError carrying
+    the first offending point.
     """
 
     def __init__(self, dim: int, tag: SmoothnessTag = SMOOTH, name: str = "field"):
@@ -90,18 +91,37 @@ class ScalarField:
     def _values(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def values(self, x: np.ndarray) -> np.ndarray:
+    def _points(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ValueError(f"expected shape (m, {self.dim}), got {x.shape}")
+        return x
+
+    def _require_finite(self, out: np.ndarray, point_at) -> np.ndarray:
+        """Return out, or raise EvaluationError at point_at(i) for its first non-finite entry."""
+        bad = ~np.isfinite(out)
+        if bad.any():
+            p = point_at(np.unravel_index(int(np.argmax(bad)), out.shape))
+            raise EvaluationError(f"field {self.name!r} non-finite at {p}", point=p)
+        return out
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        x = self._points(x)
         out = np.asarray(self._values(x), dtype=float)
         if out.shape != (x.shape[0],):
             out = np.broadcast_to(out, (x.shape[0],)).copy()
-        bad = ~np.isfinite(out)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise EvaluationError(f"field {self.name!r} non-finite at {x[i]}", point=x[i])
-        return out
+        return self._require_finite(out, lambda i: x[i])
+
+    def values_on_sums(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """f(x_i + y_j) as a (len x, len y) array, for x of shape (m, d) and y of shape (q, d).
+
+        The default is `values` on the flattened sums, x_i + y_j in row-major
+        order. A subclass whose formula separates over a sum, such as
+        cos(s + t), overrides this to work on m + q points instead of m * q;
+        it keeps the finiteness check, naming the point x_i + y_j.
+        """
+        x, y = self._points(x), self._points(y)
+        return self.values((x[:, None, :] + y[None, :, :]).reshape(-1, self.dim)).reshape(len(x), len(y))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r} d={self.dim} tag={self.tag.kind}>"
@@ -471,14 +491,11 @@ class MollifiedField(ScalarField):
         self.eps = float(eps)
 
     def _values(self, x):
-        q = self.spec.points.shape[0]
+        shifts = -self.eps * self.spec.points
         out = np.empty(x.shape[0])
-        step = max(1, _EVAL_CHUNK // q)
+        step = max(1, _EVAL_CHUNK // len(shifts))
         for lo in range(0, x.shape[0], step):
-            hi = min(lo + step, x.shape[0])
-            shifted = x[lo:hi, None, :] - self.eps * self.spec.points[None, :, :]
-            vals = self.base.values(shifted.reshape(-1, self.dim)).reshape(hi - lo, q)
-            out[lo:hi] = vals @ self.spec.weights
+            out[lo:lo + step] = self.base.values_on_sums(x[lo:lo + step], shifts) @ self.spec.weights
         return out
 
 
@@ -509,23 +526,58 @@ def _log_modulus_field(gamma: float, dim: int) -> ScalarField:
     return ClosureField(fn, dim, dini_log(gamma), f"log-modulus(gamma={gamma:g})")
 
 
-def _weierstrass_field(alpha: float, lam: float, dim: int, terms: int = 24) -> ScalarField:
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"Holder exponent alpha must lie in (0, 1), got {alpha}")
-    if not (0.0 < lam <= 1.0):
-        raise ValueError(f"lam must lie in (0, 1], got {lam}")
-    amps = 2.0 ** (-alpha * np.arange(terms))
-    freqs = 2.0 ** np.arange(terms)
-    total = amps.sum()
-    mid = 0.5 * (lam + 1.0 / lam)
-    half = 0.5 * (1.0 / lam - lam)
+class WeierstrassField(ScalarField):
+    """Truncated lacunary cosine series with Holder exponent alpha.
 
-    def fn(x):
-        t = x[:, 0] if dim == 1 else x[:, 0] + x[:, 1]
-        w = np.cos(np.outer(t, freqs)) @ amps
-        return mid + half * (w / total)
+    f(x) = mid + half * sum_k a_k cos(2^k t) / sum_k a_k with a_k = 2^(-k alpha),
+    k < terms, and t = x1 (d = 1) or x1 + x2 (d = 2); mid and half place the
+    values inside [lam, 1/lam]. On a sum lattice, cos(2^k (s + t)) =
+    cos 2^k s cos 2^k t - sin 2^k s sin 2^k t, so `values_on_sums` takes
+    (m + q) * terms sines and cosines and two matrix products in place of
+    m * q * terms cosines of arguments up to 2^terms. It differs from
+    `values` on the sums by the rounding of x + y amplified at the top
+    frequency, about sum_k |c_k| 2^k ulp(|x| + |y|) for the coefficients
+    c_k = half a_k / sum a.
+    """
 
-    return ClosureField(fn, dim, holder(alpha), f"weierstrass-holder(alpha={alpha:g})")
+    def __init__(self, alpha: float, lam: float, dim: int, terms: int = 24):
+        if not (0.0 < alpha < 1.0):
+            raise ValueError(f"Holder exponent alpha must lie in (0, 1), got {alpha}")
+        if not (0.0 < lam <= 1.0):
+            raise ValueError(f"lam must lie in (0, 1], got {lam}")
+        if isinstance(terms, bool) or not isinstance(terms, (int, np.integer)) or terms < 1:
+            raise ValueError(f"terms must be an integer >= 1, got {terms!r}")
+        super().__init__(dim, holder(alpha), f"weierstrass-holder(alpha={alpha:g})")
+        self.amps = 2.0 ** (-alpha * np.arange(terms))
+        self.freqs = 2.0 ** np.arange(terms)
+        self.total = self.amps.sum()
+        self.mid = 0.5 * (lam + 1.0 / lam)
+        self.half = 0.5 * (1.0 / lam - lam)
+
+    def _phase(self, x):
+        return x[:, 0] if self.dim == 1 else x[:, 0] + x[:, 1]
+
+    def _values(self, x):
+        w = np.cos(np.outer(self._phase(x), self.freqs)) @ self.amps
+        return self.mid + self.half * (w / self.total)
+
+    def values_on_sums(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        x, y = self._points(x), self._points(y)
+        s = np.outer(self._phase(x), self.freqs)
+        t = np.outer(self._phase(y), self.freqs)
+        w = (np.cos(s) * self.amps) @ np.cos(t).T - (np.sin(s) * self.amps) @ np.sin(t).T
+        out = self.mid + self.half * (w / self.total)
+        return self._require_finite(out, lambda ij: x[ij[0]] + y[ij[1]])
+
+
+# parameter names each example takes besides the dimension d
+_EXAMPLE_PARAMS = {
+    "constant": ("value",),
+    "log-modulus": ("gamma",),
+    "weierstrass-holder": ("alpha", "lam", "terms"),
+    "ou-drift": ("theta", "mu"),
+    "polynomial-confining-drift": ("beta", "scale"),
+}
 
 
 def make_example_field(name: str, **params):
@@ -534,20 +586,24 @@ def make_example_field(name: str, **params):
     Names: "constant" (value, d), "log-modulus" (gamma, d),
     "weierstrass-holder" (alpha, lam, d, terms), "ou-drift" (theta, mu, d),
     "polynomial-confining-drift" (beta, scale, d). Scalar names return a
-    ScalarField; drift names return a DriftField.
+    ScalarField; drift names return a DriftField. An unknown name or a
+    parameter the name does not take is a ValueError listing the known ones.
     """
-    dim = int(params.pop("d", 1))
+    if name not in _EXAMPLE_PARAMS:
+        raise ValueError(f"unknown example field {name!r}; known: {', '.join(_EXAMPLE_PARAMS)}")
+    known = ("d", *_EXAMPLE_PARAMS[name])
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ValueError(f"unknown parameter(s) {', '.join(map(repr, unknown))} for example "
+                         f"field {name!r}; known: {', '.join(known)}")
+    dim = int(params.get("d", 1))
     if name == "constant":
-        return ConstantField(float(params.pop("value", 1.0)), dim)
+        return ConstantField(float(params.get("value", 1.0)), dim)
     if name == "log-modulus":
-        return _log_modulus_field(float(params.pop("gamma", 0.5)), dim)
+        return _log_modulus_field(float(params.get("gamma", 0.5)), dim)
     if name == "weierstrass-holder":
-        return _weierstrass_field(float(params.pop("alpha", 0.5)), float(params.pop("lam", 0.5)),
-                                  dim, int(params.pop("terms", 24)))
+        return WeierstrassField(float(params.get("alpha", 0.5)), float(params.get("lam", 0.5)),
+                                dim, params.get("terms", 24))
     if name == "ou-drift":
-        return linear_drift(dim, float(params.pop("theta", 1.0)), params.pop("mu", None))
-    if name == "polynomial-confining-drift":
-        return polynomial_drift(dim, float(params.pop("beta", 3.0)), float(params.pop("scale", 1.0)))
-    raise ValueError(
-        f"unknown example field {name!r}; known: constant, log-modulus, weierstrass-holder, "
-        "ou-drift, polynomial-confining-drift")
+        return linear_drift(dim, float(params.get("theta", 1.0)), params.get("mu"))
+    return polynomial_drift(dim, float(params.get("beta", 3.0)), float(params.get("scale", 1.0)))

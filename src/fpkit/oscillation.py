@@ -109,9 +109,11 @@ def dini_mean_oscillation(f: ScalarField, radii, sampling: SamplingSpec | None =
 
     For each radius, the ball average of |f - f_B| is computed by midpoint
     quadrature around each sampled center; the modulus is the max over
-    centers. The standard error is estimated from the spread of block maxima
-    (4 blocks of centers), which is also the slack used by the mollification
-    preservation checks.
+    centers. The samples are f.values_on_sums(centers, offsets), one row per
+    center, so a field that separates over sums (WeierstrassField) evaluates
+    centers and offsets apart rather than every pair. The standard error is
+    estimated from the spread of block maxima (4 blocks of centers), which is
+    also the slack used by the mollification preservation checks.
     """
     sampling = sampling or SamplingSpec()
     radii = np.asarray(radii, dtype=float)
@@ -124,8 +126,7 @@ def dini_mean_oscillation(f: ScalarField, radii, sampling: SamplingSpec | None =
     n_blocks = 4 if K >= 8 else (2 if K >= 2 else 1)
     for jr, r in enumerate(radii):
         offsets, w = ball_average_rule(np.zeros(f.dim), float(r), sampling.n_radial, sampling.n_angular)
-        pts = (centers[:, None, :] + offsets[None, :, :]).reshape(-1, f.dim)
-        vals = f.values(pts).reshape(K, -1)
+        vals = f.values_on_sums(centers, offsets)
         avg = vals @ w
         osc = np.abs(vals - avg[:, None]) @ w
         omega[jr] = float(osc.max())

@@ -74,24 +74,27 @@ def cumulative_integral(values: np.ndarray, dx: float) -> np.ndarray:
     with result[0] = 0. Interval [x_i, x_i+1] gets the quadratic through
     three neighbouring samples, dx / 3 * (5 f_i / 4 + 2 f_i+1 - f_i+2 / 4)
     read forwards from x_i or the same formula read backwards from x_i+1:
-    forwards on even i, backwards on odd i and on the last interval. This is
-    the equal-spacing branch of scipy.integrate.cumulative_simpson(values,
-    dx=dx, initial=0.0), with the same operations in the same order, so the
-    two agree bit for bit (tests/test_quadrature.py keeps scipy as the
-    reference).
+    forwards on even i, backwards on odd i and on the last interval. Each
+    interval's quadratic is formed once, from terms shared by its
+    neighbours: 5 e / 4 and e / 4 of the even samples e and 2 o of the odd
+    samples o (an even-length last interval reads the opposite parity and is
+    formed alone). This is the equal-spacing branch of
+    scipy.integrate.cumulative_simpson(values, dx=dx, initial=0.0), with the
+    same operations on each element in the same order, so the two agree bit
+    for bit (tests/test_quadrature.py keeps scipy as the reference).
     """
     values = np.asarray(values, dtype=float)
-
-    def first_intervals(f: np.ndarray) -> np.ndarray:
-        return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
-
-    forward = first_intervals(values)
-    backward = first_intervals(values[::-1])[::-1]
-    pieces = np.empty(len(values) - 1)
-    pieces[:-1:2] = forward[::2]
-    pieces[1::2] = backward[::2]
-    pieces[-1] = backward[-1]
-    out = np.empty(len(values))
+    n = len(values)
+    even, odd = values[0::2], values[1::2]
+    five_e, quarter_e, two_o = 5 * even / 4, even / 4, 2 * odd
+    j = (n - 1) // 2  # even intervals read forwards and odd ones backwards, j of each
+    pieces = np.empty(n - 1)
+    pieces[0:2 * j:2] = five_e[:j] + two_o[:j] - quarter_e[1:j + 1]
+    pieces[1:2 * j:2] = five_e[1:j + 1] + two_o[:j] - quarter_e[:j]
+    if n % 2 == 0:
+        pieces[-1] = 5 * values[-1] / 4 + 2 * values[-2] - values[-3] / 4
+    pieces *= dx / 3
+    out = np.empty(n)
     out[0] = 0.0
     np.cumsum(pieces, out=out[1:])
     out[1:] += 0.0  # as scipy adds `initial`, which turns a sum of -0.0 into 0.0

@@ -169,7 +169,58 @@ class TestSmokeRuns:
         assert verdict["finite"] is True
 
 
+# fpkit dini on the README config (dim 1) and on the same config with "dim": 2:
+# omega at 12 significant digits, as omega.csv writes it, and the verdict's
+# value, tail_exponent and sampled_part as float hex
+DINI_PINS = {
+    1: (["0.00838803647597", "0.00981053160127", "0.0143378776215", "0.0147441384324",
+         "0.0259709644257", "0.0315562389768", "0.0458225672778", "0.0596250208853",
+         "0.0717210914555", "0.0893774937921", "0.11019096323", "0.151121781494"],
+        {"value": "0x1.5395e8eb2316ep-2", "tail_exponent": "0x1.6b1f96aab730cp+1",
+         "sampled_part": "0x1.3463152ee0f01p-2"}),
+    2: (["0.00865570694274", "0.0110561044392", "0.0131471303478", "0.0179447557404",
+         "0.021580949414", "0.0368314331244", "0.0457238608967", "0.0555948069909",
+         "0.060817715602", "0.0983378293223", "0.119848434356", "0.14545477665"],
+        {"value": "0x1.4c0d063fce3edp-2", "tail_exponent": "0x1.b2904d800c595p-2",
+         "sampled_part": "0x1.3730c85f9a942p-2"}),
+}
+
+
+class TestDiniOutputs:
+    @pytest.mark.parametrize("dim", sorted(DINI_PINS))
+    def test_readme_dini_outputs_are_pinned(self, tmp_path, dim):
+        omega, verdict_hex = DINI_PINS[dim]
+        field = {"name": "weierstrass-holder", **({"dim": dim} if dim == 2 else {})}
+        code, _, out_dir = run_cli(tmp_path, "dini", dict(CLI_1D_RUNS[0][1], field=field))
+        assert code == 0
+        rows = (out_dir / "omega.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in rows[1:]] == omega
+        verdict = json.loads((out_dir / "dini_verdict.json").read_text())
+        assert verdict["finite"] is True
+        for key, pinned in verdict_hex.items():
+            assert verdict[key] == pytest.approx(float.fromhex(pinned), rel=1e-12, abs=0.0)
+
+    def test_report_checks_only_the_modulus_sign(self, tmp_path):
+        _, report, _ = run_cli(tmp_path, "dini", SMALL_CONFIGS["dini"])
+        assert report["checks"] == {"omega_nonnegative": True}
+
+
 class TestValidationExits:
+    @pytest.mark.parametrize("params, message", [
+        ({"alpah": 0.3}, "unknown parameter(s) 'alpah' for example field 'weierstrass-holder'; "
+                         "known: d, alpha, lam, terms"),
+        ({"terms": 0}, "terms must be an integer >= 1, got 0"),
+        ({"terms": 2.7}, "terms must be an integer >= 1, got 2.7"),
+    ], ids=["unknown-key", "terms-0", "terms-2.7"])
+    def test_bad_example_field_parameter_exits_two(self, tmp_path, capsys, params, message):
+        # regression: an unknown key ran with the default, terms 0 exited 3 on a 0/0
+        # field and terms 2.7 ran with 2 terms
+        cfg = {"field": {"name": "weierstrass-holder", "params": params}}
+        code, report, _ = run_cli(tmp_path, "dini", cfg)
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err == f"invalid parameter: {message}\n"
+
     def test_unknown_key_exits_two_and_names_it(self, tmp_path, capsys):
         code, report, out_dir = run_cli(tmp_path, "solve", {"model": "ou-1d", "betaa2": 1})
         assert code == 2

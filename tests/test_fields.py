@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fpkit import (ClosureField, ConstantField, DiffusionMatrixField, DriftField,
                    ExpressionField, GrowthParams, MollifierSpec,
                    linear_drift, make_example_field, mollify, polynomial_drift)
-from fpkit.errors import EllipticityError
-from fpkit.fields import _ALLOWED_CONSTS, _ALLOWED_FUNCS
+from fpkit.errors import EllipticityError, EvaluationError
+from fpkit.fields import _ALLOWED_CONSTS, _ALLOWED_FUNCS, _EXAMPLE_PARAMS, WeierstrassField
 
 
 def _box_points(dim, radius=4.0, n=41):
@@ -83,6 +84,114 @@ class TestExampleCatalog:
     def test_unknown_name_lists_the_catalog(self):
         with pytest.raises(ValueError, match="log-modulus"):
             make_example_field("no-such-field")
+
+    @pytest.mark.parametrize("name", sorted(_EXAMPLE_PARAMS))
+    def test_unknown_parameter_is_named_with_the_known_ones(self, name):
+        # regression: unknown keys were ignored, so a misspelt alpha ran with the default
+        known = ", ".join(("d", *_EXAMPLE_PARAMS[name]))
+        with pytest.raises(ValueError, match=f"'alpah', 'zeta' for example field '{name}'; "
+                                             f"known: {known}$"):
+            make_example_field(name, zeta=1.0, alpah=0.3)
+
+    @pytest.mark.parametrize("terms", [0, -3, 2.7, 24.0, True, "24"])
+    def test_weierstrass_terms_must_be_a_positive_integer(self, terms):
+        # regression: 0 gave a 0/0 field and 2.7 was truncated to 2
+        with pytest.raises(ValueError, match="terms must be an integer >= 1"):
+            make_example_field("weierstrass-holder", terms=terms)
+
+    def test_weierstrass_takes_a_single_term(self):
+        f = make_example_field("weierstrass-holder", terms=1, lam=0.5)
+        x = _box_points(1, 2.0, 9)
+        assert np.array_equal(f.values(x), 1.25 + 0.75 * np.cos(x[:, 0]))
+
+
+# ---------------------------------------------------------------------------
+# values on a sum lattice
+# ---------------------------------------------------------------------------
+
+_MOLLIFIERS = {d: MollifierSpec.standard_bump(d) for d in (1, 2)}
+
+
+def _lattice(dim, finite=True):
+    coords = st.floats(-4.0, 4.0) if finite else st.sampled_from([0.5, -1.25, np.inf, -np.inf, np.nan])
+    return st.integers(1, 6).flatmap(
+        lambda n: arrays(np.float64, (n, dim), elements=coords))
+
+
+def _sums(x, y):
+    return (x[:, None, :] + y[None, :, :]).reshape(-1, x.shape[1])
+
+
+def _default_path_field(kind, dim):
+    if kind == "constant":
+        return ConstantField(-2.5, dim)
+    if kind == "log-modulus":
+        return make_example_field("log-modulus", gamma=0.3, d=dim)
+    if kind == "expression":
+        return ExpressionField("sin(3*x1) + r" if dim == 1 else "x1*x2 + exp(-r)", dim)
+    return mollify(make_example_field("log-modulus", gamma=0.5, d=dim), _MOLLIFIERS[dim], 0.2)
+
+
+class TestValuesOnSums:
+    @pytest.mark.parametrize("kind", ["constant", "log-modulus", "expression", "mollified"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_default_is_values_on_the_flattened_sums(self, kind, dim, data):
+        f = _default_path_field(kind, dim)
+        x, y = data.draw(_lattice(dim)), data.draw(_lattice(dim))
+        out = f.values_on_sums(x, y)
+        assert out.shape == (len(x), len(y))
+        assert out.tobytes() == f.values(_sums(x, y)).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_mollified_field_is_the_weighted_sum_of_shifted_samples(self, dim, data):
+        # the kernel rule at x - eps z, written out, bit for bit
+        spec, eps = _MOLLIFIERS[dim], 0.2
+        base = make_example_field("log-modulus", gamma=0.5, d=dim)
+        x = data.draw(_lattice(dim))
+        shifted = (x[:, None, :] - eps * spec.points[None, :, :]).reshape(-1, dim)
+        expect = base.values(shifted).reshape(len(x), -1) @ spec.weights
+        assert mollify(base, spec, eps).values(x).tobytes() == expect.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), alpha=st.floats(0.05, 0.95), lam=st.floats(0.05, 1.0),
+           terms=st.integers(1, 30), dim=st.sampled_from([1, 2]))
+    def test_weierstrass_angle_addition_is_within_the_rounding_of_the_sums(
+            self, data, alpha, lam, terms, dim):
+        f = make_example_field("weierstrass-holder", alpha=alpha, lam=lam, terms=terms, d=dim)
+        assert isinstance(f, WeierstrassField)
+        x, y = data.draw(_lattice(dim)), data.draw(_lattice(dim))
+        gap = np.abs(f.values_on_sums(x, y) - f.values(_sums(x, y)).reshape(len(x), len(y)))
+        # x + y rounds to within a few ulp of |x| + |y| (three roundings in d = 2), which
+        # cos(2^k .) amplifies by 2^k; the sines, cosines and sums add a few eps per term
+        c = f.half * f.amps / f.total
+        scale = np.abs(x).sum(axis=1)[:, None] + np.abs(y).sum(axis=1)[None, :]
+        bound = (4.0 * np.spacing(scale) * float(c @ f.freqs)
+                 + 16 * terms * np.finfo(float).eps * (f.mid + f.half))
+        assert (gap <= bound).all()
+
+    @pytest.mark.parametrize("field", [
+        make_example_field("weierstrass-holder", d=1), make_example_field("weierstrass-holder", d=2),
+        ExpressionField("x1", 1), ExpressionField("x1 + x2", 2)],
+        ids=["weierstrass-1d", "weierstrass-2d", "default-1d", "default-2d"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_non_finite_value_names_its_point(self, field, data):
+        # both fields are non-finite exactly where a coordinate of x_i + y_j is
+        x = data.draw(_lattice(field.dim, finite=False))
+        y = data.draw(_lattice(field.dim, finite=False))
+        with np.errstate(invalid="ignore"):
+            sums = _sums(x, y)
+            bad = ~np.isfinite(sums).all(axis=1)
+            if not bad.any():
+                assert np.isfinite(field.values_on_sums(x, y)).all()
+                return
+            with pytest.raises(EvaluationError, match="non-finite at") as exc:
+                field.values_on_sums(x, y)
+        assert np.array_equal(exc.value.point, sums[np.argmax(bad)], equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
