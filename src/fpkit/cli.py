@@ -23,8 +23,10 @@ numerics, and writes into the output directory:
   ends the run as a SchemePositivityError (exit 3). The 2d solve and
   poisson summaries carry the solver telemetry of the main grid: residual,
   clipped mass, pinned cell, the factor's ordering and its L + U nonzeros,
-  and for poisson the Lyapunov witness (m0, r0) (the 1d closed form has a
-  null residual). The meanfield summary's telemetry lists, per start, the
+  the largest cell Peclet number and the count of non-dominant cells (the
+  only cells where L_h can put a negative weight off the diagonal), and for
+  poisson the Lyapunov witness (m0, r0) (the 1d closed form has a null
+  residual). The meanfield summary's telemetry lists, per start, the
   SuperLU factorizations of its Picard steps, and for each step its
   refinement steps, whether it factored and its weighted gap to the step
   before (meanfield.FixedPointTrace), the contraction that trace.csv plots.
@@ -179,7 +181,8 @@ class RunContext:
         self.note_clipping(rho.info.get("clipped_mass", 0.0), rho.spec, **where)
 
 
-TELEMETRY_KEYS = ("residual", "clipped_mass", "pinned_cell", "ordering", "factor_nnz")
+TELEMETRY_KEYS = ("residual", "clipped_mass", "pinned_cell", "ordering", "factor_nnz",
+                  "max_cell_peclet", "non_dominant_cells", "exponential_fitting")
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,8 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "field": Key((dict,), required=True),
         "radii": Key((dict,), default=None),
         "t0": Key(_NUM, default=0.5, check=_positive, expect="> 0"),
-        "box_radius": Key(_NUM, default=1.0, check=_positive, expect="> 0"),
+        "box_radius": Key(_NUM, default=1.0, check=lambda v: _positive(v) and v <= 1e6,
+                          expect="in (0, 1e6]"),
         "n_centers": Key((int,), default=24, check=lambda v: v >= 4, expect=">= 4"),
         "seed": Key((int,), default=0, check=lambda v: v >= 0, expect=">= 0"),
     },
@@ -278,8 +279,20 @@ def field_from_config(cfg: dict, dim: int | None = None, path: str = "field") ->
         params.setdefault("d", d)
         return make_example_field(cfg["name"], **params)
     if cfg.get("expression") is not None:
-        return ExpressionField(cfg["expression"], d)
+        return _expression_field(cfg["expression"], d, _join(path, "expression"))
     return ConstantField(float(cfg["constant"]), d)
+
+
+def _expression_field(expr: str, dim: int, path: str) -> ExpressionField:
+    """ExpressionField(expr, dim), or a ValidationError at path when expr does not
+    parse or leaves the expression grammar."""
+    try:
+        return ExpressionField(expr, dim)
+    except SyntaxError as exc:
+        raise ValidationError(f"expression {expr!r} does not parse: {exc.msg}",
+                              path=path) from None
+    except ValueError as exc:
+        raise ValidationError(str(exc), path=path) from None
 
 
 def coefficients_from_config(cfg: dict) -> tuple[DiffusionMatrixField | ScalarField,
@@ -299,7 +312,8 @@ def coefficients_from_config(cfg: dict) -> tuple[DiffusionMatrixField | ScalarFi
     if len(exprs) != d:
         raise ValidationError(f"drift needs {d} expressions, got {len(exprs)}",
                               path="coefficients.drift.expressions")
-    comps = [ExpressionField(e, d) for e in exprs]
+    comps = [_expression_field(e, d, f"coefficients.drift.expressions.{i}")
+             for i, e in enumerate(exprs)]
     growth = GrowthParams(beta=float(drc["beta"]), beta1=float(drc["beta1"]),
                           beta2=float(drc["beta2"]), beta3=float(drc["beta3"]))
     return A, DriftField(comps, growth), d

@@ -11,11 +11,47 @@ formal adjoint equation sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0):
   Poisson solver (poisson.solve_poisson_1d) integrates on the same mesh.
 
 * solve_grid: the transpose of the discrete generator, in d = 1, 2.
-  generator_matrix builds L_h = sum_i diag(a^ii) D2_i + diag(b^i) D1_i
-  + diag(2 a^01) D1_0 D1_1 from the centered first and second differences
-  D1, D2 as one table of neighbour weights: each cell holds one weight per
-  offset of the stencil (3 in 1d, 5 in 2d, 9 with a cross term), and each
-  term adds its coefficient times its tap weight into the slots it touches.
+  generator_matrix builds L_h, a monotone fit of the generator: axis i
+  contributes diag(sigma_i) D2_i + diag(beta_i) D1_i, with D1, D2 the
+  centered first and second differences and beta the drift the axes carry.
+  In a dominant cell, |a^01| <= min(a^00, a^11), the cross term
+  2 a^01 d_0 d_1 is |a^01| times the second difference along the diagonal
+  (1, sign a^01), and each axis coefficient is lowered to a^ii - |a^01|
+  (Motzkin and Wasow, J. Math. Phys. 31, 1953); every SPD A with condition
+  number below 3 + 2 sqrt 2 is dominant at every angle. A non-dominant cell
+  keeps the centered diag(2 a^01) D1_0 D1_1 and a^ii. The lowered a^ii -
+  |a^01| can be near 0, so a dominant cell may move part of its drift onto
+  its diagonal, as a centered difference there that keeps the diagonal's
+  weights nonnegative; it moves the least that lets the axes go without
+  upwinding, or where none does, the share that upwinds them least
+  (_diagonal_share). Elsewhere beta = b. The axis coefficient is then
+  sigma_i = max(that, h |beta_i| / 2), the least one whose drift weights
+  are nonnegative (minimal upwinding): an axis whose cell Peclet number is
+  above 1 is beta_i times the one-sided difference downstream, its
+  upstream weight 0. So every off-diagonal weight of a dominant cell is
+  nonnegative, and L_h is the generator of a Markov chain on the cells.
+  Where the cell Peclet number h |b^i| / (2 a^ii) is at most 1 and
+  a^01 = 0, sigma_i is a^ii and the scheme is the centered, second-order
+  one; an upwinded cell is first order. Those zero upstream weights let
+  the factor fill less, but where the drift pushes apart (two wells, or out
+  to the walls) they can leave cells with no path to the pinned cell: the
+  chain then has several closed classes, and the pinned L_h^T is singular
+  or gives all the mass to the pin's class. _reaches_pin checks every
+  table; where it fails, every axis is exponentially fitted instead
+  (Allen and Southwell, Quart. J. Mech. Appl. Math. 8, 1955; Il'in, Math.
+  Notes 6, 1969; Scharfetter and Gummel, IEEE Trans. Electron Devices 16,
+  1969): sigma_i = (h |beta_i| / 2) coth(h |beta_i| / (2 (that))), whose
+  upstream weight is positive (until e^-(2 Pe) underflows), so that every
+  cell reaches every other. On the bistable b = (4 (x1 - x1^3), -x2),
+  a = 0.05, R = 8, n = 64 that gives each well half the mass; minimal
+  upwinding gives one well all of it. (Upwinding the axes alone, without
+  the diagonal's share, would add about h |b^i| / 2 of diffusion where
+  a^ii - |a^01| is small: at R = 8, n = 64, for A = diag(1.375, 0.25)
+  turned by 2 rad and b = -x, the L1 distance to the exact Gaussian would
+  be 0.069 instead of 0.012.) L_h is written as one
+  table of neighbour weights: each cell holds one weight per offset of the
+  stencil (3 in 1d, 5 in 2d, 9 with a cross term), and each term adds its
+  coefficient times its tap weight into the slots it touches.
   A tap past a wall folds onto the offset clamped axis by axis (a
   reflecting ghost). The nonzero slots of each cell, in the order of their
   offsets, are its CSR row. Coefficients are sampled once per grid at the
@@ -43,12 +79,13 @@ formal adjoint equation sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0):
   (PANEL_SIZE = 2, RELAX = 2), chosen by a timing sweep on both grid
   stencils; they change how the factor is blocked, not its fill. The
   ordering depends on the stencil. A 5-point (or 1d) L_h^T is ordered by
-  SuperLU's MMD_AT_PLUS_A. A 9-point L_h^T (a cross term a^01) is written
-  in the grid's nested-dissection order (GridSpec.dissection_order) and
-  factored in that order: at n = 256 that cuts anisotropic-2d's L + U fill
-  from 5.71M to 5.28M nonzeros and its factor time by 35-45 %, while on
-  the 5-point stencil the same order would add about 40 % fill. The
-  factor's solves take and return grid order either way.
+  SuperLU's MMD_AT_PLUS_A. An L_h^T with a cross term a^01 (9 slots; 7 in
+  use where every cell is dominant) is written in the grid's
+  nested-dissection order (GridSpec.dissection_order) and factored in that
+  order: at n = 256 that cuts anisotropic-2d's L + U fill from 5.71M to
+  5.03M nonzeros (_factor), while on the 5-point stencil the same order
+  would add about 40 % fill. The factor's solves take and return grid
+  order either way.
 
   A run of nearby solves can share one factor: solve_grid(...,
   nearby=NearbyFactor()) refines against the factor the slot holds, by the
@@ -76,16 +113,21 @@ formal adjoint equation sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0):
 
 scipy.sparse and scipy.sparse.linalg are imported where they are used: in
 _density_operator, _magnitude and _pinned_factor, which build the sparse
-matrices, and in _factor, which calls SuperLU. Importing fpkit and
+matrices, in _factor, which calls SuperLU, and (with scipy.sparse.csgraph)
+in the search of _reaches_pin. Importing fpkit and
 running the 1d closed form therefore load no scipy module; the first 2d
 solve loads them. _factor calls spla.splu through the module, so a
 replacement of scipy.sparse.linalg.splu sees every factor.
 
-The scheme is second order but not monotone; tiny negative cells can appear
-and are clipped, the removed mass recorded in info["clipped_mass"]. Whether
-a clip is fatal is the caller's decision (the CLI warns, or under --strict
-fails). A coefficient sample that is not finite is an EvaluationError naming
-the first such point, raised before the ellipticity check and the factor.
+The scheme is second order where no cell is upwinded, and monotone where
+every cell is dominant. Only a non-dominant cell has negative off-diagonal
+weights, so only a diffusion with one can give a density with negative
+cells; they are clipped, the removed mass recorded in info["clipped_mass"].
+info also records "max_cell_peclet", the largest h |b^i| / (2 a^ii),
+"non_dominant_cells" and "exponential_fitting". Whether a clip is fatal is
+the caller's decision (the CLI warns, or under --strict fails). A coefficient sample that is not
+finite is an EvaluationError naming the first such point, raised before the
+ellipticity check and the factor.
 """
 
 from __future__ import annotations
@@ -118,6 +160,7 @@ SUBDIV = 8  # fine-mesh cells per grid cell of the 1d closed forms
 REFINE_RESIDUAL = 1e-14  # stops and step cap of refinement (see _refined_null)
 REFINE_CORRECTION = 1e-12
 REFINE_MAX_STEPS = 10
+REACH_TOL = 1e-10  # least rate of a minimally upwinded step, per coefficient size (_reaches_pin)
 
 
 def _scalar_diffusion(a) -> ScalarField:
@@ -222,11 +265,12 @@ def solve_exact_1d(a, b: DriftField, spec: GridSpec, check_truncation: bool = Tr
 
 
 def generator_matrix(A: DiffusionMatrixField, b: DriftField, spec: GridSpec) -> sp.csr_matrix:
-    """Centered-difference discretization L_h of the generator with reflecting walls.
+    """The fitted finite-difference discretization L_h of the generator with reflecting walls.
 
-    L_h = sum_i diag(a^ii) D2_i + diag(b^i) D1_i + diag(2 a^01) D1_0 D1_1, with
-    coefficients at the cell centers and D1, D2 the centered first and second
-    differences. Row r of L_h is kept as a table of neighbour weights, one
+    L_h = sum_i diag(sigma_i) D2_i + diag(b^i) D1_i plus the cross term,
+    with coefficients at the cell centers, D1, D2 the centered first and
+    second differences, and sigma_i and the cross term fitted as the module
+    docstring says. Row r of L_h is kept as a table of neighbour weights, one
     slot per offset of the stencil (_weight_table); a tap past a wall folds
     onto the offset clamped axis by axis, so the neighbour past a wall is the
     wall cell itself (a reflecting ghost) and the rows sum to zero. The cross
@@ -234,20 +278,41 @@ def generator_matrix(A: DiffusionMatrixField, b: DriftField, spec: GridSpec) -> 
     row r, in the order of their offsets, are the CSR row r (_compressed).
     """
     pts = spec.cell_centers()
-    return _density_operator(*_weight_table(A.values(pts), b.values(pts), spec), spec).T
+    T, offsets, _ = _weight_table(A.values(pts), b.values(pts), spec)
+    return _density_operator(T, offsets, spec).T
 
 
-def _weight_table(a: np.ndarray, b_c: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Neighbour weights of L_h from samples a: (N, d, d) and b_c: (N, d) at the cells.
+def _weight_table(a: np.ndarray, b_c: np.ndarray,
+                  spec: GridSpec) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Neighbour weights of the fitted L_h from samples a: (N, d, d) and b_c: (N, d) at the cells.
 
-    Returns the (N, S) table and the (S,) int32 column offsets of its slots.
-    The slots are the stencil's offsets o in {-1, 0, 1}^d in lexicographic
-    order, so the column offsets sum_i o_i n^(d-1-i) ascend: the 3 of 1d, the
-    5 of the 2d plus stencil, or all 9 when a^01 is nonzero at some cell.
-    Each term adds (weight along axis 0 * weight along axis 1) * coefficient
-    into the slots it touches, in the order a^00, b^0, a^11, b^1, cross. The
-    table is filled slot by slot, each slot a grid of cells, and returned
-    cell by cell.
+    Returns the (N, S) table, the (S,) int32 column offsets of its slots and
+    the scheme's telemetry: "max_cell_peclet", the largest h |b^i| / (2 a^ii)
+    over cells and axes, "non_dominant_cells", the count of cells where
+    |a^01| > min(a^00, a^11), and "exponential_fitting", whether the axes
+    are fitted (below). The slots are the stencil's offsets o in
+    {-1, 0, 1}^d in lexicographic order, so the column offsets
+    sum_i o_i n^(d-1-i) ascend: the 3 of 1d, the 5 of the 2d plus stencil, or
+    all 9 when a^01 is nonzero at some cell. Each term adds (weight along
+    axis 0 * weight along axis 1) * coefficient into the slots it touches:
+    per axis sigma_i D2_i and beta_i D1_i, then the cross term, with beta the
+    drift the axes carry. On an axis whose cell Peclet number
+    h |beta_i| / (2 sigma_i) is above 1, sigma_i D2_i is 0 and |beta_i|
+    (h / 2) D2_i follows beta_i D1_i: their sum is beta_i times the one-sided
+    difference downstream, its upstream weight exactly 0 (minimal
+    upwinding). Where the chain of that L_h misses the pinned cell from some
+    cell (_reaches_pin), every axis is instead e D2_i, beta_i D1_i and
+    |beta_i| (h / 2) D2_i, e = h |beta_i| / expm1(h |beta_i| / sigma_i)
+    (sigma_i where beta_i = 0): exponential fitting, its upstream weight
+    e / h^2 positive; if even that chain misses the pin, a
+    DegenerateDensityError. In a dominant cell the cross term is
+    m ((1 + f) S+ x S+ + (1 - f) S- x S- - 2) / h^2 when a^01 > 0, or
+    m ((1 + f) S+ x S- + (1 - f) S- x S+ - 2) / h^2 when a^01 < 0: m = |a^01|,
+    f the diagonal's share of the drift (_diagonal_share), and S+, S- the
+    folded shifts by +1 and -1. Taps past a wall fold as the other terms'
+    do, and only the two corners of the diagonal are touched. The table is
+    filled slot by slot, each slot a grid of cells, and returned cell by
+    cell.
     """
     n, h, d = spec.n, spec.h, spec.dim
 
@@ -261,23 +326,146 @@ def _weight_table(a: np.ndarray, b_c: np.ndarray, spec: GridSpec) -> tuple[np.nd
 
     D1 = folded(-0.5 / h, 0.0, 0.5 / h)
     D2 = folded(1.0 / h ** 2, -2.0 / h ** 2, 1.0 / h ** 2)
+    diag, abs_b = np.einsum("nii->ni", a), np.abs(b_c)
+    scheme = {"max_cell_peclet": float(((0.5 * h) * abs_b / diag).max()),
+              "non_dominant_cells": 0}
     cross = d == 2 and bool(np.any(a[:, 0, 1]))
-    stencil = [o for o in itertools.product((-1, 0, 1), repeat=d) if cross or o.count(0) >= d - 1]
-    T = np.zeros((len(stencil),) + spec.shape)  # slot by slot, each slot a grid
-    for i in range(d):
-        axis = [n if j == i else 1 for j in range(d)]  # a 1d weight along axis i
-        for F, coef in ((D2, a[:, i, i]), (D1, b_c[:, i])):
-            coef = coef.reshape(spec.shape)
-            for k in (-1, 0, 1):
-                slot = stencil.index(tuple(k if j == i else 0 for j in range(d)))
-                T[slot] += F[k + 1].reshape(axis) * coef
+    sigma, beta = diag, b_c
     if cross:
-        coef = (2.0 * a[:, 0, 1]).reshape(spec.shape)
-        for s, (k0, k1) in enumerate(stencil):
-            T[s] += (D1[k0 + 1][:, None] * D1[k1 + 1][None, :]) * coef
+        sign = np.sign(a[:, 0, 1])
+        m = np.abs(a[:, 0, 1])
+        dominant = m <= np.minimum(a[:, 0, 0], a[:, 1, 1])
+        scheme["non_dominant_cells"] = int(len(m) - np.count_nonzero(dominant))
+        m = np.where(dominant, m, 0.0)  # the coefficient of the diagonal's second difference
+        sigma = diag - m[:, None]
+        f = _diagonal_share(sigma, m, sign, b_c, h)
+        beta = b_c - ((2.0 / h) * f * m)[:, None] * np.column_stack([np.ones(len(m)), sign])
+    stencil = [o for o in itertools.product((-1, 0, 1), repeat=d) if cross or o.count(0) >= d - 1]
     offsets = np.array([sum(k * n ** (d - 1 - i) for i, k in enumerate(o)) for o in stencil],
                        dtype=np.int32)
-    return np.ascontiguousarray(T.reshape(len(stencil), -1).T), offsets
+    # |beta_i| times this plus beta_i D1 is beta_i times the one-sided difference
+    # downstream, its upstream weight 0 exactly (the two halves cancel)
+    one_sided = folded(0.5 / h, -1.0 / h, 0.5 / h)
+
+    def filled(fitted: bool) -> np.ndarray:
+        T = np.zeros((len(stencil),) + spec.shape)  # slot by slot, each slot a grid
+        for i in range(d):
+            s_i, b_i = sigma[:, i], beta[:, i]
+            terms = [(D2, s_i), (D1, b_i)]
+            if fitted:  # e D2 on top of the one-sided difference, e = s_i B(h |b_i| / s_i)
+                z = h * np.abs(b_i)
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    e = np.where(b_i == 0.0, s_i, z / np.expm1(z / s_i))  # 0 where s_i = 0
+                terms = [(D2, e), (D1, b_i), (one_sided, np.abs(b_i))]
+            else:
+                up = (0.5 * h) * np.abs(b_i) > s_i  # cell Peclet number above 1
+                if up.any():  # minimal upwinding: the one-sided difference alone
+                    terms = [(D2, np.where(up, 0.0, s_i)), (D1, b_i),
+                             (one_sided, np.where(up, np.abs(b_i), 0.0))]
+            axis = [n if j == i else 1 for j in range(d)]  # a 1d weight along axis i
+            for F, coef in terms:
+                coef = coef.reshape(spec.shape)
+                for k in (-1, 0, 1):
+                    slot = stencil.index(tuple(k if j == i else 0 for j in range(d)))
+                    T[slot] += F[k + 1].reshape(axis) * coef
+        if cross:
+            S = {1: folded(0.0, 0.0, 1.0), -1: folded(1.0, 0.0, 0.0)}
+            along = m / h ** 2
+            terms = [(D1, D1, np.where(dominant, 0.0, 2.0 * a[:, 0, 1]))]
+            for s in (1, -1):  # the diagonal (1, s): the steps +(1, s) and -(1, s)
+                on = sign == s
+                terms += [(S[1], S[s], along * (1.0 + f) * on),
+                          (S[-1], S[-s], along * (1.0 - f) * on)]
+            terms = [(F0, F1, coef.reshape(spec.shape)) for F0, F1, coef in terms if coef.any()]
+            for slot, (k0, k1) in enumerate(stencil):
+                for F0, F1, coef in terms:
+                    T[slot] += (F0[k0 + 1][:, None] * F1[k1 + 1][None, :]) * coef
+            T[stencil.index((0, 0))] -= 2.0 * along.reshape(spec.shape)
+        return T
+
+    T = filled(fitted=False)
+    # a bound on every cell's tr(a) / h^2 + |b|_1 / h: a rate's roundoff is a few ulps of it
+    size = d * (float(diag.max()) / h ** 2 + float(abs_b.max()) / h)
+    scheme["exponential_fitting"] = not _reaches_pin(T, stencil, offsets, spec, REACH_TOL * size)
+    if scheme["exponential_fitting"]:
+        T = filled(fitted=True)
+        if not _reaches_pin(T, stencil, offsets, spec, 0.0):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                pe = float(np.nanmax((0.5 * h) * np.abs(beta) / sigma))
+            raise DegenerateDensityError(
+                "the grid chain does not reach the pinned cell from every cell, even "
+                "exponentially fitted: the drift pushes apart where h |beta_i| / (2 sigma_i), "
+                f"sigma_i = a^ii less |a^01| in dominant cells, reaches {pe:.3g}; refine the grid")
+    return np.ascontiguousarray(T.reshape(len(stencil), -1).T), offsets, scheme
+
+
+def _reaches_pin(T: np.ndarray, stencil: list, offsets: np.ndarray, spec: GridSpec,
+                 least: float) -> bool:
+    """Whether the chain with generator L_h reaches the pinned cell from every cell.
+
+    T is the table of L_h slot by slot, each slot a grid. A step counts where
+    its rate is above `least`: for the minimally upwinded L_h, REACH_TOL
+    times d (max a^ii / h^2 + max |b^i| / h), a bound on every cell's
+    tr(a) / h^2 + |b|_1 / h, since its rates can cancel to roundoff of that
+    size (a centered one at a Peclet number of 1, a diagonal one at a share
+    of +-1); 0 for the fitted one, whose axis rates
+    are formed without cancellation (an upstream rate is 0 only where e^-z
+    underflows, z = h |beta_i| / sigma_i above about 745). The pinned cell
+    then lies in the one closed class of the chain, and the pinned L_h^T of
+    an M-matrix L_h is nonsingular. First the sufficient test that every
+    cell steps toward the pin along each axis where it is not in the pin's
+    line; where that fails, a breadth-first search from the pin along the
+    steps of L_h reversed, the off-diagonal entries of L_h^T.
+    """
+    d = spec.dim
+    pin = int(np.argmin(spec.center_radii()))
+    at = np.unravel_index(pin, spec.shape)
+    steps_toward = ((stencil.index(tuple(k if j == i else 0 for j in range(d))),
+                     tuple(cells if j == i else slice(None) for j in range(d)))
+                    for i in range(d)
+                    for k, cells in ((1, slice(None, at[i])), (-1, slice(at[i] + 1, None))))
+    if all((T[slot][cells] > least).all() for slot, cells in steps_toward):
+        return True
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import breadth_first_order
+
+    steps = np.where(T > least, T, 0.0)
+    steps = sp.csc_matrix(_compressed(np.ascontiguousarray(steps.reshape(len(stencil), -1).T),
+                                      offsets), shape=(spec.n_cells,) * 2)
+    return len(breadth_first_order(steps, pin, directed=True, return_predecessors=False)) \
+        == spec.n_cells
+
+
+def _diagonal_share(sigma: np.ndarray, m: np.ndarray, sign: np.ndarray, b_c: np.ndarray,
+                    h: float) -> np.ndarray:
+    """f in [-1, 1]: each cell carries beta_d = f 2 m / h of its drift along its diagonal (1, sign).
+
+    sigma: (N, 2) the lowered axis coefficients a^ii - m, m: (N,) the
+    diagonal's coefficient |a^01| (0 where a cell has no diagonal). The
+    drift splits as b = (beta_0 + beta_d, beta_1 + sign beta_d), each part a
+    centered difference along its direction. With |f| <= 1 the diagonal's
+    weights m (1 +- f) / h^2 are nonnegative; an axis needs upwinding by
+    h |beta_i| / 2 - sigma_i where that is positive. With p = (b^0, sign b^1)
+    and c = 2 sigma / h, the splits that upwind each axis by at most h u / 2
+    are the beta_d in [-2 m / h, 2 m / h] and in both intervals p_i -+ (c_i + u).
+    Those meet when every two do, so from u* = max(0, (|p_0 - p_1| - c_0 -
+    c_1) / 2, |p_i| - c_i - 2 m / h) on. beta_d is the point of the
+    intervals at u* nearest 0: no drift moves where the axes need no
+    upwinding, and where they do, the split upwinds least.
+    """
+    c = sigma * (2.0 / h)
+    f = np.zeros(len(m))
+    on = (m > 0.0) & np.any(np.abs(b_c) > c, axis=1)  # elsewhere u* = 0 and beta_d = 0
+    if not on.any():
+        return f
+    p0, p1, c0, c1 = b_c[on, 0], sign[on] * b_c[on, 1], c[on, 0], c[on, 1]
+    c_d = m[on] * (2.0 / h)
+    u = np.maximum.reduce([np.zeros(len(p0)), 0.5 * (np.abs(p0 - p1) - c0 - c1),
+                           np.abs(p0) - c0 - c_d, np.abs(p1) - c1 - c_d])
+    lo = np.maximum(np.maximum(p0 - c0, p1 - c1) - u, -c_d)
+    hi = np.minimum(np.minimum(p0 + c0, p1 + c1) + u, c_d)
+    f[on] = np.clip(np.clip(0.0, lo, hi) / c_d, -1.0, 1.0)
+    return f
 
 
 def _compressed(T: np.ndarray, offsets: np.ndarray,
@@ -365,24 +553,28 @@ def _factor(P: sp.csc_matrix, pin: int, order: np.ndarray | None) -> PinnedFacto
     `order` of the cells (GridSpec.dissection_order), P holds the pinned
     matrix with its rows and columns already taken in that order and is
     factored with the NATURAL column order. _pinned_generator uses the
-    dissection order for a 9-point L_h^T only. On the pinned L_h^T at R = 8
-    (2-core Xeon VM, SciPy 1.17) it gives anisotropic-2d 5.28M L + U
-    nonzeros at n = 256 against MMD's 5.71M, and the factor takes about
-    240-300 ms against 420-470; it is faster at n = 32, 64 and 128 too. On a
-    5-point L_h^T (ou-2d) it adds 39-43 % fill (3.46M -> 4.80M at n = 256)
-    and gains no time at n >= 64, so 5-point and 1d operators keep MMD.
+    dissection order for an L_h^T with a cross term only. On the pinned
+    L_h^T at R = 8 (2-core Xeon VM, SciPy 1.17) it gives anisotropic-2d,
+    whose fitted stencil has 7 points, 5.03M L + U nonzeros at n = 256
+    against MMD's 5.71M, and the factor takes 215-280 ms against 295-305
+    (best of 5); at n = 128, 1.02M against 1.05M and 31-33 ms against
+    41-53. On a 5-point L_h^T (ou-2d) it adds 39-43 % fill (3.46M -> 4.80M
+    at n = 256) and gains no time at n >= 64, so 5-point and 1d operators
+    keep MMD.
 
     The factor uses the default pivot threshold, SuperLU panel size
     PANEL_SIZE = 2 and supernode relaxation RELAX = 2. SuperLU's defaults,
     20 and 10, suit wider fronts than a 5- or 9-point grid makes. The two
     constants change how the factor is blocked, not the ordering, the pivots
     or the L + U fill of a grid operator. They were timed against every pair
-    in {1, 2, 4, 8}^2 and the defaults, on both stencils at n = 32 to 256 and
-    on a high-Peclet case with heavy fill (A = 0.05 I, b = -5x, R = 4,
-    n = 64). On a 2-core Xeon VM with SciPy 1.17 this pair was within 10 % of
-    the fastest setting in every case, the smallest worst case of all:
-    14-29 % less time than the defaults on the grids, 10 % more on the fill
-    case.
+    in {1, 2, 4, 8}^2 and the defaults, on both stencils at n = 32 to 256,
+    with the centered cross term of the time. On a 2-core Xeon VM with SciPy
+    1.17 this pair was within 10 % of the fastest setting in every case:
+    14-29 % less time than the defaults on the grids. The sweep also had a
+    high-Peclet case (A = 0.05 I, b = -5x, R = 4, n = 64) where off-diagonal
+    pivots of the centered L_h^T filled the factor to 2.1M nonzeros, and
+    there the pair took 10 % more time than the defaults. Upwinding removed
+    that case: its fitted L_h^T factors with 41k nonzeros.
     """
     import scipy.sparse.linalg as spla
 
@@ -421,8 +613,8 @@ def _diffusion_matrix(A, spec: GridSpec) -> DiffusionMatrixField:
 
 
 def _generator_table(A, b: DriftField, spec: GridSpec,
-                     a: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The table of neighbour weights of L_h and its slot offsets (_weight_table).
+                     a: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The table of neighbour weights of L_h, its slot offsets and its telemetry (_weight_table).
 
     Samples A (a scalar diffusion as a I) and b once at the cell centers, or
     takes a, the matrix A's samples there (from _sampled_diffusion); the
@@ -479,9 +671,9 @@ def _pinned_factor(T: np.ndarray, offsets: np.ndarray, spec: GridSpec) -> Pinned
     return factor
 
 
-def _pinned_generator(A, b: DriftField, spec: GridSpec,
-                      a: np.ndarray | None = None) -> tuple[sp.csc_matrix, PinnedFactor]:
-    """M = L_h^T and the factor of the pinned M, built once per grid.
+def _pinned_generator(A, b: DriftField, spec: GridSpec, a: np.ndarray | None = None
+                      ) -> tuple[sp.csc_matrix, PinnedFactor, dict]:
+    """M = L_h^T, the factor of the pinned M and the scheme's telemetry, built once per grid.
 
     The table of L_h (_generator_table) gives the pinned M for the factor
     (_pinned_factor), then M (_density_operator). M is built after the
@@ -491,9 +683,9 @@ def _pinned_generator(A, b: DriftField, spec: GridSpec,
     a transposed solve gives the Poisson solution
     (poisson.solve_poisson_grid), whose residual reads L_h as M.T.
     """
-    T, offsets = _generator_table(A, b, spec, a)
+    T, offsets, scheme = _generator_table(A, b, spec, a)
     factor = _pinned_factor(T, offsets, spec)
-    return _density_operator(T, offsets, spec), factor
+    return _density_operator(T, offsets, spec), factor, scheme
 
 
 @dataclass(eq=False)
@@ -601,9 +793,12 @@ def _refined_null(M: sp.spmatrix, abs_m: sp.spmatrix, factor: PinnedFactor,
     return None, math.inf, REFINE_MAX_STEPS
 
 
-def _null_density(spec: GridSpec, M: sp.csc_matrix, lu: PinnedFactor, check_truncation: bool,
-                  raw: np.ndarray | None = None, residual: float | None = None) -> GridDensity:
+def _null_density(spec: GridSpec, M: sp.csc_matrix, lu: PinnedFactor, scheme: dict,
+                  check_truncation: bool, raw: np.ndarray | None = None,
+                  residual: float | None = None) -> GridDensity:
     """Validate a null vector of M = L_h^T at unit mass and clip it (see solve_grid).
+
+    `scheme` is the telemetry of M's table (_weight_table), copied into info.
 
     The vector is lu.null at unit mass, its residual measured here on M and
     a |M| (_magnitude) that lives only for the measurement, unless `raw` is
@@ -627,7 +822,7 @@ def _null_density(spec: GridSpec, M: sp.csc_matrix, lu: PinnedFactor, check_trun
     rho = GridDensity(spec, (raw / total).reshape(spec.shape),
                       info={"method": "generator-null", "residual": residual,
                             "clipped_mass": clipped_mass, "pinned_cell": lu.pin,
-                            "ordering": lu.ordering, "factor_nnz": lu.nnz})
+                            "ordering": lu.ordering, "factor_nnz": lu.nnz, **scheme})
     return _check_truncation(rho) if check_truncation else rho
 
 
@@ -663,16 +858,17 @@ def solve_grid(A, b: DriftField, spec: GridSpec, check_truncation: bool = True,
     factor; the factor telemetry is that of the factor used).
     """
     if nearby is None:
-        return _null_density(spec, *_pinned_generator(A, b, spec), check_truncation)
+        M, factor, scheme = _pinned_generator(A, b, spec)
+        return _null_density(spec, M, factor, scheme, check_truncation)
     if nearby.diffusion is A and nearby.grid == spec:
         pts = spec.cell_centers()
         b_c = b.values(pts)
         if not np.isfinite(b_c).all():  # the held samples are finite
             _require_finite(pts, nearby.samples, b_c)
-        T, offsets = _weight_table(nearby.samples, b_c, spec)
+        T, offsets, scheme = _weight_table(nearby.samples, b_c, spec)
     else:
         matrix, a = _sampled_diffusion(A, spec)
-        T, offsets = _generator_table(matrix, b, spec, a)
+        T, offsets, scheme = _generator_table(matrix, b, spec, a)
         nearby.diffusion, nearby.samples, nearby.grid = A, a, spec
     M = _density_operator(T, offsets, spec)
     abs_m = _magnitude(M)
@@ -688,7 +884,7 @@ def solve_grid(A, b: DriftField, spec: GridSpec, check_truncation: bool = True,
     else:
         raw = _unit_mass(x, spec)
     nearby.accepted = x
-    rho = _null_density(spec, M, nearby.factor, check_truncation, raw, residual)
+    rho = _null_density(spec, M, nearby.factor, scheme, check_truncation, raw, residual)
     rho.info["refinement_steps"] = steps
     return rho
 

@@ -461,7 +461,8 @@ def solve_poisson_grid(problem: PoissonProblem) -> PoissonSolution:
     differences (numpy.gradient) along each axis, of u for du and of du for
     d2u, whose mixed entries are the average of the two orders.
     """
-    return _solve_factored(problem, *_pinned_generator(problem.A, problem.b, problem.spec))
+    M, lu, _ = _pinned_generator(problem.A, problem.b, problem.spec)
+    return _solve_factored(problem, M, lu)
 
 
 def _solve_factored(problem: PoissonProblem, M, lu: PinnedFactor) -> PoissonSolution:
@@ -523,8 +524,8 @@ def stationary_poisson(A, b: DriftField, psi: ScalarField, k: float, spec: GridS
         rho = solve_exact_1d(A, b, spec, profile=prof)
         return rho, _solve_quadrature_1d(PoissonProblem(A, b, psi, k, rho, p=p), prof,
                                          a[:, 0, 0])
-    M, lu = _pinned_generator(A, b, spec, a)
-    rho = _null_density(spec, M, lu, check_truncation=True)
+    M, lu, scheme = _pinned_generator(A, b, spec, a)
+    rho = _null_density(spec, M, lu, scheme, check_truncation=True)
     return rho, _solve_factored(PoissonProblem(A, b, psi, k, rho, p=p), M, lu)
 
 

@@ -5,6 +5,7 @@ to a temp directory, then inspects exit codes, stderr lines, and the
 run_report.json manifest.
 """
 
+import dataclasses
 import json
 import os
 import re
@@ -18,12 +19,12 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import fpkit
-from fpkit import __version__, cli, fpk, poisson, stability
+from fpkit import __version__, cli, config, fpk, poisson, stability
 from fpkit.cli import CLIP_MASS_LIMIT, build_parser, main, resolve_workers, write_csv
 from fpkit.config import (field_from_config, grid_from_config, model_from_config,
                           validate_command_config)
 from fpkit.errors import ValidationError
-from fpkit.fields import DiffusionMatrixField, ExpressionField, linear_drift
+from fpkit.fields import SMOOTH, ClosureField, DiffusionMatrixField, ExpressionField, linear_drift
 from fpkit.fpk import solve_grid
 from fpkit.grids import GridSpec
 from fpkit.poisson import verify_growth_bounds
@@ -41,6 +42,13 @@ SMALL_CONFIGS = {
     "sweep": {"task": "meanfield", "axis": [0.02, 0.05, 0.08],
               "base": {"n": 256, "threshold": False}},
 }
+
+# a 2d bistable drift on a = 0.05: wells at x1 = -+1, pushing away from
+# x1 = 0 at cell Peclet numbers up to 3.9 (R = 8, n = 64)
+BISTABLE = {"coefficients": {"dim": 2, "diffusion": {"constant": 0.05},
+                             "drift": {"expressions": ["4*(x1 - x1**3)", "-x2"], "beta": 3.0,
+                                       "beta1": 1.0, "beta2": 1.0, "beta3": 10.0}},
+            "n": 64, "radius": 8}
 
 # the README 1d configs, each [command, config, *flags], as the cli-1d
 # benchmark workload runs them
@@ -221,6 +229,44 @@ class TestValidationExits:
         assert report is None
         assert capsys.readouterr().err == f"invalid parameter: {message}\n"
 
+    @pytest.mark.parametrize("command, cfg, path", [
+        ("solve", {"coefficients": {"dim": 1, "diffusion": {"expression": "x1**"},
+                                    "drift": {"expressions": ["-x1"], "beta1": 1.0,
+                                              "beta2": 1.0, "beta3": 1.0}}},
+         "coefficients.diffusion.expression"),
+        ("solve", {"coefficients": {"dim": 2, "diffusion": {"constant": 1.0},
+                                    "drift": {"expressions": ["-x1", "-(x2"], "beta1": 1.0,
+                                              "beta2": 1.0, "beta3": 1.0}}},
+         "coefficients.drift.expressions.1"),
+        ("poisson", {"model": "ou-1d", "psi": {"expression": "x1 +"}}, "psi.expression"),
+        ("dini", {"field": {"expression": "x1**"}}, "field.expression"),
+    ], ids=["diffusion", "drift", "psi", "dini-field"])
+    def test_expression_that_does_not_parse_exits_two_and_names_it(self, tmp_path, capsys,
+                                                                  command, cfg, path):
+        # regression: ast.parse's SyntaxError escaped as a traceback (exit 1)
+        code, report, _ = run_cli(tmp_path, command, cfg)
+        assert code == 2
+        assert report is None
+        err = capsys.readouterr().err
+        assert err.startswith("config error: expression ") and "does not parse" in err
+        assert err.endswith(f"[at {path}]\n")
+
+    def test_expression_outside_the_grammar_names_its_path(self, tmp_path, capsys):
+        code, _, _ = run_cli(tmp_path, "poisson", {"model": "ou-1d",
+                                                   "psi": {"expression": "foo(x1)"}})
+        assert code == 2
+        assert capsys.readouterr().err == ("config error: disallowed function call in "
+                                           "expression 'foo(x1)' [at psi.expression]\n")
+
+    def test_huge_dini_box_exits_two(self, tmp_path, capsys):
+        # regression: box_radius 1e308 overflowed numpy's uniform sampler (exit 1)
+        cfg = {**SMALL_CONFIGS["dini"], "box_radius": 1e308}
+        code, report, _ = run_cli(tmp_path, "dini", cfg)
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err == ("config error: key 'box_radius' fails its range "
+                                           "check (in (0, 1e6]) [at box_radius]\n")
+
     def test_unknown_key_exits_two_and_names_it(self, tmp_path, capsys):
         code, report, out_dir = run_cli(tmp_path, "solve", {"model": "ou-1d", "betaa2": 1})
         assert code == 2
@@ -321,6 +367,47 @@ class TestValidationExits:
         assert exc.value.code == 2
 
 
+@pytest.fixture
+def skewed(monkeypatch, skewed_2d):
+    """2d runs on the non-dominant diffusion skewed_2d, whose densities clip.
+
+    The built-in ou-2d (solve, poisson) takes skewed_2d as its A. The c I
+    that cli builds for meanfield and stability (and so for sweep) becomes
+    c skewed_2d in 2d; 1d runs are left alone.
+    """
+    real = DiffusionMatrixField
+    mat = skewed_2d.values(np.zeros((1, 2)))[0]
+
+    class Skewed:
+        @staticmethod
+        def from_constant(matrix, lam=None, name="A"):
+            if len(matrix) != 2:
+                return real.from_constant(matrix, lam, name)
+            c = float(matrix[0][0])
+            return real.from_constant(c * mat, lam=min(0.1 * c, 1.0 / c), name="skewed")
+
+    models = tuple(dataclasses.replace(m, A=skewed_2d) if m.name == "ou-2d" else m
+                   for m in fpk.builtin_models())
+    monkeypatch.setattr(cli, "DiffusionMatrixField", Skewed)
+    monkeypatch.setattr(config, "builtin_models", lambda: models)
+
+
+@pytest.fixture
+def partly_dominant(monkeypatch):
+    """The built-in ou-2d takes a^00 = 1, a^11 = 0.3, a^01 = 0.35 tanh((x1 - x2) / 4)
+    as its A. The cells with |x1 - x2| > 4 artanh(6 / 7) = 5.1 are not dominant,
+    and keep the centered cross term; with b = -x at R = 8, n = 32 the density
+    clips 2.5e-7 of its mass there, below CLIP_MASS_LIMIT."""
+    entries = {(0, 0): ClosureField(lambda x: np.ones(len(x)), 2, SMOOTH, "a00"),
+               (1, 1): ClosureField(lambda x: np.full(len(x), 0.3), 2, SMOOTH, "a11"),
+               (0, 1): ClosureField(lambda x: 0.35 * np.tanh(0.25 * (x[:, 0] - x[:, 1])), 2,
+                                    SMOOTH, "a01")}
+    A = DiffusionMatrixField(entries, 2, lam=0.1, name="partly-dominant")
+    models = tuple(dataclasses.replace(m, A=A) if m.name == "ou-2d" else m
+                   for m in fpk.builtin_models())
+    monkeypatch.setattr(config, "builtin_models", lambda: models)
+
+
 class TestNumericalExits:
     def test_structured_failure_exits_three(self, tmp_path, capsys):
         cfg = {"coefficients": {"dim": 1, "diffusion": {"constant": 1.0},
@@ -334,14 +421,11 @@ class TestNumericalExits:
         assert_error_report(report, "TruncationError")
         assert report["error"]["message"] in err
 
-    def test_strict_poisson_rejects_a_clipped_density(self, tmp_path, capsys):
+    def test_strict_poisson_rejects_a_clipped_density(self, tmp_path, capsys, skewed):
         # regression: run_poisson solved the density without `strict`, so a
-        # density that clips 0.03 of its mass passed; strict only (the lenient
-        # run spends most of a minute factoring the pinned L_h^T at Pe 25)
-        cfg = {"coefficients": {"dim": 2, "diffusion": {"constant": 0.05},
-                                "drift": {"expressions": ["-5*x1", "-5*x2"], "beta1": 1.0,
-                                          "beta2": 5.0, "beta3": 5.0}},
-               "psi": {"expression": "x1"}, "k": 1.0, "radius": 4, "n": 64}
+        # density that clips 6.5e-2 of its mass (the non-dominant skewed
+        # diffusion at R = 8, n = 16) passed
+        cfg = {"model": "ou-2d", "psi": {"expression": "x1"}, "k": 1.0, "radius": 8, "n": 16}
         code, report, _ = run_cli(tmp_path, "poisson", cfg, "--strict")
         assert code == 3
         assert capsys.readouterr().err.startswith("numerical failure: SchemePositivityError:")
@@ -353,12 +437,12 @@ class TestNumericalExits:
         ("solve", {"model": "ou-2d"}),
         ("poisson", {"model": "ou-2d", "psi": {"expression": "x1"}, "k": 1.0}),
     ])
-    def test_strict_rejects_a_clipped_density(self, tmp_path, capsys, command, cfg):
+    def test_strict_rejects_a_clipped_density(self, tmp_path, capsys, skewed, command, cfg):
         # regression: the densities of meanfield's Picard iterates and of
-        # stability's pairs escaped --strict. At R = 8, n = 16 the cell Peclet
-        # number h|x|/2 passes 1 at |x| = 2 and the density clips 6e-3 of its
-        # mass; lenient runs pass. A strict run fails at the lenient run's
-        # first warning and names it
+        # stability's pairs escaped --strict. On the non-dominant skewed
+        # diffusion at R = 8, n = 16 the density clips 6.5e-2 of its mass;
+        # lenient runs pass. A strict run fails at the lenient run's first
+        # warning and names it
         cfg = {**cfg, "radius": 8, "n": 16}
         code, lenient, _ = run_cli(tmp_path, command, cfg, out="lenient")
         assert code == 0
@@ -378,29 +462,30 @@ class TestNumericalExits:
         ("meanfield", {"eps": 0.05, "starts": [0.5], "threshold": False, "dim": 2}),
         ("stability", {"family": "drift-linear", "dim": 2, "deltas": [0.01, 0.03, 0.1]}),
     ])
-    def test_lenient_run_warns_of_a_clipped_density(self, tmp_path, command, cfg):
-        # regression: a lenient run that clipped 6e-3 of its mass (the case of
-        # test_strict_rejects_a_clipped_density) said nothing in its report
+    def test_lenient_run_warns_of_a_clipped_density(self, tmp_path, skewed, command, cfg):
+        # regression: a lenient run that clipped 6.5e-2 of its mass (the case
+        # of test_strict_rejects_a_clipped_density) said nothing in its report
         where = {"solve": [{}],
                  # poisson also solves its second check grid (R = 16, n = 32), which clips too
                  "poisson": [{}, {"radius": 16.0, "n": 32}],
                  "meanfield": [{"start": 0.5}],
                  "stability": [{"delta": d} for d in cfg.get("deltas", ())]}[command]
+        # the drift (1 + delta) x of a stability pair moves its clip
+        clips = [6.54e-2, 6.60e-2, 6.65e-2] if command == "stability" else [6.51e-2] * len(where)
         cfg = {**cfg, "radius": 8, "n": 16}
         code, report, _ = run_cli(tmp_path, command, cfg)
         assert code == 0
         warnings = report["warnings"]
         assert [{k: v for k, v in w.items() if k != "value"} for w in warnings] == \
             [{"kind": "clipped_mass", "limit": 1e-6, "radius": 8.0, "n": 16, **w} for w in where]
-        assert warnings[0]["value"] == pytest.approx(6.44e-3, rel=1e-2)
+        assert warnings[0]["value"] == pytest.approx(clips[0], rel=1e-2)
         if command in ("solve", "poisson"):
             assert warnings[0]["value"] == report["summary"]["telemetry"]["clipped_mass"]
-        else:
-            assert all(w["value"] == pytest.approx(6.44e-3, rel=1e-2) for w in warnings)
+        assert [w["value"] for w in warnings] == pytest.approx(clips, rel=1e-2)
 
-    def test_lenient_meanfield_warns_of_clipped_probe_images(self, tmp_path):
+    def test_lenient_meanfield_warns_of_clipped_probe_images(self, tmp_path, skewed):
         # regression: the probe images behind eps_threshold and max_factor
-        # clipped 6.44e-3 of their mass each with no warning in the report
+        # clipped 6.51e-2 of their mass each with no warning in the report
         cfg = {"eps": 0.05, "starts": [0.5], "kernel": "tanh", "eps_grid": [0.02, 0.05],
                "dim": 2, "radius": 8, "n": 16}
         code, report, _ = run_cli(tmp_path, "meanfield", cfg)
@@ -412,9 +497,9 @@ class TestNumericalExits:
             [("eps_threshold", 1.0), ("max_factor", 0.02), ("max_factor", 0.05)]
         for w in probes:
             assert (w["kind"], w["limit"], w["radius"], w["n"]) == ("clipped_mass", 1e-6, 8.0, 16)
-            assert w["value"] == pytest.approx(6.44e-3, rel=1e-2)
+            assert w["value"] == pytest.approx(6.51e-2, rel=1e-2)
 
-    def test_lenient_sweep_points_warn(self, tmp_path):
+    def test_lenient_sweep_points_warn(self, tmp_path, skewed):
         cfg = {"task": "meanfield", "axis": [0.02, 0.05, 0.08],
                "base": {"dim": 2, "radius": 8, "n": 16, "threshold": False, "starts": [0.5]}}
         code, report, out_dir = run_cli(tmp_path, "sweep", cfg, "--workers", "1")
@@ -425,7 +510,7 @@ class TestNumericalExits:
             assert (warning["kind"], warning["start"]) == ("clipped_mass", 0.5)
         assert [w["axis_value"] for w in report["warnings"]] == cfg["axis"]
 
-    def test_strict_sweep_point_failure_reports_at_both_levels(self, tmp_path, capsys):
+    def test_strict_sweep_point_failure_reports_at_both_levels(self, tmp_path, capsys, skewed):
         # the clipped density of test_strict_rejects_a_clipped_density, at every point
         cfg = {"task": "meanfield", "axis": [0.02, 0.05, 0.08],
                "base": {"dim": 2, "radius": 8, "n": 16, "threshold": False, "starts": [0.5]}}
@@ -444,8 +529,8 @@ class TestNumericalExits:
 
     @pytest.mark.parametrize("command,cfg", [
         ("solve", {"model": "ou-2d", "n": 16}),
-        ("solve", {"model": "anisotropic-2d", "n": 32}),
-        ("solve", {"model": "ou-2d", "n": 32}),  # clips 2.4e-7, below the limit
+        ("solve", {"model": "anisotropic-2d", "n": 32}),  # every cell dominant: clips nothing
+        ("solve", {"model": "ou-2d", "n": 32}),
         ("poisson", {"model": "ou-2d", "psi": {"expression": "x1"}, "k": 1.0, "n": 16}),
         # iterates only; with this kernel a start's fixed point is not its largest clip
         ("meanfield", {"eps": 0.05, "starts": [0.5, -0.5], "kernel": "tanh-relative",
@@ -457,9 +542,11 @@ class TestNumericalExits:
         ("stability", {"family": "drift-linear", "dim": 2, "deltas": [0.01, 0.03, 0.1],
                        "n": 16}),
     ])
-    def test_every_clipped_density_is_warned_of(self, tmp_path, monkeypatch, command, cfg):
+    def test_every_clipped_density_is_warned_of(self, tmp_path, monkeypatch, skewed, command,
+                                                cfg):
         # the report warns if and only if some density of the run clipped past
-        # the limit; each warning is such a clip, and the largest is among them
+        # the limit; each warning is such a clip, and the largest is among them.
+        # The skewed diffusion clips; anisotropic-2d is left as it is
         clipped = []
         null_density = fpk._null_density
 
@@ -478,6 +565,58 @@ class TestNumericalExits:
         assert bool(warned) == bool(over)
         assert set(warned) <= set(over)
         assert max(warned, default=None) == max(over, default=None)
+
+    def test_strict_anisotropic_solve_passes(self, tmp_path):
+        # regression: the centered cross term put negative weights on two
+        # corners of every cell, so this density clipped 5.9e-5 of its mass and
+        # the strict run exited 3. The fitted L_h is monotone on it
+        code, report, _ = run_cli(tmp_path, "solve", {"model": "anisotropic-2d", "n": 32},
+                                  "--strict")
+        assert code == 0
+        assert report["warnings"] == []
+        assert report["summary"]["telemetry"]["clipped_mass"] == 0.0
+
+    def test_a_clip_at_most_the_limit_is_not_warned_of(self, tmp_path, monkeypatch,
+                                                       partly_dominant):
+        # the "only if" half of test_every_clipped_density_is_warned_of on a
+        # density that clips more than 0 but less than the limit: no warning,
+        # and a strict run passes
+        clipped = []
+        null_density = fpk._null_density
+
+        def recorded(*args, **kwargs):
+            rho = null_density(*args, **kwargs)
+            clipped.append(rho.info["clipped_mass"])
+            return rho
+
+        monkeypatch.setattr(fpk, "_null_density", recorded)
+        cfg = {"model": "ou-2d", "n": 32, "radius": 8}
+        code, report, _ = run_cli(tmp_path, "solve", cfg)
+        assert code == 0
+        [value] = clipped
+        assert 0.0 < value <= CLIP_MASS_LIMIT
+        assert report["warnings"] == []
+        assert report["summary"]["telemetry"]["clipped_mass"] == value
+        assert report["summary"]["telemetry"]["non_dominant_cells"] > 0
+        code, report, _ = run_cli(tmp_path, "solve", cfg, "--strict", out="strict")
+        assert code == 0
+        assert report["warnings"] == []
+
+    def test_outward_drift_names_the_truncation(self, tmp_path, capsys):
+        # regression: minimal upwinding set the inward rates of the cells past
+        # |x2| = 2 to zero, so the chain had two closed classes (the walls
+        # x2 = -+4) and the pinned factor was exactly singular
+        # (ConvergenceError). The fitted chain links them, and the density's
+        # mass on the walls is the truncation error it is
+        cfg = {"coefficients": {"dim": 2, "diffusion": {"constant": 1.0},
+                                "drift": {"expressions": ["0*x1", "2*x2"], "beta1": 1.0,
+                                          "beta2": 1.0, "beta3": 1.0}},
+               "n": 16, "radius": 4}
+        code, report, _ = run_cli(tmp_path, "solve", cfg)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: TruncationError: under-truncation")
+        assert_error_report(report, "TruncationError")
 
     def test_failing_check_exits_three_with_fail_line(self, tmp_path, capsys):
         cfg = {"task": "stability", "axis": [0.01, 0.05, 5.0],
@@ -554,7 +693,8 @@ class TestTelemetry:
         code, report, _ = run_cli(tmp_path, command, cfg)
         assert code == 0
         tel = report["summary"]["telemetry"]
-        keys = {"residual", "clipped_mass", "pinned_cell", "ordering", "factor_nnz"}
+        keys = {"residual", "clipped_mass", "pinned_cell", "ordering", "factor_nnz",
+                "max_cell_peclet", "non_dominant_cells", "exponential_fitting"}
         if command == "poisson":  # and the Lyapunov witness of the solve
             assert tel["lyapunov"] == {"m0": report["summary"]["m0"], "r0": report["summary"]["r0"]}
             keys.add("lyapunov")
@@ -563,6 +703,35 @@ class TestTelemetry:
         assert tel["factor_nnz"] > 5 * 32 ** 2  # at least the pinned operator itself
         assert 0.0 <= tel["residual"] <= 1e-10
         assert 0 <= tel["pinned_cell"] < 32 ** 2
+        # R = 8, n = 32: h = 0.5, so the corner cell 7.75 has h |b| / (2 a^ii)
+        # 1.94 in ou-2d and 7.75 / (4 * 0.85) = 2.28 on anisotropic-2d's axis 1
+        assert tel["max_cell_peclet"] == pytest.approx(
+            1.9375 if command == "solve" else 7.75 / 3.4, rel=1e-12)
+        assert tel["non_dominant_cells"] == 0
+        assert tel["exponential_fitting"] is False  # the drift confines: minimal upwinding
+
+    def test_non_dominant_cells_are_counted(self, tmp_path, skewed):
+        code, report, _ = run_cli(tmp_path, "solve", {"model": "ou-2d", "n": 16, "radius": 8})
+        assert code == 0
+        tel = report["summary"]["telemetry"]
+        assert tel["non_dominant_cells"] == 16 ** 2
+        # the corner cell 7.5 on axis 1, where a^11 = 0.325
+        assert tel["max_cell_peclet"] == pytest.approx(7.5 / 0.65, rel=1e-12)
+        assert tel["clipped_mass"] == pytest.approx(6.51e-2, rel=1e-2)
+
+    def test_a_drift_that_pushes_apart_is_exponentially_fitted(self, tmp_path):
+        # the bistable drift pushes away from x1 = 0 where the cell Peclet
+        # number is above 1, so minimal upwinding would cut the two wells
+        # apart; the fitted chain links them and each holds half the mass
+        code, report, out_dir = run_cli(tmp_path, "solve", BISTABLE)
+        assert code == 0
+        assert report["warnings"] == []
+        tel = report["summary"]["telemetry"]
+        assert tel["exponential_fitting"] is True
+        assert tel["clipped_mass"] == 0.0
+        rho = np.genfromtxt(out_dir / "density.csv", delimiter=",", names=True)
+        left = rho["rho"][rho["x1"] < 0.0].sum() / rho["rho"].sum()
+        assert left == pytest.approx(0.5, abs=1e-6)
 
     def test_meanfield_reports_factorizations_and_refinement_per_start(self, tmp_path):
         cfg = {"eps": 0.05, "starts": [0.5, -0.5], "kernel": "tanh-relative",
