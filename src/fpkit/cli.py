@@ -14,11 +14,11 @@ numerics, and writes into the output directory:
   message when the numerics raise), wall time, the artifact manifest and a
   list of warnings (possibly empty). A run warns ("clipped_mass") of each
   density that clipped more negative mass than CLIP_MASS_LIMIT: each grid of
-  solve and poisson, each meanfield "start"'s iterates (the largest clip of
-  the start), the probe images behind meanfield's "max_factor" (per "eps")
-  and "eps_threshold" (the bisection's worst "eps"), each stability
-  "delta"'s pair, in the run's own report (a sweep point's, in a sweep, and
-  again in the sweep's report).
+  solve and poisson (with its "non_dominant_cells"), each meanfield
+  "start"'s iterates (the largest clip of the start), the probe images
+  behind meanfield's "max_factor" (per "eps") and "eps_threshold" (the
+  bisection's worst "eps"), each stability "delta"'s pair, in the run's own
+  report (a sweep point's, in a sweep, and again in the sweep's report).
   The solvers only record clipped mass; under --strict the first warning
   ends the run as a SchemePositivityError (exit 3). The 2d solve and
   poisson summaries carry the solver telemetry of the main grid: residual,
@@ -178,6 +178,10 @@ class RunContext:
                 clipped_mass=clipped)
 
     def note_density(self, rho, **where) -> None:
+        """note_clipping for one density, naming its non-dominant cells (the only ones
+        whose negative weights can make it clip) where it counts them."""
+        if "non_dominant_cells" in rho.info:
+            where["non_dominant_cells"] = rho.info["non_dominant_cells"]
         self.note_clipping(rho.info.get("clipped_mass", 0.0), rho.spec, **where)
 
 
@@ -268,6 +272,17 @@ def run_poisson(ctx: RunContext, cfg: dict) -> dict:
     A, b, dim, name = model_from_config(cfg)
     psi = field_from_config(cfg["psi"], dim=dim, path="psi")
     spec = grid_from_config(cfg, dim, b.growth.beta2)
+    # verify_growth_bounds with each distinct grid solved once: with the default
+    # check_radii, the main grid's radius and its double, the first check grid is
+    # the main grid (n <= 128 in 2d, any n in 1d)
+    radii = [float(r) for r in cfg["check_radii"] or [spec.radius, 2 * spec.radius]]
+    n_base = spec.n if dim == 1 else min(spec.n, 128)
+    try:
+        grids = check_grids(dim, tuple(radii), n_base)
+    except ValueError as exc:
+        raise ValidationError(f"check radii {radii} at the first one's cell width "
+                              f"{2 * radii[0] / n_base:g} need a grid that cannot be built: {exc}",
+                              path="check_radii") from None
     rho, sol = stationary_poisson(A, b, psi, cfg["k"], spec, p=cfg["p"])
     if np.ptp(sol.psi_tilde) == 0.0:
         raise ValidationError("psi is constant on the grid, so the centered source is 0: "
@@ -289,12 +304,6 @@ def run_poisson(ctx: RunContext, cfg: dict) -> dict:
                   [pts[:, 0], pts[:, 1], sol.u.ravel(), du[:, 0], du[:, 1], res_cells])
         svg.heatmap(ctx.path("solution.svg"), sol.u, spec.radius,
                     title=f"Poisson solution ({name})")
-    # verify_growth_bounds with each distinct grid solved once: with the default
-    # check_radii, the main grid's radius and its double, the first check grid is
-    # the main grid (n <= 128 in 2d, any n in 1d)
-    n_base = spec.n if dim == 1 else min(spec.n, 128)
-    radii = cfg["check_radii"] or [spec.radius, 2 * spec.radius]
-    grids = check_grids(dim, tuple(float(r) for r in radii), n_base)
     solved = {spec: sol}
     for grid in grids:
         if grid not in solved:

@@ -1,133 +1,51 @@
 """Stationary Kolmogorov solvers and density diagnostics.
 
-Two routes to the stationary density rho of the operator
-L u = sum_ij a^ij d_i d_j u + sum_i b^i d_i u (equivalently, rho solves the
-formal adjoint equation sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0):
+The stationary density rho of L u = sum_ij a^ij d_i d_j u + sum_i b^i d_i u
+solves sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0. Two routes:
 
-* solve_exact_1d: in one dimension the zero-flux first integral gives the
-  closed form rho(x) = C / a(x) * exp(integral_0^x b/a), evaluated by
-  cumulative composite quadrature on a mesh SUBDIV = 8 times finer than the
-  grid and normalized by cell quadrature on the truncated grid. The 1d
-  Poisson solver (poisson.solve_poisson_1d) integrates on the same mesh.
+* solve_exact_1d: in d = 1 the zero-flux closed form rho(x) = C / a(x) *
+  exp(integral_0^x b/a), by cumulative quadrature on a mesh SUBDIV = 8 times
+  finer than the grid (_fine_profile_1d, which poisson.solve_poisson_1d
+  shares), normalized by cell quadrature on the grid.
 
-* solve_grid: the transpose of the discrete generator, in d = 1, 2.
-  generator_matrix builds L_h, a monotone fit of the generator: axis i
-  contributes diag(sigma_i) D2_i + diag(beta_i) D1_i, with D1, D2 the
-  centered first and second differences and beta the drift the axes carry.
-  In a dominant cell, |a^01| <= min(a^00, a^11), the cross term
-  2 a^01 d_0 d_1 is |a^01| times the second difference along the diagonal
-  (1, sign a^01), and each axis coefficient is lowered to a^ii - |a^01|
-  (Motzkin and Wasow, J. Math. Phys. 31, 1953); every SPD A with condition
-  number below 3 + 2 sqrt 2 is dominant at every angle. A non-dominant cell
-  keeps the centered diag(2 a^01) D1_0 D1_1 and a^ii. The lowered a^ii -
-  |a^01| can be near 0, so a dominant cell may move part of its drift onto
-  its diagonal, as a centered difference there that keeps the diagonal's
-  weights nonnegative; it moves the least that lets the axes go without
-  upwinding, or where none does, the share that upwinds them least
-  (_diagonal_share). Elsewhere beta = b. The axis coefficient is then
-  sigma_i = max(that, h |beta_i| / 2), the least one whose drift weights
-  are nonnegative (minimal upwinding): an axis whose cell Peclet number is
-  above 1 is beta_i times the one-sided difference downstream, its
-  upstream weight 0. So every off-diagonal weight of a dominant cell is
-  nonnegative, and L_h is the generator of a Markov chain on the cells.
-  Where the cell Peclet number h |b^i| / (2 a^ii) is at most 1 and
-  a^01 = 0, sigma_i is a^ii and the scheme is the centered, second-order
-  one; an upwinded cell is first order. Those zero upstream weights let
-  the factor fill less, but where the drift pushes apart (two wells, or out
-  to the walls) they can leave cells with no path to the pinned cell: the
-  chain then has several closed classes, and the pinned L_h^T is singular
-  or gives all the mass to the pin's class. _reaches_pin checks every
-  table; where it fails, every axis is exponentially fitted instead
-  (Allen and Southwell, Quart. J. Mech. Appl. Math. 8, 1955; Il'in, Math.
-  Notes 6, 1969; Scharfetter and Gummel, IEEE Trans. Electron Devices 16,
-  1969): sigma_i = (h |beta_i| / 2) coth(h |beta_i| / (2 (that))), whose
-  upstream weight is positive (until e^-(2 Pe) underflows), so that every
-  cell reaches every other. On the bistable b = (4 (x1 - x1^3), -x2),
-  a = 0.05, R = 8, n = 64 that gives each well half the mass; minimal
-  upwinding gives one well all of it. (Upwinding the axes alone, without
-  the diagonal's share, would add about h |b^i| / 2 of diffusion where
-  a^ii - |a^01| is small: at R = 8, n = 64, for A = diag(1.375, 0.25)
-  turned by 2 rad and b = -x, the L1 distance to the exact Gaussian would
-  be 0.069 instead of 0.012.) L_h is written as one
-  table of neighbour weights: each cell holds one weight per offset of the
-  stencil (3 in 1d, 5 in 2d, 9 with a cross term), and each term adds its
-  coefficient times its tap weight into the slots it touches.
-  A tap past a wall folds onto the offset clamped axis by axis (a
-  reflecting ghost). The nonzero slots of each cell, in the order of their
-  offsets, are its CSR row. Coefficients are sampled once per grid at the
-  cell centers, A as an (N, d, d) array and b as an (N, d) array, and the
-  ellipticity check, a scalar diffusion's lambda and the table all read
-  those samples; the cross term is skipped when a^01 vanishes at every
-  cell. The rows of L_h sum to zero, so the density operator M = L_h^T
-  conserves mass (its columns sum to zero) and the equation of the
-  center-most cell is implied by the others. The singular system M rho = 0
-  is closed by pinning that cell (its row becomes the unit row, value 1)
-  and the solution is then scaled to the normalization sum rho h^d = 1.
-  The grid density is thus a discrete probability solution of the same L_h
-  that the Poisson solver (poisson.solve_poisson_grid) inverts:
-  sum_x rho (L_h phi) = 0 for every grid function phi. Both build and
-  factor the pinned L_h^T in _pinned_generator, which writes it from the
-  same table (the CSR arrays of L_h are the CSC arrays of L_h^T), and
-  poisson.stationary_poisson takes the density and the Poisson solution
-  from one factor. Besides the factor, a solve reads only M = L_h^T,
-  written from the table (_density_operator), and |M|, np.abs of M's data
-  on M's index arrays (_magnitude): the residual check and the refinement
-  below multiply by them, and the Poisson residual reads L_h as M.T. No
-  solve builds L_h as a matrix of its own or takes abs() of a sparse
-  matrix; generator_matrix returns M.T for callers that want L_h. SuperLU
-  runs with small fixed supernodes
-  (PANEL_SIZE = 2, RELAX = 2), chosen by a timing sweep on both grid
-  stencils; they change how the factor is blocked, not its fill. The
-  ordering depends on the stencil. A 5-point (or 1d) L_h^T is ordered by
-  SuperLU's MMD_AT_PLUS_A. An L_h^T with a cross term a^01 (9 slots; 7 in
-  use where every cell is dominant) is written in the grid's
-  nested-dissection order (GridSpec.dissection_order) and factored in that
-  order: at n = 256 that cuts anisotropic-2d's L + U fill from 5.71M to
-  5.03M nonzeros (_factor), while on the 5-point stencil the same order
-  would add about 40 % fill. The factor's solves take and return grid
-  order either way.
+* solve_grid: the pinned null vector of M = L_h^T, in d = 1, 2. L_h is a
+  monotone fit of the generator (_weight_table): in a dominant cell,
+  |a^01| <= min(a^00, a^11), the cross term is a second difference along a
+  diagonal (Motzkin and Wasow, J. Math. Phys. 31, 1953), and each axis is
+  upwinded minimally, or exponentially fitted where that chain would miss
+  the pinned cell (Allen and Southwell, 1955; Il'in, 1969; Scharfetter and
+  Gummel, 1969). Every off-diagonal weight of a dominant cell is then
+  nonnegative, and the scheme is second order where no cell is upwinded.
+  The rows of L_h sum to zero, so M conserves mass and the equation of the
+  center-most cell is implied by the others: that cell is pinned (its row
+  the unit row, value 1) and the solution scaled to sum rho h^d = 1. The
+  density is a discrete probability solution of the L_h that
+  poisson.solve_poisson_grid inverts: sum_x rho (L_h phi) = 0 for all phi.
 
-  A run of nearby solves can share one factor: solve_grid(...,
-  nearby=NearbyFactor()) refines against the factor the slot holds, by the
-  classical iterative refinement x <- x + F^-1 (e_pin - P x) (Moler,
-  J. ACM 14, 1967; Higham, Accuracy and Stability of Numerical Algorithms,
-  ch. 12), started from the vector the slot last accepted: the factor's
-  own null vector after a fresh factor, else the previous solve's refined
-  vector. Each step makes one product by M. Refinement stops once the
-  relative residual that the density check measures is at most
-  REFINE_RESIDUAL and the last correction is at most REFINE_CORRECTION
-  relative to x; the second stop bounds the forward error, which the
-  residual alone left at up to 7e-13 in L1 at n = 128, and now keeps it
-  within 2e-14 of the direct solve (_refined_null has the measurements).
-  The residual's denominator |M| |x| is formed only on a step whose last
-  correction was that small, the one place the residual decides. When
-  REFINE_MAX_STEPS steps do not get there it factors the grid after all,
-  that factor replacing the held one. A refined step thus builds the
-  table, M and |M| from it, and per refinement step one product by M and
-  one solve with the held factor. The slot also holds the run's diffusion
-  and its checked samples at the cells: a step given the same diffusion
-  object on the same grid samples and checks only the drift. The steps of
-  a mean-field Picard iteration are such a run (meanfield.picard_iterate),
-  and for a drift-only kernel every step's frozen diffusion is the model's
-  own; every other caller factors each grid it solves.
+Every grid solve takes one path. _generator_table samples A and b once at
+the cell centers (or reads the diffusion a NearbyFactor holds), checks the
+samples and writes the table of L_h, one weight per cell and stencil offset.
+_solve_null turns the table into the null vector, refined against the factor
+a slot holds (_refined_null) or from a fresh factor of the pinned M
+(_pinned_factor), made before M is written, so that SuperLU runs beside the
+table and the pinned matrix only. _null_density validates and clips it. M is
+written from the table (_density_operator) and |M| from M's arrays
+(_magnitude); no solve builds L_h as a matrix of its own. The measurements
+behind the stencil, the orderings, SuperLU's options and the refinement
+constants are in CHANGES.md, not repeated here.
 
-scipy.sparse and scipy.sparse.linalg are imported where they are used: in
-_density_operator, _magnitude and _pinned_factor, which build the sparse
-matrices, in _factor, which calls SuperLU, and (with scipy.sparse.csgraph)
-in the search of _reaches_pin. Importing fpkit and
-running the 1d closed form therefore load no scipy module; the first 2d
-solve loads them. _factor calls spla.splu through the module, so a
+scipy.sparse and scipy.sparse.linalg are imported where they are used
+(_density_operator, _magnitude, _pinned_factor, _factor, and _reaches_pin
+with scipy.sparse.csgraph), so importing fpkit and running the 1d closed form
+load no scipy module. _factor calls spla.splu through the module, so a
 replacement of scipy.sparse.linalg.splu sees every factor.
 
-The scheme is second order where no cell is upwinded, and monotone where
-every cell is dominant. Only a non-dominant cell has negative off-diagonal
-weights, so only a diffusion with one can give a density with negative
-cells; they are clipped, the removed mass recorded in info["clipped_mass"].
-info also records "max_cell_peclet", the largest h |b^i| / (2 a^ii),
-"non_dominant_cells" and "exponential_fitting". Whether a clip is fatal is
-the caller's decision (the CLI warns, or under --strict fails). A coefficient sample that is not
-finite is an EvaluationError naming the first such point, raised before the
-ellipticity check and the factor.
+Only a non-dominant cell has negative weights, so only a diffusion with one
+can give negative cells; they are clipped, and info records the clipped
+mass beside the scheme's telemetry (_weight_table). Whether a clip is fatal
+is the caller's decision (the CLI warns, or under --strict fails). A
+coefficient sample that is not finite is an EvaluationError naming the first
+such point, raised before the ellipticity check and the factor.
 """
 
 from __future__ import annotations
@@ -185,19 +103,16 @@ def _require_finite(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     """EvaluationError naming the first of pts where a sample of a or b is not finite.
 
     A field subclass that overrides `values` can return NaN, which the
-    positivity and ellipticity checks let through. The whole arrays are
-    checked first; the first bad point is looked for row by row only when
-    that check fails.
+    positivity and ellipticity checks let through.
     """
     if np.isfinite(a).all() and np.isfinite(b).all():
         return
     ok = np.isfinite(a.reshape(len(pts), -1)).all(axis=1)
     ok &= np.isfinite(b.reshape(len(pts), -1)).all(axis=1)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        at = ", ".join(f"{v:.6g}" for v in pts[i])
-        raise EvaluationError(f"coefficients non-finite at x=({at}): "
-                              f"a {a[i].tolist()}, b {b[i].tolist()}", point=pts[i])
+    i = int(np.argmin(ok))
+    at = ", ".join(f"{v:.6g}" for v in pts[i])
+    raise EvaluationError(f"coefficients non-finite at x=({at}): "
+                          f"a {a[i].tolist()}, b {b[i].tolist()}", point=pts[i])
 
 
 def _check_truncation(rho: GridDensity) -> GridDensity:
@@ -214,9 +129,7 @@ def _fine_profile_1d(a, b: DriftField, spec: GridSpec) -> dict:
 
     Returns the fine mesh (SUBDIV cells per grid cell), the cumulative
     integral of b/a anchored at 0, the normalized fine density, and the
-    cell-quadrature normalizer. Shared with
-    the 1D Poisson quadrature solver, which integrates against the same
-    profile.
+    cell-quadrature normalizer; the 1D Poisson solver integrates against it.
     """
     if spec.dim != 1:
         raise ValueError("1D solver called on a non-1D grid")
@@ -244,12 +157,9 @@ def solve_exact_1d(a, b: DriftField, spec: GridSpec, check_truncation: bool = Tr
                    profile: dict | None = None) -> GridDensity:
     """Stationary density in d = 1 from the zero-flux closed form.
 
-    rho(x) = exp(integral_0^x b/a ds) / (a(x) Z), with the cumulative integral
-    computed by composite Simpson quadrature on a mesh SUBDIV times finer
-    than the grid and Z fixed by unit cell-quadrature mass on the truncated
-    grid. Pass check_truncation=False when the box is the actual domain (a
-    zero-flux problem on a bounded interval) rather than a truncation of the
-    line; boundary mass is then expected. `profile` is
+    rho(x) = exp(integral_0^x b/a ds) / (a(x) Z), Z fixed by unit cell mass on
+    the grid. check_truncation=False is for a zero-flux problem posed on the
+    box itself, where boundary mass is expected. `profile` is
     _fine_profile_1d(a, b, spec) when the caller has built it.
     """
     prof = _fine_profile_1d(a, b, spec) if profile is None else profile
@@ -265,17 +175,11 @@ def solve_exact_1d(a, b: DriftField, spec: GridSpec, check_truncation: bool = Tr
 
 
 def generator_matrix(A: DiffusionMatrixField, b: DriftField, spec: GridSpec) -> sp.csr_matrix:
-    """The fitted finite-difference discretization L_h of the generator with reflecting walls.
+    """The fitted discretization L_h of the generator with reflecting walls, as CSR.
 
-    L_h = sum_i diag(sigma_i) D2_i + diag(b^i) D1_i plus the cross term,
-    with coefficients at the cell centers, D1, D2 the centered first and
-    second differences, and sigma_i and the cross term fitted as the module
-    docstring says. Row r of L_h is kept as a table of neighbour weights, one
-    slot per offset of the stencil (_weight_table); a tap past a wall folds
-    onto the offset clamped axis by axis, so the neighbour past a wall is the
-    wall cell itself (a reflecting ghost) and the rows sum to zero. The cross
-    term is skipped when a^01 vanishes at every cell. The nonzero slots of
-    row r, in the order of their offsets, are the CSR row r (_compressed).
+    The coefficients are taken at the cell centers, unchecked, and fitted as
+    the module docstring says (_weight_table). A tap past a wall folds onto
+    the wall cell itself (a reflecting ghost), so the rows sum to zero.
     """
     pts = spec.cell_centers()
     T, offsets, _ = _weight_table(A.values(pts), b.values(pts), spec)
@@ -287,32 +191,28 @@ def _weight_table(a: np.ndarray, b_c: np.ndarray,
     """Neighbour weights of the fitted L_h from samples a: (N, d, d) and b_c: (N, d) at the cells.
 
     Returns the (N, S) table, the (S,) int32 column offsets of its slots and
-    the scheme's telemetry: "max_cell_peclet", the largest h |b^i| / (2 a^ii)
-    over cells and axes, "non_dominant_cells", the count of cells where
-    |a^01| > min(a^00, a^11), and "exponential_fitting", whether the axes
-    are fitted (below). The slots are the stencil's offsets o in
-    {-1, 0, 1}^d in lexicographic order, so the column offsets
-    sum_i o_i n^(d-1-i) ascend: the 3 of 1d, the 5 of the 2d plus stencil, or
-    all 9 when a^01 is nonzero at some cell. Each term adds (weight along
-    axis 0 * weight along axis 1) * coefficient into the slots it touches:
-    per axis sigma_i D2_i and beta_i D1_i, then the cross term, with beta the
-    drift the axes carry. On an axis whose cell Peclet number
-    h |beta_i| / (2 sigma_i) is above 1, sigma_i D2_i is 0 and |beta_i|
-    (h / 2) D2_i follows beta_i D1_i: their sum is beta_i times the one-sided
-    difference downstream, its upstream weight exactly 0 (minimal
-    upwinding). Where the chain of that L_h misses the pinned cell from some
-    cell (_reaches_pin), every axis is instead e D2_i, beta_i D1_i and
-    |beta_i| (h / 2) D2_i, e = h |beta_i| / expm1(h |beta_i| / sigma_i)
-    (sigma_i where beta_i = 0): exponential fitting, its upstream weight
-    e / h^2 positive; if even that chain misses the pin, a
-    DegenerateDensityError. In a dominant cell the cross term is
+    the scheme's telemetry: "max_cell_peclet", the largest h |b^i| / (2 a^ii),
+    "non_dominant_cells", the count of cells where |a^01| > min(a^00, a^11),
+    and "exponential_fitting", whether the axes are fitted. The slots are the
+    offsets o in {-1, 0, 1}^d of the stencil in lexicographic order, so the
+    column offsets sum_i o_i n^(d-1-i) ascend: 3 in 1d, 5 in 2d, or all 9
+    when a^01 is nonzero at some cell. Each term adds the product of its 1d
+    weights times its coefficient into the slots it touches, and a tap past a
+    wall folds onto the wall cell. Axis i carries sigma_i D2_i + beta_i D1_i:
+    sigma_i = a^ii and beta = b, but in a dominant cell sigma_i = a^ii - m and
+    beta = b - (2 f m / h) (1, sign a^01), m = |a^01| and f the share of the
+    drift the diagonal carries (_diagonal_share). Where h |beta_i| / (2
+    sigma_i) is above 1, sigma_i D2_i gives way to |beta_i| (h / 2) D2_i: the
+    axis is beta_i times the one-sided difference downstream, its upstream
+    weight 0 (minimal upwinding). Where that chain misses the pinned cell
+    from some cell (_reaches_pin), every axis is exponentially fitted
+    instead: e D2_i on top of the one-sided difference, e = h |beta_i| /
+    expm1(h |beta_i| / sigma_i) (sigma_i where beta_i = 0), its upstream
+    weight e / h^2 positive; if even that chain misses the pin, a
+    DegenerateDensityError. The cross term of a dominant cell is
     m ((1 + f) S+ x S+ + (1 - f) S- x S- - 2) / h^2 when a^01 > 0, or
-    m ((1 + f) S+ x S- + (1 - f) S- x S+ - 2) / h^2 when a^01 < 0: m = |a^01|,
-    f the diagonal's share of the drift (_diagonal_share), and S+, S- the
-    folded shifts by +1 and -1. Taps past a wall fold as the other terms'
-    do, and only the two corners of the diagonal are touched. The table is
-    filled slot by slot, each slot a grid of cells, and returned cell by
-    cell.
+    m ((1 + f) S+ x S- + (1 - f) S- x S+ - 2) / h^2 when a^01 < 0, S+ and S-
+    the folded shifts; a non-dominant cell keeps the centered 2 a^01 D1_0 D1_1.
     """
     n, h, d = spec.n, spec.h, spec.dim
 
@@ -404,18 +304,14 @@ def _reaches_pin(T: np.ndarray, stencil: list, offsets: np.ndarray, spec: GridSp
     """Whether the chain with generator L_h reaches the pinned cell from every cell.
 
     T is the table of L_h slot by slot, each slot a grid. A step counts where
-    its rate is above `least`: for the minimally upwinded L_h, REACH_TOL
-    times d (max a^ii / h^2 + max |b^i| / h), a bound on every cell's
-    tr(a) / h^2 + |b|_1 / h, since its rates can cancel to roundoff of that
-    size (a centered one at a Peclet number of 1, a diagonal one at a share
-    of +-1); 0 for the fitted one, whose axis rates
-    are formed without cancellation (an upstream rate is 0 only where e^-z
-    underflows, z = h |beta_i| / sigma_i above about 745). The pinned cell
-    then lies in the one closed class of the chain, and the pinned L_h^T of
-    an M-matrix L_h is nonsingular. First the sufficient test that every
-    cell steps toward the pin along each axis where it is not in the pin's
-    line; where that fails, a breadth-first search from the pin along the
-    steps of L_h reversed, the off-diagonal entries of L_h^T.
+    its rate is above `least`: for the minimally upwinded L_h, whose rates
+    can cancel to roundoff, REACH_TOL times a bound on every cell's
+    tr(a) / h^2 + |b|_1 / h; 0 for the fitted one, whose rates are formed
+    without cancellation. The pinned cell then lies in the one closed class
+    of the chain, and the pinned L_h^T of an M-matrix L_h is nonsingular.
+    First the sufficient test that every cell steps toward the pin along
+    each axis where it is not in the pin's line; where that fails, a
+    breadth-first search from the pin along the off-diagonal entries of L_h^T.
     """
     d = spec.dim
     pin = int(np.argmin(spec.center_radii()))
@@ -550,31 +446,10 @@ def _factor(P: sp.csc_matrix, pin: int, order: np.ndarray | None) -> PinnedFacto
     """SuperLU factor of a pinned matrix P, in `order` when given (see PinnedFactor).
 
     Without `order`, SuperLU orders the columns by MMD_AT_PLUS_A. With an
-    `order` of the cells (GridSpec.dissection_order), P holds the pinned
-    matrix with its rows and columns already taken in that order and is
-    factored with the NATURAL column order. _pinned_generator uses the
-    dissection order for an L_h^T with a cross term only. On the pinned
-    L_h^T at R = 8 (2-core Xeon VM, SciPy 1.17) it gives anisotropic-2d,
-    whose fitted stencil has 7 points, 5.03M L + U nonzeros at n = 256
-    against MMD's 5.71M, and the factor takes 215-280 ms against 295-305
-    (best of 5); at n = 128, 1.02M against 1.05M and 31-33 ms against
-    41-53. On a 5-point L_h^T (ou-2d) it adds 39-43 % fill (3.46M -> 4.80M
-    at n = 256) and gains no time at n >= 64, so 5-point and 1d operators
-    keep MMD.
-
-    The factor uses the default pivot threshold, SuperLU panel size
-    PANEL_SIZE = 2 and supernode relaxation RELAX = 2. SuperLU's defaults,
-    20 and 10, suit wider fronts than a 5- or 9-point grid makes. The two
-    constants change how the factor is blocked, not the ordering, the pivots
-    or the L + U fill of a grid operator. They were timed against every pair
-    in {1, 2, 4, 8}^2 and the defaults, on both stencils at n = 32 to 256,
-    with the centered cross term of the time. On a 2-core Xeon VM with SciPy
-    1.17 this pair was within 10 % of the fastest setting in every case:
-    14-29 % less time than the defaults on the grids. The sweep also had a
-    high-Peclet case (A = 0.05 I, b = -5x, R = 4, n = 64) where off-diagonal
-    pivots of the centered L_h^T filled the factor to 2.1M nonzeros, and
-    there the pair took 10 % more time than the defaults. Upwinding removed
-    that case: its fitted L_h^T factors with 41k nonzeros.
+    `order` of the cells (GridSpec.dissection_order), P is already taken in
+    that order and is factored in the NATURAL order. PANEL_SIZE and RELAX
+    change how the factor is blocked, not its pivots or fill (CHANGES.md has
+    the timings). An exactly singular P is a ConvergenceError.
     """
     import scipy.sparse.linalg as spla
 
@@ -612,21 +487,28 @@ def _diffusion_matrix(A, spec: GridSpec) -> DiffusionMatrixField:
     return A if not isinstance(A, ScalarField) else _sampled_diffusion(A, spec)[0]
 
 
-def _generator_table(A, b: DriftField, spec: GridSpec,
+def _generator_table(A, b: DriftField, spec: GridSpec, slot: NearbyFactor | None,
                      a: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, dict]:
-    """The table of neighbour weights of L_h, its slot offsets and its telemetry (_weight_table).
+    """The table of L_h, its slot offsets and its telemetry (_weight_table), from checked samples.
 
-    Samples A (a scalar diffusion as a I) and b once at the cell centers, or
-    takes a, the matrix A's samples there (from _sampled_diffusion); the
-    finiteness check (_require_finite, first), the ellipticity check, a
-    scalar diffusion's lambda and the table all read those samples.
+    b is sampled once at the cell centers. A diffusion that `slot` holds on
+    an equal grid is read from the slot. Otherwise A is sampled (a scalar one
+    as a I, _sampled_diffusion), or `a` is read, the matrix A's samples that
+    the caller took, and a slot keeps them. The samples are checked finite
+    (EvaluationError) and new ones elliptic (EllipticityError) before the
+    table is built; only a slot keeps them past the return.
     """
-    if a is None:
-        A, a = _sampled_diffusion(A, spec)
+    if slot is not None and slot.diffusion is A and slot.grid == spec:
+        matrix, a = None, slot.samples
+    else:
+        matrix, a = _sampled_diffusion(A, spec) if a is None else (A, a)
     pts = spec.cell_centers()
     b_c = b.values(pts)
     _require_finite(pts, a, b_c)
-    A.check_ellipticity(pts, tol=ELLIPTICITY_TOL, a=a)
+    if matrix is not None:
+        matrix.check_ellipticity(pts, tol=ELLIPTICITY_TOL, a=a)
+        if slot is not None:
+            slot.diffusion, slot.samples, slot.grid = A, a, spec
     return _weight_table(a, b_c, spec)
 
 
@@ -651,11 +533,9 @@ def _pinned_factor(T: np.ndarray, offsets: np.ndarray, spec: GridSpec) -> Pinned
     Pinning the center-most cell drops the off-diagonal entries of row `pin`
     of L_h^T (column pin of L_h, in the slots of the neighbours of pin that
     point at it) and sets its diagonal to 1. It is done in T, which then
-    gives the pinned L_h^T, and undone before returning. A 9-point L_h^T
-    (a^01 not zero at some cell) is written directly in the grid's
-    nested-dissection order, each column's rows sorted, and factored in that
-    order; a 5-point or 1d L_h^T keeps SuperLU's MMD_AT_PLUS_A order (see
-    _factor for the fill and timings).
+    gives the pinned L_h^T, and undone before returning. A 9-point L_h^T is
+    written and factored in the grid's nested-dissection order; a 5-point or
+    1d L_h^T keeps SuperLU's MMD_AT_PLUS_A order.
     """
     import scipy.sparse as sp
 
@@ -671,47 +551,18 @@ def _pinned_factor(T: np.ndarray, offsets: np.ndarray, spec: GridSpec) -> Pinned
     return factor
 
 
-def _pinned_generator(A, b: DriftField, spec: GridSpec, a: np.ndarray | None = None
-                      ) -> tuple[sp.csc_matrix, PinnedFactor, dict]:
-    """M = L_h^T, the factor of the pinned M and the scheme's telemetry, built once per grid.
-
-    The table of L_h (_generator_table) gives the pinned M for the factor
-    (_pinned_factor), then M (_density_operator). M is built after the
-    factor, so SuperLU runs beside the table and the pinned matrix only.
-    The factor owns the pin and its null vector, the density (solve_grid)
-    and the adjoint null vector (poisson.discrete_adjoint_null) once scaled;
-    a transposed solve gives the Poisson solution
-    (poisson.solve_poisson_grid), whose residual reads L_h as M.T.
-    """
-    T, offsets, scheme = _generator_table(A, b, spec, a)
-    factor = _pinned_factor(T, offsets, spec)
-    return _density_operator(T, offsets, spec), factor, scheme
-
-
 @dataclass(eq=False)
 class NearbyFactor:
-    """The factor that the next of a run of nearby grid solves refines against.
+    """What a run of nearby grid solves carries from one solve to the next.
 
-    solve_grid(..., nearby=slot) refines against slot.factor when it holds
-    one (_refined_null), starting from slot.accepted, and puts each fresh
-    factor it makes into the slot. slot.accepted is the vector at the pin's
-    scale (entry pin equal to 1) that the last solve on slot.factor
-    accepted: the factor's own null vector after a fresh factor, the refined
-    vector after a refinement.
-
-    The slot also holds the run's diffusion: `diffusion`, the object a solve
-    was last given, `samples`, its (N, d, d) values at the cells of `grid`
-    (a scalar diffusion as a I), taken and checked for finiteness and
-    ellipticity by that solve. A later solve given the same object on an
-    equal grid reads those samples and samples and checks only its drift;
-    that is every step of a Picard run whose kernel is drift-only, where the
-    frozen diffusion is the model's own. This is safe because the object is
-    the same one (held here, so it cannot be collected and its identity
-    reused), its samples at the same cells are the same values, and the
-    slot is dropped with the run. A different object, as a frozen diffusion
-    with a kernel of its own is at every step, is sampled and checked afresh.
-    Hold a slot only for the length of such a run (meanfield.picard_iterate):
-    a factor keeps its L + U arrays alive.
+    `factor` is the factor the next solve refines against (_refined_null);
+    `accepted` the vector at the pin's scale (entry pin equal to 1) that the
+    last solve on it accepted. `diffusion` is the object a solve was last
+    given and `samples` its checked (N, d, d) values at the cells of `grid`;
+    a solve given the same object on an equal grid reads them, which is
+    safe because the object is held here, so its identity cannot be reused.
+    Hold a slot only for one run (meanfield.picard_iterate): it keeps the
+    factor's L + U and the samples alive.
     """
 
     factor: PinnedFactor | None = None
@@ -739,41 +590,18 @@ def _refined_null(M: sp.spmatrix, abs_m: sp.spmatrix, factor: PinnedFactor,
 
     F factors a pinned matrix P near the pinned M, with F's pin. From
     `start`, a vector with start[pin] = 1 (NearbyFactor.accepted), each step
-    computes mx = M x once and corrects x <- x + delta, delta = F^-1 r with
-    r = -mx but r[pin] = 1 - x[pin] (that is, r = e_pin - P x). x is
-    accepted when the last correction was at most REFINE_CORRECTION
-    ||x||_inf (x is settled; a start that is F's null vector counts as
-    settled), its relative residual, measured on mx (_relative_residual), is
-    at most REFINE_RESIDUAL and it is finite. The residual's denominator
-    |M| |x| is formed on settled steps only, the one place the residual
-    decides: on the vector a refinement accepts, and on a start that is F's
-    null vector. A meanfield-2d op at n = 32 (below) forms it 7.5 times on
-    average, its fresh factor's check in solve_grid included, where
-    measuring it at every step formed it 31 times. F's own null vector is
-    exact for F's
-    operator, so as a start it needs no correction: a solve of the operator
-    F factors is accepted at 0 steps, bit for bit the direct solve. Any other
-    start takes at least one correction. Returns (x, its residual, steps), or
-    (None, inf, REFINE_MAX_STEPS) when that many steps did not get there.
-
-    The constants were chosen from the Picard runs of the tanh-relative
-    mean-field model (A = I, b = -x, R = 8; eps 0.05 and 0.2, starts
-    +-0.25 to 1, n = 16 to 128) on a 2-core Xeon VM with SciPy 1.17.
-    Refinement stagnates at relative residuals of 3e-17 to 4e-15, and direct
-    solves of the same grids report 1e-16 to 6e-15, so REFINE_RESIDUAL =
-    1e-14 is reached by every refinement that converges. The residual bounds
-    the backward error only: stopping on it alone left refined densities up
-    to 7e-13 in L1 from the direct ones at n = 128. The stop on the size of
-    the correction closes that gap: over 7 Picard steps from start 0.5 the
-    largest L1 distance to the direct density is 5.9e-15 (eps 0.05) and
-    8.0e-15 (eps 0.2) at n = 32, 4.5e-15 and 1.6e-14 at n = 128. Started
-    from the last step's vector, the meanfield-2d starts 0.5 / -0.5 / 0.25 /
-    -0.25 take 28 / 27 / 22 / 22 steps per iteration, where starting every
-    step from F's null vector and stopping on the residual alone took
-    36 / 36 / 25 / 25. A step costs about 1/30 of a factor (0.08 against
-    2.5 ms for a whole solve at n = 32, 1.8 against 46 ms at n = 128), so
-    REFINE_MAX_STEPS = 10 spends at most about a third of a factor on a
-    factor too far to converge.
+    computes mx = M x once and corrects x <- x + F^-1 r, r = e_pin - P x
+    (that is, -mx but 1 - x[pin] at the pin): classical iterative refinement
+    (Moler, J. ACM 14, 1967; Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 12). x is accepted when it is settled, its last
+    correction at most REFINE_CORRECTION ||x||_inf (F's own null vector
+    counts as settled), its relative residual (_relative_residual) at most
+    REFINE_RESIDUAL, and it is finite. |M| |x| is formed on settled vectors
+    only, the one place the residual decides. A solve of the operator F
+    factors is accepted at 0 steps, bit for bit the direct solve. Returns
+    (x, its residual, steps), or (None, inf, REFINE_MAX_STEPS) when that many
+    steps did not get there. CHANGES.md has the measurements behind the
+    three constants.
     """
     x = start
     settled = start is factor.null
@@ -793,22 +621,49 @@ def _refined_null(M: sp.spmatrix, abs_m: sp.spmatrix, factor: PinnedFactor,
     return None, math.inf, REFINE_MAX_STEPS
 
 
-def _null_density(spec: GridSpec, M: sp.csc_matrix, lu: PinnedFactor, scheme: dict,
-                  check_truncation: bool, raw: np.ndarray | None = None,
-                  residual: float | None = None) -> GridDensity:
-    """Validate a null vector of M = L_h^T at unit mass and clip it (see solve_grid).
+def _solve_null(table: tuple[np.ndarray, np.ndarray, dict], spec: GridSpec,
+                slot: NearbyFactor | None) -> tuple:
+    """(M, factor, scheme, raw, residual): the null vector of M = L_h^T for a table of L_h.
 
-    `scheme` is the telemetry of M's table (_weight_table), copied into info.
-
-    The vector is lu.null at unit mass, its residual measured here on M and
-    a |M| (_magnitude) that lives only for the measurement, unless `raw` is
-    given together with `residual`, its relative residual as the caller
-    measured it (solve_grid with a NearbyFactor).
+    `table` is (T, offsets, scheme) from _generator_table. Given a slot with
+    a factor of the grid's size, M and |M| are written and the null vector
+    refined against that factor (_refined_null). Without one, or where that
+    falls short, the pinned M is factored (_pinned_factor) and only then is M
+    written. raw is the null vector at unit mass, and residual its relative
+    residual, or None where |M| was not written (_null_density measures it
+    then). A slot takes the factor and the accepted vector, and scheme
+    records "refinement_steps".
     """
-    if raw is None:
-        # relative residual of the full singular system, measured against the
-        # cancellation-free magnitude |M| |rho|
-        raw = _unit_mass(lu.null, spec)
+    T, offsets, scheme = table
+    factor = None if slot is None else slot.factor
+    M = abs_m = x = None
+    if factor is not None and factor.lu.shape[0] == spec.n_cells:
+        M = _density_operator(T, offsets, spec)
+        abs_m = _magnitude(M)
+        x, residual, scheme["refinement_steps"] = _refined_null(M, abs_m, factor, slot.accepted)
+    if x is None:
+        factor = _pinned_factor(T, offsets, spec)
+        x, residual = factor.null, None
+        M = _density_operator(T, offsets, spec) if M is None else M
+    raw = _unit_mass(x, spec)
+    if residual is None and abs_m is not None:  # refinement fell short, and |M| is written
+        residual = _relative_residual(abs_m, raw, M @ raw)
+    if slot is not None:
+        slot.factor, slot.accepted = factor, x
+        scheme.setdefault("refinement_steps", 0)
+    return M, factor, scheme, raw, residual
+
+
+def _null_density(spec: GridSpec, M: sp.csc_matrix, lu: PinnedFactor, scheme: dict,
+                  raw: np.ndarray, residual: float | None, check_truncation: bool) -> GridDensity:
+    """The density of raw, a null vector of M = L_h^T at unit mass, validated and clipped.
+
+    `residual` is raw's relative residual, or None to measure it here on M
+    and a |M| (_magnitude) that lives only for the measurement. Above
+    RESIDUAL_LIMIT it is a ConvergenceError. `scheme` is copied into info.
+    See solve_grid for the rest.
+    """
+    if residual is None:
         residual = _relative_residual(_magnitude(M), raw, M @ raw)
     if residual > RESIDUAL_LIMIT:
         raise ConvergenceError(
@@ -828,65 +683,25 @@ def _null_density(spec: GridSpec, M: sp.csc_matrix, lu: PinnedFactor, scheme: di
 
 def solve_grid(A, b: DriftField, spec: GridSpec, check_truncation: bool = True,
                nearby: NearbyFactor | None = None) -> GridDensity:
-    """Stationary density as the pinned null vector of M = L_h^T.
+    """Stationary density as the pinned null vector of M = L_h^T, scaled to unit mass.
 
-    Builds the generator L_h (generator_matrix) as its transpose M, pins the
-    center-most cell of M (the implied equation becomes the unit row), solves
-    with a sparse direct factorization and scales the solution to unit mass;
-    the signed scaling reproduces the solution of the system closed by the
-    mass constraint itself. The result is a discrete probability solution:
-    sum_x rho (L_h phi) = 0 for every grid function phi, up to roundoff and
-    clipping. The solution is validated: relative residual of the full
-    singular system below 1e-10 (else ConvergenceError with the history),
-    negative cells clipped to zero, boundary-cell mass below 1e-4 (else
-    TruncationError; disabled by check_truncation=False for problems posed on
-    the box itself). info records the residual, the clipped negative mass, the
-    pinned cell, the factor's ordering ("mmd" or "nested-dissection") and its
-    L + U nonzeros.
+    The result is a discrete probability solution: sum_x rho (L_h phi) = 0
+    for every grid function phi, up to roundoff and clipping. Coefficients
+    that are not finite or not elliptic raise before any factor. The
+    relative residual of the full singular system is at most RESIDUAL_LIMIT
+    (else ConvergenceError), negative cells are clipped to zero, and the
+    boundary cells hold less than BOUNDARY_MASS_LIMIT (else TruncationError;
+    check_truncation=False is for problems posed on the box itself). info
+    records the residual, the clipped mass, the pinned cell, the ordering
+    and L + U nonzeros of the factor used, and the scheme's telemetry.
 
-    With `nearby` (a NearbyFactor), a factor it holds for the same grid is
-    refined against first (_refined_null, from the vector the slot last
-    accepted), and only when refinement does not converge within
-    REFINE_MAX_STEPS steps is the pinned M factored, that factor then
-    replacing the held one. M is written once from the table
-    (_density_operator) and |M| from M (_magnitude), for the refinement and
-    the check; the residual of a refined vector is the one refinement
-    measured. A diffusion that is the object the slot holds, on an equal
-    grid, is not sampled again: its held, checked samples are read, and only
-    b is sampled and checked. The returned density is validated as above,
-    and info also records "refinement_steps" (0 when factored with no held
-    factor; the factor telemetry is that of the factor used).
+    With `nearby`, a NearbyFactor, the solve refines against the factor it
+    holds and reads the diffusion it holds (_solve_null); info then also
+    records "refinement_steps". The first solve on an empty slot equals the
+    plain solve bit for bit.
     """
-    if nearby is None:
-        M, factor, scheme = _pinned_generator(A, b, spec)
-        return _null_density(spec, M, factor, scheme, check_truncation)
-    if nearby.diffusion is A and nearby.grid == spec:
-        pts = spec.cell_centers()
-        b_c = b.values(pts)
-        if not np.isfinite(b_c).all():  # the held samples are finite
-            _require_finite(pts, nearby.samples, b_c)
-        T, offsets, scheme = _weight_table(nearby.samples, b_c, spec)
-    else:
-        matrix, a = _sampled_diffusion(A, spec)
-        T, offsets, scheme = _generator_table(matrix, b, spec, a)
-        nearby.diffusion, nearby.samples, nearby.grid = A, a, spec
-    M = _density_operator(T, offsets, spec)
-    abs_m = _magnitude(M)
-    x, steps = None, 0
-    held = nearby.factor
-    if held is not None and held.lu.shape[0] == spec.n_cells:
-        x, residual, steps = _refined_null(M, abs_m, held, nearby.accepted)
-    if x is None:
-        nearby.factor = _pinned_factor(T, offsets, spec)
-        x = nearby.factor.null
-        raw = _unit_mass(x, spec)
-        residual = _relative_residual(abs_m, raw, M @ raw)
-    else:
-        raw = _unit_mass(x, spec)
-    nearby.accepted = x
-    rho = _null_density(spec, M, nearby.factor, scheme, check_truncation, raw, residual)
-    rho.info["refinement_steps"] = steps
-    return rho
+    solved = _solve_null(_generator_table(A, b, spec, nearby), spec, nearby)
+    return _null_density(spec, *solved, check_truncation)
 
 
 def stationary_density(A, b: DriftField, spec: GridSpec,

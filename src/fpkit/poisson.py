@@ -63,9 +63,9 @@ import numpy as np
 
 from .errors import ConfinementError, ConvergenceError, IncompatibilityError
 from .fields import ClosureField, DiffusionMatrixField, DriftField, ScalarField
-from .fpk import (ModelSpec, PinnedFactor, _diffusion_matrix, _fine_profile_1d, _null_density,
-                  _pinned_generator, _sampled_diffusion, _scalar_diffusion, builtin_models,
-                  solve_exact_1d)
+from . import fpk
+from .fpk import (ModelSpec, PinnedFactor, _diffusion_matrix, _fine_profile_1d, _sampled_diffusion,
+                  _scalar_diffusion, builtin_models, solve_exact_1d)
 from .grids import GridDensity, GridSpec
 from .quadrature import cumulative_integral
 
@@ -434,8 +434,8 @@ def _solve_quadrature_1d(problem: PoissonProblem, prof: dict, a_c: np.ndarray) -
 def discrete_adjoint_null(lu: PinnedFactor) -> np.ndarray:
     """Left null vector w of L_h (L_h^T w = 0), normalized to sum 1.
 
-    `lu` is the factor of the pinned L_h^T (fpk._pinned_generator), so w is
-    its pinned null vector scaled to sum 1.
+    `lu` is the factor of the pinned L_h^T (fpk._solve_null), so w is its
+    pinned null vector scaled to sum 1.
     """
     total = lu.null.sum()
     if abs(total) < 1e-300:
@@ -461,7 +461,8 @@ def solve_poisson_grid(problem: PoissonProblem) -> PoissonSolution:
     differences (numpy.gradient) along each axis, of u for du and of du for
     d2u, whose mixed entries are the average of the two orders.
     """
-    M, lu, _ = _pinned_generator(problem.A, problem.b, problem.spec)
+    spec = problem.spec
+    M, lu, *_ = fpk._solve_null(fpk._generator_table(problem.A, problem.b, spec, None), spec, None)
     return _solve_factored(problem, M, lu)
 
 
@@ -524,8 +525,10 @@ def stationary_poisson(A, b: DriftField, psi: ScalarField, k: float, spec: GridS
         rho = solve_exact_1d(A, b, spec, profile=prof)
         return rho, _solve_quadrature_1d(PoissonProblem(A, b, psi, k, rho, p=p), prof,
                                          a[:, 0, 0])
-    M, lu, scheme = _pinned_generator(A, b, spec, a)
-    rho = _null_density(spec, M, lu, scheme, check_truncation=True)
+    table = fpk._generator_table(A, b, spec, None, a)
+    del a  # the factor runs without the samples
+    M, lu, *null = fpk._solve_null(table, spec, None)
+    rho = fpk._null_density(spec, M, lu, *null, check_truncation=True)
     return rho, _solve_factored(PoissonProblem(A, b, psi, k, rho, p=p), M, lu)
 
 

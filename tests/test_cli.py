@@ -258,6 +258,20 @@ class TestValidationExits:
         assert capsys.readouterr().err == ("config error: disallowed function call in "
                                            "expression 'foo(x1)' [at psi.expression]\n")
 
+    def test_check_radius_that_needs_too_fine_a_grid_names_check_radii(self, tmp_path, capsys):
+        # regression: the error named n, an internal value ("invalid parameter: n must
+        # be a power of two >= 16, got 4000"), and came after the main grid's solve
+        cfg = {"model": "ou-2d", "n": 16, "psi": {"expression": "tanh(x1)"},
+               "check_radii": [4, 1000]}
+        code, report, out_dir = run_cli(tmp_path, "poisson", cfg)
+        assert code == 2
+        assert report is None
+        assert not any(out_dir.iterdir())
+        assert capsys.readouterr().err == (
+            "config error: check radii [4.0, 1000.0] at the first one's cell width 0.5 need a "
+            "grid that cannot be built: n must be a power of two >= 16, got 4000 "
+            "[at check_radii]\n")
+
     def test_huge_dini_box_exits_two(self, tmp_path, capsys):
         # regression: box_radius 1e308 overflowed numpy's uniform sampler (exit 1)
         cfg = {**SMALL_CONFIGS["dini"], "box_radius": 1e308}
@@ -302,11 +316,15 @@ class TestValidationExits:
         assert peak < 2 ** 24
 
     def test_late_parameter_error_exits_two(self, tmp_path, capsys):
-        # check radii that force a non power-of-two grid surface as ValueError
+        # check radii that force a non power-of-two grid are a config error at check_radii
         cfg = dict(SMALL_CONFIGS["poisson"], check_radii=[6.0, 8.0])
         code, _, _ = run_cli(tmp_path, "poisson", cfg)
         assert code == 2
-        assert capsys.readouterr().err.startswith("invalid parameter:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: check radii [6.0, 8.0] at the first one's cell "
+                              "width 0.046875 need a grid that cannot be built: n must be a "
+                              "power of two >= 16, got 341 ")
+        assert err.endswith("[at check_radii]\n")
 
     def test_poisson_source_dimension_follows_the_model(self, tmp_path):
         # regression: a field "dim" default of 1 overrode the 2d model
@@ -455,6 +473,8 @@ class TestNumericalExits:
         message = report["error"]["message"]
         assert f"clipped negative mass {first['value']:.6g} exceeds 1e-06" in message
         assert "radius 8.0, n 16" in message
+        if command in ("solve", "poisson"):  # no cell of the skewed diffusion is dominant
+            assert "non_dominant_cells 256" in message
 
     @pytest.mark.parametrize("command,cfg", [
         ("solve", {"model": "ou-2d"}),
@@ -476,6 +496,8 @@ class TestNumericalExits:
         code, report, _ = run_cli(tmp_path, command, cfg)
         assert code == 0
         warnings = report["warnings"]
+        if command in ("solve", "poisson"):  # a density's warning counts its non-dominant cells
+            where = [{**w, "non_dominant_cells": w.get("n", 16) ** 2} for w in where]
         assert [{k: v for k, v in w.items() if k != "value"} for w in warnings] == \
             [{"kind": "clipped_mass", "limit": 1e-6, "radius": 8.0, "n": 16, **w} for w in where]
         assert warnings[0]["value"] == pytest.approx(clips[0], rel=1e-2)
@@ -556,7 +578,6 @@ class TestNumericalExits:
             return rho
 
         monkeypatch.setattr(fpk, "_null_density", recorded)
-        monkeypatch.setattr(poisson, "_null_density", recorded)
         code, report, _ = run_cli(tmp_path, command, {**cfg, "radius": 8})
         assert code == 0
         assert clipped
@@ -565,6 +586,8 @@ class TestNumericalExits:
         assert bool(warned) == bool(over)
         assert set(warned) <= set(over)
         assert max(warned, default=None) == max(over, default=None)
+        if command in ("solve", "poisson"):  # each names the cells that can clip
+            assert all(w["non_dominant_cells"] > 0 for w in report["warnings"])
 
     def test_strict_anisotropic_solve_passes(self, tmp_path):
         # regression: the centered cross term put negative weights on two

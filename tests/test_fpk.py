@@ -1,8 +1,10 @@
 """Stationary solvers: closed forms, the null vector of L_h^T, and density diagnostics."""
 
+import gc
 import math
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +39,6 @@ from fpkit.fpk import (
     REFINE_MAX_STEPS,
     NearbyFactor,
     _factor,
-    _pinned_generator,
     builtin_models,
     discretization_error,
     generator_matrix,
@@ -354,8 +355,9 @@ class TestPinnedSolve:
         # e_pin) is 1 at the pin, in either factor order
         orderings = []
         for name in ("ou-1d", "ou-2d", "anisotropic-2d"):
-            m = MODELS[name]
-            _, lu, _ = _pinned_generator(m.A, m.b, GridSpec(m.dim, 8.0, 32))
+            m, nearby = MODELS[name], NearbyFactor()
+            solve_grid(m.A, m.b, GridSpec(m.dim, 8.0, 32), nearby=nearby)
+            lu = nearby.factor
             orderings.append(lu.ordering)
             assert lu.null[lu.pin] == pytest.approx(1.0, rel=0.0, abs=1e-14)
         assert orderings == ["mmd", "mmd", "nested-dissection"]
@@ -378,9 +380,13 @@ class TestNearbyFactor:
         first = solve_grid(m.A, m.b, spec, nearby=nearby)
         held = nearby.factor
         again = solve_grid(m.A, m.b, spec, nearby=nearby)
+        plain = solve_grid(m.A, m.b, spec)
         assert first.info["refinement_steps"] == again.info["refinement_steps"] == 0
         assert nearby.factor is held
-        assert np.array_equal(again.values, solve_grid(m.A, m.b, spec).values)
+        assert np.array_equal(again.values, plain.values)
+        # the first slot solve factors afresh: the plain solve, bit for bit
+        assert first.values.tobytes() == plain.values.tobytes()
+        assert first.info == {**plain.info, "refinement_steps": 0}
 
     def test_far_factor_falls_back_to_a_fresh_one(self):
         # the factor for b = -x does not refine b = -5x (A = 0.05 I): the
@@ -627,7 +633,7 @@ class TestCoefficientSampling:
         assert calls and set(calls.values()) == {1}, calls
 
     def test_stationary_poisson_samples_a_scalar_diffusion_once(self):
-        # PoissonProblem takes the a I that _pinned_generator built; the
+        # PoissonProblem takes the a I that stationary_poisson built; the
         # Lyapunov scan evaluates a off the cells and is not counted
         calls = {}
         spec = GridSpec(2, 8.0, 32)
@@ -638,6 +644,34 @@ class TestCoefficientSampling:
         psi = ClosureField(lambda x: x[:, 0], 2, SMOOTH, "x1")
         stationary_poisson(a, b, psi, 1.0, spec)
         assert calls == {"a": 1, "b0": 1, "b1": 1}
+
+    @pytest.mark.parametrize("solve", ["solve_grid", "stationary_poisson"])
+    def test_diffusion_samples_are_gone_before_the_factor(self, solve, monkeypatch):
+        # the (N, d, d) samples of A die once the table is built, so SuperLU
+        # runs without them; only a slot a caller holds keeps them
+        A = DiffusionMatrixField.from_constant(np.array([[1.2, 0.3], [0.3, 0.8]]), lam=0.5)
+        values, samples, alive = A.values, [], []
+
+        def sampled(x):
+            out = values(x)
+            samples.append(weakref.ref(out))
+            return out
+
+        def factor(*args):
+            gc.collect()
+            alive.append([ref() is not None for ref in samples])
+            return real_factor(*args)
+
+        real_factor = fpk._factor
+        A.values = sampled
+        monkeypatch.setattr(fpk, "_factor", factor)
+        spec, b = GridSpec(2, 8.0, 32), linear_drift(2)
+        if solve == "solve_grid":
+            solve_grid(A, b, spec)
+        else:
+            stationary_poisson(A, b, ClosureField(lambda x: np.tanh(x[:, 0]), 2, SMOOTH, "psi"),
+                               1.0, spec)
+        assert alive == [[False]]
 
 
 class NanDrift(DriftField):

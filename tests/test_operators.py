@@ -30,8 +30,8 @@ from hypothesis import strategies as st
 
 from fpkit.errors import DegenerateDensityError
 from fpkit.fields import SMOOTH, ClosureField, DiffusionMatrixField, DriftField, GrowthParams
-from fpkit.fpk import (_diagonal_share, _pinned_generator, builtin_models, generator_matrix,
-                       solve_grid)
+from fpkit.fpk import (_diagonal_share, _generator_table, _solve_null, builtin_models,
+                       generator_matrix, solve_grid)
 from fpkit.grids import GridSpec
 
 MODELS = builtin_models()
@@ -548,7 +548,7 @@ def test_table_build_matches_the_diagonal_format_build(case):
         # a copy, as splu sorts the indices of the matrix it is given in place
         mp.setattr(spla, "splu",
                    lambda P, **kw: seen.append((P.copy(), kw["permc_spec"])) or real(P, **kw))
-        _pinned_generator(A, b, spec)
+        _solve_null(_generator_table(A, b, spec, None), spec, None)
     [(P, permc_spec)] = seen
     # the pin of a CSC copy of L_h^T: row `pin` zeroed, a unit diagonal, zeros dropped
     pin = int(np.argmin(spec.center_radii()))

@@ -23,8 +23,10 @@ from fpkit.fpk import (
     BOUNDARY_MASS_LIMIT,
     ELLIPTICITY_TOL,
     PinnedFactor,
+    _generator_table,
     _null_density,
-    _pinned_generator,
+    _solve_null,
+    _unit_mass,
     builtin_models,
     generator_matrix,
     solve_exact_1d,
@@ -323,7 +325,7 @@ class TestGridSolver:
     def test_adjoint_null_vector(self, name):
         m = {m.name: m for m in builtin_models()}[name]
         spec = GridSpec(m.dim, 8.0, 256 if m.dim == 1 else 32)
-        M, lu, _ = _pinned_generator(m.A, m.b, spec)
+        M, lu, *_ = _solve_null(_generator_table(m.A, m.b, spec, None), spec, None)
         w = discrete_adjoint_null(lu)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.abs(M @ w).max() <= 1e-10 * (abs(M) @ np.abs(w)).max()
@@ -450,7 +452,8 @@ class TestSharedFactor:
         mmd = PinnedFactor(spla.splu(P, permc_spec="MMD_AT_PLUS_A"), pin)
         assert rho.info["ordering"] == sol.info["ordering"] == "nested-dissection"
         assert rho.info["factor_nnz"] == sol.info["factor_nnz"] < mmd.nnz
-        ref_rho = _null_density(spec, L.T, mmd, {}, check_truncation=True)
+        ref_rho = _null_density(spec, L.T, mmd, {}, _unit_mass(mmd.null, spec), None,
+                                check_truncation=True)
         ref = _solve_factored(PoissonProblem(m.A, m.b, psi, 1.0, ref_rho), L.T, mmd)
         assert np.abs(rho.values - ref_rho.values).max() <= 1e-12 * ref_rho.values.max()
         assert np.abs(sol.u - ref.u).max() <= 1e-12 * np.abs(ref.u).max()
