@@ -14,13 +14,17 @@ numerics, and writes into the output directory:
   message when the numerics raise), wall time, the artifact manifest and a
   list of warnings (possibly empty). A run warns ("clipped_mass") of each
   density that clipped more negative mass than CLIP_MASS_LIMIT: each grid of
-  solve and poisson (with its "non_dominant_cells"), each meanfield
-  "start"'s iterates (the largest clip of the start), the probe images
-  behind meanfield's "max_factor" (per "eps") and "eps_threshold" (the
-  bisection's worst "eps"), each stability "delta"'s pair, in the run's own
-  report (a sweep point's, in a sweep, and again in the sweep's report).
-  The solvers only record clipped mass; under --strict the first warning
-  ends the run as a SchemePositivityError (exit 3). The 2d solve and
+  solve and poisson, each meanfield "start"'s iterates (the largest clip of
+  the start), the probe images behind meanfield's "max_factor" (per "eps")
+  and "eps_threshold" (the bisection's worst "eps"), each stability
+  "delta"'s pair, in the run's own report (a sweep point's, in a sweep, and
+  again in the sweep's report). Each names the "non_dominant_cells" of the
+  density that clipped most. The solvers only record clipped mass; under
+  --strict the first warning ends the run as a SchemePositivityError (exit
+  3). A summary figure that is not finite, such as a norm past the float
+  range, is written as null with a "non_finite" warning naming its key, so
+  the report is strict JSON; it is a note on the report, written as the
+  report is, and --strict does not escalate it. The 2d solve and
   poisson summaries carry the solver telemetry of the main grid: residual,
   clipped mass, pinned cell, the factor's ordering and its L + U nonzeros,
   the largest cell Peclet number and the count of non-dominant cells (the
@@ -30,6 +34,9 @@ numerics, and writes into the output directory:
   SuperLU factorizations of its Picard steps, and for each step its
   refinement steps, whether it factored and its weighted gap to the step
   before (meanfield.FixedPointTrace), the contraction that trace.csv plots.
+  Its "eps_threshold_cap" is the coupling the threshold search starts from:
+  1, or just below lambda / (2 sup|q|) for a diffusion kernel q. A meanfield
+  "eps" or "eps_grid" entry at or above that bound is a config error.
   Timings vary, so the report is the one artifact excluded from the
   byte-identical guarantee.
   A numerical failure (exit 3) still writes the report; a config or
@@ -117,6 +124,20 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _finite_figures(value, key: str, warnings: list):
+    """value with each float in it that is not finite replaced by None, and a
+    {"kind": "non_finite", "key": ...} warning for each, its key the dotted path."""
+    if isinstance(value, dict):
+        return {k: _finite_figures(v, f"{key}.{k}" if key else str(k), warnings)
+                for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_figures(v, f"{key}.{i}", warnings) for i, v in enumerate(value)]
+    if isinstance(value, float) and not np.isfinite(value):
+        warnings.append({"kind": "non_finite", "key": key})
+        return None
+    return value
+
+
 class RunContext:
     """Output directory plus the bookkeeping for run_report.json, under the run's --strict flag."""
 
@@ -139,7 +160,12 @@ class RunContext:
         return p
 
     def finish(self, checks: dict) -> dict:
-        """Write run_report.json. outcome is "pass", "fail" (a check failed) or "error"."""
+        """Write run_report.json. outcome is "pass", "fail" (a check failed) or "error".
+
+        A summary figure that is not finite is written as null, with a
+        "non_finite" warning naming its key, so the report is strict JSON.
+        """
+        summary = _finite_figures(self.summary, "", self.warnings)
         passed = self.error is None and all(checks.values())
         report = {
             "command": self.command,
@@ -151,7 +177,7 @@ class RunContext:
             "outcome": "error" if self.error is not None else ("pass" if passed else "fail"),
             "wall_time_s": round(time.monotonic() - self.t0, 6),
             "artifacts": sorted(self.artifacts),
-            "summary": self.summary,
+            "summary": summary,
             "warnings": self.warnings,
         }
         if self.error is not None:
@@ -354,7 +380,8 @@ def run_stability(ctx: RunContext, cfg: dict) -> dict:
     rows = [(d, rep.lhs, rep.rhs_diffusion, rep.rhs_drift, rep.c_hat)
             for d, rep in zip(res.deltas, res.reports)]
     for d, rep in zip(res.deltas, res.reports):
-        ctx.note_clipping(rep.clipped_mass, spec, delta=float(d))
+        ctx.note_clipping(rep.clipped_mass, spec, delta=float(d),
+                          non_dominant_cells=rep.non_dominant_cells)
     write_csv(ctx.path("sweep.csv"),
               ["delta", "lhs", "rhs_diffusion", "rhs_drift", "c_hat"], zip(*rows))
     pos = res.deltas > 0
@@ -380,6 +407,15 @@ def run_meanfield(ctx: RunContext, cfg: dict) -> dict:
                            weight_order=cfg["weight_order"],
                            **kernel_from_name(cfg["kernel"], dim))
     spec = grid_from_config(cfg, dim, model.b0.growth.beta2)
+    couplings = [("eps", cfg["eps"])] + [(f"eps_grid.{i}", e)
+                                         for i, e in enumerate(cfg["eps_grid"] or ())]
+    for path, eps in couplings:
+        if not model.admits(eps):
+            raise ValidationError(
+                f"coupling {eps:g} is at or above lambda / (2 sup|q|) = "
+                f"{model.a0.lam / (2.0 * model.diffusion_kernel.sup_bound):g} of kernel "
+                f"{cfg['kernel']!r}, where the kernel eats half the diffusion's ellipticity",
+                path=path)
     for i, mean in enumerate(cfg["starts"]):
         if abs(float(mean)) > spec.radius:
             raise ValidationError(f"start mean {float(mean):g} lies outside the box "
@@ -388,7 +424,8 @@ def run_meanfield(ctx: RunContext, cfg: dict) -> dict:
     for mean in cfg["starts"]:
         start = gaussian_probe(spec, np.full(dim, float(mean)), 1.0)
         traces.append(picard_iterate(model, start, tol=cfg["tol"], max_iter=cfg["max_iter"]))
-        ctx.note_clipping(traces[-1].clipped_mass, spec, start=float(mean))
+        ctx.note_clipping(traces[-1].clipped_mass, spec, start=float(mean),
+                          non_dominant_cells=traces[-1].non_dominant_cells)
     rows = [(si, t + 1, g, tr.factors[t - 1] if 0 < t <= len(tr.factors) else float("nan"))
             for si, tr in enumerate(traces) for t, g in enumerate(tr.gaps)]
     write_csv(ctx.path("trace.csv"),
@@ -419,15 +456,18 @@ def run_meanfield(ctx: RunContext, cfg: dict) -> dict:
     }
     if cfg["threshold"]:
         summary["eps_threshold"], tried = threshold_search(model, spec)
+        summary["eps_threshold_cap"] = tried[0].eps
         worst = max(tried, key=lambda est: est.clipped_mass)
-        ctx.note_clipping(worst.clipped_mass, spec, eps=worst.eps, probes="eps_threshold")
+        ctx.note_clipping(worst.clipped_mass, spec, eps=worst.eps, probes="eps_threshold",
+                          non_dominant_cells=worst.non_dominant_cells)
     if cfg["eps_grid"]:
         ests = [contraction_estimate(model.with_eps(e), spec) for e in cfg["eps_grid"]]
         facs = [est.factor for est in ests]
         write_csv(ctx.path("response.csv"), ["eps", "factor"], [cfg["eps_grid"], facs])
         summary["max_factor"] = max(facs)
         for est in ests:
-            ctx.note_clipping(est.clipped_mass, spec, eps=est.eps, probes="max_factor")
+            ctx.note_clipping(est.clipped_mass, spec, eps=est.eps, probes="max_factor",
+                              non_dominant_cells=est.non_dominant_cells)
     ctx.summary.update(summary)
     return {"converged": bool(summary["converged"]),
             "fixed_points_agree": bool(spread <= 1e-5),
@@ -438,8 +478,9 @@ def _run_sweep_point(task: str, base_cfg: dict, axis_key: str, value: float,
                      out_dir: str, strict: bool) -> dict:
     """Run one point into out_dir and write its report.
 
-    The result carries the point's warnings and, if its numerics failed, the
-    error (which a strict sweep raises once every point has run).
+    The result carries the point's summary as computed, its warnings and, if
+    its numerics failed, the error (which a strict sweep raises once every
+    point has run).
     """
     cfg = dict(base_cfg)
     if axis_key == "deltas":
@@ -456,10 +497,10 @@ def _run_sweep_point(task: str, base_cfg: dict, axis_key: str, value: float,
         ctx.error = exc
         report = ctx.finish({"completed": False})
         return {"value": value, "passed": False, "error": exc,
-                "summary": report["summary"], "warnings": report["warnings"]}
+                "summary": ctx.summary, "warnings": report["warnings"]}
     report = ctx.finish(checks)
     return {"value": value, "passed": report["passed"], "error": None,
-            "summary": report["summary"], "warnings": report["warnings"]}
+            "summary": ctx.summary, "warnings": report["warnings"]}
 
 
 def run_sweep(ctx: RunContext, cfg: dict, workers: int) -> dict:

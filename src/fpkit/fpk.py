@@ -24,19 +24,19 @@ solves sum_ij d_i d_j (a^ij rho) - sum_i d_i (b^i rho) = 0. Two routes:
 
 Every grid solve takes one path. _generator_table samples A and b once at
 the cell centers (or reads the diffusion a NearbyFactor holds), checks the
-samples and writes the table of L_h, one weight per cell and stencil offset.
+samples and writes the table of L_h, one weight per stencil offset and cell.
 _solve_null turns the table into the null vector, refined against the factor
 a slot holds (_refined_null) or from a fresh factor of the pinned M
-(_pinned_factor), made before M is written, so that SuperLU runs beside the
-table and the pinned matrix only. _null_density validates and clips it. M is
-written from the table (_density_operator) and |M| from M's arrays
-(_magnitude); no solve builds L_h as a matrix of its own. The measurements
-behind the stencil, the orderings, SuperLU's options and the refinement
-constants are in CHANGES.md, not repeated here.
+(_pinned_factor). _null_density validates and clips it. The table is the one
+operator a solve applies: M x = L_h^T x, |M| |x| and L_h u are _apply of
+it, bit for bit the products of the sparse matrices. A sparse matrix is
+written only for SuperLU (the pinned M) and for generator_matrix, the public
+L_h. The measurements behind the stencil, the orderings, SuperLU's options
+and the refinement constants are in CHANGES.md, not repeated here.
 
 scipy.sparse and scipy.sparse.linalg are imported where they are used
-(_density_operator, _magnitude, _pinned_factor, _factor, and _reaches_pin
-with scipy.sparse.csgraph), so importing fpkit and running the 1d closed form
+(generator_matrix, _pinned_factor, _factor, and _reaches_pin with
+scipy.sparse.csgraph), so importing fpkit and running the 1d closed form
 load no scipy module. _factor calls spla.splu through the module, so a
 replacement of scipy.sparse.linalg.splu sees every factor.
 
@@ -62,7 +62,7 @@ from .errors import (ConfinementError, ConvergenceError, DegenerateDensityError,
 from .fields import (ClosureField, ConstantField, DiffusionMatrixField, DriftField,
                      ScalarField, linear_drift, make_example_field)
 from .grids import GridDensity, GridSpec
-from .quadrature import center_indices, cumulative_integral, fine_mesh
+from .quadrature import center_indices, cumulative_integral, fine_mesh, lp_from_logs
 from .testfunctions import SmoothTestFunction
 
 if TYPE_CHECKING:  # the annotations only; the solvers import scipy.sparse where they use it
@@ -181,16 +181,19 @@ def generator_matrix(A: DiffusionMatrixField, b: DriftField, spec: GridSpec) -> 
     the module docstring says (_weight_table). A tap past a wall folds onto
     the wall cell itself (a reflecting ghost), so the rows sum to zero.
     """
+    import scipy.sparse as sp
+
     pts = spec.cell_centers()
     T, offsets, _ = _weight_table(A.values(pts), b.values(pts), spec)
-    return _density_operator(T, offsets, spec).T
+    return sp.csr_matrix(_compressed(T, offsets), shape=(spec.n_cells,) * 2)
 
 
 def _weight_table(a: np.ndarray, b_c: np.ndarray,
                   spec: GridSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     """Neighbour weights of the fitted L_h from samples a: (N, d, d) and b_c: (N, d) at the cells.
 
-    Returns the (N, S) table, the (S,) int32 column offsets of its slots and
+    Returns the (S, N) table, T[s, c] the weight of L_h from cell c to cell
+    c + offsets[s], the (S,) int32 offsets of its slots and
     the scheme's telemetry: "max_cell_peclet", the largest h |b^i| / (2 a^ii),
     "non_dominant_cells", the count of cells where |a^01| > min(a^00, a^11),
     and "exponential_fitting", whether the axes are fitted. The slots are the
@@ -246,28 +249,32 @@ def _weight_table(a: np.ndarray, b_c: np.ndarray,
     # |beta_i| times this plus beta_i D1 is beta_i times the one-sided difference
     # downstream, its upstream weight 0 exactly (the two halves cancel)
     one_sided = folded(0.5 / h, -1.0 / h, 0.5 / h)
+    # the slots of the taps -1, 0, 1 along each axis, evenly spaced in the lexicographic stencil
+    taps = [[stencil.index(tuple(k if j == i else 0 for j in range(d))) for k in (-1, 0, 1)]
+            for i in range(d)]
+    axes = []  # per axis: a slice of its three slots, and its stencils as (3,) + grid weights
+    for i, (lo, mid, hi) in enumerate(taps):
+        along = (3,) + tuple(n if j == i else 1 for j in range(d))
+        axes.append((slice(lo, hi + 1, mid - lo), *(F.reshape(along) for F in (D2, D1, one_sided))))
 
     def filled(fitted: bool) -> np.ndarray:
         T = np.zeros((len(stencil),) + spec.shape)  # slot by slot, each slot a grid
-        for i in range(d):
+        for i, (slots, D2_i, D1_i, one_sided_i) in enumerate(axes):
             s_i, b_i = sigma[:, i], beta[:, i]
-            terms = [(D2, s_i), (D1, b_i)]
+            terms = [(D2_i, s_i), (D1_i, b_i)]
             if fitted:  # e D2 on top of the one-sided difference, e = s_i B(h |b_i| / s_i)
                 z = h * np.abs(b_i)
                 with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                     e = np.where(b_i == 0.0, s_i, z / np.expm1(z / s_i))  # 0 where s_i = 0
-                terms = [(D2, e), (D1, b_i), (one_sided, np.abs(b_i))]
+                terms = [(D2_i, e), (D1_i, b_i), (one_sided_i, np.abs(b_i))]
             else:
                 up = (0.5 * h) * np.abs(b_i) > s_i  # cell Peclet number above 1
                 if up.any():  # minimal upwinding: the one-sided difference alone
-                    terms = [(D2, np.where(up, 0.0, s_i)), (D1, b_i),
-                             (one_sided, np.where(up, np.abs(b_i), 0.0))]
-            axis = [n if j == i else 1 for j in range(d)]  # a 1d weight along axis i
+                    terms = [(D2_i, np.where(up, 0.0, s_i)), (D1_i, b_i),
+                             (one_sided_i, np.where(up, np.abs(b_i), 0.0))]
+            view = T[slots]  # the three slots of axis i
             for F, coef in terms:
-                coef = coef.reshape(spec.shape)
-                for k in (-1, 0, 1):
-                    slot = stencil.index(tuple(k if j == i else 0 for j in range(d)))
-                    T[slot] += F[k + 1].reshape(axis) * coef
+                view += F * coef.reshape(spec.shape)
         if cross:
             S = {1: folded(0.0, 0.0, 1.0), -1: folded(1.0, 0.0, 0.0)}
             along = m / h ** 2
@@ -286,48 +293,48 @@ def _weight_table(a: np.ndarray, b_c: np.ndarray,
     T = filled(fitted=False)
     # a bound on every cell's tr(a) / h^2 + |b|_1 / h: a rate's roundoff is a few ulps of it
     size = d * (float(diag.max()) / h ** 2 + float(abs_b.max()) / h)
-    scheme["exponential_fitting"] = not _reaches_pin(T, stencil, offsets, spec, REACH_TOL * size)
+    scheme["exponential_fitting"] = not _reaches_pin(T, taps, offsets, spec, REACH_TOL * size)
     if scheme["exponential_fitting"]:
         T = filled(fitted=True)
-        if not _reaches_pin(T, stencil, offsets, spec, 0.0):
+        if not _reaches_pin(T, taps, offsets, spec, 0.0):
             with np.errstate(divide="ignore", invalid="ignore"):
                 pe = float(np.nanmax((0.5 * h) * np.abs(beta) / sigma))
             raise DegenerateDensityError(
                 "the grid chain does not reach the pinned cell from every cell, even "
                 "exponentially fitted: the drift pushes apart where h |beta_i| / (2 sigma_i), "
                 f"sigma_i = a^ii less |a^01| in dominant cells, reaches {pe:.3g}; refine the grid")
-    return np.ascontiguousarray(T.reshape(len(stencil), -1).T), offsets, scheme
+    return T.reshape(len(stencil), -1), offsets, scheme
 
 
-def _reaches_pin(T: np.ndarray, stencil: list, offsets: np.ndarray, spec: GridSpec,
+def _reaches_pin(T: np.ndarray, taps: list, offsets: np.ndarray, spec: GridSpec,
                  least: float) -> bool:
     """Whether the chain with generator L_h reaches the pinned cell from every cell.
 
-    T is the table of L_h slot by slot, each slot a grid. A step counts where
+    T is the table of L_h slot by slot, each slot a grid, and taps[i] the
+    slots of the steps -1, 0, 1 along axis i. A step counts where
     its rate is above `least`: for the minimally upwinded L_h, whose rates
     can cancel to roundoff, REACH_TOL times a bound on every cell's
     tr(a) / h^2 + |b|_1 / h; 0 for the fitted one, whose rates are formed
     without cancellation. The pinned cell then lies in the one closed class
     of the chain, and the pinned L_h^T of an M-matrix L_h is nonsingular.
     First the sufficient test that every cell steps toward the pin along
-    each axis where it is not in the pin's line; where that fails, a
-    breadth-first search from the pin along the off-diagonal entries of L_h^T.
+    each axis where it is not in the pin's line, the least such rate above
+    `least`; where that fails, a breadth-first search from the pin along
+    the off-diagonal entries of L_h^T.
     """
     d = spec.dim
     pin = int(np.argmin(spec.center_radii()))
     at = np.unravel_index(pin, spec.shape)
-    steps_toward = ((stencil.index(tuple(k if j == i else 0 for j in range(d))),
-                     tuple(cells if j == i else slice(None) for j in range(d)))
-                    for i in range(d)
-                    for k, cells in ((1, slice(None, at[i])), (-1, slice(at[i] + 1, None))))
-    if all((T[slot][cells] > least).all() for slot, cells in steps_toward):
+    toward = [T[(slot,) + (slice(None),) * i + (cells,)].min()
+              for i, (down, _, up) in enumerate(taps)
+              for slot, cells in ((up, slice(None, at[i])), (down, slice(at[i] + 1, None)))]
+    if np.min(toward) > least:  # np.min keeps a NaN rate, which fails the test
         return True
     import scipy.sparse as sp
     from scipy.sparse.csgraph import breadth_first_order
 
-    steps = np.where(T > least, T, 0.0)
-    steps = sp.csc_matrix(_compressed(np.ascontiguousarray(steps.reshape(len(stencil), -1).T),
-                                      offsets), shape=(spec.n_cells,) * 2)
+    steps = np.where(T > least, T, 0.0).reshape(len(offsets), -1)
+    steps = sp.csc_matrix(_compressed(steps, offsets), shape=(spec.n_cells,) * 2)
     return len(breadth_first_order(steps, pin, directed=True, return_predecessors=False)) \
         == spec.n_cells
 
@@ -366,7 +373,7 @@ def _diagonal_share(sigma: np.ndarray, m: np.ndarray, sign: np.ndarray, b_c: np.
 
 def _compressed(T: np.ndarray, offsets: np.ndarray,
                 order: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(data, indices, indptr) of the nonzero weights of a table, one line per cell.
+    """(data, indices, indptr) of the nonzero weights of an (S, N) table, one line per cell.
 
     Line j lists the slots of cell c = order[j] (c = j without an order):
     slot s has index pos(c + offsets[s]), where pos(c) is the place of c in
@@ -375,13 +382,13 @@ def _compressed(T: np.ndarray, offsets: np.ndarray,
     the CSC arrays of L_h^T with its rows and columns taken in that order.
     Exact zeros are left out. Index arrays are int32.
     """
-    N, S = T.shape
-    nz = T != 0.0 if order is None else (T != 0.0)[order]
+    S, N = T.shape
+    nz = (T != 0.0).T if order is None else (T != 0.0).T[order]  # (N, S): cell by cell
     indptr = np.zeros(N + 1, dtype=np.int32)
     np.cumsum(np.einsum("ij->i", nz.view(np.int8)), out=indptr[1:])  # entries per line
     if order is None:  # the indices first, so that their temporary is gone before the data
         indices = (np.arange(N, dtype=np.int32)[:, None] + offsets)[nz]
-        return T[nz], indices, indptr
+        return T.T[nz], indices, indptr
     key = order[:, None] + offsets  # the neighbour of each slot; past the grid only where nz is False
     np.clip(key, 0, N - 1, out=key)
     pos = np.empty(N, dtype=np.int32)
@@ -393,8 +400,8 @@ def _compressed(T: np.ndarray, offsets: np.ndarray,
     key.sort(axis=1)
     indices = key[key != np.iinfo(np.int32).max]
     del key, nz
-    src = np.repeat(order * np.int32(S), np.diff(indptr))  # flat table index of each entry
-    src += indices & 15
+    src = np.repeat(order, np.diff(indptr))  # flat table index of each entry: its cell
+    src += (indices & 15) * np.int32(N)  # plus its slot times N
     indices >>= 4
     return T.ravel()[src], indices, indptr
 
@@ -512,19 +519,27 @@ def _generator_table(A, b: DriftField, spec: GridSpec, slot: NearbyFactor | None
     return _weight_table(a, b_c, spec)
 
 
-def _density_operator(T: np.ndarray, offsets: np.ndarray, spec: GridSpec) -> sp.csc_matrix:
-    """M = L_h^T from the table of L_h: the CSR arrays of L_h are the CSC arrays of M
-    (_compressed). M.T is L_h, a CSR view of the same arrays."""
-    import scipy.sparse as sp
+def _apply(T: np.ndarray, offsets: np.ndarray, x: np.ndarray, adjoint: bool = True) -> np.ndarray:
+    """M x = L_h^T x from the (S, N) table T of L_h, or L_h x when not `adjoint`.
 
-    return sp.csc_matrix(_compressed(T, offsets), shape=(spec.n_cells,) * 2)
-
-
-def _magnitude(M: sp.csc_matrix) -> sp.csc_matrix:
-    """|M|: np.abs of M's data on M's own index arrays, which abs(M) would copy."""
-    import scipy.sparse as sp
-
-    return sp.csc_matrix((np.abs(M.data), M.indices, M.indptr), shape=M.shape)
+    M x scatters T[s, c] x[c] onto cell c + offsets[s], the slots in
+    descending offset order; L_h x gathers T[s, c] x[c + offsets[s]], in
+    ascending order. Each cell's sum thus runs in the order of scipy's
+    csc_matvec of M and csr_matvec of L_h, so the products equal those of
+    the matrices bit for bit. Only the cells c with c + offsets[s] on the
+    grid take part; where a flat offset wraps onto the next line of cells,
+    T is an exact zero (the tap folds onto the wall cell), which adds
+    nothing to a finite x. |M| |x| is the same apply on |T|.
+    """
+    N, y, offs = len(x), np.zeros(len(x)), offsets.tolist()
+    for s in range(len(offs) - 1, -1, -1) if adjoint else range(len(offs)):
+        o = offs[s]
+        lo, hi = max(0, -o), min(N, N - o)  # the cells c with c + o on the grid
+        if adjoint:
+            y[lo + o:hi + o] += T[s, lo:hi] * x[lo:hi]
+        else:
+            y[lo:hi] += T[s, lo:hi] * x[lo + o:hi + o]
+    return y
 
 
 def _pinned_factor(T: np.ndarray, offsets: np.ndarray, spec: GridSpec) -> PinnedFactor:
@@ -542,10 +557,10 @@ def _pinned_factor(T: np.ndarray, offsets: np.ndarray, spec: GridSpec) -> Pinned
     N = spec.n_cells
     pin = int(np.argmin(spec.center_radii()))  # an interior cell, so every pin - offset is a cell
     order = spec.dissection_order() if len(offsets) == 9 else None  # 9 slots: a cross term
-    at = (pin - offsets, np.arange(len(offsets)))  # slot s of cell pin - offsets[s] is pin
+    at = (np.arange(len(offsets)), pin - offsets)  # slot s of cell pin - offsets[s] is pin
     unpinned = T[at]
     T[at] = 0.0
-    T[pin, offsets == 0] = 1.0
+    T[offsets == 0, pin] = 1.0
     factor = _factor(sp.csc_matrix(_compressed(T, offsets, order), shape=(N, N)), pin, order)
     T[at] = unpinned
     return factor
@@ -572,10 +587,11 @@ class NearbyFactor:
     grid: GridSpec | None = None
 
 
-def _relative_residual(abs_m: sp.spmatrix, x: np.ndarray, mx: np.ndarray) -> float:
-    """||M x||_inf / || |M| |x| ||_inf from mx = M x: the residual of M x = 0 against its
-    cancellation-free size. It does not depend on the scale of x."""
-    denom = float((abs_m @ np.abs(x)).max())
+def _relative_residual(T: np.ndarray, offsets: np.ndarray, x: np.ndarray,
+                       mx: np.ndarray) -> float:
+    """||M x||_inf / || |M| |x| ||_inf from mx = M x, M = L_h^T of the table T: the residual
+    of M x = 0 against its cancellation-free size. It does not depend on the scale of x."""
+    denom = float(_apply(np.abs(T), offsets, np.abs(x)).max())
     return float(np.abs(mx).max()) / max(denom, 1e-300)
 
 
@@ -584,11 +600,12 @@ def _unit_mass(x: np.ndarray, spec: GridSpec) -> np.ndarray:
     return x / (x.sum() * spec.cell_volume)
 
 
-def _refined_null(M: sp.spmatrix, abs_m: sp.spmatrix, factor: PinnedFactor,
+def _refined_null(T: np.ndarray, offsets: np.ndarray, factor: PinnedFactor,
                   start: np.ndarray) -> tuple[np.ndarray | None, float, int]:
     """The null vector of M = L_h^T at the pin's scale, refined against a nearby factor F.
 
-    F factors a pinned matrix P near the pinned M, with F's pin. From
+    T is the table of L_h (_apply). F factors a pinned matrix P near the
+    pinned M, with F's pin. From
     `start`, a vector with start[pin] = 1 (NearbyFactor.accepted), each step
     computes mx = M x once and corrects x <- x + F^-1 r, r = e_pin - P x
     (that is, -mx but 1 - x[pin] at the pin): classical iterative refinement
@@ -606,9 +623,9 @@ def _refined_null(M: sp.spmatrix, abs_m: sp.spmatrix, factor: PinnedFactor,
     x = start
     settled = start is factor.null
     for steps in range(REFINE_MAX_STEPS + 1):
-        mx = M @ x
+        mx = _apply(T, offsets, x)
         if settled:  # only a settled x can be accepted, so only it needs |M| |x|
-            residual = _relative_residual(abs_m, x, mx)
+            residual = _relative_residual(T, offsets, x, mx)
             if residual <= REFINE_RESIDUAL and np.isfinite(x).all():
                 return x, residual, steps
         if steps == REFINE_MAX_STEPS:
@@ -623,48 +640,43 @@ def _refined_null(M: sp.spmatrix, abs_m: sp.spmatrix, factor: PinnedFactor,
 
 def _solve_null(table: tuple[np.ndarray, np.ndarray, dict], spec: GridSpec,
                 slot: NearbyFactor | None) -> tuple:
-    """(M, factor, scheme, raw, residual): the null vector of M = L_h^T for a table of L_h.
+    """(table, factor, raw, residual): the null vector of M = L_h^T for a table of L_h.
 
-    `table` is (T, offsets, scheme) from _generator_table. Given a slot with
-    a factor of the grid's size, M and |M| are written and the null vector
+    `table` is (T, offsets, scheme) from _generator_table, and it is
+    returned as the operator: every product with M, |M| or L_h is an _apply
+    of T. Given a slot with a factor of the grid's size, the null vector is
     refined against that factor (_refined_null). Without one, or where that
-    falls short, the pinned M is factored (_pinned_factor) and only then is M
-    written. raw is the null vector at unit mass, and residual its relative
-    residual, or None where |M| was not written (_null_density measures it
-    then). A slot takes the factor and the accepted vector, and scheme
-    records "refinement_steps".
+    falls short, the pinned M is factored (_pinned_factor). raw is the null
+    vector at unit mass, and residual its relative residual, or None after a
+    fresh factor (_null_density measures it then). A slot takes the factor
+    and the accepted vector, and scheme records "refinement_steps".
     """
     T, offsets, scheme = table
     factor = None if slot is None else slot.factor
-    M = abs_m = x = None
+    x = residual = None
     if factor is not None and factor.lu.shape[0] == spec.n_cells:
-        M = _density_operator(T, offsets, spec)
-        abs_m = _magnitude(M)
-        x, residual, scheme["refinement_steps"] = _refined_null(M, abs_m, factor, slot.accepted)
+        x, residual, scheme["refinement_steps"] = _refined_null(T, offsets, factor, slot.accepted)
     if x is None:
         factor = _pinned_factor(T, offsets, spec)
         x, residual = factor.null, None
-        M = _density_operator(T, offsets, spec) if M is None else M
-    raw = _unit_mass(x, spec)
-    if residual is None and abs_m is not None:  # refinement fell short, and |M| is written
-        residual = _relative_residual(abs_m, raw, M @ raw)
     if slot is not None:
         slot.factor, slot.accepted = factor, x
         scheme.setdefault("refinement_steps", 0)
-    return M, factor, scheme, raw, residual
+    return table, factor, _unit_mass(x, spec), residual
 
 
-def _null_density(spec: GridSpec, M: sp.csc_matrix, lu: PinnedFactor, scheme: dict,
+def _null_density(spec: GridSpec, table: tuple[np.ndarray, np.ndarray, dict], lu: PinnedFactor,
                   raw: np.ndarray, residual: float | None, check_truncation: bool) -> GridDensity:
     """The density of raw, a null vector of M = L_h^T at unit mass, validated and clipped.
 
-    `residual` is raw's relative residual, or None to measure it here on M
-    and a |M| (_magnitude) that lives only for the measurement. Above
+    `table` is (T, offsets, scheme) of L_h, and `residual` raw's relative
+    residual, or None to measure it here from T (_relative_residual). Above
     RESIDUAL_LIMIT it is a ConvergenceError. `scheme` is copied into info.
     See solve_grid for the rest.
     """
+    T, offsets, scheme = table
     if residual is None:
-        residual = _relative_residual(_magnitude(M), raw, M @ raw)
+        residual = _relative_residual(T, offsets, raw, _apply(T, offsets, raw))
     if residual > RESIDUAL_LIMIT:
         raise ConvergenceError(
             f"linear solve residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}", history=[residual])
@@ -738,7 +750,8 @@ def moment_report(rho: GridDensity, orders: Sequence[float] = (0.0, 1.0, 2.0)):
 
 
 def weighted_lp_norm(rho: GridDensity, k: float, p: float) -> float:
-    """(integral (1+|x|)^{k p} rho^p)^{1/p} by cell quadrature.
+    """(integral (1+|x|)^{k p} rho^p)^{1/p} by cell quadrature, in log space
+    (quadrature.lp_from_logs), so that the power of neither factor over- or underflows.
 
     p must exceed 1. p = math.inf requests the essential-sup variant
     max (1+|x|)^k rho explicitly; in d = 1 that is the degenerate analogue of
@@ -752,8 +765,9 @@ def weighted_lp_norm(rho: GridDensity, k: float, p: float) -> float:
     if p <= 1.0:
         raise ValueError(f"exponent p must exceed 1 (got {p}); "
                          "request p=math.inf explicitly for the sup variant")
-    w = (1.0 + r) ** (k * p)
-    return float((w @ rho.flat() ** p) * rho.spec.cell_volume) ** (1.0 / p)
+    with np.errstate(divide="ignore"):  # log 0 = -inf, a cell of no mass
+        log_f = k * np.log1p(r) + np.log(np.abs(rho.flat()))
+    return lp_from_logs(log_f, p, rho.spec.cell_volume)
 
 
 def harnack_ratio(rho: GridDensity, radius: float) -> float:

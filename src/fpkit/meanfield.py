@@ -49,6 +49,7 @@ step, its refinement steps and whether it factored.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -60,7 +61,7 @@ from .fields import ClosureField, DiffusionMatrixField, DriftField, GrowthParams
 from .fpk import NearbyFactor, stationary_density
 from .grids import GridDensity, GridSpec
 from .oscillation import fit_line
-from .stability import weighted_l1_distance
+from .stability import clip_of, weighted_l1_distance
 
 _EVAL_CHUNK = 4096
 
@@ -245,6 +246,21 @@ class MeanFieldModel:
     def with_eps(self, eps: float) -> "MeanFieldModel":
         return dataclasses.replace(self, eps=float(eps))
 
+    def admits(self, eps: float) -> bool:
+        """Whether a coupling eps leaves the frozen diffusion elliptic: eps * sup|q| < lambda / 2
+        for the diffusion kernel q (nonlocal_coefficients), or there is no such kernel."""
+        ker = self.diffusion_kernel
+        return ker is None or eps * ker.sup_bound < self.a0.lam / 2.0
+
+    def coupling_cap(self, eps_max: float) -> float:
+        """eps_max, or the largest coupling below it that the model admits (admits):
+        the float just below lambda / (2 sup|q|) where eps_max reaches that."""
+        eps = float(eps_max)
+        while not self.admits(eps):
+            eps = math.nextafter(min(eps, self.a0.lam / (2.0 * self.diffusion_kernel.sup_bound)),
+                                 0.0)
+        return eps
+
 
 def _base_plus_offset(base, eps: float, offset):
     """values(x) of a frozen coefficient: base.values(x) + eps * offset(x), one
@@ -308,7 +324,7 @@ def nonlocal_coefficients(model: MeanFieldModel,
     a_eff, b_eff = model.a0, model.b0
     if model.diffusion_kernel is not None and eps > 0.0:
         ker = model.diffusion_kernel
-        if eps * ker.sup_bound >= model.a0.lam / 2.0:
+        if not model.admits(eps):
             raise EllipticityMarginError(
                 f"coupling eats the ellipticity margin: eps * sup|q| = "
                 f"{eps * ker.sup_bound:.6g} >= lambda/2 = {model.a0.lam / 2.0:.6g}")
@@ -347,7 +363,9 @@ class FixedPointTrace:
     eps * N * (sqrt(M_hat) + M_hat); multiplying it by an externally
     estimated stability ratio C_hat gives the contraction threshold.
     clipped_mass is the largest negative mass clipped from an iterate (0 for
-    the closed-form 1d densities, which never clip). refinement_steps[t] is
+    the closed-form 1d densities, which never clip), and non_dominant_cells
+    that iterate's count of non-dominant cells (fpk.solve_grid; 0 in 1d).
+    refinement_steps[t] is
     the number of refinement steps of step t against the factor held from an
     earlier step (0 for a step that factored with none held, and for the 1d
     closed form, which neither factors nor refines). factored[t] says whether
@@ -368,6 +386,7 @@ class FixedPointTrace:
     threshold_scale: float
     tol: float
     clipped_mass: float = 0.0
+    non_dominant_cells: int = 0
     refinement_steps: tuple[int, ...] = ()
     factored: tuple[bool, ...] = ()
 
@@ -400,7 +419,7 @@ def picard_iterate(model: MeanFieldModel, rho0: GridDensity, tol: float = 1e-8,
     rho = rho0
     gaps: list[float] = []
     m_hat = _weighted_moment(rho0, mom_power)
-    clipped = 0.0
+    clips = []  # (clipped mass, non-dominant cells) of each iterate
     converged = False
     nearby = NearbyFactor()
     refinement_steps, factored = [], []
@@ -410,7 +429,7 @@ def picard_iterate(model: MeanFieldModel, rho0: GridDensity, tol: float = 1e-8,
         factored.append(nearby.factor is not held)
         refinement_steps.append(nxt.info.get("refinement_steps", 0))
         m_hat = max(m_hat, _weighted_moment(nxt, mom_power))
-        clipped = max(clipped, nxt.info.get("clipped_mass", 0.0))
+        clips.append(clip_of(nxt))
         gaps.append(weighted_l1_distance(nxt, rho, k))
         rho = nxt
         if gaps[-1] <= tol:
@@ -418,11 +437,13 @@ def picard_iterate(model: MeanFieldModel, rho0: GridDensity, tol: float = 1e-8,
             break
     factors = tuple(gaps[t + 1] / gaps[t] for t in range(len(gaps) - 1) if gaps[t] > 0.0)
     scale = model.eps * model.kernel_bound * (np.sqrt(m_hat) + m_hat)
+    clipped, non_dominant = max(clips)
     trace = FixedPointTrace(fixed_point=rho, gaps=tuple(gaps), factors=factors,
                             converged=converged, eps=model.eps,
                             kernel_bound=model.kernel_bound, m_hat=m_hat,
                             threshold_scale=float(scale), tol=float(tol),
-                            clipped_mass=clipped, refinement_steps=tuple(refinement_steps),
+                            clipped_mass=clipped, non_dominant_cells=non_dominant,
+                            refinement_steps=tuple(refinement_steps),
                             factored=tuple(factored))
     if not converged:
         if any(f > 1.0 for f in factors):
@@ -451,13 +472,15 @@ class ContractionEstimate:
     """Sampled Lipschitz data for Phi on a probe family.
 
     clipped_mass is the largest negative mass clipped from a probe image
-    (0 for the closed-form 1d densities, which never clip).
+    (0 for the closed-form 1d densities, which never clip), and
+    non_dominant_cells that image's count of non-dominant cells.
     """
 
     eps: float
     k: float
     factors: tuple[float, ...]
     clipped_mass: float = 0.0
+    non_dominant_cells: int = 0
 
     @property
     def factor(self) -> float:
@@ -492,16 +515,19 @@ def contraction_estimate(model: MeanFieldModel, spec: GridSpec,
                 raise DegenerateDensityError(
                     f"probe densities {i} and {j} coincide; contraction ratio undefined")
             factors.append(weighted_l1_distance(images[i], images[j], k) / den)
-    clipped = max(rho.info.get("clipped_mass", 0.0) for rho in images)
-    return ContractionEstimate(eps=model.eps, k=k, factors=tuple(factors), clipped_mass=clipped)
+    clipped, non_dominant = max(clip_of(rho) for rho in images)
+    return ContractionEstimate(eps=model.eps, k=k, factors=tuple(factors), clipped_mass=clipped,
+                               non_dominant_cells=non_dominant)
 
 
 def epsilon_threshold(model: MeanFieldModel, spec: GridSpec, eps_max: float = 1.0,
                       tol: float = 1e-3, probes: Sequence[GridDensity] | None = None) -> float:
     """Largest coupling (up to eps_max) with sampled contraction factor < 1.
 
-    Bisects on eps, using the sampled factor as a monotone surrogate. When
-    even eps_max contracts on the probes, eps_max itself is returned.
+    Bisects on eps, using the sampled factor as a monotone surrogate. eps_max
+    is first lowered to the largest coupling the model admits
+    (MeanFieldModel.coupling_cap). When even that contracts on the probes, it
+    is returned.
     """
     return threshold_search(model, spec, eps_max, tol, probes)[0]
 
@@ -509,7 +535,11 @@ def epsilon_threshold(model: MeanFieldModel, spec: GridSpec, eps_max: float = 1.
 def threshold_search(model: MeanFieldModel, spec: GridSpec, eps_max: float = 1.0,
                      tol: float = 1e-3, probes: Sequence[GridDensity] | None = None,
                      ) -> tuple[float, tuple[ContractionEstimate, ...]]:
-    """epsilon_threshold, and the contraction estimate of every eps it tried, in order."""
+    """epsilon_threshold, and the contraction estimate of every eps it tried, in order.
+
+    The first is that of the capped eps_max (MeanFieldModel.coupling_cap).
+    """
+    eps_max = model.coupling_cap(eps_max)
     estimates = [contraction_estimate(model.with_eps(eps_max), spec, probes)]
     if estimates[-1].factor < 1.0:
         return eps_max, tuple(estimates)

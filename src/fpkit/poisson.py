@@ -67,7 +67,7 @@ from . import fpk
 from .fpk import (ModelSpec, PinnedFactor, _diffusion_matrix, _fine_profile_1d, _sampled_diffusion,
                   _scalar_diffusion, builtin_models, solve_exact_1d)
 from .grids import GridDensity, GridSpec
-from .quadrature import cumulative_integral
+from .quadrature import cumulative_integral, lp_from_logs
 
 # ---------------------------------------------------------------------------
 # Lyapunov constants
@@ -330,7 +330,9 @@ def _solution(problem: PoissonProblem, wit: LyapunovWitness, u: np.ndarray, du: 
     grad_norm = np.sqrt(np.sum(du.reshape(-1, spec.dim) ** 2, axis=1))
     g1 = float((grad_norm / (1.0 + r ** (k + beta))).max())
     frob = np.sqrt(np.sum(d2u.reshape(-1, spec.dim, spec.dim) ** 2, axis=(1, 2)))
-    h_norm = float((frob ** p / (1.0 + r ** s)).sum() * spec.cell_volume) ** (1.0 / p)
+    with np.errstate(divide="ignore"):  # log 0 = -inf; log(1 + r^s) without r^s
+        h_norm = lp_from_logs(np.log(frob) - np.logaddexp(0.0, s * np.log(r)) / p, p,
+                              spec.cell_volume)
     interior = r <= spec.radius - 1.0
     residual = float(res.max())
     return PoissonSolution(
@@ -462,12 +464,14 @@ def solve_poisson_grid(problem: PoissonProblem) -> PoissonSolution:
     d2u, whose mixed entries are the average of the two orders.
     """
     spec = problem.spec
-    M, lu, *_ = fpk._solve_null(fpk._generator_table(problem.A, problem.b, spec, None), spec, None)
-    return _solve_factored(problem, M, lu)
+    table, lu, *_ = fpk._solve_null(fpk._generator_table(problem.A, problem.b, spec, None),
+                                    spec, None)
+    return _solve_factored(problem, table, lu)
 
 
-def _solve_factored(problem: PoissonProblem, M, lu: PinnedFactor) -> PoissonSolution:
-    """solve_poisson_grid on a given factor lu of the pinned M = L_h^T; M.T is L_h."""
+def _solve_factored(problem: PoissonProblem, table: tuple, lu: PinnedFactor) -> PoissonSolution:
+    """solve_poisson_grid on a given factor lu of the pinned L_h^T; table is (T, offsets, ...),
+    the table of L_h (fpk._generator_table)."""
     spec = problem.spec
     psi_t = problem.psi_tilde_cells()
     c_proj = float(discrete_adjoint_null(lu) @ psi_t)
@@ -483,7 +487,7 @@ def _solve_factored(problem: PoissonProblem, M, lu: PinnedFactor) -> PoissonSolu
     u[lu.pin] = 0.0
     u -= u[_pin_ball_mask(spec, wit.pin_radius)].mean()
 
-    res = np.abs(M.T @ u - psi_proj)
+    res = np.abs(fpk._apply(*table[:2], u, adjoint=False) - psi_proj)
     res[lu.pin] = 0.0  # pinned row is implied by the others
 
     U, h, d = u.reshape(spec.shape), spec.h, spec.dim
@@ -527,9 +531,9 @@ def stationary_poisson(A, b: DriftField, psi: ScalarField, k: float, spec: GridS
                                          a[:, 0, 0])
     table = fpk._generator_table(A, b, spec, None, a)
     del a  # the factor runs without the samples
-    M, lu, *null = fpk._solve_null(table, spec, None)
-    rho = fpk._null_density(spec, M, lu, *null, check_truncation=True)
-    return rho, _solve_factored(PoissonProblem(A, b, psi, k, rho, p=p), M, lu)
+    table, lu, *null = fpk._solve_null(table, spec, None)
+    rho = fpk._null_density(spec, table, lu, *null, check_truncation=True)
+    return rho, _solve_factored(PoissonProblem(A, b, psi, k, rho, p=p), table, lu)
 
 
 # ---------------------------------------------------------------------------

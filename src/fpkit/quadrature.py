@@ -118,3 +118,17 @@ def fine_mesh(radius: float, n_cells: int, subdiv: int) -> tuple[np.ndarray, flo
 def center_indices(n_cells: int, subdiv: int) -> np.ndarray:
     """Indices of cell centers inside the fine_mesh point array."""
     return np.arange(n_cells) * subdiv + subdiv // 2
+
+
+def lp_from_logs(log_f: np.ndarray, p: float, cell_volume: float) -> float:
+    """(sum f^p h^d)^(1/p) by cell quadrature, from log f (-inf where f = 0).
+
+    The terms are scaled by the largest, so that f^p neither overflows nor
+    underflows on the way: a norm that is a float comes out finite and, with
+    one f > 0, nonzero. NaN in log_f gives NaN.
+    """
+    top = float(np.max(log_f))
+    if top == -np.inf:
+        return 0.0
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        return float(np.exp(top + np.log(np.sum(np.exp(p * (log_f - top))) * cell_volume) / p))

@@ -92,6 +92,12 @@ def weighted_l1_distance(rho1: GridDensity, rho2: GridDensity, k: float) -> floa
     return float(np.sum(w * np.abs(rho1.flat() - rho2.flat())) * rho1.spec.cell_volume)
 
 
+def clip_of(rho: GridDensity) -> tuple[float, int]:
+    """(clipped mass, non-dominant cells) of a density (fpk.solve_grid's info), the cells whose
+    negative weights can make it clip; (0.0, 0) for the 1d closed form, which never clips."""
+    return rho.info.get("clipped_mass", 0.0), rho.info.get("non_dominant_cells", 0)
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Both sides of the perturbation estimate measured on one grid.
@@ -100,7 +106,8 @@ class StabilityReport:
     rhs_drift = integral |b_mu - b_sigma| (1 + |x|^{beta+k}) drho_sigma;
     c_hat = lhs / (rhs_diffusion + rhs_drift), nan for a coincident pair.
     clipped_mass is the larger negative mass clipped from the two densities
-    (0 for the closed-form 1d densities, which never clip).
+    (0 for the closed-form 1d densities, which never clip), and
+    non_dominant_cells that density's count of non-dominant cells.
     """
 
     k: float
@@ -109,6 +116,7 @@ class StabilityReport:
     rhs_diffusion: float
     rhs_drift: float
     clipped_mass: float = 0.0
+    non_dominant_cells: int = 0
 
     @property
     def rhs(self) -> float:
@@ -151,9 +159,9 @@ def _measure(pair: CoefficientPair, rho_mu: GridDensity, rho_sigma: GridDensity,
     """Both sides of the perturbation estimate from the pair's two densities."""
     lhs = weighted_l1_distance(rho_mu, rho_sigma, k)
     diffusion, drift = rhs_discrepancy(pair, rho_sigma, k, r)
-    clipped = max(rho.info.get("clipped_mass", 0.0) for rho in (rho_mu, rho_sigma))
+    clipped, non_dominant = max(clip_of(rho) for rho in (rho_mu, rho_sigma))
     return StabilityReport(k=float(k), r=float(r), lhs=lhs, rhs_diffusion=diffusion,
-                           rhs_drift=drift, clipped_mass=clipped)
+                           rhs_drift=drift, clipped_mass=clipped, non_dominant_cells=non_dominant)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ run_report.json manifest.
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -120,7 +121,12 @@ def assert_error_report(report, error_class):
     assert report["error"]["message"]
 
 
+def reject_constant(name):
+    raise ValueError(f"report is not strict JSON: {name}")
+
+
 def run_cli(tmp_path, command, cfg, *flags, out="out"):
+    """(exit code, run_report.json parsed as strict JSON or None, output directory)."""
     cfg_path = tmp_path / f"{out}.json"
     cfg_path.write_text(json.dumps(cfg))
     out_dir = tmp_path / out
@@ -128,7 +134,7 @@ def run_cli(tmp_path, command, cfg, *flags, out="out"):
     report = None
     report_path = out_dir / "run_report.json"
     if report_path.exists():
-        report = json.loads(report_path.read_text())
+        report = json.loads(report_path.read_text(), parse_constant=reject_constant)
     return code, report, out_dir
 
 
@@ -361,6 +367,24 @@ class TestValidationExits:
         assert err.startswith("config error:")
         assert "start mean 100" in err and "[at starts.1]" in err
 
+    @pytest.mark.parametrize("cfg,path", [
+        ({"eps": 0.5}, "eps"),
+        ({"eps": 0.05, "eps_grid": [0.1, 0.5]}, "eps_grid.1"),
+        ({"eps": 0.05, "eps_grid": [0.7, 0.1], "dim": 2, "n": 16}, "eps_grid.0"),
+    ])
+    def test_coupling_past_the_ellipticity_margin_exits_two_and_names_it(self, tmp_path, capsys,
+                                                                       cfg, path):
+        # regression: eps * sup|q| >= lambda / 2 = 0.5 for the unit diffusion
+        # is decidable from the config, yet exited 3 with an
+        # EllipticityMarginError once the solves reached that coupling
+        cfg = {**cfg, "kernel": "gaussian-diffusion", "threshold": False}
+        code, report, _ = run_cli(tmp_path, "meanfield", cfg)
+        assert code == 2
+        assert report is None
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "lambda / (2 sup|q|) = 0.5" in err and f"[at {path}]" in err
+
     def test_grid_without_a_cell_in_the_unit_ball_exits_two(self, tmp_path, capsys):
         # regression: drift -1e-6 x gets the default radius 8000, so at n = 16 no
         # cell center lies in B(0, 1), and the Harnack ratio reduced an empty array
@@ -473,8 +497,7 @@ class TestNumericalExits:
         message = report["error"]["message"]
         assert f"clipped negative mass {first['value']:.6g} exceeds 1e-06" in message
         assert "radius 8.0, n 16" in message
-        if command in ("solve", "poisson"):  # no cell of the skewed diffusion is dominant
-            assert "non_dominant_cells 256" in message
+        assert "non_dominant_cells 256" in message  # no cell of the skewed diffusion is dominant
 
     @pytest.mark.parametrize("command,cfg", [
         ("solve", {"model": "ou-2d"}),
@@ -496,8 +519,9 @@ class TestNumericalExits:
         code, report, _ = run_cli(tmp_path, command, cfg)
         assert code == 0
         warnings = report["warnings"]
-        if command in ("solve", "poisson"):  # a density's warning counts its non-dominant cells
-            where = [{**w, "non_dominant_cells": w.get("n", 16) ** 2} for w in where]
+        # each warning counts the non-dominant cells of the density that clipped
+        # most, all of them on the skewed diffusion
+        where = [{**w, "non_dominant_cells": w.get("n", 16) ** 2} for w in where]
         assert [{k: v for k, v in w.items() if k != "value"} for w in warnings] == \
             [{"kind": "clipped_mass", "limit": 1e-6, "radius": 8.0, "n": 16, **w} for w in where]
         assert warnings[0]["value"] == pytest.approx(clips[0], rel=1e-2)
@@ -640,6 +664,32 @@ class TestNumericalExits:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: TruncationError: under-truncation")
         assert_error_report(report, "TruncationError")
+
+    @pytest.mark.parametrize("extra", [{}, {"dim": 2, "n": 32}])
+    def test_diffusion_kernel_threshold_search_stays_below_the_margin(self, tmp_path, extra):
+        # regression: the default threshold search probed eps_max = 1 first,
+        # where eps * sup|q| = 1 >= lambda / 2 = 0.5, so every gaussian-diffusion
+        # run exited 3. The search now starts just below 0.5 and reports that cap
+        code, report, _ = run_cli(tmp_path, "meanfield",
+                                  {"eps": 0.05, "kernel": "gaussian-diffusion", **extra})
+        assert code == 0
+        cap = report["summary"]["eps_threshold_cap"]
+        assert cap == math.nextafter(0.5, 0.0)
+        assert 0.0 < report["summary"]["eps_threshold"] <= cap
+
+    def test_non_finite_figure_is_written_as_null(self, tmp_path):
+        # regression: weighted_l2_norm overflowed (the norm is about 1e408,
+        # past the float range) and the report held NaN, which strict JSON
+        # readers reject. run_cli parses every report strictly
+        code, report, _ = run_cli(tmp_path, "solve",
+                                  {"model": "ou-2d", "n": 32, "weight_order": 400})
+        assert code == 0
+        assert report["summary"]["weighted_l2_norm"] is None
+        assert report["warnings"] == [{"kind": "non_finite", "key": "weighted_l2_norm"}]
+        code, report, _ = run_cli(tmp_path, "solve", {"model": "ou-2d", "n": 32}, out="normal")
+        assert code == 0
+        assert math.isfinite(report["summary"]["weighted_l2_norm"])
+        assert report["warnings"] == []
 
     def test_failing_check_exits_three_with_fail_line(self, tmp_path, capsys):
         cfg = {"task": "stability", "axis": [0.01, 0.05, 5.0],

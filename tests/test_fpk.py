@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import weakref
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -418,8 +419,8 @@ class TestNearbyFactor:
 
     @pytest.mark.parametrize("name", ["ou-2d", "anisotropic-2d"])
     def test_refined_step_builds_only_what_it_reads(self, name, monkeypatch):
-        # M comes from the table and |M| from M's arrays: no L_h, no transpose,
-        # no abs() of a sparse matrix, and |M| |x| only where refinement can stop
+        # M x and |M| |x| are applied from the table of L_h: no sparse matrix is
+        # built, and |M| |x| is formed only where refinement can stop
         m, spec = MODELS[name], GridSpec(2, 8.0, 32)
         drifts = [linear_drift(2, beta) for beta in (1.0, 1.01, 1.02, 1.03)]
         nearby = NearbyFactor()
@@ -429,15 +430,14 @@ class TestNearbyFactor:
         real = fpk._relative_residual
 
         def refuse(*args):
-            raise AssertionError("a refined step transposed a sparse matrix or took its abs()")
+            raise AssertionError("a refined step built a sparse matrix")
 
         def relative_residual(*args):
             measured.append(args)
             return real(*args)
 
         for cls in (sp.csr_matrix, sp.csc_matrix):
-            monkeypatch.setattr(cls, "transpose", refuse)
-            monkeypatch.setattr(cls, "__abs__", refuse)
+            monkeypatch.setattr(cls, "__init__", refuse)
         monkeypatch.setattr(fpk, "_relative_residual", relative_residual)
         for b in drifts[1:]:
             before = len(measured)
@@ -524,6 +524,19 @@ class TestWeightedNorms:
         unif = GridDensity(grid_1d, np.full(grid_1d.n, 1.0 / 16.0))
         with pytest.raises(ValueError, match="exceed 1"):
             weighted_lp_norm(unif, 1.0, 1.0)
+
+    def test_heavy_weight_does_not_overflow(self):
+        # regression: (1 + r)^(k p) overflowed at k = 200, and inf times a rho^p
+        # that underflowed gave nan, though the norm is about 2e158. At k = 400
+        # the norm, about 1e408, is past the float range: inf, not nan
+        m, spec = MODELS["ou-2d"], GridSpec(2, 8.0, 32)
+        rho = solve_grid(m.A, m.b, spec)
+        r, vals = spec.center_radii(), rho.flat()
+        for k in (1.0, 200.0):
+            exact = sum(Decimal(1.0 + float(ri)) ** Decimal(2.0 * k) * Decimal(float(v)) ** 2
+                        for ri, v in zip(r, vals)) * Decimal(spec.cell_volume)
+            assert weighted_lp_norm(rho, k, 2.0) == pytest.approx(float(exact.sqrt()), rel=1e-13)
+        assert weighted_lp_norm(rho, 400.0, 2.0) == math.inf
 
     def test_nondecreasing_in_weight_order(self, ou_1d, grid_1d):
         _, b = ou_1d

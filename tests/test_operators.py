@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from fpkit.errors import DegenerateDensityError
 from fpkit.fields import SMOOTH, ClosureField, DiffusionMatrixField, DriftField, GrowthParams
-from fpkit.fpk import (_diagonal_share, _generator_table, _solve_null, builtin_models,
+from fpkit.fpk import (_apply, _diagonal_share, _generator_table, _solve_null, builtin_models,
                        generator_matrix, solve_grid)
 from fpkit.grids import GridSpec
 
@@ -564,3 +564,23 @@ def test_table_build_matches_the_diagonal_format_build(case):
     assert permc_spec == ("NATURAL" if cross else "MMD_AT_PLUS_A")
     assert P.format == "csc"
     assert_same_arrays(P, R)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.one_of(coefficient_pairs(),
+                      st.sampled_from(["bistable", "saddle"]).map(
+                          lambda c: (*pushing_apart(c), GridSpec(2, 4.0, 16)))),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_table_apply_matches_the_sparse_products(case, seed):
+    # M x = L_h^T x, |M| |x| and L_h u applied from the table equal the
+    # products of the CSR L_h and its transpose bit for bit, on vectors of
+    # either sign whose entries span many orders of magnitude
+    A, b, spec = case
+    T, offsets, _ = _generator_table(A, b, spec, None)
+    L = generator_matrix(A, b, spec)
+    rng = np.random.default_rng(seed)
+    size = (2, spec.n_cells)
+    x, u = rng.standard_normal(size) * np.exp(rng.uniform(-10.0, 10.0, size))
+    assert np.array_equal(_apply(T, offsets, x), L.T @ x)
+    assert np.array_equal(_apply(np.abs(T), offsets, np.abs(x)), abs(L).T @ np.abs(x))
+    assert np.array_equal(_apply(T, offsets, u, adjoint=False), L @ u)

@@ -325,7 +325,8 @@ class TestGridSolver:
     def test_adjoint_null_vector(self, name):
         m = {m.name: m for m in builtin_models()}[name]
         spec = GridSpec(m.dim, 8.0, 256 if m.dim == 1 else 32)
-        M, lu, *_ = _solve_null(_generator_table(m.A, m.b, spec, None), spec, None)
+        _, lu, *_ = _solve_null(_generator_table(m.A, m.b, spec, None), spec, None)
+        M = generator_matrix(m.A, m.b, spec).T
         w = discrete_adjoint_null(lu)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.abs(M @ w).max() <= 1e-10 * (abs(M) @ np.abs(w)).max()
@@ -359,6 +360,23 @@ class TestGridSolver:
         with pytest.raises(IncompatibilityError, match="disagrees") as exc:
             solve_poisson_grid(prob)
         assert exc.value.projection_magnitude > 1.0
+
+    def test_hessian_norm_of_a_large_exponent_tends_to_the_weighted_sup(self, ou_2d):
+        # regression: frob^p / (1 + r^s) under- and overflowed at p = 1e6, so
+        # H was 0 and bounds.csv wrote h_over_psi 0. As p grows, H tends to
+        # max |D^2 u|_F / max(1, r^(2 beta + k)), since s / p -> 2 beta + k
+        A, b = ou_2d
+        psi = source(lambda z: np.tanh(z[:, 0]), 2, "tanh")
+        spec = GridSpec(2, 8.0, 32)
+        sols = {p: stationary_poisson(A, b, psi, 1.0, spec, p=p)[1] for p in (4.0, 1e6)}
+        r = spec.center_radii()
+        frob = np.sqrt(np.sum(sols[4.0].d2u.reshape(-1, 4) ** 2, axis=1))
+        direct = float(np.sum(frob ** 4.0 / (1.0 + r ** sols[4.0].s)) * spec.cell_volume) ** 0.25
+        assert sols[4.0].h_norm == pytest.approx(direct, rel=1e-14)
+        sol = sols[1e6]
+        limit = float((frob / np.maximum(1.0, r ** (2.0 * sol.beta + sol.k))).max())
+        assert sol.h_norm == pytest.approx(limit, rel=1e-4)
+        assert 0.0 < sol.h_quotient < math.inf
 
 
 class TestGrowthBounds:
@@ -452,9 +470,10 @@ class TestSharedFactor:
         mmd = PinnedFactor(spla.splu(P, permc_spec="MMD_AT_PLUS_A"), pin)
         assert rho.info["ordering"] == sol.info["ordering"] == "nested-dissection"
         assert rho.info["factor_nnz"] == sol.info["factor_nnz"] < mmd.nnz
-        ref_rho = _null_density(spec, L.T, mmd, {}, _unit_mass(mmd.null, spec), None,
+        table = _generator_table(m.A, m.b, spec, None)
+        ref_rho = _null_density(spec, table, mmd, _unit_mass(mmd.null, spec), None,
                                 check_truncation=True)
-        ref = _solve_factored(PoissonProblem(m.A, m.b, psi, 1.0, ref_rho), L.T, mmd)
+        ref = _solve_factored(PoissonProblem(m.A, m.b, psi, 1.0, ref_rho), table, mmd)
         assert np.abs(rho.values - ref_rho.values).max() <= 1e-12 * ref_rho.values.max()
         assert np.abs(sol.u - ref.u).max() <= 1e-12 * np.abs(ref.u).max()
 
