@@ -50,11 +50,12 @@ Exit codes: 0 on success, 2 for validation failures (bad config, unknown
 keys, bad CLI usage), 3 for numerical failures (solver or check errors).
 
 The sweep subcommand fans a delta/eps axis out over a thread pool
-(--workers, else the FPKIT_WORKERS environment variable, else 4; only sweep
-reads either) with one
-subdirectory per point and a merged summary sorted by axis value. The sweep's
-own report lists every point's warnings, each tagged with its "axis_value";
-a strict sweep whose point failed exits 3 with the first such point's error.
+(--workers, default 4) with one subdirectory per point and a merged summary
+sorted by axis value. Each point is validated as its own run before any
+point runs (config.validate_command_config), so a bad point exits 2 naming
+axis.<i> or base.<key>. The sweep's own report lists every point's
+warnings, each tagged with its "axis_value"; a strict sweep whose point
+failed exits 3 with the first such point's error.
 """
 
 from __future__ import annotations
@@ -71,17 +72,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .config import (field_from_config, grid_from_config, kernel_from_name,
-                     load_config_file, model_from_config, validate_command_config)
+from .config import (field_from_config, grid_from_config, load_config_file,
+                     meanfield_model_from_config, model_from_config, pair_family_from_config,
+                     validate_command_config)
 from .errors import FpkError, SchemePositivityError, ValidationError
-from .fields import DiffusionMatrixField, linear_drift
 from .fpk import harnack_ratio, moment_report, stationary_density, weighted_lp_norm
 from .grids import GridSpec
-from .meanfield import (MeanFieldModel, contraction_estimate, gaussian_probe, picard_iterate,
-                        threshold_search)
+from .meanfield import contraction_estimate, gaussian_probe, picard_iterate, threshold_search
 from .oscillation import SamplingSpec, dini_integral, dini_mean_oscillation
 from .poisson import check_grids, growth_bound_report, stationary_poisson
-from .stability import CoefficientPair, stability_sweep, weighted_l1_distance
+from .stability import clip_of, stability_sweep, weighted_l1_distance
 from . import svg
 
 _EXIT_VALIDATION = 2
@@ -187,14 +187,16 @@ class RunContext:
             fh.write("\n")
         return report
 
-    def note_clipping(self, clipped: float, spec: GridSpec, **where) -> None:
-        """Warn of a density on spec (at `where` in the run) clipped past CLIP_MASS_LIMIT.
+    def note_clipping(self, clipped: float, non_dominant: int, spec: GridSpec,
+                      **where) -> None:
+        """Warn of a density on spec (at `where` in the run) clipped past CLIP_MASS_LIMIT,
+        naming its non-dominant cells (the only ones whose negative weights can make it clip).
 
         Under --strict, then raise the warning as a SchemePositivityError.
         """
         if clipped <= CLIP_MASS_LIMIT:
             return
-        place = {"radius": spec.radius, "n": spec.n, **where}
+        place = {"radius": spec.radius, "n": spec.n, **where, "non_dominant_cells": non_dominant}
         self.warnings.append({"kind": "clipped_mass", "value": clipped,
                               "limit": CLIP_MASS_LIMIT, **place})
         if self.strict:
@@ -202,13 +204,6 @@ class RunContext:
             raise SchemePositivityError(
                 f"clipped negative mass {clipped:.6g} exceeds {CLIP_MASS_LIMIT:g} ({at})",
                 clipped_mass=clipped)
-
-    def note_density(self, rho, **where) -> None:
-        """note_clipping for one density, naming its non-dominant cells (the only ones
-        whose negative weights can make it clip) where it counts them."""
-        if "non_dominant_cells" in rho.info:
-            where["non_dominant_cells"] = rho.info["non_dominant_cells"]
-        self.note_clipping(rho.info.get("clipped_mass", 0.0), rho.spec, **where)
 
 
 TELEMETRY_KEYS = ("residual", "clipped_mass", "pinned_cell", "ordering", "factor_nnz",
@@ -260,7 +255,7 @@ def run_solve(ctx: RunContext, cfg: dict) -> dict:
             f"no cell center lies in B(0, 1): n {spec.n} and radius {spec.radius:g} give "
             f"cells of width {spec.h:g}; raise n or set a smaller radius", path="n")
     rho = stationary_density(A, b, spec)
-    ctx.note_density(rho)
+    ctx.note_clipping(*clip_of(rho), spec)
     if dim == 2:
         ctx.summary["telemetry"] = {key: rho.info[key] for key in TELEMETRY_KEYS}
     k = cfg["weight_order"]
@@ -313,7 +308,7 @@ def run_poisson(ctx: RunContext, cfg: dict) -> dict:
     if np.ptp(sol.psi_tilde) == 0.0:
         raise ValidationError("psi is constant on the grid, so the centered source is 0: "
                               "Psi = 0 and the quotients G/Psi are undefined", path="psi")
-    ctx.note_density(rho)
+    ctx.note_clipping(*clip_of(rho), spec)
     if dim == 2:
         ctx.summary["telemetry"] = {key: rho.info[key] for key in TELEMETRY_KEYS}
     pts = spec.cell_centers()
@@ -334,7 +329,7 @@ def run_poisson(ctx: RunContext, cfg: dict) -> dict:
     for grid in grids:
         if grid not in solved:
             grid_rho, solved[grid] = stationary_poisson(A, b, psi, cfg["k"], grid, p=cfg["p"])
-            ctx.note_density(grid_rho)
+            ctx.note_clipping(*clip_of(grid_rho), grid)
     rep = growth_bound_report([solved[grid] for grid in grids])
     write_csv(ctx.path("bounds.csv"),
               ["radius", "g0_over_psi", "g1_over_psi", "h_over_psi"],
@@ -356,32 +351,14 @@ def run_poisson(ctx: RunContext, cfg: dict) -> dict:
     }
 
 
-def _stability_pair_family(cfg: dict):
-    """(delta -> CoefficientPair of the config's family, sigma's drift -x shared by every pair)."""
-    dim = cfg["dim"]
-    eye = np.eye(dim)
-    A1 = DiffusionMatrixField.from_constant(eye, 1.0)
-    b1 = linear_drift(dim, 1.0)
-    if cfg["family"] == "drift-linear":
-        def make(delta: float) -> CoefficientPair:
-            return CoefficientPair(A1, linear_drift(dim, 1.0 + delta), A1, b1)
-    else:
-        def make(delta: float) -> CoefficientPair:
-            Am = DiffusionMatrixField.from_constant(eye * (1.0 + delta),
-                                                    lam=min(1.0, 1.0 / (1.0 + delta)))
-            return CoefficientPair(Am, linear_drift(dim, 1.0), A1, b1)
-    return make, b1
-
-
 def run_stability(ctx: RunContext, cfg: dict) -> dict:
-    make, b_sigma = _stability_pair_family(cfg)
+    make, b_sigma = pair_family_from_config(cfg)
     spec = grid_from_config(cfg, cfg["dim"], b_sigma.growth.beta2)
     res = stability_sweep(make, cfg["deltas"], spec, k=cfg["k"], r=cfg["r"])
     rows = [(d, rep.lhs, rep.rhs_diffusion, rep.rhs_drift, rep.c_hat)
             for d, rep in zip(res.deltas, res.reports)]
     for d, rep in zip(res.deltas, res.reports):
-        ctx.note_clipping(rep.clipped_mass, spec, delta=float(d),
-                          non_dominant_cells=rep.non_dominant_cells)
+        ctx.note_clipping(rep.clipped_mass, rep.non_dominant_cells, spec, delta=float(d))
     write_csv(ctx.path("sweep.csv"),
               ["delta", "lhs", "rhs_diffusion", "rhs_drift", "c_hat"], zip(*rows))
     pos = res.deltas > 0
@@ -402,30 +379,14 @@ def run_stability(ctx: RunContext, cfg: dict) -> dict:
 
 def run_meanfield(ctx: RunContext, cfg: dict) -> dict:
     dim = cfg["dim"]
-    A1 = DiffusionMatrixField.from_constant(np.eye(dim), 1.0)
-    model = MeanFieldModel(A1, linear_drift(dim, 1.0), eps=float(cfg["eps"]),
-                           weight_order=cfg["weight_order"],
-                           **kernel_from_name(cfg["kernel"], dim))
+    model = meanfield_model_from_config(cfg)
     spec = grid_from_config(cfg, dim, model.b0.growth.beta2)
-    couplings = [("eps", cfg["eps"])] + [(f"eps_grid.{i}", e)
-                                         for i, e in enumerate(cfg["eps_grid"] or ())]
-    for path, eps in couplings:
-        if not model.admits(eps):
-            raise ValidationError(
-                f"coupling {eps:g} is at or above lambda / (2 sup|q|) = "
-                f"{model.a0.lam / (2.0 * model.diffusion_kernel.sup_bound):g} of kernel "
-                f"{cfg['kernel']!r}, where the kernel eats half the diffusion's ellipticity",
-                path=path)
-    for i, mean in enumerate(cfg["starts"]):
-        if abs(float(mean)) > spec.radius:
-            raise ValidationError(f"start mean {float(mean):g} lies outside the box "
-                                  f"[-{spec.radius:g}, {spec.radius:g}]^{dim}", path=f"starts.{i}")
     traces = []
     for mean in cfg["starts"]:
         start = gaussian_probe(spec, np.full(dim, float(mean)), 1.0)
         traces.append(picard_iterate(model, start, tol=cfg["tol"], max_iter=cfg["max_iter"]))
-        ctx.note_clipping(traces[-1].clipped_mass, spec, start=float(mean),
-                          non_dominant_cells=traces[-1].non_dominant_cells)
+        ctx.note_clipping(traces[-1].clipped_mass, traces[-1].non_dominant_cells, spec,
+                          start=float(mean))
     rows = [(si, t + 1, g, tr.factors[t - 1] if 0 < t <= len(tr.factors) else float("nan"))
             for si, tr in enumerate(traces) for t, g in enumerate(tr.gaps)]
     write_csv(ctx.path("trace.csv"),
@@ -458,37 +419,30 @@ def run_meanfield(ctx: RunContext, cfg: dict) -> dict:
         summary["eps_threshold"], tried = threshold_search(model, spec)
         summary["eps_threshold_cap"] = tried[0].eps
         worst = max(tried, key=lambda est: est.clipped_mass)
-        ctx.note_clipping(worst.clipped_mass, spec, eps=worst.eps, probes="eps_threshold",
-                          non_dominant_cells=worst.non_dominant_cells)
+        ctx.note_clipping(worst.clipped_mass, worst.non_dominant_cells, spec, eps=worst.eps,
+                          probes="eps_threshold")
     if cfg["eps_grid"]:
         ests = [contraction_estimate(model.with_eps(e), spec) for e in cfg["eps_grid"]]
         facs = [est.factor for est in ests]
         write_csv(ctx.path("response.csv"), ["eps", "factor"], [cfg["eps_grid"], facs])
         summary["max_factor"] = max(facs)
         for est in ests:
-            ctx.note_clipping(est.clipped_mass, spec, eps=est.eps, probes="max_factor",
-                              non_dominant_cells=est.non_dominant_cells)
+            ctx.note_clipping(est.clipped_mass, est.non_dominant_cells, spec, eps=est.eps,
+                              probes="max_factor")
     ctx.summary.update(summary)
     return {"converged": bool(summary["converged"]),
             "fixed_points_agree": bool(spread <= 1e-5),
             "factors_below_one": bool(all(f < 1.0 for f in factors))}
 
 
-def _run_sweep_point(task: str, base_cfg: dict, axis_key: str, value: float,
-                     out_dir: str, strict: bool) -> dict:
-    """Run one point into out_dir and write its report.
+def _run_sweep_point(task: str, cfg: dict, value: float, out_dir: str, strict: bool) -> dict:
+    """Run one point's validated config into out_dir and write its report.
 
     The result carries the point's summary as computed, its warnings and, if
     its numerics failed, the error (which a strict sweep raises once every
     point has run).
     """
-    cfg = dict(base_cfg)
-    if axis_key == "deltas":
-        # a per-point slope needs two sizes; pair each axis value with its double
-        cfg["deltas"] = [value, 2.0 * value]
-    else:
-        cfg[axis_key] = value
-    ctx = RunContext(out_dir, task, cfg, cfg.get("seed", 0), strict)
+    ctx = RunContext(out_dir, task, cfg, cfg["seed"], strict)
     runner = {"stability": run_stability, "meanfield": run_meanfield}[task]
     try:
         checks = runner(ctx, cfg)
@@ -505,18 +459,12 @@ def _run_sweep_point(task: str, base_cfg: dict, axis_key: str, value: float,
 
 def run_sweep(ctx: RunContext, cfg: dict, workers: int) -> dict:
     task = cfg["task"]
-    axis_key = cfg["axis_key"]
-    values = sorted(float(v) for v in cfg["axis"])
-    if len(values) < 3:
-        raise ValidationError("sweep needs at least 3 axis points", path="axis")
-    jobs = []
+    values = cfg["axis"]
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        for i, v in enumerate(values):
-            sub = os.path.join(ctx.out_dir, f"point-{i:03d}")
-            jobs.append(pool.submit(_run_sweep_point, task, cfg["base"], axis_key, v,
-                                    sub, ctx.strict))
+        jobs = [pool.submit(_run_sweep_point, task, point, v,
+                            os.path.join(ctx.out_dir, f"point-{i:03d}"), ctx.strict)
+                for i, (v, point) in enumerate(zip(values, cfg["points"]))]
         results = [j.result() for j in jobs]
-    results.sort(key=lambda r: r["value"])
     for r in results:  # each point's warnings, tagged with its axis value
         ctx.warnings.extend({**w, "axis_value": r["value"]} for w in r["warnings"])
     errors = [r["error"] for r in results if r["error"] is not None]
@@ -565,22 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "first warning, or at a failing sweep point")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--workers", type=int, default=None,
-                       help="thread count for sweep points (default: FPKIT_WORKERS or 4)")
+        p.add_argument("--workers", type=int, default=4,
+                       help="thread count for sweep points (default: 4)")
     return parser
-
-
-def resolve_workers(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("FPKIT_WORKERS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"FPKIT_WORKERS must be an integer, got {env!r}",
-                                  path="FPKIT_WORKERS")
-    return 4
 
 
 def main(argv=None) -> int:
@@ -592,10 +527,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             raw["seed"] = args.seed
         cfg = validate_command_config(args.command, raw)
-        workers = resolve_workers(args.workers) if args.command == "sweep" else None
         ctx = RunContext(args.out, args.command, cfg, cfg.get("seed", 0), args.strict)
         if args.command == "sweep":
-            checks = run_sweep(ctx, cfg, workers)
+            checks = run_sweep(ctx, cfg, args.workers)
         else:
             runner = {"dini": run_dini, "solve": run_solve, "poisson": run_poisson,
                       "stability": run_stability, "meanfield": run_meanfield}[args.command]

@@ -4,12 +4,18 @@ Configurations are plain JSON mappings. Validation is strict: unknown keys
 are rejected by name (catching typos like "betaa2" instead of "beta2"),
 types are checked, and range constraints are enforced before any numerics
 run. Validators return the config with defaults filled in, so downstream
-code never guesses a default twice.
+code never guesses a default twice. A `meanfield`, `stability` or `sweep`
+config that validates raises no config error later: what the config alone
+decides (each meanfield coupling against the kernel's margin, each start
+inside the box, each sweep point as the run it is) is checked here, before
+any numerics, and their runners build from the validated config and check
+nothing.
 
 Builders turn validated sub-configs into coefficient objects: named example
 fields, expression fields (parsed through the restricted expression
 grammar), constants, diffusion matrices, drifts with declared growth
-envelopes, and interaction kernels.
+envelopes, interaction kernels, and the fixed coefficients of the
+`stability` and `meanfield` commands.
 """
 
 from __future__ import annotations
@@ -23,10 +29,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .fields import (ConstantField, DiffusionMatrixField, DriftField, ExpressionField,
-                     GrowthParams, ScalarField, make_example_field)
+                     GrowthParams, ScalarField, linear_drift, make_example_field)
 from .fpk import ModelSpec, builtin_models
 from .grids import GridSpec, default_radius
-from .meanfield import InteractionKernel
+from .meanfield import InteractionKernel, MeanFieldModel
+from .stability import CoefficientPair
 
 _NUM = (int, float)
 
@@ -206,9 +213,10 @@ SCHEMAS: dict[str, dict[str, Key]] = {
 def validate_command_config(command: str, obj: dict) -> dict:
     """Validate a config mapping for one CLI command; fills defaults.
 
-    Nested sub-configs (fields, coefficient blocks, sweep bases) are
-    validated recursively with their own schemas so error paths point at the
-    offending key.
+    Nested sub-configs (fields, coefficient blocks) are validated recursively
+    with their own schemas so error paths point at the offending key. A
+    sweep's base is replaced by its points: points[i] is the validated run
+    config of axis[i], the axis sorted.
     """
     if command not in SCHEMAS:
         raise ValidationError(f"unknown command {command!r}", path="")
@@ -218,37 +226,55 @@ def validate_command_config(command: str, obj: dict) -> dict:
         cfg["radii"] = validate_mapping(cfg["radii"] or {}, _RADII_SCHEMA, "radii")
         if cfg["radii"]["max"] <= cfg["radii"]["min"]:
             raise ValidationError("radii.max must exceed radii.min", path="radii.max")
-    if command in ("solve", "poisson", "stability", "meanfield"):
-        if command in ("solve", "poisson"):
-            has_model = cfg.get("model") is not None
-            has_coeff = cfg.get("coefficients") is not None
-            if has_model == has_coeff:
-                raise ValidationError(
-                    "exactly one of 'model' or 'coefficients' must be given", path="model")
-            if has_coeff:
-                sub = validate_mapping(cfg["coefficients"], _COEFF_SCHEMA, "coefficients")
-                sub["diffusion"] = validate_mapping(sub["diffusion"], _DIFFUSION_SCHEMA,
-                                                    "coefficients.diffusion")
-                sub["drift"] = validate_mapping(sub["drift"], _DRIFT_SCHEMA,
-                                                "coefficients.drift")
-                cfg["coefficients"] = sub
+    if command in ("solve", "poisson"):
+        has_model = cfg.get("model") is not None
+        has_coeff = cfg.get("coefficients") is not None
+        if has_model == has_coeff:
+            raise ValidationError(
+                "exactly one of 'model' or 'coefficients' must be given", path="model")
+        if has_coeff:
+            sub = validate_mapping(cfg["coefficients"], _COEFF_SCHEMA, "coefficients")
+            sub["diffusion"] = validate_mapping(sub["diffusion"], _DIFFUSION_SCHEMA,
+                                                "coefficients.diffusion")
+            sub["drift"] = validate_mapping(sub["drift"], _DRIFT_SCHEMA, "coefficients.drift")
+            cfg["coefficients"] = sub
     if command == "poisson":
         cfg["psi"] = validate_mapping(cfg["psi"], _FIELD_SCHEMA, "psi")
-        if cfg["check_radii"] is None and cfg["radius"] is not None:
-            # without a radius the runner doubles the one of the resolved grid
-            cfg["check_radii"] = [cfg["radius"], 2 * cfg["radius"]]
+    if command == "meanfield":
+        model = meanfield_model_from_config(cfg)
+        spec = grid_from_config(cfg, cfg["dim"], model.b0.growth.beta2)
+        couplings = [("eps", cfg["eps"])] + [(f"eps_grid.{i}", e)
+                                             for i, e in enumerate(cfg["eps_grid"] or ())]
+        for path, eps in couplings:
+            if not model.admits(eps):
+                raise ValidationError(
+                    f"coupling {eps:g} is at or above lambda / (2 sup|q|) = "
+                    f"{model.a0.lam / (2.0 * model.diffusion_kernel.sup_bound):g} of kernel "
+                    f"{cfg['kernel']!r}, where the kernel eats half the diffusion's ellipticity",
+                    path=path)
+        for i, mean in enumerate(cfg["starts"]):
+            if abs(float(mean)) > spec.radius:
+                raise ValidationError(f"start mean {float(mean):g} lies outside the box "
+                                      f"[-{spec.radius:g}, {spec.radius:g}]^{cfg['dim']}",
+                                      path=f"starts.{i}")
     if command == "sweep":
-        task = cfg["task"]
-        axis_key = "deltas" if task == "stability" else "eps"
-        base = dict(cfg["base"])
+        axis_key = "deltas" if cfg["task"] == "stability" else "eps"
+        base = cfg.pop("base")
         if axis_key in base:
             raise ValidationError(f"base must not set {axis_key!r}; the sweep axis provides it",
                                   path=f"base.{axis_key}")
-        # validate base under the task schema with a placeholder axis value;
-        # the sweep runner replaces it point by point
-        filler = [0.01, 0.02] if axis_key == "deltas" else 0.01
-        cfg["base"] = validate_command_config(task, {**base, axis_key: filler})
-        cfg["axis_key"] = axis_key
+        runs = []
+        for i, v in enumerate(map(float, cfg["axis"])):
+            # a per-point slope needs two sizes; pair each delta with its double
+            value = [v, 2.0 * v] if axis_key == "deltas" else v
+            try:
+                runs.append((v, validate_command_config(cfg["task"], {**base, axis_key: value})))
+            except ValidationError as exc:
+                at = f"axis.{i}" if exc.path.split(".")[0] == axis_key else f"base.{exc.path}"
+                raise ValidationError(str(exc), path=at) from None
+        runs.sort(key=lambda run: run[0])
+        cfg["axis"] = [v for v, _ in runs]
+        cfg["points"] = [point for _, point in runs]
     return cfg
 
 
@@ -361,3 +387,30 @@ def kernel_from_name(name: str, dim: int) -> dict:
                                                       depends_on_x=False,
                                                       name="gaussian-diffusion")}
     raise ValidationError(f"unknown kernel {name!r}", path="kernel")
+
+
+def pair_family_from_config(cfg: dict) -> tuple[Callable[[float], CoefficientPair],
+                                                DriftField]:
+    """(delta -> CoefficientPair of a stability config's family, sigma's drift -x shared
+    by every pair)."""
+    dim = cfg["dim"]
+    eye = np.eye(dim)
+    A1 = DiffusionMatrixField.from_constant(eye, 1.0)
+    b1 = linear_drift(dim, 1.0)
+    if cfg["family"] == "drift-linear":
+        def make(delta: float) -> CoefficientPair:
+            return CoefficientPair(A1, linear_drift(dim, 1.0 + delta), A1, b1)
+    else:
+        def make(delta: float) -> CoefficientPair:
+            Am = DiffusionMatrixField.from_constant(eye * (1.0 + delta),
+                                                    lam=min(1.0, 1.0 / (1.0 + delta)))
+            return CoefficientPair(Am, linear_drift(dim, 1.0), A1, b1)
+    return make, b1
+
+
+def meanfield_model_from_config(cfg: dict) -> MeanFieldModel:
+    """The meanfield config's model: a0 = I, b0 = -x and its named kernel."""
+    dim = cfg["dim"]
+    return MeanFieldModel(DiffusionMatrixField.from_constant(np.eye(dim), 1.0),
+                          linear_drift(dim, 1.0), eps=float(cfg["eps"]),
+                          weight_order=cfg["weight_order"], **kernel_from_name(cfg["kernel"], dim))

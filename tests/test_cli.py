@@ -21,10 +21,9 @@ import scipy.sparse.linalg as spla
 
 import fpkit
 from fpkit import __version__, cli, config, fpk, poisson, stability
-from fpkit.cli import CLIP_MASS_LIMIT, build_parser, main, resolve_workers, write_csv
+from fpkit.cli import CLIP_MASS_LIMIT, build_parser, main, write_csv
 from fpkit.config import (field_from_config, grid_from_config, model_from_config,
                           validate_command_config)
-from fpkit.errors import ValidationError
 from fpkit.fields import SMOOTH, ClosureField, DiffusionMatrixField, ExpressionField, linear_drift
 from fpkit.fpk import solve_grid
 from fpkit.grids import GridSpec
@@ -385,6 +384,28 @@ class TestValidationExits:
         assert err.startswith("config error:")
         assert "lambda / (2 sup|q|) = 0.5" in err and f"[at {path}]" in err
 
+    @pytest.mark.parametrize("cfg,path", [
+        ({"task": "meanfield", "axis": [0.05, 0.5, 1.5],
+          "base": {"threshold": False, "starts": [0.5]}}, "axis.2"),
+        ({"task": "meanfield", "axis": [0.1, 0.3, 0.6],
+          "base": {"kernel": "gaussian-diffusion", "threshold": False}}, "axis.2"),
+        ({"task": "meanfield", "axis": [0.01, 0.02, 0.03],
+          "base": {"starts": [50.0], "threshold": False}}, "base.starts.0"),
+    ], ids=["eps-past-one", "eps-past-the-margin", "start-outside-the-box"])
+    @pytest.mark.parametrize("flags", [(), ("--strict",)], ids=["lenient", "strict"])
+    def test_bad_sweep_point_exits_two_before_any_point_runs(self, tmp_path, capsys, cfg, path,
+                                                            flags):
+        # regression: the base was validated once with a placeholder axis
+        # value, so every point ran first. An eps of 1.5 then exited 2 with an
+        # "invalid parameter" that named no key; a coupling past the margin or a
+        # start outside the box failed its own points, and a lenient sweep exited 0
+        code, report, out_dir = run_cli(tmp_path, "sweep", cfg, *flags)
+        assert (code, report) == (2, None)
+        assert not out_dir.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert err.endswith(f"[at {path}]\n")
+
     def test_grid_without_a_cell_in_the_unit_ball_exits_two(self, tmp_path, capsys):
         # regression: drift -1e-6 x gets the default radius 8000, so at n = 16 no
         # cell center lies in B(0, 1), and the Harnack ratio reduced an empty array
@@ -414,7 +435,7 @@ def skewed(monkeypatch, skewed_2d):
     """2d runs on the non-dominant diffusion skewed_2d, whose densities clip.
 
     The built-in ou-2d (solve, poisson) takes skewed_2d as its A. The c I
-    that cli builds for meanfield and stability (and so for sweep) becomes
+    that config builds for meanfield and stability (and so for sweep) becomes
     c skewed_2d in 2d; 1d runs are left alone.
     """
     real = DiffusionMatrixField
@@ -430,7 +451,7 @@ def skewed(monkeypatch, skewed_2d):
 
     models = tuple(dataclasses.replace(m, A=skewed_2d) if m.name == "ou-2d" else m
                    for m in fpk.builtin_models())
-    monkeypatch.setattr(cli, "DiffusionMatrixField", Skewed)
+    monkeypatch.setattr(config, "DiffusionMatrixField", Skewed)
     monkeypatch.setattr(config, "builtin_models", lambda: models)
 
 
@@ -919,6 +940,10 @@ class TestSweepModes:
             digests.append(sub["config_digest"])
         assert len(set(digests)) == 3
 
+    def test_worker_count_defaults_to_four(self):
+        args = build_parser().parse_args(["sweep", "--config", "x.json", "--out", "y"])
+        assert args.workers == 4
+
     def test_worker_count_does_not_change_outputs(self, tmp_path):
         _, _, one = run_cli(tmp_path, "sweep", SMALL_CONFIGS["sweep"], "--workers", "1",
                             out="w1")
@@ -946,34 +971,6 @@ class TestDeterminism:
         assert base["seed"] == 0
         assert seeded["seed"] == 7
         assert seeded["config_digest"] != base["config_digest"]
-
-
-class TestWorkerResolution:
-    def test_flag_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("FPKIT_WORKERS", "9")
-        assert resolve_workers(2) == 2
-        assert resolve_workers(None) == 9
-
-    def test_default_without_either(self, monkeypatch):
-        monkeypatch.delenv("FPKIT_WORKERS", raising=False)
-        assert resolve_workers(None) == 4
-
-    def test_environment_floor_is_one(self, monkeypatch):
-        monkeypatch.setenv("FPKIT_WORKERS", "0")
-        assert resolve_workers(None) == 1
-
-    def test_unparsable_environment_is_a_config_error(self, monkeypatch):
-        monkeypatch.setenv("FPKIT_WORKERS", "many")
-        with pytest.raises(ValidationError, match="FPKIT_WORKERS must be an integer"):
-            resolve_workers(None)
-
-    def test_only_sweep_reads_the_environment(self, tmp_path, monkeypatch, capsys):
-        # regression: every subcommand resolved FPKIT_WORKERS, so solve exited 2
-        monkeypatch.setenv("FPKIT_WORKERS", "many")
-        assert run_cli(tmp_path, "solve", SMALL_CONFIGS["solve"], out="a")[0] == 0
-        code, report, _ = run_cli(tmp_path, "sweep", SMALL_CONFIGS["sweep"], out="b")
-        assert (code, report) == (2, None)
-        assert "FPKIT_WORKERS must be an integer" in capsys.readouterr().err
 
 
 class TestDefaultRadius:

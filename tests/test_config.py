@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fpkit
+from fpkit.cli import main
 from fpkit.config import (
     SCHEMAS,
     coefficients_from_config,
@@ -104,10 +105,14 @@ class TestCommandRules:
         assert out["seed"] == 0
         assert out["n"] is None
 
-    def test_poisson_check_radii_default_doubles_the_radius(self):
-        out = validate_command_config(
-            "poisson", {"model": "ou-1d", "psi": {"expression": "x1"}, "radius": 8.0})
-        assert out["check_radii"] == [8.0, 16.0]
+    def test_poisson_check_radii_default_doubles_the_radius(self, tmp_path):
+        # the runner's one default, [R, 2R], also where the config sets R
+        cfg_path = tmp_path / "poisson.json"
+        cfg_path.write_text(json.dumps({"model": "ou-1d", "psi": {"expression": "x1"},
+                                        "radius": 8, "n": 256}))
+        assert main(["poisson", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "bounds.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["8", "16"]
 
     def test_dini_radii_must_be_ordered(self):
         with pytest.raises(ValidationError, match="radii.max must exceed radii.min") as exc:
@@ -137,21 +142,34 @@ class TestSweepValidation:
     def test_axis_key_follows_the_task(self, task, axis_key):
         base = {"family": "drift-linear"} if task == "stability" else {}
         out = validate_command_config("sweep",
-                                      {"task": task, "axis": [0.01, 0.02, 0.04], "base": base})
-        assert out["axis_key"] == axis_key
+                                      {"task": task, "axis": [0.04, 0.01, 0.02], "base": base})
+        # each point is the task's run at one axis value, the points in value order
+        assert out["axis"] == [0.01, 0.02, 0.04]
+        assert [point[axis_key] for point in out["points"]] == \
+            ([[v, 2 * v] for v in out["axis"]] if task == "stability" else out["axis"])
 
     def test_base_is_validated_under_the_task_schema(self):
         out = validate_command_config("sweep",
                                       {"task": "meanfield", "axis": [0.01, 0.02, 0.04],
                                        "base": {}})
-        # defaults of the meanfield schema appear in the stored base
-        assert out["base"]["kernel"] == "tanh"
-        assert out["base"]["max_iter"] == 60
+        # defaults of the meanfield schema appear in every point
+        for point in out["points"]:
+            assert point["kernel"] == "tanh"
+            assert point["max_iter"] == 60
 
     def test_base_errors_keep_their_own_path(self):
         cfg = {"task": "meanfield", "axis": [0.01, 0.02, 0.04], "base": {"kernel": "box"}}
-        with pytest.raises(ValidationError, match="tanh, tanh-relative, or gaussian-diffusion"):
+        with pytest.raises(ValidationError, match="tanh, tanh-relative, or gaussian-diffusion") \
+                as exc:
             validate_command_config("sweep", cfg)
+        assert exc.value.path == "base.kernel"
+
+    def test_the_first_bad_axis_value_as_given_is_named(self):
+        # 1.5 comes before 1.2 in the axis, after it in value order
+        cfg = {"task": "meanfield", "axis": [0.1, 1.5, 1.2], "base": {}}
+        with pytest.raises(ValidationError, match="in \\[0, 1\\]") as exc:
+            validate_command_config("sweep", cfg)
+        assert exc.value.path == "axis.1"
 
     @pytest.mark.parametrize("axis", [[0.01], [0.01, 0.02], [0.01, -0.02, 0.04]],
                              ids=["one", "two", "negative"])
