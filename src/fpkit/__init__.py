@@ -17,11 +17,9 @@ from .errors import (ConditionHError, ConfinementError, ConvergenceError,
                      SupportError, TruncationError, ValidationError)
 from .fields import (ClosureField, ConstantField, DiffusionMatrixField, DriftField,
                      ExpressionField, GrowthParams, MollifierSpec, ScalarField,
-                     SmoothnessTag, linear_drift, make_example_field, mollify,
-                     polynomial_drift)
+                     linear_drift, make_example_field, mollify, polynomial_drift)
 from .fpk import (ModelSpec, builtin_models, discretization_error, harnack_ratio, moment,
-                  moment_report, solve_exact_1d, solve_grid, weak_residual,
-                  weighted_lp_norm)
+                  solve_exact_1d, solve_grid, weak_residual, weighted_lp_norm)
 from .grids import GridDensity, GridSpec, default_radius
 from .meanfield import (ContractionEstimate, FixedPointTrace, InteractionKernel,
                         MeanFieldModel, apply_phi, contraction_estimate, epsilon_threshold,
@@ -49,12 +47,12 @@ __all__ = [
     "LyapunovWitness", "MeanFieldModel", "ModelSpec", "MollifierSpec",
     "NonContractionError", "OscillationModulus", "PoissonProblem", "PoissonSolution",
     "SamplingSpec", "ScalarField", "SchemePositivityError", "SmoothTestFunction",
-    "SmoothnessTag", "StabilityReport", "SupportError", "SweepResult", "TruncationError",
+    "StabilityReport", "SupportError", "SweepResult", "TruncationError",
     "ValidationError", "apply_phi", "builtin_models", "builtin_poisson_cases",
     "check_condition_h", "contraction_estimate", "default_radius",
     "dini_integral", "dini_mean_oscillation", "discretization_error", "duality_check",
     "epsilon_threshold", "estimate_stability", "gaussian_probe", "harnack_ratio",
-    "linear_drift", "lyapunov_constants", "make_example_field", "moment", "moment_report",
+    "linear_drift", "lyapunov_constants", "make_example_field", "moment",
     "mollify", "nonlocal_coefficients", "picard_iterate", "polynomial_drift",
     "random_bumps", "rhs_discrepancy", "solve_exact_1d", "solve_grid", "solve_poisson",
     "solve_poisson_1d", "solve_poisson_grid", "stability_sweep", "stationary_poisson",

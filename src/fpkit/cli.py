@@ -53,7 +53,8 @@ The sweep subcommand fans a delta/eps axis out over a thread pool
 (--workers, default 4) with one subdirectory per point and a merged summary
 sorted by axis value. Each point is validated as its own run before any
 point runs (config.validate_command_config), so a bad point exits 2 naming
-axis.<i> or base.<key>. The sweep's own report lists every point's
+axis.<i> or base.<key>. Each point writes the report that its run would
+write on its own (run_and_report). The sweep's own report lists every point's
 warnings, each tagged with its "axis_value"; a strict sweep whose point
 failed exits 3 with the first such point's error.
 """
@@ -76,7 +77,7 @@ from .config import (field_from_config, grid_from_config, load_config_file,
                      meanfield_model_from_config, model_from_config, pair_family_from_config,
                      validate_command_config)
 from .errors import FpkError, SchemePositivityError, ValidationError
-from .fpk import harnack_ratio, moment_report, stationary_density, weighted_lp_norm
+from .fpk import harnack_ratio, moment, stationary_density, weighted_lp_norm
 from .grids import GridSpec
 from .meanfield import contraction_estimate, gaussian_probe, picard_iterate, threshold_search
 from .oscillation import SamplingSpec, dini_integral, dini_mean_oscillation
@@ -259,8 +260,8 @@ def run_solve(ctx: RunContext, cfg: dict) -> dict:
     if dim == 2:
         ctx.summary["telemetry"] = {key: rho.info[key] for key in TELEMETRY_KEYS}
     k = cfg["weight_order"]
-    mom = moment_report(rho, orders=(0.0, 1.0, 2.0, 4.0))
-    mass = mom.value(0.0)
+    moments = {order: moment(rho, order) for order in (0.0, 1.0, 2.0, 4.0)}
+    mass = moments[0.0]
     ctx.summary.update({
         "model": name, "method": rho.info["method"], "n": spec.n, "radius": spec.radius,
         "mass": mass,
@@ -268,7 +269,7 @@ def run_solve(ctx: RunContext, cfg: dict) -> dict:
         "residual": rho.info.get("residual"),  # the 1d closed form measures none
         "weighted_l2_norm": weighted_lp_norm(rho, k, 2.0),
         "harnack_ratio_r1": harnack_ratio(rho, 1.0),
-        "moments": {f"k={ko:g}": v for ko, v in mom.entries},
+        "moments": {f"k={order:g}": v for order, v in moments.items()},
     })
     checks = {
         "mass_ok": abs(mass - 1.0) <= 1e-8,
@@ -285,7 +286,7 @@ def run_solve(ctx: RunContext, cfg: dict) -> dict:
                   [pts[:, 0], pts[:, 1], rho.flat()])
         svg.heatmap(ctx.path("density.svg"), rho.values, spec.radius,
                     title=f"stationary density ({name})")
-    write_csv(ctx.path("moments.csv"), ["order", "value"], zip(*mom.entries))
+    write_csv(ctx.path("moments.csv"), ["order", "value"], [list(moments), list(moments.values())])
     return checks
 
 
@@ -435,25 +436,36 @@ def run_meanfield(ctx: RunContext, cfg: dict) -> dict:
             "factors_below_one": bool(all(f < 1.0 for f in factors))}
 
 
+RUNNERS = {"dini": run_dini, "solve": run_solve, "poisson": run_poisson,
+           "stability": run_stability, "meanfield": run_meanfield}
+
+
+def run_and_report(ctx: RunContext, runner, *args) -> dict:
+    """Run runner(ctx, *args) and write ctx's report, which is returned.
+
+    A numerical failure (an FpkError other than a ValidationError) is kept as
+    ctx.error and reported with no checks; a config or parameter error
+    propagates, and no report is written.
+    """
+    try:
+        checks = runner(ctx, *args)
+    except ValidationError:
+        raise
+    except FpkError as exc:
+        ctx.error, checks = exc, {}
+    return ctx.finish(checks)
+
+
 def _run_sweep_point(task: str, cfg: dict, value: float, out_dir: str, strict: bool) -> dict:
-    """Run one point's validated config into out_dir and write its report.
+    """Run one point's validated config into out_dir, as a run of its own.
 
     The result carries the point's summary as computed, its warnings and, if
     its numerics failed, the error (which a strict sweep raises once every
     point has run).
     """
     ctx = RunContext(out_dir, task, cfg, cfg["seed"], strict)
-    runner = {"stability": run_stability, "meanfield": run_meanfield}[task]
-    try:
-        checks = runner(ctx, cfg)
-    except FpkError as exc:
-        ctx.summary["error"] = f"{type(exc).__name__}: {exc}"
-        ctx.error = exc
-        report = ctx.finish({"completed": False})
-        return {"value": value, "passed": False, "error": exc,
-                "summary": ctx.summary, "warnings": report["warnings"]}
-    report = ctx.finish(checks)
-    return {"value": value, "passed": report["passed"], "error": None,
+    report = run_and_report(ctx, RUNNERS[task], cfg)
+    return {"value": value, "passed": report["passed"], "error": ctx.error,
             "summary": ctx.summary, "warnings": report["warnings"]}
 
 
@@ -521,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    ctx = None
     try:
         raw = load_config_file(args.config)
         if args.seed is not None:
@@ -529,15 +540,9 @@ def main(argv=None) -> int:
         cfg = validate_command_config(args.command, raw)
         ctx = RunContext(args.out, args.command, cfg, cfg.get("seed", 0), args.strict)
         if args.command == "sweep":
-            checks = run_sweep(ctx, cfg, args.workers)
+            report = run_and_report(ctx, run_sweep, cfg, args.workers)
         else:
-            runner = {"dini": run_dini, "solve": run_solve, "poisson": run_poisson,
-                      "stability": run_stability, "meanfield": run_meanfield}[args.command]
-            checks = runner(ctx, cfg)
-        report = ctx.finish(checks)
-        status = "pass" if report["passed"] else "fail"
-        print(f"{args.command}: {status} ({report['wall_time_s']:.2f}s) -> {args.out}")
-        return 0 if report["passed"] else _EXIT_NUMERICAL
+            report = run_and_report(ctx, RUNNERS[args.command], cfg)
     except ValidationError as exc:
         print(f"config error: {exc}" + (f" [at {exc.path}]" if exc.path else ""),
               file=sys.stderr)
@@ -545,12 +550,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid parameter: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
-    except FpkError as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if ctx is not None:
-            ctx.error = exc
-            ctx.finish({})
+    if ctx.error is not None:
+        print(f"numerical failure: {type(ctx.error).__name__}: {ctx.error}", file=sys.stderr)
         return _EXIT_NUMERICAL
+    status = "pass" if report["passed"] else "fail"
+    print(f"{args.command}: {status} ({report['wall_time_s']:.2f}s) -> {args.out}")
+    return 0 if report["passed"] else _EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionHError
-from .fields import ConstantField, DiffusionMatrixField, DriftField
+from .fields import DiffusionMatrixField, DriftField
 from .oscillation import OscillationModulus, SamplingSpec, dini_integral, dini_mean_oscillation
 
 _DEFAULT_OSC_RADII = tuple(np.geomspace(2e-3, 0.4, 10))

@@ -21,16 +21,16 @@ envelopes, interaction kernels, and the fixed coefficients of the
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ValidationError
-from .fields import (ConstantField, DiffusionMatrixField, DriftField, ExpressionField,
-                     GrowthParams, ScalarField, linear_drift, make_example_field)
-from .fpk import ModelSpec, builtin_models
+from .fields import (_EXAMPLE_PARAMS, ConstantField, DiffusionMatrixField, DriftField,
+                     ExpressionField, GrowthParams, ScalarField, linear_drift,
+                     make_example_field)
+from .fpk import builtin_models
 from .grids import GridSpec, default_radius
 from .meanfield import InteractionKernel, MeanFieldModel
 from .stability import CoefficientPair
@@ -210,68 +210,73 @@ SCHEMAS: dict[str, dict[str, Key]] = {
 }
 
 
-def validate_command_config(command: str, obj: dict) -> dict:
+def validate_command_config(command: str, obj: dict, path: str = "") -> dict:
     """Validate a config mapping for one CLI command; fills defaults.
 
     Nested sub-configs (fields, coefficient blocks) are validated recursively
-    with their own schemas so error paths point at the offending key. A
+    with their own schemas so error paths point at the offending key; `path`
+    is the config's own place in an enclosing one ("" at the root). A
     sweep's base is replaced by its points: points[i] is the validated run
     config of axis[i], the axis sorted.
     """
     if command not in SCHEMAS:
-        raise ValidationError(f"unknown command {command!r}", path="")
-    cfg = validate_mapping(obj, SCHEMAS[command])
+        raise ValidationError(f"unknown command {command!r}", path=path)
+    cfg = validate_mapping(obj, SCHEMAS[command], path)
     if command == "dini":
-        cfg["field"] = validate_mapping(cfg["field"], _FIELD_SCHEMA, "field")
-        cfg["radii"] = validate_mapping(cfg["radii"] or {}, _RADII_SCHEMA, "radii")
+        cfg["field"] = validate_mapping(cfg["field"], _FIELD_SCHEMA, _join(path, "field"))
+        cfg["radii"] = validate_mapping(cfg["radii"] or {}, _RADII_SCHEMA, _join(path, "radii"))
         if cfg["radii"]["max"] <= cfg["radii"]["min"]:
-            raise ValidationError("radii.max must exceed radii.min", path="radii.max")
+            raise ValidationError("radii.max must exceed radii.min", path=_join(path, "radii.max"))
     if command in ("solve", "poisson"):
         has_model = cfg.get("model") is not None
         has_coeff = cfg.get("coefficients") is not None
         if has_model == has_coeff:
             raise ValidationError(
-                "exactly one of 'model' or 'coefficients' must be given", path="model")
+                "exactly one of 'model' or 'coefficients' must be given",
+                path=_join(path, "model"))
         if has_coeff:
-            sub = validate_mapping(cfg["coefficients"], _COEFF_SCHEMA, "coefficients")
+            at = _join(path, "coefficients")
+            sub = validate_mapping(cfg["coefficients"], _COEFF_SCHEMA, at)
             sub["diffusion"] = validate_mapping(sub["diffusion"], _DIFFUSION_SCHEMA,
-                                                "coefficients.diffusion")
-            sub["drift"] = validate_mapping(sub["drift"], _DRIFT_SCHEMA, "coefficients.drift")
+                                                _join(at, "diffusion"))
+            sub["drift"] = validate_mapping(sub["drift"], _DRIFT_SCHEMA, _join(at, "drift"))
             cfg["coefficients"] = sub
     if command == "poisson":
-        cfg["psi"] = validate_mapping(cfg["psi"], _FIELD_SCHEMA, "psi")
+        cfg["psi"] = validate_mapping(cfg["psi"], _FIELD_SCHEMA, _join(path, "psi"))
     if command == "meanfield":
         model = meanfield_model_from_config(cfg)
         spec = grid_from_config(cfg, cfg["dim"], model.b0.growth.beta2)
         couplings = [("eps", cfg["eps"])] + [(f"eps_grid.{i}", e)
                                              for i, e in enumerate(cfg["eps_grid"] or ())]
-        for path, eps in couplings:
+        for key, eps in couplings:
             if not model.admits(eps):
                 raise ValidationError(
                     f"coupling {eps:g} is at or above lambda / (2 sup|q|) = "
                     f"{model.a0.lam / (2.0 * model.diffusion_kernel.sup_bound):g} of kernel "
                     f"{cfg['kernel']!r}, where the kernel eats half the diffusion's ellipticity",
-                    path=path)
+                    path=_join(path, key))
         for i, mean in enumerate(cfg["starts"]):
             if abs(float(mean)) > spec.radius:
                 raise ValidationError(f"start mean {float(mean):g} lies outside the box "
                                       f"[-{spec.radius:g}, {spec.radius:g}]^{cfg['dim']}",
-                                      path=f"starts.{i}")
+                                      path=_join(path, f"starts.{i}"))
     if command == "sweep":
         axis_key = "deltas" if cfg["task"] == "stability" else "eps"
-        base = cfg.pop("base")
+        base, at = cfg.pop("base"), _join(path, "base")
         if axis_key in base:
             raise ValidationError(f"base must not set {axis_key!r}; the sweep axis provides it",
-                                  path=f"base.{axis_key}")
+                                  path=_join(at, axis_key))
         runs = []
         for i, v in enumerate(map(float, cfg["axis"])):
             # a per-point slope needs two sizes; pair each delta with its double
             value = [v, 2.0 * v] if axis_key == "deltas" else v
             try:
-                runs.append((v, validate_command_config(cfg["task"], {**base, axis_key: value})))
+                runs.append((v, validate_command_config(cfg["task"], {**base, axis_key: value},
+                                                        at)))
             except ValidationError as exc:
-                at = f"axis.{i}" if exc.path.split(".")[0] == axis_key else f"base.{exc.path}"
-                raise ValidationError(str(exc), path=at) from None
+                if exc.path != _join(at, axis_key):
+                    raise
+                raise ValidationError(str(exc), path=_join(path, f"axis.{i}")) from None
         runs.sort(key=lambda run: run[0])
         cfg["axis"] = [v for v, _ in runs]
         cfg["points"] = [point for _, point in runs]
@@ -294,7 +299,11 @@ def load_config_file(path: str) -> dict:
 
 
 def field_from_config(cfg: dict, dim: int | None = None, path: str = "field") -> ScalarField:
-    """Build a scalar field from a validated field sub-config."""
+    """Build a scalar field from a validated field sub-config.
+
+    A name the example catalog does not know is a ValidationError at
+    `<path>.name`, and a parameter it rejects one at `<path>.params`.
+    """
     d = int(cfg.get("dim") or dim or 1)
     given = [k for k in ("name", "expression", "constant") if cfg.get(k) is not None]
     if len(given) != 1:
@@ -303,7 +312,11 @@ def field_from_config(cfg: dict, dim: int | None = None, path: str = "field") ->
     if cfg.get("name") is not None:
         params = dict(cfg.get("params") or {})
         params.setdefault("d", d)
-        return make_example_field(cfg["name"], **params)
+        try:
+            return make_example_field(cfg["name"], **params)
+        except ValueError as exc:
+            key = "params" if cfg["name"] in _EXAMPLE_PARAMS else "name"
+            raise ValidationError(str(exc), path=_join(path, key)) from None
     if cfg.get("expression") is not None:
         return _expression_field(cfg["expression"], d, _join(path, "expression"))
     return ConstantField(float(cfg["constant"]), d)

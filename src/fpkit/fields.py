@@ -1,15 +1,16 @@
 """Coefficient fields: scalars, diffusion matrices, drifts, and mollification.
 
 A field is a vectorized map from points in R^d (arrays of shape (m, d)) to
-values, carrying a dimension and a smoothness tag. Diffusion matrices store
+values, carrying a dimension and a name. Diffusion matrices store
 one field object per upper-triangle entry and mirror it, so the (i, j) and
 (j, i) entries can never drift apart. Drifts carry their declared growth and
 confinement parameters alongside the component fields.
 
-The example library (`make_example_field`) builds the coefficient families
-used throughout the test-suite and CLI: constants, a log-modulus field with a
-controlled oscillation decay, a truncated lacunary cosine field with Holder
-regularity (`WeierstrassField`), and the two standard confining drifts.
+The example library (`make_example_field`) builds the scalar fields used
+throughout the test-suite and CLI: constants, a log-modulus field with a
+controlled oscillation decay, and a truncated lacunary cosine field with
+Holder regularity (`WeierstrassField`). `linear_drift` and
+`polynomial_drift` build the two standard confining drifts.
 """
 
 from __future__ import annotations
@@ -27,46 +28,6 @@ _EVAL_CHUNK = 65536
 
 
 # ---------------------------------------------------------------------------
-# smoothness tags
-# ---------------------------------------------------------------------------
-
-_TAG_KINDS = ("smooth", "holder", "dini-log", "rough")
-
-
-@dataclass(frozen=True)
-class SmoothnessTag:
-    """Declared regularity of a field.
-
-    kind is one of "smooth", "holder", "dini-log", "rough"; `param` is the
-    Holder exponent alpha or the logarithmic decay exponent gamma when the
-    kind calls for one.
-    """
-
-    kind: str
-    param: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in _TAG_KINDS:
-            raise ValueError(f"unknown smoothness kind {self.kind!r}, expected one of {_TAG_KINDS}")
-        if self.kind in ("holder", "dini-log"):
-            if self.param is None or not (0.0 < float(self.param) < 1.0):
-                raise ValueError(f"{self.kind} tag needs a parameter in (0, 1), got {self.param}")
-        elif self.param is not None:
-            raise ValueError(f"{self.kind} tag takes no parameter")
-
-
-SMOOTH = SmoothnessTag("smooth")
-
-
-def holder(alpha: float) -> SmoothnessTag:
-    return SmoothnessTag("holder", float(alpha))
-
-
-def dini_log(gamma: float) -> SmoothnessTag:
-    return SmoothnessTag("dini-log", float(gamma))
-
-
-# ---------------------------------------------------------------------------
 # scalar fields
 # ---------------------------------------------------------------------------
 
@@ -81,11 +42,10 @@ class ScalarField:
     the first offending point.
     """
 
-    def __init__(self, dim: int, tag: SmoothnessTag = SMOOTH, name: str = "field"):
+    def __init__(self, dim: int, name: str = "field"):
         if dim not in (1, 2):
             raise ValueError(f"fields support d in {{1, 2}}, got {dim}")
         self.dim = int(dim)
-        self.tag = tag
         self.name = name
 
     def _values(self, x: np.ndarray) -> np.ndarray:
@@ -124,14 +84,14 @@ class ScalarField:
         return self.values((x[:, None, :] + y[None, :, :]).reshape(-1, self.dim)).reshape(len(x), len(y))
 
     def __repr__(self):
-        return f"<{type(self).__name__} {self.name!r} d={self.dim} tag={self.tag.kind}>"
+        return f"<{type(self).__name__} {self.name!r} d={self.dim}>"
 
 
 class ClosureField(ScalarField):
     """Scalar field defined by a vectorized closure fn(x: (m, d)) -> (m,)."""
 
-    def __init__(self, fn, dim: int, tag: SmoothnessTag = SMOOTH, name: str = "closure"):
-        super().__init__(dim, tag, name)
+    def __init__(self, fn, dim: int, name: str = "closure"):
+        super().__init__(dim, name)
         self._fn = fn
 
     def _values(self, x):
@@ -140,7 +100,7 @@ class ClosureField(ScalarField):
 
 class ConstantField(ScalarField):
     def __init__(self, value: float, dim: int = 1, name: str | None = None):
-        super().__init__(dim, SMOOTH, name or f"const({value})")
+        super().__init__(dim, name or f"const({value})")
         self.value = float(value)
 
     def _values(self, x):
@@ -193,8 +153,8 @@ class ExpressionField(ScalarField):
     Anything else is rejected at construction time.
     """
 
-    def __init__(self, expr: str, dim: int, tag: SmoothnessTag = SMOOTH, name: str | None = None):
-        super().__init__(dim, tag, name or expr)
+    def __init__(self, expr: str, dim: int, name: str | None = None):
+        super().__init__(dim, name or expr)
         tree = ast.parse(expr, mode="eval")
         _validate_expr(tree, dim, expr)
         self.expr = expr
@@ -381,7 +341,7 @@ def linear_drift(dim: int, theta: float = 1.0, mu=None, name: str | None = None)
     for i in range(dim):
         mi = float(mu_arr[i])
         comps.append(ClosureField(
-            lambda x, i=i, mi=mi: -theta * (x[:, i] - mi), dim, SMOOTH, f"-theta(x{i + 1}-mu{i + 1})"))
+            lambda x, i=i, mi=mi: -theta * (x[:, i] - mi), dim, f"-theta(x{i + 1}-mu{i + 1})"))
     mnorm = float(np.linalg.norm(mu_arr))
     if mnorm == 0.0:
         growth = GrowthParams(beta=1.0, beta1=theta, beta2=theta, beta3=theta)
@@ -403,7 +363,7 @@ def polynomial_drift(dim: int, beta: float = 3.0, scale: float = 1.0) -> DriftFi
         def fn(x):
             r = np.sqrt(np.sum(x * x, axis=1))
             return -scale * r ** (beta - 1.0) * x[:, i]
-        return ClosureField(fn, dim, SMOOTH, f"-|x|^{beta - 1} x{i + 1}")
+        return ClosureField(fn, dim, f"-|x|^{beta - 1} x{i + 1}")
 
     # scale |x|^{beta+1} >= scale(|x|^2 - 1) for beta >= 1
     growth = GrowthParams(beta=beta, beta1=scale, beta2=scale, beta3=scale)
@@ -477,7 +437,7 @@ class MollifiedField(ScalarField):
 
     The discrete rule is a convex combination of translates of f, so every
     oscillation bound satisfied by f is inherited by the mollified field up to
-    center-sampling error. Tagged smooth.
+    center-sampling error.
     """
 
     def __init__(self, base: ScalarField, spec: MollifierSpec, eps: float):
@@ -485,7 +445,7 @@ class MollifiedField(ScalarField):
             raise ValueError("mollification width eps must be positive")
         if spec.dim != base.dim:
             raise ValueError(f"kernel dimension {spec.dim} does not match field dimension {base.dim}")
-        super().__init__(base.dim, SMOOTH, f"mollify({base.name}, eps={eps:g})")
+        super().__init__(base.dim, f"mollify({base.name}, eps={eps:g})")
         self.base = base
         self.spec = spec
         self.eps = float(eps)
@@ -523,7 +483,7 @@ def _log_modulus_field(gamma: float, dim: int) -> ScalarField:
         out[r == 0.0] = 0.0
         return out
 
-    return ClosureField(fn, dim, dini_log(gamma), f"log-modulus(gamma={gamma:g})")
+    return ClosureField(fn, dim, f"log-modulus(gamma={gamma:g})")
 
 
 class WeierstrassField(ScalarField):
@@ -547,7 +507,7 @@ class WeierstrassField(ScalarField):
             raise ValueError(f"lam must lie in (0, 1], got {lam}")
         if isinstance(terms, bool) or not isinstance(terms, (int, np.integer)) or terms < 1:
             raise ValueError(f"terms must be an integer >= 1, got {terms!r}")
-        super().__init__(dim, holder(alpha), f"weierstrass-holder(alpha={alpha:g})")
+        super().__init__(dim, f"weierstrass-holder(alpha={alpha:g})")
         self.amps = 2.0 ** (-alpha * np.arange(terms))
         self.freqs = 2.0 ** np.arange(terms)
         self.total = self.amps.sum()
@@ -575,19 +535,24 @@ _EXAMPLE_PARAMS = {
     "constant": ("value",),
     "log-modulus": ("gamma",),
     "weierstrass-holder": ("alpha", "lam", "terms"),
-    "ou-drift": ("theta", "mu"),
-    "polynomial-confining-drift": ("beta", "scale"),
 }
 
 
-def make_example_field(name: str, **params):
-    """Build a named example coefficient field.
+def _real(params: dict, key: str, default: float) -> float:
+    """params[key] (default if absent) as a float, or a ValueError naming key."""
+    v = params.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        raise ValueError(f"parameter {key!r} must be a real number, got {v!r}")
+    return float(v)
+
+
+def make_example_field(name: str, **params) -> ScalarField:
+    """Build a named example scalar field.
 
     Names: "constant" (value, d), "log-modulus" (gamma, d),
-    "weierstrass-holder" (alpha, lam, d, terms), "ou-drift" (theta, mu, d),
-    "polynomial-confining-drift" (beta, scale, d). Scalar names return a
-    ScalarField; drift names return a DriftField. An unknown name or a
-    parameter the name does not take is a ValueError listing the known ones.
+    "weierstrass-holder" (alpha, lam, d, terms). An unknown name, a
+    parameter the name does not take or one that is not a real number is a
+    ValueError naming it. The drifts are `linear_drift` and `polynomial_drift`.
     """
     if name not in _EXAMPLE_PARAMS:
         raise ValueError(f"unknown example field {name!r}; known: {', '.join(_EXAMPLE_PARAMS)}")
@@ -596,14 +561,10 @@ def make_example_field(name: str, **params):
     if unknown:
         raise ValueError(f"unknown parameter(s) {', '.join(map(repr, unknown))} for example "
                          f"field {name!r}; known: {', '.join(known)}")
-    dim = int(params.get("d", 1))
+    dim = int(_real(params, "d", 1))
     if name == "constant":
-        return ConstantField(float(params.get("value", 1.0)), dim)
+        return ConstantField(_real(params, "value", 1.0), dim)
     if name == "log-modulus":
-        return _log_modulus_field(float(params.get("gamma", 0.5)), dim)
-    if name == "weierstrass-holder":
-        return WeierstrassField(float(params.get("alpha", 0.5)), float(params.get("lam", 0.5)),
-                                dim, params.get("terms", 24))
-    if name == "ou-drift":
-        return linear_drift(dim, float(params.get("theta", 1.0)), params.get("mu"))
-    return polynomial_drift(dim, float(params.get("beta", 3.0)), float(params.get("scale", 1.0)))
+        return _log_modulus_field(_real(params, "gamma", 0.5), dim)
+    return WeierstrassField(_real(params, "alpha", 0.5), _real(params, "lam", 0.5), dim,
+                            params.get("terms", 24))

@@ -740,15 +740,6 @@ def moment(rho: GridDensity, k: float) -> float:
     return float((r ** k) @ rho.flat()) * rho.spec.cell_volume
 
 
-def moment_report(rho: GridDensity, orders: Sequence[float] = (0.0, 1.0, 2.0)):
-    from .grids import MomentReport
-    entries = tuple((float(k), moment(rho, float(k))) for k in orders)
-    for k, v in entries:
-        if k == 0.0 and abs(v - 1.0) > 1e-8:
-            raise ValueError(f"zeroth moment {v!r} violates unit mass")
-    return MomentReport(entries)
-
-
 def weighted_lp_norm(rho: GridDensity, k: float, p: float) -> float:
     """(integral (1+|x|)^{k p} rho^p)^{1/p} by cell quadrature, in log space
     (quadrature.lp_from_logs), so that the power of neither factor over- or underflows.
@@ -883,7 +874,7 @@ def builtin_models() -> tuple[ModelSpec, ...]:
 
     logmod = make_example_field("log-modulus", gamma=0.5, d=1)
     a_rough = ClosureField(lambda x, f=logmod: 0.75 + 0.5 * f.values(x), 1,
-                           logmod.tag, "0.75 + 0.5 log-modulus")
+                           "0.75 + 0.5 log-modulus")
     b2 = linear_drift(1)
     models.append(ModelSpec("dini-1d", 1, DiffusionMatrixField.isotropic(a_rough, 0.7), b2,
                             lambda spec, a=a_rough, b=b2: solve_exact_1d(a, b, spec)))

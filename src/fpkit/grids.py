@@ -198,16 +198,3 @@ class GridDensity:
 def require_same_grid(a: GridDensity, b: GridDensity):
     if a.spec != b.spec:
         raise GridMismatchError(f"grids differ: {a.spec} vs {b.spec}")
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Radial moments of a density: entries of (order, value)."""
-
-    entries: tuple[tuple[float, float], ...]
-
-    def value(self, k: float) -> float:
-        for kk, vv in self.entries:
-            if kk == k:
-                return vv
-        raise KeyError(f"moment of order {k} not in report")

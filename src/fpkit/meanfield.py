@@ -277,7 +277,7 @@ def _base_plus_offset(base, eps: float, offset):
 def _slot_views(values, base_slots: dict) -> dict:
     """Per slot of a frozen coefficient, a ScalarField reading that slot of values(x)."""
     return {ix: ClosureField(lambda x, ix=ix: values(x)[(slice(None),) + ix],
-                             f.dim, f.tag, name=f"{f.name}+offset")
+                             f.dim, name=f"{f.name}+offset")
             for ix, f in base_slots.items()}
 
 
@@ -384,7 +384,6 @@ class FixedPointTrace:
     kernel_bound: float
     m_hat: float
     threshold_scale: float
-    tol: float
     clipped_mass: float = 0.0
     non_dominant_cells: int = 0
     refinement_steps: tuple[int, ...] = ()
@@ -441,7 +440,7 @@ def picard_iterate(model: MeanFieldModel, rho0: GridDensity, tol: float = 1e-8,
     trace = FixedPointTrace(fixed_point=rho, gaps=tuple(gaps), factors=factors,
                             converged=converged, eps=model.eps,
                             kernel_bound=model.kernel_bound, m_hat=m_hat,
-                            threshold_scale=float(scale), tol=float(tol),
+                            threshold_scale=float(scale),
                             clipped_mass=clipped, non_dominant_cells=non_dominant,
                             refinement_steps=tuple(refinement_steps),
                             factored=tuple(factored))

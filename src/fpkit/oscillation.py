@@ -62,7 +62,6 @@ class DiniEstimate:
     tail_exponent: float
     sampled_part: float
     tail_part: float
-    fit_residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +78,6 @@ class OscillationModulus:
     stderr: np.ndarray
     t0: float
     sampling: SamplingSpec | None = None
-    field_name: str = ""
     dini: DiniEstimate | None = dc_field(default=None)
 
     def __post_init__(self):
@@ -138,7 +136,7 @@ def dini_mean_oscillation(f: ScalarField, radii, sampling: SamplingSpec | None =
             stderr[jr] = 0.0
     return OscillationModulus(radii=radii, omega=omega, stderr=stderr,
                               t0=float(t0 if t0 is not None else radii[-1]),
-                              sampling=sampling, field_name=f.name)
+                              sampling=sampling)
 
 
 def loglog_slope(radii, values) -> float:
@@ -174,7 +172,7 @@ def dini_integral(modulus: OscillationModulus, t0: float | None = None) -> DiniE
 
     if om.max() <= _TINY:
         return DiniEstimate(value=0.0, finite=True, tail_model="zero", tail_exponent=0.0,
-                            sampled_part=0.0, tail_part=0.0, fit_residual=0.0)
+                            sampled_part=0.0, tail_part=0.0)
 
     sampled = float(np.trapezoid(om, np.log(r)))
 
@@ -200,14 +198,14 @@ def dini_integral(modulus: OscillationModulus, t0: float | None = None) -> DiniE
 
     L_min = np.log(1.0 / r_min) if r_min < 1.0 else None
     if sse_log < sse_pow and L_min is not None:
-        model, expo, resid = "log-modulus", g_log, sse_log
+        model, expo = "log-modulus", g_log
         if g_log > 1.0 + 1e-9:
             tail = float(np.exp(c_log) * L_min ** (1.0 - g_log) / (g_log - 1.0))
             finite = True
         else:
             tail, finite = np.inf, False
     else:
-        model, expo, resid = "power", s_pow, sse_pow
+        model, expo = "power", s_pow
         if s_pow > 1e-4:
             tail = float(np.exp(c_pow) * r_min ** s_pow / s_pow)
             finite = True
@@ -216,4 +214,4 @@ def dini_integral(modulus: OscillationModulus, t0: float | None = None) -> DiniE
 
     value = sampled + tail if finite else np.inf
     return DiniEstimate(value=value, finite=finite, tail_model=model, tail_exponent=expo,
-                        sampled_part=sampled, tail_part=tail, fit_residual=resid)
+                        sampled_part=sampled, tail_part=tail)

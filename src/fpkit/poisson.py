@@ -89,9 +89,6 @@ class LyapunovWitness:
     r0: float
     m0_formula: float
     r0_formula: float
-    function: str
-    r_max: float
-    n_radii: int
 
     @property
     def pin_radius(self) -> float:
@@ -205,8 +202,7 @@ def lyapunov_constants(A: DiffusionMatrixField, b: DriftField, k: float,
         bound = m0 * (1.0 + radii[w] ** tk)
         if ((phi[w] + bound) / bound).max() > 1e-9:
             raise ConfinementError("certified Lyapunov inequality fails on (R0, 2 R0]")
-    return LyapunovWitness(k=float(k), m0=m0, r0=r0, m0_formula=m0f, r0_formula=r0f,
-                           function=f"1+|x|^{2 * k:g}", r_max=float(r_max), n_radii=N_RADII)
+    return LyapunovWitness(k=float(k), m0=m0, r0=r0, m0_formula=m0f, r0_formula=r0f)
 
 
 # ---------------------------------------------------------------------------

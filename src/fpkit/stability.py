@@ -111,7 +111,6 @@ class StabilityReport:
     """
 
     k: float
-    r: float
     lhs: float
     rhs_diffusion: float
     rhs_drift: float
@@ -160,7 +159,7 @@ def _measure(pair: CoefficientPair, rho_mu: GridDensity, rho_sigma: GridDensity,
     lhs = weighted_l1_distance(rho_mu, rho_sigma, k)
     diffusion, drift = rhs_discrepancy(pair, rho_sigma, k, r)
     clipped, non_dominant = max(clip_of(rho) for rho in (rho_mu, rho_sigma))
-    return StabilityReport(k=float(k), r=float(r), lhs=lhs, rhs_diffusion=diffusion,
+    return StabilityReport(k=float(k), lhs=lhs, rhs_diffusion=diffusion,
                            rhs_drift=drift, clipped_mass=clipped, non_dominant_cells=non_dominant)
 
 
@@ -211,7 +210,6 @@ class SweepResult:
     deltas: np.ndarray
     reports: tuple[StabilityReport, ...]
     slope: float
-    intercept: float
     fit_sse: float
     c_spread: float
 
@@ -251,9 +249,9 @@ def stability_sweep(make_pair: Callable[[float], CoefficientPair],
     if pos.sum() < 2:
         raise ValueError("need at least two nonzero deltas to fit a scaling law")
     lhs = np.array([rep.lhs for rep in reports])
-    slope, intercept, sse = fit_line(np.log(deltas[pos]), np.log(np.maximum(lhs[pos], 1e-300)))
+    slope, _, sse = fit_line(np.log(deltas[pos]), np.log(np.maximum(lhs[pos], 1e-300)))
     cs = np.array([rep.c_hat for rep in reports])[pos]
     cs = cs[np.isfinite(cs) & (cs > 0)]
     spread = float(cs.max() / cs.min()) if len(cs) else float("inf")
     return SweepResult(deltas=deltas, reports=tuple(reports), slope=float(slope),
-                       intercept=float(intercept), fit_sse=float(sse), c_spread=spread)
+                       fit_sse=float(sse), c_spread=spread)

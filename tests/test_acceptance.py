@@ -56,7 +56,7 @@ from fpkit.stability import (
     weighted_l1_distance,
 )
 from fpkit.testfunctions import BumpFunction, random_bumps
-from fpkit.fields import SMOOTH, ClosureField
+from fpkit.fields import ClosureField
 
 MODELS = {m.name: m for m in builtin_models()}
 I1 = DiffusionMatrixField.from_constant(np.eye(1))
@@ -69,7 +69,7 @@ def _verdict(num: int, ok: bool, label: str) -> None:
 
 
 def _source(fn, dim, name):
-    return ClosureField(fn, dim, SMOOTH, name)
+    return ClosureField(fn, dim, name)
 
 
 def _ou_pair(delta: float) -> CoefficientPair:

@@ -24,7 +24,7 @@ from fpkit import __version__, cli, config, fpk, poisson, stability
 from fpkit.cli import CLIP_MASS_LIMIT, build_parser, main, write_csv
 from fpkit.config import (field_from_config, grid_from_config, model_from_config,
                           validate_command_config)
-from fpkit.fields import SMOOTH, ClosureField, DiffusionMatrixField, ExpressionField, linear_drift
+from fpkit.fields import ClosureField, DiffusionMatrixField, ExpressionField, linear_drift
 from fpkit.fpk import solve_grid
 from fpkit.grids import GridSpec
 from fpkit.poisson import verify_growth_bounds
@@ -232,7 +232,28 @@ class TestValidationExits:
         code, report, _ = run_cli(tmp_path, "dini", cfg)
         assert code == 2
         assert report is None
-        assert capsys.readouterr().err == f"invalid parameter: {message}\n"
+        assert capsys.readouterr().err == f"config error: {message} [at field.params]\n"
+
+    @pytest.mark.parametrize("command, cfg, path", [
+        ("dini", {"field": {"name": "ou-drift"}}, "field.name"),
+        ("solve", {"coefficients": {"dim": 1, "diffusion": {"name": "ou-drift"},
+                                    "drift": {"expressions": ["-x1"], "beta1": 1.0,
+                                              "beta2": 1.0, "beta3": 1.0}}},
+         "coefficients.diffusion.name"),
+        ("poisson", {"model": "ou-1d", "psi": {"name": "polynomial-confining-drift"}},
+         "psi.name"),
+        ("dini", {"field": {"name": "log-modulus", "params": {"gamma": [0.5]}}}, "field.params"),
+        ("dini", {"field": {"name": "weierstrass-holder", "params": {"lam": None}}},
+         "field.params"),
+    ], ids=["drift-as-field", "drift-as-diffusion", "drift-as-psi", "list-param", "null-param"])
+    def test_bad_example_field_exits_two_at_its_path(self, tmp_path, capsys, command, cfg, path):
+        # regression: the drifts were catalog entries that no field block can use, and a
+        # parameter that is not a number reached float(); these exited 1 with a traceback,
+        # or 2 with a matmul message naming no key
+        code, report, _ = run_cli(tmp_path, command, cfg)
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err.endswith(f" [at {path}]\n")
 
     @pytest.mark.parametrize("command, cfg, path", [
         ("solve", {"coefficients": {"dim": 1, "diffusion": {"expression": "x1**"},
@@ -461,10 +482,10 @@ def partly_dominant(monkeypatch):
     as its A. The cells with |x1 - x2| > 4 artanh(6 / 7) = 5.1 are not dominant,
     and keep the centered cross term; with b = -x at R = 8, n = 32 the density
     clips 2.5e-7 of its mass there, below CLIP_MASS_LIMIT."""
-    entries = {(0, 0): ClosureField(lambda x: np.ones(len(x)), 2, SMOOTH, "a00"),
-               (1, 1): ClosureField(lambda x: np.full(len(x), 0.3), 2, SMOOTH, "a11"),
+    entries = {(0, 0): ClosureField(lambda x: np.ones(len(x)), 2, "a00"),
+               (1, 1): ClosureField(lambda x: np.full(len(x), 0.3), 2, "a11"),
                (0, 1): ClosureField(lambda x: 0.35 * np.tanh(0.25 * (x[:, 0] - x[:, 1])), 2,
-                                    SMOOTH, "a01")}
+                                    "a01")}
     A = DiffusionMatrixField(entries, 2, lam=0.1, name="partly-dominant")
     models = tuple(dataclasses.replace(m, A=A) if m.name == "ou-2d" else m
                    for m in fpk.builtin_models())

@@ -6,7 +6,6 @@ import pytest
 from fpkit.conditions import check_condition_h
 from fpkit.errors import ConditionHError
 from fpkit.fields import (
-    SMOOTH,
     ClosureField,
     DiffusionMatrixField,
     DriftField,
@@ -21,7 +20,7 @@ CLAUSES = ("ellipticity", "dini", "confinement", "growth")
 def repelling_drift(beta1: float, beta3: float = 1.0) -> DriftField:
     # b(x) = +x with hand-declared constants; confinement must catch it
     return DriftField(
-        [ClosureField(lambda x: x[:, 0], 1, SMOOTH, "x1")],
+        [ClosureField(lambda x: x[:, 0], 1, "x1")],
         GrowthParams(beta=1.0, beta1=beta1, beta2=1.0, beta3=beta3),
         "repelling",
     )
@@ -96,7 +95,7 @@ class TestEllipticityClause:
         assert exc.value.clause == "ellipticity"
 
     def test_heterogeneous_entry_inside_window_passes(self):
-        a = ClosureField(lambda x: 1.0 + 0.4 * np.tanh(x[:, 0]), 1, SMOOTH, "a")
+        a = ClosureField(lambda x: 1.0 + 0.4 * np.tanh(x[:, 0]), 1, "a")
         A = DiffusionMatrixField({(0, 0): a}, dim=1, lam=0.5)
         report = check_condition_h(A, linear_drift(1, 1.0))
         assert report.clause("ellipticity").passed
@@ -113,7 +112,7 @@ class TestDiniClause:
         """
         _, b = ou_1d
         wiggle = ClosureField(
-            lambda x: 1.0 + 0.3 * np.cos(1e6 * x[:, 0]), 1, SMOOTH, "wiggle"
+            lambda x: 1.0 + 0.3 * np.cos(1e6 * x[:, 0]), 1, "wiggle"
         )
         A = DiffusionMatrixField({(0, 0): wiggle}, dim=1, lam=0.5)
         with pytest.raises(ConditionHError) as exc:

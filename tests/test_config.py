@@ -164,6 +164,15 @@ class TestSweepValidation:
             validate_command_config("sweep", cfg)
         assert exc.value.path == "base.kernel"
 
+    def test_point_schema_messages_name_the_base(self):
+        # regression: a point was validated as a config of its own, so the message said
+        # "at <root>" while the path said base.family
+        cfg = {"task": "stability", "axis": [0.1, 0.01, 0.03], "base": {"n": 256}}
+        with pytest.raises(ValidationError) as exc:
+            validate_command_config("sweep", cfg)
+        assert str(exc.value) == "missing required key 'family' at base"
+        assert exc.value.path == "base.family"
+
     def test_the_first_bad_axis_value_as_given_is_named(self):
         # 1.5 comes before 1.2 in the axis, after it in value order
         cfg = {"task": "meanfield", "axis": [0.1, 1.5, 1.2], "base": {}}
@@ -227,8 +236,9 @@ class TestFieldBuilder:
 
     def test_unknown_example_name_lists_the_catalog(self):
         cfg = validate_command_config("dini", dini_cfg(field={"name": "weierstrass"}))
-        with pytest.raises(ValueError, match="known: .*weierstrass-holder"):
+        with pytest.raises(ValidationError, match="known: .*weierstrass-holder") as exc:
             field_from_config(cfg["field"])
+        assert exc.value.path == "field.name"
 
 
 class TestCoefficientBuilder:

@@ -67,11 +67,11 @@ class TestExampleCatalog:
         assert f.values(np.array([[0.5]]))[0] == pytest.approx(expect, rel=1e-12)
 
     def test_ou_drift_is_minus_x(self):
-        b = make_example_field("ou-drift")
+        b = linear_drift(1)
         assert b.values(np.array([[2.0]]))[0, 0] == pytest.approx(-2.0)
 
     def test_polynomial_drift_cubes_its_argument(self):
-        b = make_example_field("polynomial-confining-drift", beta=3.0)
+        b = polynomial_drift(1, beta=3.0)
         assert b.values(np.array([[2.0]]))[0, 0] == pytest.approx(-8.0)
 
     def test_weierstrass_field_stays_inside_the_ellipticity_window(self):
@@ -395,11 +395,6 @@ class TestMollify:
         g = mollify(ExpressionField("x1", 1), spec, 0.25)
         x = _box_points(1, 2.0, 17)
         assert np.abs(g.values(x) - x[:, 0]).max() < 1e-12
-
-    def test_mollified_field_is_tagged_smooth(self):
-        spec = MollifierSpec.standard_bump(1)
-        f = make_example_field("weierstrass-holder", alpha=0.4)
-        assert mollify(f, spec, 0.1).tag.kind == "smooth"
 
     def test_sup_gap_shrinks_with_the_kernel_scale(self):
         # uniform convergence of mollifications for a continuous field

@@ -27,7 +27,6 @@ from fpkit.errors import (
     TruncationError,
 )
 from fpkit.fields import (
-    SMOOTH,
     ClosureField,
     ConstantField,
     DiffusionMatrixField,
@@ -45,7 +44,6 @@ from fpkit.fpk import (
     generator_matrix,
     harnack_ratio,
     moment,
-    moment_report,
     normalized_against_generator,
     solve_exact_1d,
     solve_grid,
@@ -68,7 +66,7 @@ def weighted_l1_gap(a: GridDensity, b: GridDensity, k: float) -> float:
 
 def repelling_drift() -> DriftField:
     return DriftField(
-        [ClosureField(lambda x: x[:, 0], 1, SMOOTH, "x1")],
+        [ClosureField(lambda x: x[:, 0], 1, "x1")],
         GrowthParams(beta=1.0, beta1=1.0, beta2=1.0, beta3=1.0),
         "repelling",
     )
@@ -78,7 +76,7 @@ def repelling_drift() -> DriftField:
 def rough_interval_problem():
     """Zero drift and rough a on [-4, 4], where rho is exactly 1/a up to Z."""
     w = make_example_field("weierstrass-holder", alpha=0.5, lam=0.5, d=1)
-    a = ClosureField(lambda x, f=w: 1.5 + f.values(x), 1, w.tag, "rough-a")
+    a = ClosureField(lambda x, f=w: 1.5 + f.values(x), 1, "rough-a")
     b = DriftField(
         [ConstantField(0.0, 1)],
         GrowthParams(beta=1.0, beta1=20.0, beta2=1.0, beta3=0.1),
@@ -127,7 +125,7 @@ class TestExactSolver1D:
 
     def test_nonpositive_diffusion_rejected(self, ou_1d, grid_1d):
         _, b = ou_1d
-        a = ClosureField(lambda x: x[:, 0], 1, SMOOTH, "x")
+        a = ClosureField(lambda x: x[:, 0], 1, "x")
         with pytest.raises(EllipticityError, match="nonpositive"):
             solve_exact_1d(a, b, grid_1d)
 
@@ -323,8 +321,8 @@ class TestPinnedSolve:
         # chain links the wells. The exact density is exp(-V / a) with V =
         # x1^4 - 2 x1^2 + x2^2 / 2, whose wells are 0.08 wide, under a cell
         A = DiffusionMatrixField.from_constant(0.05 * np.eye(2), 0.05)
-        b = DriftField([ClosureField(lambda x: 4.0 * (x[:, 0] - x[:, 0] ** 3), 2, SMOOTH, "b1"),
-                        ClosureField(lambda x: -x[:, 1], 2, SMOOTH, "b2")],
+        b = DriftField([ClosureField(lambda x: 4.0 * (x[:, 0] - x[:, 0] ** 3), 2, "b1"),
+                        ClosureField(lambda x: -x[:, 1], 2, "b2")],
                        GrowthParams(beta=3.0, beta1=1.0, beta2=1.0, beta3=10.0))
         spec = GridSpec(2, 8.0, 64)
         rho = solve_grid(A, b, spec)
@@ -341,7 +339,7 @@ class TestPinnedSolve:
         # b = 1000 x on a = 0.001 pushes to the walls at cell Peclet numbers up
         # to 1e6: even exponentially fitted, the inward rates underflow to 0
         A = DiffusionMatrixField.from_constant(0.001 * np.eye(1), 0.001)
-        b = DriftField([ClosureField(lambda x: 1000.0 * x[:, 0], 1, SMOOTH, "b")], GrowthParams())
+        b = DriftField([ClosureField(lambda x: 1000.0 * x[:, 0], 1, "b")], GrowthParams())
         with pytest.raises(DegenerateDensityError, match="does not reach the pinned cell"):
             solve_grid(A, b, GridSpec(1, 4.0, 16), check_truncation=False)
 
@@ -493,11 +491,10 @@ class TestMoments:
     def test_gaussian_radial_moments(self, ou_1d, grid_1d):
         _, b = ou_1d
         rho = solve_exact_1d(ConstantField(1.0, 1), b, grid_1d)
-        report = moment_report(rho, orders=(0.0, 1.0, 2.0, 4.0))
-        assert report.value(0.0) == 1.0
-        assert report.value(1.0) == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-4)
-        assert report.value(2.0) == pytest.approx(1.0, abs=1e-9)
-        assert report.value(4.0) == pytest.approx(3.0, abs=1e-8)
+        assert moment(rho, 0.0) == 1.0
+        assert moment(rho, 1.0) == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-4)
+        assert moment(rho, 2.0) == pytest.approx(1.0, abs=1e-9)
+        assert moment(rho, 4.0) == pytest.approx(3.0, abs=1e-8)
 
     def test_negative_order_rejected(self, ou_1d, grid_1d):
         _, b = ou_1d
@@ -623,7 +620,7 @@ class TestCoefficientSampling:
             if at is None or np.array_equal(x, at):
                 calls[name] = calls.get(name, 0) + 1
             return fn(x)
-        return ClosureField(values, 2, SMOOTH, name)
+        return ClosureField(values, 2, name)
 
     @pytest.mark.parametrize("diffusion", ["matrix", "scalar", "isotropic"])
     def test_each_coefficient_is_evaluated_once(self, diffusion):
@@ -654,7 +651,7 @@ class TestCoefficientSampling:
         a = self.counted(calls, "a", lambda x: 1.0 + 0.1 * np.tanh(x[:, 0]), at=cells)
         b = DriftField([self.counted(calls, f"b{i}", lambda x, i=i: -x[:, i], at=cells)
                         for i in range(2)], GrowthParams())
-        psi = ClosureField(lambda x: x[:, 0], 2, SMOOTH, "x1")
+        psi = ClosureField(lambda x: x[:, 0], 2, "x1")
         stationary_poisson(a, b, psi, 1.0, spec)
         assert calls == {"a": 1, "b0": 1, "b1": 1}
 
@@ -682,7 +679,7 @@ class TestCoefficientSampling:
         if solve == "solve_grid":
             solve_grid(A, b, spec)
         else:
-            stationary_poisson(A, b, ClosureField(lambda x: np.tanh(x[:, 0]), 2, SMOOTH, "psi"),
+            stationary_poisson(A, b, ClosureField(lambda x: np.tanh(x[:, 0]), 2, "psi"),
                                1.0, spec)
         assert alive == [[False]]
 

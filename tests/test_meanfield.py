@@ -20,7 +20,7 @@ from fpkit.errors import (
     EvaluationError,
     NonContractionError,
 )
-from fpkit.fields import SMOOTH, ClosureField, ConstantField, DiffusionMatrixField, linear_drift
+from fpkit.fields import ClosureField, ConstantField, DiffusionMatrixField, linear_drift
 from fpkit.fpk import REFINE_MAX_STEPS, REFINE_RESIDUAL, NearbyFactor, PinnedFactor
 from fpkit.grids import GridDensity, GridSpec
 from fpkit.meanfield import (
@@ -151,10 +151,10 @@ def counting_tanh(seen: list):
 
 def cross_diffusion(dim: int) -> DiffusionMatrixField:
     """An x-dependent base diffusion, with a cross term in d = 2."""
-    a00 = ClosureField(lambda x: 1.2 + 0.1 * np.sin(x[:, 0]), dim, SMOOTH, "a00")
+    a00 = ClosureField(lambda x: 1.2 + 0.1 * np.sin(x[:, 0]), dim, "a00")
     if dim == 1:
         return DiffusionMatrixField({(0, 0): a00}, 1, lam=0.5)
-    a01 = ClosureField(lambda x: 0.1 * np.cos(x[:, 1]), dim, SMOOTH, "a01")
+    a01 = ClosureField(lambda x: 0.1 * np.cos(x[:, 1]), dim, "a01")
     return DiffusionMatrixField({(0, 0): a00, (0, 1): a01, (1, 1): ConstantField(1.0, 2)},
                                 2, lam=0.5)
 

@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpkit.errors import DegenerateDensityError
-from fpkit.fields import SMOOTH, ClosureField, DiffusionMatrixField, DriftField, GrowthParams
+from fpkit.fields import ClosureField, DiffusionMatrixField, DriftField, GrowthParams
 from fpkit.fpk import (_apply, _diagonal_share, _generator_table, _solve_null, builtin_models,
                        generator_matrix, solve_grid)
 from fpkit.grids import GridSpec
@@ -282,7 +282,7 @@ def test_sums_vanish_for_constant_spd_diffusion_and_linear_drift(eig, angle, B, 
     Q = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
     A = DiffusionMatrixField.from_constant(Q @ np.diag(eig) @ Q.T, lam=0.5)
     Bm = 2.0 * np.reshape(B, (2, 2))
-    comps = [ClosureField(lambda x, i=i: x @ Bm[i] + c[i], 2, SMOOTH, f"b{i + 1}")
+    comps = [ClosureField(lambda x, i=i: x @ Bm[i] + c[i], 2, f"b{i + 1}")
              for i in range(2)]
     b = DriftField(comps, GrowthParams(beta=1.0, beta1=1.0, beta2=1.0, beta3=1.0))
     assert_conservative(A, b, GridSpec(2, 4.0, 16))
@@ -315,7 +315,7 @@ def test_well_conditioned_diffusion_gives_a_monotone_operator(low, cond, angle, 
     spec = GridSpec(2, 4.0, 16)
 
     def drift(Bm):
-        comps = [ClosureField(lambda x, i=i: x @ Bm[i] + c[i], 2, SMOOTH, f"b{i + 1}")
+        comps = [ClosureField(lambda x, i=i: x @ Bm[i] + c[i], 2, f"b{i + 1}")
                  for i in range(2)]
         return DriftField(comps, GrowthParams(beta=1.0, beta1=1.0, beta2=1.0, beta3=1.0))
 
@@ -449,11 +449,11 @@ def test_diagonal_share_upwinds_least_and_moves_least(b, sigma, m, sign, h):
 def test_partly_dominant_diffusion_matches_both_references():
     # a^01 = 0.5 tanh(x1 - x2) takes both signs, so both diagonals are used,
     # and the cells where |a^01| > a^11 = 0.3 keep the centered cross term
-    entries = {(0, 0): ClosureField(lambda x: np.ones(len(x)), 2, SMOOTH, "a00"),
-               (1, 1): ClosureField(lambda x: np.full(len(x), 0.3), 2, SMOOTH, "a11"),
-               (0, 1): ClosureField(lambda x: 0.5 * np.tanh(x[:, 0] - x[:, 1]), 2, SMOOTH, "a01")}
+    entries = {(0, 0): ClosureField(lambda x: np.ones(len(x)), 2, "a00"),
+               (1, 1): ClosureField(lambda x: np.full(len(x), 0.3), 2, "a11"),
+               (0, 1): ClosureField(lambda x: 0.5 * np.tanh(x[:, 0] - x[:, 1]), 2, "a01")}
     A = DiffusionMatrixField(entries, 2, lam=0.01)
-    b = DriftField([ClosureField(lambda x, i=i: -x[:, i], 2, SMOOTH, f"b{i}") for i in range(2)],
+    b = DriftField([ClosureField(lambda x, i=i: -x[:, i], 2, f"b{i}") for i in range(2)],
                    GrowthParams())
     spec = GridSpec(2, 4.0, 16)
     a01 = A.values(spec.cell_centers())[:, 0, 1]
@@ -472,11 +472,11 @@ def pushing_apart(case):
     """
     if case == "bistable":
         return (DiffusionMatrixField.from_constant(0.05 * np.eye(2), lam=0.05),
-                DriftField([ClosureField(lambda x: 4.0 * (x[:, 0] - x[:, 0] ** 3), 2, SMOOTH, "b1"),
-                            ClosureField(lambda x: -x[:, 1], 2, SMOOTH, "b2")], GrowthParams()))
+                DriftField([ClosureField(lambda x: 4.0 * (x[:, 0] - x[:, 0] ** 3), 2, "b1"),
+                            ClosureField(lambda x: -x[:, 1], 2, "b2")], GrowthParams()))
     return (DiffusionMatrixField.from_constant(
                 rotation(1.0) @ np.diag([1.0, 1.125]) @ rotation(1.0).T, lam=0.5),
-            DriftField([ClosureField(lambda x, i=i: 2.0 * x[:, 1 - i], 2, SMOOTH, f"b{i + 1}")
+            DriftField([ClosureField(lambda x, i=i: 2.0 * x[:, 1 - i], 2, f"b{i + 1}")
                         for i in range(2)], GrowthParams()))
 
 
@@ -524,15 +524,15 @@ def coefficient_pairs(draw):
         m[0, 1] = m[1, 0] = 0.0
     w = draw(st.floats(-0.3, 0.3))  # 0: constant coefficients
     shape = [lambda x: 1.0 + w * np.sin(x[:, 0]), lambda x: 1.0 + w * np.cos(x[:, -1])]
-    entries = {(i, i): ClosureField(lambda x, i=i: m[i, i] * shape[i](x), d, SMOOTH, f"a{i}{i}")
+    entries = {(i, i): ClosureField(lambda x, i=i: m[i, i] * shape[i](x), d, f"a{i}{i}")
                for i in range(d)}
     if d == 2:  # |a^01| <= 0.65 |m01| keeps every cell SPD
         entries[(0, 1)] = ClosureField(lambda x: 0.5 * m[0, 1] * (1.0 + w * np.sin(x[:, 0] * x[:, 1])),
-                                       2, SMOOTH, "a01")
+                                       2, "a01")
     A = DiffusionMatrixField(entries, d, lam=1e-3)
     c = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))
     comps = [ClosureField(lambda x, i=i: -x[:, i] + c[i] * np.sin(x[:, -1 - i]) + c[2], d,
-                          SMOOTH, f"b{i}") for i in range(d)]
+                          f"b{i}") for i in range(d)]
     return A, DriftField(comps, GrowthParams()), spec
 
 

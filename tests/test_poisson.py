@@ -11,7 +11,6 @@ import scipy.sparse.linalg as spla
 
 from fpkit.errors import ConfinementError, IncompatibilityError, TruncationError
 from fpkit.fields import (
-    SMOOTH,
     ClosureField,
     ConstantField,
     DiffusionMatrixField,
@@ -52,7 +51,7 @@ SCAN_STEP = 8.0 / 800.0  # default radius grid spacing in lyapunov_constants
 
 
 def source(fn, dim, name):
-    return ClosureField(fn, dim, SMOOTH, name)
+    return ClosureField(fn, dim, name)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +80,7 @@ class TestLyapunovConstants:
     def test_formula_constants_depend_only_on_parameters(self, ou_1d):
         A, b = ou_1d
         perturbed = DriftField(
-            [ClosureField(lambda x: -x[:, 0] - 0.2 * np.tanh(x[:, 0]), 1, SMOOTH, "bt")],
+            [ClosureField(lambda x: -x[:, 0] - 0.2 * np.tanh(x[:, 0]), 1, "bt")],
             GrowthParams(beta=1.0, beta1=1.0, beta2=1.0, beta3=2.0),
             "perturbed-linear",
         )
@@ -115,7 +114,7 @@ class TestLyapunovConstants:
     def test_outward_drift_has_no_radius(self, ou_1d):
         A, _ = ou_1d
         outward = DriftField(
-            [ClosureField(lambda x: x[:, 0], 1, SMOOTH, "x1")],
+            [ClosureField(lambda x: x[:, 0], 1, "x1")],
             GrowthParams(beta=1.0, beta1=1.0, beta2=1.0, beta3=1.0),
             "outward",
         )
@@ -496,7 +495,7 @@ class TestSharedFactor:
             sizes.append(len(x))
             return 1.0 + 0.5 * np.exp(-x[:, 0] ** 2)
 
-        a = ClosureField(logged, 1, SMOOTH, "a")
+        a = ClosureField(logged, 1, "a")
         A = a if lam is None else DiffusionMatrixField.isotropic(a, lam)
         b = linear_drift(1, 1.0)
         psi = source(lambda z: np.tanh(z[:, 0]), 1, "tanh")
