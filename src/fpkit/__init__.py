@@ -10,11 +10,11 @@ iteration, plus a config-driven CLI.
 __version__ = "0.1.0"
 
 from .conditions import ClauseVerdict, ConditionReport, check_condition_h
-from .errors import (ConditionHError, ConfinementError, ConvergenceError,
-                     DegenerateDensityError, EllipticityError, EllipticityMarginError,
-                     EvaluationError, FpkError, GridMismatchError, IncompatibilityError,
-                     InsufficientResolutionError, NonContractionError, SchemePositivityError,
-                     SupportError, TruncationError, ValidationError)
+from .errors import (ConfinementError, ConvergenceError, DegenerateDensityError,
+                     EllipticityError, EllipticityMarginError, EvaluationError, FpkError,
+                     GridMismatchError, IncompatibilityError, InsufficientResolutionError,
+                     NonContractionError, SchemePositivityError, SupportError,
+                     TruncationError, ValidationError)
 from .fields import (ClosureField, ConstantField, DiffusionMatrixField, DriftField,
                      ExpressionField, GrowthParams, MollifierSpec, ScalarField,
                      linear_drift, make_example_field, mollify, polynomial_drift)
@@ -22,8 +22,8 @@ from .fpk import (ModelSpec, builtin_models, discretization_error, harnack_ratio
                   solve_exact_1d, solve_grid, weak_residual, weighted_lp_norm)
 from .grids import GridDensity, GridSpec, default_radius
 from .meanfield import (ContractionEstimate, FixedPointTrace, InteractionKernel,
-                        MeanFieldModel, apply_phi, contraction_estimate, epsilon_threshold,
-                        gaussian_probe, nonlocal_coefficients, picard_iterate)
+                        MeanFieldModel, apply_phi, contraction_estimate, gaussian_probe,
+                        nonlocal_coefficients, picard_iterate)
 from .oscillation import (DiniEstimate, OscillationModulus, SamplingSpec, dini_integral,
                           dini_mean_oscillation)
 from .poisson import (GrowthBoundReport, LyapunovWitness, PoissonProblem, PoissonSolution,
@@ -31,13 +31,12 @@ from .poisson import (GrowthBoundReport, LyapunovWitness, PoissonProblem, Poisso
                       solve_poisson_1d, solve_poisson_grid, stationary_poisson,
                       verify_growth_bounds)
 from .stability import (CoefficientPair, DualityReport, StabilityReport, SweepResult,
-                        duality_check, estimate_stability, rhs_discrepancy, stability_sweep,
-                        weighted_l1_distance)
+                        duality_check, rhs_discrepancy, stability_sweep, weighted_l1_distance)
 from .testfunctions import BumpFunction, SmoothTestFunction, random_bumps
 
 __all__ = [
     "__version__",
-    "BumpFunction", "ClauseVerdict", "ClosureField", "CoefficientPair", "ConditionHError",
+    "BumpFunction", "ClauseVerdict", "ClosureField", "CoefficientPair",
     "ConditionReport", "ConfinementError", "ConstantField", "ContractionEstimate",
     "ConvergenceError", "DegenerateDensityError", "DiffusionMatrixField", "DiniEstimate",
     "DriftField", "DualityReport", "EllipticityError", "EllipticityMarginError",
@@ -49,10 +48,9 @@ __all__ = [
     "SamplingSpec", "ScalarField", "SchemePositivityError", "SmoothTestFunction",
     "StabilityReport", "SupportError", "SweepResult", "TruncationError",
     "ValidationError", "apply_phi", "builtin_models", "builtin_poisson_cases",
-    "check_condition_h", "contraction_estimate", "default_radius",
-    "dini_integral", "dini_mean_oscillation", "discretization_error", "duality_check",
-    "epsilon_threshold", "estimate_stability", "gaussian_probe", "harnack_ratio",
-    "linear_drift", "lyapunov_constants", "make_example_field", "moment",
+    "check_condition_h", "contraction_estimate", "default_radius", "dini_integral",
+    "dini_mean_oscillation", "discretization_error", "duality_check", "gaussian_probe",
+    "harnack_ratio", "linear_drift", "lyapunov_constants", "make_example_field", "moment",
     "mollify", "nonlocal_coefficients", "picard_iterate", "polynomial_drift",
     "random_bumps", "rhs_discrepancy", "solve_exact_1d", "solve_grid", "solve_poisson",
     "solve_poisson_1d", "solve_poisson_grid", "stability_sweep", "stationary_poisson",

@@ -8,7 +8,7 @@ numerics, and writes into the output directory:
   write_csv takes the table as columns: a float array column is formatted
   in one pass, any other column value by value (_fmt);
 * SVG figures rendered by the built-in writer (no plotting dependency, every
-  coordinate %.2f, a heatmap at most max_blocks = 64 blocks per side);
+  coordinate %.2f, a heatmap at most svg.MAX_BLOCKS = 64 blocks per side);
 * run_report.json with the config digest, package version, outcome
   ("pass", "fail" when a check fails, "error" with the error's class and
   message when the numerics raise), wall time, the artifact manifest and a
@@ -203,8 +203,7 @@ class RunContext:
         if self.strict:
             at = ", ".join(f"{k} {v}" for k, v in place.items())
             raise SchemePositivityError(
-                f"clipped negative mass {clipped:.6g} exceeds {CLIP_MASS_LIMIT:g} ({at})",
-                clipped_mass=clipped)
+                f"clipped negative mass {clipped:.6g} exceeds {CLIP_MASS_LIMIT:g} ({at})")
 
 
 TELEMETRY_KEYS = ("residual", "clipped_mass", "pinned_cell", "ordering", "factor_nnz",

@@ -16,6 +16,10 @@ is how the declared constants of a hand-built drift are audited.
 Verdicts are sampled statements, not proofs: a clause that fails is
 definitely violated at the witness, while a clause that passes holds on the
 sample. Enlarging the box can only preserve or flip a pass to a failure.
+
+`check_condition_h` reports each clause's verdict, margin and witness and
+never raises on a failing clause: whether a failure is fatal is the caller's
+decision.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionHError
 from .fields import DiffusionMatrixField, DriftField
 from .oscillation import OscillationModulus, SamplingSpec, dini_integral, dini_mean_oscillation
 
-_DEFAULT_OSC_RADII = tuple(np.geomspace(2e-3, 0.4, 10))
+OSC_RADII = np.geomspace(2e-3, 0.4, 10)  # radii of the Dini clause's oscillation samples
+T0 = 0.5  # upper limit of the Dini integral
+TOL = 1e-9  # a clause passes where its sampled margin is at least -TOL
 
 
 @dataclass(frozen=True)
@@ -74,16 +79,16 @@ def _box_samples(dim: int, radius: float, n: int) -> np.ndarray:
 
 
 def check_condition_h(A: DiffusionMatrixField, b: DriftField, box_radius: float = 4.0,
-                      n_samples: int = 33, osc_radii=None, osc_sampling: SamplingSpec | None = None,
-                      t0: float = 0.5, tol: float = 1e-9, strict: bool = True) -> ConditionReport:
+                      n_samples: int = 33) -> ConditionReport:
     """Audit the standing assumptions on the box [-box_radius, box_radius]^d.
 
     Clause names: "ellipticity" (eigenvalues inside [lambda, 1/lambda]),
-    "dini" (every entry modulus passes the Dini integral test),
+    "dini" (every entry modulus passes the Dini integral test on the radii
+    OSC_RADII, sampled in the box of radius min(box_radius, 1)),
     "confinement" (<b, x> <= beta1 - beta2 |x|^2), and "growth"
-    (|b| <= beta3 (1 + |x|)^beta). With strict=True the first failing clause
-    raises ConditionHError carrying the clause name and witness point;
-    otherwise the report collects all verdicts.
+    (|b| <= beta3 (1 + |x|)^beta). The report holds every clause's verdict,
+    and a failing clause carries a witness point. Nothing is raised for a
+    failing clause: the caller decides whether a failure is fatal.
     """
     if A.dim != b.dim:
         raise ValueError("diffusion and drift dimensions differ")
@@ -95,20 +100,19 @@ def check_condition_h(A: DiffusionMatrixField, b: DriftField, box_radius: float 
     margin = np.minimum(lo - A.lam, 1.0 / A.lam - hi)
     i = int(np.argmin(margin))
     clauses.append(ClauseVerdict(
-        "ellipticity", bool(margin[i] >= -tol), float(margin[i]),
-        pts[i] if margin[i] < -tol else None,
+        "ellipticity", bool(margin[i] >= -TOL), float(margin[i]),
+        pts[i] if margin[i] < -TOL else None,
         f"sampled eigenvalues in [{lo.min():.6g}, {hi.max():.6g}], "
         f"window [{A.lam:.6g}, {1.0 / A.lam:.6g}]"))
 
-    radii = np.asarray(osc_radii if osc_radii is not None else _DEFAULT_OSC_RADII, dtype=float)
-    sampling = osc_sampling or SamplingSpec(box_radius=min(box_radius, 1.0))
+    sampling = SamplingSpec(box_radius=min(box_radius, 1.0))
     moduli = []
     dini_ok = True
     worst = ""
     for (i0, j0) in sorted({(min(i, j), max(i, j)) for i in range(d) for j in range(d)}):
         f = A.entry(i0, j0)
-        mod = dini_mean_oscillation(f, radii, sampling, t0=t0)
-        mod = mod.with_dini(dini_integral(mod, t0=t0))
+        mod = dini_mean_oscillation(f, OSC_RADII, sampling, t0=T0)
+        mod = mod.with_dini(dini_integral(mod, t0=T0))
         moduli.append(mod)
         if not mod.dini.finite:
             dini_ok = False
@@ -123,8 +127,8 @@ def check_condition_h(A: DiffusionMatrixField, b: DriftField, box_radius: float 
     conf_margin = g.beta1 - g.beta2 * r2 - bx
     i = int(np.argmin(conf_margin))
     clauses.append(ClauseVerdict(
-        "confinement", bool(conf_margin[i] >= -tol), float(conf_margin[i]),
-        pts[i] if conf_margin[i] < -tol else None,
+        "confinement", bool(conf_margin[i] >= -TOL), float(conf_margin[i]),
+        pts[i] if conf_margin[i] < -TOL else None,
         f"min of beta1 - beta2 |x|^2 - <b, x> is {conf_margin[i]:.6g}"))
     pos = r2 > 1e-18
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -136,18 +140,13 @@ def check_condition_h(A: DiffusionMatrixField, b: DriftField, box_radius: float 
     grow_margin = g.beta3 * env - speed
     i = int(np.argmin(grow_margin))
     clauses.append(ClauseVerdict(
-        "growth", bool(grow_margin[i] >= -tol), float(grow_margin[i]),
-        pts[i] if grow_margin[i] < -tol else None,
+        "growth", bool(grow_margin[i] >= -TOL), float(grow_margin[i]),
+        pts[i] if grow_margin[i] < -TOL else None,
         f"min of beta3 (1+|x|)^beta - |b| is {grow_margin[i]:.6g}"))
     tightest_beta3 = float((speed / env).max())
 
-    report = ConditionReport(
+    return ConditionReport(
         passed=all(c.passed for c in clauses), clauses=tuple(clauses),
         lam=A.lam, beta=g.beta, beta1=g.beta1, beta2=g.beta2, beta3=g.beta3,
         largest_beta2=largest_beta2, tightest_beta3=tightest_beta3,
         entry_moduli=tuple(moduli), box_radius=float(box_radius))
-    if strict and not report.passed:
-        bad = next(c for c in clauses if not c.passed)
-        raise ConditionHError(bad.clause, bad.witness,
-                              f"{bad.clause} clause failed (margin {bad.margin:.6g}): {bad.detail}")
-    return report

@@ -9,7 +9,8 @@ config that validates raises no config error later: what the config alone
 decides (each meanfield coupling against the kernel's margin, each start
 inside the box, each sweep point as the run it is) is checked here, before
 any numerics, and their runners build from the validated config and check
-nothing.
+nothing. Wherever the config gives the run's dimension d, a grid `n` past
+grids.MAX_CELLS cells and a poisson `p` <= d are rejected here too.
 
 Builders turn validated sub-configs into coefficient objects: named example
 fields, expression fields (parsed through the restricted expression
@@ -20,6 +21,7 @@ envelopes, interaction kernels, and the fixed coefficients of the
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable
@@ -31,7 +33,7 @@ from .fields import (_EXAMPLE_PARAMS, ConstantField, DiffusionMatrixField, Drift
                      ExpressionField, GrowthParams, ScalarField, linear_drift,
                      make_example_field)
 from .fpk import builtin_models
-from .grids import GridSpec, default_radius
+from .grids import MAX_CELLS, GridSpec, default_radius
 from .meanfield import InteractionKernel, MeanFieldModel
 from .stability import CoefficientPair
 
@@ -210,6 +212,12 @@ SCHEMAS: dict[str, dict[str, Key]] = {
 }
 
 
+@functools.cache
+def _builtin_dims() -> dict[str, int]:
+    """The dimension of each built-in model by name; the catalog is fixed, so it is built once."""
+    return {m.name: m.dim for m in builtin_models()}
+
+
 def validate_command_config(command: str, obj: dict, path: str = "") -> dict:
     """Validate a config mapping for one CLI command; fills defaults.
 
@@ -217,11 +225,14 @@ def validate_command_config(command: str, obj: dict, path: str = "") -> dict:
     with their own schemas so error paths point at the offending key; `path`
     is the config's own place in an enclosing one ("" at the root). A
     sweep's base is replaced by its points: points[i] is the validated run
-    config of axis[i], the axis sorted.
+    config of axis[i], the axis sorted. Where the run's dimension d is known
+    (a `dim` key, a coefficients block or a built-in model), n^d > MAX_CELLS
+    is an error at `n` and a poisson p <= d one at `p`.
     """
     if command not in SCHEMAS:
         raise ValidationError(f"unknown command {command!r}", path=path)
     cfg = validate_mapping(obj, SCHEMAS[command], path)
+    dim = cfg.get("dim")  # the run's dimension; None where the config does not give it
     if command == "dini":
         cfg["field"] = validate_mapping(cfg["field"], _FIELD_SCHEMA, _join(path, "field"))
         cfg["radii"] = validate_mapping(cfg["radii"] or {}, _RADII_SCHEMA, _join(path, "radii"))
@@ -241,8 +252,15 @@ def validate_command_config(command: str, obj: dict, path: str = "") -> dict:
                                                 _join(at, "diffusion"))
             sub["drift"] = validate_mapping(sub["drift"], _DRIFT_SCHEMA, _join(at, "drift"))
             cfg["coefficients"] = sub
+        dim = sub["dim"] if has_coeff else _builtin_dims().get(cfg["model"])
+    if dim is not None and cfg.get("n") is not None and cfg["n"] ** dim > MAX_CELLS:
+        raise ValidationError(f"a grid of {cfg['n']}^{dim} cells exceeds the budget of "
+                              f"{MAX_CELLS} cells", path=_join(path, "n"))
     if command == "poisson":
         cfg["psi"] = validate_mapping(cfg["psi"], _FIELD_SCHEMA, _join(path, "psi"))
+        if dim is not None and cfg["p"] is not None and cfg["p"] <= dim:
+            raise ValidationError(f"integrability exponent p must exceed d = {dim}, "
+                                  f"got {cfg['p']:g}", path=_join(path, "p"))
     if command == "meanfield":
         model = meanfield_model_from_config(cfg)
         spec = grid_from_config(cfg, cfg["dim"], model.b0.growth.beta2)
@@ -299,27 +317,38 @@ def load_config_file(path: str) -> dict:
 
 
 def field_from_config(cfg: dict, dim: int | None = None, path: str = "field") -> ScalarField:
-    """Build a scalar field from a validated field sub-config.
+    """Build a scalar field from a validated field sub-config, for a run of dimension `dim`.
 
-    A name the example catalog does not know is a ValidationError at
-    `<path>.name`, and a parameter it rejects one at `<path>.params`.
+    The field's dimension is the block's `dim`, else `dim`, else (for a
+    named field) its `params.d`, else 1. A block `dim` other than `dim` is a
+    ValidationError at `<path>.dim`. A `params.d` other than the field's
+    dimension (or other than 1 or 2, when nothing else gives it) is one at
+    `<path>.params`, as is any parameter the example catalog rejects. A name
+    the catalog does not know is one at `<path>.name`.
     """
-    d = int(cfg.get("dim") or dim or 1)
+    if dim is not None and cfg.get("dim") not in (None, dim):
+        raise ValidationError(f"field dimension {cfg['dim']} differs from the run's dimension {dim}",
+                              path=_join(path, "dim"))
+    d = cfg.get("dim") or dim
     given = [k for k in ("name", "expression", "constant") if cfg.get(k) is not None]
     if len(given) != 1:
         raise ValidationError(
             f"exactly one of 'name', 'expression', 'constant' must be set at {path}", path=path)
     if cfg.get("name") is not None:
         params = dict(cfg.get("params") or {})
-        params.setdefault("d", d)
+        dims = (d,) if d else (1, 2)
+        if params.setdefault("d", dims[0]) not in dims:
+            raise ValidationError(f"parameter 'd' must be the field's dimension, "
+                                  f"{' or '.join(map(str, dims))}, got {params['d']!r}",
+                                  path=_join(path, "params"))
         try:
             return make_example_field(cfg["name"], **params)
         except ValueError as exc:
             key = "params" if cfg["name"] in _EXAMPLE_PARAMS else "name"
             raise ValidationError(str(exc), path=_join(path, key)) from None
     if cfg.get("expression") is not None:
-        return _expression_field(cfg["expression"], d, _join(path, "expression"))
-    return ConstantField(float(cfg["constant"]), d)
+        return _expression_field(cfg["expression"], d or 1, _join(path, "expression"))
+    return ConstantField(float(cfg["constant"]), d or 1)
 
 
 def _expression_field(expr: str, dim: int, path: str) -> ExpressionField:

@@ -28,23 +28,6 @@ class ConfinementError(FpkError):
     """Drift confinement failed, e.g. the stationary normalization diverged."""
 
 
-class ConditionHError(FpkError):
-    """A clause of the standing coefficient assumptions failed.
-
-    Attributes
-    ----------
-    clause : str
-        One of "ellipticity", "dini", "confinement", "growth".
-    witness : ndarray
-        A sample point at which the clause fails.
-    """
-
-    def __init__(self, clause: str, witness, message: str = ""):
-        super().__init__(message or f"condition check failed: {clause} clause at {witness}")
-        self.clause = clause
-        self.witness = witness
-
-
 class InsufficientResolutionError(FpkError):
     """Too few small-radius samples to extrapolate the oscillation integral."""
 
@@ -59,10 +42,6 @@ class ConvergenceError(FpkError):
 
 class SchemePositivityError(FpkError):
     """Discrete density needed more negative-mass clipping than allowed."""
-
-    def __init__(self, message: str, clipped_mass: float = 0.0):
-        super().__init__(message)
-        self.clipped_mass = clipped_mass
 
 
 class TruncationError(FpkError):

@@ -271,14 +271,14 @@ class DiffusionMatrixField:
         return cls(entries, dim, lam, name)
 
     @classmethod
-    def isotropic(cls, f: ScalarField, lam: float, name: str | None = None):
+    def isotropic(cls, f: ScalarField, lam: float):
         """A(x) = a(x) I for a scalar field a."""
         d = f.dim
         entries = {(i, i): f for i in range(d)}
         for i in range(d):
             for j in range(i + 1, d):
                 entries[(i, j)] = ConstantField(0.0, d)
-        return cls(entries, d, lam, name or f"{f.name} * I")
+        return cls(entries, d, lam, f"{f.name} * I")
 
     def __repr__(self):
         return f"<DiffusionMatrixField {self.name!r} d={self.dim} lam={self.lam}>"
@@ -332,7 +332,7 @@ class DriftField:
         return f"<DriftField {self.name!r} d={self.dim} beta={g.beta}>"
 
 
-def linear_drift(dim: int, theta: float = 1.0, mu=None, name: str | None = None) -> DriftField:
+def linear_drift(dim: int, theta: float = 1.0, mu=None) -> DriftField:
     """b(x) = -theta (x - mu), the linear confining drift."""
     if theta <= 0:
         raise ValueError("theta must be positive")
@@ -349,24 +349,22 @@ def linear_drift(dim: int, theta: float = 1.0, mu=None, name: str | None = None)
         # <b,x> = -theta|x|^2 + theta<mu,x> <= theta|mu|^2/2 - (theta/2)|x|^2
         growth = GrowthParams(beta=1.0, beta1=theta * (1.0 + mnorm ** 2) / 2.0,
                               beta2=theta / 2.0, beta3=theta * (1.0 + mnorm))
-    return DriftField(comps, growth, name or f"linear-drift(theta={theta})")
+    return DriftField(comps, growth, f"linear-drift(theta={theta})")
 
 
-def polynomial_drift(dim: int, beta: float = 3.0, scale: float = 1.0) -> DriftField:
-    """b(x) = -scale |x|^{beta-1} x, the superlinear confining drift."""
+def polynomial_drift(dim: int, beta: float = 3.0) -> DriftField:
+    """b(x) = -|x|^{beta-1} x, the superlinear confining drift."""
     if beta < 1.0:
         raise ValueError("beta must be >= 1")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
 
     def comp(i):
         def fn(x):
             r = np.sqrt(np.sum(x * x, axis=1))
-            return -scale * r ** (beta - 1.0) * x[:, i]
+            return -r ** (beta - 1.0) * x[:, i]
         return ClosureField(fn, dim, f"-|x|^{beta - 1} x{i + 1}")
 
-    # scale |x|^{beta+1} >= scale(|x|^2 - 1) for beta >= 1
-    growth = GrowthParams(beta=beta, beta1=scale, beta2=scale, beta3=scale)
+    # |x|^{beta+1} >= |x|^2 - 1 for beta >= 1
+    growth = GrowthParams(beta=beta, beta1=1.0, beta2=1.0, beta3=1.0)
     return DriftField([comp(i) for i in range(dim)], growth, f"poly-drift(beta={beta})")
 
 
@@ -383,6 +381,9 @@ def _bump_profile(z2: np.ndarray) -> np.ndarray:
     return out
 
 
+MOLLIFIER_ORDER = 64  # Gauss points of the mollifier's quadrature rule
+
+
 @dataclass(frozen=True)
 class MollifierSpec:
     """A smooth nonnegative kernel on the unit ball with unit mass.
@@ -394,23 +395,23 @@ class MollifierSpec:
     """
 
     dim: int
-    order: int
     points: np.ndarray = dc_field(repr=False)
     weights: np.ndarray = dc_field(repr=False)
     quadrature_defect: float = 0.0
 
     @classmethod
-    def standard_bump(cls, dim: int, order: int = 64) -> "MollifierSpec":
+    def standard_bump(cls, dim: int) -> "MollifierSpec":
+        """The bump kernel with a Gauss rule of MOLLIFIER_ORDER points (radially in 2d)."""
         if dim not in (1, 2):
             raise ValueError("mollifiers support d in {1, 2}")
         norm = _bump_mass(dim)
         if dim == 1:
-            z, w = gauss_interval(-1.0, 1.0, order)
+            z, w = gauss_interval(-1.0, 1.0, MOLLIFIER_ORDER)
             pts = z[:, None]
         else:
             # radial Gauss x angular midpoint, area element r dr dtheta
-            rr, wr = gauss_interval(0.0, 1.0, order)
-            na = max(2 * order, 8)
+            rr, wr = gauss_interval(0.0, 1.0, MOLLIFIER_ORDER)
+            na = 2 * MOLLIFIER_ORDER
             th = (np.arange(na) + 0.5) / na * 2.0 * np.pi
             Rg, Tg = np.meshgrid(rr, th, indexing="ij")
             pts = np.stack([(Rg * np.cos(Tg)).ravel(), (Rg * np.sin(Tg)).ravel()], axis=1)
@@ -418,9 +419,9 @@ class MollifierSpec:
         raw = w * _bump_profile(np.sum(pts * pts, axis=1)) / norm
         defect = abs(float(raw.sum()) - 1.0)
         if defect > 1e-8:
-            raise ValueError(f"kernel quadrature of order {order} has mass defect {defect:.3e} > 1e-8")
+            raise ValueError(f"kernel quadrature of order {MOLLIFIER_ORDER} has mass defect {defect:.3e} > 1e-8")
         weights = raw / raw.sum()
-        return cls(dim=dim, order=order, points=pts, weights=weights, quadrature_defect=defect)
+        return cls(dim=dim, points=pts, weights=weights, quadrature_defect=defect)
 
 
 def _bump_mass(dim: int) -> float:

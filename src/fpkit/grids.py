@@ -179,20 +179,20 @@ class GridDensity:
         return self.values.ravel()
 
     @classmethod
-    def from_samples(cls, spec: GridSpec, samples: np.ndarray, info: dict | None = None) -> "GridDensity":
+    def from_samples(cls, spec: GridSpec, samples: np.ndarray) -> "GridDensity":
         """Normalize nonnegative samples on the grid into a density."""
         samples = np.asarray(samples, dtype=float).reshape(spec.shape)
         samples = np.maximum(samples, 0.0)
         total = samples.sum() * spec.cell_volume
         if not np.isfinite(total) or total <= 0:
             raise DegenerateDensityError("cannot normalize: total mass is zero or non-finite")
-        return cls(spec, samples / total, info)
+        return cls(spec, samples / total)
 
     @classmethod
-    def from_function(cls, spec: GridSpec, fn, info: dict | None = None) -> "GridDensity":
+    def from_function(cls, spec: GridSpec, fn) -> "GridDensity":
         """Sample a pointwise density formula at cell centers and normalize."""
         vals = np.asarray(fn(spec.cell_centers()), dtype=float).reshape(spec.shape)
-        return cls.from_samples(spec, vals, info)
+        return cls.from_samples(spec, vals)
 
 
 def require_same_grid(a: GridDensity, b: GridDensity):

@@ -196,11 +196,11 @@ class InteractionKernel:
         self._spectra[spec] = entry
         return entry
 
-    def _checked(self, off: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    def _checked(self, off: np.ndarray) -> np.ndarray:
         """off (one value or a stack) unless it is non-finite or, for a diffusion, not symmetric."""
         if not np.isfinite(off).all():
             raise EvaluationError(f"kernel {self.name!r} produced a non-finite offset")
-        if self.kind == "diffusion" and np.any(np.abs(off - np.swapaxes(off, -1, -2)) > tol):
+        if self.kind == "diffusion" and np.any(np.abs(off - np.swapaxes(off, -1, -2)) > 1e-10):
             raise ValueError(f"diffusion kernel {self.name!r} produced a non-symmetric offset")
         return off
 
@@ -519,24 +519,17 @@ def contraction_estimate(model: MeanFieldModel, spec: GridSpec,
                                non_dominant_cells=non_dominant)
 
 
-def epsilon_threshold(model: MeanFieldModel, spec: GridSpec, eps_max: float = 1.0,
-                      tol: float = 1e-3, probes: Sequence[GridDensity] | None = None) -> float:
-    """Largest coupling (up to eps_max) with sampled contraction factor < 1.
-
-    Bisects on eps, using the sampled factor as a monotone surrogate. eps_max
-    is first lowered to the largest coupling the model admits
-    (MeanFieldModel.coupling_cap). When even that contracts on the probes, it
-    is returned.
-    """
-    return threshold_search(model, spec, eps_max, tol, probes)[0]
-
-
 def threshold_search(model: MeanFieldModel, spec: GridSpec, eps_max: float = 1.0,
                      tol: float = 1e-3, probes: Sequence[GridDensity] | None = None,
                      ) -> tuple[float, tuple[ContractionEstimate, ...]]:
-    """epsilon_threshold, and the contraction estimate of every eps it tried, in order.
+    """The largest coupling (up to eps_max) with sampled contraction factor < 1, and the
+    contraction estimate of every eps it tried, in order.
 
-    The first is that of the capped eps_max (MeanFieldModel.coupling_cap).
+    Bisects on eps to within tol, using the sampled factor as a monotone
+    surrogate. eps_max is first lowered to the largest coupling the model
+    admits (MeanFieldModel.coupling_cap), and the first estimate is that of
+    the capped eps_max. When even that contracts on the probes, it is
+    returned.
     """
     eps_max = model.coupling_cap(eps_max)
     estimates = [contraction_estimate(model.with_eps(eps_max), spec, probes)]

@@ -139,12 +139,6 @@ def dini_mean_oscillation(f: ScalarField, radii, sampling: SamplingSpec | None =
                               sampling=sampling)
 
 
-def loglog_slope(radii, values) -> float:
-    """Least-squares slope of log(values) against log(radii)."""
-    return fit_line(np.log(np.asarray(radii, dtype=float)),
-                    np.log(np.maximum(np.asarray(values, dtype=float), _TINY)))[0]
-
-
 def fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     """Least squares y = slope*x + intercept; returns (slope, intercept, sse)."""
     A = np.stack([xs, np.ones_like(xs)], axis=1)

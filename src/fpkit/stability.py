@@ -71,10 +71,6 @@ class CoefficientPair:
                            beta2=min(gm.beta2, gs.beta2),
                            beta3=max(gm.beta3, gs.beta3))
 
-    @property
-    def shared_lam(self) -> float:
-        return min(self.a_mu.lam, self.a_sigma.lam)
-
     def solve_pair(self, spec: GridSpec) -> tuple[GridDensity, GridDensity]:
         """Stationary densities of both members on the shared grid."""
         if spec.dim != self.dim:
@@ -145,12 +141,6 @@ def rhs_discrepancy(pair: CoefficientPair, rho_sigma: GridDensity, k: float,
     w = 1.0 + spec.center_radii() ** (beta + k)
     drift = float(np.sum(speed * w * rho_sigma.flat()) * vol)
     return diffusion, drift
-
-
-def estimate_stability(pair: CoefficientPair, spec: GridSpec, k: float,
-                       r: float = 2.0) -> StabilityReport:
-    """Solve both members and measure both sides of the perturbation estimate."""
-    return _measure(pair, *pair.solve_pair(spec), k, r)
 
 
 def _measure(pair: CoefficientPair, rho_mu: GridDensity, rho_sigma: GridDensity, k: float,

@@ -5,8 +5,8 @@ of SVG primitives with every coordinate printed as %.2f, so regenerating a
 figure from the same data produces the same bytes. Axes are linear or log10;
 log axes require positive data. Coordinates are computed on whole arrays
 and each polyline or block is formatted from one template. A heatmap has at
-most max_blocks blocks per side: a larger array is block-averaged over
-ceil(n / max_blocks) cells per side.
+most MAX_BLOCKS = 64 blocks per side: a larger array is block-averaged over
+ceil(n / MAX_BLOCKS) cells per side.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Sequence
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 16, 34, 46
+MAX_BLOCKS = 64  # a heatmap's blocks per side, at most
 
 
 def _fmt(v: float) -> str:
@@ -143,12 +144,12 @@ def line_plot(path: str, series: Sequence[tuple], title: str = "", xlabel: str =
         fh.write(c.finish())
 
 
-def heatmap(path: str, values, extent: float, title: str = "", max_blocks: int = 64):
+def heatmap(path: str, values, extent: float, title: str = ""):
     """Write a grayscale heatmap of a square array over [-extent, extent]^2.
 
-    An n x n array with n > max_blocks is block-averaged over
-    f = ceil(n / max_blocks) cells per side, so the figure has at most
-    max_blocks blocks per side. When f does not divide n, the last block of
+    An n x n array with n > MAX_BLOCKS is block-averaged over
+    f = ceil(n / MAX_BLOCKS) cells per side, so the figure has at most
+    MAX_BLOCKS blocks per side. When f does not divide n, the last block of
     each side averages the n mod f cells left over and is drawn that much
     narrower, so every cell is shown where it lies.
     """
@@ -160,7 +161,7 @@ def heatmap(path: str, values, extent: float, title: str = "", max_blocks: int =
     if not np.isfinite(v).all():
         raise ValueError("heatmap needs finite values")
     n = v.shape[0]
-    f = -(-n // max_blocks)  # cells per block side
+    f = -(-n // MAX_BLOCKS)  # cells per block side
     k = -(-n // f)  # blocks per side
     # NaN pads the last blocks to f cells, and nanmean leaves the pad out
     v = np.pad(v, (0, k * f - n), constant_values=np.nan)

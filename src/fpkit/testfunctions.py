@@ -107,16 +107,16 @@ class ScaledTestFunction(SmoothTestFunction):
         return self.c * self.base.hess(x)
 
 
-def random_bumps(rng: np.random.Generator, count: int, dim: int, box_radius: float,
-                 width_range: tuple[float, float] = (0.5, 2.0)) -> list[BumpFunction]:
+def random_bumps(rng: np.random.Generator, count: int, dim: int,
+                 box_radius: float) -> list[BumpFunction]:
     """Seeded family of bump functions whose supports stay inside the box.
 
-    Centers are drawn so that center +- width remains within box_radius.
+    Widths are drawn from [0.5, 2], and centers so that center +- width
+    remains within box_radius.
     """
     out = []
-    lo_w, hi_w = width_range
     for _ in range(count):
-        w = float(rng.uniform(lo_w, hi_w))
+        w = float(rng.uniform(0.5, 2.0))
         c = rng.uniform(-(box_radius - w), box_radius - w, size=dim)
         out.append(BumpFunction(c, w))
     return out

@@ -28,7 +28,7 @@ from fpkit.fields import ClosureField, DiffusionMatrixField, ExpressionField, li
 from fpkit.fpk import solve_grid
 from fpkit.grids import GridSpec
 from fpkit.poisson import verify_growth_bounds
-from fpkit.stability import CoefficientPair, estimate_stability
+from fpkit.stability import CoefficientPair, _measure
 
 REPORT_KEYS = {"command", "version", "config_digest", "seed", "checks", "passed", "outcome",
                "wall_time_s", "artifacts", "summary", "warnings"}
@@ -256,6 +256,43 @@ class TestValidationExits:
         assert capsys.readouterr().err.endswith(f" [at {path}]\n")
 
     @pytest.mark.parametrize("command, cfg, path", [
+        ("solve", {"coefficients": {"dim": 1, "diffusion": {"name": "constant", "params": {"d": 2}},
+                                    "drift": {"expressions": ["-x1"], "beta1": 1.0,
+                                              "beta2": 1.0, "beta3": 1.0}}},
+         "coefficients.diffusion.params"),
+        ("poisson", {"model": "ou-1d", "psi": {"name": "constant", "dim": 2}}, "psi.dim"),
+        ("dini", {"field": {"name": "weierstrass-holder", "params": {"d": 1.5}}}, "field.params"),
+    ], ids=["2d-diffusion-in-1d", "2d-psi-on-ou-1d", "fractional-d"])
+    def test_field_block_of_the_wrong_dimension_exits_two_at_its_path(self, tmp_path, capsys,
+                                                                     command, cfg, path):
+        # regression: the field was built as given and failed later naming no key
+        # ("expected shape (m, 2)", "dimensions must match"), and d 1.5 ran as d = 1
+        code, report, _ = run_cli(tmp_path, command, cfg)
+        assert code == 2
+        assert report is None
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.endswith(f" [at {path}]\n")
+
+    @pytest.mark.parametrize("command, cfg, path", [
+        ("solve", {"model": "ou-2d", "n": 2048}, "n"),
+        ("solve", {"model": "ou-1d", "n": 2 ** 21}, "n"),
+        ("meanfield", {"eps": 0.05, "dim": 2, "n": 2048}, "n"),
+        ("poisson", {"model": "ou-2d", "psi": {"expression": "x1"}, "p": 1.5}, "p"),
+        ("poisson", {"model": "ou-1d", "psi": {"expression": "x1"}, "p": 0.5}, "p"),
+        ("sweep", {"task": "stability", "axis": [0.01, 0.02, 0.04],
+                   "base": {"family": "drift-linear", "dim": 2, "n": 2048}}, "base.n"),
+    ], ids=["solve-2d", "solve-1d", "meanfield-2d", "poisson-p-2d", "poisson-p-1d", "sweep"])
+    def test_grid_budget_and_p_exit_two_before_any_output(self, tmp_path, capsys, command, cfg,
+                                                           path):
+        # regression: these exited 2 as "invalid parameter" naming no key, and the
+        # sweep wrote three failed points before it did
+        code, _, out_dir = run_cli(tmp_path, command, cfg)
+        assert code == 2
+        assert not out_dir.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.endswith(f" [at {path}]\n")
+
+    @pytest.mark.parametrize("command, cfg, path", [
         ("solve", {"coefficients": {"dim": 1, "diffusion": {"expression": "x1**"},
                                     "drift": {"expressions": ["-x1"], "beta1": 1.0,
                                               "beta2": 1.0, "beta3": 1.0}}},
@@ -363,7 +400,7 @@ class TestValidationExits:
         cfg = {"model": "ou-2d", "psi": {"expression": "x1", "dim": 1}, "n": 32}
         code, _, _ = run_cli(tmp_path, "poisson", cfg)
         assert code == 2
-        assert "dimensions must match" in capsys.readouterr().err
+        assert "[at psi.dim]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model,n", [("ou-1d", 1024), ("ou-2d", 32)])
     def test_constant_poisson_source_exits_two_and_names_psi(self, tmp_path, capsys, model, n):
@@ -1090,7 +1127,7 @@ class TestStabilityFamilies:
                 b_mu = linear_drift(dim, 1.0)
             pair = CoefficientPair(a_mu, b_mu, DiffusionMatrixField.from_constant(eye, 1.0),
                                    linear_drift(dim, 1.0))
-            rep = estimate_stability(pair, spec, k, r)
+            rep = _measure(pair, *pair.solve_pair(spec), k, r)
             rows.append((d, rep.lhs, rep.rhs_diffusion, rep.rhs_drift, rep.c_hat))
         ref = write_csv(str(tmp_path / "ref.csv"), ["delta", "lhs", "rhs_diffusion", "rhs_drift",
                                                     "c_hat"], zip(*rows))

@@ -28,11 +28,11 @@ from fpkit.meanfield import (
     MeanFieldModel,
     apply_phi,
     contraction_estimate,
-    epsilon_threshold,
     gaussian_probe,
     linear_response,
     nonlocal_coefficients,
     picard_iterate,
+    threshold_search,
 )
 from fpkit.stability import weighted_l1_distance
 
@@ -509,10 +509,10 @@ class TestContraction:
 
     def test_threshold_saturates_for_the_contracting_kernel(self, grid_1d):
         # factor ~ 0.6 eps stays below 1 on all of [0, 1]
-        assert epsilon_threshold(tanh_model(0.05), grid_1d) == 1.0
+        assert threshold_search(tanh_model(0.05), grid_1d)[0] == 1.0
 
     def test_threshold_locates_the_expansion_onset(self, grid_1d):
-        thr = epsilon_threshold(amplifying_model(0.1), grid_1d, tol=0.02)
+        thr = threshold_search(amplifying_model(0.1), grid_1d, tol=0.02)[0]
         assert thr == pytest.approx(1.0 / 1.8, abs=0.05)
 
 
