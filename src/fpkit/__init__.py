@@ -9,7 +9,6 @@ iteration, plus a config-driven CLI.
 
 __version__ = "0.1.0"
 
-from .conditions import ClauseVerdict, ConditionReport, check_condition_h
 from .errors import (ConfinementError, ConvergenceError, DegenerateDensityError,
                      EllipticityError, EllipticityMarginError, EvaluationError, FpkError,
                      GridMismatchError, IncompatibilityError, InsufficientResolutionError,
@@ -36,11 +35,11 @@ from .testfunctions import BumpFunction, SmoothTestFunction, random_bumps
 
 __all__ = [
     "__version__",
-    "BumpFunction", "ClauseVerdict", "ClosureField", "CoefficientPair",
-    "ConditionReport", "ConfinementError", "ConstantField", "ContractionEstimate",
-    "ConvergenceError", "DegenerateDensityError", "DiffusionMatrixField", "DiniEstimate",
-    "DriftField", "DualityReport", "EllipticityError", "EllipticityMarginError",
-    "EvaluationError", "ExpressionField", "FixedPointTrace", "FpkError", "GridDensity",
+    "BumpFunction", "ClosureField", "CoefficientPair", "ConfinementError",
+    "ConstantField", "ContractionEstimate", "ConvergenceError",
+    "DegenerateDensityError", "DiffusionMatrixField", "DiniEstimate", "DriftField",
+    "DualityReport", "EllipticityError", "EllipticityMarginError", "EvaluationError",
+    "ExpressionField", "FixedPointTrace", "FpkError", "GridDensity",
     "GridMismatchError", "GridSpec", "GrowthBoundReport", "GrowthParams",
     "IncompatibilityError", "InsufficientResolutionError", "InteractionKernel",
     "LyapunovWitness", "MeanFieldModel", "ModelSpec", "MollifierSpec",
@@ -48,11 +47,11 @@ __all__ = [
     "SamplingSpec", "ScalarField", "SchemePositivityError", "SmoothTestFunction",
     "StabilityReport", "SupportError", "SweepResult", "TruncationError",
     "ValidationError", "apply_phi", "builtin_models", "builtin_poisson_cases",
-    "check_condition_h", "contraction_estimate", "default_radius", "dini_integral",
-    "dini_mean_oscillation", "discretization_error", "duality_check", "gaussian_probe",
-    "harnack_ratio", "linear_drift", "lyapunov_constants", "make_example_field", "moment",
-    "mollify", "nonlocal_coefficients", "picard_iterate", "polynomial_drift",
-    "random_bumps", "rhs_discrepancy", "solve_exact_1d", "solve_grid", "solve_poisson",
+    "contraction_estimate", "default_radius", "dini_integral", "dini_mean_oscillation",
+    "discretization_error", "duality_check", "gaussian_probe", "harnack_ratio",
+    "linear_drift", "lyapunov_constants", "make_example_field", "moment", "mollify",
+    "nonlocal_coefficients", "picard_iterate", "polynomial_drift", "random_bumps",
+    "rhs_discrepancy", "solve_exact_1d", "solve_grid", "solve_poisson",
     "solve_poisson_1d", "solve_poisson_grid", "stability_sweep", "stationary_poisson",
     "verify_growth_bounds", "weak_residual", "weighted_l1_distance", "weighted_lp_norm",
 ]

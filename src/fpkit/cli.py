@@ -75,13 +75,13 @@ import numpy as np
 from . import __version__
 from .config import (field_from_config, grid_from_config, load_config_file,
                      meanfield_model_from_config, model_from_config, pair_family_from_config,
-                     validate_command_config)
+                     poisson_grids, validate_command_config)
 from .errors import FpkError, SchemePositivityError, ValidationError
 from .fpk import harnack_ratio, moment, stationary_density, weighted_lp_norm
 from .grids import GridSpec
 from .meanfield import contraction_estimate, gaussian_probe, picard_iterate, threshold_search
 from .oscillation import SamplingSpec, dini_integral, dini_mean_oscillation
-from .poisson import check_grids, growth_bound_report, stationary_poisson
+from .poisson import growth_bound_report, stationary_poisson
 from .stability import clip_of, stability_sweep, weighted_l1_distance
 from . import svg
 
@@ -292,18 +292,9 @@ def run_solve(ctx: RunContext, cfg: dict) -> dict:
 def run_poisson(ctx: RunContext, cfg: dict) -> dict:
     A, b, dim, name = model_from_config(cfg)
     psi = field_from_config(cfg["psi"], dim=dim, path="psi")
-    spec = grid_from_config(cfg, dim, b.growth.beta2)
     # verify_growth_bounds with each distinct grid solved once: with the default
-    # check_radii, the main grid's radius and its double, the first check grid is
-    # the main grid (n <= 128 in 2d, any n in 1d)
-    radii = [float(r) for r in cfg["check_radii"] or [spec.radius, 2 * spec.radius]]
-    n_base = spec.n if dim == 1 else min(spec.n, 128)
-    try:
-        grids = check_grids(dim, tuple(radii), n_base)
-    except ValueError as exc:
-        raise ValidationError(f"check radii {radii} at the first one's cell width "
-                              f"{2 * radii[0] / n_base:g} need a grid that cannot be built: {exc}",
-                              path="check_radii") from None
+    # check_radii, the first check grid is the main grid (poisson_grids)
+    spec, grids = poisson_grids(cfg, dim, b.growth.beta2)
     rho, sol = stationary_poisson(A, b, psi, cfg["k"], spec, p=cfg["p"])
     if np.ptp(sol.psi_tilde) == 0.0:
         raise ValidationError("psi is constant on the grid, so the centered source is 0: "

@@ -10,7 +10,8 @@ decides (each meanfield coupling against the kernel's margin, each start
 inside the box, each sweep point as the run it is) is checked here, before
 any numerics, and their runners build from the validated config and check
 nothing. Wherever the config gives the run's dimension d, a grid `n` past
-grids.MAX_CELLS cells and a poisson `p` <= d are rejected here too.
+grids.MAX_CELLS cells, a poisson `p` <= d and a poisson check grid that
+cannot be built are rejected here too.
 
 Builders turn validated sub-configs into coefficient objects: named example
 fields, expression fields (parsed through the restricted expression
@@ -35,6 +36,7 @@ from .fields import (_EXAMPLE_PARAMS, ConstantField, DiffusionMatrixField, Drift
 from .fpk import builtin_models
 from .grids import MAX_CELLS, GridSpec, default_radius
 from .meanfield import InteractionKernel, MeanFieldModel
+from .poisson import check_grids
 from .stability import CoefficientPair
 
 _NUM = (int, float)
@@ -213,9 +215,10 @@ SCHEMAS: dict[str, dict[str, Key]] = {
 
 
 @functools.cache
-def _builtin_dims() -> dict[str, int]:
-    """The dimension of each built-in model by name; the catalog is fixed, so it is built once."""
-    return {m.name: m.dim for m in builtin_models()}
+def _builtin_shapes() -> dict[str, tuple[int, float]]:
+    """(dimension, drift beta2) of each built-in model by name; the catalog is fixed, so it is
+    built once."""
+    return {m.name: (m.dim, m.b.growth.beta2) for m in builtin_models()}
 
 
 def validate_command_config(command: str, obj: dict, path: str = "") -> dict:
@@ -227,7 +230,8 @@ def validate_command_config(command: str, obj: dict, path: str = "") -> dict:
     sweep's base is replaced by its points: points[i] is the validated run
     config of axis[i], the axis sorted. Where the run's dimension d is known
     (a `dim` key, a coefficients block or a built-in model), n^d > MAX_CELLS
-    is an error at `n` and a poisson p <= d one at `p`.
+    is an error at `n`, a poisson p <= d one at `p`, and a poisson check grid
+    that cannot be built one at `check_radii` or `n` (poisson_grids).
     """
     if command not in SCHEMAS:
         raise ValidationError(f"unknown command {command!r}", path=path)
@@ -252,7 +256,8 @@ def validate_command_config(command: str, obj: dict, path: str = "") -> dict:
                                                 _join(at, "diffusion"))
             sub["drift"] = validate_mapping(sub["drift"], _DRIFT_SCHEMA, _join(at, "drift"))
             cfg["coefficients"] = sub
-        dim = sub["dim"] if has_coeff else _builtin_dims().get(cfg["model"])
+        dim, beta2 = ((sub["dim"], sub["drift"]["beta2"]) if has_coeff
+                      else _builtin_shapes().get(cfg["model"], (None, None)))
     if dim is not None and cfg.get("n") is not None and cfg["n"] ** dim > MAX_CELLS:
         raise ValidationError(f"a grid of {cfg['n']}^{dim} cells exceeds the budget of "
                               f"{MAX_CELLS} cells", path=_join(path, "n"))
@@ -261,6 +266,8 @@ def validate_command_config(command: str, obj: dict, path: str = "") -> dict:
         if dim is not None and cfg["p"] is not None and cfg["p"] <= dim:
             raise ValidationError(f"integrability exponent p must exceed d = {dim}, "
                                   f"got {cfg['p']:g}", path=_join(path, "p"))
+        if dim is not None:
+            poisson_grids(cfg, dim, beta2, path)
     if command == "meanfield":
         model = meanfield_model_from_config(cfg)
         spec = grid_from_config(cfg, cfg["dim"], model.b0.growth.beta2)
@@ -404,13 +411,32 @@ def model_from_config(cfg: dict) -> tuple[DiffusionMatrixField | ScalarField, Dr
 
 def grid_from_config(cfg: dict, dim: int, beta2: float) -> GridSpec:
     """GridSpec with radius defaulting to default_radius(beta2) of the run's drift (8 at beta2 = 1)."""
-    radius = cfg.get("radius")
-    if radius is None:
-        radius = default_radius(beta2)
-    n = cfg.get("n")
-    if n is None:
-        n = 1024 if dim == 1 else 128
+    radius = cfg.get("radius") or default_radius(beta2)  # a given radius is >= 4
+    n = cfg.get("n") or (1024 if dim == 1 else 128)  # a given n is >= 16
     return GridSpec(dim, float(radius), int(n))
+
+
+def poisson_grids(cfg: dict, dim: int, beta2: float,
+                  path: str = "") -> tuple[GridSpec, tuple[GridSpec, ...]]:
+    """The main grid of a poisson config and its check grids (poisson.check_grids).
+
+    The check radii default to the main grid's radius R and 2R. The first
+    check grid has n_base = n cells per axis in 1d and min(n, 128) in 2d, so
+    with the default radii it is the main grid wherever n <= 128. A check
+    grid that cannot be built is a ValidationError: at `check_radii` for
+    radii the config gives, and at `n` for the default ones, whose second
+    grid needs 2 n_base cells per axis.
+    """
+    spec = grid_from_config(cfg, dim, beta2)
+    radii = [float(r) for r in cfg["check_radii"] or [spec.radius, 2 * spec.radius]]
+    n_base = spec.n if dim == 1 else min(spec.n, 128)
+    try:
+        return spec, check_grids(dim, tuple(radii), n_base)
+    except ValueError as exc:
+        key = "check_radii" if cfg["check_radii"] else "n"
+        raise ValidationError(f"check radii {radii} at the first one's cell width "
+                              f"{2 * radii[0] / n_base:g} need a grid that cannot be built: {exc}",
+                              path=_join(path, key)) from None
 
 
 def kernel_from_name(name: str, dim: int) -> dict:

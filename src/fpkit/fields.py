@@ -241,10 +241,6 @@ class DiffusionMatrixField:
             out[:, i, j] = out[:, j, i] = vals[id(f)]
         return out
 
-    def eigenvalues(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Smallest and largest eigenvalue of A at each sample point (sampled_eigenvalues)."""
-        return sampled_eigenvalues(self.values(x))
-
     def check_ellipticity(self, x: np.ndarray, tol: float = 1e-9, a: np.ndarray | None = None):
         """Raise EllipticityError, naming the sample point, if an eigenvalue leaves the window.
 

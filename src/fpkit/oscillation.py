@@ -16,8 +16,7 @@ worked examples, so the second model is not optional.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +77,6 @@ class OscillationModulus:
     stderr: np.ndarray
     t0: float
     sampling: SamplingSpec | None = None
-    dini: DiniEstimate | None = dc_field(default=None)
 
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=float)
@@ -96,9 +94,6 @@ class OscillationModulus:
         omega = np.asarray(omega, dtype=float)
         return cls(radii=radii, omega=omega, stderr=np.zeros_like(omega),
                    t0=float(t0 if t0 is not None else radii[-1]))
-
-    def with_dini(self, estimate: DiniEstimate) -> "OscillationModulus":
-        return dataclasses.replace(self, dini=estimate)
 
 
 def dini_mean_oscillation(f: ScalarField, radii, sampling: SamplingSpec | None = None,

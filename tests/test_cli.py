@@ -329,11 +329,26 @@ class TestValidationExits:
         code, report, out_dir = run_cli(tmp_path, "poisson", cfg)
         assert code == 2
         assert report is None
-        assert not any(out_dir.iterdir())
+        assert not out_dir.exists()
         assert capsys.readouterr().err == (
             "config error: check radii [4.0, 1000.0] at the first one's cell width 0.5 need a "
             "grid that cannot be built: n must be a power of two >= 16, got 4000 "
             "[at check_radii]\n")
+
+    @pytest.mark.parametrize("cfg,path", [
+        # the default check radii (R, 2R) need 2n cells per axis in 1d, past the budget
+        ({"model": "ou-1d", "psi": {"expression": "x1"}, "n": 2 ** 20}, "n"),
+        ({"model": "ou-2d", "psi": {"expression": "x1"}, "check_radii": [8, 12]},
+         "check_radii"),
+    ])
+    def test_check_grid_that_cannot_be_built_exits_before_any_output(self, tmp_path, capsys,
+                                                                     cfg, path):
+        # regression: both were found in run_poisson, after the output directory was made
+        code, report, out_dir = run_cli(tmp_path, "poisson", cfg)
+        assert code == 2
+        assert report is None
+        assert not out_dir.exists()
+        assert capsys.readouterr().err.endswith(f" [at {path}]\n")
 
     def test_huge_dini_box_exits_two(self, tmp_path, capsys):
         # regression: box_radius 1e308 overflowed numpy's uniform sampler (exit 1)

@@ -114,6 +114,20 @@ class TestDiniIntegral:
         # integral of t^(-1/2) over (0, 1/2] = 2 sqrt(1/2)
         assert est.value == pytest.approx(2.0 * math.sqrt(0.5), rel=5e-3)
 
+    def test_rapid_oscillation_flagged_divergent(self):
+        """An entry whose sampled modulus plateaus must fail the Dini test.
+
+        cos(Kx) with K = 1e6 oscillates far below the sampled radii, so the
+        measured mean oscillation is flat near 0.19 across the whole range
+        and no admissible tail model integrates it.
+        """
+        wiggle = ClosureField(lambda x: 1.0 + 0.3 * np.cos(1e6 * x[:, 0]), 1, "wiggle")
+        mod = dini_mean_oscillation(wiggle, np.geomspace(2e-3, 0.4, 10),
+                                    SamplingSpec(box_radius=1.0), t0=0.5)
+        est = dini_integral(mod, t0=0.5)
+        assert not est.finite
+        assert est.value == np.inf
+
 
 class TestModulusConstruction:
     def test_radii_must_increase(self):
