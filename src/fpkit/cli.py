@@ -39,8 +39,10 @@ numerics, and writes into the output directory:
   "eps" or "eps_grid" entry at or above that bound is a config error.
   Timings vary, so the report is the one artifact excluded from the
   byte-identical guarantee.
-  A numerical failure (exit 3) still writes the report; a config or
-  parameter error (exit 2) does not.
+  A numerical failure (exit 3) still writes the report. A config error
+  (exit 2) writes nothing, not even the output directory: every one is
+  found by config.validate_command_config before the run starts, and the
+  runners take the objects it built and only run.
 
 Without "lam" a coefficients block's diffusion a gets lambda =
 min(1, min a, 1 / max a) over the cells of each solved grid. A diffusion
@@ -73,9 +75,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .config import (field_from_config, grid_from_config, load_config_file,
-                     meanfield_model_from_config, model_from_config, pair_family_from_config,
-                     poisson_grids, validate_command_config)
+from .config import load_config_file, validate_command_config
 from .errors import FpkError, SchemePositivityError, ValidationError
 from .fpk import harnack_ratio, moment, stationary_density, weighted_lp_norm
 from .grids import GridSpec
@@ -211,12 +211,13 @@ TELEMETRY_KEYS = ("residual", "clipped_mass", "pinned_cell", "ordering", "factor
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners; each returns the named invariant checks it evaluated
+# subcommand runners; each takes a validated config and what config.validate_command_config
+# built from it, runs, and returns the named invariant checks it evaluated
 # ---------------------------------------------------------------------------
 
 
-def run_dini(ctx: RunContext, cfg: dict) -> dict:
-    field = field_from_config(cfg["field"], path="field")
+def run_dini(ctx: RunContext, cfg: dict, built: dict) -> dict:
+    field = built["field"]
     rc = cfg["radii"]
     radii = np.geomspace(rc["min"], rc["max"], rc["count"])
     sampling = SamplingSpec(box_radius=cfg["box_radius"], n_centers=cfg["n_centers"],
@@ -247,16 +248,11 @@ def run_dini(ctx: RunContext, cfg: dict) -> dict:
     return {"omega_nonnegative": bool((mod.omega >= 0).all())}
 
 
-def run_solve(ctx: RunContext, cfg: dict) -> dict:
-    A, b, dim, name = model_from_config(cfg)
-    spec = grid_from_config(cfg, dim, b.growth.beta2)
-    if not (spec.center_radii() <= 1.0).any():  # the unit-ball diagnostics need a cell
-        raise ValidationError(
-            f"no cell center lies in B(0, 1): n {spec.n} and radius {spec.radius:g} give "
-            f"cells of width {spec.h:g}; raise n or set a smaller radius", path="n")
+def run_solve(ctx: RunContext, cfg: dict, built: dict) -> dict:
+    A, b, name, spec = built["A"], built["b"], built["name"], built["spec"]
     rho = stationary_density(A, b, spec)
     ctx.note_clipping(*clip_of(rho), spec)
-    if dim == 2:
+    if spec.dim == 2:
         ctx.summary["telemetry"] = {key: rho.info[key] for key in TELEMETRY_KEYS}
     k = cfg["weight_order"]
     moments = {order: moment(rho, order) for order in (0.0, 1.0, 2.0, 4.0)}
@@ -276,7 +272,7 @@ def run_solve(ctx: RunContext, cfg: dict) -> dict:
         "positive_on_unit_ball": float(rho.flat()[spec.center_radii() <= 1.0].min()) > 0.0,
     }
     pts = spec.cell_centers()
-    if dim == 1:
+    if spec.dim == 1:
         write_csv(ctx.path("density.csv"), ["x1", "rho"], [pts[:, 0], rho.flat()])
         svg.line_plot(ctx.path("density.svg"), [("rho", pts[:, 0], rho.flat())],
                       title=f"stationary density ({name})", xlabel="x1", ylabel="rho")
@@ -289,22 +285,17 @@ def run_solve(ctx: RunContext, cfg: dict) -> dict:
     return checks
 
 
-def run_poisson(ctx: RunContext, cfg: dict) -> dict:
-    A, b, dim, name = model_from_config(cfg)
-    psi = field_from_config(cfg["psi"], dim=dim, path="psi")
+def run_poisson(ctx: RunContext, cfg: dict, built: dict) -> dict:
+    A, b, name, psi, spec = built["A"], built["b"], built["name"], built["psi"], built["spec"]
     # verify_growth_bounds with each distinct grid solved once: with the default
-    # check_radii, the first check grid is the main grid (poisson_grids)
-    spec, grids = poisson_grids(cfg, dim, b.growth.beta2)
+    # check_radii, the first check grid is the main grid (validate_command_config)
     rho, sol = stationary_poisson(A, b, psi, cfg["k"], spec, p=cfg["p"])
-    if np.ptp(sol.psi_tilde) == 0.0:
-        raise ValidationError("psi is constant on the grid, so the centered source is 0: "
-                              "Psi = 0 and the quotients G/Psi are undefined", path="psi")
     ctx.note_clipping(*clip_of(rho), spec)
-    if dim == 2:
+    if spec.dim == 2:
         ctx.summary["telemetry"] = {key: rho.info[key] for key in TELEMETRY_KEYS}
     pts = spec.cell_centers()
     res_cells = np.asarray(sol.info["residual_cells"]).ravel()
-    if dim == 1:
+    if spec.dim == 1:
         write_csv(ctx.path("solution.csv"), ["x1", "u", "du", "residual"],
                   [pts[:, 0], sol.u.ravel(), sol.du[:, 0], res_cells])
         svg.line_plot(ctx.path("solution.svg"),
@@ -317,16 +308,16 @@ def run_poisson(ctx: RunContext, cfg: dict) -> dict:
         svg.heatmap(ctx.path("solution.svg"), sol.u, spec.radius,
                     title=f"Poisson solution ({name})")
     solved = {spec: sol}
-    for grid in grids:
+    for grid in built["grids"]:
         if grid not in solved:
             grid_rho, solved[grid] = stationary_poisson(A, b, psi, cfg["k"], grid, p=cfg["p"])
             ctx.note_clipping(*clip_of(grid_rho), grid)
-    rep = growth_bound_report([solved[grid] for grid in grids])
+    rep = growth_bound_report([solved[grid] for grid in built["grids"]])
     write_csv(ctx.path("bounds.csv"),
               ["radius", "g0_over_psi", "g1_over_psi", "h_over_psi"],
               [rep.radii, *zip(*rep.quotients)])
     wit = sol.info["lyapunov"]
-    if dim == 2:
+    if spec.dim == 2:
         ctx.summary["telemetry"]["lyapunov"] = {"m0": wit.m0, "r0": wit.r0}
     ctx.summary.update({
         "model": name, "k": cfg["k"], "residual_interior": sol.residual_interior,
@@ -342,10 +333,9 @@ def run_poisson(ctx: RunContext, cfg: dict) -> dict:
     }
 
 
-def run_stability(ctx: RunContext, cfg: dict) -> dict:
-    make, b_sigma = pair_family_from_config(cfg)
-    spec = grid_from_config(cfg, cfg["dim"], b_sigma.growth.beta2)
-    res = stability_sweep(make, cfg["deltas"], spec, k=cfg["k"], r=cfg["r"])
+def run_stability(ctx: RunContext, cfg: dict, built: dict) -> dict:
+    spec = built["spec"]
+    res = stability_sweep(built["make"], cfg["deltas"], spec, k=cfg["k"], r=cfg["r"])
     rows = [(d, rep.lhs, rep.rhs_diffusion, rep.rhs_drift, rep.c_hat)
             for d, rep in zip(res.deltas, res.reports)]
     for d, rep in zip(res.deltas, res.reports):
@@ -368,13 +358,11 @@ def run_stability(ctx: RunContext, cfg: dict) -> dict:
             "c_hat_spread_ok": bool(res.c_spread <= 10.0)}
 
 
-def run_meanfield(ctx: RunContext, cfg: dict) -> dict:
-    dim = cfg["dim"]
-    model = meanfield_model_from_config(cfg)
-    spec = grid_from_config(cfg, dim, model.b0.growth.beta2)
+def run_meanfield(ctx: RunContext, cfg: dict, built: dict) -> dict:
+    model, spec = built["model"], built["spec"]
     traces = []
     for mean in cfg["starts"]:
-        start = gaussian_probe(spec, np.full(dim, float(mean)), 1.0)
+        start = gaussian_probe(spec, np.full(spec.dim, float(mean)), 1.0)
         traces.append(picard_iterate(model, start, tol=cfg["tol"], max_iter=cfg["max_iter"]))
         ctx.note_clipping(traces[-1].clipped_mass, traces[-1].non_dominant_cells, spec,
                           start=float(mean))
@@ -433,39 +421,37 @@ RUNNERS = {"dini": run_dini, "solve": run_solve, "poisson": run_poisson,
 def run_and_report(ctx: RunContext, runner, *args) -> dict:
     """Run runner(ctx, *args) and write ctx's report, which is returned.
 
-    A numerical failure (an FpkError other than a ValidationError) is kept as
-    ctx.error and reported with no checks; a config or parameter error
-    propagates, and no report is written.
+    A numerical failure (an FpkError) is kept as ctx.error and reported with
+    no checks.
     """
     try:
         checks = runner(ctx, *args)
-    except ValidationError:
-        raise
     except FpkError as exc:
         ctx.error, checks = exc, {}
     return ctx.finish(checks)
 
 
-def _run_sweep_point(task: str, cfg: dict, value: float, out_dir: str, strict: bool) -> dict:
-    """Run one point's validated config into out_dir, as a run of its own.
+def _run_sweep_point(task: str, cfg: dict, built: dict, value: float, out_dir: str,
+                     strict: bool) -> dict:
+    """Run one point's validated config and its built objects into out_dir, as a run of its own.
 
     The result carries the point's summary as computed, its warnings and, if
     its numerics failed, the error (which a strict sweep raises once every
     point has run).
     """
     ctx = RunContext(out_dir, task, cfg, cfg["seed"], strict)
-    report = run_and_report(ctx, RUNNERS[task], cfg)
+    report = run_and_report(ctx, RUNNERS[task], cfg, built)
     return {"value": value, "passed": report["passed"], "error": ctx.error,
             "summary": ctx.summary, "warnings": report["warnings"]}
 
 
-def run_sweep(ctx: RunContext, cfg: dict, workers: int) -> dict:
+def run_sweep(ctx: RunContext, cfg: dict, built: dict, workers: int) -> dict:
     task = cfg["task"]
     values = cfg["axis"]
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        jobs = [pool.submit(_run_sweep_point, task, point, v,
+        jobs = [pool.submit(_run_sweep_point, task, point, made, v,
                             os.path.join(ctx.out_dir, f"point-{i:03d}"), ctx.strict)
-                for i, (v, point) in enumerate(zip(values, cfg["points"]))]
+                for i, (v, point, made) in enumerate(zip(values, cfg["points"], built["points"]))]
         results = [j.result() for j in jobs]
     for r in results:  # each point's warnings, tagged with its axis value
         ctx.warnings.extend({**w, "axis_value": r["value"]} for w in r["warnings"])
@@ -527,12 +513,12 @@ def main(argv=None) -> int:
         raw = load_config_file(args.config)
         if args.seed is not None:
             raw["seed"] = args.seed
-        cfg = validate_command_config(args.command, raw)
+        cfg, built = validate_command_config(args.command, raw)
         ctx = RunContext(args.out, args.command, cfg, cfg.get("seed", 0), args.strict)
         if args.command == "sweep":
-            report = run_and_report(ctx, run_sweep, cfg, args.workers)
+            report = run_and_report(ctx, run_sweep, cfg, built, args.workers)
         else:
-            report = run_and_report(ctx, RUNNERS[args.command], cfg)
+            report = run_and_report(ctx, RUNNERS[args.command], cfg, built)
     except ValidationError as exc:
         print(f"config error: {exc}" + (f" [at {exc.path}]" if exc.path else ""),
               file=sys.stderr)

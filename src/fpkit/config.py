@@ -1,35 +1,35 @@
-"""Experiment configuration: schema validation and coefficient builders.
+"""Experiment configuration: schema validation and the objects each run needs.
 
 Configurations are plain JSON mappings. Validation is strict: unknown keys
 are rejected by name (catching typos like "betaa2" instead of "beta2"),
 types are checked, and range constraints are enforced before any numerics
-run. Validators return the config with defaults filled in, so downstream
-code never guesses a default twice. A `meanfield`, `stability` or `sweep`
-config that validates raises no config error later: what the config alone
-decides (each meanfield coupling against the kernel's margin, each start
-inside the box, each sweep point as the run it is) is checked here, before
-any numerics, and their runners build from the validated config and check
-nothing. Wherever the config gives the run's dimension d, a grid `n` past
-grids.MAX_CELLS cells, a poisson `p` <= d and a poisson check grid that
-cannot be built are rejected here too.
+run. validate_command_config is the one place where a config becomes
+objects: in one pass it fills the defaults, so downstream code never
+guesses a default twice, and builds what the run needs, which the CLI
+runners take as built and only run. A config that validates raises no
+config error later, in any command. Every check that needs a built object
+is made in that pass, before any output exists: an unknown model or field,
+an expression that does not parse, the drift count, a grid past
+grids.MAX_CELLS cells, a solve grid with no cell in B(0, 1), a poisson
+p <= d, a poisson check grid that cannot be built, a psi constant on the
+main grid, each meanfield coupling against the kernel's margin, each start
+inside the box, and each sweep point as the run it is.
 
-Builders turn validated sub-configs into coefficient objects: named example
-fields, expression fields (parsed through the restricted expression
-grammar), constants, diffusion matrices, drifts with declared growth
-envelopes, interaction kernels, and the fixed coefficients of the
-`stability` and `meanfield` commands.
+Builders turn validated sub-configs into objects: named example fields,
+expression fields (parsed through the restricted expression grammar),
+constants, diffusion matrices, drifts with declared growth envelopes,
+grids, interaction kernels and the pair family of `stability`.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import EvaluationError, ValidationError
 from .fields import (_EXAMPLE_PARAMS, ConstantField, DiffusionMatrixField, DriftField,
                      ExpressionField, GrowthParams, ScalarField, linear_drift,
                      make_example_field)
@@ -214,63 +214,48 @@ SCHEMAS: dict[str, dict[str, Key]] = {
 }
 
 
-@functools.cache
-def _builtin_shapes() -> dict[str, tuple[int, float]]:
-    """(dimension, drift beta2) of each built-in model by name; the catalog is fixed, so it is
-    built once."""
-    return {m.name: (m.dim, m.b.growth.beta2) for m in builtin_models()}
+def validate_command_config(command: str, obj: dict, path: str = "") -> tuple[dict, dict]:
+    """Validate a config mapping for one CLI command and build what its run needs.
 
+    Returns (cfg, built). cfg is the config with defaults filled in, the
+    mapping that a run report digests. built holds the run's objects: the
+    "field" of dini; "A", "b", the model "name" and the grid "spec" of solve
+    and poisson, and for poisson also "psi" and its check "grids"; the pair
+    family "make" and the "spec" of stability; the MeanFieldModel "model"
+    and the "spec" of meanfield; and for a sweep its "points", one built per
+    point. Nested sub-configs (fields, coefficient blocks) are validated
+    recursively with their own schemas so error paths point at the
+    offending key; `path` is the config's own place in an enclosing one (""
+    at the root). A sweep's base is replaced by its points: points[i] is the
+    validated run config of axis[i], the axis sorted.
 
-def validate_command_config(command: str, obj: dict, path: str = "") -> dict:
-    """Validate a config mapping for one CLI command; fills defaults.
-
-    Nested sub-configs (fields, coefficient blocks) are validated recursively
-    with their own schemas so error paths point at the offending key; `path`
-    is the config's own place in an enclosing one ("" at the root). A
-    sweep's base is replaced by its points: points[i] is the validated run
-    config of axis[i], the axis sorted. Where the run's dimension d is known
-    (a `dim` key, a coefficients block or a built-in model), n^d > MAX_CELLS
-    is an error at `n`, a poisson p <= d one at `p`, and a poisson check grid
-    that cannot be built one at `check_radii` or `n` (poisson_grids).
+    The poisson check radii default to the main grid's radius R and 2R. The
+    first check grid (poisson.check_grids) has n_base = n cells per axis in
+    1d and min(n, 128) in 2d, so with the default radii it is the main grid
+    wherever n <= 128. A check grid that cannot be built is an error at
+    `check_radii` for radii the config gives, and at `n` for the default
+    ones, whose second grid needs 2 n_base cells per axis.
     """
     if command not in SCHEMAS:
         raise ValidationError(f"unknown command {command!r}", path=path)
     cfg = validate_mapping(obj, SCHEMAS[command], path)
-    dim = cfg.get("dim")  # the run's dimension; None where the config does not give it
     if command == "dini":
         cfg["field"] = validate_mapping(cfg["field"], _FIELD_SCHEMA, _join(path, "field"))
         cfg["radii"] = validate_mapping(cfg["radii"] or {}, _RADII_SCHEMA, _join(path, "radii"))
         if cfg["radii"]["max"] <= cfg["radii"]["min"]:
             raise ValidationError("radii.max must exceed radii.min", path=_join(path, "radii.max"))
-    if command in ("solve", "poisson"):
-        has_model = cfg.get("model") is not None
-        has_coeff = cfg.get("coefficients") is not None
-        if has_model == has_coeff:
-            raise ValidationError(
-                "exactly one of 'model' or 'coefficients' must be given",
-                path=_join(path, "model"))
-        if has_coeff:
-            at = _join(path, "coefficients")
-            sub = validate_mapping(cfg["coefficients"], _COEFF_SCHEMA, at)
-            sub["diffusion"] = validate_mapping(sub["diffusion"], _DIFFUSION_SCHEMA,
-                                                _join(at, "diffusion"))
-            sub["drift"] = validate_mapping(sub["drift"], _DRIFT_SCHEMA, _join(at, "drift"))
-            cfg["coefficients"] = sub
-        dim, beta2 = ((sub["dim"], sub["drift"]["beta2"]) if has_coeff
-                      else _builtin_shapes().get(cfg["model"], (None, None)))
-    if dim is not None and cfg.get("n") is not None and cfg["n"] ** dim > MAX_CELLS:
-        raise ValidationError(f"a grid of {cfg['n']}^{dim} cells exceeds the budget of "
-                              f"{MAX_CELLS} cells", path=_join(path, "n"))
-    if command == "poisson":
-        cfg["psi"] = validate_mapping(cfg["psi"], _FIELD_SCHEMA, _join(path, "psi"))
-        if dim is not None and cfg["p"] is not None and cfg["p"] <= dim:
-            raise ValidationError(f"integrability exponent p must exceed d = {dim}, "
-                                  f"got {cfg['p']:g}", path=_join(path, "p"))
-        if dim is not None:
-            poisson_grids(cfg, dim, beta2, path)
+        return cfg, {"field": field_from_config(cfg["field"], path=_join(path, "field"))}
+    if command == "stability":
+        make, b_sigma = pair_family_from_config(cfg)
+        return cfg, {"make": make,
+                     "spec": grid_from_config(cfg, cfg["dim"], b_sigma.growth.beta2, path)}
     if command == "meanfield":
-        model = meanfield_model_from_config(cfg)
-        spec = grid_from_config(cfg, cfg["dim"], model.b0.growth.beta2)
+        dim = cfg["dim"]
+        model = MeanFieldModel(DiffusionMatrixField.from_constant(np.eye(dim), 1.0),
+                               linear_drift(dim, 1.0), eps=float(cfg["eps"]),
+                               weight_order=cfg["weight_order"],
+                               **kernel_from_name(cfg["kernel"], dim))
+        spec = grid_from_config(cfg, dim, model.b0.growth.beta2, path)
         couplings = [("eps", cfg["eps"])] + [(f"eps_grid.{i}", e)
                                              for i, e in enumerate(cfg["eps_grid"] or ())]
         for key, eps in couplings:
@@ -283,8 +268,9 @@ def validate_command_config(command: str, obj: dict, path: str = "") -> dict:
         for i, mean in enumerate(cfg["starts"]):
             if abs(float(mean)) > spec.radius:
                 raise ValidationError(f"start mean {float(mean):g} lies outside the box "
-                                      f"[-{spec.radius:g}, {spec.radius:g}]^{cfg['dim']}",
+                                      f"[-{spec.radius:g}, {spec.radius:g}]^{dim}",
                                       path=_join(path, f"starts.{i}"))
+        return cfg, {"model": model, "spec": spec}
     if command == "sweep":
         axis_key = "deltas" if cfg["task"] == "stability" else "eps"
         base, at = cfg.pop("base"), _join(path, "base")
@@ -296,16 +282,62 @@ def validate_command_config(command: str, obj: dict, path: str = "") -> dict:
             # a per-point slope needs two sizes; pair each delta with its double
             value = [v, 2.0 * v] if axis_key == "deltas" else v
             try:
-                runs.append((v, validate_command_config(cfg["task"], {**base, axis_key: value},
-                                                        at)))
+                runs.append((v, *validate_command_config(cfg["task"], {**base, axis_key: value},
+                                                         at)))
             except ValidationError as exc:
                 if exc.path != _join(at, axis_key):
                     raise
                 raise ValidationError(str(exc), path=_join(path, f"axis.{i}")) from None
         runs.sort(key=lambda run: run[0])
-        cfg["axis"] = [v for v, _ in runs]
-        cfg["points"] = [point for _, point in runs]
-    return cfg
+        cfg["axis"] = [v for v, _, _ in runs]
+        cfg["points"] = [point for _, point, _ in runs]
+        return cfg, {"points": [built for _, _, built in runs]}
+    # solve and poisson
+    has_model = cfg.get("model") is not None
+    if has_model == (cfg.get("coefficients") is not None):
+        raise ValidationError("exactly one of 'model' or 'coefficients' must be given",
+                              path=_join(path, "model"))
+    if not has_model:
+        at = _join(path, "coefficients")
+        sub = validate_mapping(cfg["coefficients"], _COEFF_SCHEMA, at)
+        sub["diffusion"] = validate_mapping(sub["diffusion"], _DIFFUSION_SCHEMA,
+                                            _join(at, "diffusion"))
+        sub["drift"] = validate_mapping(sub["drift"], _DRIFT_SCHEMA, _join(at, "drift"))
+        cfg["coefficients"] = sub
+    if command == "poisson":
+        cfg["psi"] = validate_mapping(cfg["psi"], _FIELD_SCHEMA, _join(path, "psi"))
+    A, b, dim, name = model_from_config(cfg, path)
+    spec = grid_from_config(cfg, dim, b.growth.beta2, path)
+    built = {"A": A, "b": b, "name": name, "spec": spec}
+    if command == "solve":
+        if not (spec.center_radii() <= 1.0).any():  # the unit-ball diagnostics need a cell
+            raise ValidationError(
+                f"no cell center lies in B(0, 1): n {spec.n} and radius {spec.radius:g} give "
+                f"cells of width {spec.h:g}; raise n or set a smaller radius",
+                path=_join(path, "n"))
+        return cfg, built
+    if cfg["p"] is not None and cfg["p"] <= dim:
+        raise ValidationError(f"integrability exponent p must exceed d = {dim}, "
+                              f"got {cfg['p']:g}", path=_join(path, "p"))
+    radii = [float(r) for r in cfg["check_radii"] or [spec.radius, 2 * spec.radius]]
+    n_base = spec.n if dim == 1 else min(spec.n, 128)
+    try:
+        grids = check_grids(dim, tuple(radii), n_base)
+    except ValueError as exc:
+        key = "check_radii" if cfg["check_radii"] else "n"
+        raise ValidationError(f"check radii {radii} at the first one's cell width "
+                              f"{2 * radii[0] / n_base:g} need a grid that cannot be built: {exc}",
+                              path=_join(path, key)) from None
+    psi = field_from_config(cfg["psi"], dim=dim, path=_join(path, "psi"))
+    try:
+        constant = np.ptp(psi.values(spec.cell_centers())) == 0.0
+    except EvaluationError:  # a psi that is not finite on the grid fails in the run (exit 3)
+        constant = False
+    if constant:
+        raise ValidationError("psi is constant on the grid, so the centered source is 0: "
+                              "Psi = 0 and the quotients G/Psi are undefined",
+                              path=_join(path, "psi"))
+    return cfg, {**built, "psi": psi, "grids": grids}
 
 
 def load_config_file(path: str) -> dict:
@@ -370,73 +402,56 @@ def _expression_field(expr: str, dim: int, path: str) -> ExpressionField:
         raise ValidationError(str(exc), path=path) from None
 
 
-def coefficients_from_config(cfg: dict) -> tuple[DiffusionMatrixField | ScalarField,
-                                                 DriftField, int]:
-    """Build (A, b, dim) from a validated coefficients block.
+def coefficients_from_config(cfg: dict, path: str = "coefficients"
+                             ) -> tuple[DiffusionMatrixField | ScalarField, DriftField, int]:
+    """Build (A, b, dim) from a validated coefficients block at `path`.
 
     A is a I with the block's 'lam', else the scalar field a, whose lambda is
     set on the cells of each grid it is solved on (fpk._diffusion_matrix).
     """
     d = cfg["dim"]
     dc = cfg["diffusion"]
-    a_field = field_from_config(dc, dim=d, path="coefficients.diffusion")
+    a_field = field_from_config(dc, dim=d, path=_join(path, "diffusion"))
     lam = dc.get("lam")
     A = a_field if lam is None else DiffusionMatrixField.isotropic(a_field, float(lam))
     drc = cfg["drift"]
     exprs = drc["expressions"]
     if len(exprs) != d:
         raise ValidationError(f"drift needs {d} expressions, got {len(exprs)}",
-                              path="coefficients.drift.expressions")
-    comps = [_expression_field(e, d, f"coefficients.drift.expressions.{i}")
+                              path=_join(path, "drift.expressions"))
+    comps = [_expression_field(e, d, _join(path, f"drift.expressions.{i}"))
              for i, e in enumerate(exprs)]
     growth = GrowthParams(beta=float(drc["beta"]), beta1=float(drc["beta1"]),
                           beta2=float(drc["beta2"]), beta3=float(drc["beta3"]))
     return A, DriftField(comps, growth), d
 
 
-def model_from_config(cfg: dict) -> tuple[DiffusionMatrixField | ScalarField, DriftField, int,
-                                          str]:
-    """Resolve the model/coefficients choice to (A, b, dim, name)."""
+def model_from_config(cfg: dict, path: str = "") -> tuple[DiffusionMatrixField | ScalarField,
+                                                          DriftField, int, str]:
+    """Resolve the model/coefficients choice of the config at `path` to (A, b, dim, name)."""
     if cfg.get("model") is not None:
         catalog = {m.name: m for m in builtin_models()}
         name = cfg["model"]
         if name not in catalog:
             raise ValidationError(f"unknown model {name!r} (built-ins: "
-                                  f"{', '.join(sorted(catalog))})", path="model")
+                                  f"{', '.join(sorted(catalog))})", path=_join(path, "model"))
         m = catalog[name]
         return m.A, m.b, m.dim, m.name
-    A, b, d = coefficients_from_config(cfg["coefficients"])
+    A, b, d = coefficients_from_config(cfg["coefficients"], _join(path, "coefficients"))
     return A, b, d, "custom"
 
 
-def grid_from_config(cfg: dict, dim: int, beta2: float) -> GridSpec:
-    """GridSpec with radius defaulting to default_radius(beta2) of the run's drift (8 at beta2 = 1)."""
+def grid_from_config(cfg: dict, dim: int, beta2: float, path: str = "") -> GridSpec:
+    """GridSpec with radius defaulting to default_radius(beta2) of the run's drift (8 at beta2 = 1).
+
+    A grid of more than MAX_CELLS cells is a ValidationError at `<path>.n`.
+    """
     radius = cfg.get("radius") or default_radius(beta2)  # a given radius is >= 4
     n = cfg.get("n") or (1024 if dim == 1 else 128)  # a given n is >= 16
+    if n ** dim > MAX_CELLS:
+        raise ValidationError(f"a grid of {n}^{dim} cells exceeds the budget of "
+                              f"{MAX_CELLS} cells", path=_join(path, "n"))
     return GridSpec(dim, float(radius), int(n))
-
-
-def poisson_grids(cfg: dict, dim: int, beta2: float,
-                  path: str = "") -> tuple[GridSpec, tuple[GridSpec, ...]]:
-    """The main grid of a poisson config and its check grids (poisson.check_grids).
-
-    The check radii default to the main grid's radius R and 2R. The first
-    check grid has n_base = n cells per axis in 1d and min(n, 128) in 2d, so
-    with the default radii it is the main grid wherever n <= 128. A check
-    grid that cannot be built is a ValidationError: at `check_radii` for
-    radii the config gives, and at `n` for the default ones, whose second
-    grid needs 2 n_base cells per axis.
-    """
-    spec = grid_from_config(cfg, dim, beta2)
-    radii = [float(r) for r in cfg["check_radii"] or [spec.radius, 2 * spec.radius]]
-    n_base = spec.n if dim == 1 else min(spec.n, 128)
-    try:
-        return spec, check_grids(dim, tuple(radii), n_base)
-    except ValueError as exc:
-        key = "check_radii" if cfg["check_radii"] else "n"
-        raise ValidationError(f"check radii {radii} at the first one's cell width "
-                              f"{2 * radii[0] / n_base:g} need a grid that cannot be built: {exc}",
-                              path=_join(path, key)) from None
 
 
 def kernel_from_name(name: str, dim: int) -> dict:
@@ -474,11 +489,3 @@ def pair_family_from_config(cfg: dict) -> tuple[Callable[[float], CoefficientPai
                                                     lam=min(1.0, 1.0 / (1.0 + delta)))
             return CoefficientPair(Am, linear_drift(dim, 1.0), A1, b1)
     return make, b1
-
-
-def meanfield_model_from_config(cfg: dict) -> MeanFieldModel:
-    """The meanfield config's model: a0 = I, b0 = -x and its named kernel."""
-    dim = cfg["dim"]
-    return MeanFieldModel(DiffusionMatrixField.from_constant(np.eye(dim), 1.0),
-                          linear_drift(dim, 1.0), eps=float(cfg["eps"]),
-                          weight_order=cfg["weight_order"], **kernel_from_name(cfg["kernel"], dim))

@@ -135,9 +135,16 @@ def _scan_radius(phi: np.ndarray, radii: np.ndarray, k: float) -> tuple[float, f
     still certified, at a smaller M0; only a rate <= 0 there (no confinement
     at this weight order) is a ConfinementError. R0 is the smallest grid
     radius past which every sampled radius meets the target, and M0 the best
-    rate over those radii, at least the target.
+    rate over those radii, at least the target. Where the weight overflows
+    or phi is NaN (r^{2k} past the float range), that is a ConfinementError
+    naming k and the smallest such radius; phi = -inf is a rate that is met.
     """
     weight = 1.0 + radii ** (2.0 * k)
+    past = np.isnan(phi) | ~np.isfinite(weight)
+    if past.any():
+        raise ConfinementError(f"L(|x|^{2 * k:g}) or 1+|x|^{2 * k:g} leaves the float range at "
+                               f"radius {radii[past.argmax()]:g}: weight order k = {k:g} is too "
+                               "large for the Lyapunov scan")
     target = 1.0
     if phi[-1] + weight[-1] > 0.0:
         target = 0.5 * float(-phi[-1] / weight[-1])

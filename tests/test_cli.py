@@ -22,8 +22,7 @@ import scipy.sparse.linalg as spla
 import fpkit
 from fpkit import __version__, cli, config, fpk, poisson, stability
 from fpkit.cli import CLIP_MASS_LIMIT, build_parser, main, write_csv
-from fpkit.config import (field_from_config, grid_from_config, model_from_config,
-                          validate_command_config)
+from fpkit.config import grid_from_config, validate_command_config
 from fpkit.fields import ClosureField, DiffusionMatrixField, ExpressionField, linear_drift
 from fpkit.fpk import solve_grid
 from fpkit.grids import GridSpec
@@ -492,6 +491,48 @@ class TestValidationExits:
         assert err.startswith("config error: no cell center lies in B(0, 1)")
         assert "n 16 and radius 8000" in err
 
+    @pytest.mark.parametrize("command, cfg, message, path", [
+        ("poisson", {"model": "ou-2d", "psi": {"expression": "x1", "dim": 1}, "n": 32},
+         "field dimension 1 differs from the run's dimension 2", "psi.dim"),
+        ("solve", {"model": "nope"},
+         "unknown model 'nope' (built-ins: anisotropic-2d, dini-1d, ou-1d, ou-2d)", "model"),
+        ("solve", {"coefficients": {"dim": 1, "diffusion": {"constant": 1.0},
+                                    "drift": {"expressions": ["-x1 +"], "beta1": 1.0,
+                                              "beta2": 1.0, "beta3": 1.0}}},
+         "expression '-x1 +' does not parse: invalid syntax", "coefficients.drift.expressions.0"),
+        ("solve", {"model": "ou-1d", "radius": 100000, "n": 16},
+         "no cell center lies in B(0, 1): n 16 and radius 100000 give cells of width 12500; "
+         "raise n or set a smaller radius", "n"),
+        ("poisson", {"model": "ou-1d", "psi": {"constant": 2.0}},
+         "psi is constant on the grid, so the centered source is 0: Psi = 0 and the quotients "
+         "G/Psi are undefined", "psi"),
+        ("solve", {"coefficients": {"dim": 2, "diffusion": {"constant": 1.0},
+                                    "drift": {"expressions": ["-x1"], "beta1": 1.0,
+                                              "beta2": 1.0, "beta3": 1.0}}},
+         "drift needs 2 expressions, got 1", "coefficients.drift.expressions"),
+        ("dini", {"field": {"name": "nope"}},
+         "unknown example field 'nope'; known: constant, log-modulus, weierstrass-holder",
+         "field.name"),
+    ], ids=["psi-dim", "unknown-model", "drift-expression", "no-cell-in-the-unit-ball",
+            "constant-psi", "drift-count", "unknown-field"])
+    def test_config_error_leaves_nothing_behind(self, tmp_path, capsys, monkeypatch, command,
+                                                cfg, message, path):
+        # regression: these were found in the runners, after the output directory was
+        # made, and a constant psi only after the main grid's Poisson solve
+        solves = []
+        real = cli.stationary_poisson
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "stationary_poisson", counted)
+        code, report, out_dir = run_cli(tmp_path, command, cfg)
+        assert (code, report) == (2, None)
+        assert not out_dir.exists()
+        assert solves == []
+        assert capsys.readouterr().err == f"config error: {message} [at {path}]\n"
+
     def test_unknown_subcommand_is_an_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--config", "x.json", "--out", "y"])
@@ -785,6 +826,26 @@ class TestNumericalExits:
         assert math.isfinite(report["summary"]["weighted_l2_norm"])
         assert report["warnings"] == []
 
+    def test_source_that_is_not_finite_on_the_grid_exits_three(self, tmp_path, capsys):
+        # config evaluates psi on the main grid to refuse a constant one; a psi that
+        # is not finite there is a numerical failure of the run, with its report
+        cfg = {"model": "ou-1d", "psi": {"expression": "log(x1)"}, "n": 256}
+        code, report, _ = run_cli(tmp_path, "poisson", cfg)
+        assert code == 3
+        assert_error_report(report, "EvaluationError")
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: EvaluationError: field 'log(x1)' non-finite at [-7.96875]")
+
+    def test_weight_order_past_the_float_range_exits_three(self, tmp_path, capsys):
+        # regression: r^{2k} overflowed on the Lyapunov scan radii and the run exited 2
+        # with "invalid parameter: zero-size array to reduction operation minimum ..."
+        cfg = {"model": "ou-1d", "psi": {"expression": "x1"}, "k": 200}
+        code, report, _ = run_cli(tmp_path, "poisson", cfg)
+        assert code == 3
+        assert_error_report(report, "ConfinementError")
+        assert "weight order k = 200 is too large" in report["error"]["message"]
+        assert "numerical failure: ConfinementError: " in capsys.readouterr().err
+
     def test_failing_check_exits_three_with_fail_line(self, tmp_path, capsys):
         cfg = {"task": "stability", "axis": [0.01, 0.05, 5.0],
                "base": {"family": "drift-linear", "n": 256}}
@@ -802,14 +863,12 @@ class TestPoissonGrids:
     @staticmethod
     def reference_bounds(tmp_path, cfg) -> bytes:
         # bounds.csv as verify_growth_bounds computes it, every check grid solved afresh
-        cfg = validate_command_config("poisson", dict(cfg))
-        A, b, dim, _ = model_from_config(cfg)
-        psi = field_from_config(cfg["psi"], dim=dim, path="psi")
-        n_base = cfg["n"] if dim == 1 else min(cfg["n"], 128)
-        radius = grid_from_config(cfg, dim, b.growth.beta2).radius
-        radii = cfg["check_radii"] or [radius, 2 * radius]  # the default, as in the CLI
-        rep = verify_growth_bounds(A, b, psi, cfg["k"], radii=tuple(radii),
-                                   n_base=n_base, p=cfg["p"])
+        cfg, built = validate_command_config("poisson", dict(cfg))
+        spec = built["spec"]
+        n_base = cfg["n"] if spec.dim == 1 else min(cfg["n"], 128)
+        radii = cfg["check_radii"] or [spec.radius, 2 * spec.radius]  # the default, as in the CLI
+        rep = verify_growth_bounds(built["A"], built["b"], built["psi"], cfg["k"],
+                                   radii=tuple(radii), n_base=n_base, p=cfg["p"])
         path = write_csv(str(tmp_path / "reference.csv"),
                          ["radius", "g0_over_psi", "g1_over_psi", "h_over_psi"],
                          [rep.radii, *zip(*rep.quotients)])
@@ -1099,13 +1158,13 @@ class TestDefaultRadius:
     @pytest.mark.parametrize("command", ["stability", "meanfield"])
     def test_base_drift_keeps_radius_eight(self, tmp_path, command, monkeypatch):
         specs = []
-        real = cli.grid_from_config
+        real = config.grid_from_config
 
         def recorded(*args):
             specs.append(real(*args))
             return specs[-1]
 
-        monkeypatch.setattr(cli, "grid_from_config", recorded)
+        monkeypatch.setattr(config, "grid_from_config", recorded)
         assert run_cli(tmp_path, command, SMALL_CONFIGS[command])[0] == 0
         assert [spec.radius for spec in specs] == [8.0]
 
@@ -1129,7 +1188,7 @@ class TestStabilityFamilies:
         assert code == 0
         assert len(calls) == len(cfg["deltas"]) + 1
         # the same rows from pairs that each solve their own sigma
-        full = validate_command_config("stability", cfg)
+        full, _ = validate_command_config("stability", cfg)
         dim, k, r = full["dim"], full["k"], full["r"]
         spec = grid_from_config(full, dim, 1.0)  # beta2 of sigma's drift -x
         eye = np.eye(dim)

@@ -14,7 +14,6 @@ from fpkit.cli import main
 from fpkit.config import (
     SCHEMAS,
     coefficients_from_config,
-    field_from_config,
     grid_from_config,
     kernel_from_name,
     load_config_file,
@@ -61,7 +60,7 @@ class TestValidateMapping:
         assert "beta2" in str(exc.value)
 
     def test_int_accepted_where_float_expected(self):
-        out = validate_command_config("solve", {"model": "ou-1d", "radius": 8})
+        out, _ = validate_command_config("solve", {"model": "ou-1d", "radius": 8})
         assert out["radius"] == 8
 
     def test_bool_never_satisfies_a_numeric_range(self):
@@ -98,7 +97,7 @@ class TestCommandRules:
             validate_command_config(command, dict(base))
 
     def test_solve_defaults_fill_in(self):
-        out = validate_command_config("solve", {"model": "ou-1d"})
+        out, _ = validate_command_config("solve", {"model": "ou-1d"})
         # stationary_density picks the solver and --strict sets strictness
         assert not {"method", "strict"} & set(out)
         assert out["weight_order"] == 1.0
@@ -120,7 +119,7 @@ class TestCommandRules:
         assert exc.value.path == "radii.max"
 
     def test_dini_radii_defaults(self):
-        out = validate_command_config("dini", dini_cfg())
+        out, _ = validate_command_config("dini", dini_cfg())
         assert out["radii"]["min"] == pytest.approx(1e-3)
         assert out["radii"]["max"] == pytest.approx(0.4)
         assert out["radii"]["count"] == 12
@@ -141,17 +140,17 @@ class TestSweepValidation:
     @pytest.mark.parametrize("task,axis_key", [("stability", "deltas"), ("meanfield", "eps")])
     def test_axis_key_follows_the_task(self, task, axis_key):
         base = {"family": "drift-linear"} if task == "stability" else {}
-        out = validate_command_config("sweep",
-                                      {"task": task, "axis": [0.04, 0.01, 0.02], "base": base})
+        out, _ = validate_command_config("sweep",
+                                         {"task": task, "axis": [0.04, 0.01, 0.02], "base": base})
         # each point is the task's run at one axis value, the points in value order
         assert out["axis"] == [0.01, 0.02, 0.04]
         assert [point[axis_key] for point in out["points"]] == \
             ([[v, 2 * v] for v in out["axis"]] if task == "stability" else out["axis"])
 
     def test_base_is_validated_under_the_task_schema(self):
-        out = validate_command_config("sweep",
-                                      {"task": "meanfield", "axis": [0.01, 0.02, 0.04],
-                                       "base": {}})
+        out, _ = validate_command_config("sweep",
+                                         {"task": "meanfield", "axis": [0.01, 0.02, 0.04],
+                                          "base": {}})
         # defaults of the meanfield schema appear in every point
         for point in out["points"]:
             assert point["kernel"] == "tanh"
@@ -212,47 +211,42 @@ class TestLoadConfigFile:
 
 class TestFieldBuilder:
     def test_exactly_one_source_two_given(self):
-        cfg = validate_command_config("dini",
-                                      dini_cfg(field={"name": "constant", "constant": 2.0}))
         with pytest.raises(ValidationError, match="exactly one of 'name', 'expression'"):
-            field_from_config(cfg["field"])
+            validate_command_config("dini", dini_cfg(field={"name": "constant", "constant": 2.0}))
 
     def test_exactly_one_source_none_given(self):
-        cfg = validate_command_config("dini", dini_cfg(field={"params": {"alpha": 0.5}}))
         with pytest.raises(ValidationError, match="exactly one"):
-            field_from_config(cfg["field"])
+            validate_command_config("dini", dini_cfg(field={"params": {"alpha": 0.5}}))
 
     def test_expression_field_evaluates(self):
-        cfg = validate_command_config("dini", dini_cfg(field={"expression": "1 + x1**2"}))
-        f = field_from_config(cfg["field"])
+        _, built = validate_command_config("dini", dini_cfg(field={"expression": "1 + x1**2"}))
+        f = built["field"]
         x = np.array([[0.0], [2.0]])
         assert f.values(x) == pytest.approx([1.0, 5.0])
 
     def test_constant_field(self):
-        cfg = validate_command_config("dini", dini_cfg(field={"constant": 3, "dim": 2}))
-        f = field_from_config(cfg["field"])
+        _, built = validate_command_config("dini", dini_cfg(field={"constant": 3, "dim": 2}))
+        f = built["field"]
         assert f.dim == 2
         assert f.values(np.zeros((1, 2))) == pytest.approx([3.0])
 
     def test_unknown_example_name_lists_the_catalog(self):
-        cfg = validate_command_config("dini", dini_cfg(field={"name": "weierstrass"}))
         with pytest.raises(ValidationError, match="known: .*weierstrass-holder") as exc:
-            field_from_config(cfg["field"])
+            validate_command_config("dini", dini_cfg(field={"name": "weierstrass"}))
         assert exc.value.path == "field.name"
 
 
 class TestCoefficientBuilder:
     def test_drift_expression_count_must_match_dim(self):
-        cfg = validate_command_config("solve", {"coefficients": coeff_block(dim=2)})
         with pytest.raises(ValidationError, match="drift needs 2 expressions, got 1") as exc:
-            coefficients_from_config(cfg["coefficients"])
+            validate_command_config("solve", {"coefficients": coeff_block(dim=2)})
         assert exc.value.path == "coefficients.drift.expressions"
 
     def test_scalar_diffusion_without_lam(self):
         # lambda is set on the cells of the grid being solved, not on a fixed box
         block = coeff_block(dim=2, expressions=("-x1", "-x2"),
                             diffusion={"expression": "1 + 0.1*r"})
-        cfg = validate_command_config("solve", {"coefficients": block})
+        cfg, _ = validate_command_config("solve", {"coefficients": block})
         A, b, dim = coefficients_from_config(cfg["coefficients"])
         assert isinstance(A, ScalarField) and dim == 2
         # min(1, min a, 1/max a) over the cells; a is largest at the corner cells
@@ -264,7 +258,7 @@ class TestCoefficientBuilder:
 
     def test_sign_indefinite_diffusion_is_refused_by_the_solve(self):
         block = coeff_block(dim=2, expressions=("-x1", "-x2"), diffusion={"expression": "x1"})
-        cfg = validate_command_config("solve", {"coefficients": block})
+        cfg, _ = validate_command_config("solve", {"coefficients": block})
         A, b, _ = coefficients_from_config(cfg["coefficients"])
         with pytest.raises(EllipticityError, match=r"nonpositive at x=\(-7.75, -7.75\)"):
             stationary_density(A, b, GridSpec(2, 8.0, 32))
@@ -272,7 +266,7 @@ class TestCoefficientBuilder:
     def test_growth_parameters_are_carried_over(self):
         block = coeff_block()
         block["drift"].update({"beta": 3.0, "beta1": 2.0, "beta2": 0.5, "beta3": 4.0})
-        cfg = validate_command_config("solve", {"coefficients": block})
+        cfg, _ = validate_command_config("solve", {"coefficients": block})
         _, b, _ = coefficients_from_config(cfg["coefficients"])
         g = b.growth
         assert (g.beta, g.beta1, g.beta2, g.beta3) == (3.0, 2.0, 0.5, 4.0)
@@ -280,35 +274,34 @@ class TestCoefficientBuilder:
 
 class TestModelResolution:
     def test_unknown_model_lists_builtins(self):
-        cfg = validate_command_config("solve", {"model": "ou-3d"})
         with pytest.raises(ValidationError, match="built-ins: .*ou-1d.*ou-2d"):
-            model_from_config(cfg)
+            validate_command_config("solve", {"model": "ou-3d"})
 
     def test_builtin_keeps_its_name(self):
-        cfg = validate_command_config("solve", {"model": "anisotropic-2d"})
+        cfg, _ = validate_command_config("solve", {"model": "anisotropic-2d"})
         A, b, dim, name = model_from_config(cfg)
         assert (dim, name) == (2, "anisotropic-2d")
 
     def test_custom_coefficients_are_labelled_custom(self):
-        cfg = validate_command_config("solve", {"coefficients": coeff_block()})
+        cfg, _ = validate_command_config("solve", {"coefficients": coeff_block()})
         *_, name = model_from_config(cfg)
         assert name == "custom"
 
 
 class TestGridDefaults:
     def test_resolution_defaults_by_dimension(self):
-        cfg = validate_command_config("solve", {"model": "ou-1d"})
+        cfg, _ = validate_command_config("solve", {"model": "ou-1d"})
         assert grid_from_config(cfg, 1, 1.0).n == 1024
         assert grid_from_config(cfg, 2, 1.0).n == 128
 
     def test_radius_defaults_from_the_confinement_constant(self):
-        cfg = validate_command_config("solve", {"model": "ou-1d"})
+        cfg, _ = validate_command_config("solve", {"model": "ou-1d"})
         assert grid_from_config(cfg, 1, 1.0).radius == pytest.approx(8.0)
         assert grid_from_config(cfg, 1, 0.5).radius == pytest.approx(8.0 / np.sqrt(0.5))
         assert grid_from_config(cfg, 1, 100.0).radius == pytest.approx(4.0)
 
     def test_explicit_values_win(self):
-        cfg = validate_command_config("solve", {"model": "ou-1d", "radius": 12, "n": 64})
+        cfg, _ = validate_command_config("solve", {"model": "ou-1d", "radius": 12, "n": 64})
         spec = grid_from_config(cfg, 1, 1.0)
         assert (spec.radius, spec.n) == (12.0, 64)
 

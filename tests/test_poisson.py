@@ -121,6 +121,20 @@ class TestLyapunovConstants:
         with pytest.raises(ConfinementError, match="does not confine"):
             lyapunov_constants(A, outward, 1.0)
 
+    def test_weight_order_past_the_float_range_is_a_confinement_error(self, ou_1d):
+        # regression: 8^400 overflows, L(|x|^400) is NaN at the outer radii, the
+        # certified slice was empty and .min() raised numpy's ValueError
+        A, b = ou_1d
+        with pytest.raises(ConfinementError, match=r"at radius 5\.81: weight order k = 200 "):
+            lyapunov_constants(A, b, 200.0)
+
+    def test_generator_value_past_the_float_range_is_a_rate_that_is_met(self, ou_1d):
+        # at R = 64, k = 85 the weight 1 + r^170 is finite but L(|x|^170) is -inf
+        # at the outer radii: an unbounded rate, so the witness is the scan's as before
+        A, b = ou_1d
+        wit = lyapunov_constants(A, b, 85.0, r_max=64.0)
+        assert (wit.m0, wit.r0) == (1.0413451767097257, 12.96)
+
     def test_weight_order_below_one_rejected(self, ou_1d):
         A, b = ou_1d
         with pytest.raises(ValueError, match=">= 1"):
