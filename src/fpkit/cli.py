@@ -27,10 +27,11 @@ numerics, and writes into the output directory:
   report is, and --strict does not escalate it. The 2d solve and
   poisson summaries carry the solver telemetry of the main grid: residual,
   clipped mass, pinned cell, the factor's ordering and its L + U nonzeros,
-  the largest cell Peclet number and the count of non-dominant cells (the
-  only cells where L_h can put a negative weight off the diagonal), and for
-  poisson the Lyapunov witness (m0, r0) (the 1d closed form has a null
-  residual). The meanfield summary's telemetry lists, per start, the
+  the count of transient cells (outside the pinned cell's closed class,
+  where the density is exactly 0), the largest cell Peclet number and the
+  count of non-dominant cells (the only cells where L_h can put a negative
+  weight off the diagonal), and for poisson the Lyapunov witness (m0, r0)
+  (the 1d closed form has a null residual). The meanfield summary's telemetry lists, per start, the
   SuperLU factorizations of its Picard steps, and for each step its
   refinement steps, whether it factored and its weighted gap to the step
   before (meanfield.FixedPointTrace), the contraction that trace.csv plots.
@@ -207,7 +208,8 @@ class RunContext:
 
 
 TELEMETRY_KEYS = ("residual", "clipped_mass", "pinned_cell", "ordering", "factor_nnz",
-                  "max_cell_peclet", "non_dominant_cells", "exponential_fitting")
+                  "transient_cells", "max_cell_peclet", "non_dominant_cells",
+                  "exponential_fitting")
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +344,8 @@ def run_stability(ctx: RunContext, cfg: dict, built: dict) -> dict:
         ctx.note_clipping(rep.clipped_mass, rep.non_dominant_cells, spec, delta=float(d))
     write_csv(ctx.path("sweep.csv"),
               ["delta", "lhs", "rhs_diffusion", "rhs_drift", "c_hat"], zip(*rows))
-    pos = res.deltas > 0
-    if pos.sum() >= 2:
+    pos = (res.deltas > 0) & np.isfinite(res.lhs_values) & (res.lhs_values > 0)
+    if pos.sum() >= 2:  # a log-log plot of the deltas whose response it can draw
         svg.line_plot(ctx.path("sweep.svg"),
                       [("lhs", res.deltas[pos], res.lhs_values[pos])],
                       title=f"perturbation response ({cfg['family']})",

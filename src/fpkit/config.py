@@ -24,6 +24,8 @@ grids, interaction kernels and the pair family of `stability`.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -247,8 +249,9 @@ def validate_command_config(command: str, obj: dict, path: str = "") -> tuple[di
         return cfg, {"field": field_from_config(cfg["field"], path=_join(path, "field"))}
     if command == "stability":
         make, b_sigma = pair_family_from_config(cfg)
-        return cfg, {"make": make,
-                     "spec": grid_from_config(cfg, cfg["dim"], b_sigma.growth.beta2, path)}
+        spec = grid_from_config(cfg, cfg["dim"], b_sigma.growth.beta2, path)
+        _weight_in_range(spec, False, b_sigma.growth.beta, cfg["k"], "k", path)
+        return cfg, {"make": make, "spec": spec}
     if command == "meanfield":
         dim = cfg["dim"]
         model = MeanFieldModel(DiffusionMatrixField.from_constant(np.eye(dim), 1.0),
@@ -256,6 +259,8 @@ def validate_command_config(command: str, obj: dict, path: str = "") -> tuple[di
                                weight_order=cfg["weight_order"],
                                **kernel_from_name(cfg["kernel"], dim))
         spec = grid_from_config(cfg, dim, model.b0.growth.beta2, path)
+        _weight_in_range(spec, True, 2.0 * model.kernel_growth + model.b0.growth.beta,
+                         cfg["weight_order"], "weight_order", path)
         couplings = [("eps", cfg["eps"])] + [(f"eps_grid.{i}", e)
                                              for i, e in enumerate(cfg["eps_grid"] or ())]
         for key, eps in couplings:
@@ -452,6 +457,20 @@ def grid_from_config(cfg: dict, dim: int, beta2: float, path: str = "") -> GridS
         raise ValidationError(f"a grid of {n}^{dim} cells exceeds the budget of "
                               f"{MAX_CELLS} cells", path=_join(path, "n"))
     return GridSpec(dim, float(radius), int(n))
+
+
+def _weight_in_range(spec: GridSpec, shifted: bool, order: float, k: float, key: str,
+                     path: str) -> None:
+    """A ValidationError at `<path>.<key>` when the run's weight passes the float range at the
+    farthest cell of its grid: 1 + |x|^(order + k), or (1 + |x|)^(order + k) when `shifted`.
+    A weight that overflows turns the weighted integrals into inf * 0 = nan."""
+    r = float(spec.center_radii().max())
+    base = 1.0 + r if shifted else r
+    if base > 1.0 and (order + k) * math.log(base) > math.log(sys.float_info.max):
+        weight = "(1 + |x|)^" if shifted else "1 + |x|^"
+        raise ValidationError(f"{key} {k:g} makes the weight {weight}({order:g} + {key}) "
+                              f"overflow at the farthest cell |x| = {r:.6g} of the grid",
+                              path=_join(path, key))
 
 
 def kernel_from_name(name: str, dim: int) -> dict:

@@ -27,7 +27,14 @@ the cell centers (or reads the diffusion a NearbyFactor holds), checks the
 samples and writes the table of L_h, one weight per stencil offset and cell.
 _solve_null turns the table into the null vector, refined against the factor
 a slot holds (_refined_null) or from a fresh factor of the pinned M
-(_pinned_factor). _null_density validates and clips it. The table is the one
+(_pinned_factor). _null_density validates and clips it. Where the pin reaches
+every cell, the pinned M is factored in SuperLU's MMD order (5-point and 1d)
+or the grid's nested-dissection order (9-point). Where it does not, its
+cells past the Pe = 1 line that the upwinding cuts off are transient, the
+pin's closed class holds all the mass, and M is factored block lower
+triangular (_block_order), so the density is exactly 0 on the transient
+cells. One rule orders every factor, so poisson.stationary_poisson shares
+it bit for bit. The table is the one
 operator a solve applies: M x = L_h^T x, |M| |x| and L_h u are _apply of
 it, bit for bit the products of the sparse matrices. A sparse matrix is
 written only for SuperLU (the pinned M) and for generator_matrix, the public
@@ -35,8 +42,8 @@ L_h. The measurements behind the stencil, the orderings, SuperLU's options
 and the refinement constants are in CHANGES.md, not repeated here.
 
 scipy.sparse and scipy.sparse.linalg are imported where they are used
-(generator_matrix, _pinned_factor, _factor, and _reaches_pin with
-scipy.sparse.csgraph), so importing fpkit and running the 1d closed form
+(generator_matrix, _pinned_factor, _factor, and _reaches_pin and _block_order
+with scipy.sparse.csgraph), so importing fpkit and running the 1d closed form
 load no scipy module. _factor calls spla.splu through the module, so a
 replacement of scipy.sparse.linalg.splu sees every factor.
 
@@ -293,48 +300,67 @@ def _weight_table(a: np.ndarray, b_c: np.ndarray,
     T = filled(fitted=False)
     # a bound on every cell's tr(a) / h^2 + |b|_1 / h: a rate's roundoff is a few ulps of it
     size = d * (float(diag.max()) / h ** 2 + float(abs_b.max()) / h)
-    scheme["exponential_fitting"] = not _reaches_pin(T, taps, offsets, spec, REACH_TOL * size)
+    T = T.reshape(len(stencil), -1)
+    scheme["exponential_fitting"] = not _reaches_pin(T, offsets, spec, REACH_TOL * size)
     if scheme["exponential_fitting"]:
-        T = filled(fitted=True)
-        if not _reaches_pin(T, taps, offsets, spec, 0.0):
+        T = filled(fitted=True).reshape(len(stencil), -1)
+        if not _reaches_pin(T, offsets, spec, 0.0):
             with np.errstate(divide="ignore", invalid="ignore"):
                 pe = float(np.nanmax((0.5 * h) * np.abs(beta) / sigma))
             raise DegenerateDensityError(
                 "the grid chain does not reach the pinned cell from every cell, even "
                 "exponentially fitted: the drift pushes apart where h |beta_i| / (2 sigma_i), "
                 f"sigma_i = a^ii less |a^01| in dominant cells, reaches {pe:.3g}; refine the grid")
-    return T.reshape(len(stencil), -1), offsets, scheme
+    return T, offsets, scheme
 
 
-def _reaches_pin(T: np.ndarray, taps: list, offsets: np.ndarray, spec: GridSpec,
-                 least: float) -> bool:
+def _axis_steps(T: np.ndarray, offsets: np.ndarray, spec: GridSpec, pin: int,
+                toward: bool) -> list[np.ndarray]:
+    """Per axis and side of the pinned cell, the weights of the steps one cell toward it, or away.
+
+    T is the (S, N) table of L_h and pin the pinned cell. Toward: the
+    weight of each cell that is not in the pin's line along axis i to step
+    along axis i toward the pin.
+    Away: that of each cell from the pin's line to the cell before the
+    wall to step along axis i away from the pin. Where every weight toward
+    the pin is a step, every cell reaches the pin, one axis after the other;
+    where every weight away is, the pin reaches every cell.
+    """
+    d, n = spec.dim, spec.n
+    at = np.unravel_index(pin, spec.shape)
+    grid, offs = T.reshape((len(offsets),) + spec.shape), offsets.tolist()
+    steps = []
+    for i, a in enumerate(at):
+        up, down = offs.index(n ** (d - 1 - i)), offs.index(-n ** (d - 1 - i))
+        sides = (((up, slice(None, a)), (down, slice(a + 1, None))) if toward
+                 else ((up, slice(a, n - 1)), (down, slice(1, a + 1))))
+        steps += [grid[(slot,) + (slice(None),) * i + (cells,)] for slot, cells in sides]
+    return steps
+
+
+def _reaches_pin(T: np.ndarray, offsets: np.ndarray, spec: GridSpec, least: float) -> bool:
     """Whether the chain with generator L_h reaches the pinned cell from every cell.
 
-    T is the table of L_h slot by slot, each slot a grid, and taps[i] the
-    slots of the steps -1, 0, 1 along axis i. A step counts where
-    its rate is above `least`: for the minimally upwinded L_h, whose rates
+    T is the (S, N) table of L_h. A step counts where its rate is above
+    `least`: for the minimally upwinded L_h, whose rates
     can cancel to roundoff, REACH_TOL times a bound on every cell's
     tr(a) / h^2 + |b|_1 / h; 0 for the fitted one, whose rates are formed
     without cancellation. The pinned cell then lies in the one closed class
     of the chain, and the pinned L_h^T of an M-matrix L_h is nonsingular.
     First the sufficient test that every cell steps toward the pin along
-    each axis where it is not in the pin's line, the least such rate above
-    `least`; where that fails, a breadth-first search from the pin along
-    the off-diagonal entries of L_h^T.
+    each axis where it is not in the pin's line (_axis_steps), the least
+    such rate above `least`; where that fails, a breadth-first search from
+    the pin along the off-diagonal entries of L_h^T.
     """
-    d = spec.dim
     pin = int(np.argmin(spec.center_radii()))
-    at = np.unravel_index(pin, spec.shape)
-    toward = [T[(slot,) + (slice(None),) * i + (cells,)].min()
-              for i, (down, _, up) in enumerate(taps)
-              for slot, cells in ((up, slice(None, at[i])), (down, slice(at[i] + 1, None)))]
+    toward = [w.min() for w in _axis_steps(T, offsets, spec, pin, toward=True)]
     if np.min(toward) > least:  # np.min keeps a NaN rate, which fails the test
         return True
     import scipy.sparse as sp
     from scipy.sparse.csgraph import breadth_first_order
 
-    steps = np.where(T > least, T, 0.0).reshape(len(offsets), -1)
-    steps = sp.csc_matrix(_compressed(steps, offsets), shape=(spec.n_cells,) * 2)
+    steps = sp.csc_matrix(_compressed(np.where(T > least, T, 0.0), offsets),
+                          shape=(spec.n_cells,) * 2)
     return len(breadth_first_order(steps, pin, directed=True, return_predecessors=False)) \
         == spec.n_cells
 
@@ -414,12 +440,15 @@ class PinnedFactor:
     once. `order` is None when SuperLU chose the column order (MMD_AT_PLUS_A).
     Else the factored matrix is the pinned matrix with its rows and columns
     taken in `order` (position k holds cell order[k]), and solve permutes the
-    right-hand side in and the solution back.
+    right-hand side in and the solution back. `transient_cells` counts the
+    cells outside the pin's closed class, which `order` puts first
+    (_block_order).
     """
 
     lu: spla.SuperLU
     pin: int
     order: np.ndarray | None = None
+    transient_cells: int = 0
     null: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -434,6 +463,8 @@ class PinnedFactor:
 
     @property
     def ordering(self) -> str:
+        if self.transient_cells:
+            return "block-triangular"
         return "mmd" if self.order is None else "nested-dissection"
 
     @property
@@ -449,12 +480,13 @@ class PinnedFactor:
         return x
 
 
-def _factor(P: sp.csc_matrix, pin: int, order: np.ndarray | None) -> PinnedFactor:
+def _factor(P: sp.csc_matrix, pin: int, order: np.ndarray | None,
+            transient_cells: int = 0) -> PinnedFactor:
     """SuperLU factor of a pinned matrix P, in `order` when given (see PinnedFactor).
 
     Without `order`, SuperLU orders the columns by MMD_AT_PLUS_A. With an
-    `order` of the cells (GridSpec.dissection_order), P is already taken in
-    that order and is factored in the NATURAL order. PANEL_SIZE and RELAX
+    `order` of the cells (_pinned_factor), P is already taken in that order
+    and is factored in the NATURAL order. PANEL_SIZE and RELAX
     change how the factor is blocked, not its pivots or fill (CHANGES.md has
     the timings). An exactly singular P is a ConvergenceError.
     """
@@ -465,7 +497,7 @@ def _factor(P: sp.csc_matrix, pin: int, order: np.ndarray | None) -> PinnedFacto
         lu = spla.splu(P, permc_spec=permc_spec, panel_size=PANEL_SIZE, relax=RELAX)
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
         raise ConvergenceError(f"sparse factorization failed: {exc}", history=[np.inf]) from exc
-    return PinnedFactor(lu, pin, order)
+    return PinnedFactor(lu, pin, order, transient_cells)
 
 
 def _sampled_diffusion(A, spec: GridSpec) -> tuple[DiffusionMatrixField, np.ndarray]:
@@ -548,22 +580,77 @@ def _pinned_factor(T: np.ndarray, offsets: np.ndarray, spec: GridSpec) -> Pinned
     Pinning the center-most cell drops the off-diagonal entries of row `pin`
     of L_h^T (column pin of L_h, in the slots of the neighbours of pin that
     point at it) and sets its diagonal to 1. It is done in T, which then
-    gives the pinned L_h^T, and undone before returning. A 9-point L_h^T is
-    written and factored in the grid's nested-dissection order; a 5-point or
-    1d L_h^T keeps SuperLU's MMD_AT_PLUS_A order.
+    gives the pinned L_h^T, and undone before returning. Where the pin
+    reaches every cell through nonzero weights of L_h, a 9-point L_h^T is
+    written and factored in the grid's nested-dissection order and a
+    5-point or 1d L_h^T keeps SuperLU's MMD_AT_PLUS_A order. Elsewhere it is
+    written in the block-triangular order of _block_order.
     """
     import scipy.sparse as sp
 
     N = spec.n_cells
     pin = int(np.argmin(spec.center_radii()))  # an interior cell, so every pin - offset is a cell
-    order = spec.dissection_order() if len(offsets) == 9 else None  # 9 slots: a cross term
+    order, transient = _block_order(T, offsets, spec, pin)
+    if order is None and len(offsets) == 9:  # 9 slots: a cross term
+        order = spec.dissection_order()
     at = (np.arange(len(offsets)), pin - offsets)  # slot s of cell pin - offsets[s] is pin
     unpinned = T[at]
     T[at] = 0.0
     T[offsets == 0, pin] = 1.0
-    factor = _factor(sp.csc_matrix(_compressed(T, offsets, order), shape=(N, N)), pin, order)
+    P = sp.csc_matrix(_compressed(T, offsets, order), shape=(N, N))
     T[at] = unpinned
-    return factor
+    return _factor(P, pin, order, transient)
+
+
+def _block_order(T: np.ndarray, offsets: np.ndarray, spec: GridSpec,
+                 pin: int) -> tuple[np.ndarray | None, int]:
+    """(order, transient): the cells upstream-first with the pin's closed class last, and the
+    count of transient cells (outside that class); (None, 0) where the pin reaches every cell.
+
+    T is the (S, N) table of L_h, every cell of which reaches the pin
+    (_reaches_pin), so the pin's closed class is its strongly connected
+    component, and no cell of it steps to a cell outside it. The components
+    come in a topological order of the steps along nonzero weights, each
+    one's cells by their rank in GridSpec.dissection_order, and the closed
+    class, which every other component reaches, last. The pinned L_h^T is
+    then block lower triangular (Duff and Reid, ACM TOMS 4, 1978; the BTF
+    step of KLU), and its null vector is exactly 0 on the transient cells.
+    The order is by level, descending: each component's level is raised
+    until it exceeds the level of every component it steps to, which ends
+    in a topological order from any start. The start is scipy's numbering
+    of the components; Pearce's algorithm numbers them downstream first, so
+    one pass confirms it. Where every cell steps away from the pin along
+    each axis (_axis_steps), the pin reaches every cell and no component is
+    computed.
+    """
+    if all(np.all(w != 0.0) for w in _axis_steps(T, offsets, spec, pin, toward=False)):
+        return None, 0
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    N = spec.n_cells
+    L = sp.csr_matrix(_compressed(T, offsets), shape=(N, N))  # L_h: row c lists c's steps
+    count, label = connected_components(L, directed=True, connection="strong")
+    transient = N - int(np.count_nonzero(label == label[pin]))
+    if not transient:
+        return None, 0
+    src, dst = [], []  # the components of each step from one component to another
+    for s, o in enumerate(offsets.tolist()):
+        lo, hi = max(0, -o), min(N, N - o)  # the cells c with c + o on the grid
+        a, b = label[lo:hi], label[lo + o:hi + o]
+        step = (T[s, lo:hi] != 0.0) & (a != b)
+        src.append(a[step])
+        dst.append(b[step])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    level = np.arange(count, dtype=np.int32)
+    while True:
+        raised = level.copy()
+        np.maximum.at(raised, src, level[dst] + 1)
+        if np.array_equal(raised, level):
+            break
+        level = raised
+    order = spec.dissection_order()
+    return order[np.argsort(-level[label[order]], kind="stable")], transient
 
 
 @dataclass(eq=False)
@@ -689,7 +776,8 @@ def _null_density(spec: GridSpec, table: tuple[np.ndarray, np.ndarray, dict], lu
     rho = GridDensity(spec, (raw / total).reshape(spec.shape),
                       info={"method": "generator-null", "residual": residual,
                             "clipped_mass": clipped_mass, "pinned_cell": lu.pin,
-                            "ordering": lu.ordering, "factor_nnz": lu.nnz, **scheme})
+                            "ordering": lu.ordering, "factor_nnz": lu.nnz,
+                            "transient_cells": lu.transient_cells, **scheme})
     return _check_truncation(rho) if check_truncation else rho
 
 

@@ -27,8 +27,11 @@ centered so that integral psi~ rho = 0, the solution machinery provides:
   subtracting the projection constant <psi~, w> with w the discrete
   adjoint null vector. One SuperLU factor of the pinned L_h^T serves both:
   its pinned null vector gives w, and a transposed solve gives u with the
-  center-most cell pinned to u = 0. The kernel is then fixed by subtracting
-  the B(0, 2 R0) cell average of u, so that average is zero. With a
+  center-most cell pinned to u = 0. The factor is ordered by fpk's one rule
+  (fpk._pinned_factor): where upwinding leaves cells that the pin does not
+  reach, those transient cells come first, and w is exactly 0 on them. The
+  kernel is then fixed by subtracting the B(0, 2 R0) cell average of u, so
+  that average is zero. With a
   confining drift the artificial wall closure only pollutes a boundary
   layer; interior accuracy is second order. The derivatives are the same
   second-order differences along every axis, in d = 1 and d = 2.
@@ -191,24 +194,27 @@ def lyapunov_constants(A: DiffusionMatrixField, b: DriftField, k: float,
         th = (np.arange(N_ANGLES) + 0.5) / N_ANGLES * 2.0 * math.pi
         dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
-    vals = radial_power_generator_values(A, b, pts, k).reshape(len(radii), len(dirs))
-    phi = vals.max(axis=1)
-    m0, r0 = _scan_radius(phi, radii, k)
+    # |x|^{2k} may leave the float range; _scan_radius names that as a ConfinementError
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = radial_power_generator_values(A, b, pts, k).reshape(len(radii), len(dirs))
+        phi = vals.max(axis=1)
+        m0, r0 = _scan_radius(phi, radii, k)
 
-    g = b.growth
-    s_up = 1.0 / A.lam
-    tk = 2.0 * k
-    phi_f = tk * radii ** (tk - 2.0) * (d * s_up + (tk - 2.0) * s_up + g.beta1 - g.beta2 * radii ** 2)
-    m0f, r0f = _scan_radius(phi_f, radii, k)
+        g = b.growth
+        s_up = 1.0 / A.lam
+        tk = 2.0 * k
+        phi_f = tk * radii ** (tk - 2.0) * (d * s_up + (tk - 2.0) * s_up + g.beta1
+                                            - g.beta2 * radii ** 2)
+        m0f, r0f = _scan_radius(phi_f, radii, k)
 
-    # internal consistency: the certified inequality must hold on the sampled
-    # window (R0, 2 R0], up to a tolerance relative to the size of its terms,
-    # which grow like r^{2k}
-    w = (radii > r0) & (radii <= min(2.0 * r0, r_max))
-    if w.any():
-        bound = m0 * (1.0 + radii[w] ** tk)
-        if ((phi[w] + bound) / bound).max() > 1e-9:
-            raise ConfinementError("certified Lyapunov inequality fails on (R0, 2 R0]")
+        # internal consistency: the certified inequality must hold on the sampled
+        # window (R0, 2 R0], up to a tolerance relative to the size of its terms,
+        # which grow like r^{2k}
+        w = (radii > r0) & (radii <= min(2.0 * r0, r_max))
+        if w.any():
+            bound = m0 * (1.0 + radii[w] ** tk)
+            if ((phi[w] + bound) / bound).max() > 1e-9:
+                raise ConfinementError("certified Lyapunov inequality fails on (R0, 2 R0]")
     return LyapunovWitness(k=float(k), m0=m0, r0=r0, m0_formula=m0f, r0_formula=r0f)
 
 
@@ -451,7 +457,8 @@ def discrete_adjoint_null(lu: PinnedFactor) -> np.ndarray:
 def solve_poisson_grid(problem: PoissonProblem) -> PoissonSolution:
     """Solve the Poisson problem by non-divergence finite differences.
 
-    Factors the pinned L_h^T once; that one factor gives w and u (and, in
+    Factors the pinned L_h^T once, in the order fpk._pinned_factor gives
+    every grid solve; that one factor gives w and u (and, in
     stationary_poisson, rho as well). The source is recentered against the
     discrete adjoint null vector w (the factor's pinned null vector); the
     magnitude of that projection is the disagreement between the declared
@@ -518,7 +525,9 @@ def stationary_poisson(A, b: DriftField, psi: ScalarField, k: float, spec: GridS
     The diffusion is sampled at the cells once (a scalar one becomes a I).
     In d = 1 both are the closed forms (fpk.solve_exact_1d, solve_poisson_1d),
     built from one fine-mesh profile and that sample. In d = 2 one SuperLU
-    factor of the pinned L_h^T gives rho, w and u: its
+    factor of the pinned L_h^T, in the order fpk._pinned_factor gives every
+    grid solve (block triangular where some cells are transient), gives rho,
+    w and u: its
     pinned null vector (PinnedFactor.null), scaled to unit mass, is the
     density, validated and clipped as in fpk.solve_grid, and, scaled to
     sum 1, the adjoint null vector w;

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,25 @@ class TestValidationExits:
         assert not out_dir.exists()
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.endswith(f" [at {path}]\n")
+
+    @pytest.mark.parametrize("command, cfg, path", [
+        ("stability", {"family": "diffusion-constant", "k": 1e300}, "k"),
+        ("meanfield", {"eps": 0.05, "weight_order": 1e300}, "weight_order"),
+        ("sweep", {"task": "stability", "axis": [0.01, 0.02, 0.04],
+                   "base": {"family": "drift-linear", "k": 400}}, "base.k"),
+    ], ids=["stability", "meanfield", "sweep"])
+    def test_weight_that_overflows_on_the_grid_exits_two_before_any_output(
+            self, tmp_path, capsys, command, cfg, path):
+        # regression: the stability run exited 2 with "cannot convert float NaN to
+        # integer" after numpy overflow warnings, and the meanfield run took 60
+        # Picard steps of NaN gaps and failed with "contraction too slow: gap nan"
+        code, report, out_dir = run_cli(tmp_path, command, cfg)
+        assert code == 2
+        assert report is None
+        assert not out_dir.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "overflow at the farthest cell" in err
+        assert err.endswith(f" [at {path}]\n")
 
     @pytest.mark.parametrize("command, cfg, path", [
         ("solve", {"coefficients": {"dim": 1, "diffusion": {"expression": "x1**"},
@@ -846,6 +866,29 @@ class TestNumericalExits:
         assert "weight order k = 200 is too large" in report["error"]["message"]
         assert "numerical failure: ConfinementError: " in capsys.readouterr().err
 
+    def test_weight_order_past_the_float_range_warns_nothing(self, tmp_path, capsys):
+        # regression: the Lyapunov scan printed four numpy RuntimeWarnings (overflow
+        # and invalid value) before its ConfinementError
+        cfg = {"model": "ou-1d", "psi": {"expression": "x1"}, "k": 200}
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code, report, _ = run_cli(tmp_path, "poisson", cfg)
+        assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
+        assert code == 3
+        assert "weight order k = 200 is too large" in report["error"]["message"]
+
+    def test_stability_response_it_cannot_plot_leaves_out_the_figure(self, tmp_path, capsys):
+        # regression: lhs is 0 at deltas this small, and the log-axis figure raised
+        # "log axis needs positive y data" (exit 2) after sweep.csv was written
+        cfg = {"family": "drift-linear", "deltas": [1e-300, 1e-299]}
+        code, report, out_dir = run_cli(tmp_path, "stability", cfg)
+        assert code == 3  # by its checks: no slope can be fitted to these
+        assert report["outcome"] == "fail"
+        assert set(report["checks"]) == {"slope_near_one", "c_hat_spread_ok"}
+        assert (out_dir / "sweep.csv").exists()
+        assert not (out_dir / "sweep.svg").exists()
+        assert "stability: fail (" in capsys.readouterr().out
+
     def test_failing_check_exits_three_with_fail_line(self, tmp_path, capsys):
         cfg = {"task": "stability", "axis": [0.01, 0.05, 5.0],
                "base": {"family": "drift-linear", "n": 256}}
@@ -911,28 +954,37 @@ class TestTelemetry:
     """2d solve and poisson reports carry the solver telemetry of the main grid."""
 
     @pytest.mark.parametrize("command,cfg,ordering", [
-        ("solve", {"model": "ou-2d", "n": 32}, "mmd"),
+        ("solve", {"model": "ou-2d", "n": 64}, "mmd"),
         ("poisson", {"model": "anisotropic-2d", "psi": {"expression": "x1"}, "k": 1.0,
-                     "n": 32}, "nested-dissection"),
+                     "radius": 6, "n": 64}, "nested-dissection"),
+        ("solve", {"model": "ou-2d", "n": 32}, "block-triangular"),
+        ("poisson", {"model": "anisotropic-2d", "psi": {"expression": "x1"}, "k": 1.0,
+                     "n": 32}, "block-triangular"),
     ])
     def test_two_dimensional_reports_carry_the_factor(self, tmp_path, command, cfg, ordering):
         code, report, _ = run_cli(tmp_path, command, cfg)
         assert code == 0
         tel = report["summary"]["telemetry"]
         keys = {"residual", "clipped_mass", "pinned_cell", "ordering", "factor_nnz",
-                "max_cell_peclet", "non_dominant_cells", "exponential_fitting"}
+                "transient_cells", "max_cell_peclet", "non_dominant_cells", "exponential_fitting"}
         if command == "poisson":  # and the Lyapunov witness of the solve
             assert tel["lyapunov"] == {"m0": report["summary"]["m0"], "r0": report["summary"]["r0"]}
             keys.add("lyapunov")
         assert set(tel) == keys
         assert tel["ordering"] == ordering
-        assert tel["factor_nnz"] > 5 * 32 ** 2  # at least the pinned operator itself
+        n = cfg["n"]
+        assert tel["factor_nnz"] > 5 * n ** 2  # at least the pinned operator itself
         assert 0.0 <= tel["residual"] <= 1e-10
-        assert 0 <= tel["pinned_cell"] < 32 ** 2
-        # R = 8, n = 32: h = 0.5, so the corner cell 7.75 has h |b| / (2 a^ii)
-        # 1.94 in ou-2d and 7.75 / (4 * 0.85) = 2.28 on anisotropic-2d's axis 1
-        assert tel["max_cell_peclet"] == pytest.approx(
-            1.9375 if command == "solve" else 7.75 / 3.4, rel=1e-12)
+        assert 0 <= tel["pinned_cell"] < n ** 2
+        # the corner cell at R - h / 2 has h |b| / (2 a^ii) 1.94 in ou-2d at R = 8,
+        # n = 32 (h = 0.5), and 7.75 / (4 * 0.85) = 2.28 on anisotropic-2d's axis 1:
+        # past 1, the upwinded cells the pin does not reach are transient
+        R = cfg.get("radius", 8.0)
+        h = 2.0 * R / n
+        a_ii = 1.0 if cfg["model"] == "ou-2d" else 0.85
+        assert tel["max_cell_peclet"] == pytest.approx(0.5 * h * (R - 0.5 * h) / a_ii, rel=1e-12)
+        assert (tel["transient_cells"] > 0) == (ordering == "block-triangular")
+        assert tel["transient_cells"] > 0 or tel["max_cell_peclet"] <= 1.0
         assert tel["non_dominant_cells"] == 0
         assert tel["exponential_fitting"] is False  # the drift confines: minimal upwinding
 

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fpkit
-from fpkit import fpk
+from fpkit import fpk, poisson
 from fpkit.errors import (
     ConvergenceError,
     DegenerateDensityError,
@@ -351,15 +351,17 @@ class TestPinnedSolve:
 
     def test_pinned_cell_takes_the_right_hand_side(self):
         # the pinned row is the unit row, so the null vector (the solve for
-        # e_pin) is 1 at the pin, in either factor order
-        orderings = []
-        for name in ("ou-1d", "ou-2d", "anisotropic-2d"):
-            m, nearby = MODELS[name], NearbyFactor()
-            solve_grid(m.A, m.b, GridSpec(m.dim, 8.0, 32), nearby=nearby)
-            lu = nearby.factor
-            orderings.append(lu.ordering)
-            assert lu.null[lu.pin] == pytest.approx(1.0, rel=0.0, abs=1e-14)
-        assert orderings == ["mmd", "mmd", "nested-dissection"]
+        # e_pin) is 1 at the pin, in every factor order: at n = 32 every model
+        # has transient cells, at n = 128 none
+        for n, want in ((128, ["mmd", "mmd", "nested-dissection"]), (32, ["block-triangular"] * 3)):
+            orderings = []
+            for name in ("ou-1d", "ou-2d", "anisotropic-2d"):
+                m, nearby = MODELS[name], NearbyFactor()
+                solve_grid(m.A, m.b, GridSpec(m.dim, 8.0, n), nearby=nearby)
+                lu = nearby.factor
+                orderings.append(lu.ordering)
+                assert lu.null[lu.pin] == pytest.approx(1.0, rel=0.0, abs=1e-14)
+            assert orderings == want
 
     def test_two_dimensional_kernel_is_a_convergence_error(self):
         # two decoupled Neumann blocks, row 0 pinned: the second block stays singular
@@ -367,6 +369,68 @@ class TestPinnedSolve:
         P = sp.block_diag([np.array([[1.0, 0.0], [-1.0, 1.0]]), block], format="csc")
         with pytest.raises(ConvergenceError, match="factorization failed"):
             _factor(P, 0, None)
+
+
+class TestBlockTriangularOrder:
+    """Where the pin does not reach every cell, its closed class comes last in the factor."""
+
+    @staticmethod
+    def full_reach_factor(A, b, spec):
+        """A factor of the pinned L_h^T in the order used wherever the pin reaches every
+        cell: SuperLU's MMD for 5 points, the grid's nested dissection for 9."""
+        P = sp.csc_matrix(generator_matrix(A, b, spec).T, copy=True)
+        pin = int(np.argmin(spec.center_radii()))
+        P.data[P.indices == pin] = 0.0
+        P[pin, pin] = 1.0
+        P.eliminate_zeros()
+        order = None
+        if np.any(A.values(spec.cell_centers())[:, 0, 1]):
+            order = spec.dissection_order()
+            P = P[order][:, order]
+        return _factor(sp.csc_matrix(P), pin, order)
+
+    @pytest.mark.parametrize("n,transient,ordering", [(32, 700, "block-triangular"),
+                                                      (256, 0, "mmd")])
+    def test_transient_cells_are_reported(self, n, transient, ordering):
+        # ou-2d at R = 8: past n = 64 no cell Peclet number exceeds 1
+        m = MODELS["ou-2d"]
+        rho = solve_grid(m.A, m.b, GridSpec(2, 8.0, n))
+        assert rho.info["transient_cells"] == transient
+        assert rho.info["ordering"] == ordering
+        r = GridSpec(2, 8.0, n).center_radii()
+        if transient:  # the corners, past the Pe = 1 line, hold no mass at all
+            assert np.count_nonzero(rho.flat() == 0.0) == transient
+            assert rho.flat()[r.argmax()] == 0.0
+
+    @pytest.mark.parametrize("name", ["ou-2d", "anisotropic-2d"])
+    def test_full_reach_keeps_the_stencil_order_bit_for_bit(self, name):
+        m, spec = MODELS[name], GridSpec(2, 8.0, 256)
+        psi = ClosureField(lambda x: np.tanh(x[:, 0]), 2, "psi")
+        rho = solve_grid(m.A, m.b, spec)
+        both, sol = stationary_poisson(m.A, m.b, psi, 1.0, spec)
+        assert rho.info["transient_cells"] == 0
+        ref = self.full_reach_factor(m.A, m.b, spec)
+        table = fpk._generator_table(m.A, m.b, spec, None)
+        ref_rho = fpk._null_density(spec, table, ref, fpk._unit_mass(ref.null, spec), None,
+                                    check_truncation=True)
+        ref_sol = poisson._solve_factored(poisson.PoissonProblem(m.A, m.b, psi, 1.0, ref_rho),
+                                          table, ref)
+        assert rho.values.tobytes() == both.values.tobytes() == ref_rho.values.tobytes()
+        assert rho.info == both.info == ref_rho.info
+        assert sol.u.tobytes() == ref_sol.u.tobytes()
+
+    def test_check_grid_factor_fills_less_than_mmd(self):
+        # the R = 16, n = 128 check grid of poisson-2d: 12,028 of 16,384 cells
+        # transient; MMD_AT_PLUS_A filled it to 400,487 L + U nonzeros
+        m, spec = MODELS["ou-2d"], GridSpec(2, 16.0, 128)
+        rho = solve_grid(m.A, m.b, spec)
+        mmd = self.full_reach_factor(m.A, m.b, spec)
+        assert rho.info["transient_cells"] == 12028
+        assert rho.info["factor_nnz"] <= mmd.nnz == 400487
+        table = fpk._generator_table(m.A, m.b, spec, None)
+        ref = fpk._null_density(spec, table, mmd, fpk._unit_mass(mmd.null, spec), None,
+                                check_truncation=True)
+        assert np.abs(rho.values - ref.values).max() <= 1e-12 * ref.values.max()
 
 
 class TestNearbyFactor:
@@ -639,7 +703,9 @@ class TestCoefficientSampling:
                  (0, 1): self.counted(calls, "a01", lambda x: 0.2 + 0.0 * x[:, 0]),
                  (1, 1): self.counted(calls, "a11", lambda x: 0.9 + 0.0 * x[:, 0])}, 2, lam=0.5)
         rho = solve_grid(A, b, GridSpec(2, 8.0, 32))
-        assert rho.info["ordering"] == ("nested-dissection" if diffusion == "matrix" else "mmd")
+        # the scalar a = 1 + 0.1 |x| keeps every cell Peclet number below 1 and
+        # the pin reaches every cell; the other two leave transient cells
+        assert rho.info["ordering"] == ("mmd" if diffusion == "scalar" else "block-triangular")
         assert calls and set(calls.values()) == {1}, calls
 
     def test_stationary_poisson_samples_a_scalar_diffusion_once(self):

@@ -14,7 +14,10 @@ so with a confining drift the density does not clip. The grid
 density of fpk.solve_grid is a discrete probability solution of L_h:
 sum_x rho (L_h phi) = 0 for every grid function phi. The table build of
 L_h and of the pinned L_h^T handed to SuperLU is checked bit for bit against
-a diagonal-format build and a pin of a CSC copy.
+a diagonal-format build and a pin of a CSC copy. Where the pinned cell does
+not reach every cell, the order of that factor is checked block lower
+triangular by the components of the chain, and its density exactly 0 on the
+transient cells.
 """
 
 import math
@@ -27,11 +30,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from fpkit.errors import DegenerateDensityError
 from fpkit.fields import ClosureField, DiffusionMatrixField, DriftField, GrowthParams
-from fpkit.fpk import (_apply, _diagonal_share, _generator_table, _solve_null, builtin_models,
-                       generator_matrix, solve_grid)
+from fpkit.fpk import (PinnedFactor, _apply, _diagonal_share, _generator_table, _null_density,
+                       _pinned_factor, _solve_null, _unit_mass, builtin_models, generator_matrix,
+                       solve_grid)
 from fpkit.grids import GridSpec
 
 MODELS = builtin_models()
@@ -511,11 +517,14 @@ def assert_same_arrays(got, ref):
 
 
 @st.composite
-def coefficient_pairs(draw):
+def coefficient_pairs(draw, strong=False):
     """Random SPD diffusion (constant or varying by cell, with or without a^01)
-    and drift, with the grid they are solved on."""
+    and drift, with the grid they are solved on. A `strong` drift is 4 to 16
+    times as steep on grids of n <= 32, so that cells are upwinded and some
+    are transient."""
     d = draw(st.sampled_from((1, 2)))
-    spec = GridSpec(d, draw(st.sampled_from((4.0, 8.0))), draw(st.sampled_from((16, 32, 64))))
+    spec = GridSpec(d, draw(st.sampled_from((4.0, 8.0))),
+                    draw(st.sampled_from((16, 32) if strong else (16, 32, 64))))
     eig = draw(st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)))
     angle = draw(st.floats(0.0, math.pi)) if draw(st.booleans()) else 0.0
     Q = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
@@ -531,7 +540,8 @@ def coefficient_pairs(draw):
                                        2, "a01")
     A = DiffusionMatrixField(entries, d, lam=1e-3)
     c = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))
-    comps = [ClosureField(lambda x, i=i: -x[:, i] + c[i] * np.sin(x[:, -1 - i]) + c[2], d,
+    s = draw(st.floats(4.0, 16.0)) if strong else 1.0
+    comps = [ClosureField(lambda x, i=i: -s * x[:, i] + c[i] * np.sin(x[:, -1 - i]) + c[2], d,
                           f"b{i}") for i in range(d)]
     return A, DriftField(comps, GrowthParams()), spec
 
@@ -548,7 +558,7 @@ def test_table_build_matches_the_diagonal_format_build(case):
         # a copy, as splu sorts the indices of the matrix it is given in place
         mp.setattr(spla, "splu",
                    lambda P, **kw: seen.append((P.copy(), kw["permc_spec"])) or real(P, **kw))
-        _solve_null(_generator_table(A, b, spec, None), spec, None)
+        _, factor, *_ = _solve_null(_generator_table(A, b, spec, None), spec, None)
     [(P, permc_spec)] = seen
     # the pin of a CSC copy of L_h^T: row `pin` zeroed, a unit diagonal, zeros dropped
     pin = int(np.argmin(spec.center_radii()))
@@ -557,11 +567,13 @@ def test_table_build_matches_the_diagonal_format_build(case):
     R[pin, pin] = 1.0
     R.eliminate_zeros()
     cross = spec.dim == 2 and np.any(A.values(spec.cell_centers())[:, 0, 1])
-    if cross:  # the 9-point L_h^T comes in the nested-dissection order
-        order = spec.dissection_order()
-        R = R[order][:, order]
+    if not factor.transient_cells:  # the 9-point L_h^T comes in the nested-dissection order
+        assert factor.ordering == ("nested-dissection" if cross else "mmd")
+        assert factor.order is (spec.dissection_order() if cross else None)
+    if factor.order is not None:  # the order the factor reports
+        R = R[factor.order][:, factor.order]
         R.sort_indices()
-    assert permc_spec == ("NATURAL" if cross else "MMD_AT_PLUS_A")
+    assert permc_spec == ("MMD_AT_PLUS_A" if factor.order is None else "NATURAL")
     assert P.format == "csc"
     assert_same_arrays(P, R)
 
@@ -584,3 +596,77 @@ def test_table_apply_matches_the_sparse_products(case, seed):
     assert np.array_equal(_apply(T, offsets, x), L.T @ x)
     assert np.array_equal(_apply(np.abs(T), offsets, np.abs(x)), abs(L).T @ np.abs(x))
     assert np.array_equal(_apply(T, offsets, u, adjoint=False), L @ u)
+
+
+def block_lower_triangular(P, order, L):
+    """Whether P, taken in `order`, has no entry above its diagonal outside the blocks of the
+    strongly connected components of the chain of L."""
+    _, label = connected_components(L, directed=True, connection="strong")
+    C = P[order][:, order].tocoo()
+    up = C.row < C.col
+    return bool(np.all(label[order[C.row[up]]] == label[order[C.col[up]]]))
+
+
+def pinned_transpose(L, spec):
+    """The pinned L_h^T as CSC: row `pin` of L_h^T zeroed, a unit diagonal, zeros dropped."""
+    pin = int(np.argmin(spec.center_radii()))
+    P = sp.csc_matrix(L.T, dtype=float, copy=True)
+    P.data[P.indices == pin] = 0.0
+    P[pin, pin] = 1.0
+    P.eliminate_zeros()
+    return P, pin
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=coefficient_pairs(strong=True), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_triangular_factor_solves_and_its_density_lives_on_the_closed_class(case, seed):
+    # the factor of the pinned L_h^T solves P x = r and P^T u = r; where the
+    # pin does not reach every cell it is block triangular, and its density is
+    # exactly 0 on the transient cells and agrees with an MMD factor's
+    A, b, spec = case
+    table = _generator_table(A, b, spec, None)
+    factor = _pinned_factor(*table[:2], spec)
+    L = generator_matrix(A, b, spec)
+    P, pin = pinned_transpose(L, spec)
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal(spec.n_cells)
+    for M, trans in ((P, "N"), (P.T, "T")):
+        x = factor.solve(r, trans=trans)
+        scale = (abs(M) @ np.abs(x) + np.abs(r)).max()
+        assert np.abs(M @ x - r).max() <= 1e-12 * scale
+    reached = breadth_first_order(L, pin, directed=True, return_predecessors=False)
+    assert factor.transient_cells == spec.n_cells - len(reached)
+    assert factor.ordering == ("block-triangular" if factor.transient_cells
+                               else "nested-dissection" if len(table[1]) == 9 else "mmd")
+    if factor.transient_cells:
+        assert block_lower_triangular(P, factor.order, L)
+    rho = solve_grid(A, b, spec, check_truncation=False)
+    assert rho.info["transient_cells"] == factor.transient_cells
+    transient = np.ones(spec.n_cells, dtype=bool)
+    transient[reached] = False
+    assert np.all(rho.flat()[transient] == 0.0)
+    mmd = PinnedFactor(spla.splu(P, permc_spec="MMD_AT_PLUS_A"), pin)
+    ref = _null_density(spec, table, mmd, _unit_mass(mmd.null, spec), None,
+                        check_truncation=False)
+    assert np.abs(rho.values - ref.values).max() <= 1e-12 * ref.values.max()
+
+
+def test_block_order_does_not_rely_on_the_numbering_of_components(monkeypatch):
+    # the same factor, bit for bit, from components numbered at random: the
+    # levels are raised to a topological order from any start
+    # anisotropic-2d: its transient cells form large components
+    m, spec = {m.name: m for m in MODELS}["anisotropic-2d"], GridSpec(2, 8.0, 32)
+    table = _generator_table(m.A, m.b, spec, None)
+    plain = _pinned_factor(*table[:2], spec)
+    real = csgraph.connected_components
+
+    def shuffled(G, **kw):
+        count, label = real(G, **kw)
+        return count, np.random.default_rng(0).permutation(count)[label]
+
+    monkeypatch.setattr(csgraph, "connected_components", shuffled)
+    factor = _pinned_factor(*table[:2], spec)
+    L = generator_matrix(m.A, m.b, spec)
+    assert factor.transient_cells == plain.transient_cells > 0
+    assert block_lower_triangular(pinned_transpose(L, spec)[0], factor.order, L)
+    assert factor.null.tobytes() == plain.null.tobytes()

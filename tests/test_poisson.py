@@ -434,11 +434,16 @@ class TestSharedFactor:
                              radii=(8.0, 16.0), n_base=32)
         assert shapes == [32 ** 2, 64 ** 2]
 
-    @pytest.mark.parametrize("name,permc_spec", [("ou-2d", "MMD_AT_PLUS_A"),
-                                                 ("anisotropic-2d", "NATURAL")])
-    def test_one_factorization_ordered_by_the_stencil(self, monkeypatch, name, permc_spec):
-        # the 9-point L_h^T comes pre-ordered by nested dissection; the 5-point one
-        # leaves the order to SuperLU
+    @pytest.mark.parametrize("name,n,permc_spec", [
+        pytest.param("ou-2d", 64, "MMD_AT_PLUS_A", id="ou-2d-MMD_AT_PLUS_A"),
+        pytest.param("anisotropic-2d", 32, "NATURAL", id="anisotropic-2d-NATURAL"),
+        pytest.param("ou-2d", 32, "NATURAL", id="ou-2d-transient-NATURAL"),
+    ])
+    def test_one_factorization_ordered_by_the_stencil(self, monkeypatch, name, n, permc_spec):
+        # where the pin reaches every cell (ou-2d at n = 64) the 5-point L_h^T
+        # leaves the order to SuperLU; with transient cells (both models at
+        # n = 32) it comes pre-ordered block triangular, as a 9-point one without
+        # them comes in nested dissection (the test below)
         calls = []
         splu = spla.splu
 
@@ -449,8 +454,8 @@ class TestSharedFactor:
         monkeypatch.setattr(spla, "splu", counted)
         m = {m.name: m for m in builtin_models()}[name]
         psi = source(lambda z: np.tanh(z[:, 0]), 2, "psi")
-        stationary_poisson(m.A, m.b, psi, 1.0, GridSpec(2, 8.0, 32))
-        assert calls == [(32 ** 2, permc_spec)]
+        stationary_poisson(m.A, m.b, psi, 1.0, GridSpec(2, 8.0, n))
+        assert calls == [(n ** 2, permc_spec)]
 
     @pytest.mark.parametrize("name", ["ou-2d", "anisotropic-2d"])
     def test_bitwise_equal_to_the_two_solves(self, name):
@@ -468,10 +473,10 @@ class TestSharedFactor:
                 == (ref.g0_quotient, ref.g1_quotient, ref.h_quotient))
 
     def test_dissection_factor_is_smaller_than_mmd_and_agrees_with_it(self):
-        # anisotropic-2d at n = 64 against a factor of the same pinned L_h^T
-        # ordered by SuperLU's MMD_AT_PLUS_A
+        # anisotropic-2d at n = 128, where the pin reaches every cell, against a
+        # factor of the same pinned L_h^T ordered by SuperLU's MMD_AT_PLUS_A
         m = {m.name: m for m in builtin_models()}["anisotropic-2d"]
-        spec = GridSpec(2, 8.0, 64)
+        spec = GridSpec(2, 8.0, 128)
         psi = source(lambda z: np.tanh(z[:, 0]) + 0.3 * z[:, 1], 2, "psi")
         rho, sol = stationary_poisson(m.A, m.b, psi, 1.0, spec)
         L = generator_matrix(m.A, m.b, spec)
