@@ -26,12 +26,16 @@ numerics, and writes into the output directory:
   the report is strict JSON; it is a note on the report, written as the
   report is, and --strict does not escalate it. The 2d solve and
   poisson summaries carry the solver telemetry of the main grid: residual,
-  clipped mass, pinned cell, the factor's ordering and its L + U nonzeros,
-  the count of transient cells (outside the pinned cell's closed class,
-  where the density is exactly 0), the largest cell Peclet number and the
-  count of non-dominant cells (the only cells where L_h can put a negative
-  weight off the diagonal), and for poisson the Lyapunov witness (m0, r0)
-  (the 1d closed form has a null residual). The meanfield summary's telemetry lists, per start, the
+  clipped mass, pinned cell, the order of the factor of the pinned cell's
+  closed class ("mmd" or "nested-dissection"), the L + U nonzeros of every
+  factor the solve made (for poisson, with the transient block's), the
+  count of transient cells (outside the closed class, where the density is
+  exactly 0), the largest cell Peclet number and the count of non-dominant
+  cells (the only cells where L_h can put a negative weight off the
+  diagonal), and for poisson the Lyapunov witness (m0, r0) (the 1d closed
+  form has a null residual). The 2d solve summary counts the cells of
+  B(0, 1) that hold no mass ("empty_cells_r1"); its "harnack_ratio_r1" is
+  taken over the others. The meanfield summary's telemetry lists, per start, the
   SuperLU factorizations of its Picard steps, and for each step its
   refinement steps, whether it factored and its weighted gap to the step
   before (meanfield.FixedPointTrace), the contraction that trace.csv plots.
@@ -268,10 +272,13 @@ def run_solve(ctx: RunContext, cfg: dict, built: dict) -> dict:
         "harnack_ratio_r1": harnack_ratio(rho, 1.0),
         "moments": {f"k={order:g}": v for order, v in moments.items()},
     })
+    unit_ball = rho.flat()[spec.center_radii() <= 1.0]
+    if spec.dim == 2:  # the cells the Harnack ratio skips
+        ctx.summary["empty_cells_r1"] = int(np.count_nonzero(unit_ball <= 0.0))
     checks = {
         "mass_ok": abs(mass - 1.0) <= 1e-8,
         "boundary_mass_ok": rho.boundary_mass < 1e-4,
-        "positive_on_unit_ball": float(rho.flat()[spec.center_radii() <= 1.0].min()) > 0.0,
+        "positive_on_unit_ball": float(unit_ball.min()) > 0.0,
     }
     pts = spec.cell_centers()
     if spec.dim == 1:
@@ -293,8 +300,9 @@ def run_poisson(ctx: RunContext, cfg: dict, built: dict) -> dict:
     # check_radii, the first check grid is the main grid (validate_command_config)
     rho, sol = stationary_poisson(A, b, psi, cfg["k"], spec, p=cfg["p"])
     ctx.note_clipping(*clip_of(rho), spec)
-    if spec.dim == 2:
+    if spec.dim == 2:  # the factor of u's transposed solve counts too
         ctx.summary["telemetry"] = {key: rho.info[key] for key in TELEMETRY_KEYS}
+        ctx.summary["telemetry"]["factor_nnz"] = sol.info["factor_nnz"]
     pts = spec.cell_centers()
     res_cells = np.asarray(sol.info["residual_cells"]).ravel()
     if spec.dim == 1:

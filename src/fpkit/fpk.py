@@ -31,21 +31,28 @@ a slot holds (_refined_null) or from a fresh factor of the pinned M
 every cell, the pinned M is factored in SuperLU's MMD order (5-point and 1d)
 or the grid's nested-dissection order (9-point). Where it does not, its
 cells past the Pe = 1 line that the upwinding cuts off are transient, the
-pin's closed class holds all the mass, and M is factored block lower
-triangular (_block_order), so the density is exactly 0 on the transient
-cells. One rule orders every factor, so poisson.stationary_poisson shares
-it bit for bit. The table is the one
+pin's closed class (_closed_class) holds all the mass, and only the block of
+M on that class is factored, by the same rule. The pinned M is block
+triangular (Duff and Reid, ACM TOMS 4, 1978, as in KLU), so the density is
+exactly 0 on the transient cells, and PinnedFactor.solve still solves the
+whole pinned M by block substitution: the transient block is factored
+upstream-first (_block_order) only when a solve needs it, which is the
+transposed solve of poisson._solve_factored. One rule orders every factor,
+so poisson.stationary_poisson shares it bit for bit. The table is the one
 operator a solve applies: M x = L_h^T x, |M| |x| and L_h u are _apply of
-it, bit for bit the products of the sparse matrices. A sparse matrix is
-written only for SuperLU (the pinned M) and for generator_matrix, the public
-L_h. The measurements behind the stencil, the orderings, SuperLU's options
-and the refinement constants are in CHANGES.md, not repeated here.
+it, bit for bit the products of the sparse matrices, and so is the coupling
+between the blocks. A sparse matrix is written only for SuperLU (the blocks
+of the pinned M), for csgraph (L_h, to find the class and order the
+transient block) and for generator_matrix, the public L_h. The
+measurements behind the stencil, the orderings, SuperLU's options and the
+refinement constants are in CHANGES.md, not repeated here.
 
 scipy.sparse and scipy.sparse.linalg are imported where they are used
-(generator_matrix, _pinned_factor, _factor, and _reaches_pin and _block_order
-with scipy.sparse.csgraph), so importing fpkit and running the 1d closed form
-load no scipy module. _factor calls spla.splu through the module, so a
-replacement of scipy.sparse.linalg.splu sees every factor.
+(generator_matrix, _pinned_factor, _splu, TransientBlock, and _reaches_pin,
+_closed_class and _block_order with scipy.sparse.csgraph), so importing
+fpkit and running the 1d closed form load no scipy module. _splu calls
+spla.splu through the module, so a replacement of scipy.sparse.linalg.splu
+sees every factor.
 
 Only a non-dominant cell has negative weights, so only a diffusion with one
 can give negative cells; they are clipped, and info records the clipped
@@ -406,20 +413,25 @@ def _compressed(T: np.ndarray, offsets: np.ndarray,
     `order`, and each line's indices ascend. Without an order these are the
     CSR arrays of L_h, which are the CSC arrays of L_h^T; with one they are
     the CSC arrays of L_h^T with its rows and columns taken in that order.
-    Exact zeros are left out. Index arrays are int32.
+    An order may list some of the cells only: the steps to the others are
+    left out. Exact zeros are left out. Index arrays are int32.
     """
     S, N = T.shape
-    nz = (T != 0.0).T if order is None else (T != 0.0).T[order]  # (N, S): cell by cell
-    indptr = np.zeros(N + 1, dtype=np.int32)
-    np.cumsum(np.einsum("ij->i", nz.view(np.int8)), out=indptr[1:])  # entries per line
     if order is None:  # the indices first, so that their temporary is gone before the data
+        nz = (T != 0.0).T  # (N, S): cell by cell
+        indptr = np.zeros(N + 1, dtype=np.int32)
+        np.cumsum(np.einsum("ij->i", nz.view(np.int8)), out=indptr[1:])  # entries per line
         indices = (np.arange(N, dtype=np.int32)[:, None] + offsets)[nz]
         return T.T[nz], indices, indptr
-    key = order[:, None] + offsets  # the neighbour of each slot; past the grid only where nz is False
+    key = order[:, None] + offsets  # the neighbour of each slot; past the grid only where T is 0
     np.clip(key, 0, N - 1, out=key)
-    pos = np.empty(N, dtype=np.int32)
-    pos[order] = np.arange(N, dtype=np.int32)
+    pos = np.full(N, -1, dtype=np.int32)
+    pos[order] = np.arange(len(order), dtype=np.int32)
     key = pos[key]
+    nz = (T != 0.0).T[order]
+    nz &= key >= 0  # a step to a cell outside the order
+    indptr = np.zeros(len(order) + 1, dtype=np.int32)
+    np.cumsum(np.einsum("ij->i", nz.view(np.int8)), out=indptr[1:])
     key <<= 4  # sort each line by index, carrying the slot in the low 4 bits
     key |= np.arange(S, dtype=np.int32)
     key[~nz] = np.iinfo(np.int32).max
@@ -432,27 +444,73 @@ def _compressed(T: np.ndarray, offsets: np.ndarray,
     return T.ravel()[src], indices, indptr
 
 
+@dataclass(eq=False)
+class TransientBlock:
+    """The cells of a pinned L_h^T outside the pin's closed class, and a solve on them alone.
+
+    `closed` is the class (_closed_class) and `cells` the others, ascending;
+    T and offsets are the table of L_h that the pinned matrix was written
+    from (_weight_table). The first solve orders the block of M = L_h^T on
+    these cells upstream-first (_block_order) and factors it NATURAL; later
+    solves reuse that factor.
+    """
+
+    T: np.ndarray
+    offsets: np.ndarray
+    spec: GridSpec
+    closed: np.ndarray
+    cells: np.ndarray = field(init=False)
+    order: np.ndarray | None = None
+    lu: spla.SuperLU | None = None
+
+    def __post_init__(self):
+        self.cells = np.flatnonzero(~self.closed)
+
+    def solve(self, rhs: np.ndarray, trans: str) -> np.ndarray:
+        """The block's solution for rhs on `cells` (the entries of rhs there), 0 elsewhere."""
+        if self.lu is None:
+            import scipy.sparse as sp
+
+            n = len(self.cells)
+            L = sp.csr_matrix(_compressed(self.T, self.offsets, self.cells), shape=(n, n))
+            places = _block_order(L, self.spec, self.cells)
+            self.order = self.cells[places]
+            self.lu = _splu(L.T[places][:, places], "NATURAL")  # L^T: the block of M, as CSC
+        x = np.zeros_like(rhs)
+        x[self.order] = self.lu.solve(rhs[self.order], trans=trans)
+        return x
+
+
 @dataclass(frozen=True)
 class PinnedFactor:
-    """SuperLU factor of a pinned matrix, solving in the matrix's own cell order.
+    """SuperLU factor of a pinned matrix on the pin's closed class, solving on every cell.
 
     The factor owns its pin: `null`, its finite solution for e_pin, is solved
-    once. `order` is None when SuperLU chose the column order (MMD_AT_PLUS_A).
-    Else the factored matrix is the pinned matrix with its rows and columns
-    taken in `order` (position k holds cell order[k]), and solve permutes the
-    right-hand side in and the solution back. `transient_cells` counts the
-    cells outside the pin's closed class, which `order` puts first
-    (_block_order).
+    once. `order` is None when the factored matrix is the whole pinned
+    matrix in its own cell order. Else it is the pinned matrix on the cells
+    of `order`, its rows and columns taken in that order (position k holds
+    cell order[k]), and solve permutes the right-hand side in and the
+    solution back. `ordering` says how the columns were ordered: "mmd" by
+    SuperLU (MMD_AT_PLUS_A), "nested-dissection" by `order` (the grid's
+    GridSpec.dissection_order), factored NATURAL. `transient`, where some
+    cells are outside the pin's closed class (_closed_class), holds those
+    cells: the pinned matrix is then block triangular, the class block being
+    `lu`, and solve substitutes through the blocks, the coupling applied
+    from the table of L_h (_apply). Only a right-hand side that is nonzero
+    off the class, or a transposed solve, needs the transient block
+    (TransientBlock), and it is factored the first time one does. `null` is
+    exactly 0 off the class.
     """
 
     lu: spla.SuperLU
     pin: int
     order: np.ndarray | None = None
-    transient_cells: int = 0
+    transient: TransientBlock | None = None
+    ordering: str = "mmd"
     null: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rhs = np.zeros(self.lu.shape[0])
+        rhs = np.zeros(self.lu.shape[0] + self.transient_cells)
         rhs[self.pin] = 1.0
         null = self.solve(rhs)
         if not np.all(np.isfinite(null)):
@@ -462,42 +520,73 @@ class PinnedFactor:
         object.__setattr__(self, "null", null)
 
     @property
-    def ordering(self) -> str:
-        if self.transient_cells:
-            return "block-triangular"
-        return "mmd" if self.order is None else "nested-dissection"
+    def transient_cells(self) -> int:
+        return 0 if self.transient is None else len(self.transient.cells)
+
+    @property
+    def closed(self) -> np.ndarray:
+        """The cells the factored block solves on, the pin's closed class, as an (N,) mask."""
+        rest = self.transient
+        return np.ones(len(self.null), dtype=bool) if rest is None else rest.closed
 
     @property
     def nnz(self) -> int:
-        """Nonzeros of L + U, read without copying the factors out."""
-        return self.lu.nnz
+        """Nonzeros of L + U of every factor made so far, read without copying the factors out."""
+        rest = self.transient
+        return self.lu.nnz + (0 if rest is None or rest.lu is None else rest.lu.nnz)
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """The solution of P x = rhs, or of P^T x = rhs with trans "T", P the pinned matrix."""
+        rest = self.transient
+        if rest is None:
+            return self._on_class(rhs, trans)
+        if trans == "N":
+            if not rhs[rest.cells].any():  # then x is 0 off the class
+                return self._on_class(rhs, trans)
+            x = rest.solve(rhs, trans)
+            flow = _apply(rest.T, rest.offsets, x)  # into the class, but not into the pinned row
+            flow[self.pin] = 0.0
+            return x + self._on_class(rhs - flow, trans)
+        x = self._on_class(rhs, trans)
+        unpinned = x.copy()  # the pinned row of P is e_pin, so x[pin] does not reach the rest
+        unpinned[self.pin] = 0.0
+        return x + rest.solve(rhs - _apply(rest.T, rest.offsets, unpinned, adjoint=False), trans)
+
+    def _on_class(self, rhs: np.ndarray, trans: str) -> np.ndarray:
+        """The class block's solution for rhs on the cells of the class, 0 elsewhere."""
         if self.order is None:
             return self.lu.solve(rhs, trans=trans)
-        x = np.empty_like(rhs)
+        x = np.zeros_like(rhs)
         x[self.order] = self.lu.solve(rhs[self.order], trans=trans)
         return x
 
 
-def _factor(P: sp.csc_matrix, pin: int, order: np.ndarray | None,
-            transient_cells: int = 0) -> PinnedFactor:
-    """SuperLU factor of a pinned matrix P, in `order` when given (see PinnedFactor).
+def _splu(P: sp.csc_matrix, permc_spec: str) -> spla.SuperLU:
+    """SuperLU factor of P in the column order permc_spec.
 
-    Without `order`, SuperLU orders the columns by MMD_AT_PLUS_A. With an
-    `order` of the cells (_pinned_factor), P is already taken in that order
-    and is factored in the NATURAL order. PANEL_SIZE and RELAX
-    change how the factor is blocked, not its pivots or fill (CHANGES.md has
-    the timings). An exactly singular P is a ConvergenceError.
+    PANEL_SIZE and RELAX change how the factor is blocked, not its pivots or
+    fill (CHANGES.md has the timings). An exactly singular P is a
+    ConvergenceError.
     """
     import scipy.sparse.linalg as spla
 
-    permc_spec = "MMD_AT_PLUS_A" if order is None else "NATURAL"
     try:
-        lu = spla.splu(P, permc_spec=permc_spec, panel_size=PANEL_SIZE, relax=RELAX)
+        return spla.splu(P, permc_spec=permc_spec, panel_size=PANEL_SIZE, relax=RELAX)
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
         raise ConvergenceError(f"sparse factorization failed: {exc}", history=[np.inf]) from exc
-    return PinnedFactor(lu, pin, order, transient_cells)
+
+
+def _factor(P: sp.csc_matrix, pin: int, order: np.ndarray | None,
+            transient: TransientBlock | None = None, dissected: bool | None = None) -> PinnedFactor:
+    """The PinnedFactor of a pinned matrix whose class block is P, written in `order` if given.
+
+    A `dissected` P, by default one with an `order`, is taken in the grid's
+    nested-dissection order and factored NATURAL; else SuperLU orders its
+    columns by MMD_AT_PLUS_A.
+    """
+    dissected = order is not None if dissected is None else dissected
+    return PinnedFactor(_splu(P, "NATURAL" if dissected else "MMD_AT_PLUS_A"), pin, order,
+                        transient, "nested-dissection" if dissected else "mmd")
 
 
 def _sampled_diffusion(A, spec: GridSpec) -> tuple[DiffusionMatrixField, np.ndarray]:
@@ -574,7 +663,8 @@ def _apply(T: np.ndarray, offsets: np.ndarray, x: np.ndarray, adjoint: bool = Tr
     return y
 
 
-def _pinned_factor(T: np.ndarray, offsets: np.ndarray, spec: GridSpec) -> PinnedFactor:
+def _pinned_factor(T: np.ndarray, offsets: np.ndarray, spec: GridSpec,
+                   closed: np.ndarray | None = None) -> PinnedFactor:
     """The factor of the pinned L_h^T, written from the table T of L_h.
 
     Pinning the center-most cell drops the off-diagonal entries of row `pin`
@@ -583,65 +673,95 @@ def _pinned_factor(T: np.ndarray, offsets: np.ndarray, spec: GridSpec) -> Pinned
     gives the pinned L_h^T, and undone before returning. Where the pin
     reaches every cell through nonzero weights of L_h, a 9-point L_h^T is
     written and factored in the grid's nested-dissection order and a
-    5-point or 1d L_h^T keeps SuperLU's MMD_AT_PLUS_A order. Elsewhere it is
-    written in the block-triangular order of _block_order.
+    5-point or 1d L_h^T keeps SuperLU's MMD_AT_PLUS_A order. Elsewhere only
+    the block of the pin's closed class (_closed_class) is written and
+    factored, by the same rule: its cells in nested-dissection rank for 9
+    points, ascending for SuperLU's order otherwise. The factor keeps T for
+    the transient cells (TransientBlock). `closed` is the class where the
+    caller has found it (_class_of).
     """
     import scipy.sparse as sp
 
-    N = spec.n_cells
     pin = int(np.argmin(spec.center_radii()))  # an interior cell, so every pin - offset is a cell
-    order, transient = _block_order(T, offsets, spec, pin)
-    if order is None and len(offsets) == 9:  # 9 slots: a cross term
-        order = spec.dissection_order()
+    if closed is None:
+        closed = _closed_class(T, offsets, spec, pin)
+    dissected = len(offsets) == 9  # 9 slots: a cross term
+    order, transient = spec.dissection_order() if dissected else None, None
+    if not closed.all():  # intp indices, as solve permutes by them
+        order = order[closed[order]].astype(np.intp) if dissected else np.flatnonzero(closed)
+        transient = TransientBlock(T, offsets, spec, closed)
+    n = spec.n_cells if order is None else len(order)
     at = (np.arange(len(offsets)), pin - offsets)  # slot s of cell pin - offsets[s] is pin
     unpinned = T[at]
     T[at] = 0.0
     T[offsets == 0, pin] = 1.0
-    P = sp.csc_matrix(_compressed(T, offsets, order), shape=(N, N))
+    P = sp.csc_matrix(_compressed(T, offsets, order), shape=(n, n))
     T[at] = unpinned
-    return _factor(P, pin, order, transient)
+    return _factor(P, pin, order, transient, dissected)
 
 
-def _block_order(T: np.ndarray, offsets: np.ndarray, spec: GridSpec,
-                 pin: int) -> tuple[np.ndarray | None, int]:
-    """(order, transient): the cells upstream-first with the pin's closed class last, and the
-    count of transient cells (outside that class); (None, 0) where the pin reaches every cell.
+def _closed_class(T: np.ndarray, offsets: np.ndarray, spec: GridSpec, pin: int) -> np.ndarray:
+    """Whether each cell is in the pin's closed class, as an (N,) mask.
 
     T is the (S, N) table of L_h, every cell of which reaches the pin
-    (_reaches_pin), so the pin's closed class is its strongly connected
-    component, and no cell of it steps to a cell outside it. The components
-    come in a topological order of the steps along nonzero weights, each
-    one's cells by their rank in GridSpec.dissection_order, and the closed
-    class, which every other component reaches, last. The pinned L_h^T is
-    then block lower triangular (Duff and Reid, ACM TOMS 4, 1978; the BTF
-    step of KLU), and its null vector is exactly 0 on the transient cells.
-    The order is by level, descending: each component's level is raised
-    until it exceeds the level of every component it steps to, which ends
-    in a topological order from any start. The start is scipy's numbering
-    of the components; Pearce's algorithm numbers them downstream first, so
-    one pass confirms it. Where every cell steps away from the pin along
-    each axis (_axis_steps), the pin reaches every cell and no component is
-    computed.
+    (_reaches_pin). The cells the pin reaches along nonzero weights of L_h
+    are then its closed class: none of them steps to a cell outside it, and
+    every other cell is transient. The density is exactly 0 on those.
+    Where every cell steps away from the pin along each axis (_axis_steps),
+    the pin reaches every cell; elsewhere one breadth-first search from the
+    pin finds the cells it reaches.
     """
+    N = spec.n_cells
     if all(np.all(w != 0.0) for w in _axis_steps(T, offsets, spec, pin, toward=False)):
-        return None, 0
+        return np.ones(N, dtype=bool)
     import scipy.sparse as sp
+    from scipy.sparse.csgraph import breadth_first_order
+
+    L = sp.csr_matrix(_compressed(T, offsets), shape=(N, N))  # L_h: row c lists c's steps
+    closed = np.zeros(N, dtype=bool)
+    closed[breadth_first_order(L, pin, directed=True, return_predecessors=False)] = True
+    return closed
+
+
+def _class_of(T: np.ndarray, offsets: np.ndarray, spec: GridSpec,
+              factor: PinnedFactor) -> np.ndarray:
+    """The closed class of factor's pin for the table T of L_h on the factor's grid (_closed_class).
+
+    Where the factor has transient cells and T has a nonzero weight on each
+    cell of its class in exactly the slots where the factor's table has one,
+    a search from the pin meets the steps it met for the factor, so the
+    class is the factor's and no search is made.
+    """
+    rest = factor.transient
+    if rest is not None and np.array_equal(offsets, rest.offsets):
+        on = factor.order
+        if np.array_equal(T[:, on] != 0.0, rest.T[:, on] != 0.0):
+            return rest.closed
+    return _closed_class(T, offsets, spec, factor.pin)
+
+
+def _block_order(L: sp.csr_matrix, spec: GridSpec, cells: np.ndarray) -> np.ndarray:
+    """The places in `cells` of the transient cells upstream-first: the transient block's order.
+
+    `cells` are the transient cells, ascending, and L is L_h on them alone,
+    row j the steps of cells[j] to the others. No step leaves the pin's
+    closed class, so the strongly connected components of L are those of
+    the chain on these cells. They come in a topological order of the steps
+    along nonzero weights, upstream first, each one's cells by their rank in
+    GridSpec.dissection_order. The block of L_h^T on these cells is then
+    block lower triangular (Duff and Reid, ACM TOMS 4, 1978; the BTF step
+    of KLU). The order is by level, descending: each component's level is
+    raised until it exceeds the level of every component it steps to, which
+    ends in a topological order from any start. The start is scipy's
+    numbering of the components; Pearce's algorithm numbers them downstream
+    first, so one pass confirms it.
+    """
     from scipy.sparse.csgraph import connected_components
 
-    N = spec.n_cells
-    L = sp.csr_matrix(_compressed(T, offsets), shape=(N, N))  # L_h: row c lists c's steps
     count, label = connected_components(L, directed=True, connection="strong")
-    transient = N - int(np.count_nonzero(label == label[pin]))
-    if not transient:
-        return None, 0
-    src, dst = [], []  # the components of each step from one component to another
-    for s, o in enumerate(offsets.tolist()):
-        lo, hi = max(0, -o), min(N, N - o)  # the cells c with c + o on the grid
-        a, b = label[lo:hi], label[lo + o:hi + o]
-        step = (T[s, lo:hi] != 0.0) & (a != b)
-        src.append(a[step])
-        dst.append(b[step])
-    src, dst = np.concatenate(src), np.concatenate(dst)
+    src, dst = np.repeat(label, np.diff(L.indptr)), label[L.indices]
+    between = src != dst
+    src, dst = src[between], dst[between]
     level = np.arange(count, dtype=np.int32)
     while True:
         raised = level.copy()
@@ -649,8 +769,11 @@ def _block_order(T: np.ndarray, offsets: np.ndarray, spec: GridSpec,
         if np.array_equal(raised, level):
             break
         level = raised
-    order = spec.dissection_order()
-    return order[np.argsort(-level[label[order]], kind="stable")], transient
+    place = np.full(spec.n_cells, -1)
+    place[cells] = np.arange(len(cells))
+    ranked = place[spec.dissection_order()]
+    ranked = ranked[ranked >= 0]  # the places of the cells, in dissection rank
+    return ranked[np.argsort(-level[label[ranked]], kind="stable")]
 
 
 @dataclass(eq=False)
@@ -692,7 +815,9 @@ def _refined_null(T: np.ndarray, offsets: np.ndarray, factor: PinnedFactor,
     """The null vector of M = L_h^T at the pin's scale, refined against a nearby factor F.
 
     T is the table of L_h (_apply). F factors a pinned matrix P near the
-    pinned M, with F's pin. From
+    pinned M, with F's pin and F's closed class (_solve_null checks it): no
+    cell of the class steps off it, so M x, every correction and x stay 0
+    off the class, and F solves them on the class alone. From
     `start`, a vector with start[pin] = 1 (NearbyFactor.accepted), each step
     computes mx = M x once and corrects x <- x + F^-1 r, r = e_pin - P x
     (that is, -mx but 1 - x[pin] at the pin): classical iterative refinement
@@ -731,20 +856,26 @@ def _solve_null(table: tuple[np.ndarray, np.ndarray, dict], spec: GridSpec,
 
     `table` is (T, offsets, scheme) from _generator_table, and it is
     returned as the operator: every product with M, |M| or L_h is an _apply
-    of T. Given a slot with a factor of the grid's size, the null vector is
-    refined against that factor (_refined_null). Without one, or where that
-    falls short, the pinned M is factored (_pinned_factor). raw is the null
+    of T. Given a slot with a factor of the grid's size, the pin's closed
+    class of L_h is found against it (_class_of), and where it is the
+    factor's class the null vector is refined against that factor
+    (_refined_null). Without such a factor, where the classes differ (no
+    refinement step is spent then) or where refinement falls short, the
+    pinned M is factored (_pinned_factor) on the class found. raw is the null
     vector at unit mass, and residual its relative residual, or None after a
     fresh factor (_null_density measures it then). A slot takes the factor
     and the accepted vector, and scheme records "refinement_steps".
     """
     T, offsets, scheme = table
     factor = None if slot is None else slot.factor
-    x = residual = None
-    if factor is not None and factor.lu.shape[0] == spec.n_cells:
-        x, residual, scheme["refinement_steps"] = _refined_null(T, offsets, factor, slot.accepted)
+    x = residual = closed = None
+    if factor is not None and len(factor.null) == spec.n_cells:
+        closed = _class_of(T, offsets, spec, factor)
+        if np.array_equal(closed, factor.closed):
+            x, residual, scheme["refinement_steps"] = _refined_null(T, offsets, factor,
+                                                                    slot.accepted)
     if x is None:
-        factor = _pinned_factor(T, offsets, spec)
+        factor = _pinned_factor(T, offsets, spec, closed)
         x, residual = factor.null, None
     if slot is not None:
         slot.factor, slot.accepted = factor, x
@@ -850,9 +981,11 @@ def weighted_lp_norm(rho: GridDensity, k: float, p: float) -> float:
 
 
 def harnack_ratio(rho: GridDensity, radius: float) -> float:
-    """max/min of the density over cells with centers in B(0, radius).
+    """max/min of the density over the cells with centers in B(0, radius) that hold mass.
 
-    A ball that holds no cell center is a ValueError naming it.
+    A cell that holds none, such as a transient cell of solve_grid (exactly
+    0), is skipped. A ball that holds no cell center is a ValueError naming
+    it, and one whose cells hold no mass a DegenerateDensityError.
     """
     if radius <= 0 or radius > rho.spec.radius:
         raise ValueError(f"ball radius {radius} must lie in (0, {rho.spec.radius}]")
@@ -861,10 +994,10 @@ def harnack_ratio(rho: GridDensity, radius: float) -> float:
         raise ValueError(f"no cell center lies in B(0, {radius:g}) "
                          f"(cells of width {rho.spec.h:g})")
     vals = rho.flat()[sel]
-    lo = float(vals.min())
-    if lo <= 0.0:
-        raise DegenerateDensityError(f"density vanishes inside B(0, {radius:g})")
-    return float(vals.max()) / lo
+    vals = vals[vals > 0.0]
+    if not len(vals):
+        raise DegenerateDensityError(f"density vanishes on every cell of B(0, {radius:g})")
+    return float(vals.max()) / float(vals.min())
 
 
 def check_support(phi: SmoothTestFunction, spec: GridSpec):

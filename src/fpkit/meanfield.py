@@ -38,12 +38,13 @@ each 2d step the last SuperLU factor of its run and the vector the last
 step accepted (fpk.NearbyFactor); the step refines against that factor from
 that vector (fpk.solve_grid: iterative refinement to a relative residual of
 fpk.REFINE_RESIDUAL and a last correction of at most fpk.REFINE_CORRECTION
-relative to the vector) and factors its own grid only when
-fpk.REFINE_MAX_STEPS steps fall short, that factor then serving the later
-steps. No factor or vector outlives the run. Each step is still Phi(rho)
-solved to roundoff, so the gaps and contraction factors of a
-FixedPointTrace measure the map itself; the trace also records, for each
-step, its refinement steps and whether it factored.
+relative to the vector) and factors its own grid only when its operator's
+closed class is not the factor's or fpk.REFINE_MAX_STEPS steps fall
+short, that factor then serving the later steps. No factor or vector
+outlives the run. Each step is still Phi(rho) solved to roundoff, so the
+gaps and contraction factors of a FixedPointTrace measure the map itself;
+the trace also records, for each step, its refinement steps and whether it
+factored.
 """
 
 from __future__ import annotations
@@ -367,10 +368,11 @@ class FixedPointTrace:
     that iterate's count of non-dominant cells (fpk.solve_grid; 0 in 1d).
     refinement_steps[t] is
     the number of refinement steps of step t against the factor held from an
-    earlier step (0 for a step that factored with none held, and for the 1d
-    closed form, which neither factors nor refines). factored[t] says whether
-    step t made a SuperLU factor of its own: with none held, or after
-    refinement fell short in fpk.REFINE_MAX_STEPS steps. A step with
+    earlier step (0 for a step that factored with none held or whose closed
+    class is not the held factor's, and for the 1d closed form, which
+    neither factors nor refines). factored[t] says whether step t made a
+    SuperLU factor of its own: with none held, for another closed class,
+    or after refinement fell short in fpk.REFINE_MAX_STEPS steps. A step with
     refinement_steps fpk.REFINE_MAX_STEPS therefore converged at its last
     step when not factored and gave up when factored. factorizations counts
     the steps that factored.
@@ -405,8 +407,9 @@ def picard_iterate(model: MeanFieldModel, rho0: GridDensity, tol: float = 1e-8,
     Each step hands apply_phi the last SuperLU factor of the run and the
     vector the last step accepted (an fpk.NearbyFactor, empty at first), so
     a 2d step refines against the factor of an earlier step, from the last
-    step's vector, and factors only when refinement falls short; a fresh
-    factor replaces the held one. Both are dropped on return.
+    step's vector, and factors only when the closed class changed or
+    refinement falls short; a fresh factor replaces the held one. Both are
+    dropped on return.
 
     Raises NonContractionError (with the gap sequence) when the iteration
     budget is exhausted and the gaps were not monotonically decreasing, and

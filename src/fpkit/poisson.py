@@ -25,11 +25,13 @@ centered so that integral psi~ rho = 0, the solution machinery provides:
   differences with reflecting walls), the same operator whose transpose
   gives the grid density. L_h kills constants; solvability is restored by
   subtracting the projection constant <psi~, w> with w the discrete
-  adjoint null vector. One SuperLU factor of the pinned L_h^T serves both:
-  its pinned null vector gives w, and a transposed solve gives u with the
-  center-most cell pinned to u = 0. The factor is ordered by fpk's one rule
-  (fpk._pinned_factor): where upwinding leaves cells that the pin does not
-  reach, those transient cells come first, and w is exactly 0 on them. The
+  adjoint null vector. One factor of the pinned L_h^T (fpk.PinnedFactor)
+  serves both: its pinned null vector gives w, and a transposed solve gives
+  u with the center-most cell pinned to u = 0. The factor is ordered by
+  fpk's one rule (fpk._pinned_factor): where upwinding leaves cells that the
+  pin does not reach, only the pin's closed class is factored for w, which
+  is exactly 0 on those transient cells, and the transposed solve factors
+  the transient block as well, once. The
   kernel is then fixed by subtracting the B(0, 2 R0) cell average of u, so
   that average is zero. With a
   confining drift the artificial wall closure only pollutes a boundary
@@ -39,7 +41,8 @@ centered so that integral psi~ rho = 0, the solution machinery provides:
 * stationary_poisson: density and Poisson solution together. In d = 2 the
   grid density of fpk.solve_grid is the same plain solve as w, so one
   factor of the pinned L_h^T gives rho, w and u; verify_growth_bounds
-  factors each grid once. `fpkit poisson` solves each distinct grid once:
+  factors each grid's closed class once, and its transient block (if any)
+  once. `fpkit poisson` solves each distinct grid once:
   when its main grid is also the first check grid (check_grids), it passes
   the main solution to growth_bound_report instead of solving it again.
 
@@ -459,7 +462,9 @@ def solve_poisson_grid(problem: PoissonProblem) -> PoissonSolution:
 
     Factors the pinned L_h^T once, in the order fpk._pinned_factor gives
     every grid solve; that one factor gives w and u (and, in
-    stationary_poisson, rho as well). The source is recentered against the
+    stationary_poisson, rho as well). Where some cells are transient, w
+    needs the factor of the pin's closed class only, and the transposed
+    solve for u factors the transient block too. The source is recentered against the
     discrete adjoint null vector w (the factor's pinned null vector); the
     magnitude of that projection is the disagreement between the declared
     density and the discrete operator and must stay below
@@ -524,16 +529,16 @@ def stationary_poisson(A, b: DriftField, psi: ScalarField, k: float, spec: GridS
 
     The diffusion is sampled at the cells once (a scalar one becomes a I).
     In d = 1 both are the closed forms (fpk.solve_exact_1d, solve_poisson_1d),
-    built from one fine-mesh profile and that sample. In d = 2 one SuperLU
-    factor of the pinned L_h^T, in the order fpk._pinned_factor gives every
-    grid solve (block triangular where some cells are transient), gives rho,
-    w and u: its
-    pinned null vector (PinnedFactor.null), scaled to unit mass, is the
-    density, validated and clipped as in fpk.solve_grid, and, scaled to
-    sum 1, the adjoint null vector w;
-    its transposed solve gives u. The result equals stationary_density
-    followed by solve_poisson bit for bit, with one factorization instead of
-    two.
+    built from one fine-mesh profile and that sample. In d = 2 one factor
+    of the pinned L_h^T (fpk.PinnedFactor), in the order fpk._pinned_factor
+    gives every grid solve, gives rho, w and u: its pinned null vector
+    (PinnedFactor.null), scaled to unit mass, is the density, validated and
+    clipped as in fpk.solve_grid, and, scaled to sum 1, the adjoint null
+    vector w; its transposed solve gives u. Where some cells are transient,
+    rho and w need the factor of the pin's closed class only, and the
+    transposed solve factors the transient block as well. The result equals
+    stationary_density followed by solve_poisson bit for bit, with the
+    closed class factored once instead of twice.
     """
     A, a = _sampled_diffusion(A, spec)  # PoissonProblem takes this A as it is
     if spec.dim == 1:
@@ -592,8 +597,9 @@ def verify_growth_bounds(A, b: DriftField, psi: ScalarField, k: float,
     The cell width is held fixed (n scales with R, check_grids), so the
     quotients G0/Psi, G1/Psi, H/Psi are directly comparable; their maximal
     relative drift between consecutive radii is reported
-    (growth_bound_report). Each radius is one stationary_poisson call (one
-    factorization in d = 2).
+    (growth_bound_report). Each radius is one stationary_poisson call (in
+    d = 2 one factor of the pin's closed class, and one of the transient
+    block where the grid has transient cells).
     """
     return growth_bound_report(
         [stationary_poisson(A, b, psi, k, grid, p=p)[1]

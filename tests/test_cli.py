@@ -889,6 +889,28 @@ class TestNumericalExits:
         assert not (out_dir / "sweep.svg").exists()
         assert "stability: fail (" in capsys.readouterr().out
 
+    def test_unit_ball_with_transient_cells_fails_its_check_not_the_harnack_figure(self, tmp_path):
+        # regression: A = I, b = -100x at R = 8, n = 64 (max cell Peclet 98):
+        # the cells of B(0, 1) past the Pe = 1 line hold exactly 0, and the
+        # Harnack figure raised "density vanishes inside B(0, 1)" before the
+        # report was written. It is taken over the cells that hold mass
+        cfg = {"coefficients": {"dim": 2, "diffusion": {"name": "constant",
+                                                        "params": {"value": 1.0}},
+                                "drift": {"expressions": ["-100*x1", "-100*x2"], "beta1": 100.0,
+                                          "beta2": 100.0, "beta3": 100.0}},
+               "radius": 8, "n": 64}
+        code, report, out_dir = run_cli(tmp_path, "solve", cfg)
+        assert code == 3
+        assert report["outcome"] == "fail"
+        assert report["checks"] == {"mass_ok": True, "boundary_mass_ok": True,
+                                    "positive_on_unit_ball": False}
+        summary = report["summary"]
+        spec = GridSpec(2, 8.0, 64)
+        in_ball = int(np.count_nonzero(spec.center_radii() <= 1.0))
+        assert 0 < summary["empty_cells_r1"] < in_ball
+        assert summary["harnack_ratio_r1"] >= 1.0
+        assert (out_dir / "density.csv").exists() and (out_dir / "moments.csv").exists()
+
     def test_failing_check_exits_three_with_fail_line(self, tmp_path, capsys):
         cfg = {"task": "stability", "axis": [0.01, 0.05, 5.0],
                "base": {"family": "drift-linear", "n": 256}}
@@ -929,7 +951,10 @@ class TestPoissonGrids:
         monkeypatch.setattr(spla, "splu", counted)
         code, _, out_dir = run_cli(tmp_path, "poisson", cfg)
         assert code == 0
-        assert sizes == [32 ** 2, 64 ** 2]  # main grid (R 8) = first check grid, then R 16
+        # main grid (R 8) = first check grid, then R 16. On both (h = 0.5) the
+        # pin's closed class is the 18 x 18 cells inside the Pe = 1 line, and
+        # the transposed solve for u factors the transient cells on their own
+        assert sizes == [18 ** 2, 32 ** 2 - 18 ** 2, 18 ** 2, 64 ** 2 - 18 ** 2]
         monkeypatch.undo()
         assert (out_dir / "bounds.csv").read_bytes() == self.reference_bounds(tmp_path, cfg)
 
@@ -957,9 +982,9 @@ class TestTelemetry:
         ("solve", {"model": "ou-2d", "n": 64}, "mmd"),
         ("poisson", {"model": "anisotropic-2d", "psi": {"expression": "x1"}, "k": 1.0,
                      "radius": 6, "n": 64}, "nested-dissection"),
-        ("solve", {"model": "ou-2d", "n": 32}, "block-triangular"),
+        ("solve", {"model": "ou-2d", "n": 32}, "mmd"),
         ("poisson", {"model": "anisotropic-2d", "psi": {"expression": "x1"}, "k": 1.0,
-                     "n": 32}, "block-triangular"),
+                     "n": 32}, "nested-dissection"),
     ])
     def test_two_dimensional_reports_carry_the_factor(self, tmp_path, command, cfg, ordering):
         code, report, _ = run_cli(tmp_path, command, cfg)
@@ -973,18 +998,19 @@ class TestTelemetry:
         assert set(tel) == keys
         assert tel["ordering"] == ordering
         n = cfg["n"]
-        assert tel["factor_nnz"] > 5 * n ** 2  # at least the pinned operator itself
+        # at least the pinned operator on the cells of the closed class
+        assert tel["factor_nnz"] > 5 * (n ** 2 - tel["transient_cells"])
         assert 0.0 <= tel["residual"] <= 1e-10
         assert 0 <= tel["pinned_cell"] < n ** 2
         # the corner cell at R - h / 2 has h |b| / (2 a^ii) 1.94 in ou-2d at R = 8,
         # n = 32 (h = 0.5), and 7.75 / (4 * 0.85) = 2.28 on anisotropic-2d's axis 1:
-        # past 1, the upwinded cells the pin does not reach are transient
+        # past 1, the upwinded cells the pin does not reach are transient (and
+        # factored apart from the closed class)
         R = cfg.get("radius", 8.0)
         h = 2.0 * R / n
         a_ii = 1.0 if cfg["model"] == "ou-2d" else 0.85
         assert tel["max_cell_peclet"] == pytest.approx(0.5 * h * (R - 0.5 * h) / a_ii, rel=1e-12)
-        assert (tel["transient_cells"] > 0) == (ordering == "block-triangular")
-        assert tel["transient_cells"] > 0 or tel["max_cell_peclet"] <= 1.0
+        assert (tel["transient_cells"] > 0) == (tel["max_cell_peclet"] > 1.0)
         assert tel["non_dominant_cells"] == 0
         assert tel["exponential_fitting"] is False  # the drift confines: minimal upwinding
 

@@ -352,8 +352,10 @@ class TestPinnedSolve:
     def test_pinned_cell_takes_the_right_hand_side(self):
         # the pinned row is the unit row, so the null vector (the solve for
         # e_pin) is 1 at the pin, in every factor order: at n = 32 every model
-        # has transient cells, at n = 128 none
-        for n, want in ((128, ["mmd", "mmd", "nested-dissection"]), (32, ["block-triangular"] * 3)):
+        # has transient cells, and its closed class is factored in the order of
+        # its stencil; at n = 128 none
+        for n, want in ((128, ["mmd", "mmd", "nested-dissection"]),
+                        (32, ["mmd", "mmd", "nested-dissection"])):
             orderings = []
             for name in ("ou-1d", "ou-2d", "anisotropic-2d"):
                 m, nearby = MODELS[name], NearbyFactor()
@@ -372,7 +374,7 @@ class TestPinnedSolve:
 
 
 class TestBlockTriangularOrder:
-    """Where the pin does not reach every cell, its closed class comes last in the factor."""
+    """Where the pin does not reach every cell, only its closed class is factored for rho."""
 
     @staticmethod
     def full_reach_factor(A, b, spec):
@@ -389,7 +391,7 @@ class TestBlockTriangularOrder:
             P = P[order][:, order]
         return _factor(sp.csc_matrix(P), pin, order)
 
-    @pytest.mark.parametrize("n,transient,ordering", [(32, 700, "block-triangular"),
+    @pytest.mark.parametrize("n,transient,ordering", [(32, 700, "mmd"),
                                                       (256, 0, "mmd")])
     def test_transient_cells_are_reported(self, n, transient, ordering):
         # ou-2d at R = 8: past n = 64 no cell Peclet number exceeds 1
@@ -421,7 +423,8 @@ class TestBlockTriangularOrder:
 
     def test_check_grid_factor_fills_less_than_mmd(self):
         # the R = 16, n = 128 check grid of poisson-2d: 12,028 of 16,384 cells
-        # transient; MMD_AT_PLUS_A filled it to 400,487 L + U nonzeros
+        # transient; MMD_AT_PLUS_A filled it to 400,487 L + U nonzeros, and the
+        # density needs the factor of the 4,356 cells of the closed class alone
         m, spec = MODELS["ou-2d"], GridSpec(2, 16.0, 128)
         rho = solve_grid(m.A, m.b, spec)
         mmd = self.full_reach_factor(m.A, m.b, spec)
@@ -452,19 +455,46 @@ class TestNearbyFactor:
         assert first.info == {**plain.info, "refinement_steps": 0}
 
     def test_far_factor_falls_back_to_a_fresh_one(self):
-        # the factor for b = -x does not refine b = -5x (A = 0.05 I): the
+        # the factor for b = -x does not refine b = -4x (A = I, R = 4, n = 64,
+        # where the pin reaches every cell of both): after REFINE_MAX_STEPS the
         # solve factors afresh, and its density is the plain solve's, bit for bit
-        A = DiffusionMatrixField.from_constant(0.05 * np.eye(2), 0.05)
-        spec = GridSpec(2, 4.0, 32)
+        A = DiffusionMatrixField.from_constant(np.eye(2), 1.0)
+        spec = GridSpec(2, 4.0, 64)
         nearby = NearbyFactor()
         solve_grid(A, linear_drift(2, 1.0), spec, check_truncation=False, nearby=nearby)
         far = nearby.factor
-        rho = solve_grid(A, linear_drift(2, 5.0), spec, check_truncation=False, nearby=nearby)
-        direct = solve_grid(A, linear_drift(2, 5.0), spec, check_truncation=False)
+        rho = solve_grid(A, linear_drift(2, 4.0), spec, check_truncation=False, nearby=nearby)
+        direct = solve_grid(A, linear_drift(2, 4.0), spec, check_truncation=False)
+        assert far.transient_cells == rho.info["transient_cells"] == 0
         assert nearby.factor is not far
         assert rho.info["refinement_steps"] == REFINE_MAX_STEPS
         assert np.array_equal(rho.values, direct.values)
         assert rho.info == {**direct.info, "refinement_steps": REFINE_MAX_STEPS}
+
+    def test_factor_of_another_closed_class_is_not_refined_against(self, monkeypatch):
+        # b = -x and b = -5x on A = 0.05 I leave different cells transient: the
+        # solve factors afresh at once, without a refinement step, on the class
+        # its search found (the whole table is compressed once, for that
+        # search), and its density is the plain solve's, bit for bit
+        A = DiffusionMatrixField.from_constant(0.05 * np.eye(2), 0.05)
+        spec = GridSpec(2, 4.0, 32)
+        nearby = NearbyFactor()
+        solve_grid(A, linear_drift(2, 1.0), spec, check_truncation=False, nearby=nearby)
+        far, solved, lines = nearby.factor, [], []
+        real, compressed = fpk.PinnedFactor.solve, fpk._compressed
+        monkeypatch.setattr(fpk.PinnedFactor, "solve", lambda self, *args, **kw:
+                            solved.append(self) or real(self, *args, **kw))
+        monkeypatch.setattr(fpk, "_compressed", lambda T, offsets, order=None: lines.append(
+            T.shape[1] if order is None else len(order)) or compressed(T, offsets, order))
+        rho = solve_grid(A, linear_drift(2, 5.0), spec, check_truncation=False, nearby=nearby)
+        monkeypatch.undo()
+        assert all(f is not far for f in solved)  # a refinement step solves with the held factor
+        assert lines == [spec.n_cells, spec.n_cells - rho.info["transient_cells"]]
+        direct = solve_grid(A, linear_drift(2, 5.0), spec, check_truncation=False)
+        assert 0 < far.transient_cells != rho.info["transient_cells"]
+        assert nearby.factor is not far
+        assert rho.values.tobytes() == direct.values.tobytes()
+        assert rho.info == {**direct.info, "refinement_steps": 0}
 
     def test_factor_of_another_grid_is_not_refined_against(self):
         m = MODELS["ou-2d"]
@@ -633,11 +663,16 @@ class TestHarnack:
             harnack_ratio(rho, 1.0)
 
     def test_vanishing_cell_is_degenerate(self, grid_1d):
+        # a cell of the ball that holds no mass is skipped; a ball whose cells
+        # hold none at all is a degenerate density
         vals = np.full(grid_1d.n, 1.0)
-        vals[grid_1d.n // 2] = 0.0
+        ball = np.flatnonzero(grid_1d.center_radii() <= 1.0)
+        vals[ball[0]], vals[ball[1]] = 0.0, 3.0
         rho = GridDensity.from_samples(grid_1d, vals)
-        with pytest.raises(DegenerateDensityError):
-            harnack_ratio(rho, 1.0)
+        assert harnack_ratio(rho, 1.0) == pytest.approx(3.0, rel=1e-15)
+        vals[ball] = 0.0
+        with pytest.raises(DegenerateDensityError, match=r"every cell of B\(0, 1\)"):
+            harnack_ratio(GridDensity.from_samples(grid_1d, vals), 1.0)
 
 
 class TestWeakForm:
@@ -704,8 +739,11 @@ class TestCoefficientSampling:
                  (1, 1): self.counted(calls, "a11", lambda x: 0.9 + 0.0 * x[:, 0])}, 2, lam=0.5)
         rho = solve_grid(A, b, GridSpec(2, 8.0, 32))
         # the scalar a = 1 + 0.1 |x| keeps every cell Peclet number below 1 and
-        # the pin reaches every cell; the other two leave transient cells
-        assert rho.info["ordering"] == ("mmd" if diffusion == "scalar" else "block-triangular")
+        # the pin reaches every cell; the other two leave transient cells, and
+        # their closed class is factored in the order of the stencil: nested
+        # dissection where a^01 is nonzero
+        assert rho.info["ordering"] == ("nested-dissection" if diffusion == "matrix" else "mmd")
+        assert (rho.info["transient_cells"] > 0) == (diffusion != "scalar")
         assert calls and set(calls.values()) == {1}, calls
 
     def test_stationary_poisson_samples_a_scalar_diffusion_once(self):

@@ -8,6 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -530,6 +531,34 @@ class TestGaussianProbe:
 
 class TestFactorReuse:
     """2d Picard steps refine against the last factor of the run."""
+
+    def test_factor_budget_of_the_meanfield_2d_model(self, monkeypatch):
+        # the model of the meanfield-2d benchmark (b = -x, R = 8, n = 32, eps =
+        # 0.05): 700 of 1,024 cells are transient, so the run factors the
+        # 324 cells of the closed class once and no transient block, and
+        # compresses the whole table once, for the search of the class
+        sizes, lines = [], []
+        splu, compressed = spla.splu, fpk._compressed
+
+        def counted(P, *args, **kwargs):
+            sizes.append(P.shape[0])
+            return splu(P, *args, **kwargs)
+
+        def counted_lines(T, offsets, order=None):
+            lines.append(T.shape[1] if order is None else len(order))
+            return compressed(T, offsets, order)
+
+        monkeypatch.setattr(spla, "splu", counted)
+        monkeypatch.setattr(fpk, "_compressed", counted_lines)
+        model = MeanFieldModel(DiffusionMatrixField.from_constant(np.eye(2), 1.0),
+                               linear_drift(2, 1.0), eps=0.05, weight_order=1.0,
+                               **kernel_from_name("tanh-relative", 2))
+        trace = picard_iterate(model, gaussian_probe(GridSpec(2, 8.0, 32), [0.5, 0.5], 1.0))
+        transient = trace.fixed_point.info["transient_cells"]
+        assert transient == 700
+        assert trace.factorizations == 1 and trace.n_steps > 1
+        assert sizes == [32 ** 2 - transient]
+        assert lines.count(32 ** 2) == 1
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.sampled_from((16, 32)), eps=st.floats(0.0, 0.2),

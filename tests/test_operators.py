@@ -15,9 +15,10 @@ density of fpk.solve_grid is a discrete probability solution of L_h:
 sum_x rho (L_h phi) = 0 for every grid function phi. The table build of
 L_h and of the pinned L_h^T handed to SuperLU is checked bit for bit against
 a diagonal-format build and a pin of a CSC copy. Where the pinned cell does
-not reach every cell, the order of that factor is checked block lower
-triangular by the components of the chain, and its density exactly 0 on the
-transient cells.
+not reach every cell, the pinned L_h^T in the order of the transient block
+and then the closed class is checked block lower triangular by the
+components of the chain, its solves exact, and its density exactly 0 on the
+transient cells, refined against a nearby operator's factor or not.
 """
 
 import math
@@ -35,9 +36,9 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from fpkit.errors import DegenerateDensityError
 from fpkit.fields import ClosureField, DiffusionMatrixField, DriftField, GrowthParams
-from fpkit.fpk import (PinnedFactor, _apply, _diagonal_share, _generator_table, _null_density,
-                       _pinned_factor, _solve_null, _unit_mass, builtin_models, generator_matrix,
-                       solve_grid)
+from fpkit.fpk import (REFINE_MAX_STEPS, NearbyFactor, PinnedFactor, _apply, _diagonal_share,
+                       _generator_table, _null_density, _pinned_factor, _solve_null, _unit_mass,
+                       builtin_models, generator_matrix, solve_grid)
 from fpkit.grids import GridSpec
 
 MODELS = builtin_models()
@@ -570,10 +571,15 @@ def test_table_build_matches_the_diagonal_format_build(case):
     if not factor.transient_cells:  # the 9-point L_h^T comes in the nested-dissection order
         assert factor.ordering == ("nested-dissection" if cross else "mmd")
         assert factor.order is (spec.dissection_order() if cross else None)
-    if factor.order is not None:  # the order the factor reports
+    else:  # the closed class alone: in dissection rank for 9 points, else ascending
+        order = spec.dissection_order() if cross else np.arange(spec.n_cells)
+        closed = np.ones(spec.n_cells, dtype=bool)
+        closed[factor.transient.cells] = False
+        assert np.array_equal(factor.order, order[closed[order]])
+    if factor.order is not None:  # the cells and the order the factor reports
         R = R[factor.order][:, factor.order]
         R.sort_indices()
-    assert permc_spec == ("MMD_AT_PLUS_A" if factor.order is None else "NATURAL")
+    assert permc_spec == ("NATURAL" if cross else "MMD_AT_PLUS_A")
     assert P.format == "csc"
     assert_same_arrays(P, R)
 
@@ -621,7 +627,8 @@ def pinned_transpose(L, spec):
 @given(case=coefficient_pairs(strong=True), seed=st.integers(0, 2 ** 32 - 1))
 def test_block_triangular_factor_solves_and_its_density_lives_on_the_closed_class(case, seed):
     # the factor of the pinned L_h^T solves P x = r and P^T u = r; where the
-    # pin does not reach every cell it is block triangular, and its density is
+    # pin does not reach every cell, P in the transient block's order and then
+    # the closed class's is block lower triangular, and the density is
     # exactly 0 on the transient cells and agrees with an MMD factor's
     A, b, spec = case
     table = _generator_table(A, b, spec, None)
@@ -636,10 +643,11 @@ def test_block_triangular_factor_solves_and_its_density_lives_on_the_closed_clas
         assert np.abs(M @ x - r).max() <= 1e-12 * scale
     reached = breadth_first_order(L, pin, directed=True, return_predecessors=False)
     assert factor.transient_cells == spec.n_cells - len(reached)
-    assert factor.ordering == ("block-triangular" if factor.transient_cells
-                               else "nested-dissection" if len(table[1]) == 9 else "mmd")
+    assert factor.ordering == ("nested-dissection" if len(table[1]) == 9 else "mmd")
     if factor.transient_cells:
-        assert block_lower_triangular(P, factor.order, L)
+        assert np.array_equal(factor.transient.cells,
+                              np.setdiff1d(np.arange(spec.n_cells), reached))
+        assert block_lower_triangular(P, np.concatenate([factor.transient.order, factor.order]), L)
     rho = solve_grid(A, b, spec, check_truncation=False)
     assert rho.info["transient_cells"] == factor.transient_cells
     transient = np.ones(spec.n_cells, dtype=bool)
@@ -651,13 +659,56 @@ def test_block_triangular_factor_solves_and_its_density_lives_on_the_closed_clas
     assert np.abs(rho.values - ref.values).max() <= 1e-12 * ref.values.max()
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=coefficient_pairs(strong=True), scale=st.floats(-0.05, 0.05),
+       shift=st.floats(-0.1, 0.1))
+def test_refinement_against_a_closed_class_factor(case, scale, shift):
+    # a slot holds the factor of one operator; the solve of a nearby one (its
+    # drift scaled by 1 + scale and shifted) refines against it where the two
+    # closed classes agree, without a transient block, and factors afresh at
+    # once where they differ; the density is the direct one either way
+    A, b, spec = case
+    near = DriftField([ClosureField(lambda x, i=i: (1.0 + scale) * b.values(x)[:, i] + shift,
+                                    spec.dim, f"b{i}") for i in range(spec.dim)], GrowthParams())
+    slot = NearbyFactor()
+    solve_grid(A, b, spec, check_truncation=False, nearby=slot)
+    held = slot.factor
+    sizes = []
+    with pytest.MonkeyPatch.context() as mp:
+        real = spla.splu
+        mp.setattr(spla, "splu", lambda P, **kw: sizes.append(P.shape[0]) or real(P, **kw))
+        rho = solve_grid(A, near, spec, check_truncation=False, nearby=slot)
+    direct = solve_grid(A, near, spec, check_truncation=False)
+    assert np.abs(rho.values - direct.values).max() <= 1e-12 * direct.values.max()
+
+    def closed_class(drift):
+        L = generator_matrix(A, drift, spec)
+        pin = int(np.argmin(spec.center_radii()))
+        return np.sort(breadth_first_order(L, pin, directed=True, return_predecessors=False))
+
+    closed = closed_class(near)
+    transient = np.ones(spec.n_cells, dtype=bool)
+    transient[closed] = False
+    assert np.all(rho.flat()[transient] == 0.0)
+    assert (rho.info["transient_cells"] == direct.info["transient_cells"]
+            == np.count_nonzero(transient))
+    assert sizes in ([], [len(closed)])  # no transient block is factored
+    if np.array_equal(closed, closed_class(b)):
+        assert slot.factor is held or rho.info["refinement_steps"] == REFINE_MAX_STEPS
+    else:
+        assert slot.factor is not held
+        assert rho.info["refinement_steps"] == 0
+
+
 def test_block_order_does_not_rely_on_the_numbering_of_components(monkeypatch):
-    # the same factor, bit for bit, from components numbered at random: the
-    # levels are raised to a topological order from any start
+    # a block lower triangular transient block from components numbered at
+    # random: the levels are raised to a topological order from any start
     # anisotropic-2d: its transient cells form large components
     m, spec = {m.name: m for m in MODELS}["anisotropic-2d"], GridSpec(2, 8.0, 32)
     table = _generator_table(m.A, m.b, spec, None)
+    r = np.random.default_rng(1).standard_normal(spec.n_cells)
     plain = _pinned_factor(*table[:2], spec)
+    u = plain.solve(r, trans="T")  # the transposed solve factors the transient block
     real = csgraph.connected_components
 
     def shuffled(G, **kw):
@@ -666,7 +717,10 @@ def test_block_order_does_not_rely_on_the_numbering_of_components(monkeypatch):
 
     monkeypatch.setattr(csgraph, "connected_components", shuffled)
     factor = _pinned_factor(*table[:2], spec)
+    shuffled_u = factor.solve(r, trans="T")
     L = generator_matrix(m.A, m.b, spec)
     assert factor.transient_cells == plain.transient_cells > 0
-    assert block_lower_triangular(pinned_transpose(L, spec)[0], factor.order, L)
+    order = np.concatenate([factor.transient.order, factor.order])
+    assert block_lower_triangular(pinned_transpose(L, spec)[0], order, L)
     assert factor.null.tobytes() == plain.null.tobytes()
+    assert np.abs(shuffled_u - u).max() <= 1e-12 * np.abs(u).max()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.sparse.linalg as spla
 
+from fpkit import fpk
 from fpkit.errors import ConfinementError, IncompatibilityError, TruncationError
 from fpkit.fields import (
     ClosureField,
@@ -418,7 +419,7 @@ class TestGrowthBounds:
 
 
 class TestSharedFactor:
-    """One SuperLU factor of the pinned L_h^T gives rho, w and u."""
+    """One factor of the pinned L_h^T gives rho, w and u: its closed class is factored once."""
 
     def test_one_factorization_per_radius(self, monkeypatch):
         shapes = []
@@ -432,18 +433,47 @@ class TestSharedFactor:
         case = {c.name: c for c in builtin_poisson_cases()}["ou-2d-tanh"]
         verify_growth_bounds(case.model.A, case.model.b, case.psi, 1.0,
                              radii=(8.0, 16.0), n_base=32)
-        assert shapes == [32 ** 2, 64 ** 2]
+        # on both grids (h = 0.5) the pin's closed class is the 18 x 18 cells
+        # inside the Pe = 1 line: its factor gives rho and w, and the transposed
+        # solve for u factors the transient cells on their own
+        assert shapes == [18 ** 2, 32 ** 2 - 18 ** 2, 18 ** 2, 64 ** 2 - 18 ** 2]
+
+    def test_factor_budget_of_the_poisson_2d_grids(self, monkeypatch):
+        # ou-2d-tanh at radii 8 and 16, n_base 64: the pin reaches every cell of
+        # the R = 8 grid, whose factor is the MMD one of every cell; on the
+        # R = 16 grid it reaches 4,356 of 16,384. Each grid's whole table is
+        # compressed once, and only the R = 16 grid has a transient block
+        calls, lines = [], []
+        splu, compressed = spla.splu, fpk._compressed
+
+        def counted(P, *args, **kwargs):
+            calls.append((P.shape[0], kwargs["permc_spec"]))
+            return splu(P, *args, **kwargs)
+
+        def counted_lines(T, offsets, order=None):
+            lines.append((T.shape[1], T.shape[1] if order is None else len(order)))
+            return compressed(T, offsets, order)
+
+        monkeypatch.setattr(spla, "splu", counted)
+        monkeypatch.setattr(fpk, "_compressed", counted_lines)
+        case = {c.name: c for c in builtin_poisson_cases()}["ou-2d-tanh"]
+        verify_growth_bounds(case.model.A, case.model.b, case.psi, 1.0,
+                             radii=(8.0, 16.0), n_base=64)
+        assert calls == [(64 ** 2, "MMD_AT_PLUS_A"), (4356, "MMD_AT_PLUS_A"),
+                         (128 ** 2 - 4356, "NATURAL")]
+        assert [n for n, k in lines if k == n] == [64 ** 2, 128 ** 2]
 
     @pytest.mark.parametrize("name,n,permc_spec", [
         pytest.param("ou-2d", 64, "MMD_AT_PLUS_A", id="ou-2d-MMD_AT_PLUS_A"),
         pytest.param("anisotropic-2d", 32, "NATURAL", id="anisotropic-2d-NATURAL"),
-        pytest.param("ou-2d", 32, "NATURAL", id="ou-2d-transient-NATURAL"),
+        pytest.param("ou-2d", 32, "MMD_AT_PLUS_A", id="ou-2d-transient-NATURAL"),
     ])
     def test_one_factorization_ordered_by_the_stencil(self, monkeypatch, name, n, permc_spec):
         # where the pin reaches every cell (ou-2d at n = 64) the 5-point L_h^T
-        # leaves the order to SuperLU; with transient cells (both models at
-        # n = 32) it comes pre-ordered block triangular, as a 9-point one without
-        # them comes in nested dissection (the test below)
+        # leaves the order to SuperLU, as a 9-point one comes in nested
+        # dissection (the test below). With transient cells (both models at
+        # n = 32) the closed class is factored by the same rule, once, and the
+        # transient block, upstream-first, NATURAL, for the transposed solve
         calls = []
         splu = spla.splu
 
@@ -454,8 +484,10 @@ class TestSharedFactor:
         monkeypatch.setattr(spla, "splu", counted)
         m = {m.name: m for m in builtin_models()}[name]
         psi = source(lambda z: np.tanh(z[:, 0]), 2, "psi")
-        stationary_poisson(m.A, m.b, psi, 1.0, GridSpec(2, 8.0, n))
-        assert calls == [(n ** 2, permc_spec)]
+        rho, _ = stationary_poisson(m.A, m.b, psi, 1.0, GridSpec(2, 8.0, n))
+        transient = rho.info["transient_cells"]
+        assert (transient > 0) == (n == 32)
+        assert calls == [(n ** 2 - transient, permc_spec)] + [(transient, "NATURAL")] * (n == 32)
 
     @pytest.mark.parametrize("name", ["ou-2d", "anisotropic-2d"])
     def test_bitwise_equal_to_the_two_solves(self, name):
