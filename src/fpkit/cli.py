@@ -35,7 +35,9 @@ numerics, and writes into the output directory:
   diagonal), and for poisson the Lyapunov witness (m0, r0) (the 1d closed
   form has a null residual). The 2d solve summary counts the cells of
   B(0, 1) that hold no mass ("empty_cells_r1"); its "harnack_ratio_r1" is
-  taken over the others. The meanfield summary's telemetry lists, per start, the
+  taken over the others, and is null with a "non_finite" warning when no
+  cell of the ball holds mass (the run then fails positive_on_unit_ball).
+  The meanfield summary's telemetry lists, per start, the
   SuperLU factorizations of its Picard steps, and for each step its
   refinement steps, whether it factored and its weighted gap to the step
   before (meanfield.FixedPointTrace), the contraction that trace.csv plots.

@@ -47,6 +47,18 @@ transient block) and for generator_matrix, the public L_h. The
 measurements behind the stencil, the orderings, SuperLU's options and the
 refinement constants are in CHANGES.md, not repeated here.
 
+A solve rebuilds only what its coefficients determine. What the grid alone
+determines is built once: the stencil's slots and offsets and its folded 1d
+stencils (_stencil_pieces, cached by n, h, d and whether the stencil has a
+cross term, eight keys of read-only arrays), and on the GridSpec the cell
+centers, their radii and the nested-dissection order. A solve on a held
+slot, such as a Picard step of meanfield, samples b, writes the table,
+compares its nonzero pattern on the class with the held factor's (kept on
+the factor's TransientBlock, _class_of), and refines: products of the table
+(_apply, one multiply and a scatter) and solves of the class factor alone
+(PinnedFactor._on_class). It factors only when the class differs or
+refinement falls short.
+
 scipy.sparse and scipy.sparse.linalg are imported where they are used
 (generator_matrix, _pinned_factor, _splu, TransientBlock, and _reaches_pin,
 _closed_class and _block_order with scipy.sparse.csgraph), so importing
@@ -67,6 +79,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -232,17 +245,6 @@ def _weight_table(a: np.ndarray, b_c: np.ndarray,
     the folded shifts; a non-dominant cell keeps the centered 2 a^01 D1_0 D1_1.
     """
     n, h, d = spec.n, spec.h, spec.dim
-
-    def folded(*weights):
-        """(3, n) weights of a 1d stencil by clamped offset -1, 0, 1 at each position."""
-        F = np.repeat(np.array(weights)[:, None], n, axis=1)
-        F[1, 0] += F[0, 0]  # the tap past a wall is the wall cell itself
-        F[1, -1] += F[2, -1]
-        F[0, 0] = F[2, -1] = 0.0
-        return F
-
-    D1 = folded(-0.5 / h, 0.0, 0.5 / h)
-    D2 = folded(1.0 / h ** 2, -2.0 / h ** 2, 1.0 / h ** 2)
     diag, abs_b = np.einsum("nii->ni", a), np.abs(b_c)
     scheme = {"max_cell_peclet": float(((0.5 * h) * abs_b / diag).max()),
               "non_dominant_cells": 0}
@@ -257,19 +259,7 @@ def _weight_table(a: np.ndarray, b_c: np.ndarray,
         sigma = diag - m[:, None]
         f = _diagonal_share(sigma, m, sign, b_c, h)
         beta = b_c - ((2.0 / h) * f * m)[:, None] * np.column_stack([np.ones(len(m)), sign])
-    stencil = [o for o in itertools.product((-1, 0, 1), repeat=d) if cross or o.count(0) >= d - 1]
-    offsets = np.array([sum(k * n ** (d - 1 - i) for i, k in enumerate(o)) for o in stencil],
-                       dtype=np.int32)
-    # |beta_i| times this plus beta_i D1 is beta_i times the one-sided difference
-    # downstream, its upstream weight 0 exactly (the two halves cancel)
-    one_sided = folded(0.5 / h, -1.0 / h, 0.5 / h)
-    # the slots of the taps -1, 0, 1 along each axis, evenly spaced in the lexicographic stencil
-    taps = [[stencil.index(tuple(k if j == i else 0 for j in range(d))) for k in (-1, 0, 1)]
-            for i in range(d)]
-    axes = []  # per axis: a slice of its three slots, and its stencils as (3,) + grid weights
-    for i, (lo, mid, hi) in enumerate(taps):
-        along = (3,) + tuple(n if j == i else 1 for j in range(d))
-        axes.append((slice(lo, hi + 1, mid - lo), *(F.reshape(along) for F in (D2, D1, one_sided))))
+    stencil, offsets, axes, shifts = _stencil_pieces(n, h, d, cross)
 
     def filled(fitted: bool) -> np.ndarray:
         T = np.zeros((len(stencil),) + spec.shape)  # slot by slot, each slot a grid
@@ -290,7 +280,7 @@ def _weight_table(a: np.ndarray, b_c: np.ndarray,
             for F, coef in terms:
                 view += F * coef.reshape(spec.shape)
         if cross:
-            S = {1: folded(0.0, 0.0, 1.0), -1: folded(1.0, 0.0, 0.0)}
+            S, D1 = shifts
             along = m / h ** 2
             terms = [(D1, D1, np.where(dominant, 0.0, 2.0 * a[:, 0, 1]))]
             for s in (1, -1):  # the diagonal (1, s): the steps +(1, s) and -(1, s)
@@ -321,6 +311,49 @@ def _weight_table(a: np.ndarray, b_c: np.ndarray,
     return T, offsets, scheme
 
 
+@lru_cache(maxsize=8)
+def _stencil_pieces(n: int, h: float, d: int, cross: bool) -> tuple:
+    """The parts of _weight_table that depend on the grid and stencil alone, built once per key.
+
+    Returns (stencil, offsets, axes, shifts): the stencil's offsets in
+    {-1, 0, 1}^d in lexicographic order (all 3^d with a cross term, else
+    the 2d + 1 along the axes), their flat column offsets as int32, per axis
+    the slice of its three slots in the stencil and its folded D2, D1 and
+    one-sided stencils shaped to broadcast over the grid, and for a cross
+    term the folded shifts S+ and S- and D1 as (3, n) weights (else None).
+    A folded stencil holds the 1d weights by clamped offset -1, 0, 1 at each
+    position, the tap past a wall added onto the wall cell. The arrays are
+    read-only; eight keys are kept, each a few arrays of n weights.
+    """
+    def folded(*weights):
+        F = np.repeat(np.array(weights)[:, None], n, axis=1)
+        F[1, 0] += F[0, 0]  # the tap past a wall is the wall cell itself
+        F[1, -1] += F[2, -1]
+        F[0, 0] = F[2, -1] = 0.0
+        F.flags.writeable = False
+        return F
+
+    D1 = folded(-0.5 / h, 0.0, 0.5 / h)
+    D2 = folded(1.0 / h ** 2, -2.0 / h ** 2, 1.0 / h ** 2)
+    # |beta_i| times this plus beta_i D1 is beta_i times the one-sided difference
+    # downstream, its upstream weight 0 exactly (the two halves cancel)
+    one_sided = folded(0.5 / h, -1.0 / h, 0.5 / h)
+    stencil = tuple(o for o in itertools.product((-1, 0, 1), repeat=d)
+                    if cross or o.count(0) >= d - 1)
+    offsets = np.array([sum(k * n ** (d - 1 - i) for i, k in enumerate(o)) for o in stencil],
+                       dtype=np.int32)
+    offsets.flags.writeable = False
+    # the slots of the taps -1, 0, 1 along each axis, evenly spaced in the lexicographic stencil
+    taps = [[stencil.index(tuple(k if j == i else 0 for j in range(d))) for k in (-1, 0, 1)]
+            for i in range(d)]
+    axes = []
+    for i, (lo, mid, hi) in enumerate(taps):
+        along = (3,) + tuple(n if j == i else 1 for j in range(d))
+        axes.append((slice(lo, hi + 1, mid - lo), *(F.reshape(along) for F in (D2, D1, one_sided))))
+    shifts = ({1: folded(0.0, 0.0, 1.0), -1: folded(1.0, 0.0, 0.0)}, D1) if cross else None
+    return stencil, offsets, tuple(axes), shifts
+
+
 def _axis_steps(T: np.ndarray, offsets: np.ndarray, spec: GridSpec, pin: int,
                 toward: bool) -> list[np.ndarray]:
     """Per axis and side of the pinned cell, the weights of the steps one cell toward it, or away.
@@ -349,11 +382,16 @@ def _reaches_pin(T: np.ndarray, offsets: np.ndarray, spec: GridSpec, least: floa
     """Whether the chain with generator L_h reaches the pinned cell from every cell.
 
     T is the (S, N) table of L_h. A step counts where its rate is above
-    `least`: for the minimally upwinded L_h, whose rates
-    can cancel to roundoff, REACH_TOL times a bound on every cell's
-    tr(a) / h^2 + |b|_1 / h; 0 for the fitted one, whose rates are formed
-    without cancellation. The pinned cell then lies in the one closed class
-    of the chain, and the pinned L_h^T of an M-matrix L_h is nonsingular.
+    `least`: for the minimally upwinded L_h, whose rates can cancel to
+    roundoff, REACH_TOL times a bound on every cell's tr(a) / h^2 +
+    |b|_1 / h; 0 for the fitted one. A fitted upstream rate is not free of
+    cancellation either: _weight_table sums it as (e / h^2 - |beta_i| /
+    (2 h)) + |beta_i| / (2 h), so e / h^2 is lost where it is below an ulp
+    of |beta_i| / (2 h), which is where h |beta_i| / sigma_i passes about
+    37. Such a rate is exactly 0 and its step does not count (A = I,
+    b = -30 (x - (6, 6)), R = 8, n = 64: 4,480 weights between neighbouring
+    cells). The pinned cell then lies in the one closed class of the chain,
+    and the pinned L_h^T of an M-matrix L_h is nonsingular.
     First the sufficient test that every cell steps toward the pin along
     each axis where it is not in the pin's line (_axis_steps), the least
     such rate above `least`; where that fails, a breadth-first search from
@@ -452,7 +490,9 @@ class TransientBlock:
     T and offsets are the table of L_h that the pinned matrix was written
     from (_weight_table). The first solve orders the block of M = L_h^T on
     these cells upstream-first (_block_order) and factors it NATURAL; later
-    solves reuse that factor.
+    solves reuse that factor. `pattern`, where T is nonzero on the class
+    cells in the factor's order, is kept by the first _class_of against
+    the factor.
     """
 
     T: np.ndarray
@@ -462,6 +502,7 @@ class TransientBlock:
     cells: np.ndarray = field(init=False)
     order: np.ndarray | None = None
     lu: spla.SuperLU | None = None
+    pattern: np.ndarray | None = None
 
     def __post_init__(self):
         self.cells = np.flatnonzero(~self.closed)
@@ -643,23 +684,33 @@ def _generator_table(A, b: DriftField, spec: GridSpec, slot: NearbyFactor | None
 def _apply(T: np.ndarray, offsets: np.ndarray, x: np.ndarray, adjoint: bool = True) -> np.ndarray:
     """M x = L_h^T x from the (S, N) table T of L_h, or L_h x when not `adjoint`.
 
-    M x scatters T[s, c] x[c] onto cell c + offsets[s], the slots in
-    descending offset order; L_h x gathers T[s, c] x[c + offsets[s]], in
-    ascending order. Each cell's sum thus runs in the order of scipy's
-    csc_matvec of M and csr_matvec of L_h, so the products equal those of
-    the matrices bit for bit. Only the cells c with c + offsets[s] on the
-    grid take part; where a flat offset wraps onto the next line of cells,
-    T is an exact zero (the tap folds onto the wall cell), which adds
-    nothing to a finite x. |M| |x| is the same apply on |T|.
+    M x forms the products T[s, c] x[c] in one multiply and scatters them
+    onto cell c + offsets[s] (_scatter); L_h x gathers T[s, c] x[c +
+    offsets[s]], the slots in ascending offset order. Each cell's sum thus
+    runs in the order of scipy's csc_matvec of M and csr_matvec of L_h, so
+    the products equal those of the matrices bit for bit. Only the cells c
+    with c + offsets[s] on the grid take part; where a flat offset wraps
+    onto the next line of cells, T is an exact zero (the tap folds onto the
+    wall cell), which adds nothing to a finite x. |M| |x| is the same scatter
+    of |T| |x| (_relative_residual).
     """
-    N, y, offs = len(x), np.zeros(len(x)), offsets.tolist()
-    for s in range(len(offs) - 1, -1, -1) if adjoint else range(len(offs)):
-        o = offs[s]
+    if adjoint:
+        return _scatter(T * x, offsets)
+    N, y = len(x), np.zeros(len(x))
+    for s, o in enumerate(offsets.tolist()):
         lo, hi = max(0, -o), min(N, N - o)  # the cells c with c + o on the grid
-        if adjoint:
-            y[lo + o:hi + o] += T[s, lo:hi] * x[lo:hi]
-        else:
-            y[lo:hi] += T[s, lo:hi] * x[lo + o:hi + o]
+        y[lo:hi] += T[s, lo:hi] * x[lo + o:hi + o]
+    return y
+
+
+def _scatter(P: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The sums of an (S, N) table of products P[s, c] onto cell c + offsets[s], slot by slot
+    in descending offset order, the cells c with c + offsets[s] on the grid."""
+    N, y, offs = P.shape[1], np.zeros(P.shape[1]), offsets.tolist()
+    for s in range(len(offs) - 1, -1, -1):
+        o = offs[s]
+        lo, hi = max(0, -o), min(N, N - o)
+        y[lo + o:hi + o] += P[s, lo:hi]
     return y
 
 
@@ -730,12 +781,16 @@ def _class_of(T: np.ndarray, offsets: np.ndarray, spec: GridSpec,
     Where the factor has transient cells and T has a nonzero weight on each
     cell of its class in exactly the slots where the factor's table has one,
     a search from the pin meets the steps it met for the factor, so the
-    class is the factor's and no search is made.
+    class is the factor's and no search is made. The factor's pattern is
+    kept on its TransientBlock, so each table of a run is compared to it
+    without forming it again.
     """
     rest = factor.transient
     if rest is not None and np.array_equal(offsets, rest.offsets):
         on = factor.order
-        if np.array_equal(T[:, on] != 0.0, rest.T[:, on] != 0.0):
+        if rest.pattern is None:
+            rest.pattern = rest.T[:, on] != 0.0
+        if np.array_equal(T[:, on] != 0.0, rest.pattern):
             return rest.closed
     return _closed_class(T, offsets, spec, factor.pin)
 
@@ -800,8 +855,11 @@ class NearbyFactor:
 def _relative_residual(T: np.ndarray, offsets: np.ndarray, x: np.ndarray,
                        mx: np.ndarray) -> float:
     """||M x||_inf / || |M| |x| ||_inf from mx = M x, M = L_h^T of the table T: the residual
-    of M x = 0 against its cancellation-free size. It does not depend on the scale of x."""
-    denom = float(_apply(np.abs(T), offsets, np.abs(x)).max())
+    of M x = 0 against its cancellation-free size. It does not depend on the scale of x.
+    The products |T| |x| are formed in place, so no table beyond |T| is allocated."""
+    products = np.abs(T)
+    products *= np.abs(x)
+    denom = float(_scatter(products, offsets).max())
     return float(np.abs(mx).max()) / max(denom, 1e-300)
 
 
@@ -817,7 +875,9 @@ def _refined_null(T: np.ndarray, offsets: np.ndarray, factor: PinnedFactor,
     T is the table of L_h (_apply). F factors a pinned matrix P near the
     pinned M, with F's pin and F's closed class (_solve_null checks it): no
     cell of the class steps off it, so M x, every correction and x stay 0
-    off the class, and F solves them on the class alone. From
+    off the class, and F solves them on the class alone
+    (PinnedFactor._on_class): the right-hand side is exactly 0 off the
+    class, so neither a test of it nor the transient block is needed. From
     `start`, a vector with start[pin] = 1 (NearbyFactor.accepted), each step
     computes mx = M x once and corrects x <- x + F^-1 r, r = e_pin - P x
     (that is, -mx but 1 - x[pin] at the pin): classical iterative refinement
@@ -844,7 +904,7 @@ def _refined_null(T: np.ndarray, offsets: np.ndarray, factor: PinnedFactor,
             break
         rhs = -mx
         rhs[factor.pin] = 1.0 - x[factor.pin]
-        delta = factor.solve(rhs)
+        delta = factor._on_class(rhs, "N")
         x = x + delta
         settled = np.abs(delta).max() <= REFINE_CORRECTION * np.abs(x).max()
     return None, math.inf, REFINE_MAX_STEPS
@@ -984,8 +1044,9 @@ def harnack_ratio(rho: GridDensity, radius: float) -> float:
     """max/min of the density over the cells with centers in B(0, radius) that hold mass.
 
     A cell that holds none, such as a transient cell of solve_grid (exactly
-    0), is skipped. A ball that holds no cell center is a ValueError naming
-    it, and one whose cells hold no mass a DegenerateDensityError.
+    0), is skipped, and a ball whose cells hold none at all, such as one
+    left upstream of a density whose mass sits away from the origin, has
+    no ratio: nan. A ball that holds no cell center is a ValueError naming it.
     """
     if radius <= 0 or radius > rho.spec.radius:
         raise ValueError(f"ball radius {radius} must lie in (0, {rho.spec.radius}]")
@@ -996,7 +1057,7 @@ def harnack_ratio(rho: GridDensity, radius: float) -> float:
     vals = rho.flat()[sel]
     vals = vals[vals > 0.0]
     if not len(vals):
-        raise DegenerateDensityError(f"density vanishes on every cell of B(0, {radius:g})")
+        return math.nan
     return float(vals.max()) / float(vals.min())
 
 

@@ -45,6 +45,14 @@ outlives the run. Each step is still Phi(rho) solved to roundoff, so the
 gaps and contraction factors of a FixedPointTrace measure the map itself;
 the trace also records, for each step, its refinement steps and whether it
 factored.
+
+A Picard step thus rebuilds only what its new drift requires: the kernel
+offset (two FFTs against the kept spectrum), the table of L_h and its
+refinement (fpk: the stencil pieces of a grid are cached there), the two
+weighted moments and the weighted gap. Their radial weights depend on the
+grid and the power alone and are cached per (grid, power), eight keys of
+read-only arrays each (_moment_weight here, stability._distance_weight for
+the gap), filled on first use.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -302,8 +311,15 @@ class _FrozenDiffusion(DiffusionMatrixField):
 
 def _weighted_moment(rho: GridDensity, power: float) -> float:
     """integral (1 + |x|)^power rho by cell quadrature."""
-    r = rho.spec.center_radii()
-    return float(np.sum((1.0 + r) ** power * rho.flat()) * rho.spec.cell_volume)
+    return float(np.sum(_moment_weight(rho.spec, power) * rho.flat()) * rho.spec.cell_volume)
+
+
+@lru_cache(maxsize=8)
+def _moment_weight(spec: GridSpec, power: float) -> np.ndarray:
+    """(1 + |x|)^power at the cell centers of spec, read-only, built once per (grid, power)."""
+    w = (1.0 + spec.center_radii()) ** power
+    w.flags.writeable = False
+    return w
 
 
 def nonlocal_coefficients(model: MeanFieldModel,

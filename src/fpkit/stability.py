@@ -27,6 +27,7 @@ shrinks at the discretization rate, which is what duality_check exposes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -84,8 +85,16 @@ def weighted_l1_distance(rho1: GridDensity, rho2: GridDensity, k: float) -> floa
     require_same_grid(rho1, rho2)
     if k < 0:
         raise ValueError("weight order k must be nonnegative")
-    w = 1.0 + rho1.spec.center_radii() ** k
+    w = _distance_weight(rho1.spec, k)
     return float(np.sum(w * np.abs(rho1.flat() - rho2.flat())) * rho1.spec.cell_volume)
+
+
+@lru_cache(maxsize=8)
+def _distance_weight(spec: GridSpec, k: float) -> np.ndarray:
+    """1 + |x|^k at the cell centers of spec, read-only, built once per (grid, k)."""
+    w = 1.0 + spec.center_radii() ** k
+    w.flags.writeable = False
+    return w
 
 
 def clip_of(rho: GridDensity) -> tuple[float, int]:

@@ -911,6 +911,30 @@ class TestNumericalExits:
         assert summary["harnack_ratio_r1"] >= 1.0
         assert (out_dir / "density.csv").exists() and (out_dir / "moments.csv").exists()
 
+    def test_empty_unit_ball_writes_the_report_and_fails_its_check(self, tmp_path):
+        # regression: A = I, b = -30(x - (6, 6)) at R = 8, n = 128 puts the mass
+        # around (6, 6), and every cell of B(0, 1) holds exactly 0. The Harnack
+        # figure raised "density vanishes on every cell of B(0, 1)", so the run
+        # ended as an error with a summary of telemetry only. It has no ratio:
+        # null, with a non_finite warning
+        cfg = {"coefficients": {"dim": 2, "diffusion": {"name": "constant",
+                                                        "params": {"value": 1.0}},
+                                "drift": {"expressions": ["-30*(x1 - 6)", "-30*(x2 - 6)"],
+                                          "beta1": 2000.0, "beta2": 15.0, "beta3": 400.0}},
+               "radius": 8, "n": 128}
+        code, report, out_dir = run_cli(tmp_path, "solve", cfg)
+        assert code == 3
+        assert report["outcome"] == "fail"
+        assert report["checks"] == {"mass_ok": True, "boundary_mass_ok": True,
+                                    "positive_on_unit_ball": False}
+        summary = report["summary"]
+        in_ball = int(np.count_nonzero(GridSpec(2, 8.0, 128).center_radii() <= 1.0))
+        assert summary["empty_cells_r1"] == in_ball
+        assert summary["harnack_ratio_r1"] is None
+        assert {"kind": "non_finite", "key": "harnack_ratio_r1"} in report["warnings"]
+        assert summary["moments"]["k=1"] == pytest.approx(6.0 * 2 ** 0.5, rel=1e-2)
+        assert (out_dir / "density.csv").exists() and (out_dir / "moments.csv").exists()
+
     def test_failing_check_exits_three_with_fail_line(self, tmp_path, capsys):
         cfg = {"task": "stability", "axis": [0.01, 0.05, 5.0],
                "base": {"family": "drift-linear", "n": 256}}
